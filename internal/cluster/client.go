@@ -184,13 +184,13 @@ func (c *Client) EmitNamed(name string, vals ...heap.Ref) error {
 // Dispatch implements monitor.Runtime. It blocks while the pivot slot's
 // credit window — or, for broadcasts, any slot's window — is exhausted.
 func (c *Client) Dispatch(sym int, theta param.Instance) {
-	ps := c.spec.Events[sym].Params.Members()
-	ids := make([]uint64, len(ps))
+	var buf [param.MaxParams]uint64
+	ids := buf[:0]
 	c.tmu.Lock()
-	for k, p := range ps {
-		ref := theta.Value(p)
+	for pm := c.spec.Events[sym].Params; pm != 0; pm = pm.Rest() {
+		ref := theta.Value(pm.First())
 		id := ref.ID()
-		ids[k] = id
+		ids = append(ids, id)
 		if _, ok := c.table[id]; !ok {
 			c.table[id] = ref
 		}
@@ -206,9 +206,10 @@ func (c *Client) Free(refs ...heap.Ref) {
 	if len(refs) == 0 {
 		return
 	}
-	ids := make([]uint64, len(refs))
-	for k, ref := range refs {
-		ids[k] = ref.ID()
+	var buf [8]uint64 // a death rarely names more; append spills the rest
+	ids := buf[:0]
+	for _, ref := range refs {
+		ids = append(ids, ref.ID())
 	}
 	c.f.Free(ids)
 }

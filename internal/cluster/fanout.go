@@ -71,22 +71,14 @@ type fanoutConfig struct {
 	onNodeDown func(addr string)
 }
 
-// jrec is one journal record: an event (sym >= 0) or a free (sym < 0).
-// Records are immutable once appended; broadcasts share one record across
-// all slot journals.
-type jrec struct {
-	sym int32
-	ids []uint64
-}
-
 // slotState is one slot: its current session, the full journal of records
 // it has accepted, and the send watermark into the current session.
 type slotState struct {
 	ln *link
-	// journal[:sent] has been written to ln's current incarnation; a
-	// handoff resets sent to 0 and replays the whole journal.
-	journal []jrec
-	sent    int
+	// The journal records before sent have been written to ln's current
+	// incarnation; a handoff rewinds sent and replays the whole journal.
+	journal journal
+	sent    jcursor
 	// verdicts counts verdict forwards delivered upstream from this slot,
 	// across all incarnations — the Skip count for the next handoff.
 	// Written only by the owning link's reader goroutine.
@@ -235,7 +227,7 @@ func (f *fanout) openSlot(i int, addr string) (*link, error) {
 		f.cfg.onVerdict(v)
 		f.vmu.Unlock()
 	}
-	onDown := func(*link) {
+	onDown := func() {
 		// Reader goroutine; repair needs the fanout lock, so detach. If an
 		// operation is already stuck on this link it repairs inline first
 		// and this pass finds nothing dirty.
@@ -403,19 +395,12 @@ func (f *fanout) moveSlotLocked(i int, addr string, donor *wire.Stats) (ok bool,
 		return false, nil
 	}
 	s.ln = ln
-	s.sent = 0
+	s.sent = jcursor{}
 	if !ln.handoffBegin(skip) {
 		return false, nil
 	}
-	for _, rec := range s.journal {
-		if rec.sym >= 0 {
-			if spent, _ := ln.spendCredit(); !spent {
-				return false, nil
-			}
-			if !ln.event(int(rec.sym), rec.ids) {
-				return false, nil
-			}
-		} else if !ln.free(rec.ids) {
+	for s.sent.rec < s.journal.n {
+		if _, ok := ln.send(&s.journal, &s.sent, s.journal.n); !ok {
 			return false, nil
 		}
 	}
@@ -423,18 +408,17 @@ func (f *fanout) moveSlotLocked(i int, addr string, donor *wire.Stats) (ok bool,
 	if !acked {
 		return false, nil
 	}
-	s.sent = len(s.journal)
 	if donor != nil && !statsEqual(st, *donor) {
 		return false, fmt.Errorf("cluster: slot %d handoff to %s diverged: donor settled %+v, replay settled %+v", i, addr, *donor, st)
 	}
 	if f.cfg.onHandoff != nil {
-		f.cfg.onHandoff(len(s.journal))
+		f.cfg.onHandoff(s.journal.n)
 	}
 	if m := f.cfg.met; m != nil {
 		m.Handoffs.Inc()
-		m.HandoffRecords.Add(uint64(len(s.journal)))
+		m.HandoffRecords.Add(uint64(s.journal.n))
 	}
-	f.cfg.logf("cluster: slot %d moved to %s (%d records, skip %d)", i, addr, len(s.journal), skip)
+	f.cfg.logf("cluster: slot %d moved to %s (%d records, skip %d)", i, addr, s.journal.n, skip)
 	return true, nil
 }
 
@@ -448,8 +432,15 @@ func (f *fanout) releaseAllLocked() {
 	}
 }
 
+// statsEqual is the handoff audit: the settled counters of a donor and of
+// the replay that replaces it. PeakLive is excluded — a donor that was
+// itself built by a handoff ran that handoff's HandoffEnd flush in the
+// middle of its stream, which the journal does not record and the replay
+// therefore performs at a different point; the flush moves the transient
+// peak and nothing that settles.
 func statsEqual(a, b wire.Stats) bool {
 	a.Token, b.Token = 0, 0
+	a.PeakLive, b.PeakLive = 0, 0
 	return a == b
 }
 
@@ -468,12 +459,11 @@ func (f *fanout) Event(sym int, ids []uint64) error {
 		return err
 	}
 	f.events.Add(1)
-	rec := jrec{sym: int32(sym), ids: append([]uint64(nil), ids...)}
 	if pp := f.pivotPos[sym]; pp >= 0 && len(f.slots) > 1 {
 		i := f.slotOf(ids[pp])
 		s := f.slots[i]
-		s.journal = append(s.journal, rec)
-		if err := f.pumpLocked(i); err != nil {
+		s.journal.append(sym, ids)
+		if err := f.pumpLocked(i, s.journal.n); err != nil {
 			return err
 		}
 		if m := f.cfg.met; m != nil {
@@ -482,7 +472,7 @@ func (f *fanout) Event(sym int, ids []uint64) error {
 		return nil
 	}
 	for _, s := range f.slots {
-		s.journal = append(s.journal, rec)
+		s.journal.append(sym, ids)
 	}
 	if err := f.broadcastPumpLocked(); err != nil {
 		return err
@@ -505,12 +495,9 @@ func (f *fanout) Free(ids []uint64) error {
 	if err := f.errLocked(); err != nil {
 		return err
 	}
-	rec := jrec{sym: -1, ids: append([]uint64(nil), ids...)}
-	for _, s := range f.slots {
-		s.journal = append(s.journal, rec)
-	}
-	for i := range f.slots {
-		if err := f.pumpLocked(i); err != nil {
+	for i, s := range f.slots {
+		s.journal.append(-1, ids)
+		if err := f.pumpLocked(i, s.journal.n); err != nil {
 			return err
 		}
 	}
@@ -520,30 +507,22 @@ func (f *fanout) Free(ids []uint64) error {
 	return nil
 }
 
-// pumpLocked writes slot i's unsent journal suffix to its current link,
-// re-homing (which itself replays the suffix) on link death.
-func (f *fanout) pumpLocked(i int) error {
+// pumpLocked writes slot i's unsent journal records up to (not including)
+// record upto to its current link, re-homing — which itself replays the
+// whole journal — on link death.
+func (f *fanout) pumpLocked(i, upto int) error {
 	s := f.slots[i]
-	for s.sent < len(s.journal) {
-		rec := s.journal[s.sent]
-		ok := true
-		if rec.sym >= 0 {
-			spent, stalled := s.ln.spendCredit()
-			if stalled {
-				if m := f.cfg.met; m != nil {
-					m.CreditStalls.Inc()
-				}
+	for s.sent.rec < upto {
+		stalled, ok := s.ln.send(&s.journal, &s.sent, upto)
+		if stalled {
+			if m := f.cfg.met; m != nil {
+				m.CreditStalls.Inc()
 			}
-			ok = spent && s.ln.event(int(rec.sym), rec.ids)
-		} else {
-			ok = s.ln.free(rec.ids)
 		}
-		if ok {
-			s.sent++
-			continue
-		}
-		if err := f.rebalanceLocked(); err != nil {
-			return err
+		if !ok {
+			if err := f.rebalanceLocked(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -555,10 +534,8 @@ func (f *fanout) broadcastPumpLocked() error {
 	// Phase 0: slots already behind by more than this record (a prior
 	// failure) catch up first, so each slot is at most one record short.
 	for i, s := range f.slots {
-		if s.sent < len(s.journal)-1 {
-			if err := f.pumpAllButLastLocked(i); err != nil {
-				return err
-			}
+		if err := f.pumpLocked(i, s.journal.n-1); err != nil {
+			return err
 		}
 	}
 	// Phase 1: acquire everywhere before writing anywhere. A dead link
@@ -572,11 +549,11 @@ func (f *fanout) broadcastPumpLocked() error {
 	for {
 		allLive := true
 		for i, s := range f.slots {
-			if s.sent == len(s.journal) {
+			if s.sent.rec == s.journal.n {
 				// Delivered by a handoff replay (which pays its own way);
 				// any credit held from an earlier pass goes back.
 				if held[i] {
-					s.ln.refundCredit()
+					s.ln.p.Refund(1)
 					held[i] = false
 				}
 				continue
@@ -584,17 +561,16 @@ func (f *fanout) broadcastPumpLocked() error {
 			if held[i] {
 				continue
 			}
-			spent, stalled := s.ln.spendCredit()
+			_, stalled := s.ln.p.Acquire(1)
 			if stalled {
 				if m := f.cfg.met; m != nil {
 					m.CreditStalls.Inc()
 				}
 			}
-			if spent {
-				held[i] = true
+			if s.ln.dead() {
+				allLive = false // the credit was a dead window's flood
 			} else {
-				allLive = false
-				s.ln.refundCredit() // flooded token from a dead window
+				held[i] = true
 			}
 		}
 		if allLive {
@@ -607,45 +583,21 @@ func (f *fanout) broadcastPumpLocked() error {
 	// Phase 2: write the record everywhere the replay did not.
 	failed := false
 	for i, s := range f.slots {
-		if s.sent == len(s.journal) {
+		if s.sent.rec == s.journal.n {
 			if held[i] {
-				s.ln.refundCredit()
+				s.ln.p.Refund(1)
 			}
 			continue
 		}
-		rec := s.journal[s.sent]
-		if s.ln.event(int(rec.sym), rec.ids) {
-			s.sent++
+		sym, ids := s.journal.at(&s.sent)
+		if s.ln.p.Event(sym, ids) {
+			s.sent.next(len(ids))
 		} else {
 			failed = true
 		}
 	}
 	if failed {
 		return f.rebalanceLocked()
-	}
-	return nil
-}
-
-// pumpAllButLastLocked drains slot i's backlog up to (not including) the
-// final journal record.
-func (f *fanout) pumpAllButLastLocked(i int) error {
-	s := f.slots[i]
-	for s.sent < len(s.journal)-1 {
-		rec := s.journal[s.sent]
-		ok := true
-		if rec.sym >= 0 {
-			spent, _ := s.ln.spendCredit()
-			ok = spent && s.ln.event(int(rec.sym), rec.ids)
-		} else {
-			ok = s.ln.free(rec.ids)
-		}
-		if ok {
-			s.sent++
-			continue
-		}
-		if err := f.rebalanceLocked(); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -4,19 +4,19 @@
 // processed by the node in order, which is what lets a slot's slices see
 // events and deaths exactly as the upstream client positioned them.
 //
-// The link mirrors internal/remote's Client at the frame level: writes
-// are serialized and pipelined under wmu, a background reader drains
-// verdicts, credit and acks, and sync operations round-trip tokens
-// through a pending map. It stays below the ref/instance layer — IDs in,
-// IDs out — because the router never materializes objects; translation to
-// heap.Refs happens only at the true client (Client in this package, or
-// the upstream session's own tables).
+// The link is a wire.Producer — the same write half, credit window,
+// linger deadline and read loop internal/remote's Client runs on — used
+// below the ref/instance layer: IDs in, IDs out, because the router never
+// materializes objects; translation to heap.Refs happens only at the true
+// client (Client in this package, or the upstream session's own tables).
+// Events and frees are buffered records that leave a write block at a
+// time; a free's position in the slot's ordered stream is the death's
+// position in the trace, so nothing is flushed on its account.
 package cluster
 
 import (
 	"fmt"
 	"net"
-	"sync"
 
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
@@ -26,85 +26,31 @@ import (
 // link is one slot session on a node.
 type link struct {
 	addr string
-	slot int
-	conn net.Conn
-
-	// wmu serializes frame writes and flushes; the reader never takes it.
-	wmu sync.Mutex
-	w   *wire.Writer
-
-	// cmu guards the credit window; credit arrivals signal cond.
-	cmu     sync.Mutex
-	cond    *sync.Cond
-	credits int64
-
-	// pmu guards the pending sync map and the sticky error.
-	pmu     sync.Mutex
-	pending map[uint64]chan wire.Msg
-	token   uint64
-	err     error
-
-	onVerdict func(wire.Verdict) // reader goroutine; must not call back
-	onDown    func(*link)        // invoked once, on reader death with error
-
-	readerDone chan struct{}
-	downOnce   sync.Once
+	p    *wire.Producer
 }
-
-// byeToken is the reserved pending-map key for the ByeAck.
-const byeToken = 0
 
 // openLink dials a node, marks the session with a NodeHello, and runs the
 // ordinary Hello handshake, verifying the node compiled the same spec.
+// onVerdict runs on the link's reader goroutine and must not call back;
+// onDown is invoked once if the session dies with an error.
 func openLink(dial func(string) (net.Conn, error), addr string, router uint64, slot int,
-	spec *monitor.Spec, hello wire.Hello, onVerdict func(wire.Verdict), onDown func(*link)) (*link, error) {
+	spec *monitor.Spec, hello wire.Hello, onVerdict func(wire.Verdict), onDown func()) (*link, error) {
 	conn, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %s: %w", addr, err)
 	}
-	l := &link{
-		addr:       addr,
-		slot:       slot,
-		conn:       conn,
-		w:          wire.NewWriter(conn),
-		pending:    map[uint64]chan wire.Msg{},
-		onVerdict:  onVerdict,
-		onDown:     onDown,
-		readerDone: make(chan struct{}),
-	}
-	l.cond = sync.NewCond(&l.cmu)
-
-	if err := l.w.WriteNodeHello(wire.NodeHello{Router: router, Slot: uint64(slot)}); err == nil {
-		err = l.w.WriteHello(hello)
-	}
+	l := &link{addr: addr, p: wire.NewProducer(conn, "cluster: node "+addr)}
+	ack, err := l.p.Handshake(&wire.NodeHello{Router: router, Slot: uint64(slot)}, hello)
 	if err == nil {
-		err = l.w.Flush()
+		if err = verifyAck(spec, ack); err != nil {
+			err = fmt.Errorf("cluster: node %s: %w", addr, err)
+		}
 	}
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: node %s: %w", addr, err)
+		l.p.Close()
+		return nil, err
 	}
-	r := wire.NewReader(conn)
-	var msg wire.Msg
-	if err := r.Next(&msg); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: node %s: reading HelloAck: %w", addr, err)
-	}
-	switch msg.Type {
-	case wire.THelloAck:
-	case wire.TError:
-		conn.Close()
-		return nil, fmt.Errorf("cluster: node %s refused slot session: %s", addr, msg.Error.Msg)
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("cluster: node %s: expected HelloAck, got message type %d", addr, msg.Type)
-	}
-	if err := verifyAck(spec, msg.HelloAck); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: node %s: %w", addr, err)
-	}
-	l.credits = int64(msg.HelloAck.Window)
-	go l.readLoop(r)
+	l.p.Start(onVerdict, onDown)
 	return l, nil
 }
 
@@ -125,203 +71,64 @@ func verifyAck(spec *monitor.Spec, a wire.HelloAck) error {
 	return nil
 }
 
-// readLoop drains the inbound stream: verdicts to the fanout, credit to
-// the window, acks to their waiters.
-func (l *link) readLoop(r *wire.Reader) {
-	defer close(l.readerDone)
-	defer l.drainPending()
-	var msg wire.Msg
-	for {
-		if err := r.Next(&msg); err != nil {
-			l.fatal(fmt.Errorf("cluster: node %s: connection lost: %w", l.addr, err))
-			return
-		}
-		switch msg.Type {
-		case wire.TVerdict:
-			l.onVerdict(msg.Verdict)
-		case wire.TCredit:
-			l.cmu.Lock()
-			l.credits += int64(msg.Credit.N)
-			l.cmu.Unlock()
-			l.cond.Broadcast()
-		case wire.TBarrierAck, wire.TFlushAck:
-			l.complete(msg.Sync.Token, msg)
-		case wire.TStats, wire.THandoffAck:
-			l.complete(msg.Stats.Token, msg)
-		case wire.TByeAck:
-			l.complete(byeToken, msg)
-			return
-		case wire.TError:
-			l.fatal(fmt.Errorf("cluster: node %s: %s", l.addr, msg.Error.Msg))
-			return
-		default:
-			l.fatal(fmt.Errorf("cluster: node %s: unexpected message type %d", l.addr, msg.Type))
-			return
-		}
-	}
-}
-
-func (l *link) complete(token uint64, msg wire.Msg) {
-	l.pmu.Lock()
-	ch := l.pending[token]
-	delete(l.pending, token)
-	l.pmu.Unlock()
-	if ch != nil {
-		ch <- msg
-	}
-}
-
-// fatal records the sticky error, releases every waiter and credit-blocked
-// producer, and reports the link down exactly once.
-func (l *link) fatal(err error) {
-	l.pmu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
-	l.pmu.Unlock()
-	l.drainPending()
-	l.cmu.Lock()
-	l.credits = 1 << 40
-	l.cmu.Unlock()
-	l.cond.Broadcast()
-	if l.onDown != nil {
-		l.downOnce.Do(func() { l.onDown(l) })
-	}
-}
-
-func (l *link) drainPending() {
-	l.pmu.Lock()
-	chans := make([]chan wire.Msg, 0, len(l.pending))
-	for tok, ch := range l.pending {
-		chans = append(chans, ch)
-		delete(l.pending, tok)
-	}
-	l.pmu.Unlock()
-	for _, ch := range chans {
-		close(ch)
-	}
-}
-
 // dead reports whether the link's session has failed.
-func (l *link) dead() bool {
-	l.pmu.Lock()
-	defer l.pmu.Unlock()
-	return l.err != nil
-}
+func (l *link) dead() bool { return l.p.Failed() }
 
-// spendCredit takes one event credit, flushing the pipeline and blocking
-// while the window is empty. ok is false when the link died (the fatal
-// path floods the window so no producer hangs on a dead node); stalled
-// reports whether the caller had to wait for the node.
-func (l *link) spendCredit() (ok, stalled bool) {
-	l.cmu.Lock()
-	for l.credits <= 0 {
-		stalled = true
-		l.cmu.Unlock()
-		l.wmu.Lock()
-		err := l.w.Flush()
-		l.wmu.Unlock()
-		if err != nil {
-			l.fatal(err)
+// send writes journal records from *cur up to (not including) record
+// upto: one credit acquisition covering the events among them and one
+// write-lock hold per pass, frees riding along credit-exempt. It returns
+// after one pass — short of upto when the window granted fewer credits
+// than there were events — and the caller loops. ok is false when the
+// link died; stalled reports that the pass waited for the node.
+func (l *link) send(j *journal, cur *jcursor, upto int) (stalled, ok bool) {
+	credits := 0
+	if need := j.events(*cur, upto); need > 0 {
+		credits, stalled = l.p.Acquire(need)
+		if l.dead() {
+			return stalled, false
 		}
-		l.cmu.Lock()
-		if l.credits > 0 {
-			break
+	}
+	ok = l.p.Send(func(w *wire.Writer) error {
+		for cur.rec < upto {
+			sym, ids := j.at(cur)
+			var err error
+			if sym < 0 {
+				err = w.WriteFree(ids)
+			} else if credits == 0 {
+				return nil
+			} else {
+				credits--
+				err = w.WriteEvent(sym, ids)
+			}
+			if err != nil {
+				return err
+			}
+			cur.next(len(ids))
 		}
-		l.cond.Wait()
-	}
-	l.credits--
-	l.cmu.Unlock()
-	return !l.dead(), stalled
-}
-
-// refundCredit returns an acquired-but-unused credit to the window (the
-// all-or-nothing broadcast path refunds slots whose copy of the event was
-// delivered by a handoff replay instead).
-func (l *link) refundCredit() {
-	l.cmu.Lock()
-	l.credits++
-	l.cmu.Unlock()
-	l.cond.Broadcast()
-}
-
-// event writes one event frame (the caller has already spent credit).
-func (l *link) event(sym int, ids []uint64) bool {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	if err := l.w.WriteEvent(sym, ids); err != nil {
-		l.fatal(err)
-		return false
-	}
-	return true
-}
-
-// free writes and flushes a free frame (credit-exempt; deaths drive the
-// node's monitor GC and must be timely even when the pipeline is idle).
-func (l *link) free(ids []uint64) bool {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	if err := l.w.WriteFree(ids); err != nil {
-		l.fatal(err)
-		return false
-	}
-	if err := l.w.Flush(); err != nil {
-		l.fatal(err)
-		return false
-	}
-	return true
+		return nil
+	})
+	return stalled, ok
 }
 
 // handoffBegin opens a handoff bracket on the link (no ack).
 func (l *link) handoffBegin(skip uint64) bool {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	if err := l.w.WriteHandoffBegin(wire.HandoffBegin{Skip: skip}); err != nil {
-		l.fatal(err)
-		return false
-	}
-	return true
+	return l.p.Send(func(w *wire.Writer) error {
+		return w.WriteHandoffBegin(wire.HandoffBegin{Skip: skip})
+	})
 }
 
-// roundTrip issues a token frame and waits for its ack.
-func (l *link) roundTrip(t byte) (wire.Msg, bool) {
-	l.pmu.Lock()
-	if l.err != nil {
-		l.pmu.Unlock()
-		return wire.Msg{}, false
-	}
-	l.token++
-	tok := l.token
-	ch := make(chan wire.Msg, 1)
-	l.pending[tok] = ch
-	l.pmu.Unlock()
-
-	l.wmu.Lock()
-	err := l.w.WriteSync(t, tok)
-	if err == nil {
-		err = l.w.Flush()
-	}
-	l.wmu.Unlock()
-	if err != nil {
-		l.fatal(err)
-		return wire.Msg{}, false
-	}
-	msg, ok := <-ch
-	return msg, ok
-}
-
-func (l *link) barrier() bool { _, ok := l.roundTrip(wire.TBarrier); return ok }
-func (l *link) flush() bool   { _, ok := l.roundTrip(wire.TFlush); return ok }
+func (l *link) barrier() bool { _, ok := l.p.RoundTrip(wire.TBarrier); return ok }
+func (l *link) flush() bool   { _, ok := l.p.RoundTrip(wire.TFlush); return ok }
 
 func (l *link) stats() (wire.Stats, bool) {
-	msg, ok := l.roundTrip(wire.TStatsReq)
+	msg, ok := l.p.RoundTrip(wire.TStatsReq)
 	return msg.Stats, ok
 }
 
 // handoffEnd closes the handoff bracket: the node flushes its backend and
 // acks with the settled counters.
 func (l *link) handoffEnd() (wire.Stats, bool) {
-	msg, ok := l.roundTrip(wire.THandoffEnd)
+	msg, ok := l.p.RoundTrip(wire.THandoffEnd)
 	return msg.Stats, ok
 }
 
@@ -329,40 +136,11 @@ func (l *link) handoffEnd() (wire.Stats, bool) {
 // final settled counters. The ByeAck is ordered behind every verdict on
 // the stream, so after close returns the slot's verdict count is settled.
 func (l *link) close() (wire.Stats, bool) {
-	l.pmu.Lock()
-	if l.err != nil {
-		l.pmu.Unlock()
-		l.conn.Close()
-		<-l.readerDone
-		return wire.Stats{}, false
-	}
-	ch := make(chan wire.Msg, 1)
-	l.pending[byeToken] = ch
-	l.pmu.Unlock()
-
-	l.wmu.Lock()
-	err := l.w.WriteBye()
-	if err == nil {
-		err = l.w.Flush()
-	}
-	l.wmu.Unlock()
-	var final wire.Stats
-	ok := false
-	if err == nil {
-		if msg, chOK := <-ch; chOK {
-			final, ok = msg.Stats, true
-		}
-	} else {
-		l.fatal(err)
-	}
-	l.conn.Close()
-	<-l.readerDone
+	final, ok := l.p.Bye()
+	l.p.Close()
 	return final, ok
 }
 
 // shutdown abandons the link without the Bye handshake (the crash path —
 // the node is gone, or the slot has been journal-replayed elsewhere).
-func (l *link) shutdown() {
-	l.conn.Close()
-	<-l.readerDone
-}
+func (l *link) shutdown() { l.p.Close() }

@@ -137,6 +137,10 @@ func (o *Object) ID() uint64 { return o.id }
 // Alive implements Ref.
 func (o *Object) Alive() bool { return !o.dead.Load() }
 
+// RemoteID returns the remote protocol ID the object stands in for (zero
+// unless it came from AllocRemote).
+func (o *Object) RemoteID() uint64 { return o.rid }
+
 // Label implements Ref.
 func (o *Object) Label() string {
 	if o.label != "" {

@@ -2,15 +2,21 @@
 // monitored program embeds a Client instead of an in-process engine, and
 // its events are monitored by a remote rvserve (internal/server) session.
 //
-// The Client pipelines event writes (they buffer until a sync operation or
-// a full buffer drains them), reads verdicts and flow-control credit on a
-// background goroutine, and — because the network has no weak references —
-// reports parameter-object deaths explicitly with Free. On the server a
-// Free kills the session's counterpart objects, which is the death signal
-// the paper's coenable-set monitor GC consumes; the server barriers its
-// runtime first, so every event sent before the Free observes the objects
-// alive and per-slice verdicts and counters match an in-process replay of
-// the same stream exactly (see the oracle tests in this package).
+// The Client is a wire.Producer plus the ref tables: events and deaths are
+// ordinary buffered records that leave the process a write block at a
+// time, after a bounded linger on a quiet stream, or when a sync operation
+// or an empty credit window needs the server to act (see wire.Producer);
+// verdicts and flow-control credit arrive on a background goroutine.
+// Because the network has no weak references, parameter-object deaths are
+// reported explicitly with Free. On the server a Free kills the session's
+// counterpart objects, which is the death signal the paper's coenable-set
+// monitor GC consumes. A death is a position in the trace and the stream
+// is ordered, so the free frame's place among the event frames is that
+// position whenever the bytes happen to be sent: the server barriers its
+// runtime before applying it, every event sent before the Free observes
+// the objects alive, and per-slice verdicts and counters match an
+// in-process replay of the same stream exactly (see the oracle tests in
+// this package).
 //
 // Concurrency: all Runtime methods are safe for concurrent use. The
 // OnVerdict handler runs on the reader goroutine and must not call back
@@ -68,35 +74,19 @@ type Options struct {
 
 // Client is a remote monitoring session. It implements monitor.Runtime.
 type Client struct {
-	conn net.Conn
 	spec *monitor.Spec
 	opts Options
-
-	// wmu serializes frame writes and flushes. The reader goroutine never
-	// takes it, so a write stalled on TCP backpressure cannot wedge the
-	// inbound stream (which is what feeds credit back to unblock writes).
-	wmu sync.Mutex
-	w   *wire.Writer
-
-	// cmu guards the credit window; credit arrivals signal cond.
-	cmu     sync.Mutex
-	cond    *sync.Cond
-	credits int64
+	p    *wire.Producer
 
 	// tmu guards the remote-ID table used to reconstruct verdict
 	// instances.
 	tmu   sync.Mutex
 	table map[uint64]heap.Ref
 
-	// pmu guards the pending sync-operation map and the sticky error.
-	pmu     sync.Mutex
-	pending map[uint64]chan wire.Msg
-	token   uint64
-	err     error
-	closed  bool
-
-	final      monitor.Stats // settled counters from ByeAck
-	readerDone chan struct{}
+	// smu guards the shutdown state.
+	smu    sync.Mutex
+	closed bool
+	final  monitor.Stats // settled counters from ByeAck
 }
 
 var _ monitor.Runtime = (*Client)(nil)
@@ -121,17 +111,12 @@ func NewSession(conn net.Conn, opts Options) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		conn:       conn,
-		spec:       local,
-		opts:       opts,
-		w:          wire.NewWriter(conn),
-		table:      map[uint64]heap.Ref{},
-		pending:    map[uint64]chan wire.Msg{},
-		readerDone: make(chan struct{}),
+		spec:  local,
+		opts:  opts,
+		p:     wire.NewProducer(conn, "remote"),
+		table: map[uint64]heap.Ref{},
 	}
-	c.cond = sync.NewCond(&c.cmu)
-
-	hello := wire.Hello{
+	ack, err := c.p.Handshake(nil, wire.Hello{
 		Version:  wire.Version,
 		SpecKind: kind,
 		Spec:     ref,
@@ -140,36 +125,15 @@ func NewSession(conn net.Conn, opts Options) (*Client, error) {
 		Avoid:    byte(opts.Avoid),
 		Shards:   uint64(opts.Shards),
 		Window:   uint64(opts.Window),
+	})
+	if err == nil {
+		err = c.verifyAck(ack)
 	}
-	if err := c.w.WriteHello(hello); err != nil {
-		conn.Close()
+	if err != nil {
+		c.p.Close()
 		return nil, err
 	}
-	if err := c.w.Flush(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	r := wire.NewReader(conn)
-	var msg wire.Msg
-	if err := r.Next(&msg); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("remote: reading HelloAck: %w", err)
-	}
-	switch msg.Type {
-	case wire.THelloAck:
-	case wire.TError:
-		conn.Close()
-		return nil, fmt.Errorf("remote: server refused session: %s", msg.Error.Msg)
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("remote: expected HelloAck, got message type %d", msg.Type)
-	}
-	if err := c.verifyAck(msg.HelloAck); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.credits = int64(msg.HelloAck.Window)
-	go c.readLoop(r)
+	c.p.Start(c.deliverVerdict, nil)
 	return c, nil
 }
 
@@ -217,49 +181,6 @@ func (c *Client) verifyAck(a wire.HelloAck) error {
 	return nil
 }
 
-// readLoop drains the inbound stream: verdicts to the handler, credit to
-// the window, acks to their waiters. On any exit every still-pending
-// waiter is released (a sync op racing Close can land after the Bye and
-// never be answered; its caller gets the zero result, not a hang).
-func (c *Client) readLoop(r *wire.Reader) {
-	defer close(c.readerDone)
-	defer c.drainPending()
-	var msg wire.Msg
-	for {
-		if err := r.Next(&msg); err != nil {
-			c.fatal(fmt.Errorf("remote: connection lost: %w", err))
-			return
-		}
-		switch msg.Type {
-		case wire.TVerdict:
-			c.deliverVerdict(msg.Verdict)
-		case wire.TCredit:
-			c.cmu.Lock()
-			c.credits += int64(msg.Credit.N)
-			c.cmu.Unlock()
-			c.cond.Broadcast()
-		case wire.TBarrierAck, wire.TFlushAck:
-			c.complete(msg.Sync.Token, msg)
-		case wire.TStats:
-			c.complete(msg.Stats.Token, msg)
-		case wire.TByeAck:
-			// ByeAck carries no token; it completes the pending Close.
-			c.complete(byeToken, msg)
-			return
-		case wire.TError:
-			c.fatal(fmt.Errorf("remote: server error: %s", msg.Error.Msg))
-			return
-		default:
-			c.fatal(fmt.Errorf("remote: unexpected message type %d", msg.Type))
-			return
-		}
-	}
-}
-
-// byeToken is the reserved pending-map key for the ByeAck (tokens handed
-// to sync ops start at 1).
-const byeToken = 0
-
 // deliverVerdict reconstructs the instance from the client's own refs and
 // invokes the handler.
 func (c *Client) deliverVerdict(v wire.Verdict) {
@@ -289,54 +210,10 @@ func (c *Client) deliverVerdict(v wire.Verdict) {
 	})
 }
 
-// complete hands an ack to its waiter.
-func (c *Client) complete(token uint64, msg wire.Msg) {
-	c.pmu.Lock()
-	ch := c.pending[token]
-	delete(c.pending, token)
-	c.pmu.Unlock()
-	if ch != nil {
-		ch <- msg
-	}
-}
-
-// fatal records the sticky error and releases every waiter.
-func (c *Client) fatal(err error) {
-	c.pmu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	c.pmu.Unlock()
-	c.drainPending()
-	// Unblock producers waiting for credit.
-	c.cmu.Lock()
-	c.credits = 1 << 40
-	c.cmu.Unlock()
-	c.cond.Broadcast()
-}
-
-// drainPending closes every pending waiter channel (each sees ok=false).
-func (c *Client) drainPending() {
-	c.pmu.Lock()
-	chans := make([]chan wire.Msg, 0, len(c.pending))
-	for tok, ch := range c.pending {
-		chans = append(chans, ch)
-		delete(c.pending, tok)
-	}
-	c.pmu.Unlock()
-	for _, ch := range chans {
-		close(ch)
-	}
-}
-
 // Err returns the sticky session error, if any: connection loss, a server
 // Error frame, or a protocol violation. Runtime methods degrade to no-ops
 // once it is set.
-func (c *Client) Err() error {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	return c.err
-}
+func (c *Client) Err() error { return c.p.Err() }
 
 // Spec implements monitor.Runtime.
 func (c *Client) Spec() *monitor.Spec { return c.spec }
@@ -363,48 +240,21 @@ func (c *Client) EmitNamed(name string, vals ...heap.Ref) error {
 // pipeline (no round trip). It blocks while the server's credit window is
 // exhausted.
 func (c *Client) Dispatch(sym int, theta param.Instance) {
-	ps := c.spec.Events[sym].Params.Members()
-	ids := make([]uint64, len(ps))
+	var buf [param.MaxParams]uint64
+	ids := buf[:0]
 	c.tmu.Lock()
-	for k, p := range ps {
-		ref := theta.Value(p)
+	for pm := c.spec.Events[sym].Params; pm != 0; pm = pm.Rest() {
+		ref := theta.Value(pm.First())
 		id := ref.ID()
-		ids[k] = id
+		ids = append(ids, id)
 		if _, ok := c.table[id]; !ok {
 			c.table[id] = ref
 		}
 	}
 	c.tmu.Unlock()
 
-	c.spendCredit()
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.w.WriteEvent(sym, ids); err != nil {
-		c.fatal(err)
-	}
-}
-
-// spendCredit takes one event credit, flushing the write pipeline and
-// blocking while the window is empty (the events in the buffer are what
-// will earn the refill).
-func (c *Client) spendCredit() {
-	c.cmu.Lock()
-	for c.credits <= 0 {
-		c.cmu.Unlock()
-		c.wmu.Lock()
-		err := c.w.Flush()
-		c.wmu.Unlock()
-		if err != nil {
-			c.fatal(err)
-		}
-		c.cmu.Lock()
-		if c.credits > 0 {
-			break
-		}
-		c.cond.Wait()
-	}
-	c.credits--
-	c.cmu.Unlock()
+	c.p.Acquire(1)
+	c.p.Event(sym, ids)
 }
 
 // Free reports parameter-object deaths to the server, in call order
@@ -412,27 +262,21 @@ func (c *Client) spendCredit() {
 // objects alive, every later event must not mention them. This is the
 // explicit, protocol-level replacement for the weak-reference death signal
 // the in-process backends get from the heap. It implements
-// monitor.Runtime's synchronous death positioning: the server barriers the
-// session's backend before applying the free.
+// monitor.Runtime's synchronous death positioning: the free frame's place
+// in the ordered stream is the death's position in the trace, and the
+// server barriers the session's backend before applying it. The frame
+// leaves with its write block, or within the Producer's linger bound when
+// the pipeline goes quiet.
 func (c *Client) Free(refs ...heap.Ref) {
 	if len(refs) == 0 {
 		return
 	}
-	ids := make([]uint64, len(refs))
-	for k, ref := range refs {
-		ids[k] = ref.ID()
+	var buf [8]uint64 // a death rarely names more; append spills the rest
+	ids := buf[:0]
+	for _, ref := range refs {
+		ids = append(ids, ref.ID())
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.w.WriteFree(ids); err != nil {
-		c.fatal(err)
-		return
-	}
-	// Deaths drive monitor GC on the server; flush so they are timely
-	// even when the event pipeline is idle.
-	if err := c.w.Flush(); err != nil {
-		c.fatal(err)
-	}
+	c.p.Free(ids)
 }
 
 // FreeAsync implements monitor.Runtime's pipelined death positioning. For
@@ -449,31 +293,15 @@ func (c *Client) FreeAsync(die func(), refs ...heap.Ref) {
 }
 
 // roundTrip issues a token frame and waits for its ack. Returns the zero
-// Msg when the session is dead.
+// Msg when the session is dead or closed.
 func (c *Client) roundTrip(t byte) (wire.Msg, bool) {
-	c.pmu.Lock()
-	if c.err != nil || c.closed {
-		c.pmu.Unlock()
+	c.smu.Lock()
+	closed := c.closed
+	c.smu.Unlock()
+	if closed {
 		return wire.Msg{}, false
 	}
-	c.token++
-	tok := c.token
-	ch := make(chan wire.Msg, 1)
-	c.pending[tok] = ch
-	c.pmu.Unlock()
-
-	c.wmu.Lock()
-	err := c.w.WriteSync(t, tok)
-	if err == nil {
-		err = c.w.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		c.fatal(err)
-		return wire.Msg{}, false
-	}
-	msg, ok := <-ch
-	return msg, ok
+	return c.p.RoundTrip(t)
 }
 
 // Barrier implements monitor.Runtime: it returns once the server has
@@ -493,13 +321,13 @@ func (c *Client) Flush() {
 // Stats implements monitor.Runtime: a remote counter snapshot. After Close
 // it returns the final settled counters.
 func (c *Client) Stats() monitor.Stats {
-	c.pmu.Lock()
+	c.smu.Lock()
 	if c.closed {
 		st := c.final
-		c.pmu.Unlock()
+		c.smu.Unlock()
 		return st
 	}
-	c.pmu.Unlock()
+	c.smu.Unlock()
 	msg, ok := c.roundTrip(wire.TStatsReq)
 	if !ok {
 		return monitor.Stats{}
@@ -511,37 +339,20 @@ func (c *Client) Stats() monitor.Stats {
 // the session's backend and returns the final counters, which remain
 // available through Stats. Close is idempotent.
 func (c *Client) Close() {
-	c.pmu.Lock()
+	c.smu.Lock()
 	if c.closed {
-		c.pmu.Unlock()
+		c.smu.Unlock()
 		return
 	}
 	c.closed = true
-	dead := c.err != nil
-	var ch chan wire.Msg
-	if !dead {
-		ch = make(chan wire.Msg, 1)
-		c.pending[byeToken] = ch
-	}
-	c.pmu.Unlock()
+	c.smu.Unlock()
 
-	if !dead {
-		c.wmu.Lock()
-		err := c.w.WriteBye()
-		if err == nil {
-			err = c.w.Flush()
-		}
-		c.wmu.Unlock()
-		if err == nil {
-			if msg, ok := <-ch; ok {
-				c.pmu.Lock()
-				c.final = fromWireStats(msg.Stats)
-				c.pmu.Unlock()
-			}
-		}
+	if st, ok := c.p.Bye(); ok {
+		c.smu.Lock()
+		c.final = fromWireStats(st)
+		c.smu.Unlock()
 	}
-	c.conn.Close()
-	<-c.readerDone
+	c.p.Close()
 }
 
 // ghostRef stands in for a table miss during verdict reconstruction (a

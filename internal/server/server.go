@@ -14,10 +14,19 @@
 // side garbage collection can reclaim a monitor whose client never
 // declares its objects dead, and nothing but the table keeps them alive.
 //
-// Before applying a Free the session barriers its runtime, so every event
-// sent before the Free observes the objects alive: per-session counters
-// and verdicts are trace-faithful and equal to a local replay of the same
-// stream (see the client package's oracle tests).
+// A Free's place in the session's ordered stream is the death's position
+// in the trace — it does not matter when the producer's write block
+// carrying it left the client. Before applying a Free the session barriers
+// its runtime, so every event sent before the Free observes the objects
+// alive: per-session counters and verdicts are trace-faithful and equal to
+// a local replay of the same stream (see the client package's oracle
+// tests).
+//
+// The ingest loop works a read block at a time: every frame already
+// buffered is decoded and dispatched back to back, and the per-frame
+// bookkeeping — event and free counters, the credit grant — is settled
+// once per block (or before any frame that answers the client, so an ack
+// never overtakes the counts it acknowledges).
 //
 // Flow control: sessions grant event credits (wire.Credit) as the backend
 // actually accepts events. Ingestion into a sharded runtime first tries
@@ -185,8 +194,14 @@ func (s *Server) Serve(l net.Listener) error {
 		go func() {
 			defer s.wg.Done()
 			sess.run()
+			// The session leaves the map and the active gauge at one
+			// point, under the lock Statusz lists sessions with: /metrics
+			// and /statusz cannot disagree about a closing session.
 			s.mu.Lock()
 			delete(s.sessions, sess)
+			if sess.ready.Load() {
+				s.sessActive.Add(-1)
+			}
 			s.mu.Unlock()
 		}()
 	}
@@ -239,14 +254,16 @@ type session struct {
 	heap   *heap.Heap
 	flight *trace.Ring // non-nil with Options.FlightWindow > 0
 
-	// tmu guards the ID tables: the session goroutine writes them while
-	// ingesting events, and onVerdict reads back on shard workers.
-	tmu     sync.Mutex
-	objects map[uint64]*heap.Object // remote ID → session heap object
-	back    map[uint64]uint64       // session heap object ID → remote ID
+	// objects maps a remote ID to its session heap object; a nil entry is
+	// the tombstone of an ID freed before any event mentioned it. Only the
+	// session goroutine touches the table: verdicts read the remote ID back
+	// off the object itself.
+	objects map[uint64]*heap.Object
 
 	window  int
 	ungrant int // events accepted since the last credit grant
+	// Events and frees handled since the last publish (see publish).
+	nevents, nfrees uint64
 
 	// Node mode (cluster tier): a router marks the session with a
 	// NodeHello before the ordinary Hello, which authorizes the handoff
@@ -313,9 +330,11 @@ func (s *session) run() {
 	// Ingest loop, batch-drained: frames already sitting in the read
 	// buffer are decoded and dispatched back to back — the decoder reuses
 	// one Msg and ID buffer, so a pipelined burst of events shares the
-	// engine's allocation-free path end to end — and the accumulated
-	// credit is flushed only when the stream would block (or the half-
-	// window threshold forces an early grant; see event).
+	// engine's allocation-free path end to end — and the counters and the
+	// accumulated credit are settled only when the stream would block. The
+	// half-window threshold forces an early grant, so the producer's
+	// pipeline never empties while the backend keeps up.
+	defer s.publish()
 	for {
 		if err := r.Next(&msg); err != nil {
 			if err != io.EOF {
@@ -332,6 +351,11 @@ func (s *session) run() {
 			if stop {
 				return
 			}
+			if s.ungrant >= s.window/2 || s.window < 2 {
+				if err := s.grantCredit(); err != nil {
+					return
+				}
+			}
 			if !r.FrameBuffered() {
 				break
 			}
@@ -342,11 +366,28 @@ func (s *session) run() {
 				return
 			}
 		}
-		if s.ungrant > 0 {
-			if err := s.grantCredit(); err != nil {
-				return
-			}
+		s.publish()
+		if err := s.grantCredit(); err != nil {
+			return
 		}
+	}
+}
+
+// publish moves the events and frees handled since the last call into the
+// shared counters: the session's own (what /statusz lists), the tenant's
+// series and the server aggregate — cache lines every session of a tenant
+// would otherwise write once per frame. It runs when the read buffer
+// drains and before any frame that answers the client.
+func (s *session) publish() {
+	if s.nevents > 0 {
+		s.events.Add(s.nevents)
+		s.met.Events.Add(s.nevents)
+		s.srv.events.Add(s.nevents)
+		s.nevents = 0
+	}
+	if s.nfrees > 0 {
+		s.met.Frees.Add(s.nfrees)
+		s.nfrees = 0
 	}
 }
 
@@ -358,6 +399,12 @@ func (s *session) handle(msg *wire.Msg) (stop bool, err error) {
 		return false, s.event(msg.Event)
 	case wire.TFree:
 		s.free(msg.Free.IDs)
+		return false, nil
+	}
+	// Everything else answers the client, which may read the counters the
+	// moment the answer arrives.
+	s.publish()
+	switch msg.Type {
 	case wire.TBarrier:
 		s.rt.Barrier()
 		s.ack(wire.TBarrierAck, msg.Sync.Token)
@@ -401,14 +448,11 @@ func (s *session) handle(msg *wire.Msg) (stop bool, err error) {
 	return false, nil
 }
 
-// teardown finishes a session's telemetry lifecycle: the active-session
-// gauge drops and the trace recorder (if any) is sealed and closed. It
-// runs after rt.Close, so the engine's final delta publication lands
-// before the gauge moves.
+// teardown seals and closes the trace recorder, if any. It runs after
+// rt.Close and before the session leaves the server's map (where the
+// active-session gauge drops), so the engine's final delta publication
+// and the recording land before the gauge moves.
 func (s *session) teardown() {
-	if s.ready.Load() {
-		s.srv.sessActive.Add(-1)
-	}
 	if s.rec != nil {
 		if err := s.rec.Close(); err != nil {
 			s.srv.logf("session %d: closing recording: %v", s.id, err)
@@ -483,7 +527,6 @@ func (s *session) handshake(h wire.Hello) error {
 	}
 	s.heap = heap.New()
 	s.objects = map[uint64]*heap.Object{}
-	s.back = map[uint64]uint64{}
 	s.window = window
 
 	if dir := s.srv.opts.RecordDir; dir != "" {
@@ -506,9 +549,11 @@ func (s *session) handshake(h wire.Hello) error {
 	s.tenant = compiled.Name
 	s.met = metrics.NewServerSeries(s.srv.reg, s.tenant)
 	s.met.Sessions.Inc()
-	s.srv.sessActive.Add(1)
 	s.opened = time.Now()
+	s.srv.mu.Lock()
+	s.srv.sessActive.Add(1)
 	s.ready.Store(true)
+	s.srv.mu.Unlock()
 
 	ack := wire.HelloAck{
 		Session:  s.id,
@@ -546,21 +591,17 @@ func (s *session) event(ev wire.Event) error {
 		return fmt.Errorf("event %q takes %d objects, got %d", s.spec.Events[ev.Sym].Name, want, len(ev.IDs))
 	}
 	s.vals = s.vals[:0]
-	s.tmu.Lock()
 	for _, id := range ev.IDs {
 		o, ok := s.objects[id]
 		if !ok {
 			o = s.heap.AllocRemote(id)
 			s.objects[id] = o
-			s.back[o.ID()] = id
 		}
-		if !o.Alive() {
-			s.tmu.Unlock()
+		if o == nil || !o.Alive() {
 			return fmt.Errorf("event %q uses remote object %d after its free", s.spec.Events[ev.Sym].Name, id)
 		}
 		s.vals = append(s.vals, o)
 	}
-	s.tmu.Unlock()
 	theta := param.Of(s.spec.Events[ev.Sym].Params, s.vals...)
 	// Record before dispatch: on the sequential backend the verdict
 	// handler runs inside Dispatch, and the window it dumps must include
@@ -586,18 +627,9 @@ func (s *session) event(ev wire.Event) error {
 	} else {
 		s.rt.Dispatch(ev.Sym, theta)
 	}
-	s.events.Add(1)
-	s.met.Events.Inc()
-	s.srv.events.Add(1)
-
-	// Credit: the half-window threshold keeps the producer's pipeline from
-	// ever emptying while the backend keeps up; below it, accumulated
-	// credit rides until the ingest loop drains the read buffer (run), so
-	// a pipelined burst costs one credit write instead of many.
+	// Counted and credited when the ingest loop settles the block (run).
+	s.nevents++
 	s.ungrant++
-	if s.ungrant >= s.window/2 || s.window < 2 {
-		return s.grantCredit()
-	}
 	return nil
 }
 
@@ -650,13 +682,12 @@ func (s *session) grantCredit() error {
 // now holding dead objects: an event naming the ID again is
 // use-after-free and must be refused (never silently re-allocated), and a
 // late verdict (the alldead/none GC policies keep such monitors) may
-// still mention the object. A dead entry costs the same bounded memory as
-// its s.back row.
+// still mention the object.
 func (s *session) free(ids []uint64) {
 	if s.flight != nil {
 		s.flight.RecordFreeIDs(ids)
 	}
-	s.met.Frees.Inc()
+	s.nfrees++
 	if s.rec != nil {
 		if err := s.rec.FreeIDs(ids); err != nil {
 			s.srv.logf("session %d: recording stopped: %v", s.id, err)
@@ -668,31 +699,26 @@ func (s *session) free(ids []uint64) {
 	// never appeared in an event (dacapo workloads free far more objects
 	// than any one property mentions) change nothing for the monitors,
 	// and a cross-shard sync per irrelevant death would stall ingestion.
-	s.tmu.Lock()
 	observable := false
 	for _, id := range ids {
-		if o, ok := s.objects[id]; ok && o.Alive() {
+		if o := s.objects[id]; o != nil && o.Alive() {
 			observable = true
 			break
 		}
 	}
-	s.tmu.Unlock()
 	if observable {
 		s.rt.Barrier()
 	}
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
 	for _, id := range ids {
-		o, ok := s.objects[id]
-		if !ok {
+		if o := s.objects[id]; o != nil {
+			s.heap.Free(o)
+		} else {
 			// Never appeared in an event: record a tombstone anyway, so
 			// the death is final for this ID too — a later event naming
-			// it must be refused, not silently allocated live.
-			o = s.heap.AllocRemote(id)
-			s.objects[id] = o
-			s.back[o.ID()] = id
+			// it must be refused, not silently allocated live. No monitor
+			// can mention it, so it needs no heap object.
+			s.objects[id] = nil
 		}
-		s.heap.Free(o)
 	}
 }
 
@@ -713,11 +739,10 @@ func (s *session) onVerdict(v monitor.Verdict) {
 	s.met.Verdicts.Inc()
 	wv := wire.Verdict{Sym: v.Sym, Cat: string(v.Cat), Mask: uint64(v.Inst.Mask())}
 	s.vids = s.vids[:0]
-	s.tmu.Lock()
 	for pm := v.Inst.Mask(); pm != 0; pm = pm.Rest() {
-		s.vids = append(s.vids, s.back[v.Inst.Value(pm.First()).ID()])
+		// Every ref in a session's engine is one of its AllocRemote objects.
+		s.vids = append(s.vids, v.Inst.Value(pm.First()).(*heap.Object).RemoteID())
 	}
-	s.tmu.Unlock()
 	wv.IDs = s.vids
 	s.writeLocked(func() error { return s.w.WriteVerdict(wv) })
 	if s.flight != nil && v.Cat != logic.Match {

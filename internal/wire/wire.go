@@ -17,6 +17,10 @@
 // are unsigned varints (two-byte frames for the common small-ID events),
 // strings are uvarint-length-prefixed UTF-8. A Writer buffers frames until
 // Flush, so event streams pipeline; a Reader decodes one frame at a time.
+// When a client's buffered frames leave the process is Producer's decision
+// (a write block, a linger deadline, or a peer that must act) — never the
+// kind of frame: the stream is ordered, so a Free's position among the
+// Events is the death's position in the trace whenever it is sent.
 //
 // Session shape:
 //
@@ -245,9 +249,17 @@ type HandoffBegin struct {
 // connection whenever it fills, so sustained event streams do not require
 // explicit flushes. Writer is not safe for concurrent use.
 type Writer struct {
-	bw  *bufio.Writer
+	bw *bufio.Writer
+	// buf is the frame under construction: hdrSpace bytes reserved for the
+	// length prefix, then the payload, so emit hands the buffered stream
+	// one contiguous frame and nothing per frame reaches the heap.
 	buf []byte
 }
+
+// hdrSpace is the room a frame's uvarint length prefix can need.
+const hdrSpace = binary.MaxVarintLen64
+
+var hdrPad [hdrSpace]byte
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
@@ -257,7 +269,10 @@ func NewWriter(w io.Writer) *Writer {
 // Flush drains buffered frames to the underlying stream.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-func (w *Writer) frame() { w.buf = w.buf[:0] }
+// Buffered reports the number of bytes written but not yet flushed.
+func (w *Writer) Buffered() int { return w.bw.Buffered() }
+
+func (w *Writer) frame() { w.buf = append(w.buf[:0], hdrPad[:]...) }
 
 func (w *Writer) u(v uint64)   { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *Writer) b(v byte)     { w.buf = append(w.buf, v) }
@@ -265,15 +280,16 @@ func (w *Writer) i(v int64)    { w.buf = binary.AppendVarint(w.buf, v) }
 func (w *Writer) s(str string) { w.u(uint64(len(str))); w.buf = append(w.buf, str...) }
 
 func (w *Writer) emit() error {
-	if len(w.buf) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(w.buf))
+	n := len(w.buf) - hdrSpace
+	if n > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", n)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(w.buf)))
-	if _, err := w.bw.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.bw.Write(w.buf)
+	// Right-align the length prefix against the payload.
+	var hdr [hdrSpace]byte
+	k := binary.PutUvarint(hdr[:], uint64(n))
+	start := hdrSpace - k
+	copy(w.buf[start:], hdr[:k])
+	_, err := w.bw.Write(w.buf[start:])
 	return err
 }
 
