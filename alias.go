@@ -11,9 +11,10 @@ import (
 )
 
 // The façade re-exports the identity, counter and verdict types of the
-// monitoring runtime as aliases, so user code — and the public rv and
-// client packages — never name an internal package. An alias is the
-// internal type: no wrapping, no copying, no drift.
+// monitoring runtime as aliases, so user code — and the public rv package
+// and the command-line tools, which may not import internal packages
+// either — can name Ref, Stats, Verdict, Server or Router at all. An alias
+// is the internal type: no wrapping, no copying, no drift.
 
 // Ref is a possibly-weak reference to a parameter object: the identity
 // currency of the whole system. A Ref must never keep its referent alive.

@@ -12,7 +12,7 @@ import (
 
 // The façade boundary: rvgo and rvgo/spec are the only packages outside
 // internal/ that may touch rvgo/internal/... — they ARE the public
-// surface over it. The public frontends (rv, client) are implemented
+// surface over it. The public frontend (rv) is implemented
 // purely on the façade, and the command-line tools may additionally use
 // the tool-glue trio below (shared flag validation and the evaluation
 // harness, which are dev tooling, not API). Everything else is a
@@ -25,12 +25,11 @@ var (
 		"rvgo/spec": true,
 	}
 	// publicPackages is the complete allowed set of non-main packages
-	// outside internal/ (the façade plus the two frontends).
+	// outside internal/ (the façade plus the live-object frontend).
 	publicPackages = map[string]bool{
-		"rvgo":        true,
-		"rvgo/spec":   true,
-		"rvgo/rv":     true,
-		"rvgo/client": true,
+		"rvgo":      true,
+		"rvgo/spec": true,
+		"rvgo/rv":   true,
 	}
 	// toolGlue is what a main package (cmd/, examples/) may import from
 	// internal/: the shared CLI validation and the evaluation/workload
@@ -88,9 +87,9 @@ func TestBoundary(t *testing.T) {
 			continue
 		}
 		// The cluster backend is façade-only: even the other public
-		// packages (rvgo/spec, the frontends) and the tool mains reach it
-		// through rvgo.WithCluster / client.DialCluster, never by import —
-		// its wire-level membership machinery is not a public surface.
+		// packages (rvgo/spec, the frontend) and the tool mains reach it
+		// through rvgo.WithCluster, never by import — its wire-level
+		// membership machinery is not a public surface.
 		for _, imp := range p.Imports {
 			if imp == "rvgo/internal/cluster" && p.ImportPath != "rvgo" {
 				violations = append(violations,

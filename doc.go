@@ -29,7 +29,7 @@
 //
 // Three ingestion modes feed a Monitor: recorded traces (cmd/rvmon, the
 // DaCapo substrate driven by cmd/rvbench), network sessions (WithRemote,
-// package client), and — closest to the paper's title — live Go objects
+// WithCluster), and — closest to the paper's title — live Go objects
 // through the rv frontend: rv.Attach emits events over a program's own
 // heap objects, a weak-keyed registry (Registry) assigns their monitoring
 // identities, and the real Go garbage collector's cleanups become the

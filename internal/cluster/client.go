@@ -1,22 +1,19 @@
-// client.go: Client implements monitor.Runtime over a whole cluster —
-// the same contract internal/remote's Client offers for one server, with
-// the fanout doing the pivot routing, broadcast, and verdict merging
-// underneath. This is what rvgo.WithCluster wraps.
+// client.go: Client implements monitor.Runtime over a whole cluster. It
+// is internal/remote's client with a different sink: the same ref-level
+// Front (spec, remote-ID table, verdict reconstruction, shutdown state),
+// over a fanout — which does the pivot routing, broadcast and verdict
+// merging — where the remote Client has one wire.Producer. This is what
+// rvgo.WithCluster wraps.
 package cluster
 
 import (
-	"fmt"
 	"net"
-	"sync"
 
 	"rvgo/internal/heap"
-	"rvgo/internal/logic"
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
-	"rvgo/internal/props"
-	"rvgo/internal/spec"
-	"rvgo/internal/wire"
+	"rvgo/internal/remote"
 )
 
 // Options configures a cluster session.
@@ -57,21 +54,11 @@ type Options struct {
 	Metrics *metrics.ClusterSeries
 }
 
-// Client is a cluster monitoring session. It implements monitor.Runtime.
+// Client is a cluster monitoring session: the remote client's ref-level
+// Front over a fanout, plus membership. It implements monitor.Runtime.
 type Client struct {
-	f    *fanout
-	spec *monitor.Spec
-	opts Options
-
-	// tmu guards the remote-ID table used to reconstruct verdict
-	// instances (same lifetime as internal/remote: entries persist past
-	// death so late verdicts keep their original identities).
-	tmu   sync.Mutex
-	table map[uint64]heap.Ref
-
-	cmu    sync.Mutex
-	closed bool
-	final  monitor.Stats
+	*remote.Front
+	f *fanout
 }
 
 var _ monitor.Runtime = (*Client)(nil)
@@ -79,124 +66,37 @@ var _ monitor.Runtime = (*Client)(nil)
 // Open resolves the spec and connects every slot session across the
 // given nodes.
 func Open(opts Options) (*Client, error) {
-	local, kind, ref, err := resolveSpec(opts.Prop, opts.SpecSource)
+	c := &Client{}
+	front, err := remote.NewFront(opts.Prop, opts.SpecSource, opts.OnVerdict, c)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{spec: local, opts: opts, table: map[uint64]heap.Ref{}}
-	f, err := newFanout(local, fanoutConfig{
-		kind:      kind,
-		ref:       ref,
-		gc:        opts.GC,
-		creation:  opts.Creation,
-		avoid:     opts.Avoid,
+	f, err := newFanout(front.Spec(), fanoutConfig{
+		hello:     front.Hello(opts.GC, opts.Creation, opts.Avoid, 1, opts.Window),
 		nodes:     opts.Nodes,
 		seed:      opts.Seed,
 		slots:     opts.Slots,
-		window:    opts.Window,
 		dial:      opts.Dial,
 		logf:      opts.Logf,
 		met:       opts.Metrics,
-		onVerdict: c.deliverVerdict,
+		onVerdict: front.DeliverVerdict, // the fanout serializes deliveries
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.f = f
+	c.Front, c.f = front, f
 	return c, nil
-}
-
-// resolveSpec compiles the client-side copy of the spec.
-func resolveSpec(prop, source string) (*monitor.Spec, byte, string, error) {
-	switch {
-	case prop != "" && source != "":
-		return nil, 0, "", fmt.Errorf("cluster: set exactly one of Prop and SpecSource")
-	case prop != "":
-		s, err := props.Build(prop)
-		if err != nil {
-			return nil, 0, "", err
-		}
-		return s, wire.SpecProp, prop, nil
-	case source != "":
-		s, err := spec.CompileOne(source)
-		if err != nil {
-			return nil, 0, "", err
-		}
-		return s, wire.SpecSource, source, nil
-	}
-	return nil, 0, "", fmt.Errorf("cluster: set one of Prop and SpecSource")
-}
-
-// deliverVerdict reconstructs the instance from the client's own refs and
-// invokes the handler (the fanout already serializes deliveries).
-func (c *Client) deliverVerdict(v wire.Verdict) {
-	if c.opts.OnVerdict == nil {
-		return
-	}
-	inst := param.Empty()
-	mask := param.Set(v.Mask)
-	c.tmu.Lock()
-	for k, p := range mask.Members() {
-		ref, ok := c.table[v.IDs[k]]
-		if !ok {
-			ref = ghostRef(v.IDs[k])
-		}
-		inst = inst.Bind(p, ref)
-	}
-	c.tmu.Unlock()
-	var sym int
-	if v.Sym >= 0 && v.Sym < len(c.spec.Events) {
-		sym = v.Sym
-	}
-	c.opts.OnVerdict(monitor.Verdict{
-		Spec: c.spec,
-		Sym:  sym,
-		Cat:  logic.Category(v.Cat),
-		Inst: inst,
-	})
 }
 
 // Err returns the sticky session error, if any. Runtime methods degrade
 // to no-ops once it is set.
 func (c *Client) Err() error { return c.f.Err() }
 
-// Spec implements monitor.Runtime.
-func (c *Client) Spec() *monitor.Spec { return c.spec }
-
-// Emit implements monitor.Runtime.
-func (c *Client) Emit(sym int, vals ...heap.Ref) {
-	c.Dispatch(sym, param.Of(c.spec.Events[sym].Params, vals...))
-}
-
-// EmitNamed implements monitor.Runtime.
-func (c *Client) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, ok := c.spec.Symbol(name)
-	if !ok {
-		return fmt.Errorf("cluster: spec %q has no event %q", c.spec.Name, name)
-	}
-	if want := c.spec.Events[sym].Params.Count(); len(vals) != want {
-		return fmt.Errorf("cluster: event %q takes %d values, got %d", name, want, len(vals))
-	}
-	c.Emit(sym, vals...)
-	return nil
-}
-
 // Dispatch implements monitor.Runtime. It blocks while the pivot slot's
 // credit window — or, for broadcasts, any slot's window — is exhausted.
 func (c *Client) Dispatch(sym int, theta param.Instance) {
 	var buf [param.MaxParams]uint64
-	ids := buf[:0]
-	c.tmu.Lock()
-	for pm := c.spec.Events[sym].Params; pm != 0; pm = pm.Rest() {
-		ref := theta.Value(pm.First())
-		id := ref.ID()
-		ids = append(ids, id)
-		if _, ok := c.table[id]; !ok {
-			c.table[id] = ref
-		}
-	}
-	c.tmu.Unlock()
-	c.f.Event(sym, ids)
+	c.f.Event(sym, c.EventIDs(buf[:0], sym, theta))
 }
 
 // Free implements monitor.Runtime's synchronous death positioning: the
@@ -207,21 +107,7 @@ func (c *Client) Free(refs ...heap.Ref) {
 		return
 	}
 	var buf [8]uint64 // a death rarely names more; append spills the rest
-	ids := buf[:0]
-	for _, ref := range refs {
-		ids = append(ids, ref.ID())
-	}
-	c.f.Free(ids)
-}
-
-// FreeAsync implements monitor.Runtime's pipelined death positioning; as
-// with the remote client, the positioned point is the free's place in the
-// per-slot pipelines, so the local die runs as soon as they are written.
-func (c *Client) FreeAsync(die func(), refs ...heap.Ref) {
-	c.Free(refs...)
-	if die != nil {
-		die()
-	}
+	c.f.Free(remote.RefIDs(buf[:0], refs))
 }
 
 // Barrier implements monitor.Runtime: every event dispatched before the
@@ -235,31 +121,21 @@ func (c *Client) Flush() { c.f.Flush() }
 // Stats implements monitor.Runtime: the merged cluster counters. After
 // Close it returns the final settled counters.
 func (c *Client) Stats() monitor.Stats {
-	c.cmu.Lock()
-	if c.closed {
-		st := c.final
-		c.cmu.Unlock()
+	if st, closed := c.Final(); closed {
 		return st
 	}
-	c.cmu.Unlock()
-	return c.f.Stats()
+	st, _ := c.f.Stats() // a fanout error is sticky: Err reports it
+	return st
 }
 
 // Close implements monitor.Runtime: orderly shutdown of every slot
 // session; the merged final counters remain available through Stats.
 // Close is idempotent.
 func (c *Client) Close() {
-	c.cmu.Lock()
-	if c.closed {
-		c.cmu.Unlock()
-		return
-	}
-	c.cmu.Unlock()
-	st, _ := c.f.Close()
-	c.cmu.Lock()
-	c.closed = true
-	c.final = st
-	c.cmu.Unlock()
+	c.Shutdown(func() monitor.Stats {
+		st, _ := c.f.Close()
+		return st
+	})
 }
 
 // AddNode admits a node to the session's membership, migrating the slots
@@ -271,11 +147,3 @@ func (c *Client) RemoveNode(addr string) error { return c.f.RemoveNode(addr) }
 
 // Nodes reports the membership and per-node slot counts.
 func (c *Client) Nodes() []NodeStatus { return c.f.Nodes() }
-
-// ghostRef stands in for a table miss during verdict reconstruction (a
-// verdict naming an object this client never sent).
-type ghostRef uint64
-
-func (g ghostRef) ID() uint64    { return uint64(g) }
-func (g ghostRef) Alive() bool   { return false }
-func (g ghostRef) Label() string { return fmt.Sprintf("r%d", uint64(g)) }

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,14 +159,19 @@ func TestRouterOracle(t *testing.T) {
 // stubNode speaks just enough of the wire protocol to hold slot sessions:
 // it grants a one-event credit window at handshake and never replenishes
 // it until the test says so — the refusing node of the all-or-nothing
-// broadcast discipline.
+// broadcast discipline. It keeps the Hello each slot session opened with,
+// and reports stubAvoided suppressed creations in every counter snapshot:
+// what a router must carry down and back up.
 type stubNode struct {
 	lst    net.Listener
 	ack    wire.HelloAck
 	mu     sync.Mutex
 	conns  []*stubConn
+	hellos []wire.Hello
 	events atomic.Uint64
 }
+
+const stubAvoided = 7
 
 type stubConn struct {
 	mu sync.Mutex
@@ -180,17 +186,22 @@ func (sc *stubConn) send(f func(*wire.Writer) error) {
 	}
 }
 
+// helloAck is the HelloAck a node compiling spec answers with.
+func helloAck(spec *monitor.Spec, window uint64) wire.HelloAck {
+	ack := wire.HelloAck{Window: window, SpecName: spec.Name, Params: spec.Params}
+	for _, ev := range spec.Events {
+		ack.Events = append(ack.Events, wire.EventDef{Name: ev.Name, Params: uint64(ev.Params)})
+	}
+	return ack
+}
+
 func startStub(t *testing.T, spec *monitor.Spec) *stubNode {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack := wire.HelloAck{Window: 1, SpecName: spec.Name, Params: spec.Params}
-	for _, ev := range spec.Events {
-		ack.Events = append(ack.Events, wire.EventDef{Name: ev.Name, Params: uint64(ev.Params)})
-	}
-	s := &stubNode{lst: l, ack: ack}
+	s := &stubNode{lst: l, ack: helloAck(spec, 1)}
 	go func() {
 		for {
 			conn, err := l.Accept()
@@ -215,10 +226,11 @@ func (s *stubNode) serve(conn net.Conn) {
 	if err := r.Next(&msg); err != nil || msg.Type != wire.THello {
 		return
 	}
-	sc.send(func(w *wire.Writer) error { return w.WriteHelloAck(s.ack) })
 	s.mu.Lock()
 	s.conns = append(s.conns, sc)
+	s.hellos = append(s.hellos, msg.Hello)
 	s.mu.Unlock()
+	sc.send(func(w *wire.Writer) error { return w.WriteHelloAck(s.ack) })
 	for {
 		if err := r.Next(&msg); err != nil {
 			return
@@ -235,15 +247,22 @@ func (s *stubNode) serve(conn net.Conn) {
 			sc.send(func(w *wire.Writer) error { return w.WriteSync(wire.TFlushAck, tok) })
 		case wire.TStatsReq:
 			tok := msg.Sync.Token
-			sc.send(func(w *wire.Writer) error { return w.WriteStats(wire.Stats{Token: tok}) })
+			sc.send(func(w *wire.Writer) error { return w.WriteStats(wire.Stats{Token: tok, Avoided: stubAvoided}) })
 		case wire.THandoffEnd:
 			tok := msg.Sync.Token
 			sc.send(func(w *wire.Writer) error { return w.WriteHandoffAck(wire.Stats{Token: tok}) })
 		case wire.TBye:
-			sc.send(func(w *wire.Writer) error { return w.WriteByeAck(wire.ByeAck{}) })
+			sc.send(func(w *wire.Writer) error { return w.WriteByeAck(wire.ByeAck{Stats: wire.Stats{Avoided: stubAvoided}}) })
 			return
 		}
 	}
+}
+
+// slotHellos returns the Hello of every slot session opened so far.
+func (s *stubNode) slotHellos() []wire.Hello {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]wire.Hello(nil), s.hellos...)
 }
 
 // grant replenishes n credits on every stub session.
@@ -396,6 +415,86 @@ func TestBroadcastAllOrNothing(t *testing.T) {
 	}
 	if got := stub.events.Load(); got != 2*stubSlots {
 		t.Fatalf("after the grant the stub saw %d events, want %d", got, 2*stubSlots)
+	}
+}
+
+// TestRouterCarriesAvoidance: the creation-avoidance mode is part of the
+// session like the GC policy is, so a router must hand it to every slot
+// session and merge the nodes' Avoided counters back — an AvoidEnforce
+// session through a router may not silently run unguarded and report zero —
+// and it must refuse an out-of-range mode byte with the Error frame a node
+// refuses it with.
+func TestRouterCarriesAvoidance(t *testing.T) {
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := startStub(t, spec)
+	rtr, err := cluster.NewRouter(cluster.RouterOptions{
+		Nodes: []string{"stub"},
+		Dial:  func(string) (net.Conn, error) { return net.Dial("tcp", stub.lst.Addr().String()) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rtr.Serve(l)
+	t.Cleanup(func() { rtr.Shutdown(time.Second) })
+
+	cl, err := remote.Dial(l.Addr().String(), remote.Options{
+		Prop:     "UnsafeIter",
+		GC:       monitor.GCNone,
+		Creation: monitor.CreateEnable,
+		Avoid:    monitor.AvoidEnforce,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hellos := stub.slotHellos()
+	if len(hellos) < 2 {
+		t.Fatalf("%d slot sessions opened, want one per slot", len(hellos))
+	}
+	for i, h := range hellos {
+		if monitor.AvoidMode(h.Avoid) != monitor.AvoidEnforce {
+			t.Errorf("slot session %d opened with Avoid = %d, want AvoidEnforce", i, h.Avoid)
+		}
+	}
+	want := uint64(stubAvoided * len(hellos))
+	if got := cl.Stats().Avoided; got != want {
+		t.Errorf("Stats().Avoided = %d, want %d (%d from each of %d slots)", got, want, stubAvoided, len(hellos))
+	}
+	cl.Close()
+	if got := cl.Stats().Avoided; got != want {
+		t.Errorf("after Close Stats().Avoided = %d, want %d", got, want)
+	}
+
+	// The same bad byte, the same refusal, whoever answers.
+	_, dial := startNodes(t, "node")
+	refusal := func(conn net.Conn, err error) string {
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		w := wire.NewWriter(conn)
+		w.WriteHello(wire.Hello{
+			Version: wire.Version, SpecKind: wire.SpecProp, Spec: "UnsafeIter",
+			GC: byte(monitor.GCNone), Creation: byte(monitor.CreateEnable), Avoid: 99,
+		})
+		w.Flush()
+		var msg wire.Msg
+		if err := wire.NewReader(conn).Next(&msg); err != nil || msg.Type != wire.TError {
+			t.Fatalf("Hello with Avoid=99 answered with type %d (%v), want an Error frame", msg.Type, err)
+		}
+		return msg.Error.Msg
+	}
+	fromNode := refusal(dial("node"))
+	fromRouter := refusal(net.Dial("tcp", l.Addr().String()))
+	if fromRouter != fromNode || !strings.Contains(fromNode, "avoidance") {
+		t.Errorf("Avoid=99 refused with %q by the router and %q by a node, want the same avoidance-mode error", fromRouter, fromNode)
 	}
 }
 

@@ -45,17 +45,17 @@ import (
 const defaultSlots = 16
 
 // fanoutConfig is the internal wiring for a fanout; Client and Router
-// translate their public options into one of these.
+// translate their options (and, for the Router, the upstream session's
+// validated hello) into one of these.
 type fanoutConfig struct {
-	kind     byte   // wire.SpecProp or wire.SpecSource
-	ref      string // the property name / .rv source to send downstream
-	gc       monitor.GCPolicy
-	creation monitor.CreationStrategy
-	avoid    monitor.AvoidMode
-	nodes    []string
-	seed     uint64
-	slots    int
-	window   int // per-slot credit window request (0 = node default)
+	// hello opens every slot session: the spec reference, the modes and
+	// the per-slot credit window request (0 = node default). A Router hands
+	// down the upstream session's own, so whatever a client may ask of a
+	// node it asks of every node behind a router. Shards is overridden.
+	hello wire.Hello
+	nodes []string
+	seed  uint64
+	slots int
 
 	dial func(string) (net.Conn, error)
 	logf func(string, ...any)
@@ -86,8 +86,9 @@ type slotState struct {
 	done     bool // closed with a settled ByeAck; never touched again
 }
 
-// fanout is the cluster runtime core shared by Client and Router
-// sessions. One coarse mutex serializes the mutating surface (events,
+// fanout is the cluster runtime core: the sink under a Client's ref-level
+// front and the backend under a Router session's protocol front
+// (server.Backend is its method set). One coarse mutex serializes the mutating surface (events,
 // frees, syncs, membership); link readers — credit, verdicts, acks —
 // never take it, which is what keeps the pipeline moving while an
 // operation blocks on downstream credit.
@@ -132,7 +133,7 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 		}
 		seen[n] = true
 	}
-	if cfg.creation == monitor.CreateFull {
+	if monitor.CreationStrategy(cfg.hello.Creation) == monitor.CreateFull {
 		return nil, fmt.Errorf("cluster: the full creation strategy requires the sequential backend (only enable-set creation guarantees every monitor binds the pivot)")
 	}
 	sr, err := shard.NewRouter(spec, 2)
@@ -167,17 +168,9 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 		nodes:    append([]string(nil), cfg.nodes...),
 		slots:    make([]*slotState, nslots),
 		held:     make([]bool, nslots),
-		hello: wire.Hello{
-			Version:  wire.Version,
-			SpecKind: cfg.kind,
-			Spec:     cfg.ref,
-			GC:       byte(cfg.gc),
-			Creation: byte(cfg.creation),
-			Avoid:    byte(cfg.avoid),
-			Shards:   1, // slot sessions must be sequential: handoff Skip counts rely on a deterministic verdict order
-			Window:   uint64(cfg.window),
-		},
+		hello:    cfg.hello,
 	}
+	f.hello.Shards = 1 // slot sessions must be sequential: handoff Skip counts rely on a deterministic verdict order
 	for sym, ev := range spec.Events {
 		f.pivotPos[sym] = -1
 		if pivot >= 0 && ev.Params.Has(pivot) {
@@ -641,17 +634,17 @@ func (f *fanout) syncAll(op func(*link) bool) error {
 // a broadcast is one upstream event however many slots stepped on it —
 // while the engine-side counters sum exactly: each slice lives in one
 // slot, so no step, creation, or verdict is double-counted.
-func (f *fanout) Stats() monitor.Stats {
+func (f *fanout) Stats() (monitor.Stats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return f.final
+		return f.final, nil
 	}
 	for {
-		if f.errLocked() != nil {
-			return monitor.Stats{Events: f.events.Load()}
-		}
 		agg := monitor.Stats{Events: f.events.Load()}
+		if err := f.errLocked(); err != nil {
+			return agg, err
+		}
 		clean := true
 		for _, s := range f.slots {
 			if s.done {
@@ -662,13 +655,13 @@ func (f *fanout) Stats() monitor.Stats {
 				clean = false
 				break
 			}
-			addWireStats(&agg, st)
+			agg.Merge(st.Counters())
 		}
 		if clean {
-			return agg
+			return agg, nil
 		}
 		if err := f.rebalanceLocked(); err != nil {
-			return monitor.Stats{Events: f.events.Load()}
+			return monitor.Stats{Events: f.events.Load()}, err
 		}
 	}
 }
@@ -700,7 +693,7 @@ func (f *fanout) Close() (monitor.Stats, error) {
 				pending = true
 				break
 			}
-			addWireStats(&agg, st)
+			agg.Merge(st.Counters())
 			s.done = true
 		}
 		if !pending {
@@ -785,15 +778,4 @@ func (f *fanout) RemoveNode(addr string) error {
 	}
 	f.removeAddrLocked(addr)
 	return f.rebalanceLocked()
-}
-
-func addWireStats(agg *monitor.Stats, st wire.Stats) {
-	agg.Created += st.Created
-	agg.Flagged += st.Flagged
-	agg.Collected += st.Collected
-	agg.GoalVerdicts += st.GoalVerdicts
-	agg.Steps += st.Steps
-	agg.Avoided += st.Avoided
-	agg.Live += st.Live
-	agg.PeakLive += st.PeakLive
 }

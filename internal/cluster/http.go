@@ -1,11 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"net/http"
-	"net/http/pprof"
-	"sort"
-	"time"
 
 	"rvgo/internal/metrics"
 )
@@ -43,67 +39,49 @@ type RouterSessionStatus struct {
 	Nodes     []NodeStatus `json:"nodes"`
 }
 
-// Statusz assembles the snapshot. Session slot placement takes each
-// fanout's lock briefly; everything else reads atomics.
+// Statusz assembles the snapshot: the front's aggregate and session
+// listing, plus what only the router knows — node health, handoffs, and
+// each session's slot placement (which takes its fanout's lock briefly).
 func (r *Router) Statusz() Statusz {
+	front := r.srv.Statusz()
 	out := Statusz{
-		UptimeSec:      time.Since(r.started).Seconds(),
-		Total:          r.accepted.Load(),
-		Events:         r.events.Load(),
-		Verdicts:       r.verdicts.Load(),
+		UptimeSec:      front.UptimeSec,
+		Active:         front.Active,
+		Total:          front.Total,
+		Events:         front.Events,
+		Verdicts:       front.Verdicts,
 		Handoffs:       r.handoffs.Load(),
 		HandoffRecords: r.handoffRecords.Load(),
+		Metrics:        front.Metrics,
 	}
 	r.mu.Lock()
-	out.Active = len(r.sessions)
 	for _, n := range r.opts.Nodes {
 		out.Nodes = append(out.Nodes, NodeHealth{Addr: n, Healthy: r.health[n]})
 	}
-	live := make([]*rsession, 0, len(r.sessions))
-	for s := range r.sessions {
-		live = append(live, s)
-	}
 	r.mu.Unlock()
-	for _, s := range live {
-		if !s.ready.Load() {
-			continue
+	for _, s := range front.Sessions {
+		r.mu.Lock()
+		f := r.live[s.ID]
+		r.mu.Unlock()
+		if f == nil {
+			continue // closing: its fanout already left the live set
 		}
 		out.Sessions = append(out.Sessions, RouterSessionStatus{
-			ID:        s.id,
-			Tenant:    s.tenant,
-			Window:    s.window,
-			Events:    s.events.Load(),
-			UptimeSec: time.Since(s.opened).Seconds(),
-			Nodes:     s.f.Nodes(),
+			ID:        s.ID,
+			Tenant:    s.Tenant,
+			Window:    s.Window,
+			Events:    s.Events,
+			UptimeSec: s.UptimeSec,
+			Nodes:     f.Nodes(),
 		})
 	}
-	sort.Slice(out.Sessions, func(a, b int) bool { return out.Sessions[a].ID < out.Sessions[b].ID })
-	out.Metrics = r.reg.Snapshot()
 	return out
 }
 
 // DebugHandler returns the router's introspection surface, for serving on
-// a side listener (rvserve -cluster -metrics):
-//
-//	/metrics        Prometheus text exposition (rv_cluster_* families)
-//	/statusz        the Statusz JSON snapshot
-//	/debug/pprof/*  the standard Go profiling endpoints
+// a side listener (rvserve -cluster -metrics): the front's /metrics (the
+// rv_cluster_* families beside its own rv_server_* ones) and pprof
+// endpoints, with the router's Statusz document at /statusz.
 func (r *Router) DebugHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.reg.WriteProm(w)
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(r.Statusz())
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	return r.srv.DebugHandlerFor(func() any { return r.Statusz() })
 }

@@ -19,7 +19,7 @@ import (
 	"net"
 
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
+	"rvgo/internal/remote"
 	"rvgo/internal/wire"
 )
 
@@ -42,7 +42,7 @@ func openLink(dial func(string) (net.Conn, error), addr string, router uint64, s
 	l := &link{addr: addr, p: wire.NewProducer(conn, "cluster: node "+addr)}
 	ack, err := l.p.Handshake(&wire.NodeHello{Router: router, Slot: uint64(slot)}, hello)
 	if err == nil {
-		if err = verifyAck(spec, ack); err != nil {
+		if err = remote.VerifyAck(spec, ack); err != nil {
 			err = fmt.Errorf("cluster: node %s: %w", addr, err)
 		}
 	}
@@ -52,23 +52,6 @@ func openLink(dial func(string) (net.Conn, error), addr string, router uint64, s
 	}
 	l.p.Start(onVerdict, onDown)
 	return l, nil
-}
-
-// verifyAck checks the node compiled the same spec the router did —
-// version skew between nodes would silently misroute symbols.
-func verifyAck(spec *monitor.Spec, a wire.HelloAck) error {
-	if a.SpecName != spec.Name {
-		return fmt.Errorf("spec negotiation: node compiled %q, router %q", a.SpecName, spec.Name)
-	}
-	if len(a.Events) != len(spec.Events) {
-		return fmt.Errorf("spec negotiation: node has %d events, router %d", len(a.Events), len(spec.Events))
-	}
-	for i, ev := range spec.Events {
-		if a.Events[i].Name != ev.Name || param.Set(a.Events[i].Params) != ev.Params {
-			return fmt.Errorf("spec negotiation: event %d is %s on the node, %s here", i, a.Events[i].Name, ev.Name)
-		}
-	}
-	return nil
 }
 
 // dead reports whether the link's session has failed.

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"regexp"
@@ -12,6 +13,9 @@ import (
 	"rvgo/internal/conformance"
 	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
+	"rvgo/internal/param"
+	"rvgo/internal/props"
+	"rvgo/internal/wire"
 )
 
 // TestLinkFreesRideTheBlock: every slot link, like the remote client,
@@ -175,4 +179,60 @@ func TestSlotMovedTwiceOracle(t *testing.T) {
 			Leave: func() error { return c.AddNode("n5") },
 		}
 	})
+}
+
+// TestClusterDispatchNoAlloc is the remote client's TestDispatchNoAlloc
+// through the fanout: the ID vector the shared front gathers reaches the
+// fanout by a concrete call, so neither a pivot-routed event (create) nor
+// a broadcast one (next, copied into all 16 slot journals) allocates per
+// event — journal chunks amortize to nothing.
+func TestClusterDispatchNoAlloc(t *testing.T) {
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var greeting bytes.Buffer
+	w := wire.NewWriter(&greeting)
+	w.WriteHelloAck(helloAck(spec, 1<<40))
+	w.Flush()
+	var conns []*conformance.SinkConn // one per slot; Open dials them in turn
+	down := false
+	c, err := cluster.Open(cluster.Options{
+		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+		Nodes: []string{"sink"},
+		Dial: func(string) (net.Conn, error) {
+			if down {
+				return nil, fmt.Errorf("sink is down")
+			}
+			conns = append(conns, conformance.NewSinkConn(greeting.Bytes()))
+			return conns[len(conns)-1], nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		// The sinks will never answer a Bye: lose the node instead, so
+		// Close has nobody to settle with and nowhere to re-home.
+		down = true
+		for _, conn := range conns {
+			conn.Close()
+		}
+		c.Close()
+	}()
+	h := heap.New()
+	col, it := h.Alloc("c"), h.Alloc("i")
+	for _, ev := range []struct {
+		name  string
+		sym   int
+		theta param.Instance
+	}{
+		{"routed", 0, param.Of(spec.Events[0].Params, col, it)},
+		{"broadcast", 2, param.Of(spec.Events[2].Params, it)},
+	} {
+		c.Dispatch(ev.sym, ev.theta) // enters the objects into the ref table
+		if n := testing.AllocsPerRun(2000, func() { c.Dispatch(ev.sym, ev.theta) }); n != 0 {
+			t.Errorf("%s Dispatch allocates %v objects per event, want 0", ev.name, n)
+		}
+	}
 }

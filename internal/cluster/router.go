@@ -1,20 +1,21 @@
-// router.go: the router tier — a wire-protocol server whose backend is a
-// fanout. A monitored program speaks the ordinary single-server protocol
-// to the router (internal/remote.Client works unchanged); the router
-// pivot-hashes the stream across the nodes, merges verdicts and counters
-// back, and heals around node failures with journal-replay handoffs, all
-// invisible to the upstream session.
+// router.go: the router tier — internal/server's session front over
+// fanout backends. A monitored program speaks the ordinary single-server
+// protocol to the router (internal/remote.Client works unchanged), and it
+// is the ordinary server's code that answers. What is the router's is
+// below: which nodes are healthy, how a validated Hello becomes a fanout
+// over them, and the fanouts a revived node is re-admitted into. The
+// fanout pivot-hashes the stream across the nodes, merges verdicts and
+// counters back, and heals around node failures with journal-replay
+// handoffs, all invisible to the upstream session.
 //
-// Credit is end-to-end: the router replenishes an upstream credit only
+// Credit is end-to-end: the front replenishes an upstream credit only
 // after the fanout has placed the event — which for a broadcast means
 // every slot granted a credit. One refusing node therefore stalls the
 // upstream producer exactly as a slow single server would.
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -22,7 +23,7 @@ import (
 
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
-	"rvgo/internal/wire"
+	"rvgo/internal/server"
 )
 
 // RouterOptions configures a Router.
@@ -50,35 +51,28 @@ type RouterOptions struct {
 // Router accepts and runs cluster-routed monitoring sessions.
 type Router struct {
 	opts RouterOptions
+	srv  *server.Server // the session front; every session's backend is a fanout
 
-	mu       sync.Mutex
-	listener net.Listener
-	sessions map[*rsession]struct{}
-	nextID   uint64
-	draining bool
-	health   map[string]bool
-
-	wg        sync.WaitGroup
-	probeDone chan struct{}
-
-	// Aggregate counters across all sessions, past and present.
-	events         atomic.Uint64
-	verdicts       atomic.Uint64
-	accepted       atomic.Uint64
 	handoffs       atomic.Uint64
 	handoffRecords atomic.Uint64
 
-	reg     *metrics.Registry
-	started time.Time
+	mu     sync.Mutex
+	health map[string]bool
+	// live is every open session's fanout, by session ID: what the probe
+	// re-admits a revived node into and /statusz reads slot placement off.
+	live map[uint64]*fanout
+
+	// The probe loop runs from the first Serve until Shutdown closes stop.
+	probeOnce sync.Once
+	stopOnce  sync.Once
+	stop      chan struct{}
+	probeDone chan struct{}
 }
 
 // NewRouter builds a router over a fixed node set.
 func NewRouter(opts RouterOptions) (*Router, error) {
 	if len(opts.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: router needs at least one node")
-	}
-	if opts.Window <= 0 {
-		opts.Window = 4096
 	}
 	if opts.Probe <= 0 {
 		opts.Probe = time.Second
@@ -88,13 +82,17 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
-	r := &Router{
-		opts:     opts,
-		sessions: map[*rsession]struct{}{},
-		health:   map[string]bool{},
-		reg:      metrics.NewRegistry(),
-		started:  time.Now(),
+	if opts.Logf == nil {
+		opts.Logf = func(string, ...any) {}
 	}
+	r := &Router{
+		opts:      opts,
+		health:    map[string]bool{},
+		live:      map[uint64]*fanout{},
+		stop:      make(chan struct{}),
+		probeDone: make(chan struct{}),
+	}
+	r.srv = server.NewFront(server.Options{Window: opts.Window, Logf: opts.Logf}, r.open)
 	for _, n := range opts.Nodes {
 		r.health[n] = true
 	}
@@ -102,13 +100,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 }
 
 // Metrics returns the router's metrics registry.
-func (r *Router) Metrics() *metrics.Registry { return r.reg }
-
-func (r *Router) logf(format string, args ...any) {
-	if r.opts.Logf != nil {
-		r.opts.Logf(format, args...)
-	}
-}
+func (r *Router) Metrics() *metrics.Registry { return r.srv.Metrics() }
 
 // healthyNodes snapshots the addresses currently believed up, in the
 // configured order (placement must not depend on map iteration).
@@ -133,7 +125,7 @@ func (r *Router) markDown(addr string) {
 	r.health[addr] = false
 	r.mu.Unlock()
 	if was {
-		r.logf("router: node %s marked down", addr)
+		r.opts.Logf("router: node %s marked down", addr)
 	}
 }
 
@@ -148,18 +140,18 @@ func (r *Router) probeNode(addr string) bool {
 }
 
 // probeLoop re-probes unhealthy nodes and re-admits revived ones into
-// every active session's membership.
+// every open session's membership.
 func (r *Router) probeLoop() {
 	defer close(r.probeDone)
 	tick := time.NewTicker(r.opts.Probe)
 	defer tick.Stop()
 	for {
-		<-tick.C
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
+		select {
+		case <-r.stop:
 			return
+		case <-tick.C:
 		}
+		r.mu.Lock()
 		var down []string
 		for _, n := range r.opts.Nodes {
 			if !r.health[n] {
@@ -173,17 +165,15 @@ func (r *Router) probeLoop() {
 			}
 			r.mu.Lock()
 			r.health[addr] = true
-			live := make([]*rsession, 0, len(r.sessions))
-			for s := range r.sessions {
-				live = append(live, s)
+			live := make(map[uint64]*fanout, len(r.live))
+			for id, f := range r.live {
+				live[id] = f
 			}
 			r.mu.Unlock()
-			r.logf("router: node %s revived", addr)
-			for _, s := range live {
-				if s.ready.Load() {
-					if err := s.f.AddNode(addr); err != nil {
-						r.logf("router: session %d: re-admitting %s: %v", s.id, addr, err)
-					}
+			r.opts.Logf("router: node %s revived", addr)
+			for id, f := range live {
+				if err := f.AddNode(addr); err != nil {
+					r.opts.Logf("router: session %d: re-admitting %s: %v", id, addr, err)
 				}
 			}
 		}
@@ -192,369 +182,88 @@ func (r *Router) probeLoop() {
 
 // Serve accepts sessions on l until the listener is closed by Shutdown.
 func (r *Router) Serve(l net.Listener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return errors.New("cluster: Serve after Shutdown")
-	}
-	r.listener = l
-	if r.probeDone == nil {
-		r.probeDone = make(chan struct{})
-		go r.probeLoop()
-	}
-	r.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			r.mu.Unlock()
-			if draining || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		r.nextID++
-		sess := &rsession{rtr: r, id: r.nextID, conn: conn}
-		r.sessions[sess] = struct{}{}
-		r.accepted.Add(1)
-		r.wg.Add(1)
-		r.mu.Unlock()
-		go func() {
-			defer r.wg.Done()
-			sess.run()
-			r.mu.Lock()
-			delete(r.sessions, sess)
-			r.mu.Unlock()
-		}()
-	}
+	r.probeOnce.Do(func() { go r.probeLoop() })
+	return r.srv.Serve(l)
 }
 
 // Shutdown drains the router: stop accepting, wait up to timeout for
 // sessions to finish, then force-close stragglers.
 func (r *Router) Shutdown(timeout time.Duration) {
-	r.mu.Lock()
-	r.draining = true
-	l := r.listener
-	probing := r.probeDone
-	r.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		r.mu.Lock()
-		for sess := range r.sessions {
-			sess.conn.Close()
-		}
-		r.mu.Unlock()
-		<-done
-	}
-	if probing != nil {
-		<-probing
-	}
+	r.stopOnce.Do(func() { close(r.stop) })
+	r.srv.Shutdown(timeout)
+	r.probeOnce.Do(func() { close(r.probeDone) }) // never served: no loop to wait for
+	<-r.probeDone
 }
 
 // Close force-closes the listener and every active session.
 func (r *Router) Close() { r.Shutdown(0) }
 
-// rsession is one upstream connection: the protocol surface of a server
-// session, the routing machinery of a fanout.
-type rsession struct {
-	rtr  *Router
-	id   uint64
-	conn net.Conn
-
-	wmu sync.Mutex
-	w   *wire.Writer
-
-	f    *fanout
-	spec *specInfo
-
-	window  int
-	ungrant int
-
-	tenant string
-	opened time.Time
-	ready  atomic.Bool
-	events atomic.Uint64
-}
-
-// specInfo is the slice of the compiled spec the ingest path needs for
-// validation (the fanout holds the full spec).
-type specInfo struct {
-	name   string
-	arity  []int
-	events int
-}
-
-// run executes the session to completion.
-func (s *rsession) run() {
-	defer s.conn.Close()
-	defer func() {
-		if s.f != nil {
-			s.f.Close()
-		}
-	}()
-	r := wire.NewReader(s.conn)
-	s.w = wire.NewWriter(s.conn)
-
-	var msg wire.Msg
-	if err := r.Next(&msg); err != nil {
-		s.rtr.logf("session %d: reading hello: %v", s.id, err)
-		return
+// open is the front's backend constructor: it builds the session's fanout
+// over the currently healthy nodes (after a synchronous re-probe when the
+// first attempt fails — a router must not refuse sessions because one node
+// is down) and enters it into the live set.
+func (r *Router) open(s *server.Session) (server.Backend, error) {
+	if s.Node != nil {
+		return nil, fmt.Errorf("NodeHello sent to a cluster router: slot sessions terminate on nodes")
 	}
-	if msg.Type != wire.THello {
-		s.fail("expected Hello, got message type %d", msg.Type)
-		return
+	if s.Hello.Shards > 1 {
+		return nil, fmt.Errorf("cluster router shards by pivot across nodes; request Shards<=1 (got %d)", s.Hello.Shards)
 	}
-	if err := s.handshake(msg.Hello); err != nil {
-		s.fail("%v", err)
-		return
-	}
-	s.rtr.logf("session %d: open spec=%s nodes=%d window=%d", s.id, s.tenant, len(s.f.Nodes()), s.window)
-
-	for {
-		if err := r.Next(&msg); err != nil {
-			if err != io.EOF {
-				s.rtr.logf("session %d: read: %v", s.id, err)
-			}
-			return
-		}
-		for {
-			stop, err := s.handle(&msg)
-			if err != nil {
-				s.fail("%v", err)
-				return
-			}
-			if stop {
-				return
-			}
-			if !r.FrameBuffered() {
-				break
-			}
-			if err := r.Next(&msg); err != nil {
-				if err != io.EOF {
-					s.rtr.logf("session %d: read: %v", s.id, err)
-				}
-				return
-			}
-		}
-		if s.ungrant > 0 {
-			if err := s.grantCredit(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// handshake validates the Hello and builds the fanout over the currently
-// healthy nodes (after a synchronous re-probe when the first attempt
-// fails — a router must not refuse sessions because one node is down).
-func (s *rsession) handshake(h wire.Hello) error {
-	if h.Version != wire.Version {
-		return fmt.Errorf("protocol version %d not supported (router speaks %d)", h.Version, wire.Version)
-	}
-	if h.Shards > 1 {
-		return fmt.Errorf("cluster router shards by pivot across nodes; request Shards<=1 (got %d)", h.Shards)
-	}
-	var prop, source string
-	switch h.SpecKind {
-	case wire.SpecProp:
-		prop = h.Spec
-	case wire.SpecSource:
-		source = h.Spec
-	default:
-		return fmt.Errorf("unknown spec kind %d", h.SpecKind)
-	}
-	compiled, kind, ref, err := resolveSpec(prop, source)
-	if err != nil {
-		return err
-	}
-	window := s.rtr.opts.Window
-	if h.Window > 0 && int(h.Window) < window {
-		window = int(h.Window)
-	}
-
-	gc := monitor.GCPolicy(h.GC)
-	if gc < monitor.GCNone || gc > monitor.GCCoenable {
-		return fmt.Errorf("unknown GC policy %d", h.GC)
-	}
-	creation := monitor.CreationStrategy(h.Creation)
-	if creation != monitor.CreateEnable && creation != monitor.CreateFull {
-		return fmt.Errorf("unknown creation strategy %d", h.Creation)
-	}
+	hello := s.Hello // validated by the front; handed down whole
+	hello.Window = uint64(r.opts.NodeWindow)
 	cfg := fanoutConfig{
-		kind:     kind,
-		ref:      ref,
-		gc:       gc,
-		creation: creation,
-		seed:     s.rtr.opts.Seed,
-		slots:    s.rtr.opts.Slots,
-		window:   s.rtr.opts.NodeWindow,
-		dial:     s.rtr.opts.Dial,
-		logf:     s.rtr.logf,
-		met:      metrics.NewClusterSeries(s.rtr.reg, compiled.Name),
-		onVerdict: func(v wire.Verdict) {
-			// IDs pass through untouched: the nodes echo the very IDs the
-			// upstream client chose, so no translation table is needed.
-			s.rtr.verdicts.Add(1)
-			s.writeLocked(func() error { return s.w.WriteVerdict(v) })
-		},
+		hello: hello,
+		seed:  r.opts.Seed,
+		slots: r.opts.Slots,
+		dial:  r.opts.Dial,
+		logf:  r.opts.Logf,
+		met:   metrics.NewClusterSeries(r.srv.Metrics(), s.Spec.Name),
+		// IDs pass through untouched: the nodes echo the very IDs the
+		// upstream client chose, so no translation table is needed.
+		onVerdict: s.Verdict,
 		onHandoff: func(records int) {
-			s.rtr.handoffs.Add(1)
-			s.rtr.handoffRecords.Add(uint64(records))
+			r.handoffs.Add(1)
+			r.handoffRecords.Add(uint64(records))
 		},
-		onNodeDown: s.rtr.markDown,
+		onNodeDown: r.markDown,
+		nodes:      r.healthyNodes(),
 	}
-	cfg.nodes = s.rtr.healthyNodes()
-	f, err := newFanout(compiled, cfg)
+	f, err := newFanout(s.Spec, cfg)
 	if err != nil {
 		// Refresh the health map the hard way and retry once: the failed
 		// open is itself the probe.
-		for _, n := range s.rtr.opts.Nodes {
-			up := s.rtr.probeNode(n)
-			s.rtr.mu.Lock()
-			s.rtr.health[n] = up
-			s.rtr.mu.Unlock()
+		for _, n := range r.opts.Nodes {
+			up := r.probeNode(n)
+			r.mu.Lock()
+			r.health[n] = up
+			r.mu.Unlock()
 		}
-		cfg.nodes = s.rtr.healthyNodes()
+		cfg.nodes = r.healthyNodes()
 		if len(cfg.nodes) == 0 {
-			return fmt.Errorf("cluster: no healthy nodes")
+			return nil, fmt.Errorf("cluster: no healthy nodes")
 		}
-		f, err = newFanout(compiled, cfg)
-		if err != nil {
-			return err
+		if f, err = newFanout(s.Spec, cfg); err != nil {
+			return nil, err
 		}
 	}
-	s.f = f
-	s.spec = &specInfo{name: compiled.Name, events: len(compiled.Events)}
-	for _, ev := range compiled.Events {
-		s.spec.arity = append(s.spec.arity, ev.Params.Count())
-	}
-	s.window = window
-	s.tenant = compiled.Name
-	s.opened = time.Now()
-	s.ready.Store(true)
-
-	ack := wire.HelloAck{
-		Session:  s.id,
-		Window:   uint64(window),
-		SpecName: compiled.Name,
-		Params:   compiled.Params,
-	}
-	for _, ev := range compiled.Events {
-		ack.Events = append(ack.Events, wire.EventDef{Name: ev.Name, Params: uint64(ev.Params)})
-	}
-	return s.writeLocked(func() error { return s.w.WriteHelloAck(ack) })
+	r.mu.Lock()
+	r.live[s.ID] = f
+	r.mu.Unlock()
+	return routed{f, r, s.ID}, nil
 }
 
-// handle processes one decoded frame.
-func (s *rsession) handle(msg *wire.Msg) (stop bool, err error) {
-	switch msg.Type {
-	case wire.TEvent:
-		ev := msg.Event
-		if ev.Sym < 0 || ev.Sym >= s.spec.events {
-			return false, fmt.Errorf("event symbol %d out of range (spec %s has %d events)", ev.Sym, s.spec.name, s.spec.events)
-		}
-		if len(ev.IDs) != s.spec.arity[ev.Sym] {
-			return false, fmt.Errorf("event %d takes %d objects, got %d", ev.Sym, s.spec.arity[ev.Sym], len(ev.IDs))
-		}
-		if err := s.f.Event(ev.Sym, ev.IDs); err != nil {
-			return false, err
-		}
-		s.events.Add(1)
-		s.rtr.events.Add(1)
-		s.ungrant++
-		if s.ungrant >= s.window/2 || s.window < 2 {
-			return false, s.grantCredit()
-		}
-	case wire.TFree:
-		if err := s.f.Free(msg.Free.IDs); err != nil {
-			return false, err
-		}
-	case wire.TBarrier:
-		if err := s.f.Barrier(); err != nil {
-			return false, err
-		}
-		s.writeLocked(func() error { return s.w.WriteSync(wire.TBarrierAck, msg.Sync.Token) })
-	case wire.TFlush:
-		if err := s.f.Flush(); err != nil {
-			return false, err
-		}
-		s.writeLocked(func() error { return s.w.WriteSync(wire.TFlushAck, msg.Sync.Token) })
-	case wire.TStatsReq:
-		st := s.f.Stats()
-		if err := s.f.Err(); err != nil {
-			return false, err
-		}
-		token := msg.Sync.Token
-		s.writeLocked(func() error { return s.w.WriteStats(toWireStats(token, st)) })
-	case wire.TBye:
-		st, err := s.f.Close()
-		if err != nil {
-			return false, err
-		}
-		s.writeLocked(func() error { return s.w.WriteByeAck(wire.ByeAck{Stats: toWireStats(0, st)}) })
-		s.rtr.logf("session %d: closed after %d events", s.id, s.events.Load())
-		return true, nil
-	default:
-		return false, fmt.Errorf("unexpected message type %d", msg.Type)
-	}
-	return false, nil
+// routed is a fanout as a session backend: the fanout's own methods, and
+// leaving the router's live set on Close.
+type routed struct {
+	*fanout
+	r  *Router
+	id uint64
 }
 
-// grantCredit flushes the accumulated event credit upstream.
-func (s *rsession) grantCredit() error {
-	n := uint64(s.ungrant)
-	if n == 0 {
-		return nil
-	}
-	s.ungrant = 0
-	return s.writeLocked(func() error { return s.w.WriteCredit(n) })
-}
-
-// fail sends a fatal Error frame and logs; the caller closes the session.
-func (s *rsession) fail(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	s.rtr.logf("session %d: %s", s.id, msg)
-	s.writeLocked(func() error { return s.w.WriteError(msg) })
-}
-
-// writeLocked runs one or more frame writes under the write mutex and
-// flushes (verdict forwards from link readers and protocol acks from the
-// session goroutine must never interleave mid-frame).
-func (s *rsession) writeLocked(f func() error) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := f(); err != nil {
-		return err
-	}
-	return s.w.Flush()
-}
-
-func toWireStats(token uint64, st monitor.Stats) wire.Stats {
-	return wire.Stats{
-		Token:        token,
-		Events:       st.Events,
-		Created:      st.Created,
-		Flagged:      st.Flagged,
-		Collected:    st.Collected,
-		GoalVerdicts: st.GoalVerdicts,
-		Steps:        st.Steps,
-		Live:         st.Live,
-		PeakLive:     st.PeakLive,
-	}
+func (b routed) Close() (monitor.Stats, error) {
+	st, err := b.fanout.Close()
+	b.r.mu.Lock()
+	delete(b.r.live, b.id)
+	b.r.mu.Unlock()
+	return st, err
 }

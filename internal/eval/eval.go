@@ -43,7 +43,7 @@ type Config struct {
 	Shards int
 	// Remote, when non-empty, is the address of an rvserve monitoring
 	// server: the RV and MOP cells run over the network through the
-	// client package, one session per cell, with object deaths forwarded
+	// remote client, one session per cell, with object deaths forwarded
 	// as protocol-level free messages. Shards then selects the backend on
 	// the server side, per session.
 	Remote string

@@ -124,6 +124,22 @@ type Stats struct {
 	PeakLive     int64  // maximum of Live
 }
 
+// Merge adds the counters of one lane — a shard's engine, a cluster slot's
+// session — into s. Every slice lives in exactly one lane, so the
+// engine-side counters sum exactly. Events is left alone: a broadcast is
+// one event however many lanes stepped on it, so the front that fanned the
+// stream out counts events itself.
+func (s *Stats) Merge(lane Stats) {
+	s.Created += lane.Created
+	s.Flagged += lane.Flagged
+	s.Collected += lane.Collected
+	s.GoalVerdicts += lane.GoalVerdicts
+	s.Steps += lane.Steps
+	s.Avoided += lane.Avoided
+	s.Live += lane.Live
+	s.PeakLive += lane.PeakLive
+}
+
 // Monitor record flags. A flagged monitor has been proven unnecessary by
 // ALIVENESS/termination; a collected monitor has been dropped by every
 // container; inExact reports that the engine's Δ map still references the
@@ -445,12 +461,9 @@ func (e *Engine) instOf(m *Mon) *param.Instance { return e.intern.At(m.instH) }
 // ascending parameter-index order. Unknown names and arity mismatches are
 // reported as errors (Emit, the index-based hot path, panics instead).
 func (e *Engine) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, ok := e.spec.Symbol(name)
-	if !ok {
-		return fmt.Errorf("monitor: spec %q has no event %q", e.spec.Name, name)
-	}
-	if want := e.spec.Events[sym].Params.Count(); len(vals) != want {
-		return fmt.Errorf("monitor: event %q takes %d values, got %d", name, want, len(vals))
+	sym, err := e.spec.Resolve(name, len(vals))
+	if err != nil {
+		return err
 	}
 	e.Emit(sym, vals...)
 	return nil

@@ -3,6 +3,7 @@ package monitor_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rvgo/internal/heap"
@@ -226,7 +227,7 @@ func TestRealWeakReferences(t *testing.T) {
 			eng.Emit(symUpdate, collRef)
 			eng.Emit(symNext, ref)
 		}
-		_ = it.pos
+		runtime.KeepAlive(it)
 	}
 	for k := 0; k < 50; k++ {
 		makeIterator(k == 25)
@@ -247,5 +248,5 @@ func TestRealWeakReferences(t *testing.T) {
 		t.Skip("GC did not reclaim iterators during the test (best-effort)")
 	}
 	// Keep collObj alive to the end so collection monitors stay valid.
-	_ = collObj.name
+	runtime.KeepAlive(collObj)
 }

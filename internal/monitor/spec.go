@@ -123,6 +123,21 @@ func (s *Spec) Symbol(name string) (int, bool) {
 	return 0, false
 }
 
+// Resolve is the EmitNamed front half every Runtime shares: the symbol of
+// the event called name, provided nvals values is what it binds. Unknown
+// names and arity mismatches are errors, so EmitNamed — unlike Emit, the
+// index-based hot path — never panics on caller input.
+func (s *Spec) Resolve(name string, nvals int) (int, error) {
+	sym, ok := s.Symbol(name)
+	if !ok {
+		return 0, fmt.Errorf("monitor: spec %q has no event %q", s.Name, name)
+	}
+	if want := s.Events[sym].Params.Count(); nvals != want {
+		return 0, fmt.Errorf("monitor: event %q takes %d values, got %d", name, want, nvals)
+	}
+	return sym, nil
+}
+
 // EventParams returns D as a slice indexed by symbol.
 func (s *Spec) EventParams() []param.Set {
 	ps := make([]param.Set, len(s.Events))

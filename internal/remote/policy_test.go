@@ -1,6 +1,7 @@
 package remote_test
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -8,8 +9,11 @@ import (
 	"rvgo/internal/conformance"
 	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
+	"rvgo/internal/param"
+	"rvgo/internal/props"
 	"rvgo/internal/remote"
 	"rvgo/internal/server"
+	"rvgo/internal/wire"
 )
 
 // serveLocal is startServer for the tests that also read the server's
@@ -110,5 +114,41 @@ func TestIdleProducerTimeliness(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDispatchNoAlloc guards the seam between the ref-level Front and the
+// client's sink: Dispatch gathers the event's IDs into a stack-resident
+// vector and hands it to the Producer by a concrete call. Handing it over
+// through an interface or a type-parameter method instead makes the vector
+// escape — one allocation per event — so with the objects already in the
+// ref table and credit in hand, an event must allocate nothing.
+func TestDispatchNoAlloc(t *testing.T) {
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var greeting bytes.Buffer
+	ack := wire.HelloAck{Window: 1 << 40, SpecName: spec.Name, Params: spec.Params}
+	for _, ev := range spec.Events {
+		ack.Events = append(ack.Events, wire.EventDef{Name: ev.Name, Params: uint64(ev.Params)})
+	}
+	w := wire.NewWriter(&greeting)
+	w.WriteHelloAck(ack)
+	w.Flush()
+	conn := conformance.NewSinkConn(greeting.Bytes())
+	c, err := remote.NewSession(conn, remote.Options{
+		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer conn.Close() // first: the sink will never answer Close's Bye
+	h := heap.New()
+	theta := param.Of(spec.Events[0].Params, h.Alloc("c"), h.Alloc("i"))
+	c.Dispatch(0, theta) // enters both objects into the ref table
+	if n := testing.AllocsPerRun(2000, func() { c.Dispatch(0, theta) }); n != 0 {
+		t.Errorf("Dispatch allocates %v objects per event, want 0", n)
 	}
 }

@@ -2,11 +2,16 @@
 // monitored program embeds a Client instead of an in-process engine, and
 // its events are monitored by a remote rvserve (internal/server) session.
 //
-// The Client is a wire.Producer plus the ref tables: events and deaths are
-// ordinary buffered records that leave the process a write block at a
-// time, after a bounded linger on a quiet stream, or when a sync operation
-// or an empty credit window needs the server to act (see wire.Producer);
-// verdicts and flow-control credit arrive on a background goroutine.
+// A client is one Front over one sink. The Front is the ref-level half —
+// the local copy of the spec, the remote-ID table that turns the IDs in a
+// verdict back into the caller's refs, and the shutdown state — and exists
+// once: this package's Client is a Front over a wire.Producer, and the
+// cluster tier's Client is the same Front over its fanout of Producers.
+// Events and deaths are ordinary buffered records that leave the process a
+// write block at a time, after a bounded linger on a quiet stream, or when
+// a sync operation or an empty credit window needs the server to act (see
+// wire.Producer); verdicts and flow-control credit arrive on a background
+// goroutine.
 // Because the network has no weak references, parameter-object deaths are
 // reported explicitly with Free. On the server a Free kills the session's
 // counterpart objects, which is the death signal the paper's coenable-set
@@ -72,11 +77,24 @@ type Options struct {
 	OnVerdict func(monitor.Verdict)
 }
 
-// Client is a remote monitoring session. It implements monitor.Runtime.
-type Client struct {
-	spec *monitor.Spec
-	opts Options
-	p    *wire.Producer
+// Sender is the half of a client that touches its sink. Each client
+// implements the two calls itself, against its concrete sink type: handing
+// Dispatch's stack-resident ID vector to the sink through an interface (or
+// a type parameter) makes it escape — one allocation per event — where the
+// concrete call costs none. Everything around the two calls is the Front's.
+type Sender interface {
+	Dispatch(sym int, theta param.Instance)
+	Free(refs ...heap.Ref)
+}
+
+// Front is the ref-level half of a monitoring client, embedded by Client
+// and by the cluster tier's Client. It works in refs above and IDs below.
+type Front struct {
+	spec      *monitor.Spec
+	kind      byte   // wire.SpecProp or wire.SpecSource
+	ref       string // the property name / .rv source the peer compiles
+	onVerdict func(monitor.Verdict)
+	tx        Sender
 
 	// tmu guards the remote-ID table used to reconstruct verdict
 	// instances.
@@ -86,7 +104,53 @@ type Client struct {
 	// smu guards the shutdown state.
 	smu    sync.Mutex
 	closed bool
-	final  monitor.Stats // settled counters from ByeAck
+	final  monitor.Stats // settled counters, cached for Stats after Close
+}
+
+// NewFront compiles the client-side copy of the spec — from the same
+// reference the peer receives, exactly one of prop (a library name) and
+// source (.rv text) — and builds the front of the client tx.
+func NewFront(prop, source string, onVerdict func(monitor.Verdict), tx Sender) (*Front, error) {
+	local, kind, ref, err := resolveSpec(prop, source)
+	if err != nil {
+		return nil, err
+	}
+	return &Front{spec: local, kind: kind, ref: ref, onVerdict: onVerdict, tx: tx, table: map[uint64]heap.Ref{}}, nil
+}
+
+// resolveSpec compiles the client-side copy of the spec.
+func resolveSpec(prop, source string) (*monitor.Spec, byte, string, error) {
+	switch {
+	case prop != "" && source != "":
+		return nil, 0, "", fmt.Errorf("remote: set exactly one of Prop and SpecSource")
+	case prop != "":
+		s, err := props.Build(prop)
+		return s, wire.SpecProp, prop, err
+	case source != "":
+		s, err := spec.CompileOne(source)
+		return s, wire.SpecSource, source, err
+	}
+	return nil, 0, "", fmt.Errorf("remote: set one of Prop and SpecSource")
+}
+
+// Hello is the frame that opens a session on the front's spec.
+func (f *Front) Hello(gc monitor.GCPolicy, creation monitor.CreationStrategy, avoid monitor.AvoidMode, shards, window int) wire.Hello {
+	return wire.Hello{
+		Version:  wire.Version,
+		SpecKind: f.kind,
+		Spec:     f.ref,
+		GC:       byte(gc),
+		Creation: byte(creation),
+		Avoid:    byte(avoid),
+		Shards:   uint64(shards),
+		Window:   uint64(window),
+	}
+}
+
+// Client is a remote monitoring session. It implements monitor.Runtime.
+type Client struct {
+	*Front
+	p *wire.Producer
 }
 
 var _ monitor.Runtime = (*Client)(nil)
@@ -105,109 +169,159 @@ func Dial(addr string, opts Options) (*Client, error) {
 // NewSession runs the session handshake over an established connection
 // (Dial with a dialed TCP conn; tests may pass an in-process pipe).
 func NewSession(conn net.Conn, opts Options) (*Client, error) {
-	local, kind, ref, err := resolveSpec(opts)
+	c := &Client{}
+	front, err := NewFront(opts.Prop, opts.SpecSource, opts.OnVerdict, c)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	c := &Client{
-		spec:  local,
-		opts:  opts,
-		p:     wire.NewProducer(conn, "remote"),
-		table: map[uint64]heap.Ref{},
-	}
-	ack, err := c.p.Handshake(nil, wire.Hello{
-		Version:  wire.Version,
-		SpecKind: kind,
-		Spec:     ref,
-		GC:       byte(opts.GC),
-		Creation: byte(opts.Creation),
-		Avoid:    byte(opts.Avoid),
-		Shards:   uint64(opts.Shards),
-		Window:   uint64(opts.Window),
-	})
+	c.Front, c.p = front, wire.NewProducer(conn, "remote")
+	ack, err := c.p.Handshake(nil, front.Hello(opts.GC, opts.Creation, opts.Avoid, opts.Shards, opts.Window))
 	if err == nil {
-		err = c.verifyAck(ack)
+		if err = VerifyAck(front.spec, ack); err != nil {
+			err = fmt.Errorf("remote: %w", err)
+		}
 	}
 	if err != nil {
 		c.p.Close()
 		return nil, err
 	}
-	c.p.Start(c.deliverVerdict, nil)
+	c.p.Start(c.DeliverVerdict, nil)
 	return c, nil
 }
 
-// resolveSpec compiles the client-side copy of the spec.
-func resolveSpec(opts Options) (*monitor.Spec, byte, string, error) {
-	switch {
-	case opts.Prop != "" && opts.SpecSource != "":
-		return nil, 0, "", fmt.Errorf("remote: set exactly one of Prop and SpecSource")
-	case opts.Prop != "":
-		s, err := props.Build(opts.Prop)
-		if err != nil {
-			return nil, 0, "", err
-		}
-		return s, wire.SpecProp, opts.Prop, nil
-	case opts.SpecSource != "":
-		s, err := spec.CompileOne(opts.SpecSource)
-		if err != nil {
-			return nil, 0, "", err
-		}
-		return s, wire.SpecSource, opts.SpecSource, nil
-	}
-	return nil, 0, "", fmt.Errorf("remote: set one of Prop and SpecSource")
-}
-
-// verifyAck checks that the server compiled the same spec we did: the
-// negotiation half of the protocol. Divergence (library version skew, a
-// different .rv compilation) would silently misroute symbols, so it is a
+// VerifyAck checks that the peer compiled the same spec the client did:
+// the negotiation half of the protocol. Divergence (library version skew,
+// a different .rv compilation) would silently misroute symbols, so it is a
 // hard error.
-func (c *Client) verifyAck(a wire.HelloAck) error {
-	if a.SpecName != c.spec.Name {
-		return fmt.Errorf("remote: spec negotiation: server compiled %q, client %q", a.SpecName, c.spec.Name)
+func VerifyAck(spec *monitor.Spec, a wire.HelloAck) error {
+	if a.SpecName != spec.Name {
+		return fmt.Errorf("spec negotiation: peer compiled %q, client %q", a.SpecName, spec.Name)
 	}
-	if len(a.Params) != len(c.spec.Params) {
-		return fmt.Errorf("remote: spec negotiation: server has %d parameters, client %d", len(a.Params), len(c.spec.Params))
+	if len(a.Params) != len(spec.Params) {
+		return fmt.Errorf("spec negotiation: peer has %d parameters, client %d", len(a.Params), len(spec.Params))
 	}
-	if len(a.Events) != len(c.spec.Events) {
-		return fmt.Errorf("remote: spec negotiation: server has %d events, client %d", len(a.Events), len(c.spec.Events))
+	if len(a.Events) != len(spec.Events) {
+		return fmt.Errorf("spec negotiation: peer has %d events, client %d", len(a.Events), len(spec.Events))
 	}
-	for i, ev := range c.spec.Events {
+	for i, ev := range spec.Events {
 		if a.Events[i].Name != ev.Name || param.Set(a.Events[i].Params) != ev.Params {
-			return fmt.Errorf("remote: spec negotiation: event %d is %s%v on the server, %s%v locally",
+			return fmt.Errorf("spec negotiation: event %d is %s%v on the peer, %s%v locally",
 				i, a.Events[i].Name, param.Set(a.Events[i].Params).Members(), ev.Name, ev.Params.Members())
 		}
 	}
 	return nil
 }
 
-// deliverVerdict reconstructs the instance from the client's own refs and
-// invokes the handler.
-func (c *Client) deliverVerdict(v wire.Verdict) {
-	if c.opts.OnVerdict == nil {
+// DeliverVerdict reconstructs the instance from the client's own refs and
+// invokes the handler. The sink calls it, serialized, from its reader
+// goroutine(s).
+func (f *Front) DeliverVerdict(v wire.Verdict) {
+	if f.onVerdict == nil {
 		return
 	}
 	inst := param.Empty()
 	mask := param.Set(v.Mask)
-	c.tmu.Lock()
+	f.tmu.Lock()
 	for k, p := range mask.Members() {
-		ref, ok := c.table[v.IDs[k]]
+		ref, ok := f.table[v.IDs[k]]
 		if !ok {
 			ref = ghostRef(v.IDs[k])
 		}
 		inst = inst.Bind(p, ref)
 	}
-	c.tmu.Unlock()
+	f.tmu.Unlock()
 	var sym int
-	if v.Sym >= 0 && v.Sym < len(c.spec.Events) {
+	if v.Sym >= 0 && v.Sym < len(f.spec.Events) {
 		sym = v.Sym
 	}
-	c.opts.OnVerdict(monitor.Verdict{
-		Spec: c.spec,
+	f.onVerdict(monitor.Verdict{
+		Spec: f.spec,
 		Sym:  sym,
 		Cat:  logic.Category(v.Cat),
 		Inst: inst,
 	})
+}
+
+// Spec implements monitor.Runtime.
+func (f *Front) Spec() *monitor.Spec { return f.spec }
+
+// Emit implements monitor.Runtime.
+func (f *Front) Emit(sym int, vals ...heap.Ref) {
+	f.tx.Dispatch(sym, param.Of(f.spec.Events[sym].Params, vals...))
+}
+
+// EmitNamed implements monitor.Runtime.
+func (f *Front) EmitNamed(name string, vals ...heap.Ref) error {
+	sym, err := f.spec.Resolve(name, len(vals))
+	if err != nil {
+		return err
+	}
+	f.Emit(sym, vals...)
+	return nil
+}
+
+// FreeAsync implements monitor.Runtime's pipelined death positioning. For
+// a remote session the positioned point is the free frame's place in the
+// write pipeline — the server barriers its backend when the frame arrives —
+// so the local die runs as soon as the frame is written: the local refs
+// only feed verdict reconstruction, where dead identities are expected
+// (that is the whole point of monitor GC).
+func (f *Front) FreeAsync(die func(), refs ...heap.Ref) {
+	f.tx.Free(refs...)
+	if die != nil {
+		die()
+	}
+}
+
+// EventIDs appends to ids the remote IDs of the objects theta binds for
+// event sym, in ascending parameter order — the event's wire form — and
+// enters each first-seen object into the table. The table keeps one entry
+// per distinct object ever sent, dead ones included, so a late verdict
+// keeps its original identities.
+func (f *Front) EventIDs(ids []uint64, sym int, theta param.Instance) []uint64 {
+	f.tmu.Lock()
+	for pm := f.spec.Events[sym].Params; pm != 0; pm = pm.Rest() {
+		ref := theta.Value(pm.First())
+		id := ref.ID()
+		ids = append(ids, id)
+		if _, ok := f.table[id]; !ok {
+			f.table[id] = ref
+		}
+	}
+	f.tmu.Unlock()
+	return ids
+}
+
+// RefIDs appends the remote IDs of refs to ids: a free's wire form.
+func RefIDs(ids []uint64, refs []heap.Ref) []uint64 {
+	for _, ref := range refs {
+		ids = append(ids, ref.ID())
+	}
+	return ids
+}
+
+// Shutdown is a client's Close: the first call marks the session closed,
+// runs settle — the sink's orderly shutdown — and caches the final counters
+// it returns for Stats; later calls do nothing.
+func (f *Front) Shutdown(settle func() monitor.Stats) {
+	f.smu.Lock()
+	first := !f.closed
+	f.closed = true
+	f.smu.Unlock()
+	if first {
+		st := settle()
+		f.smu.Lock()
+		f.final = st
+		f.smu.Unlock()
+	}
+}
+
+// Final returns the cached final counters and whether the session closed.
+func (f *Front) Final() (monitor.Stats, bool) {
+	f.smu.Lock()
+	defer f.smu.Unlock()
+	return f.final, f.closed
 }
 
 // Err returns the sticky session error, if any: connection loss, a server
@@ -215,44 +329,12 @@ func (c *Client) deliverVerdict(v wire.Verdict) {
 // once it is set.
 func (c *Client) Err() error { return c.p.Err() }
 
-// Spec implements monitor.Runtime.
-func (c *Client) Spec() *monitor.Spec { return c.spec }
-
-// Emit implements monitor.Runtime.
-func (c *Client) Emit(sym int, vals ...heap.Ref) {
-	c.Dispatch(sym, param.Of(c.spec.Events[sym].Params, vals...))
-}
-
-// EmitNamed implements monitor.Runtime.
-func (c *Client) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, ok := c.spec.Symbol(name)
-	if !ok {
-		return fmt.Errorf("remote: spec %q has no event %q", c.spec.Name, name)
-	}
-	if want := c.spec.Events[sym].Params.Count(); len(vals) != want {
-		return fmt.Errorf("remote: event %q takes %d values, got %d", name, want, len(vals))
-	}
-	c.Emit(sym, vals...)
-	return nil
-}
-
 // Dispatch implements monitor.Runtime: the event is written to the
 // pipeline (no round trip). It blocks while the server's credit window is
 // exhausted.
 func (c *Client) Dispatch(sym int, theta param.Instance) {
 	var buf [param.MaxParams]uint64
-	ids := buf[:0]
-	c.tmu.Lock()
-	for pm := c.spec.Events[sym].Params; pm != 0; pm = pm.Rest() {
-		ref := theta.Value(pm.First())
-		id := ref.ID()
-		ids = append(ids, id)
-		if _, ok := c.table[id]; !ok {
-			c.table[id] = ref
-		}
-	}
-	c.tmu.Unlock()
-
+	ids := c.EventIDs(buf[:0], sym, theta)
 	c.p.Acquire(1)
 	c.p.Event(sym, ids)
 }
@@ -272,33 +354,13 @@ func (c *Client) Free(refs ...heap.Ref) {
 		return
 	}
 	var buf [8]uint64 // a death rarely names more; append spills the rest
-	ids := buf[:0]
-	for _, ref := range refs {
-		ids = append(ids, ref.ID())
-	}
-	c.p.Free(ids)
-}
-
-// FreeAsync implements monitor.Runtime's pipelined death positioning. For
-// a remote session the positioned point is the free frame's place in the
-// write pipeline — the server barriers its backend when the frame arrives —
-// so the local die runs as soon as the frame is written: the local refs
-// only feed verdict reconstruction, where dead identities are expected
-// (that is the whole point of monitor GC).
-func (c *Client) FreeAsync(die func(), refs ...heap.Ref) {
-	c.Free(refs...)
-	if die != nil {
-		die()
-	}
+	c.p.Free(RefIDs(buf[:0], refs))
 }
 
 // roundTrip issues a token frame and waits for its ack. Returns the zero
 // Msg when the session is dead or closed.
 func (c *Client) roundTrip(t byte) (wire.Msg, bool) {
-	c.smu.Lock()
-	closed := c.closed
-	c.smu.Unlock()
-	if closed {
+	if _, closed := c.Final(); closed {
 		return wire.Msg{}, false
 	}
 	return c.p.RoundTrip(t)
@@ -321,38 +383,25 @@ func (c *Client) Flush() {
 // Stats implements monitor.Runtime: a remote counter snapshot. After Close
 // it returns the final settled counters.
 func (c *Client) Stats() monitor.Stats {
-	c.smu.Lock()
-	if c.closed {
-		st := c.final
-		c.smu.Unlock()
+	if st, closed := c.Final(); closed {
 		return st
 	}
-	c.smu.Unlock()
-	msg, ok := c.roundTrip(wire.TStatsReq)
+	msg, ok := c.p.RoundTrip(wire.TStatsReq)
 	if !ok {
 		return monitor.Stats{}
 	}
-	return fromWireStats(msg.Stats)
+	return msg.Stats.Counters()
 }
 
 // Close implements monitor.Runtime: orderly shutdown. The server flushes
 // the session's backend and returns the final counters, which remain
 // available through Stats. Close is idempotent.
 func (c *Client) Close() {
-	c.smu.Lock()
-	if c.closed {
-		c.smu.Unlock()
-		return
-	}
-	c.closed = true
-	c.smu.Unlock()
-
-	if st, ok := c.p.Bye(); ok {
-		c.smu.Lock()
-		c.final = fromWireStats(st)
-		c.smu.Unlock()
-	}
-	c.p.Close()
+	c.Shutdown(func() monitor.Stats {
+		st, _ := c.p.Bye() // zero when the session died first
+		c.p.Close()
+		return st.Counters()
+	})
 }
 
 // ghostRef stands in for a table miss during verdict reconstruction (a
@@ -363,17 +412,3 @@ type ghostRef uint64
 func (g ghostRef) ID() uint64    { return uint64(g) }
 func (g ghostRef) Alive() bool   { return false }
 func (g ghostRef) Label() string { return fmt.Sprintf("r%d", uint64(g)) }
-
-func fromWireStats(s wire.Stats) monitor.Stats {
-	return monitor.Stats{
-		Events:       s.Events,
-		Created:      s.Created,
-		Flagged:      s.Flagged,
-		Collected:    s.Collected,
-		GoalVerdicts: s.GoalVerdicts,
-		Steps:        s.Steps,
-		Avoided:      s.Avoided,
-		Live:         s.Live,
-		PeakLive:     s.PeakLive,
-	}
-}

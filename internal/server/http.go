@@ -24,7 +24,9 @@ type Statusz struct {
 	Metrics   []metrics.FamilySnapshot `json:"metrics"`
 }
 
-// SessionStatus is one active session's point-in-time state.
+// SessionStatus is one active session's point-in-time state. Shards and
+// the stall counters describe the local backend; behind any other they
+// are zero.
 type SessionStatus struct {
 	ID        uint64  `json:"id"`
 	Tenant    string  `json:"tenant"`
@@ -49,7 +51,7 @@ func (s *Server) Statusz() Statusz {
 		Verdicts:  st.Verdicts,
 	}
 	s.mu.Lock()
-	live := make([]*session, 0, len(s.sessions))
+	live := make([]*Session, 0, len(s.sessions))
 	for sess := range s.sessions {
 		live = append(live, sess)
 	}
@@ -58,16 +60,19 @@ func (s *Server) Statusz() Statusz {
 		if !sess.ready.Load() {
 			continue // still in handshake; its fields are not published yet
 		}
-		out.Sessions = append(out.Sessions, SessionStatus{
-			ID:        sess.id,
-			Tenant:    sess.tenant,
-			Shards:    sess.shardCount(),
+		st := SessionStatus{
+			ID:        sess.ID,
+			Tenant:    sess.Spec.Name,
 			Window:    sess.window,
 			Events:    sess.events.Load(),
-			Stalls:    sess.stalls.Load(),
-			StallSec:  float64(sess.stallNs.Load()) / 1e9,
 			UptimeSec: time.Since(sess.opened).Seconds(),
-		})
+		}
+		if b, ok := sess.b.(*local); ok {
+			st.Shards = b.shardCount()
+			st.Stalls = b.stalls.Load()
+			st.StallSec = float64(b.stallNs.Load()) / 1e9
+		}
+		out.Sessions = append(out.Sessions, st)
 	}
 	sort.Slice(out.Sessions, func(a, b int) bool { return out.Sessions[a].ID < out.Sessions[b].ID })
 	out.Metrics = s.reg.Snapshot()
@@ -84,6 +89,13 @@ func (s *Server) Statusz() Statusz {
 // Handlers read only atomics and registry snapshots — scraping never
 // stalls a session or a shard worker.
 func (s *Server) DebugHandler() http.Handler {
+	return s.DebugHandlerFor(func() any { return s.Statusz() })
+}
+
+// DebugHandlerFor is DebugHandler serving the caller's /statusz document
+// in place of the Server's own (the cluster router adds node health and
+// slot placement to it).
+func (s *Server) DebugHandlerFor(statusz func() any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -93,7 +105,7 @@ func (s *Server) DebugHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(s.Statusz())
+		enc.Encode(statusz())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,39 +1,32 @@
-// Package server is the multi-tenant monitoring server: it accepts
-// wire-protocol sessions over TCP and runs one monitor.Runtime per session
-// — the paper's engine, deployed as a service.
+// Package server is the session front of the wire protocol — the only one
+// — and the monitoring server built on it: it accepts wire-protocol
+// sessions over TCP and runs one monitoring backend per session — the
+// paper's engine, deployed as a service.
 //
-// Each session owns a private spec registry entry (compiled from the
-// client's Hello), its own monitoring backend (sequential engine or
-// sharded runtime, chosen per session), a session-scoped simulated heap,
-// and a remote-ID→object table. The table is the network replacement for
-// weak references: a client names parameter objects with integer IDs, the
-// server materializes one heap object per ID on first mention, and a
-// protocol Free message kills the object — which is exactly the death
-// signal the coenable-set GC consumes. Monitor lifetime on the server is
-// governed entirely by these protocol-level deaths; no amount of server-
-// side garbage collection can reclaim a monitor whose client never
-// declares its objects dead, and nothing but the table keeps them alive.
-//
-// A Free's place in the session's ordered stream is the death's position
-// in the trace — it does not matter when the producer's write block
-// carrying it left the client. Before applying a Free the session barriers
-// its runtime, so every event sent before the Free observes the objects
-// alive: per-session counters and verdicts are trace-faithful and equal to
-// a local replay of the same stream (see the client package's oracle
-// tests).
+// The front owns everything a session is on the wire: accept, drain and
+// force-close; the Hello's validation; the block-drained ingest loop with
+// its counters and credit; acks, verdict frames and the fatal Error frame;
+// the session listing and the debug mux. It drives an ID-level Backend and
+// never looks behind it, which is what lets one front serve both tiers: a
+// Server built by New monitors each session itself (local.go: a spec
+// registry entry compiled from the client's Hello, a sequential engine or
+// sharded runtime chosen per session, a session-scoped simulated heap and
+// the remote-ID→object table), and the cluster router (internal/cluster)
+// is the same front over a backend that fans the session out across nodes.
+// A client cannot tell the two apart.
 //
 // The ingest loop works a read block at a time: every frame already
-// buffered is decoded and dispatched back to back, and the per-frame
-// bookkeeping — event and free counters, the credit grant — is settled
-// once per block (or before any frame that answers the client, so an ack
-// never overtakes the counts it acknowledges).
+// buffered is decoded and handed to the backend back to back, and the
+// per-frame bookkeeping — event and free counters, the credit grant — is
+// settled once per block (or before any frame that answers the client, so
+// an ack never overtakes the counts it acknowledges).
 //
 // Flow control: sessions grant event credits (wire.Credit) as the backend
-// actually accepts events. Ingestion into a sharded runtime first tries
-// the non-blocking TryDispatch; when the target mailbox refuses, the
-// session falls back to the blocking Dispatch — which stalls the session
-// reader, withholds further credit, and so propagates the mailbox's
-// backpressure to the remote producer at the protocol level.
+// actually accepts events — a credit is returned only after Backend.Event
+// has. A backend that blocks there (a full shard mailbox locally, a slot
+// whose node withholds credit behind a router) stalls the session reader,
+// withholds further credit, and so propagates its backpressure to the
+// remote producer at the protocol level.
 package server
 
 import (
@@ -41,20 +34,14 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"rvgo/internal/heap"
-	"rvgo/internal/logic"
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 	"rvgo/internal/props"
-	"rvgo/internal/shard"
 	"rvgo/internal/spec"
-	"rvgo/internal/trace"
 	"rvgo/internal/wire"
 )
 
@@ -85,13 +72,38 @@ type Options struct {
 	RecordDir string
 }
 
+// Backend is the ID-level runtime behind one session. The front validates
+// every frame against the session's spec before calling in, calls from
+// the session's one goroutine, and treats any error as fatal to the
+// session (the client gets it in an Error frame).
+type Backend interface {
+	// Event places one event. The front returns the event's credit to the
+	// client only after Event has returned, so blocking here is the
+	// backend's backpressure.
+	Event(sym int, ids []uint64) error
+	// Free applies object deaths at this point of the stream.
+	Free(ids []uint64) error
+	// Barrier returns once every placed event is processed and its
+	// verdicts have been forwarded.
+	Barrier() error
+	// Flush is Barrier plus a full expunge pass: the counters settle.
+	Flush() error
+	// Stats snapshots the counters.
+	Stats() (monitor.Stats, error)
+	// Close settles the backend, releases it and returns the final
+	// counters. The front calls it exactly once per opened backend, when
+	// the stream ends — by a Bye, a disconnect or an error alike.
+	Close() (monitor.Stats, error)
+}
+
 // Server accepts and runs monitoring sessions.
 type Server struct {
 	opts Options
+	open func(*Session) (Backend, error)
 
 	mu       sync.Mutex
 	listener net.Listener
-	sessions map[*session]struct{}
+	sessions map[*Session]struct{}
 	nextID   uint64
 	draining bool
 
@@ -112,18 +124,26 @@ type Server struct {
 	started    time.Time
 }
 
-// New builds a server.
+// New builds a monitoring server: the front over local backends.
 func New(opts Options) *Server {
-	if opts.Window <= 0 {
-		opts.Window = 4096
-	}
 	if opts.MaxShards <= 0 {
 		opts.MaxShards = 16
 	}
 	if opts.DefaultShards <= 0 {
 		opts.DefaultShards = 1
 	}
-	s := &Server{opts: opts, sessions: map[*session]struct{}{}, reg: metrics.NewRegistry(), started: time.Now()}
+	return NewFront(opts, openLocal)
+}
+
+// NewFront builds the session front over the backends open constructs —
+// one per session, from its validated Hello (see Session). The cluster
+// router is the other caller; only Window and Logf concern the front, the
+// remaining options shape the local backend.
+func NewFront(opts Options, open func(*Session) (Backend, error)) *Server {
+	if opts.Window <= 0 {
+		opts.Window = 4096
+	}
+	s := &Server{opts: opts, open: open, sessions: map[*Session]struct{}{}, reg: metrics.NewRegistry(), started: time.Now()}
 	s.sessActive = metrics.SessionsActive(s.reg)
 	return s
 }
@@ -186,7 +206,7 @@ func (s *Server) Serve(l net.Listener) error {
 			return nil
 		}
 		s.nextID++
-		sess := &session{srv: s, id: s.nextID, conn: conn}
+		sess := &Session{srv: s, ID: s.nextID, conn: conn}
 		s.sessions[sess] = struct{}{}
 		s.accepted.Add(1)
 		s.wg.Add(1)
@@ -238,137 +258,132 @@ func (s *Server) Shutdown(timeout time.Duration) {
 // Close force-closes the listener and every active session.
 func (s *Server) Close() { s.Shutdown(0) }
 
-// session is one client connection: a spec, a backend, a heap, and the
-// remote-ID table.
-type session struct {
-	srv  *Server
-	id   uint64
-	conn net.Conn
+// Session is one client connection: the protocol half of a session, in
+// front of its Backend. The exported fields are what a backend constructor
+// builds from.
+type Session struct {
+	// ID is the server-assigned session number.
+	ID uint64
+	// Spec is the property the Hello named, compiled.
+	Spec *monitor.Spec
+	// Hello is the frame as received. Its version, spec reference and mode
+	// bytes are validated — a backend may hand them on as they are — while
+	// the backend shape it asks for (Shards) is the backend's to judge.
+	Hello wire.Hello
+	// Node is the router's marker when one preceded the Hello (a cluster
+	// slot session), else nil.
+	Node *wire.NodeHello
+
+	srv    *Server
+	conn   net.Conn
+	b      Backend
+	series *metrics.ServerSeries // the tenant's rv_server_* series
 
 	wmu sync.Mutex // serializes all frame writes + flushes
 	w   *wire.Writer
-
-	rt     monitor.Runtime
-	srt    *shard.Runtime // non-nil when the backend is sharded
-	spec   *monitor.Spec
-	heap   *heap.Heap
-	flight *trace.Ring // non-nil with Options.FlightWindow > 0
-
-	// objects maps a remote ID to its session heap object; a nil entry is
-	// the tombstone of an ID freed before any event mentioned it. Only the
-	// session goroutine touches the table: verdicts read the remote ID back
-	// off the object itself.
-	objects map[uint64]*heap.Object
 
 	window  int
 	ungrant int // events accepted since the last credit grant
 	// Events and frees handled since the last publish (see publish).
 	nevents, nfrees uint64
 
-	// Node mode (cluster tier): a router marks the session with a
-	// NodeHello before the ordinary Hello, which authorizes the handoff
-	// frames. vskip is the number of verdict forwards still to suppress
-	// inside a handoff bracket — the replayed journal regenerates verdicts
-	// the upstream client already received, and the engine must count them
-	// (its settled counters are checked against the donor's) without the
-	// router delivering them twice.
-	node       bool
-	nodeRouter uint64
-	nodeSlot   uint64
-	vskip      atomic.Int64
-
-	// Telemetry. tenant/met/opened are written during the handshake and
-	// published by ready.Store(true); the /statusz scraper reads them only
-	// after a positive ready.Load(), and reads the counters below with
-	// atomics, so session state never races a scrape.
-	tenant  string
-	met     *metrics.ServerSeries
-	rec     *trace.Writer // non-nil with Options.RecordDir
-	opened  time.Time
-	ready   atomic.Bool
-	events  atomic.Uint64
-	stalls  atomic.Uint64
-	stallNs atomic.Uint64
-
-	vals []heap.Ref // dispatch scratch
-	vids []uint64   // verdict-ID scratch (onVerdict is serialized)
+	// Telemetry. The exported fields, b, window and opened are written
+	// during the handshake and published by ready.Store(true); the
+	// /statusz scraper reads them only after a positive ready.Load(), and
+	// reads events with an atomic, so session state never races a scrape.
+	opened time.Time
+	ready  atomic.Bool
+	events atomic.Uint64
 }
 
 // run executes the session to completion.
-func (s *session) run() {
+func (s *Session) run() {
 	defer s.conn.Close()
 	r := wire.NewReader(s.conn)
 	s.w = wire.NewWriter(s.conn)
 
 	var msg wire.Msg
 	if err := r.Next(&msg); err != nil {
-		s.srv.logf("session %d: reading hello: %v", s.id, err)
+		s.srv.logf("session %d: reading hello: %v", s.ID, err)
 		return
 	}
 	if msg.Type == wire.TNodeHello {
-		// A cluster router owns this session: remember the marker (it
-		// authorizes the handoff frames) and read the ordinary Hello next.
-		s.node = true
-		s.nodeRouter, s.nodeSlot = msg.NodeHello.Router, msg.NodeHello.Slot
+		// A cluster router owns this session: remember the marker (whether
+		// to honour it is the backend's call) and read the ordinary Hello.
+		node := msg.NodeHello
+		s.Node = &node
 		if err := r.Next(&msg); err != nil {
-			s.srv.logf("session %d: reading hello: %v", s.id, err)
+			s.srv.logf("session %d: reading hello: %v", s.ID, err)
 			return
 		}
 	}
 	if msg.Type != wire.THello {
-		s.fail("expected Hello, got message type %d", msg.Type)
+		s.fail(fmt.Errorf("expected Hello, got message type %d", msg.Type))
 		return
 	}
 	if err := s.handshake(msg.Hello); err != nil {
-		s.fail("%v", err)
+		s.fail(err)
+		if s.b != nil { // opened, but the HelloAck could not be written
+			s.b.Close()
+		}
 		return
 	}
-	defer s.teardown()
-	defer s.rt.Close()
-	s.srv.logf("session %d: open spec=%s shards=%d window=%d", s.id, s.spec.Name, s.shardCount(), s.window)
+	s.srv.logf("session %d: open spec=%s window=%d", s.ID, s.Spec.Name, s.window)
 
-	// Ingest loop, batch-drained: frames already sitting in the read
-	// buffer are decoded and dispatched back to back — the decoder reuses
-	// one Msg and ID buffer, so a pipelined burst of events shares the
-	// engine's allocation-free path end to end — and the counters and the
-	// accumulated credit are settled only when the stream would block. The
-	// half-window threshold forces an early grant, so the producer's
-	// pipeline never empties while the backend keeps up.
-	defer s.publish()
+	// However the stream ends, the backend is closed once, here: after the
+	// Error frame of a failed session (so the client is not kept waiting on
+	// a settle it will not hear about), before the ByeAck that carries the
+	// settled counters, and before the session leaves the server's map —
+	// where the active-session gauge drops — so the backend's final
+	// publications land before the gauge moves.
+	bye, err := s.ingest(r)
+	s.publish()
+	if err != nil {
+		s.fail(err)
+	}
+	st, cerr := s.b.Close()
+	if err != nil || !bye {
+		return
+	}
+	if cerr != nil {
+		s.fail(cerr)
+		return
+	}
+	s.writeLocked(func() error { return s.w.WriteByeAck(wire.ByeAck{Stats: wire.StatsOf(0, st)}) })
+	s.srv.logf("session %d: closed after %d events", s.ID, s.events.Load())
+}
+
+// ingest is the ingest loop, batch-drained: frames already sitting in the
+// read buffer are decoded and handled back to back — the decoder reuses
+// one Msg and ID buffer, so a pipelined burst of events shares the
+// engine's allocation-free path end to end — and the counters and the
+// accumulated credit are settled only when the stream would block. The
+// half-window threshold forces an early grant, so the producer's pipeline
+// never empties while the backend keeps up. It returns when the stream
+// ends: bye reports an orderly Bye, a non-nil error a protocol violation
+// or backend failure the client is owed an Error frame for.
+func (s *Session) ingest(r *wire.Reader) (bye bool, err error) {
+	var msg wire.Msg
 	for {
-		if err := r.Next(&msg); err != nil {
-			if err != io.EOF {
-				s.srv.logf("session %d: read: %v", s.id, err)
-			}
-			return
-		}
-		for {
-			stop, err := s.handle(&msg)
-			if err != nil {
-				s.fail("%v", err)
-				return
-			}
-			if stop {
-				return
-			}
-			if s.ungrant >= s.window/2 || s.window < 2 {
-				if err := s.grantCredit(); err != nil {
-					return
-				}
-			}
-			if !r.FrameBuffered() {
-				break
-			}
+		for more := true; more; more = r.FrameBuffered() {
 			if err := r.Next(&msg); err != nil {
 				if err != io.EOF {
-					s.srv.logf("session %d: read: %v", s.id, err)
+					s.srv.logf("session %d: read: %v", s.ID, err)
 				}
-				return
+				return false, nil
+			}
+			if bye, err := s.handle(&msg); bye || err != nil {
+				return bye, err
+			}
+			if s.ungrant >= s.window/2 || s.window < 2 {
+				if s.grantCredit() != nil {
+					return false, nil
+				}
 			}
 		}
 		s.publish()
-		if err := s.grantCredit(); err != nil {
-			return
+		if s.grantCredit() != nil {
+			return false, nil
 		}
 	}
 }
@@ -378,177 +393,137 @@ func (s *session) run() {
 // series and the server aggregate — cache lines every session of a tenant
 // would otherwise write once per frame. It runs when the read buffer
 // drains and before any frame that answers the client.
-func (s *session) publish() {
+func (s *Session) publish() {
 	if s.nevents > 0 {
 		s.events.Add(s.nevents)
-		s.met.Events.Add(s.nevents)
+		s.series.Events.Add(s.nevents)
 		s.srv.events.Add(s.nevents)
 		s.nevents = 0
 	}
 	if s.nfrees > 0 {
-		s.met.Frees.Add(s.nfrees)
+		s.series.Frees.Add(s.nfrees)
 		s.nfrees = 0
 	}
 }
 
-// handle processes one decoded frame. stop reports an orderly end of the
-// session (Bye); a non-nil error is a protocol violation.
-func (s *session) handle(msg *wire.Msg) (stop bool, err error) {
+// handle processes one decoded frame. bye reports the orderly end of the
+// stream; a non-nil error is a protocol violation or a backend failure.
+func (s *Session) handle(msg *wire.Msg) (bye bool, err error) {
 	switch msg.Type {
 	case wire.TEvent:
-		return false, s.event(msg.Event)
-	case wire.TFree:
-		s.free(msg.Free.IDs)
+		ev := msg.Event
+		if ev.Sym < 0 || ev.Sym >= len(s.Spec.Events) {
+			return false, fmt.Errorf("event symbol %d out of range (spec %s has %d events)", ev.Sym, s.Spec.Name, len(s.Spec.Events))
+		}
+		if want := s.Spec.Events[ev.Sym].Params.Count(); len(ev.IDs) != want {
+			return false, fmt.Errorf("event %q takes %d objects, got %d", s.Spec.Events[ev.Sym].Name, want, len(ev.IDs))
+		}
+		if err := s.b.Event(ev.Sym, ev.IDs); err != nil {
+			return false, err
+		}
+		// Counted and credited when the ingest loop settles the block.
+		s.nevents++
+		s.ungrant++
 		return false, nil
+	case wire.TFree:
+		s.nfrees++
+		return false, s.b.Free(msg.Free.IDs)
 	}
 	// Everything else answers the client, which may read the counters the
 	// moment the answer arrives.
 	s.publish()
+	token := msg.Sync.Token
 	switch msg.Type {
 	case wire.TBarrier:
-		s.rt.Barrier()
-		s.ack(wire.TBarrierAck, msg.Sync.Token)
+		if err := s.b.Barrier(); err != nil {
+			return false, err
+		}
+		s.writeLocked(func() error { return s.w.WriteSync(wire.TBarrierAck, token) })
 	case wire.TFlush:
-		s.rt.Flush()
-		s.ack(wire.TFlushAck, msg.Sync.Token)
+		if err := s.b.Flush(); err != nil {
+			return false, err
+		}
+		s.writeLocked(func() error { return s.w.WriteSync(wire.TFlushAck, token) })
 	case wire.TStatsReq:
-		st := s.rt.Stats()
-		token := msg.Sync.Token
-		s.writeLocked(func() error { return s.w.WriteStats(toWireStats(token, st)) })
+		st, err := s.b.Stats()
+		if err != nil {
+			return false, err
+		}
+		s.writeLocked(func() error { return s.w.WriteStats(wire.StatsOf(token, st)) })
 	case wire.TBye:
-		s.rt.Flush()
-		st := s.rt.Stats()
-		s.writeLocked(func() error { return s.w.WriteByeAck(wire.ByeAck{Stats: toWireStats(0, st)}) })
-		s.srv.logf("session %d: closed after %d events", s.id, s.events.Load())
 		return true, nil
-	case wire.THandoffBegin:
-		if !s.node {
-			return false, fmt.Errorf("HandoffBegin on a session without a NodeHello")
+	case wire.THandoffBegin, wire.THandoffEnd:
+		// Slot sessions terminate on nodes: any backend but the local one
+		// (a router's) refuses the bracket as it would an unknown type.
+		lb, ok := s.b.(*local)
+		if !ok {
+			return false, fmt.Errorf("unexpected message type %d", msg.Type)
 		}
-		s.vskip.Store(int64(msg.HandoffBegin.Skip))
-		s.srv.logf("session %d: handoff begin (router %d slot %d, skipping %d verdicts)",
-			s.id, s.nodeRouter, s.nodeSlot, msg.HandoffBegin.Skip)
-	case wire.THandoffEnd:
-		if !s.node {
-			return false, fmt.Errorf("HandoffEnd on a session without a NodeHello")
+		if msg.Type == wire.THandoffBegin {
+			return false, lb.handoffBegin(msg.HandoffBegin.Skip)
 		}
-		// Settle the replayed state, stop suppressing (a correct replay
-		// consumed the skip budget exactly; a leftover budget would
-		// silently swallow live verdicts), and ack with the counters the
-		// router verifies against the donor's ByeAck.
-		s.rt.Flush()
-		s.vskip.Store(0)
-		st := s.rt.Stats()
-		token := msg.Sync.Token
-		s.writeLocked(func() error { return s.w.WriteHandoffAck(toWireStats(token, st)) })
-		s.srv.logf("session %d: handoff settled after %d events", s.id, s.events.Load())
+		st, err := lb.handoffEnd()
+		if err != nil {
+			return false, err
+		}
+		s.writeLocked(func() error { return s.w.WriteHandoffAck(wire.StatsOf(token, st)) })
 	default:
 		return false, fmt.Errorf("unexpected message type %d", msg.Type)
 	}
 	return false, nil
 }
 
-// teardown seals and closes the trace recorder, if any. It runs after
-// rt.Close and before the session leaves the server's map (where the
-// active-session gauge drops), so the engine's final delta publication
-// and the recording land before the gauge moves.
-func (s *session) teardown() {
-	if s.rec != nil {
-		if err := s.rec.Close(); err != nil {
-			s.srv.logf("session %d: closing recording: %v", s.id, err)
-		}
-		s.rec = nil
-	}
-}
-
-func (s *session) shardCount() int {
-	if s.srt != nil {
-		return s.srt.Shards()
-	}
-	return 1
-}
-
-// handshake validates the Hello, compiles the spec and builds the backend.
-func (s *session) handshake(h wire.Hello) error {
+// compileHello validates a Hello and compiles the spec it names: the
+// protocol version, the spec reference — a library property name, or .rv
+// source compiled on the spot (which must define exactly one property) —
+// and the range of each mode byte. It is the one place these are checked:
+// a backend converts the bytes, or hands them on, as they are.
+func compileHello(h wire.Hello) (compiled *monitor.Spec, err error) {
 	if h.Version != wire.Version {
-		return fmt.Errorf("protocol version %d not supported (server speaks %d)", h.Version, wire.Version)
+		return nil, fmt.Errorf("protocol version %d not supported (server speaks %d)", h.Version, wire.Version)
 	}
-	compiled, err := resolveSpec(h.SpecKind, h.Spec)
+	switch h.SpecKind {
+	case wire.SpecProp:
+		compiled, err = props.Build(h.Spec)
+	case wire.SpecSource:
+		compiled, err = spec.CompileOne(h.Spec)
+	default:
+		err = fmt.Errorf("unknown spec kind %d", h.SpecKind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if gc := monitor.GCPolicy(h.GC); gc < monitor.GCNone || gc > monitor.GCCoenable {
+		return nil, fmt.Errorf("unknown GC policy %d", h.GC)
+	}
+	if c := monitor.CreationStrategy(h.Creation); c != monitor.CreateEnable && c != monitor.CreateFull {
+		return nil, fmt.Errorf("unknown creation strategy %d", h.Creation)
+	}
+	if a := monitor.AvoidMode(h.Avoid); a < monitor.AvoidOff || a > monitor.AvoidEnforce {
+		return nil, fmt.Errorf("unknown avoidance mode %d", h.Avoid)
+	}
+	return compiled, nil
+}
+
+// handshake validates the Hello, opens the backend and acknowledges.
+func (s *Session) handshake(h wire.Hello) error {
+	compiled, err := compileHello(h)
 	if err != nil {
 		return err
 	}
-	gc := monitor.GCPolicy(h.GC)
-	if gc < monitor.GCNone || gc > monitor.GCCoenable {
-		return fmt.Errorf("unknown GC policy %d", h.GC)
+	s.Spec, s.Hello = compiled, h
+	s.window = s.srv.opts.Window
+	if h.Window > 0 && int(h.Window) < s.window {
+		s.window = int(h.Window)
 	}
-	creation := monitor.CreationStrategy(h.Creation)
-	if creation != monitor.CreateEnable && creation != monitor.CreateFull {
-		return fmt.Errorf("unknown creation strategy %d", h.Creation)
+	// Interned before the backend exists: its goroutines reach Verdict.
+	s.series = metrics.NewServerSeries(s.srv.reg, s.Spec.Name)
+	b, err := s.srv.open(s)
+	if err != nil {
+		return err
 	}
-	avoid := monitor.AvoidMode(h.Avoid)
-	if avoid < monitor.AvoidOff || avoid > monitor.AvoidEnforce {
-		return fmt.Errorf("unknown avoidance mode %d", h.Avoid)
-	}
-	shards := int(h.Shards)
-	if shards == 0 {
-		shards = s.srv.opts.DefaultShards
-	}
-	if shards < 1 || shards > s.srv.opts.MaxShards {
-		return fmt.Errorf("shards %d out of range 1..%d", shards, s.srv.opts.MaxShards)
-	}
-	window := s.srv.opts.Window
-	if h.Window > 0 && int(h.Window) < window {
-		window = int(h.Window)
-	}
-
-	opts := monitor.Options{
-		GC: gc, Creation: creation, Avoid: avoid, OnVerdict: s.onVerdict,
-		Metrics: metrics.NewEngineSeries(s.srv.reg, compiled.Name, gc.String()),
-	}
-	if shards > 1 {
-		srt, err := shard.New(compiled, shard.Options{
-			Options: opts, Shards: shards,
-			MetricsRegistry: s.srv.reg, MetricsLabel: compiled.Name,
-		})
-		if err != nil {
-			return err
-		}
-		s.rt, s.srt = srt, srt
-	} else {
-		eng, err := monitor.New(compiled, opts)
-		if err != nil {
-			return err
-		}
-		s.rt = eng
-	}
-	s.spec = compiled
-	if s.srv.opts.FlightWindow > 0 {
-		s.flight = trace.NewRing(s.srv.opts.FlightWindow)
-	}
-	s.heap = heap.New()
-	s.objects = map[uint64]*heap.Object{}
-	s.window = window
-
-	if dir := s.srv.opts.RecordDir; dir != "" {
-		path := filepath.Join(dir, fmt.Sprintf("session-%d.rvt", s.id))
-		wtr, err := func() (*trace.Writer, error) {
-			if err := trace.EnsureDir(path); err != nil {
-				return nil, err
-			}
-			return trace.CreateForSpec(path, compiled, trace.WriterOptions{
-				Metrics: metrics.NewTraceSeries(s.srv.reg, compiled.Name),
-			})
-		}()
-		if err != nil {
-			s.srv.logf("session %d: recording disabled: %v", s.id, err)
-		} else {
-			s.rec = wtr
-		}
-	}
-
-	s.tenant = compiled.Name
-	s.met = metrics.NewServerSeries(s.srv.reg, s.tenant)
-	s.met.Sessions.Inc()
+	s.b = b
+	s.series.Sessions.Inc()
 	s.opened = time.Now()
 	s.srv.mu.Lock()
 	s.srv.sessActive.Add(1)
@@ -556,251 +531,51 @@ func (s *session) handshake(h wire.Hello) error {
 	s.srv.mu.Unlock()
 
 	ack := wire.HelloAck{
-		Session:  s.id,
-		Window:   uint64(window),
-		SpecName: compiled.Name,
-		Params:   compiled.Params,
+		Session:  s.ID,
+		Window:   uint64(s.window),
+		SpecName: s.Spec.Name,
+		Params:   s.Spec.Params,
 	}
-	for _, ev := range compiled.Events {
+	for _, ev := range s.Spec.Events {
 		ack.Events = append(ack.Events, wire.EventDef{Name: ev.Name, Params: uint64(ev.Params)})
 	}
 	return s.writeLocked(func() error { return s.w.WriteHelloAck(ack) })
 }
 
-// resolveSpec turns the Hello's spec reference into a compiled Spec: a
-// library property name, or .rv source compiled on the spot (which must
-// define exactly one property).
-func resolveSpec(kind byte, src string) (*monitor.Spec, error) {
-	switch kind {
-	case wire.SpecProp:
-		return props.Build(src)
-	case wire.SpecSource:
-		return spec.CompileOne(src)
-	}
-	return nil, fmt.Errorf("unknown spec kind %d", kind)
-}
-
-// event dispatches one remote event into the backend and replenishes
-// credit as the backend accepts it.
-func (s *session) event(ev wire.Event) error {
-	if ev.Sym < 0 || ev.Sym >= len(s.spec.Events) {
-		return fmt.Errorf("event symbol %d out of range (spec %s has %d events)", ev.Sym, s.spec.Name, len(s.spec.Events))
-	}
-	want := s.spec.Events[ev.Sym].Params.Count()
-	if len(ev.IDs) != want {
-		return fmt.Errorf("event %q takes %d objects, got %d", s.spec.Events[ev.Sym].Name, want, len(ev.IDs))
-	}
-	s.vals = s.vals[:0]
-	for _, id := range ev.IDs {
-		o, ok := s.objects[id]
-		if !ok {
-			o = s.heap.AllocRemote(id)
-			s.objects[id] = o
-		}
-		if o == nil || !o.Alive() {
-			return fmt.Errorf("event %q uses remote object %d after its free", s.spec.Events[ev.Sym].Name, id)
-		}
-		s.vals = append(s.vals, o)
-	}
-	theta := param.Of(s.spec.Events[ev.Sym].Params, s.vals...)
-	// Record before dispatch: on the sequential backend the verdict
-	// handler runs inside Dispatch, and the window it dumps must include
-	// the event that triggered it.
-	if s.flight != nil {
-		s.flight.RecordDispatchIDs(ev.Sym, s.spec.Events[ev.Sym].Params, ev.IDs)
-	}
-	if s.rec != nil {
-		if err := s.rec.EventIDs(ev.Sym, ev.IDs); err != nil {
-			s.srv.logf("session %d: recording stopped: %v", s.id, err)
-			s.rec.Close()
-			s.rec = nil
-		}
-	}
-	if s.srt != nil {
-		// Non-blocking first: a refusal means the target mailbox is full,
-		// and the blocking fallback is precisely the backpressure — the
-		// session reads no further frames (and grants no further credit)
-		// until the shard drains.
-		if !s.srt.TryDispatch(ev.Sym, theta) {
-			s.stallDispatch(ev.Sym, theta)
-		}
-	} else {
-		s.rt.Dispatch(ev.Sym, theta)
-	}
-	// Counted and credited when the ingest loop settles the block (run).
-	s.nevents++
-	s.ungrant++
-	return nil
-}
-
-// stallDispatch is the blocking fallback behind a TryDispatch refusal:
-// the session reader stalls here, withholding credit, until the shard
-// mailbox drains. The stall is counted and timed, and a stall still
-// blocked after one second logs a structured warning with the withheld
-// credit and the backlog — the "why is my session stuck" diagnostic. The
-// timer allocation is fine: this path is already blocking on a full
-// mailbox.
-func (s *session) stallDispatch(sym int, theta param.Instance) {
-	s.met.CreditStalls.Inc()
-	credits := s.ungrant
-	start := time.Now()
-	warn := time.AfterFunc(time.Second, func() {
-		depths := s.srt.QueueDepths()
-		deepest := 0
-		for _, d := range depths {
-			if d > deepest {
-				deepest = d
-			}
-		}
-		s.srv.logf("session %d: credit-starved >1s tenant=%s credits_withheld=%d mailbox_depth=%d shards=%d",
-			s.id, s.tenant, credits, deepest, len(depths))
-	})
-	s.srt.Dispatch(sym, theta)
-	warn.Stop()
-	d := time.Since(start)
-	s.met.StallSeconds.Observe(d.Seconds())
-	s.stallNs.Add(uint64(d))
-	s.stalls.Add(1)
-}
-
 // grantCredit flushes the accumulated event credit to the client.
-func (s *session) grantCredit() error {
+func (s *Session) grantCredit() error {
 	n := uint64(s.ungrant)
 	if n == 0 {
 		return nil
 	}
 	s.ungrant = 0
-	s.met.CreditGrants.Inc()
+	s.series.CreditGrants.Inc()
 	return s.writeLocked(func() error { return s.w.WriteCredit(n) })
 }
 
-// free applies protocol-level object deaths: barrier the backend so every
-// event sent before the Free is processed against the old liveness, then
-// kill the objects — from this moment the coenable-set GC may flag and
-// collect every monitor whose ALIVENESS formula depended on them, exactly
-// as if a weak reference had been cleared. Table entries are retained,
-// now holding dead objects: an event naming the ID again is
-// use-after-free and must be refused (never silently re-allocated), and a
-// late verdict (the alldead/none GC policies keep such monitors) may
-// still mention the object.
-func (s *session) free(ids []uint64) {
-	if s.flight != nil {
-		s.flight.RecordFreeIDs(ids)
-	}
-	s.nfrees++
-	if s.rec != nil {
-		if err := s.rec.FreeIDs(ids); err != nil {
-			s.srv.logf("session %d: recording stopped: %v", s.id, err)
-			s.rec.Close()
-			s.rec = nil
-		}
-	}
-	// Barrier only when a death is observable: deaths of objects that
-	// never appeared in an event (dacapo workloads free far more objects
-	// than any one property mentions) change nothing for the monitors,
-	// and a cross-shard sync per irrelevant death would stall ingestion.
-	observable := false
-	for _, id := range ids {
-		if o := s.objects[id]; o != nil && o.Alive() {
-			observable = true
-			break
-		}
-	}
-	if observable {
-		s.rt.Barrier()
-	}
-	for _, id := range ids {
-		if o := s.objects[id]; o != nil {
-			s.heap.Free(o)
-		} else {
-			// Never appeared in an event: record a tombstone anyway, so
-			// the death is final for this ID too — a later event naming
-			// it must be refused, not silently allocated live. No monitor
-			// can mention it, so it needs no heap object.
-			s.objects[id] = nil
-		}
-	}
-}
-
-// onVerdict forwards a goal verdict to the client. It is called from the
-// session goroutine (sequential backend) or from shard workers (serialized
-// by the shard runtime's verdict mutex) — never concurrently with itself,
-// which is what lets it reuse the session's verdict-ID scratch.
-func (s *session) onVerdict(v monitor.Verdict) {
-	// Inside a handoff bracket the first vskip verdicts are replays the
-	// upstream client already has; the engine counted them, the wire must
-	// not carry them again. onVerdict invocations are serialized, so the
-	// check-then-decrement pair never races itself.
-	if s.vskip.Load() > 0 {
-		s.vskip.Add(-1)
-		return
-	}
+// Verdict forwards one goal verdict to the client. Backends call it from
+// whatever goroutine reaches the verdict; frame writes are serialized
+// here, the order of verdicts is the backend's to keep.
+func (s *Session) Verdict(v wire.Verdict) {
 	s.srv.verdicts.Add(1)
-	s.met.Verdicts.Inc()
-	wv := wire.Verdict{Sym: v.Sym, Cat: string(v.Cat), Mask: uint64(v.Inst.Mask())}
-	s.vids = s.vids[:0]
-	for pm := v.Inst.Mask(); pm != 0; pm = pm.Rest() {
-		// Every ref in a session's engine is one of its AllocRemote objects.
-		s.vids = append(s.vids, v.Inst.Value(pm.First()).(*heap.Object).RemoteID())
-	}
-	wv.IDs = s.vids
-	s.writeLocked(func() error { return s.w.WriteVerdict(wv) })
-	if s.flight != nil && v.Cat != logic.Match {
-		s.dumpWindow(wv)
-	}
+	s.series.Verdicts.Inc()
+	s.writeLocked(func() error { return s.w.WriteVerdict(v) })
 }
 
-// dumpWindow logs the flight-recorder window behind a failure verdict:
-// the recent events and protocol frees, oldest first, with the client's
-// object IDs. onVerdict invocations are serialized, so the dump is one
-// coherent block per verdict.
-func (s *session) dumpWindow(v wire.Verdict) {
-	var b []byte
-	for _, e := range s.flight.Snapshot() {
-		if e.Kind == trace.RingFree {
-			b = fmt.Appendf(b, " #%d free%v", e.Seq, e.IDs[:e.N])
-		} else if int(e.Sym) < len(s.spec.Events) {
-			b = fmt.Appendf(b, " #%d %s%v", e.Seq, s.spec.Events[e.Sym].Name, e.IDs[:e.N])
-		}
-	}
-	s.srv.logf("session %d: verdict %s on %v, flight window:%s", s.id, v.Cat, v.IDs, string(b))
-}
-
-// ack writes a token-echo frame.
-func (s *session) ack(t byte, token uint64) {
-	s.writeLocked(func() error { return s.w.WriteSync(t, token) })
-}
-
-// fail sends a fatal Error frame and logs; the caller closes the session.
-func (s *session) fail(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	s.srv.logf("session %d: %s", s.id, msg)
-	s.writeLocked(func() error { return s.w.WriteError(msg) })
+// fail sends a fatal Error frame and logs; the caller ends the session.
+func (s *Session) fail(err error) {
+	s.srv.logf("session %d: %v", s.ID, err)
+	s.writeLocked(func() error { return s.w.WriteError(err.Error()) })
 }
 
 // writeLocked runs one or more frame writes under the write mutex and
 // flushes, so every server→client frame becomes visible promptly and
-// writes from shard workers never interleave mid-frame.
-func (s *session) writeLocked(f func() error) error {
+// writes from backend goroutines never interleave mid-frame.
+func (s *Session) writeLocked(f func() error) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if err := f(); err != nil {
 		return err
 	}
 	return s.w.Flush()
-}
-
-func toWireStats(token uint64, st monitor.Stats) wire.Stats {
-	return wire.Stats{
-		Token:        token,
-		Events:       st.Events,
-		Created:      st.Created,
-		Flagged:      st.Flagged,
-		Collected:    st.Collected,
-		GoalVerdicts: st.GoalVerdicts,
-		Steps:        st.Steps,
-		Avoided:      st.Avoided,
-		Live:         st.Live,
-		PeakLive:     st.PeakLive,
-	}
 }

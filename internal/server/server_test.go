@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rvgo/internal/cluster"
 	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
 	"rvgo/internal/remote"
@@ -33,6 +34,39 @@ func startServer(t *testing.T) string {
 		}
 	})
 	return l.Addr().String()
+}
+
+// startRouter runs a cluster router over two in-process nodes: the other
+// deployment of the session front.
+func startRouter(t *testing.T) string {
+	t.Helper()
+	rtr, err := cluster.NewRouter(cluster.RouterOptions{Nodes: []string{startServer(t), startServer(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- rtr.Serve(l) }()
+	t.Cleanup(func() {
+		rtr.Shutdown(2 * time.Second)
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return l.Addr().String()
+}
+
+// eachFront runs body against the two things a client may find behind an
+// address — a client cannot tell them apart, and neither may a hostile
+// one, so the protocol-abuse tests hold both to the same refusals: the
+// server directly on t (the tests keep the names they had when a Server
+// was the only front), the router in a subtest.
+func eachFront(t *testing.T, body func(t *testing.T, addr string)) {
+	body(t, startServer(t))
+	t.Run("router", func(t *testing.T) { body(t, startRouter(t)) })
 }
 
 func dialRaw(t *testing.T, addr string) (net.Conn, *wire.Writer, *wire.Reader) {
@@ -70,6 +104,16 @@ func hello(t *testing.T, w *wire.Writer, h wire.Hello) {
 	}
 }
 
+// open sends h and requires the HelloAck.
+func open(t *testing.T, w *wire.Writer, r *wire.Reader, h wire.Hello) {
+	t.Helper()
+	hello(t, w, h)
+	var msg wire.Msg
+	if err := r.Next(&msg); err != nil || msg.Type != wire.THelloAck {
+		t.Fatalf("no HelloAck: %v %d", err, msg.Type)
+	}
+}
+
 func validHello() wire.Hello {
 	return wire.Hello{
 		Version:  wire.Version,
@@ -82,47 +126,50 @@ func validHello() wire.Hello {
 }
 
 // TestGarbageStream: raw garbage instead of a Hello must not wedge the
-// server; the connection just dies.
+// front; the connection just dies.
 func TestGarbageStream(t *testing.T) {
-	addr := startServer(t)
-	conn, _, _ := dialRaw(t, addr)
-	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 64)
-	for {
-		if _, err := conn.Read(buf); err != nil {
-			return // closed (possibly after an Error frame): the right outcome
+	eachFront(t, func(t *testing.T, addr string) {
+		conn, _, _ := dialRaw(t, addr)
+		if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 1, 2, 3}); err != nil {
+			t.Fatal(err)
 		}
-	}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		buf := make([]byte, 64)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return // closed (possibly after an Error frame): the right outcome
+			}
+		}
+	})
 }
 
 // TestEventBeforeHello: the first frame must be a Hello.
 func TestEventBeforeHello(t *testing.T) {
-	addr := startServer(t)
-	_, w, r := dialRaw(t, addr)
-	if err := w.WriteEvent(0, []uint64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := expectError(t, r); !strings.Contains(msg, "Hello") {
-		t.Errorf("error %q does not mention the missing Hello", msg)
-	}
+	eachFront(t, func(t *testing.T, addr string) {
+		_, w, r := dialRaw(t, addr)
+		if err := w.WriteEvent(0, []uint64{1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if msg := expectError(t, r); !strings.Contains(msg, "Hello") {
+			t.Errorf("error %q does not mention the missing Hello", msg)
+		}
+	})
 }
 
 // TestBadVersion: an unknown protocol version is refused.
 func TestBadVersion(t *testing.T) {
-	addr := startServer(t)
-	_, w, r := dialRaw(t, addr)
-	h := validHello()
-	h.Version = 99
-	hello(t, w, h)
-	if msg := expectError(t, r); !strings.Contains(msg, "version") {
-		t.Errorf("error %q does not mention the version", msg)
-	}
+	eachFront(t, func(t *testing.T, addr string) {
+		_, w, r := dialRaw(t, addr)
+		h := validHello()
+		h.Version = 99
+		hello(t, w, h)
+		if msg := expectError(t, r); !strings.Contains(msg, "version") {
+			t.Errorf("error %q does not mention the version", msg)
+		}
+	})
 }
 
 // TestUseAfterFree: an event naming a remote object the client already
@@ -181,27 +228,80 @@ func TestFreeBeforeFirstMentionIsFinal(t *testing.T) {
 // TestBadSymbolAndArity: out-of-range symbols and wrong value counts are
 // protocol errors, not panics.
 func TestBadSymbolAndArity(t *testing.T) {
-	for name, ev := range map[string]wire.Event{
-		"symbol":   {Sym: 99, IDs: []uint64{1}},
-		"negative": {Sym: 0, IDs: []uint64{}},
-		"arity":    {Sym: 0, IDs: []uint64{1, 2, 3}},
+	eachFront(t, func(t *testing.T, addr string) {
+		for name, ev := range map[string]wire.Event{
+			"symbol":   {Sym: 99, IDs: []uint64{1}},
+			"negative": {Sym: 0, IDs: []uint64{}},
+			"arity":    {Sym: 0, IDs: []uint64{1, 2, 3}},
+		} {
+			t.Run(name, func(t *testing.T) {
+				_, w, r := dialRaw(t, addr)
+				open(t, w, r, validHello())
+				if err := w.WriteEvent(ev.Sym, ev.IDs); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				expectError(t, r)
+			})
+		}
+	})
+}
+
+// TestRouterRefusals: what a router refuses and a node accepts. Slot
+// sessions are sequential, so a sharded backend cannot be asked for; and
+// the frames a router sends its nodes — the NodeHello marker, the handoff
+// bracket — terminate on nodes, never on another router.
+func TestRouterRefusals(t *testing.T) {
+	addr := startRouter(t)
+	for name, tc := range map[string]struct {
+		send func(t *testing.T, w *wire.Writer, r *wire.Reader)
+		want string
+	}{
+		"shards": {func(t *testing.T, w *wire.Writer, r *wire.Reader) {
+			h := validHello()
+			h.Shards = 2
+			hello(t, w, h)
+		}, "Shards"},
+		"nodehello": {func(t *testing.T, w *wire.Writer, r *wire.Reader) {
+			w.WriteNodeHello(wire.NodeHello{Router: 1, Slot: 0})
+			hello(t, w, validHello())
+		}, "NodeHello"},
+		"handoffbegin": {func(t *testing.T, w *wire.Writer, r *wire.Reader) {
+			open(t, w, r, validHello())
+			w.WriteHandoffBegin(wire.HandoffBegin{Skip: 1})
+			w.Flush()
+		}, "unexpected message type"},
+		"handoffend": {func(t *testing.T, w *wire.Writer, r *wire.Reader) {
+			open(t, w, r, validHello())
+			w.WriteSync(wire.THandoffEnd, 1)
+			w.Flush()
+		}, "unexpected message type"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			addr := startServer(t)
 			_, w, r := dialRaw(t, addr)
-			hello(t, w, validHello())
-			var msg wire.Msg
-			if err := r.Next(&msg); err != nil || msg.Type != wire.THelloAck {
-				t.Fatalf("no HelloAck: %v %d", err, msg.Type)
+			tc.send(t, w, r)
+			if msg := expectError(t, r); !strings.Contains(msg, tc.want) {
+				t.Errorf("error %q does not mention %q", msg, tc.want)
 			}
-			if err := w.WriteEvent(ev.Sym, ev.IDs); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			expectError(t, r)
 		})
+	}
+}
+
+// TestHandoffNeedsNodeHello: a node honours the handoff bracket only on a
+// session a router marked with a NodeHello.
+func TestHandoffNeedsNodeHello(t *testing.T) {
+	_, w, r := dialRaw(t, startServer(t))
+	open(t, w, r, validHello())
+	if err := w.WriteHandoffBegin(wire.HandoffBegin{Skip: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if msg := expectError(t, r); !strings.Contains(msg, "NodeHello") {
+		t.Errorf("error %q does not mention the missing NodeHello", msg)
 	}
 }
 

@@ -179,12 +179,9 @@ func (rt *Runtime) Emit(sym int, vals ...heap.Ref) {
 // mismatches are reported as errors (Emit, the index-based hot path,
 // panics instead).
 func (rt *Runtime) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, ok := rt.spec.Symbol(name)
-	if !ok {
-		return fmt.Errorf("shard: spec %q has no event %q", rt.spec.Name, name)
-	}
-	if want := rt.spec.Events[sym].Params.Count(); len(vals) != want {
-		return fmt.Errorf("shard: event %q takes %d values, got %d", name, want, len(vals))
+	sym, err := rt.spec.Resolve(name, len(vals))
+	if err != nil {
+		return err
 	}
 	rt.Emit(sym, vals...)
 	return nil
@@ -354,17 +351,9 @@ func (rt *Runtime) Flush() {
 // sequential engine — and PeakLive sums per-shard peaks, an upper bound on
 // the true concurrent peak. All other counters are exact sums.
 func (rt *Runtime) Stats() monitor.Stats {
-	per := rt.ShardStats()
 	var s monitor.Stats
-	for _, st := range per {
-		s.Created += st.Created
-		s.Flagged += st.Flagged
-		s.Collected += st.Collected
-		s.GoalVerdicts += st.GoalVerdicts
-		s.Steps += st.Steps
-		s.Avoided += st.Avoided
-		s.Live += st.Live
-		s.PeakLive += st.PeakLive
+	for _, st := range rt.ShardStats() {
+		s.Merge(st)
 	}
 	s.Events = rt.events.Load()
 	return s

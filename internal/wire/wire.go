@@ -1,5 +1,5 @@
 // Package wire is the binary session protocol between a remote monitored
-// program (package client) and the monitoring server (internal/server).
+// program (internal/remote) and the monitoring server (internal/server).
 //
 // The paper's engine observes object death through weak references — a
 // channel that does not exist across a network. The protocol therefore
@@ -83,6 +83,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"rvgo/internal/monitor"
 )
 
 // Version is the protocol version. A server refuses a Hello whose version
@@ -197,6 +199,39 @@ type Stats struct {
 	Avoided      uint64
 	Live         int64
 	PeakLive     int64
+}
+
+// StatsOf puts a backend's counters on the wire under an ack token; with
+// Counters it is the only monitor.Stats ⇄ Stats conversion (a counter added
+// to one side and not the other fails the package's reflection test).
+func StatsOf(token uint64, st monitor.Stats) Stats {
+	return Stats{
+		Token:        token,
+		Events:       st.Events,
+		Created:      st.Created,
+		Flagged:      st.Flagged,
+		Collected:    st.Collected,
+		GoalVerdicts: st.GoalVerdicts,
+		Steps:        st.Steps,
+		Avoided:      st.Avoided,
+		Live:         st.Live,
+		PeakLive:     st.PeakLive,
+	}
+}
+
+// Counters is the monitor.Stats the frame carries.
+func (s Stats) Counters() monitor.Stats {
+	return monitor.Stats{
+		Events:       s.Events,
+		Created:      s.Created,
+		Flagged:      s.Flagged,
+		Collected:    s.Collected,
+		GoalVerdicts: s.GoalVerdicts,
+		Steps:        s.Steps,
+		Avoided:      s.Avoided,
+		Live:         s.Live,
+		PeakLive:     s.PeakLive,
+	}
 }
 
 // Verdict pushes one goal verdict: the triggering symbol, the verdict

@@ -5,6 +5,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"rvgo/internal/conformance"
 )
 
 // encodeAll writes one frame of every message type and returns the stream.
@@ -358,5 +360,31 @@ func TestFrameBuffered(t *testing.T) {
 	}
 	if r2.FrameBuffered() {
 		t.Fatal("truncated frame reported as buffered")
+	}
+}
+
+// TestStatsCountersSurviveTheWire: every monitor.Stats field crosses
+// monitor → Stats frame → bytes → Stats frame → monitor unchanged. A
+// counter added to monitor.Stats and not to StatsOf, Counters and the
+// frame codec fails here (the router once dropped Avoided that way).
+func TestStatsCountersSurviveTheWire(t *testing.T) {
+	want := conformance.DistinctStats(t)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WriteStats(StatsOf(42, want)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var msg Msg
+	if err := NewReader(&buf).Next(&msg); err != nil {
+		t.Fatal(err)
+	}
+	if msg.Stats.Token != 42 {
+		t.Errorf("token = %d, want 42", msg.Stats.Token)
+	}
+	if got := msg.Stats.Counters(); got != want {
+		t.Errorf("counters came back as %+v, want %+v", got, want)
 	}
 }

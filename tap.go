@@ -1,7 +1,6 @@
 package rvgo
 
 import (
-	"fmt"
 	"sync"
 
 	"rvgo/internal/metrics"
@@ -64,13 +63,9 @@ func (t *tap) Emit(sym int, vals ...Ref) {
 }
 
 func (t *tap) EmitNamed(name string, vals ...Ref) error {
-	spec := t.rt.Spec()
-	sym, ok := spec.Symbol(name)
-	if !ok {
-		return fmt.Errorf("rvgo: spec %q has no event %q", spec.Name, name)
-	}
-	if want := spec.Events[sym].Params.Count(); want != len(vals) {
-		return fmt.Errorf("rvgo: event %q binds %d parameters, got %d values", name, want, len(vals))
+	sym, err := t.rt.Spec().Resolve(name, len(vals))
+	if err != nil {
+		return err
 	}
 	t.Emit(sym, vals...)
 	return nil
