@@ -20,8 +20,9 @@
 // spread across a cluster of rvserve nodes (cluster, addressed by -nodes;
 // slices are placed by pivot hash). Left unset, the backend is inferred
 // from the modifier flags. Trace semantics are identical on every backend
-// — the runtime is barriered before every "free" line so deaths land at
-// their trace positions, exactly as the sequential engine observes them.
+// — every "free" line is positioned in the runtime's stream with Free
+// before the object is killed, so deaths land at their trace positions,
+// exactly as the sequential engine observes them.
 //
 // The trace is read from the file or stdin, one step per line:
 //
@@ -161,8 +162,8 @@ func main() {
 		}
 		if fields[0] == "free" {
 			// The backends position the deaths behind everything
-			// dispatched so far (one barrier per line for asynchronous
-			// backends), then the heap applies them.
+			// dispatched so far (a queued record on the asynchronous
+			// backends, no waiting), then the heap applies them.
 			var refs []rvgo.Ref
 			var objs []*rvgo.Object
 			for _, name := range fields[1:] {

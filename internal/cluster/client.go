@@ -99,9 +99,9 @@ func (c *Client) Dispatch(sym int, theta param.Instance) {
 	c.f.Event(sym, c.EventIDs(buf[:0], sym, theta))
 }
 
-// Free implements monitor.Runtime's synchronous death positioning: the
-// deaths broadcast to every slot, each of whose nodes barriers its
-// backend before applying them.
+// Free implements monitor.Runtime's death positioning: the deaths
+// broadcast to every slot, each of whose nodes positions them in its
+// backend's stream before applying them.
 func (c *Client) Free(refs ...heap.Ref) {
 	if len(refs) == 0 {
 		return

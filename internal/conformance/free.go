@@ -10,11 +10,20 @@ import (
 	"rvgo/internal/props"
 )
 
+// asyncFreer is the façade's FreeAsync (rvgo.Monitor), which this package
+// cannot import: Free, then the kill handed in as die.
+type asyncFreer interface {
+	FreeAsync(die func(), refs ...heap.Ref)
+}
+
 // freeDriver replays the shared death-positioning trace on one backend:
 // two iterators over one collection, the first freed before it is ever
 // advanced (its slice must stay verdict-free and its monitor must be
 // reclaimable), the second advanced after an update (the UNSAFEITER
-// match). async selects the FreeAsync path, sync the Free path.
+// match). Either way the object is killed the instant Free returns, with
+// the events before it possibly still queued: sync kills it here, async
+// hands the kill to the façade's FreeAsync (a bare backend has none and
+// gets the façade's two lines spelled out).
 func freeDriver(t *testing.T, rt monitor.Runtime, async bool) (stats monitor.Stats) {
 	t.Helper()
 	h := heap.New()
@@ -30,11 +39,12 @@ func freeDriver(t *testing.T, rt monitor.Runtime, async bool) (stats monitor.Sta
 	// i1 dies here: every event so far observed it alive, nothing later
 	// mentions it. Its slice never saw a post-update next, so this death
 	// must not suppress or invent any verdict.
-	if async {
-		rt.FreeAsync(func() { h.Free(i1) }, i1)
+	die := func() { h.Free(i1) }
+	if f, ok := rt.(asyncFreer); async && ok {
+		f.FreeAsync(die, i1)
 	} else {
 		rt.Free(i1)
-		h.Free(i1)
+		die()
 	}
 	emit("create", c, i2)
 	emit("update", c)

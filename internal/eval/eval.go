@@ -258,8 +258,8 @@ func sessionErr(eng monitor.Runtime) error {
 // marks the object dead, and each backend positions the death its own way
 // — the sequential engine needs nothing (it observes liveness
 // synchronously, so the hook is skipped entirely), the sharded runtime
-// barriers its mailboxes, and a remote session sends a protocol-level
-// free that the server barriers against.
+// queues a free record in every shard's batch, and a remote session sends
+// a protocol-level free that the server positions the same way.
 func setFreeHook(rt *dacapo.Runtime, engines []monitor.Runtime, cfg Config) {
 	if cfg.Remote == "" && len(cfg.Nodes) == 0 && cfg.Shards <= 1 {
 		return

@@ -119,8 +119,8 @@ func (h *Heap) Free(o *Object) {
 
 // SetFreeHook registers f to run once per effective Free, before the
 // object is marked dead. Trace recorders use it to capture death points in
-// event order, and test harnesses use it to barrier asynchronous consumers
-// against object death. Set it before the workload runs; the hook runs
+// event order, and test harnesses use it to position the death in
+// asynchronous backends (Runtime.Free) before it becomes visible. Set it before the workload runs; the hook runs
 // under the heap lock and must not call back into this Heap.
 func (h *Heap) SetFreeHook(f func(*Object)) { h.freeHook = f }
 

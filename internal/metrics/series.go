@@ -84,7 +84,7 @@ func NewShardSeries(r *Registry, tenant string, n int) *ShardSeries {
 		lbl := tenant + "/s" + strconv.Itoa(i)
 		s.MailboxDepth = append(s.MailboxDepth, r.LabeledGauge("rv_shard_mailbox_depth", "Batches queued in the shard mailbox.", "shard", lbl))
 		s.Batches = append(s.Batches, r.LabeledCounter("rv_shard_batches_total", "Batches shipped to the shard worker.", "shard", lbl))
-		s.BatchEvents = append(s.BatchEvents, r.LabeledCounter("rv_shard_batch_events_total", "Events shipped in batches to the shard worker.", "shard", lbl))
+		s.BatchEvents = append(s.BatchEvents, r.LabeledCounter("rv_shard_batch_events_total", "Records (events and frees) shipped in batches to the shard worker.", "shard", lbl))
 	}
 	return s
 }

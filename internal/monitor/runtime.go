@@ -22,25 +22,21 @@ type Runtime interface {
 	EmitNamed(name string, vals ...heap.Ref) error
 	// Dispatch processes one parametric event.
 	Dispatch(sym int, theta param.Instance)
-	// Free positions an explicit object death in the event stream: every
-	// event dispatched before the call is processed observing the objects
-	// alive. The caller marks the objects dead after Free returns and
-	// dispatches no later event mentioning them. Synchronous backends need
-	// do nothing; asynchronous backends barrier their queues or forward a
-	// protocol-level free. This is the synchronous death signal used by
-	// explicit-free drivers (trace replay, the simulated-heap free hook).
+	// Free positions an object death in the event stream: every event
+	// dispatched before the call observes the refs alive — whatever the
+	// caller does to them afterwards — and the events dispatched after it
+	// observe them dead once the caller has killed them, which it may do
+	// the instant Free returns. Free never waits on any backend: the
+	// sequential engine has already processed every earlier event and reads
+	// liveness off the refs; the asynchronous backends queue the death as
+	// one more record of the ordered stream (a mailbox batch record, a wire
+	// free frame). The caller dispatches no later event mentioning the refs
+	// (with a garbage-collected object that is automatic: the object is
+	// unreachable, so no event can bind it). Every death source uses it:
+	// trace replay, the simulated-heap free hook, protocol frees, and the
+	// live-object frontend (package rv), where Go-GC cleanups become
+	// stream-positioned deaths that drive coenable-set monitor GC.
 	Free(refs ...heap.Ref)
-	// FreeAsync positions an object death without stalling the producer:
-	// the runtime invokes die exactly once, after every previously
-	// dispatched event has been processed and before any later event is,
-	// and die marks the objects dead. The caller dispatches no later event
-	// mentioning the refs (with a garbage-collected object that is
-	// automatic: the object is unreachable, so no event can bind it). A nil
-	// die degrades to Free's synchronous contract. This is the death path
-	// of the live-object frontend (package rv): Go-GC cleanups become
-	// stream-positioned deaths that drive coenable-set monitor GC exactly
-	// like an internal/wire free.
-	FreeAsync(die func(), refs ...heap.Ref)
 	// Barrier returns once every event dispatched before the call has been
 	// fully processed. Synchronous backends return immediately.
 	Barrier()
@@ -66,13 +62,6 @@ func (e *Engine) Barrier() {}
 // every dispatched event has already been processed, and it observes
 // deaths lazily through ref liveness when the death is applied.
 func (e *Engine) Free(refs ...heap.Ref) {}
-
-// FreeAsync implements Runtime: the positioned point is now.
-func (e *Engine) FreeAsync(die func(), refs ...heap.Ref) {
-	if die != nil {
-		die()
-	}
-}
 
 // Close implements Runtime. The sequential engine holds no goroutines or
 // external resources; closing settles any published telemetry and returns

@@ -204,6 +204,17 @@ func (t Instance) Restrict(s Set) Instance {
 	return r
 }
 
+// Map returns θ over the same domain with every bound object v replaced by
+// f(i, v). f must preserve identity (the image's ID is v's): the result is
+// the same instance held through other references. It does not allocate.
+func (t Instance) Map(f func(i int, v heap.Ref) heap.Ref) Instance {
+	for m := t.mask; m != 0; m = m.Rest() {
+		i := m.First()
+		t.vals[i] = f(i, t.vals[i])
+	}
+	return t
+}
+
 // AliveMask returns the set of bound parameters whose objects are alive.
 func (t Instance) AliveMask() Set {
 	var s Set

@@ -181,6 +181,34 @@ func TestAliveMask(t *testing.T) {
 	}
 }
 
+// TestMapKeepsDomainWithoutAllocating: Map visits exactly dom(θ), hands f
+// each binding, and — being on the sharded runtime's per-event path — does
+// not allocate, closure included.
+func TestMapKeepsDomainWithoutAllocating(t *testing.T) {
+	h := heap.New()
+	x, y := h.Alloc("x"), h.Alloc("y")
+	images := [param.MaxParams]heap.Ref{0: h.Alloc("x'"), 2: h.Alloc("y'")}
+	inst := param.Empty().Bind(0, x).Bind(2, y)
+	var got param.Instance
+	allocs := testing.AllocsPerRun(100, func() {
+		got = inst.Map(func(i int, v heap.Ref) heap.Ref {
+			if v != inst.Value(i) {
+				t.Errorf("f(%d) was handed %v, want %v", i, v, inst.Value(i))
+			}
+			return images[i]
+		})
+	})
+	if allocs != 0 {
+		t.Errorf("Map allocates %.0f times, want 0", allocs)
+	}
+	if got.Mask() != inst.Mask() || got.Value(0) != images[0] || got.Value(2) != images[2] || got.Value(1) != nil {
+		t.Errorf("Map = %v over %v, want the images over the same domain", got, got.Mask())
+	}
+	if inst.Value(0) != heap.Ref(x) {
+		t.Error("Map modified its receiver")
+	}
+}
+
 func TestFormat(t *testing.T) {
 	inst := param.Empty().Bind(0, pool[0]).Bind(1, pool[1])
 	got := inst.Format([]string{"c", "i"})

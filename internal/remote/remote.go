@@ -17,11 +17,11 @@
 // counterpart objects, which is the death signal the paper's coenable-set
 // monitor GC consumes. A death is a position in the trace and the stream
 // is ordered, so the free frame's place among the event frames is that
-// position whenever the bytes happen to be sent: the server barriers its
-// runtime before applying it, every event sent before the Free observes
-// the objects alive, and per-slice verdicts and counters match an
-// in-process replay of the same stream exactly (see the oracle tests in
-// this package).
+// position whenever the bytes happen to be sent: the server positions the
+// death in its backend's stream before killing the objects, every event
+// sent before the Free observes the objects alive, and per-slice verdicts
+// and counters match an in-process replay of the same stream exactly (see
+// the oracle tests in this package).
 //
 // Concurrency: all Runtime methods are safe for concurrent use. The
 // OnVerdict handler runs on the reader goroutine and must not call back
@@ -78,13 +78,13 @@ type Options struct {
 }
 
 // Sender is the half of a client that touches its sink. Each client
-// implements the two calls itself, against its concrete sink type: handing
-// Dispatch's stack-resident ID vector to the sink through an interface (or
-// a type parameter) makes it escape — one allocation per event — where the
-// concrete call costs none. Everything around the two calls is the Front's.
+// implements Dispatch (and Free) itself, against its concrete sink type:
+// handing Dispatch's stack-resident ID vector to the sink through an
+// interface (or a type parameter) makes it escape — one allocation per
+// event — where the concrete call costs none. Everything around the two
+// calls is the Front's.
 type Sender interface {
 	Dispatch(sym int, theta param.Instance)
-	Free(refs ...heap.Ref)
 }
 
 // Front is the ref-level half of a monitoring client, embedded by Client
@@ -261,19 +261,6 @@ func (f *Front) EmitNamed(name string, vals ...heap.Ref) error {
 	return nil
 }
 
-// FreeAsync implements monitor.Runtime's pipelined death positioning. For
-// a remote session the positioned point is the free frame's place in the
-// write pipeline — the server barriers its backend when the frame arrives —
-// so the local die runs as soon as the frame is written: the local refs
-// only feed verdict reconstruction, where dead identities are expected
-// (that is the whole point of monitor GC).
-func (f *Front) FreeAsync(die func(), refs ...heap.Ref) {
-	f.tx.Free(refs...)
-	if die != nil {
-		die()
-	}
-}
-
 // EventIDs appends to ids the remote IDs of the objects theta binds for
 // event sym, in ascending parameter order — the event's wire form — and
 // enters each first-seen object into the table. The table keeps one entry
@@ -344,9 +331,11 @@ func (c *Client) Dispatch(sym int, theta param.Instance) {
 // objects alive, every later event must not mention them. This is the
 // explicit, protocol-level replacement for the weak-reference death signal
 // the in-process backends get from the heap. It implements
-// monitor.Runtime's synchronous death positioning: the free frame's place
-// in the ordered stream is the death's position in the trace, and the
-// server barriers the session's backend before applying it. The frame
+// monitor.Runtime's death positioning: the free frame's place in the
+// ordered stream is the death's position in the trace, and the server
+// positions it in the session's backend before killing the objects. The
+// local refs only feed verdict reconstruction, where dead identities are
+// expected, so the caller may kill them as soon as Free returns. The frame
 // leaves with its write block, or within the Producer's linger bound when
 // the pipeline goes quiet.
 func (c *Client) Free(refs ...heap.Ref) {

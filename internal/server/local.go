@@ -12,10 +12,13 @@
 //
 // A Free's place in the session's ordered stream is the death's position
 // in the trace — it does not matter when the producer's write block
-// carrying it left the client. Before applying a Free the backend barriers
-// its runtime, so every event sent before the Free observes the objects
-// alive: per-session counters and verdicts are trace-faithful and equal to
-// a local replay of the same stream (see internal/remote's oracle tests).
+// carrying it left the client. Before killing the objects the backend
+// positions the death in its runtime with Free (nothing to do on the
+// sequential engine, one batch record per shard on the sharded runtime, no
+// waiting on either), so every event sent before the Free observes the
+// objects alive: per-session counters and verdicts are trace-faithful and
+// equal to a local replay of the same stream (see internal/remote's oracle
+// tests).
 //
 // Ingestion into a sharded runtime first tries the non-blocking
 // TryDispatch; when the target mailbox refuses, Event falls back to the
@@ -213,11 +216,14 @@ func (b *local) stallDispatch(sym int, theta param.Instance) {
 	b.stalls.Add(1)
 }
 
-// Free applies protocol-level object deaths: barrier the runtime so every
-// event sent before the Free is processed against the old liveness, then
-// kill the objects — from this moment the coenable-set GC may flag and
-// collect every monitor whose ALIVENESS formula depended on them, exactly
-// as if a weak reference had been cleared. Table entries are retained,
+// Free applies protocol-level object deaths: position them in the runtime
+// so every event sent before the Free is processed against the old
+// liveness, then kill the objects — from the death's place in the stream
+// on, the coenable-set GC may flag and collect every monitor whose
+// ALIVENESS formula depended on them, exactly as if a weak reference had
+// been cleared. Objects that never appeared in an event (dacapo workloads
+// free far more objects than any one property mentions) have no heap
+// object and cost the runtime nothing. Table entries are retained,
 // now holding dead objects: an event naming the ID again is
 // use-after-free and must be refused (never silently re-allocated), and a
 // late verdict (the alldead/none GC policies keep such monitors) may
@@ -231,20 +237,13 @@ func (b *local) Free(ids []uint64) error {
 			b.stopRecording(err)
 		}
 	}
-	// Barrier only when a death is observable: deaths of objects that
-	// never appeared in an event (dacapo workloads free far more objects
-	// than any one property mentions) change nothing for the monitors,
-	// and a cross-shard sync per irrelevant death would stall ingestion.
-	observable := false
+	b.vals = b.vals[:0]
 	for _, id := range ids {
-		if o := b.objects[id]; o != nil && o.Alive() {
-			observable = true
-			break
+		if o := b.objects[id]; o != nil {
+			b.vals = append(b.vals, o)
 		}
 	}
-	if observable {
-		b.rt.Barrier()
-	}
+	b.rt.Free(b.vals...)
 	for _, id := range ids {
 		if o := b.objects[id]; o != nil {
 			b.heap.Free(o)

@@ -200,6 +200,53 @@ func TestUseAfterFree(t *testing.T) {
 	}
 }
 
+// TestUseAfterFreeSharded is TestUseAfterFree on a sharded session, whose
+// runtime only queues the death behind the events before it: the session
+// kills its object at once, the queued events still observe it alive (the
+// match is delivered), and the death is as final as on a sequential one.
+func TestUseAfterFreeSharded(t *testing.T) {
+	addr := startServer(t)
+	_, w, r := dialRaw(t, addr)
+	h := validHello()
+	h.Shards = 2
+	open(t, w, r, h)
+	// create(c=1, i=2); update(c=1); next(i=2) → match; free 2; barrier.
+	for _, err := range []error{
+		w.WriteEvent(0, []uint64{1, 2}),
+		w.WriteEvent(1, []uint64{1}),
+		w.WriteEvent(2, []uint64{2}),
+		w.WriteFree([]uint64{2}),
+		w.WriteSync(wire.TBarrier, 1),
+		w.Flush(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	verdicts := 0
+	for msg := (wire.Msg{}); msg.Type != wire.TBarrierAck; {
+		if err := r.Next(&msg); err != nil {
+			t.Fatalf("stream ended before the barrier ack: %v", err)
+		}
+		if msg.Type == wire.TVerdict {
+			verdicts++
+		}
+	}
+	if verdicts != 1 {
+		t.Errorf("%d verdicts ahead of the barrier ack, want the one match", verdicts)
+	}
+	// next(i=2) → error.
+	if err := w.WriteEvent(2, []uint64{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if msg := expectError(t, r); !strings.Contains(msg, "free") {
+		t.Errorf("error %q does not mention the free", msg)
+	}
+}
+
 // TestFreeBeforeFirstMentionIsFinal: freeing an ID the server has never
 // seen must still make that ID's death final — a later event naming it is
 // use-after-free, not a fresh allocation.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
@@ -13,30 +12,44 @@ import (
 	"rvgo/internal/shard"
 )
 
-// execTraceFreeAsync is execTrace with deaths delivered through the
-// pipelined FreeAsync path instead of Barrier-then-kill: the producer
-// never stalls on a death, yet the positioning contract promises the same
-// per-slice event/death sequences — and therefore identical results.
-func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, shards, batch int, steps []gstep) result {
+// execTraceFreeAsync is execTrace with deaths delivered as Free records
+// and the object — a caller-owned ref with a bare atomic flag, as in
+// internal/bench — killed the instant Free returns, instead of
+// Barrier-then-kill: the producer never stalls on a death, yet the
+// positioning contract promises the same per-slice event/death sequences —
+// and therefore identical results. With park the workers are held until
+// the producer has emitted, freed and killed everything: every liveness
+// check then happens after every kill, the worst case for a design that
+// reads the caller's liveness behind the record.
+func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, shards, batch int, steps []gstep, park bool) result {
 	t.Helper()
 	verdicts := map[string][]string{}
 	opts := monitor.Options{GC: gc, Creation: monitor.CreateEnable, OnVerdict: recordVerdicts(spec, verdicts)}
 	var rt monitor.Runtime
-	var err error
+	release := func() {}
 	if shards == 0 {
-		rt, err = monitor.New(spec, opts)
+		eng, err := monitor.New(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt = eng
 	} else {
-		rt, err = shard.New(spec, shard.Options{Options: opts, Shards: shards, BatchSize: batch})
+		// Deep enough for the whole trace: a parked worker must not turn
+		// into backpressure on the producer.
+		srt, err := shard.New(spec, shard.Options{Options: opts, Shards: shards, BatchSize: batch, MailboxDepth: len(steps) + 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if park {
+			release = srt.Park()
+		}
+		rt = srt
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := heap.New()
-	objs := map[int]*heap.Object{}
-	get := func(o int) *heap.Object {
+	objs := map[int]*shard.FlagRef{}
+	get := func(o int) *shard.FlagRef {
 		v, ok := objs[o]
 		if !ok {
-			v = h.Alloc(fmt.Sprintf("o%d", o))
+			v = &shard.FlagRef{Ident: uint64(o) + 1, Name: fmt.Sprintf("o%d", o)}
 			objs[o] = v
 		}
 		return v
@@ -44,7 +57,8 @@ func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, s
 	for _, st := range steps {
 		if st.sym < 0 {
 			o := get(st.objs[0])
-			rt.FreeAsync(func() { h.Free(o) }, o)
+			rt.Free(o)
+			o.Kill()
 			continue
 		}
 		vals := make([]heap.Ref, len(st.objs))
@@ -53,6 +67,7 @@ func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, s
 		}
 		rt.Emit(st.sym, vals...)
 	}
+	release()
 	rt.Flush()
 	st := rt.Stats()
 	rt.Close()
@@ -61,9 +76,9 @@ func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, s
 
 // TestFreeAsyncEquivalence: random traces with mid-trace deaths produce
 // the same per-slice verdict sequences and settled counters whether deaths
-// ride the synchronous Barrier-then-kill path or the pipelined FreeAsync
-// records, on the sequential engine and on 1/2/4/8 shards, under all three
-// GC policies.
+// ride the synchronous Barrier-then-kill path or pipelined Free records
+// (killed at once), on the sequential engine and on 1/2/4/8 shards, under
+// all three GC policies.
 func TestFreeAsyncEquivalence(t *testing.T) {
 	gcs := []monitor.GCPolicy{monitor.GCNone, monitor.GCAllDead, monitor.GCCoenable}
 	propsUnder := []string{"HasNext", "UnsafeIter", "UnsafeMapIter"}
@@ -82,7 +97,7 @@ func TestFreeAsyncEquivalence(t *testing.T) {
 			for _, gc := range gcs {
 				oracle := execTrace(t, spec, gc, 0, 0, steps, false)
 				for _, n := range []int{0, 1, 2, 4, 8} {
-					got := execTraceFreeAsync(t, spec, gc, n, 4, steps)
+					got := execTraceFreeAsync(t, spec, gc, n, 4, steps, false)
 					compareResults(t, fmt.Sprintf("%s/seed%d/gc=%s/shards=%d/freeasync", name, seed, gc, n), oracle, got)
 				}
 			}
@@ -90,11 +105,57 @@ func TestFreeAsyncEquivalence(t *testing.T) {
 	}
 }
 
+// TestKillRightAfterFree: with the workers parked, the producer emits,
+// Frees and kills at once; only then are the workers released. Per-slice
+// verdicts and settled counters must equal the sequential engine's — every
+// event ahead of a free record observes the object alive although the
+// caller's own ref has long said dead.
+func TestKillRightAfterFree(t *testing.T) {
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 2; seed++ {
+		steps := genTrace(rand.New(rand.NewSource(200+seed)), spec, 600)
+		for _, gc := range []monitor.GCPolicy{monitor.GCNone, monitor.GCAllDead, monitor.GCCoenable} {
+			oracle := execTrace(t, spec, gc, 0, 0, steps, false)
+			if len(oracle.verdicts) == 0 || (gc == monitor.GCCoenable && oracle.stats.Collected == 0) {
+				t.Fatalf("seed %d gc=%s: the trace exercises nothing: %+v", seed, gc, oracle.stats)
+			}
+			for _, n := range []int{1, 2, 4} {
+				got := execTraceFreeAsync(t, spec, gc, n, 4, steps, true)
+				compareResults(t, fmt.Sprintf("seed%d/gc=%s/shards=%d/parked", seed, gc, n), oracle, got)
+			}
+		}
+	}
+}
+
+// TestKillRightAfterFreeStress is the same contract at full speed, the
+// workers racing the producer's kills through every batch trigger: a death
+// must never be seen early (view.Alive's read order) nor late. Run it
+// under -race -count=20.
+func TestKillRightAfterFreeStress(t *testing.T) {
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 20000
+	if testing.Short() {
+		n = 4000
+	}
+	steps := genTrace(rand.New(rand.NewSource(7)), spec, n)
+	oracle := execTrace(t, spec, monitor.GCCoenable, 0, 0, steps, false)
+	for _, batch := range []int{1, 5, 64} {
+		got := execTraceFreeAsync(t, spec, monitor.GCCoenable, 2, batch, steps, false)
+		compareResults(t, fmt.Sprintf("batch=%d", batch), oracle, got)
+	}
+}
+
 // TestFreeAsyncConcurrent drives concurrent producers that interleave
-// events and FreeAsync deaths on the same sharded runtime: the serialized
-// broadcast must never deadlock the worker rendezvous, and every die must
-// run. (The deadlock shape this guards: two records entering two mailboxes
-// in opposite orders, each worker waiting at the other's record.)
+// events and immediately-killed Free deaths on the same sharded runtime:
+// free records of different objects may enter two mailboxes in opposite
+// orders, and since no worker waits for another that must neither
+// deadlock nor lose an event.
 func TestFreeAsyncConcurrent(t *testing.T) {
 	spec, err := props.Build("HasNext")
 	if err != nil {
@@ -112,7 +173,6 @@ func TestFreeAsyncConcurrent(t *testing.T) {
 	nxt, _ := spec.Symbol("next")
 	const producers = 8
 	const rounds = 200
-	var died sync.WaitGroup
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -122,20 +182,12 @@ func TestFreeAsyncConcurrent(t *testing.T) {
 				it := h.Alloc(fmt.Sprintf("p%d_%d", p, r))
 				rt.Emit(hnT, it)
 				rt.Emit(nxt, it)
-				died.Add(1)
-				rt.FreeAsync(func() { h.Free(it); died.Done() }, it)
+				rt.Free(it)
+				h.Free(it)
 			}
 		}(p)
 	}
 	wg.Wait()
-	rt.Barrier()
-	waitDone := make(chan struct{})
-	go func() { died.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("not every FreeAsync die ran: rendezvous deadlock?")
-	}
 	rt.Flush()
 	st := rt.Stats()
 	rt.Close()

@@ -2,56 +2,34 @@ package shard
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
 )
 
-// event is one parametric event in flight to a shard.
+// event is one record in flight to a shard: a parametric event over the
+// shard's views, or — free non-nil — an object death, the point in the
+// shard's stream at which that view dies.
 type event struct {
 	sym  int
 	inst param.Instance
+	free *view
 }
 
-// message is one mailbox element: a batch of events, a control request
+// message is one mailbox element: a batch of records, or a control request
 // executed by the worker between batches (stats snapshots, flushes,
-// barriers), or a free record (an asynchronous object death). All three
-// ride the same FIFO, so by the time one executes, every event enqueued
-// before it has been processed. Batches travel as *[]event so the pool
-// round-trip reuses one boxed header instead of re-boxing the slice into
-// an interface on every Get/Put.
+// barriers). Both ride the same FIFO, so by the time a control request
+// executes, every record enqueued before it has been processed. Batches
+// travel as *[]event so the pool round-trip reuses one boxed header
+// instead of re-boxing the slice into an interface on every Get/Put.
 type message struct {
 	batch *[]event
 	ctl   func(*monitor.Engine)
 	done  chan<- struct{}
-	free  *freeRec
 }
 
-// freeRec is one FreeAsync death, broadcast to every shard: the workers
-// rendezvous at their copy of the record, the last arrival runs die (the
-// death becomes visible), and only then does any worker proceed to the
-// events behind the record. Each shard's pre-record events are processed
-// before it arrives and its post-record events after the death — the same
-// stream position a Barrier-then-kill gives, without stalling producers.
-type freeRec struct {
-	die  func()
-	n    atomic.Int32 // workers still to arrive
-	done chan struct{}
-}
-
-// arrive is one worker reaching its copy of the record.
-func (rec *freeRec) arrive() {
-	if rec.n.Add(-1) == 0 {
-		rec.die()
-		close(rec.done)
-		return
-	}
-	<-rec.done
-}
-
-// batchPool recycles event batches between producers and workers without
+// batchPool recycles record batches between producers and workers without
 // taking any worker lock (a worker must never need a producer-side lock to
 // make progress, or a blocking Dispatch holding that lock would deadlock).
 var batchPool = sync.Pool{New: func() any { return new([]event) }}
@@ -72,15 +50,17 @@ func putBatch(p *[]event) {
 }
 
 // worker is one shard: a single-threaded monitor.Engine behind a bounded
-// mailbox of event batches. All mailbox sends happen while holding mu, so
+// mailbox of record batches. All mailbox sends happen while holding mu, so
 // the channel's free capacity can only grow between a producer's check and
-// its send; the worker only receives and never takes mu.
+// its send; the worker only receives and never takes mu — nor anything
+// else another worker or a producer could hold.
 type worker struct {
 	idx     int
 	eng     *monitor.Engine
 	mu      sync.Mutex
 	pending *[]event // open batch, always len < batchSize outside mu
 	mailbox chan message
+	stopped bool // under mu: the mailbox is closed
 	batchSz int
 	// per-shard series (nil-safe when telemetry is off).
 	metDepth       *metrics.Gauge
@@ -89,7 +69,9 @@ type worker struct {
 }
 
 // run is the shard goroutine: drain batches in FIFO order, execute control
-// requests in between.
+// requests in between. A free record kills this shard's view of the object
+// and nothing else, so the death takes effect between exactly the records
+// the producer put it between.
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer w.metDepth.Set(0) // a stopped worker has no backlog
@@ -99,11 +81,11 @@ func (w *worker) run(wg *sync.WaitGroup) {
 			close(msg.done)
 			continue
 		}
-		if msg.free != nil {
-			msg.free.arrive()
-			continue
-		}
 		for _, ev := range *msg.batch {
+			if ev.free != nil {
+				ev.free.state.Store(viewDead)
+				continue
+			}
 			w.eng.Dispatch(ev.sym, ev.inst)
 		}
 		putBatch(msg.batch)
@@ -123,28 +105,25 @@ func (w *worker) ship() {
 	w.metDepth.Set(int64(len(w.mailbox)))
 }
 
-// enqueue appends one event to the open batch, shipping the batch to the
+// enqueue appends one record to the open batch, shipping the batch to the
 // mailbox when it fills. The mailbox send blocks while holding mu — that is
 // the backpressure: further producers queue on the mutex until the worker
 // drains a batch.
 func (w *worker) enqueue(ev event) {
 	w.mu.Lock()
-	*w.pending = append(*w.pending, ev)
-	if len(*w.pending) >= w.batchSz {
-		w.ship()
-	}
+	w.enqueueLocked(ev)
 	w.mu.Unlock()
 }
 
-// canAccept reports whether one more event fits without blocking: either
+// canAccept reports whether one more record fits without blocking: either
 // the open batch has room to spare, or the mailbox can take the filled
 // batch. Callers must hold mu.
 func (w *worker) canAccept() bool {
 	return len(*w.pending)+1 < w.batchSz || len(w.mailbox) < cap(w.mailbox)
 }
 
-// enqueueLocked is enqueue for callers already holding mu after a positive
-// canAccept: the mailbox send is guaranteed not to block.
+// enqueueLocked is enqueue for callers already holding mu (after a
+// positive canAccept the mailbox send is guaranteed not to block).
 func (w *worker) enqueueLocked(ev event) {
 	*w.pending = append(*w.pending, ev)
 	if len(*w.pending) >= w.batchSz {
@@ -160,20 +139,24 @@ func (w *worker) flushLocked() {
 	}
 }
 
-// flush ships the open batch even if partially filled.
+// flush ships the open batch even if partially filled. It is the linger
+// deadline's half of the race with Close: once the worker is stopped there
+// is no mailbox to send on.
 func (w *worker) flush() {
 	w.mu.Lock()
-	w.flushLocked()
+	if !w.stopped {
+		w.flushLocked()
+	}
 	w.mu.Unlock()
 }
 
-// sendFree flushes the open batch and enqueues a free record behind it.
-// The mailbox send may block (backpressure), but never on the record's
-// rendezvous — the worker completes that on its own.
-func (w *worker) sendFree(rec *freeRec) {
+// stop ships what is left and closes the mailbox; the worker drains it and
+// exits.
+func (w *worker) stop() {
 	w.mu.Lock()
 	w.flushLocked()
-	w.mailbox <- message{free: rec}
+	w.stopped = true
+	close(w.mailbox)
 	w.mu.Unlock()
 }
 

@@ -12,13 +12,17 @@
 // locking. Events whose bindings do not determine a shard are broadcast;
 // they reach the one shard holding their monitors and are no-ops elsewhere.
 //
-// Ingestion is batched: producers append to a per-shard open batch and ship
-// full batches through a bounded mailbox, amortizing channel traffic the
-// same way the paper amortizes expunging. Dispatch blocks when a mailbox is
-// full (backpressure); TryDispatch refuses instead. Because each slice's
-// events flow through one producer into one FIFO mailbox and one worker,
-// per-slice verdict ordering stays deterministic; cross-slice verdict
-// interleaving is not (it never was observable — slices are independent).
+// Ingestion is batched, and the batch is the unit of work: producers append
+// records — events and object deaths alike — to a per-shard open batch, and
+// a batch leaves for the shard's bounded mailbox on exactly three triggers:
+// it is full (BatchSize), it has been dirty for the linger period (1 ms, so
+// a producer that goes quiet still gets its records monitored), or a sync
+// operation needs the workers to have seen everything (Barrier, Flush,
+// Stats, Close). Dispatch blocks when a mailbox is full (backpressure);
+// TryDispatch refuses instead. Because each slice's events flow through one
+// producer into one FIFO mailbox and one worker, per-slice verdict ordering
+// stays deterministic; cross-slice verdict interleaving is not (it never
+// was observable — slices are independent).
 //
 // The Runtime implements monitor.Runtime, so cmd/rvmon, cmd/rvbench and the
 // evaluation harness run either backend behind one interface. Merged
@@ -26,15 +30,27 @@
 // and death sequence (see the equivalence tests); PeakLive is the one
 // exception — it sums per-shard peaks, an upper bound on the global peak.
 //
-// "Same death sequence" is the caller's obligation: liveness is read when
-// an event is processed, not when it is dispatched, so a death racing the
-// mailboxes can be observed before queued events that preceded it. That
-// only ever collects monitors earlier — but verdicts still in flight inside
-// the mailbox window at death time can be suppressed with them. Callers
-// that need exact trace fidelity Barrier before each death (cmd/rvmon's
-// "free", internal/eval's heap free hook, the oracle tests); callers whose
-// event sources keep objects alive until their events are processed (the
-// natural contract with real weak references) get fidelity for free.
+// Death positioning. Liveness is read when an event is processed, not when
+// it is dispatched, and callers kill an object the instant Free returns —
+// so the engines are never handed the caller's refs. The producer keeps a
+// table from object ID to one liveness view per shard (see view), entered
+// at the object's first mention, and every record carries the target
+// shard's views. Free(refs...) holds the object's views alive, drops the
+// table entry and appends one free record to every shard's open batch: an
+// ordinary record — no barrier, no flush, no mailbox send of its own. A
+// worker reaching the record kills its own view only, so each shard
+// observes the death between exactly the records the producer put it
+// between, and no worker ever waits for another. An object no event
+// mentioned has no entry and costs no record. Verdict handlers receive
+// instances over the caller's own refs.
+//
+// An object killed without a Free is seen dead when its ref says so (the
+// views follow it): a death racing the mailboxes can then be observed by
+// queued events that preceded it. That only ever collects monitors earlier —
+// but verdicts still in flight at death time can be suppressed with them.
+// Barrier before such a kill, or keep the object alive until its events are
+// processed (the natural contract with real weak references). The table
+// entries of such objects are dropped at Flush.
 package shard
 
 import (
@@ -42,6 +58,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rvgo/internal/arena"
 	"rvgo/internal/heap"
@@ -58,8 +75,10 @@ type Options struct {
 	// Shards is the number of worker engines (default: GOMAXPROCS). The
 	// effective count may be lower: 1 when the spec is unshardable.
 	Shards int
-	// BatchSize is the number of events shipped to a shard per mailbox
-	// send (default 64).
+	// BatchSize is the number of records (events and frees) a shard's open
+	// batch holds (default 64). A full batch is shipped at once; a partial
+	// one waits for a sync operation (Barrier, Flush, Stats, Close) or the
+	// fixed 1 ms linger, whichever comes first.
 	BatchSize int
 	// MailboxDepth is the number of batches a shard mailbox buffers before
 	// Dispatch blocks (default 16).
@@ -84,10 +103,17 @@ type Runtime struct {
 	broadcasts *metrics.Counter
 	refusals   *metrics.Counter
 	vmu        sync.Mutex // serializes OnVerdict across shards
-	fmu        sync.Mutex // serializes FreeAsync broadcasts (see Free)
-	wg         sync.WaitGroup
-	closed     bool
-	final      []monitor.Stats // per-shard counters captured at Close
+	// views maps an object ID to its per-shard liveness views, from the
+	// object's first mention to its Free (see view); tmu guards it.
+	tmu   sync.Mutex
+	views map[uint64][]view
+	// The linger deadline: one timer for all shards, re-armed by the first
+	// record enqueued after it last fired.
+	timer  *time.Timer
+	armed  atomic.Bool
+	wg     sync.WaitGroup
+	closed bool
+	final  []monitor.Stats // per-shard counters captured at Close
 }
 
 var _ monitor.Runtime = (*Runtime)(nil)
@@ -117,7 +143,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{spec: spec, router: router}
+	rt := &Runtime{spec: spec, router: router, views: map[uint64][]view{}}
 	var shardMet *metrics.ShardSeries
 	if opts.MetricsRegistry != nil {
 		label := opts.MetricsLabel
@@ -131,6 +157,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	engOpts := opts.Options
 	if user := opts.OnVerdict; user != nil {
 		engOpts.OnVerdict = func(v monitor.Verdict) {
+			v.Inst = unview(v.Inst)
 			rt.vmu.Lock()
 			defer rt.vmu.Unlock()
 			user(v)
@@ -157,7 +184,33 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 		rt.wg.Add(1)
 		go w.run(&rt.wg)
 	}
+	// Born armed: the first deadline finds nothing to flush and disarms.
+	rt.armed.Store(true)
+	rt.timer = time.AfterFunc(linger, rt.lingerFlush)
 	return rt, nil
+}
+
+// linger is how long a record may sit in a partially filled batch before
+// the batch is shipped anyway: the bound on the verdict lag a producer that
+// goes quiet adds.
+const linger = time.Millisecond
+
+// arm starts the linger deadline unless it is already pending. Producers
+// call it after enqueueing.
+func (rt *Runtime) arm() {
+	if !rt.armed.Load() && rt.armed.CompareAndSwap(false, true) {
+		rt.timer.Reset(linger)
+	}
+}
+
+// lingerFlush is the linger deadline: every open batch leaves. Disarming
+// comes first, so a record enqueued while the flush is under way either
+// precedes its shard's flush or re-arms the timer.
+func (rt *Runtime) lingerFlush() {
+	rt.armed.Store(false)
+	for _, w := range rt.workers {
+		w.flush()
+	}
 }
 
 // Spec implements monitor.Runtime.
@@ -195,15 +248,16 @@ func (rt *Runtime) EmitNamed(name string, vals ...heap.Ref) error {
 func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
 	rt.checkOpen()
 	rt.events.Add(1)
-	ev := event{sym: sym, inst: theta}
+	vs := rt.lookup(theta)
 	if target, broadcast := rt.router.Route(sym, theta); !broadcast {
-		rt.workers[target].enqueue(ev)
+		rt.workers[target].enqueue(event{sym: sym, inst: vs.seenBy(target, theta)})
 	} else {
 		rt.broadcasts.Inc()
-		for _, w := range rt.workers {
-			w.enqueue(ev)
+		for i, w := range rt.workers {
+			w.enqueue(event{sym: sym, inst: vs.seenBy(i, theta)})
 		}
 	}
+	rt.arm()
 }
 
 // QueueDepths returns each shard mailbox's current length in batches. The
@@ -224,18 +278,19 @@ func (rt *Runtime) QueueDepths() []int {
 // preserve their own per-slice ordering.
 func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 	rt.checkOpen()
-	ev := event{sym: sym, inst: theta}
+	vs := rt.lookup(theta)
 	target, broadcast := rt.router.Route(sym, theta)
 	if !broadcast {
 		w := rt.workers[target]
 		w.mu.Lock()
 		ok := w.canAccept()
 		if ok {
-			w.enqueueLocked(ev)
+			w.enqueueLocked(event{sym: sym, inst: vs.seenBy(target, theta)})
 		}
 		w.mu.Unlock()
 		if ok {
 			rt.events.Add(1)
+			rt.arm()
 		} else {
 			rt.refusals.Inc()
 		}
@@ -255,8 +310,8 @@ func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 		}
 	}
 	if ok {
-		for _, w := range rt.workers {
-			w.enqueueLocked(ev)
+		for i, w := range rt.workers {
+			w.enqueueLocked(event{sym: sym, inst: vs.seenBy(i, theta)})
 		}
 	}
 	for i := len(rt.workers) - 1; i >= 0; i-- {
@@ -265,43 +320,34 @@ func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 	if ok {
 		rt.events.Add(1)
 		rt.broadcasts.Inc()
+		rt.arm()
 	} else {
 		rt.refusals.Inc()
 	}
 	return ok
 }
 
-// Free implements monitor.Runtime's synchronous death positioning: a
-// barrier, so every event dispatched before the call is processed against
-// the old liveness before the caller marks the objects dead. This is what
-// the explicit-free drivers (trace replay, the simulated-heap free hook)
-// use; it stalls the producer for a full queue drain per death.
+// Free implements monitor.Runtime: each object's death becomes one record
+// in every shard's open batch, positioned behind every event dispatched
+// before the call, and the call returns — the producer never waits for a
+// worker. The object's views are held alive first, so the caller may kill
+// it at once: the events ahead of the record still observe it alive, and
+// each shard sees the death when its worker reaches the record. An object
+// no event mentioned concerns no monitor and costs nothing. After Close it
+// is a silent no-op.
 func (rt *Runtime) Free(refs ...heap.Ref) {
-	rt.Barrier()
-}
-
-// FreeAsync implements monitor.Runtime's pipelined death positioning: a
-// free record is broadcast into every shard's event stream, the workers
-// rendezvous at it, and the last arrival runs die. Each shard processes
-// its pre-record events before the death becomes visible and its
-// post-record events after — the same positioning Free gives, but the
-// producer returns as soon as the record is enqueued instead of waiting
-// for the queues to drain. Broadcasts are serialized so concurrent frees
-// enter every mailbox in the same order; two workers waiting at
-// oppositely-ordered records would deadlock the rendezvous.
-func (rt *Runtime) FreeAsync(die func(), refs ...heap.Ref) {
-	rt.checkOpen()
-	if die == nil {
-		rt.Barrier()
+	if rt.closed {
 		return
 	}
-	rec := &freeRec{die: die, done: make(chan struct{})}
-	rec.n.Store(int32(len(rt.workers)))
-	rt.fmu.Lock()
-	for _, w := range rt.workers {
-		w.sendFree(rec)
+	for _, ref := range refs {
+		ov := rt.hold(ref)
+		for k := range ov {
+			rt.workers[k].enqueue(event{free: &ov[k]})
+		}
+		if ov != nil {
+			rt.arm()
+		}
 	}
-	rt.fmu.Unlock()
 }
 
 // checkOpen panics when the runtime has been closed. The check is
@@ -339,10 +385,11 @@ func (rt *Runtime) Barrier() {
 }
 
 // Flush implements monitor.Runtime: a barrier followed by a full
-// expunge/compaction pass on every shard, so the merged counters settle.
-// After Close it is a no-op (Close flushes).
+// expunge/compaction pass on every shard, so the merged counters settle,
+// and on the view table. After Close it is a no-op (Close flushes).
 func (rt *Runtime) Flush() {
 	rt.ctlAll(func(_ int, e *monitor.Engine) { e.Flush() })
+	rt.sweep()
 }
 
 // Stats implements monitor.Runtime: per-shard counters are snapshotted by
@@ -396,9 +443,10 @@ func (rt *Runtime) Close() {
 		rt.final[i] = e.Stats()
 	})
 	rt.closed = true
+	// A linger flush already under way finds every worker stopped.
+	rt.timer.Stop()
 	for _, w := range rt.workers {
-		w.flush()
-		close(w.mailbox)
+		w.stop()
 	}
 	rt.wg.Wait()
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestShardArenaRaceStress hammers a 4-shard runtime with concurrent
-// producers interleaving Dispatch and FreeAsync while a tiny sweep
+// producers interleaving Dispatch and Free-then-kill while a tiny sweep
 // interval keeps the workers collecting and recycling arena slots
 // mid-traffic, and an observer goroutine snapshots Stats/ArenaStats
 // through the control rendezvous the whole time. Built to run under
@@ -71,7 +71,6 @@ func TestShardArenaRaceStress(t *testing.T) {
 		}
 	}()
 
-	var died sync.WaitGroup
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -82,32 +81,23 @@ func TestShardArenaRaceStress(t *testing.T) {
 				if r > 0 && r%16 == 0 {
 					// Rotate the collection: its death must flag and
 					// reclaim every monitor still pinned to it.
-					old := c
-					died.Add(1)
-					rt.FreeAsync(func() { h.Free(old); died.Done() }, old)
+					rt.Free(c)
+					h.Free(c)
 					c = h.Alloc(fmt.Sprintf("c%d_%d", p, r))
 				}
 				it := h.Alloc(fmt.Sprintf("i%d_%d", p, r))
 				rt.Emit(create, c, it)
 				rt.Emit(update, c)
 				rt.Emit(next, it) // the UNSAFEITER match
-				died.Add(1)
-				rt.FreeAsync(func() { h.Free(it); died.Done() }, it)
+				rt.Free(it)
+				h.Free(it)
 			}
-			died.Add(1)
-			rt.FreeAsync(func() { h.Free(c); died.Done() }, c)
+			rt.Free(c)
+			h.Free(c)
 		}(p)
 	}
 	wg.Wait()
 	rt.Barrier()
-
-	waitDone := make(chan struct{})
-	go func() { died.Wait(); close(waitDone) }()
-	select {
-	case <-waitDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("not every FreeAsync die ran: rendezvous deadlock?")
-	}
 	close(stop)
 	obs.Wait()
 

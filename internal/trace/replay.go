@@ -168,9 +168,9 @@ type replayer struct {
 
 // Replay replays the trace sequentially through rt, materializing one
 // replayed object per recorded ID and positioning each free record exactly
-// as the online drivers do: rt.Free first (the runtime barriers and every
-// prior event observes the objects alive), then the objects are marked
-// dead. rt may be any backend — the sequential engine, the sharded
+// as the online drivers do: rt.Free first (the runtime positions the death
+// behind every prior event, which observes the objects alive), then the
+// objects are marked dead. rt may be any backend — the sequential engine, the sharded
 // runtime, a remote client. Events whose name the query spec does not
 // define are skipped (the trace may record a richer alphabet than the
 // retroactive spec cares about). The caller flushes and reads stats.

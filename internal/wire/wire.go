@@ -175,8 +175,8 @@ type Event struct {
 }
 
 // Free reports the death of remote objects, in death order. The server
-// barriers its runtime before applying the deaths, so every event sent
-// before the Free observes the objects alive.
+// positions the deaths in its runtime's stream before applying them, so
+// every event sent before the Free observes the objects alive.
 type Free struct {
 	IDs []uint64
 }

@@ -162,9 +162,11 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithBatch tunes the sharded runtime's ingestion batching: events per
-// mailbox send and mailbox depth in batches (zero keeps a default).
-// Requires WithShards(n > 1).
+// WithBatch tunes the sharded runtime's ingestion batching: records
+// (events and frees) per mailbox batch and mailbox depth in batches (zero
+// keeps a default). A full batch is shipped to its shard at once; a
+// partial one waits for a sync operation (Barrier, Flush, Stats, Close) or
+// a fixed 1 ms linger, whichever comes first. Requires WithShards(n > 1).
 func WithBatch(size, depth int) Option {
 	return func(c *config) error {
 		if size < 0 || depth < 0 {
@@ -619,19 +621,27 @@ func (m *Monitor) EmitNamed(name string, vals ...Ref) error { return m.rt.EmitNa
 // Dispatch processes one pre-bound parametric event (see BindingOf).
 func (m *Monitor) Dispatch(sym int, theta Instance) { m.rt.Dispatch(sym, theta) }
 
-// Free positions an explicit object death in the event stream: every
-// event dispatched before the call observes the objects alive, and the
-// caller dispatches no later event mentioning them. This is the death
-// signal that drives monitor GC when no real garbage collector is
-// involved (trace replay, simulated heaps, remote sessions).
+// Free positions an object death in the event stream: every event
+// dispatched before the call observes the objects alive, whatever the
+// caller does to them afterwards — it may mark them dead the instant Free
+// returns — and the caller dispatches no later event mentioning them. Free
+// never waits on any backend: the death is one more record of the ordered
+// stream (nothing at all on the sequential engine, a batch record on the
+// sharded runtime, a free frame on the wire). This is the death signal
+// that drives monitor GC when no real garbage collector is involved
+// (trace replay, simulated heaps, remote sessions).
 func (m *Monitor) Free(refs ...Ref) { m.rt.Free(refs...) }
 
-// FreeAsync positions an object death without stalling the producer: the
-// backend invokes die exactly once, after every previously dispatched
-// event has been processed and before any later one, and die marks the
-// objects dead. Package rv uses this to turn Go garbage-collection
-// cleanups into stream-positioned deaths.
-func (m *Monitor) FreeAsync(die func(), refs ...Ref) { m.rt.FreeAsync(die, refs...) }
+// FreeAsync is Free followed by die, which marks the objects dead: since
+// Free never waits and tolerates an immediate kill, the positioned point
+// is the call itself on every backend. Package rv uses it to turn Go
+// garbage-collection cleanups into stream-positioned deaths.
+func (m *Monitor) FreeAsync(die func(), refs ...Ref) {
+	m.rt.Free(refs...)
+	if die != nil {
+		die()
+	}
+}
 
 // Barrier returns once every event dispatched before the call has been
 // fully processed (and its verdicts delivered). Synchronous backends

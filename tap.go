@@ -13,7 +13,7 @@ import (
 // trace recorder (WithRecord) and the flight recorder (WithFlightRecorder)
 // before forwarding. It is installed as the Monitor's runtime before any
 // Emitter is resolved, so every ingestion path — Emit, EmitNamed,
-// Dispatch, Emitter.Emit, Free, FreeAsync — passes through it.
+// Dispatch, Emitter.Emit, Free — passes through it.
 type tap struct {
 	rt   monitor.Runtime
 	rec  *trace.Writer         // nil when not recording
@@ -85,19 +85,6 @@ func (t *tap) Dispatch(sym int, theta Instance) {
 }
 
 func (t *tap) Free(refs ...Ref) {
-	if t.cli != nil {
-		t.cli.Frees.Inc()
-	}
-	if t.ring != nil {
-		t.ring.RecordFree(refs...)
-	}
-	if t.rec != nil {
-		t.fail(t.rec.Free(refs...))
-	}
-	t.rt.Free(refs...)
-}
-
-func (t *tap) FreeAsync(die func(), refs ...Ref) {
 	// The record position is the call: the producer dispatches no later
 	// event mentioning the refs, so replay applying the death here
 	// reproduces exactly the liveness every recorded event observed.
@@ -110,7 +97,7 @@ func (t *tap) FreeAsync(die func(), refs ...Ref) {
 	if t.rec != nil {
 		t.fail(t.rec.Free(refs...))
 	}
-	t.rt.FreeAsync(die, refs...)
+	t.rt.Free(refs...)
 }
 
 func (t *tap) Barrier() { t.rt.Barrier() }
