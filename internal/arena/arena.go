@@ -30,7 +30,10 @@
 // never cross shards — see DESIGN.md "arena store").
 package arena
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 const (
 	// slabShift sizes a slab at 4096 records: large enough that slab count
@@ -206,6 +209,21 @@ func (p *Pool[T]) Free(h Handle) {
 	p.gens[idx>>slabShift][idx&slabMask]++ // odd (live) -> even (free)
 	p.free = append(p.free, idx)
 	p.live--
+}
+
+// All iterates the live records in slot-index order — the deterministic
+// walk order for everything that visits a whole pool. The body may free
+// the record it is handed (and any other); records allocated during the
+// walk may or may not be visited.
+func (p *Pool[T]) All() iter.Seq2[Handle, *T] {
+	return func(yield func(Handle, *T) bool) {
+		for idx := uint32(0); idx < p.next; idx++ {
+			if g := p.gens[idx>>slabShift][idx&slabMask]; g&1 != 0 &&
+				!yield(makeHandle(g, idx), &p.slabs[idx>>slabShift][idx&slabMask]) {
+				return
+			}
+		}
+	}
 }
 
 // Live returns the number of currently allocated records.

@@ -229,3 +229,46 @@ func TestHandleString(t *testing.T) {
 		t.Fatalf("String() = %q, want slot 0 generation 1", s)
 	}
 }
+
+// TestAllWalksLiveSlotsInIndexOrder: All visits exactly the live records,
+// in slot-index order across slabs, hands out handles that resolve to the
+// record it yields, and tolerates the body freeing records mid-walk.
+func TestAllWalksLiveSlotsInIndexOrder(t *testing.T) {
+	var p Pool[rec]
+	const n = SlabSize + 10
+	hs := make([]Handle, n)
+	for i := range hs {
+		hs[i], _ = p.Alloc()
+		p.At(hs[i]).a = uint32(i)
+	}
+	var want []uint32
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			p.Free(hs[i])
+		} else if i != 2 {
+			want = append(want, uint32(i))
+		}
+	}
+	var got []uint32
+	for h, r := range p.All() {
+		if p.At(h) != r {
+			t.Fatalf("All yielded %v with a record it does not resolve to", h)
+		}
+		got = append(got, r.a)
+		if r.a == 1 {
+			p.Free(hs[2]) // freed ahead of the walk: must be skipped
+		}
+		p.Free(h)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("All visited %d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("visit %d = record %d, want %d", i, got[i], want[i])
+		}
+	}
+	for range p.All() {
+		t.Fatal("All yielded a record from an emptied pool")
+	}
+}

@@ -1,18 +1,31 @@
-// Package handlecheck enforces the arena-handle discipline of the slab
-// monitor store (DESIGN.md "The arena store"): *monitor.Mon values are
-// transient views resolved from uint32 arena handles, valid only for the
-// duration of one engine operation, and may not be retained. A *Mon
-// stored in a struct field, a package-level variable, a named type or a
-// container element type outside internal/monitor would dangle the
-// moment the arena recycles the slot (generation-tagged handles exist
-// precisely so stale references are caught — but only handles carry
-// generations, raw pointers do not).
+// Package handlecheck enforces the arena-handle discipline of the engine's
+// slab stores (DESIGN.md "The arena store"): what a store keeps about a
+// pooled record is its generation-tagged handle, never a pointer into the
+// slab. Two kinds of view are policed:
+//
+//   - *monitor.Mon: a transient view resolved from a monitor handle, valid
+//     for one engine operation. The type monitor.Mon (or *monitor.Mon, or
+//     any container over it) may not appear in a store outside
+//     internal/monitor.
+//   - *param.Instance: a pointer to a parameter instance. Instances travel
+//     by value everywhere (events, verdicts, Monitors()); the only
+//     addressable ones live in θ-table slots (param.Interner), so a retained
+//     pointer is a retained slab view — it would dangle the moment the slot
+//     recycles, and as a map key it would be a second identity for θ next
+//     to the slot handle. A *pointer* to param.Instance (or any container
+//     over one, map keys included) may not appear in a store in any
+//     package, internal/monitor and internal/param included — the table
+//     itself holds its instances by value. By-value param.Instance is legal
+//     everywhere.
+//
+// Generation-tagged handles exist precisely so stale references are caught
+// — but only handles carry generations, raw pointers do not.
 //
 // The linter is a syntactic pass over the repository's Go sources using
-// only the standard library (go/parser + go/ast): for every file outside
-// internal/monitor it resolves the file's import alias of
-// rvgo/internal/monitor and flags the type monitor.Mon (or *monitor.Mon,
-// or any container over it) appearing in
+// only the standard library (go/parser + go/ast): for every file it
+// resolves the file's import aliases of rvgo/internal/monitor and
+// rvgo/internal/param (inside package param the bare name Instance) and
+// flags the types above appearing in
 //
 //   - a struct field type,
 //   - a package-level var declaration,
@@ -37,8 +50,12 @@ import (
 	"strings"
 )
 
-// monitorPath is the package whose Mon records the discipline protects.
-const monitorPath = "rvgo/internal/monitor"
+// monitorPath and paramPath are the packages whose pooled records the
+// discipline protects.
+const (
+	monitorPath = "rvgo/internal/monitor"
+	paramPath   = "rvgo/internal/param"
+)
 
 // Finding is one discipline violation.
 type Finding struct {
@@ -50,12 +67,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.What)
 }
 
-// CheckDir walks root recursively and checks every Go file outside
-// internal/monitor. Directories named testdata, vendor or starting with
-// "." or "_" are skipped (fixtures are checked by CheckFile directly).
+// CheckDir walks root recursively and checks every Go file. Directories
+// named testdata, vendor or starting with "." or "_" are skipped (fixtures
+// are checked by CheckFile directly).
 func CheckDir(root string) ([]Finding, error) {
 	var findings []Finding
-	monDir := filepath.Join(root, "internal", "monitor")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -64,11 +80,6 @@ func CheckDir(root string) ([]Finding, error) {
 			name := d.Name()
 			if path != root && (name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if path == monDir {
-				// The store's own package may hold its records however it
-				// needs to — the discipline governs everyone else.
 				return filepath.SkipDir
 			}
 			return nil
@@ -106,14 +117,14 @@ func CheckFile(path string) ([]Finding, error) {
 	return checkAST(fset, f), nil
 }
 
-// monitorName returns the identifier the file refers to the monitor
-// package by ("" if the file does not import it). A dot- or blank-import
+// importName returns the identifier the file refers to the package at
+// path by ("" if the file does not import it). A dot- or blank-import
 // yields "" too: dot imports would need type information to resolve, and
 // the repository style forbids them anyway.
-func monitorName(f *ast.File) string {
+func importName(f *ast.File, path string) string {
 	for _, imp := range f.Imports {
 		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != monitorPath {
+		if err != nil || p != path {
 			continue
 		}
 		if imp.Name != nil {
@@ -122,19 +133,33 @@ func monitorName(f *ast.File) string {
 			}
 			return ""
 		}
-		return "monitor"
+		return path[strings.LastIndexByte(path, '/')+1:]
 	}
 	return ""
 }
 
+// names is how one file spells the policed types: the qualifier of
+// monitor.Mon ("" = not imported; files of package monitor itself never
+// match, which is the exemption the store's own package gets), and the
+// qualifier of param.Instance (inParam: the bare identifier).
+type names struct {
+	mon, par string
+	inParam  bool
+}
+
 func checkAST(fset *token.FileSet, f *ast.File) []Finding {
-	mon := monitorName(f)
-	if mon == "" {
+	n := names{mon: importName(f, monitorPath), par: importName(f, paramPath), inParam: f.Name.Name == "param" || f.Name.Name == "param_test"}
+	if n.mon == "" && n.par == "" && !n.inParam {
 		return nil
 	}
 	var findings []Finding
-	report := func(pos token.Pos, what string) {
-		findings = append(findings, Finding{Pos: fset.Position(pos), What: what})
+	report := func(pos token.Pos, store string, t ast.Expr) {
+		what := n.retained(t)
+		if what == "" {
+			return
+		}
+		findings = append(findings, Finding{Pos: fset.Position(pos),
+			What: fmt.Sprintf("%s retains %s — store the arena handle instead", store, what)})
 	}
 
 	for _, decl := range f.Decls {
@@ -146,7 +171,7 @@ func checkAST(fset *token.FileSet, f *ast.File) []Finding {
 			if fd, isFn := decl.(*ast.FuncDecl); isFn && fd.Body != nil {
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if st, ok := n.(*ast.StructType); ok {
-						checkStruct(mon, st, report)
+						checkStruct(st, report)
 					}
 					return true
 				})
@@ -156,35 +181,30 @@ func checkAST(fset *token.FileSet, f *ast.File) []Finding {
 		switch gd.Tok {
 		case token.VAR:
 			for _, s := range gd.Specs {
-				vs := s.(*ast.ValueSpec)
-				if vs.Type != nil && holdsMon(mon, vs.Type) {
-					report(vs.Pos(), fmt.Sprintf("package-level var retains *%s.Mon — store the uint32 arena handle instead", mon))
+				if vs := s.(*ast.ValueSpec); vs.Type != nil {
+					report(vs.Pos(), "package-level var", vs.Type)
 				}
 			}
 		case token.TYPE:
 			for _, s := range gd.Specs {
 				ts := s.(*ast.TypeSpec)
 				if st, ok := ts.Type.(*ast.StructType); ok {
-					checkStruct(mon, st, report)
+					checkStruct(st, report)
 					continue
 				}
-				if holdsMon(mon, ts.Type) {
-					report(ts.Pos(), fmt.Sprintf("named type retains *%s.Mon — store the uint32 arena handle instead", mon))
-				}
+				report(ts.Pos(), "named type", ts.Type)
 			}
 		}
 	}
 	return findings
 }
 
-func checkStruct(mon string, st *ast.StructType, report func(token.Pos, string)) {
+func checkStruct(st *ast.StructType, report func(token.Pos, string, ast.Expr)) {
 	for _, field := range st.Fields.List {
-		if holdsMon(mon, field.Type) {
-			report(field.Pos(), fmt.Sprintf("struct field retains *%s.Mon — store the uint32 arena handle instead", mon))
-		}
+		report(field.Pos(), "struct field", field.Type)
 		// Nested anonymous structs are their own stores.
 		if inner, ok := deref(field.Type).(*ast.StructType); ok {
-			checkStruct(mon, inner, report)
+			checkStruct(inner, report)
 		}
 	}
 }
@@ -202,28 +222,43 @@ func deref(t ast.Expr) ast.Expr {
 	}
 }
 
-// holdsMon reports whether storing a value of type t retains a
-// monitor.Mon: the selector itself, a pointer to it, or any array,
-// slice, map or channel over such a type. Function types are not stores
-// (their values capture nothing by type alone), and nested struct types
-// are handled by checkStruct so each field gets its own finding.
-func holdsMon(mon string, t ast.Expr) bool {
+// retained names the pooled-record view that storing a value of type t
+// retains ("" if none): a monitor.Mon — the selector itself, a pointer to
+// it, or any array, slice, map or channel over such a type — or a pointer
+// to a param.Instance under the same containers. Function types are not
+// stores (their values capture nothing by type alone), and nested struct
+// types are handled by checkStruct so each field gets its own finding.
+func (n names) retained(t ast.Expr) string {
 	switch x := t.(type) {
 	case *ast.SelectorExpr:
-		id, ok := x.X.(*ast.Ident)
-		return ok && id.Name == mon && x.Sel.Name == "Mon"
+		if id, ok := x.X.(*ast.Ident); ok && n.mon != "" && id.Name == n.mon && x.Sel.Name == "Mon" {
+			return "*" + n.mon + ".Mon"
+		}
 	case *ast.StarExpr:
-		return holdsMon(mon, x.X)
+		switch p := deref(x).(type) {
+		case *ast.SelectorExpr:
+			if id, ok := p.X.(*ast.Ident); ok && n.par != "" && id.Name == n.par && p.Sel.Name == "Instance" {
+				return "*" + n.par + ".Instance"
+			}
+		case *ast.Ident:
+			if n.inParam && p.Name == "Instance" {
+				return "*Instance"
+			}
+		}
+		return n.retained(x.X)
 	case *ast.ParenExpr:
-		return holdsMon(mon, x.X)
+		return n.retained(x.X)
 	case *ast.ArrayType:
-		return holdsMon(mon, x.Elt)
+		return n.retained(x.Elt)
 	case *ast.MapType:
-		return holdsMon(mon, x.Key) || holdsMon(mon, x.Value)
+		if what := n.retained(x.Key); what != "" {
+			return what
+		}
+		return n.retained(x.Value)
 	case *ast.ChanType:
-		return holdsMon(mon, x.Value)
+		return n.retained(x.Value)
 	case *ast.Ellipsis:
-		return holdsMon(mon, x.Elt)
+		return n.retained(x.Elt)
 	}
-	return false
+	return ""
 }

@@ -6,6 +6,7 @@ import (
 	"example.com/subpkg"
 
 	"rvgo/internal/monitor"
+	"rvgo/internal/param"
 )
 
 // Passing a view down a call stack within one engine operation is the
@@ -29,4 +30,20 @@ type index struct {
 // package's records.
 type other struct {
 	m subpkg.Mon
+}
+
+// Instances travel by value: a by-value field (or container element) is a
+// copy, not a view into a θ-table slot.
+type verdict struct {
+	inst  param.Instance
+	trail []param.Instance
+	byKey map[param.Key]param.Instance
+}
+
+// A tree walk takes a transient pointer and retains nothing.
+func lookup(inst *param.Instance) *param.Instance { return inst }
+
+// A function-typed field mentions the pointer without storing one.
+type walker struct {
+	visit func(*param.Instance) bool
 }

@@ -29,6 +29,7 @@ package monitor
 import (
 	"fmt"
 
+	"rvgo/internal/arena"
 	"rvgo/internal/param"
 )
 
@@ -157,53 +158,33 @@ func (e *Engine) guardHit(sym int, dom param.Set, base uint32) bool {
 	return false
 }
 
-// recordAvoided tombstones a suppressed creation: the instance joins the
-// avoided set (blocking any later from-⊥ or join rebuild with a wrong
-// slice, exactly as the real monitor's Δ entry would have) and is marked
-// processed for this event.
-func (e *Engine) recordAvoided(p *param.Instance) {
-	e.avoided[p] = struct{}{}
-	e.processed[p] = true
+// recordAvoided tombstones a suppressed creation: the instance's θ-record
+// is marked avoided (blocking any later from-⊥ or join rebuild with a wrong
+// slice, exactly as the real monitor's Δ entry would have) and processed
+// for this event.
+func (e *Engine) recordAvoided(th arena.Handle) {
+	t := &e.intern.At(th).Data
+	t.flags |= thetaAvoided
+	t.stamp = e.stats.Events
 }
 
 // tryAvoidLub replicates tryCreate for a suppressed (tombstoned)
 // progenitor under CreateFull: the lub the unguarded engine would have
 // built from it starts in a doomed state too (doom is a trap), so it is
 // recorded as avoided rather than materialized. First-claim-wins ordering
-// with the real candidates is preserved by the merge in Dispatch.
-func (e *Engine) tryAvoidLub(theta, ghost *param.Instance) {
-	lub, ok := ghost.Lub(*theta)
+// with the real candidates is preserved by the one sorted scan in Dispatch.
+func (e *Engine) tryAvoidLub(theta *param.Instance, ghost arena.Handle) {
+	lub, ok := e.intern.At(ghost).Inst.Lub(*theta)
 	if !ok {
 		return
 	}
-	lp, _, known := e.intern.Get(lub.Key())
-	if known {
-		if e.processed[lp] {
-			return
-		}
-		if _, exists := e.exact[lp]; exists {
-			e.processed[lp] = true
-			return
-		}
-		if _, av := e.avoided[lp]; av {
-			e.processed[lp] = true
-			return
-		}
-	} else {
-		lp, _ = e.intern.Intern(lub)
+	lh, known := e.intern.Get(lub.Key())
+	if known && e.claimed(&e.intern.At(lh).Data) {
+		return
+	}
+	if !known {
+		lh = e.intern.Intern(lub)
 	}
 	e.stats.Avoided++
-	e.recordAvoided(lp)
-}
-
-// moreInformative orders instances by descending domain size, then by
-// instance key — the same order sortByInformativeness gives monitor
-// handles, so tombstoned and real Figure-5 scan candidates merge into one
-// deterministic sequence.
-func moreInformative(a, b *param.Instance) bool {
-	ac, bc := a.Mask().Count(), b.Mask().Count()
-	if ac != bc {
-		return ac > bc
-	}
-	return keyLess(a.Key(), b.Key())
+	e.recordAvoided(lh)
 }

@@ -142,12 +142,11 @@ func (s *Stats) Merge(lane Stats) {
 
 // Monitor record flags. A flagged monitor has been proven unnecessary by
 // ALIVENESS/termination; a collected monitor has been dropped by every
-// container; inExact reports that the engine's Δ map still references the
-// record — a slot is recycled only once it is both collected and out of Δ.
+// container. A record is recycled only once it is both collected and out
+// of Δ (its θ-record's mon no longer names it).
 const (
 	monFlagged uint8 = 1 << iota
 	monCollected
-	monInExact
 	// monStepped marks the birth step as taken; monRestepped and
 	// monGoaled dedupe the creation-profile counters (set only when a
 	// CreationProfile is attached).
@@ -165,7 +164,7 @@ const (
 // — the engine, its instance, its boxed logic state — is reached through
 // the owning engine instead.
 type Mon struct {
-	instH      arena.Handle // instance slot in the engine's interner arena
+	instH      arena.Handle // θ-record in the engine's θ-table
 	state      uint32       // graph-mode logic state word (see Engine.g)
 	lastSym    int32
 	refs       int32 // container refcount (reachability stand-in)
@@ -173,6 +172,29 @@ type Mon struct {
 	birthSym   int16 // creating event symbol (creation-site identity)
 	flags      uint8
 }
+
+// theta is what the engine keeps per parameter instance θ besides the
+// bindings themselves: the payload of a θ-table slot (param.Slot), so one
+// map lookup per event finds all of it.
+type theta struct {
+	// mon is Δ(θ), arena.Nil while θ has no monitor. It is kept while the
+	// monitor is flagged, so a terminated instance is never re-materialized
+	// with a wrong slice; the sweep clears it.
+	mon arena.Handle
+	// stamp is the number of the last event that processed θ — stepped,
+	// created or tombstoned it, or found it already in Δ. Comparing against
+	// Stats.Events is the per-event processed set; nothing is cleared.
+	stamp uint64
+	flags uint8
+}
+
+const (
+	// thetaAvoided is the enforce-mode tombstone of a suppressed creation.
+	thetaAvoided uint8 = 1 << iota
+	// thetaSeenEvent records that θ occurred as a multi-parameter event,
+	// for the fresh-object creation guard (priorEventsOK).
+	thetaSeenEvent
+)
 
 // Engine is the RV runtime for one specification.
 type Engine struct {
@@ -194,13 +216,13 @@ type Engine struct {
 	botWord  uint32
 	botState logic.State
 
-	// intern canonicalizes parameter instances: every θ the engine touches
-	// resolves to one slab slot with a stable canonical pointer, so
-	// instance identity is pointer identity and the per-event maps below
-	// key on 8 bytes, while monitor records hold the slot's uint32-indexed
-	// handle. Entries are swept with the tombstones (retaining anything Δ
-	// still maps); slots stay pinned while a monitor holds their handle.
-	intern *param.Interner
+	// intern is the θ-table: every θ the engine touches resolves to one
+	// slab slot, whose handle is the instance's identity (monitor records
+	// store it) and whose payload is everything kept per θ — Δ, the
+	// processed stamp, the tombstone bits. The sweep unmaps a θ once an
+	// object of it is dead and it is neither in Δ nor tombstoned; the slot
+	// itself stays while a monitor pins it.
+	intern *param.Interner[theta]
 
 	// mons is the monitor store: a slab arena of pointer-free Mon records
 	// addressed by generation-tagged handles. Reclaimed monitors are a
@@ -215,10 +237,6 @@ type Engine struct {
 	// trees are the dispatch indexing trees, one per event parameter set
 	// (Figure 6).
 	trees map[param.Set]*index.Tree
-	// exact is Δ's domain: interned instance → monitor handle (kept while
-	// flagged so a terminated instance is never re-materialized with a
-	// wrong slice).
-	exact map[*param.Instance]arena.Handle
 	// regs are the per-domain join indexes (CreateEnable).
 	regs map[param.Set]*domainReg
 	// domains is every instance domain, descending popcount.
@@ -228,21 +246,17 @@ type Engine struct {
 	joins [][]joinPlan
 
 	// seen records, per object that has appeared in an event, which event
-	// parameter-domains it appeared under; seenInst records the exact
-	// instances of multi-parameter events. Both are swept periodically and
-	// back the fresh-object creation guard.
+	// parameter-domains it appeared under. With theta.flags' thetaSeenEvent
+	// it backs the fresh-object creation guard; both are swept periodically.
 	seen      map[uint64]seenRec
-	seenInst  map[param.Key]param.Instance
 	evDomains []param.Set // distinct event parameter sets, for seenRec bits
 	domBit    []uint16    // per symbol, bit for its domain in seenRec.doms
 	sinceSwep int
 
 	// allParams is the maximal instance domain (the union of every event's
 	// parameter set — by union closure the unique maximal element of
-	// domains); avoided holds the enforce-mode tombstones for suppressed
-	// creations; profGuards/prof are Options.ProfileGuards/Profile.
+	// domains); profGuards/prof are Options.ProfileGuards/Profile.
 	allParams  param.Set
-	avoided    map[*param.Instance]struct{}
 	profGuards []bool
 	prof       *CreationProfile
 
@@ -259,13 +273,12 @@ type Engine struct {
 	// recycled counts monitors returned to the arena free list.
 	recycled uint64
 
-	// scratch, reused across events: the per-event processed set, the
-	// pending insertions, and the leaf-visit buffers for the closure-free
-	// dispatch loops.
-	processed map[*param.Instance]bool
-	pendAdd   []arena.Handle
-	visitBuf  []index.Handle
-	monBuf    []arena.Handle
+	// scratch, reused across events: the pending insertions, the leaf-visit
+	// buffer for the closure-free dispatch loops, and the θ handles of a
+	// whole-table walk.
+	pendAdd  []arena.Handle
+	visitBuf []index.Handle
+	thBuf    []arena.Handle
 }
 
 // domainReg indexes the monitor instances whose domain is exactly R, for
@@ -318,15 +331,11 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		an:         an,
 		opts:       opts,
 		bp:         spec.RuntimeBlueprint(),
-		intern:     param.NewInterner(),
+		intern:     param.NewInterner[theta](),
 		trees:      map[param.Set]*index.Tree{},
-		exact:      map[*param.Instance]arena.Handle{},
 		regs:       map[param.Set]*domainReg{},
 		seen:       map[uint64]seenRec{},
-		seenInst:   map[param.Key]param.Instance{},
-		processed:  map[*param.Instance]bool{},
 		met:        opts.Metrics,
-		avoided:    map[*param.Instance]struct{}{},
 		profGuards: opts.ProfileGuards,
 		prof:       opts.Profile,
 	}
@@ -338,6 +347,7 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 	}
 	if poolCheck {
 		e.mons.SetChecks(poisonMon, verifyMon)
+		e.intern.SetChecks(poisonTheta, verifyTheta)
 	}
 	e.domBit = make([]uint16, len(spec.Events))
 	for sym, ev := range spec.Events {
@@ -454,8 +464,24 @@ func (e *Engine) InstanceArenaStats() arena.Stats { return e.intern.Stats() }
 // InternedInstances returns the intern-table size (tests, diagnostics).
 func (e *Engine) InternedInstances() int { return e.intern.Len() }
 
-// instOf resolves a monitor record's parameter instance.
-func (e *Engine) instOf(m *Mon) *param.Instance { return e.intern.At(m.instH) }
+// instOf resolves a monitor record's parameter instance: a transient view
+// into its θ-record, for tree walks and liveness checks.
+func (e *Engine) instOf(m *Mon) *param.Instance { return &e.intern.At(m.instH).Inst }
+
+// claimed reports whether θ takes no creation on the current event, marking
+// it processed if so: it was processed already, or it is in Δ (materialized
+// earlier, possibly flagged since — never rebuilt from a less informative
+// slice), or tombstoned (its suppressed monitor's Δ entry would have blocked
+// the rebuild the same way).
+func (e *Engine) claimed(t *theta) bool {
+	if t.stamp != e.stats.Events {
+		if t.mon == arena.Nil && t.flags&thetaAvoided == 0 {
+			return false
+		}
+		t.stamp = e.stats.Events
+	}
+	return true
+}
 
 // EmitNamed dispatches an event by name; vals bind D(e)'s parameters in
 // ascending parameter-index order. Unknown names and arity mismatches are
@@ -483,7 +509,6 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	if e.met != nil && e.stats.Events&(publishInterval-1) == 0 {
 		e.publishMetrics()
 	}
-	clear(e.processed)
 	e.pendAdd = e.pendAdd[:0]
 	evParams := e.spec.Events[sym].Params
 
@@ -495,22 +520,20 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		// and the monitor is skipped only if that flags it. Δ keeps
 		// unflagged monitors even after a parameter death (see sweep), so
 		// membership here never depends on sweep timing.
-		ms := e.monBuf[:0]
-		for _, h := range e.exact {
-			if e.mons.At(h).flags&monFlagged == 0 {
-				ms = append(ms, h)
+		ths := e.thBuf[:0]
+		for th, s := range e.intern.All() {
+			if h := s.Data.mon; h != arena.Nil && e.mons.At(h).flags&monFlagged == 0 {
+				ths = append(ths, th)
 			}
 		}
-		e.sortHandles(ms)
-		for _, h := range ms {
-			m := e.mons.At(h)
-			if !e.observeDeaths(h, m) {
-				continue
+		sort.Slice(ths, func(i, j int) bool { return e.thetaLess(ths[i], ths[j]) })
+		for _, th := range ths {
+			h := e.intern.At(th).Data.mon
+			if m := e.mons.At(h); e.observeDeaths(h, m) {
+				e.step(h, m, sym)
 			}
-			e.step(h, m, sym)
-			e.processed[e.instOf(m)] = true
 		}
-		e.monBuf = ms[:0]
+		e.thBuf = ths[:0]
 		if e.g != nil {
 			e.botWord = uint32(e.g.Next[e.botWord][sym])
 		} else {
@@ -519,9 +542,12 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		return
 	}
 
-	// Canonicalize θ: one intern lookup replaces every per-event Key
-	// computation; from here instance identity is pointer identity.
-	tp, _ := e.intern.Intern(theta)
+	// Canonicalize θ: the one per-θ table lookup of the event. Everything
+	// below reaches θ's record, and the records of the monitors it meets,
+	// through handles.
+	th := e.intern.Intern(theta)
+	ts := e.intern.At(th)
+	tp := &ts.Inst
 
 	if leaf := e.trees[evParams].Lookup(e, tp); leaf != nil {
 		// Closure-free leaf walk: AppendLive compacts exactly like
@@ -534,7 +560,7 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 				continue
 			}
 			e.step(h, m, sym)
-			e.processed[e.instOf(m)] = true
+			e.intern.At(m.instH).Data.stamp = e.stats.Events
 		}
 		e.visitBuf = buf[:0]
 	}
@@ -551,46 +577,29 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		// the un-stepped ones. Candidates are visited most informative
 		// first: because Θ is lub-closed under CreateFull, the first
 		// candidate producing a given lub is max{θ'' ∈ Θ | θ'' ⊑ θ'}.
-		cands := e.monBuf[:0]
-		for p, h := range e.exact {
-			if e.mons.At(h).flags&monFlagged != 0 || e.processed[p] {
+		// Under enforced avoidance tombstoned instances take part in the
+		// scan as ghost progenitors, claiming (and re-tombstoning) exactly
+		// the lubs their suppressed monitors would have, at their place in
+		// the informativeness order first-claim-wins relies on.
+		cands := e.thBuf[:0]
+		for ch, s := range e.intern.All() {
+			t := &s.Data
+			if t.stamp == e.stats.Events || !s.Inst.Compatible(*tp) {
 				continue
 			}
-			if p.Compatible(*tp) {
-				cands = append(cands, h)
+			if t.flags&thetaAvoided != 0 || t.mon != arena.Nil && e.mons.At(t.mon).flags&monFlagged == 0 {
+				cands = append(cands, ch)
 			}
 		}
-		e.sortByInformativeness(cands)
-		if len(e.avoided) == 0 {
-			for _, h := range cands {
+		sort.Slice(cands, func(i, j int) bool { return e.moreInformative(cands[i], cands[j]) })
+		for _, ch := range cands {
+			if h := e.intern.At(ch).Data.mon; h != arena.Nil {
 				e.tryCreate(sym, tp, h)
-			}
-		} else {
-			// Enforced avoidance: tombstoned instances take part in the
-			// scan as ghost progenitors, claiming (and re-tombstoning)
-			// exactly the lubs their suppressed monitors would have, in
-			// the same informativeness order first-claim-wins relies on.
-			var ghosts []*param.Instance
-			for p := range e.avoided {
-				if !e.processed[p] && p.Compatible(*tp) {
-					ghosts = append(ghosts, p)
-				}
-			}
-			sort.Slice(ghosts, func(i, j int) bool { return moreInformative(ghosts[i], ghosts[j]) })
-			gi := 0
-			for _, h := range cands {
-				hp := e.instOf(e.mons.At(h))
-				for gi < len(ghosts) && moreInformative(ghosts[gi], hp) {
-					e.tryAvoidLub(tp, ghosts[gi])
-					gi++
-				}
-				e.tryCreate(sym, tp, h)
-			}
-			for ; gi < len(ghosts); gi++ {
-				e.tryAvoidLub(tp, ghosts[gi])
+			} else {
+				e.tryAvoidLub(tp, ch)
 			}
 		}
-		e.monBuf = cands[:0]
+		e.thBuf = cands[:0]
 	case CreateEnable:
 		for _, jp := range e.joins[sym] {
 			reg := e.regs[jp.R]
@@ -611,17 +620,8 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	// 3. θ itself, from ⊥, if nothing else materialized it. A tombstoned
 	// instance blocks re-creation the same way its real monitor's Δ entry
 	// would (the suppressed slice is not the fresh-from-⊥ slice).
-	if !e.processed[tp] {
-		if _, exists := e.exact[tp]; !exists {
-			if _, av := e.avoided[tp]; !av {
-				switch {
-				case e.opts.Creation == CreateFull:
-					e.createFromBot(sym, tp)
-				case e.an.Creation[sym] && e.priorEventsOK(tp, 0):
-					e.createFromBot(sym, tp)
-				}
-			}
-		}
+	if !e.claimed(&ts.Data) && (e.opts.Creation == CreateFull || e.an.Creation[sym] && e.priorEventsOK(tp, 0)) {
+		e.createFromBot(sym, th)
 	}
 
 	// 4. Insert the new monitors into the indexing structures.
@@ -640,7 +640,7 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		e.seen[v.ID()] = rec
 	}
 	if evParams.Count() > 1 {
-		e.seenInst[tp.Key()] = *tp
+		ts.Data.flags |= thetaSeenEvent
 	}
 	e.sinceSwep++
 	if e.sinceSwep >= e.opts.SweepInterval {
@@ -651,18 +651,15 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 
 // createFromBot materializes θ from the empty-domain progenitor ⊥, unless
 // the creation-avoidance guard fires first.
-func (e *Engine) createFromBot(sym int, tp *param.Instance) {
-	if e.opts.Avoid != AvoidOff && e.guardHit(sym, tp.Mask(), e.botWord) {
+func (e *Engine) createFromBot(sym int, th arena.Handle) {
+	if e.opts.Avoid != AvoidOff && e.guardHit(sym, e.intern.At(th).Inst.Mask(), e.botWord) {
 		e.stats.Avoided++
 		if e.opts.Avoid == AvoidEnforce {
-			e.recordAvoided(tp)
+			e.recordAvoided(th)
 			return
 		}
 	}
-	// Re-intern for the handle: the instance is already canonical, so this
-	// is one map read.
-	_, th := e.intern.Intern(*tp)
-	e.create(sym, tp, th, e.botWord, e.botState, 0)
+	e.create(sym, th, e.botWord, e.botState, 0)
 }
 
 // timedSweep runs a sweep pass, recording its duration in the per-policy
@@ -751,10 +748,15 @@ func (e *Engine) Release(h index.Handle) {
 		m.flags |= monCollected
 		e.stats.Collected++
 		e.stats.Live--
-		if m.flags&monInExact == 0 {
+		if !e.inDelta(h, m) {
 			e.recycle(h, m)
 		}
 	}
+}
+
+// inDelta reports whether Δ still maps the monitor's instance to it.
+func (e *Engine) inDelta(h arena.Handle, m *Mon) bool {
+	return e.intern.At(m.instH).Data.mon == h
 }
 
 func (e *Engine) flagMon(m *Mon) {
@@ -811,23 +813,9 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 	// below reject must leave no intern-table entry behind (its objects
 	// may live arbitrarily long), so canonicalization happens only once
 	// creation is certain.
-	lp, lh, known := e.intern.Get(lub.Key())
-	if known {
-		if e.processed[lp] {
-			return
-		}
-		if _, exists := e.exact[lp]; exists {
-			// Already materialized (it was in the dispatch set, possibly
-			// flagged); never rebuild from a less informative slice.
-			e.processed[lp] = true
-			return
-		}
-		if _, av := e.avoided[lp]; av {
-			// Suppressed earlier: its tombstone blocks a rebuild exactly
-			// as the real monitor's Δ entry would have.
-			e.processed[lp] = true
-			return
-		}
+	lh, known := e.intern.Get(lub.Key())
+	if known && e.claimed(&e.intern.At(lh).Data) {
+		return
 	}
 	if e.opts.Creation == CreateEnable {
 		// Enable check: the progenitor's slice (the candidate's prefix)
@@ -843,20 +831,20 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 		e.stats.Avoided++
 		if e.opts.Avoid == AvoidEnforce {
 			if !known {
-				lp, _ = e.intern.Intern(lub)
+				lh = e.intern.Intern(lub)
 			}
-			e.recordAvoided(lp)
+			e.recordAvoided(lh)
 			return
 		}
 	}
 	if !known {
-		lp, lh = e.intern.Intern(lub)
+		lh = e.intern.Intern(lub)
 	}
 	var baseBox logic.State
 	if e.g == nil {
 		baseBox = e.boxState[progH.Index()]
 	}
-	e.create(sym, lp, lh, prog.state, baseBox, prog.paramsSeen)
+	e.create(sym, lh, prog.state, baseBox, prog.paramsSeen)
 }
 
 // priorEventsOK is the fresh-object creation guard of CreateEnable: θ' may
@@ -866,8 +854,8 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 // parameter domain to fit inside dom(θ') and its objects to match θ”s; a
 // prior event under a singleton domain {x} always matches (same object),
 // and for multi-parameter domains the exact sub-instance θ'|D is looked up
-// in seenInst. Skipping creation is sound: either the conflicting prior
-// event materialized a progenitor the joins already consulted (and the lub
+// in the θ-table (thetaSeenEvent). Skipping creation is sound: either the
+// conflicting prior event materialized a progenitor the joins already consulted (and the lub
 // closure loss means no instance carries the merged slice), or it was
 // itself skipped as unable to reach G (enable theorem), making θ”s true
 // slice unviable. The price is completeness on object-recombination
@@ -888,7 +876,7 @@ func (e *Engine) priorEventsOK(lub *param.Instance, progDom param.Set) bool {
 			if d == param.SetOf(x) {
 				return false
 			}
-			if _, hit := e.seenInst[lub.Restrict(d).Key()]; hit {
+			if h, ok := e.intern.Get(lub.Restrict(d).Key()); ok && e.intern.At(h).Data.flags&thetaSeenEvent != 0 {
 				return false
 			}
 		}
@@ -900,7 +888,7 @@ func (e *Engine) priorEventsOK(lub *param.Instance, progDom param.Set) bool {
 // current event, and queues it for insertion. Records come from the arena:
 // slots reclaimed by the coenable GC are recycled into the next creations.
 // baseWord carries the progenitor state in graph mode, baseBox in box mode.
-func (e *Engine) create(sym int, inst *param.Instance, instH arena.Handle, baseWord uint32, baseBox logic.State, seen param.Set) {
+func (e *Engine) create(sym int, instH arena.Handle, baseWord uint32, baseBox logic.State, seen param.Set) {
 	h, m := e.mons.Alloc()
 	e.intern.Pin(instH)
 	m.instH = instH
@@ -918,9 +906,8 @@ func (e *Engine) create(sym int, inst *param.Instance, instH arena.Handle, baseW
 	if e.stats.Live > e.stats.PeakLive {
 		e.stats.PeakLive = e.stats.Live
 	}
-	e.exact[inst] = h
-	m.flags |= monInExact
-	e.processed[inst] = true
+	t := &e.intern.At(instH).Data
+	t.mon, t.stamp = h, e.stats.Events
 	e.step(h, m, sym)
 	e.pendAdd = append(e.pendAdd, h)
 }
@@ -939,7 +926,7 @@ func (e *Engine) setBox(idx uint32, st logic.State) {
 // builds the record is additionally poisoned (see pool.go), so a straggling
 // reference that dodged the generation check still fails loudly.
 func (e *Engine) recycle(h arena.Handle, m *Mon) {
-	if m.refs > 0 || m.flags&monCollected == 0 || m.flags&monInExact != 0 {
+	if m.refs > 0 || m.flags&monCollected == 0 || e.inDelta(h, m) {
 		panic("monitor: recycling a monitor that is still referenced")
 	}
 	instH := m.instH
@@ -1055,74 +1042,68 @@ func (e *Engine) insert(h arena.Handle) {
 }
 
 // sweep applies the physical weak-reference semantics the paper's systems
-// get from the JVM: bookkeeping entries whose objects died are dropped.
+// get from the JVM: bookkeeping entries whose objects died are dropped. It
+// is one pass over the θ-table — every rule below concerns a θ with a dead
+// bound object, so the rest are skipped — then the fresh-object records and
+// the registries:
 //
-//   - Δ entries (exact) for *flagged* instances with a dead bound object go
-//     — such an instance can never recur in an event, so no wrong-slice
-//     resurrection is possible, and the flag means nothing will step it
-//     again. Unflagged monitors stay even with a dead parameter (they
-//     remain reachable through live keys in the weak trees, and keeping
-//     them makes propositional dispatch independent of sweep timing).
-//     Flagged monitors whose objects all live stay as tombstones: their
-//     instances can recur, and rebuilding them from a progenitor would
-//     resurrect them with a wrong slice.
-//   - Δ entries for *collected* instances with a dead bound object go too,
-//     flagged or not: collected means no container references the monitor,
-//     and the dead object's identity can never recur in an event, so the
-//     entry is unreachable — except under CreateFull, whose Figure 5
-//     oracle scans Δ for progenitors and has no notion of object death.
-//     (The coenable formula can keep such a monitor unflagged forever — a
-//     disjunct over unbound parameters stays satisfiable — which without
-//     this rule pinned its arena slot and intern entry unboundedly.)
+//   - Δ(θ) of a *flagged* monitor goes — such an instance can never recur
+//     in an event, so no wrong-slice resurrection is possible, and the flag
+//     means nothing will step it again. Unflagged monitors stay even with a
+//     dead parameter (they remain reachable through live keys in the weak
+//     trees, and keeping them makes propositional dispatch independent of
+//     sweep timing). Flagged monitors whose objects all live stay as
+//     tombstones: their instances can recur, and rebuilding them from a
+//     progenitor would resurrect them with a wrong slice.
+//   - Δ(θ) of a *collected* monitor goes too, flagged or not: collected
+//     means no container references the monitor, and the dead object's
+//     identity can never recur in an event, so the entry is unreachable —
+//     except under CreateFull, whose Figure 5 oracle scans Δ for
+//     progenitors and has no notion of object death. (The coenable formula
+//     can keep such a monitor unflagged forever — a disjunct over unbound
+//     parameters stays satisfiable — which without this rule pinned its
+//     arena slot and θ-record unboundedly.) A monitor that is now both
+//     collected and out of Δ is recycled into the arena free list.
+//   - Avoided-creation tombstones mirror their would-be monitors' exit
+//     from Δ, so enforce-mode blocking stays in lockstep with the unguarded
+//     engine: under coenable a doomed monitor is flagged at its birth step,
+//     so its Δ entry goes at the first sweep after any bound object dies;
+//     under alldead it is flagged (and its entry goes) once every object is
+//     dead; under none Δ entries never leave. Dropped or kept, the instance
+//     cannot be wrongly rebuilt — a recurrence needs every object alive —
+//     so this only mirrors bookkeeping lifetime.
+//   - The multi-parameter-event mark of the fresh-object guard goes.
+//   - θ is unmapped once it is neither in Δ nor tombstoned; its slot is
+//     recycled when no monitor pins it (see param.Interner).
+//   - Fresh-object guard records for dead objects go as well.
 //   - Domain registries release members with dead bound objects: in
 //     JavaMOP/RV a progenitor is only reachable through weak-keyed trees,
 //     so the death of any of its objects ends its progenitor role.
-//   - Fresh-object guard records for dead objects go as well.
-//   - Intern-table entries for dead instances go once Δ no longer maps
-//     them (Δ membership pins the canonical pointer; see param.Interner).
-//   - A monitor that is now both collected and out of Δ is recycled into
-//     the arena free list.
 func (e *Engine) sweep() {
-	for p, h := range e.exact {
-		m := e.mons.At(h)
-		if !p.AllAlive() {
-			if m.flags&monFlagged == 0 {
-				// An object died without the trees noticing yet; give the
-				// monitor its notification now (equivalent to the paper's
-				// tree-access notification, just on the sweep path).
-				e.NotifyParamDeath(h)
-			}
-			drop := m.flags&monFlagged != 0
-			if !drop && m.flags&monCollected != 0 && e.opts.Creation != CreateFull {
-				drop = true
-			}
-			if drop {
-				delete(e.exact, p)
-				m.flags &^= monInExact
+	for th, s := range e.intern.All() {
+		if s.Inst.AllAlive() {
+			continue
+		}
+		t := &s.Data
+		if h := t.mon; h != arena.Nil {
+			m := e.mons.At(h)
+			// An object died without the trees noticing yet; give the
+			// monitor its notification now (equivalent to the paper's
+			// tree-access notification, just on the sweep path).
+			e.NotifyParamDeath(h)
+			if m.flags&monFlagged != 0 || m.flags&monCollected != 0 && e.opts.Creation != CreateFull {
+				t.mon = arena.Nil
 				if m.flags&monCollected != 0 {
 					e.recycle(h, m)
 				}
 			}
 		}
-	}
-	// Avoided-creation tombstones mirror their would-be monitors' exit
-	// from Δ, so enforce-mode blocking stays in lockstep with the
-	// unguarded engine: under coenable a doomed monitor is flagged at its
-	// birth step, so its Δ entry goes at the first sweep after any bound
-	// object dies; under alldead it is flagged (and its entry goes) once
-	// every object is dead; under none Δ entries never leave. Dropped or
-	// kept, the instance cannot be wrongly rebuilt — a recurrence needs
-	// every object alive — so this only mirrors bookkeeping lifetime.
-	for p := range e.avoided {
-		var drop bool
-		switch e.opts.GC {
-		case GCCoenable:
-			drop = !p.AllAlive()
-		case GCAllDead:
-			drop = p.AliveMask().Empty()
+		if e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && s.Inst.AliveMask().Empty() {
+			t.flags &^= thetaAvoided
 		}
-		if drop {
-			delete(e.avoided, p)
+		t.flags &^= thetaSeenEvent
+		if t.mon == arena.Nil && t.flags&thetaAvoided == 0 {
+			e.intern.Unmap(th)
 		}
 	}
 	for id, rec := range e.seen {
@@ -1130,26 +1111,9 @@ func (e *Engine) sweep() {
 			delete(e.seen, id)
 		}
 	}
-	for k, inst := range e.seenInst {
-		if !inst.AllAlive() {
-			delete(e.seenInst, k)
-		}
-	}
 	for _, reg := range e.regs {
 		reg.all.CompactWith(e, e.deadParam)
 	}
-	e.intern.Sweep(e.internRetain)
-}
-
-// internRetain pins intern-table entries that Δ still maps: their
-// canonical pointers are monitor identities and must survive until the
-// monitor leaves Δ.
-func (e *Engine) internRetain(p *param.Instance) bool {
-	if _, ok := e.exact[p]; ok {
-		return true
-	}
-	_, ok := e.avoided[p]
-	return ok
 }
 
 // deadParam reports a monitor with a dead bound parameter object (domain
@@ -1187,9 +1151,9 @@ func (e *Engine) Flush() {
 // for tests and diagnostics.
 func (e *Engine) Monitors() []param.Instance {
 	var out []param.Instance
-	for p, h := range e.exact {
-		if e.mons.At(h).flags&(monFlagged|monCollected) == 0 {
-			out = append(out, *p)
+	for _, s := range e.intern.All() {
+		if h := s.Data.mon; h != arena.Nil && e.mons.At(h).flags&(monFlagged|monCollected) == 0 {
+			out = append(out, s.Inst)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key(), out[j].Key()) })
@@ -1198,12 +1162,12 @@ func (e *Engine) Monitors() []param.Instance {
 
 // State returns the current base state for θ, or nil if no monitor exists.
 func (e *Engine) State(inst param.Instance) logic.State {
-	p, _, ok := e.intern.Get(inst.Key())
+	th, ok := e.intern.Get(inst.Key())
 	if !ok {
 		return nil
 	}
-	h, ok := e.exact[p]
-	if !ok {
+	h := e.intern.At(th).Data.mon
+	if h == arena.Nil {
 		return nil
 	}
 	m := e.mons.At(h)
@@ -1233,12 +1197,10 @@ func domLess(a, b param.Set) bool {
 	return a < b
 }
 
-// sortHandles orders monitor handles by their instance key (mask, then
-// IDs), the deterministic order every backend shares.
-func (e *Engine) sortHandles(hs []arena.Handle) {
-	sort.Slice(hs, func(i, j int) bool {
-		return keyLess(e.instOf(e.mons.At(hs[i])).Key(), e.instOf(e.mons.At(hs[j])).Key())
-	})
+// thetaLess orders θ handles by instance key (mask, then IDs), the
+// deterministic order every backend shares.
+func (e *Engine) thetaLess(a, b arena.Handle) bool {
+	return keyLess(e.intern.At(a).Inst.Key(), e.intern.At(b).Inst.Key())
 }
 
 func keyLess(a, b param.Key) bool {
@@ -1253,18 +1215,13 @@ func keyLess(a, b param.Key) bool {
 	return false
 }
 
-// sortByInformativeness orders monitors by descending domain size, then
-// by instance key for determinism.
-func (e *Engine) sortByInformativeness(hs []arena.Handle) {
-	e.sortHandles(hs)
-	// Stable re-partition by popcount, descending.
-	var out []arena.Handle
-	for c := param.MaxParams; c >= 0; c-- {
-		for _, h := range hs {
-			if e.instOf(e.mons.At(h)).Mask().Count() == c {
-				out = append(out, h)
-			}
-		}
+// moreInformative orders θ handles by descending domain size, then by
+// instance key: the order in which the Figure-5 scan visits its candidate
+// progenitors, real and tombstoned alike.
+func (e *Engine) moreInformative(a, b arena.Handle) bool {
+	ac, bc := e.intern.At(a).Inst.Mask().Count(), e.intern.At(b).Inst.Mask().Count()
+	if ac != bc {
+		return ac > bc
 	}
-	copy(hs, out)
+	return e.thetaLess(a, b)
 }

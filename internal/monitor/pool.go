@@ -3,12 +3,12 @@ package monitor
 import "rvgo/internal/arena"
 
 // Arena poisoning: under race builds (the -race test suite) a monitor
-// record entering the arena free list is poisoned and one leaving it is
-// verified, so a straggling dangling pointer that mutated a freed record
-// fails loudly at the recycle point even if it dodged the handle
-// generation check. poolCheck is a build-tag constant (see pool_race.go /
-// pool_norace.go); in normal builds the checks are never installed and the
-// arena's poison/verify hooks stay nil.
+// record or θ-record entering its arena's free list is poisoned and one
+// leaving it is verified, so a straggling dangling pointer that mutated a
+// freed record fails loudly at the recycle point even if it dodged the
+// handle generation check. poolCheck is a build-tag constant (see
+// pool_race.go / pool_norace.go); in normal builds the checks are never
+// installed and the arenas' poison/verify hooks stay nil.
 
 // poisonState is an out-of-range logic state word: any graph step through
 // it indexes far outside Next and panics attributably.
@@ -30,5 +30,21 @@ func poisonMon(m *Mon) {
 func verifyMon(m *Mon) {
 	if m.state != poisonState || m.lastSym != -0x7001 || !m.instH.IsNil() || m.refs != -1 {
 		panic("monitor: free-list monitor was mutated while pooled")
+	}
+}
+
+// pooledTheta is the poison for the payload of a freed θ-record: a Δ entry
+// naming a sentinel monitor handle, a stamp no event number reaches, every
+// flag set. param.Interner.SetChecks zeroes the bindings and sets the pin
+// count negative around it, and verifies all of it when the slot leaves the
+// free list — so a stale *Instance or *Slot written through after its slot
+// recycled fails at the reuse point.
+var pooledTheta = theta{mon: ^arena.Handle(0), stamp: ^uint64(0), flags: 0xFF}
+
+func poisonTheta(t *theta) { *t = pooledTheta }
+
+func verifyTheta(t *theta) {
+	if *t != pooledTheta {
+		panic("monitor: free-list θ-record was mutated while pooled")
 	}
 }

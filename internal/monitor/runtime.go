@@ -64,10 +64,12 @@ func (e *Engine) Barrier() {}
 func (e *Engine) Free(refs ...heap.Ref) {}
 
 // Close implements Runtime. The sequential engine holds no goroutines or
-// external resources; closing settles any published telemetry and returns
-// the slab arenas (monitor records and interned instances) to the host
-// allocator in O(slabs) — the engine-side counterpart of the per-monitor
-// reclamation the GC policies do during the run. Dispatching after Close
+// external resources; closing settles any published telemetry, returns
+// the slab arenas (monitor records and the θ-table) to the host allocator
+// in O(slabs) — the engine-side counterpart of the per-monitor reclamation
+// the GC policies do during the run — and drops the fresh-object table, the
+// last holder of the monitored program's refs: callers keep a closed engine
+// around to read Stats, and it must pin nothing. Dispatching after Close
 // is a programming error; with the store reset it fails fast on a stale
 // handle rather than corrupting state.
 func (e *Engine) Close() {
@@ -84,5 +86,5 @@ func (e *Engine) Close() {
 	e.mons.Reset()
 	e.intern.Reset()
 	e.boxState = nil
-	e.exact = map[*param.Instance]arena.Handle{}
+	e.seen = map[uint64]seenRec{}
 }
