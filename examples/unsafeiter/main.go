@@ -69,7 +69,7 @@ func main() {
 		fmt.Printf("%-22s %10d %10d %10d %10d %10d\n",
 			label(p), st.Events, st.Created, st.Flagged, st.Collected, st.Live)
 	}
-	fmt.Println("\nretained = monitors still held by the indexing trees at the end:")
+	fmt.Println("\nretained = monitors still held by the index at the end:")
 	fmt.Println("JavaMOP-style GC keeps one dead-iterator monitor per iteration alive")
 	fmt.Println("as long as the collection lives; RV flags and collects them lazily.")
 }

@@ -100,7 +100,7 @@ func (sv *sliceVerdicts) diff(want *sliceVerdicts) string {
 // requires per-slice verdict sequences and all settled Figure 10 counters
 // to be bit-identical to a sequential-engine reference run of the same
 // trace — the semantics the pre-arena engine pinned down (and that
-// BENCH_PR4.json still gates counter-exactly in CI). PeakLive is compared
+// BENCH_PR10.json still gates counter-exactly in CI). PeakLive is compared
 // as a lower bound only on non-sequential backends (a sharded runtime sums
 // per-shard peaks).
 func RunArenaOracle(t *testing.T, build PolicyFactory) {

@@ -1,54 +1,59 @@
-// Package index implements the RV system's specialized indexing trees
-// (paper §4.1–§4.2, Figures 6–8): weak-keyed hash maps (Map, the paper's
-// RVMap) whose levels index one parameter each, with leaf sets of monitor
-// instances (Set, the paper's RVSet).
+// Package index implements what is left of the RV system's indexing trees
+// (paper §4.1–§4.2, Figures 6–8) once the keys live somewhere else: the
+// leaf sets of monitor instances (Set, the paper's RVSet, Figure 8) and the
+// store of leaf records they sit in (Leaves).
 //
-// The data structures embody the paper's lazy collection discipline:
+// The paper nests one weak map per parameter (Figure 6's tree ⟨S⟩) because
+// a JVM weak map keys on one object. Here the key tuple is a record of the
+// engine's θ-table (param.Interner), which already maps every partial
+// instance the engine touches, so a tree is one column of that table: the
+// θ-record of a key tuple κ heads a short chain of leaf records, one per
+// monitor domain R with members under κ, each holding M(κ, R) — the
+// monitors of domain exactly R whose instance extends κ. This is the U
+// table of Roşu & Chen's C⟨X⟩ ("the instances more informative than θ",
+// keyed by the partial instance itself), partitioned by domain so a
+// creation join for R never scans the members of another domain.
 //
-//   - Map operations expunge a bounded number of buckets per call, looking
-//     for keys whose parameter object died; monitors below a dead key are
-//     notified (they then decide via coenable ALIVENESS whether to flag
-//     themselves) and the broken mapping is removed (Figure 7).
+// The paper's lazy collection discipline is kept:
+//
+//   - No pass ever runs over monitors. A dead key is noticed by the
+//     engine's periodic sweep over the *keys* (θ-records), bounded by the
+//     table's size and amortised by the sweep period, where the paper's
+//     maps examined a few buckets per operation; the monitors below the
+//     dead key are then notified (they decide via coenable ALIVENESS
+//     whether to flag themselves) and the broken mapping is removed
+//     (Detach, Figure 7).
 //   - Set iteration skips and compacts away monitors flagged for removal in
 //     a single pass (Figure 8).
 //   - A monitor instance is "collected" once every container has dropped it
 //     (container refcounting plays the role of JVM reachability).
 //
 // Monitors are referenced by generation-tagged arena handles (see package
-// arena), not pointers: a leaf Set is a slice of uint64 handles whose
-// backing array contains no pointers, so the host garbage collector never
-// traverses the monitor store through the trees — at millions of live
-// monitors the trees contribute O(distinct parameter objects) to the mark
-// phase, not O(monitors). Monitor behavior (death notification, the
-// collectable check, container refcounting) is reached through a Resolver,
-// which the engine implements over its monitor arena; every container
-// operation takes the resolver explicitly so the containers themselves
-// stay pointer-free.
-//
-// The lookup path is allocation-free and monomorphic: entries hold their
-// child Map and leaf Set as concrete typed fields (exactly one non-nil), so
-// a tree walk is pointer chasing with no interface dispatch, and iteration
-// over a leaf goes through caller-owned scratch buffers (AppendLive) rather
-// than closures. The expunge quota is amortized across lookups: only every
-// expungeStride-th map operation scans buckets for dead keys, bounding
-// pruning overhead well below one bucket scan per event while keeping
-// reclamation latency proportional to operation count (the paper's "looks
-// through a subset of its entries", spread thinner).
+// arena), not pointers: a leaf's member vector contains no pointers, so the
+// host garbage collector never traverses the monitor store through the
+// index. Monitor behavior (death notification, the collectable check,
+// container refcounting) is reached through a Resolver, which the engine
+// implements over its monitor arena; every container operation takes the
+// resolver explicitly so the containers themselves hold handles only.
+// Iteration over a leaf goes through caller-owned scratch buffers
+// (AppendLive) rather than closures, and a detached leaf's member vector is
+// handed to the next leaf created — at steady state the index allocates
+// nothing.
 package index
 
 import (
 	"rvgo/internal/arena"
-	"rvgo/internal/heap"
 	"rvgo/internal/param"
 )
 
-// Handle identifies a monitor instance in the owning engine's arena.
+// Handle identifies a record in one of the owning engine's arenas: a
+// monitor instance, or a leaf record of the Leaves store.
 type Handle = arena.Handle
 
-// Resolver is the view of the monitor store the indexing trees need: it
-// maps a Handle to monitor behavior. The engine implements it over its
-// slab arena. Containers never hold monitor pointers — only handles — so
-// every operation that must touch a monitor takes the resolver explicitly.
+// Resolver is the view of the monitor store the index needs: it maps a
+// Handle to monitor behavior. The engine implements it over its slab arena.
+// Containers never hold monitor pointers — only handles — so every
+// operation that must touch a monitor takes the resolver explicitly.
 type Resolver interface {
 	// NotifyParamDeath tells the monitor that a parameter object below its
 	// mapping died; the monitor re-evaluates its ALIVENESS formula and may
@@ -63,266 +68,9 @@ type Resolver interface {
 	Release(h Handle)
 }
 
-// Value is a node in an indexing tree: either a *Map (next level) or a
-// *Set (leaf). It survives as the Put/Get currency; the internal tree walk
-// uses the typed entry fields directly.
-type Value interface {
-	// EachHandle visits every monitor handle in the subtree.
-	EachHandle(f func(Handle))
-	// detach releases all monitors contained in the subtree; called when
-	// the subtree's mapping is removed from its parent.
-	detach(r Resolver)
-	// isEmpty reports an empty substructure (droppable, §5.1.1).
-	isEmpty() bool
-}
-
-// ExpungeQuota is the number of buckets examined for dead keys per
-// expunging map operation; a full sweep happens on resize.
-const ExpungeQuota = 2
-
-// expungeStride is the number of map operations between expunge scans: the
-// quota is spent once per stride, not once per operation.
-const expungeStride = 4
-
-// entry is one mapping. Exactly one of child/leaf is non-nil; keeping them
-// as concrete types (instead of a Value interface) makes the lookup walk
-// monomorphic — no interface method dispatch, no type assertions on the
-// per-event path.
-type entry struct {
-	key   heap.Ref
-	id    uint64
-	child *Map
-	leaf  *Set
-}
-
-func (e *entry) value() Value {
-	if e.child != nil {
-		return e.child
-	}
-	return e.leaf
-}
-
-func (e *entry) isEmpty() bool {
-	if e.child != nil {
-		return e.child.isEmpty()
-	}
-	return e.leaf.isEmpty()
-}
-
-func (e *entry) notifyAndDetach(r Resolver) {
-	v := e.value()
-	v.EachHandle(func(h Handle) { r.NotifyParamDeath(h) })
-	v.detach(r)
-}
-
-// Map is a weak-keyed hash map from parameter objects to Values (RVMap).
-// The zero value is not usable; use NewMap.
-type Map struct {
-	buckets [][]entry
-	count   int
-	cursor  int // round-robin expunge position
-	ops     int // operations since the last expunge scan
-	quota   int
-}
-
-// NewMap returns an empty map.
-func NewMap() *Map {
-	return &Map{buckets: make([][]entry, 8), quota: ExpungeQuota}
-}
-
-// Len returns the number of live entries (dead-but-unexpunged keys count
-// until they are discovered).
-func (m *Map) Len() int { return m.count }
-
-func (m *Map) isEmpty() bool { return m.count == 0 }
-
-func (m *Map) slot(id uint64) int {
-	// Fibonacci hashing spreads sequential IDs.
-	return int((id * 0x9E3779B97F4A7C15) >> 32 & uint64(len(m.buckets)-1))
-}
-
-// maybeExpunge charges one operation against the amortized expunge budget,
-// scanning quota buckets every expungeStride-th call.
-func (m *Map) maybeExpunge(r Resolver) {
-	m.ops++
-	if m.ops >= expungeStride {
-		m.ops = 0
-		m.expunge(r, m.quota)
-	}
-}
-
-// find returns the entry for the key, or nil. It does not expunge; the
-// callers that stand in for map operations charge the budget themselves.
-func (m *Map) find(id uint64) *entry {
-	b := m.buckets[m.slot(id)]
-	for i := range b {
-		if b[i].id == id {
-			return &b[i]
-		}
-	}
-	return nil
-}
-
-// Get looks up the value for the key, expunging some dead entries as an
-// amortized side effect (lazy notification, Figure 7A).
-func (m *Map) Get(r Resolver, k heap.Ref) (Value, bool) {
-	m.maybeExpunge(r)
-	if e := m.find(k.ID()); e != nil {
-		return e.value(), true
-	}
-	return nil, false
-}
-
-// Put inserts or replaces the value for the key.
-func (m *Map) Put(r Resolver, k heap.Ref, v Value) {
-	m.maybeExpunge(r)
-	if m.count >= len(m.buckets)*4 {
-		m.grow(r)
-	}
-	child, _ := v.(*Map)
-	leaf, _ := v.(*Set)
-	if e := m.find(k.ID()); e != nil {
-		e.child, e.leaf = child, leaf
-		return
-	}
-	b := m.slot(k.ID())
-	m.buckets[b] = append(m.buckets[b], entry{key: k, id: k.ID(), child: child, leaf: leaf})
-	m.count++
-}
-
-// putMap and putLeaf are the monomorphic Put fast paths used by the tree
-// builder; they skip the interface split and do not charge the expunge
-// budget (GetOrCreate already charged for the operation).
-func (m *Map) putMap(r Resolver, k heap.Ref, child *Map) {
-	if m.count >= len(m.buckets)*4 {
-		m.grow(r)
-	}
-	b := m.slot(k.ID())
-	m.buckets[b] = append(m.buckets[b], entry{key: k, id: k.ID(), child: child})
-	m.count++
-}
-
-func (m *Map) putLeaf(r Resolver, k heap.Ref, leaf *Set) {
-	if m.count >= len(m.buckets)*4 {
-		m.grow(r)
-	}
-	b := m.slot(k.ID())
-	m.buckets[b] = append(m.buckets[b], entry{key: k, id: k.ID(), leaf: leaf})
-	m.count++
-}
-
-// grow doubles the table, sweeping every entry for dead keys on the way —
-// the paper expunges exhaustively "when the hash table underlying the map
-// needs to be expanded".
-func (m *Map) grow(r Resolver) {
-	old := m.buckets
-	m.buckets = make([][]entry, len(old)*2)
-	m.count = 0
-	m.cursor = 0
-	for _, bucket := range old {
-		for i := range bucket {
-			e := &bucket[i]
-			if !e.key.Alive() {
-				e.notifyAndDetach(r)
-				continue
-			}
-			b := m.slot(e.id)
-			m.buckets[b] = append(m.buckets[b], *e)
-			m.count++
-		}
-	}
-}
-
-// expunge scans up to n buckets (round-robin) for entries whose key died,
-// notifying the monitors below and removing the mapping.
-func (m *Map) expunge(r Resolver, n int) {
-	for i := 0; i < n; i++ {
-		b := m.cursor
-		m.cursor = (m.cursor + 1) % len(m.buckets)
-		bucket := m.buckets[b]
-		w := 0
-		for j := range bucket {
-			e := &bucket[j]
-			if e.key.Alive() {
-				// Opportunistically drop empty substructures, as the paper
-				// does when checking values of live mappings (§5.1.1).
-				if e.isEmpty() {
-					m.count--
-					continue
-				}
-				bucket[w] = *e
-				w++
-				continue
-			}
-			e.notifyAndDetach(r)
-			m.count--
-		}
-		if w != len(bucket) {
-			for j := w; j < len(bucket); j++ {
-				bucket[j] = entry{}
-			}
-			m.buckets[b] = bucket[:w]
-		}
-	}
-}
-
-// ExpungeAll sweeps the whole table once (used by tests and by the engine
-// when a property session ends).
-func (m *Map) ExpungeAll(r Resolver) { m.expunge(r, len(m.buckets)) }
-
-// EachEntry visits live entries (no expunge side effects).
-func (m *Map) EachEntry(f func(k heap.Ref, v Value)) {
-	for _, bucket := range m.buckets {
-		for i := range bucket {
-			if bucket[i].key.Alive() {
-				f(bucket[i].key, bucket[i].value())
-			}
-		}
-	}
-}
-
-// FlushAll expunges the whole subtree exhaustively and compacts every leaf
-// set: the end-of-session settling pass (used by the engine's Flush).
-func (m *Map) FlushAll(r Resolver) {
-	m.ExpungeAll(r)
-	for _, bucket := range m.buckets {
-		for i := range bucket {
-			e := &bucket[i]
-			if !e.key.Alive() {
-				continue
-			}
-			if e.child != nil {
-				e.child.FlushAll(r)
-			} else {
-				e.leaf.Compact(r)
-			}
-		}
-	}
-	m.ExpungeAll(r)
-}
-
-// EachHandle implements Value.
-func (m *Map) EachHandle(f func(Handle)) {
-	for _, bucket := range m.buckets {
-		for i := range bucket {
-			bucket[i].value().EachHandle(f)
-		}
-	}
-}
-
-func (m *Map) detach(r Resolver) {
-	for _, bucket := range m.buckets {
-		for i := range bucket {
-			bucket[i].value().detach(r)
-		}
-	}
-	m.buckets = make([][]entry, 1)
-	m.count = 0
-	m.cursor = 0
-}
-
 // Set is a compacting slice of monitor handles (RVSet). Its backing array
-// is pointer-free: the collector never scans a leaf's members.
+// is pointer-free: the collector never scans a leaf's members. The zero
+// value is an empty set.
 type Set struct {
 	items []Handle
 }
@@ -334,7 +82,9 @@ func NewSet() *Set { return &Set{} }
 // count until the next compaction).
 func (s *Set) Len() int { return len(s.items) }
 
-func (s *Set) isEmpty() bool { return len(s.items) == 0 }
+// Members returns the member vector, flagged-but-unremoved members
+// included: a read-only view for invariant checks.
+func (s *Set) Members() []Handle { return s.items }
 
 // Add appends a monitor and retains it.
 func (s *Set) Add(r Resolver, h Handle) {
@@ -388,7 +138,7 @@ func (s *Set) Compact(r Resolver) { s.ForEach(r, func(Handle) {}) }
 // CompactWith removes collectable members and members for which drop
 // returns true (used by the engine's weak domain registries: a member
 // whose bound parameter object died would be unreachable through any weak
-// tree, so registries release it too).
+// key, so registries release it too).
 func (s *Set) CompactWith(r Resolver, drop func(Handle) bool) {
 	w := 0
 	for _, h := range s.items {
@@ -402,87 +152,135 @@ func (s *Set) CompactWith(r Resolver, drop func(Handle) bool) {
 	s.items = s.items[:w]
 }
 
-// EachHandle implements Value.
-func (s *Set) EachHandle(f func(Handle)) {
-	for _, h := range s.items {
-		f(h)
-	}
+// Leaf is one leaf record, M(κ, R): the monitors of domain exactly R whose
+// instance extends the key tuple κ of the θ-record whose chain it is on.
+type Leaf struct {
+	Set
+	R    param.Set
+	Next Handle // the chain's next record, by ascending R
 }
 
-func (s *Set) detach(r Resolver) {
-	for _, h := range s.items {
-		r.Release(h)
-	}
-	s.items = nil
+// Leaves is the leaf store: the pool of leaf records and the free list of
+// member vectors. It holds no key — the owner of a chain keeps its head
+// (the engine, in the θ-record of the key tuple) and passes it in; a chain
+// has at most one record per domain. The zero value is an empty store.
+type Leaves struct {
+	pool arena.Pool[Leaf]
+	// vecs are the member vectors of freed leaves, adopted by the next
+	// leaves created: the collected garbage becomes the allocator.
+	vecs [][]Handle
 }
 
-// Tree is one indexing tree ⟨S⟩ for a parameter subset S: a chain of Maps,
-// one level per parameter in params (ascending index order), with a Set at
-// each leaf holding every monitor whose instance extends the key tuple.
-type Tree struct {
-	params []int
-	root   *Map
+// SetChecks arms poison-on-free for the leaf records (race builds; see
+// arena.Pool.SetChecks). A record is poisoned after it surrendered its
+// member vector, so verify may insist that Members is nil.
+func (ls *Leaves) SetChecks(poison, verify func(*Leaf)) { ls.pool.SetChecks(poison, verify) }
+
+// At returns a live leaf record; it panics on a stale handle.
+func (ls *Leaves) At(h Handle) *Leaf { return ls.pool.At(h) }
+
+// Stats returns the leaf pool's occupancy snapshot and Vectors the length
+// of the member-vector free list (tests, diagnostics).
+func (ls *Leaves) Stats() arena.Stats { return ls.pool.Stats() }
+func (ls *Leaves) Vectors() int       { return len(ls.vecs) }
+
+// Reset drops every leaf record and pooled vector; chain heads kept by the
+// owner become stale.
+func (ls *Leaves) Reset() {
+	ls.pool.Reset()
+	ls.vecs = nil
 }
 
-// NewTree creates a tree over the given parameter indices.
-func NewTree(params param.Set) *Tree {
-	return &Tree{params: params.Members(), root: NewMap()}
-}
-
-// Params returns the tree's parameter indices.
-func (t *Tree) Params() []int { return t.params }
-
-// Lookup returns the leaf set for θ restricted to the tree's parameters, or
-// nil if no such mapping exists. θ must bind every tree parameter. The
-// pointer parameter keeps the per-event walk copy-free (instances are
-// interned by the engine).
-func (t *Tree) Lookup(r Resolver, inst *param.Instance) *Set {
-	m := t.root
-	last := len(t.params) - 1
-	for i, p := range t.params {
-		m.maybeExpunge(r)
-		e := m.find(inst.Value(p).ID())
-		if e == nil {
-			return nil
+// Find returns the chain's leaf for domain R, or nil.
+func (ls *Leaves) Find(head Handle, R param.Set) *Set {
+	for h := head; h != arena.Nil; {
+		l := ls.pool.At(h)
+		if l.R == R {
+			return &l.Set
 		}
-		if i == last {
-			return e.leaf
-		}
-		m = e.child
+		h = l.Next
 	}
 	return nil
 }
 
-// GetOrCreate returns the leaf set for θ, creating intermediate levels as
-// needed.
-func (t *Tree) GetOrCreate(r Resolver, inst *param.Instance) *Set {
-	if len(t.params) == 0 {
-		panic("index: tree with no parameters")
-	}
-	m := t.root
-	last := len(t.params) - 1
-	for i, p := range t.params {
-		k := inst.Value(p)
-		m.maybeExpunge(r)
-		e := m.find(k.ID())
-		if e == nil {
-			if i == last {
-				leaf := NewSet()
-				m.putLeaf(r, k, leaf)
-				return leaf
-			}
-			next := NewMap()
-			m.putMap(r, k, next)
-			m = next
-			continue
+// Insert returns the chain's leaf for domain R, linking a new record into
+// the chain if it has none.
+func (ls *Leaves) Insert(head *Handle, R param.Set) *Set {
+	link := head
+	for *link != arena.Nil {
+		l := ls.pool.At(*link)
+		if l.R == R {
+			return &l.Set
 		}
-		if i == last {
-			return e.leaf
+		if l.R > R {
+			break
 		}
-		m = e.child
+		link = &l.Next
 	}
-	panic("unreachable")
+	h, l := ls.pool.Alloc()
+	l.R, l.Next = R, *link
+	if n := len(ls.vecs); n > 0 {
+		l.items, ls.vecs = ls.vecs[n-1], ls.vecs[:n-1]
+	}
+	*link = h
+	return &l.Set
 }
 
-// Root exposes the root map (tests, diagnostics).
-func (t *Tree) Root() *Map { return t.root }
+// free recycles an emptied leaf record, keeping its member vector for the
+// next leaf: Alloc zeroes a reused record, so the vector is surrendered
+// here and adopted in Insert.
+func (ls *Leaves) free(h Handle, l *Leaf) {
+	if l.items != nil {
+		ls.vecs = append(ls.vecs, l.items[:0])
+		l.items = nil
+	}
+	ls.pool.Free(h)
+}
+
+// AppendLive compacts every leaf of the chain and appends the surviving
+// members to buf (see Set.AppendLive): the monitors more informative than
+// the chain's key, whatever their domain.
+func (ls *Leaves) AppendLive(r Resolver, head Handle, buf []Handle) []Handle {
+	for h := head; h != arena.Nil; {
+		l := ls.pool.At(h)
+		buf = l.AppendLive(r, buf)
+		h = l.Next
+	}
+	return buf
+}
+
+// Compact compacts every leaf of the chain without visiting and recycles
+// the leaves that emptied (the paper drops mappings to empty structures,
+// §5.1.1).
+func (ls *Leaves) Compact(r Resolver, head *Handle) {
+	for link := head; *link != arena.Nil; {
+		h := *link
+		l := ls.pool.At(h)
+		l.Compact(r)
+		if len(l.items) != 0 {
+			link = &l.Next
+			continue
+		}
+		*link = l.Next
+		ls.free(h, l)
+	}
+}
+
+// Detach removes the chain of a key tuple one of whose objects died
+// (Figure 7): the monitors of each leaf are notified, then released, and
+// the leaf records are recycled. The head is left Nil.
+func (ls *Leaves) Detach(r Resolver, head *Handle) {
+	for h := *head; h != arena.Nil; {
+		l := ls.pool.At(h)
+		for _, m := range l.items {
+			r.NotifyParamDeath(m)
+		}
+		for _, m := range l.items {
+			r.Release(m)
+		}
+		next := l.Next
+		ls.free(h, l)
+		h = next
+	}
+	*head = arena.Nil
+}

@@ -47,81 +47,174 @@ func (s *fakeStore) Release(h index.Handle) {
 	}
 }
 
+// keyTable is the index as the engine builds it: a θ-table whose payload is
+// the head of the key tuple's leaf chain, and the leaf store.
+type keyTable struct {
+	keys   *param.Interner[index.Handle]
+	leaves index.Leaves
+}
+
+func newKeyTable() *keyTable { return &keyTable{keys: param.NewInterner[index.Handle]()} }
+
+// put returns the leaf for domain R under the key tuple, creating both.
+func (kt *keyTable) put(key param.Instance, R param.Set) *index.Set {
+	return kt.leaves.Insert(&kt.keys.At(kt.keys.Intern(key)).Data, R)
+}
+
+// get returns the leaf for domain R under the key tuple, or nil.
+func (kt *keyTable) get(key param.Instance, R param.Set) *index.Set {
+	kh, ok := kt.keys.Get(key.Key())
+	if !ok {
+		return nil
+	}
+	return kt.leaves.Find(kt.keys.At(kh).Data, R)
+}
+
+// sweep is the engine's death discovery: the chain of every key tuple with
+// a dead object is detached and the tuple unmapped.
+func (kt *keyTable) sweep(r index.Resolver) {
+	for kh, s := range kt.keys.All() {
+		if !s.Inst.AllAlive() {
+			kt.leaves.Detach(r, &s.Data)
+			kt.keys.Unmap(kh)
+		}
+	}
+}
+
+// TestMapPutGet: the mapping from key tuples to leaves — once index.Map,
+// now the θ-table plus the chain — finds what was put, only that, and
+// keeps one record per (key, domain).
 func TestMapPutGet(t *testing.T) {
 	h := heap.New()
 	r := &fakeStore{}
-	m := index.NewMap()
-	var keys []*heap.Object
-	mkSet := func() *index.Set {
-		s := index.NewSet()
-		s.Add(r, r.alloc())
-		return s
-	}
+	kt := newKeyTable()
+	R := param.SetOf(0, 1)
+	var keys []param.Instance
 	for i := 0; i < 100; i++ {
-		k := h.Alloc(fmt.Sprintf("k%d", i))
+		k := param.Empty().Bind(0, h.Alloc(fmt.Sprintf("k%d", i)))
 		keys = append(keys, k)
-		m.Put(r, k, mkSet())
+		kt.put(k, R).Add(r, r.alloc())
 	}
-	if m.Len() != 100 {
-		t.Fatalf("len = %d", m.Len())
+	if n := kt.leaves.Stats().Live; n != 100 {
+		t.Fatalf("leaf records = %d", n)
 	}
 	for _, k := range keys {
-		if _, ok := m.Get(r, k); !ok {
-			t.Fatalf("missing key %s", k.Label())
+		if s := kt.get(k, R); s == nil || s.Len() != 1 {
+			t.Fatalf("missing leaf under %v", k)
 		}
 	}
-	if _, ok := m.Get(r, h.Alloc("other")); ok {
+	if kt.get(param.Empty().Bind(0, h.Alloc("other")), R) != nil {
 		t.Fatal("phantom key")
 	}
-	// Replacement keeps a single entry.
-	m.Put(r, keys[0], mkSet())
-	if m.Len() != 100 {
-		t.Fatalf("len after replace = %d", m.Len())
+	if kt.get(keys[0], param.SetOf(0)) != nil {
+		t.Fatal("phantom domain under a present key")
+	}
+	// A second put under the same key and domain is the same record.
+	if kt.put(keys[0], R) != kt.get(keys[0], R) || kt.leaves.Stats().Live != 100 {
+		t.Fatalf("put of a present (key, domain) made a record: %d live", kt.leaves.Stats().Live)
+	}
+	// Another domain under the same key is its own record on the chain.
+	kt.put(keys[0], param.SetOf(0)).Add(r, r.alloc())
+	if kt.get(keys[0], R).Len() != 1 || kt.get(keys[0], param.SetOf(0)).Len() != 1 || kt.leaves.Stats().Live != 101 {
+		t.Fatalf("chain does not partition by domain: %d live", kt.leaves.Stats().Live)
 	}
 }
 
 // TestEmptyStructuresDropped: the paper drops mappings to empty data
-// structures opportunistically (§5.1.1).
+// structures opportunistically (§5.1.1); compacting a chain recycles the
+// leaves that emptied and keeps the others linked.
 func TestEmptyStructuresDropped(t *testing.T) {
-	h := heap.New()
 	r := &fakeStore{}
-	m := index.NewMap()
-	k := h.Alloc("k")
-	m.Put(r, k, index.NewSet()) // empty set
-	m.ExpungeAll(r)
-	if m.Len() != 0 {
-		t.Fatalf("empty set mapping must be dropped, len = %d", m.Len())
+	var ls index.Leaves
+	var head index.Handle
+	stays := r.alloc()
+	ls.Insert(&head, param.SetOf(0)).Add(r, r.allocFlagged())
+	ls.Insert(&head, param.SetOf(0, 1)).Add(r, stays)
+	ls.Insert(&head, param.SetOf(0, 2)).Add(r, r.allocFlagged())
+	ls.Compact(r, &head)
+	if st := ls.Stats(); st.Live != 1 || st.Free != 2 {
+		t.Fatalf("emptied leaves must be recycled: %+v", st)
+	}
+	if ls.Find(head, param.SetOf(0)) != nil || ls.Find(head, param.SetOf(0, 2)) != nil {
+		t.Fatal("an emptied leaf is still on the chain")
+	}
+	if s := ls.Find(head, param.SetOf(0, 1)); s == nil || s.Len() != 1 || r.at(stays).refs != 1 {
+		t.Fatal("the leaf with a live member must stay")
+	}
+	r.at(stays).flagged = true
+	ls.Compact(r, &head)
+	if head != arena.Nil || ls.Stats().Live != 0 {
+		t.Fatalf("chain not emptied: head %v, %+v", head, ls.Stats())
 	}
 }
 
 // TestMapExpungeNotifies reproduces Figure 7: when a key's object dies and
-// the map is touched, the monitors below the mapping are notified and the
-// broken mapping removed.
+// the death is discovered, every monitor below the mapping — in every leaf
+// of the chain — is notified exactly once and released exactly once, and
+// the broken mapping is removed.
 func TestMapExpungeNotifies(t *testing.T) {
 	h := heap.New()
 	r := &fakeStore{}
-	m := index.NewMap()
-	k := h.Alloc("c2")
-	set := index.NewSet()
-	mon1, mon3 := r.alloc(), r.alloc()
-	set.Add(r, mon1)
-	set.Add(r, mon3)
-	m.Put(r, k, set)
+	kt := newKeyTable()
+	c2 := h.Alloc("c2")
+	key := param.Empty().Bind(0, c2)
+	mon1, mon3, mon4 := r.alloc(), r.alloc(), r.alloc()
+	kt.put(key, param.SetOf(0, 1)).Add(r, mon1)
+	kt.put(key, param.SetOf(0, 1)).Add(r, mon3)
+	kt.put(key, param.SetOf(0)).Add(r, mon4)
+	other := r.alloc()
+	kt.put(param.Empty().Bind(0, h.Alloc("c1")), param.SetOf(0)).Add(r, other)
+	r.Retain(mon3) // held by a second container: released here, not collected
 
-	h.Free(k)
-	m.ExpungeAll(r)
-	if r.at(mon1).notified == 0 || r.at(mon3).notified == 0 {
-		t.Fatal("monitors below a dead key must be notified")
+	kt.sweep(r)
+	if r.at(mon1).notified != 0 || kt.get(key, param.SetOf(0)) == nil {
+		t.Fatal("nothing died yet")
 	}
-	if _, ok := m.Get(r, k); ok {
+	h.Free(c2)
+	kt.sweep(r)
+	for _, m := range []index.Handle{mon1, mon3, mon4} {
+		if r.at(m).notified != 1 {
+			t.Fatalf("monitor below the dead key notified %d times, want once", r.at(m).notified)
+		}
+	}
+	if kt.get(key, param.SetOf(0, 1)) != nil || kt.get(key, param.SetOf(0)) != nil {
 		t.Fatal("broken mapping must be removed")
 	}
-	if m.Len() != 0 {
-		t.Fatalf("len = %d", m.Len())
-	}
-	// Detaching released the containment.
-	if r.at(mon1).refs != 0 || !r.at(mon1).collected {
+	if r.at(mon1).refs != 0 || !r.at(mon1).collected || !r.at(mon4).collected {
 		t.Fatal("detach must release contained monitors")
+	}
+	if r.at(mon3).refs != 1 || r.at(mon3).collected {
+		t.Fatalf("a monitor another container holds is released once: refs %d", r.at(mon3).refs)
+	}
+	if r.at(other).notified != 0 || r.at(other).refs != 1 {
+		t.Fatal("a live key's leaf must be left alone")
+	}
+	if st := kt.leaves.Stats(); st.Live != 1 || st.Free != 2 {
+		t.Fatalf("leaf records of the dead key not recycled: %+v", st)
+	}
+}
+
+// TestLeafVectorReuse: a detached leaf's member vector is adopted by the
+// next leaf created, so detach-then-add allocates nothing at steady state.
+func TestLeafVectorReuse(t *testing.T) {
+	r := &fakeStore{}
+	var ls index.Leaves
+	m := r.alloc()
+	var head index.Handle
+	cycle := func() {
+		ls.Insert(&head, param.SetOf(0, 1)).Add(r, m)
+		ls.Insert(&head, param.SetOf(0)).Add(r, m)
+		ls.Detach(r, &head)
+	}
+	cycle()
+	if ls.Vectors() != 2 || ls.Stats().Live != 0 || head != arena.Nil {
+		t.Fatalf("detach keeps %d vectors, %+v", ls.Vectors(), ls.Stats())
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("detach-then-add allocates %.2f times per cycle, want 0", avg)
+	}
+	if ls.Vectors() != 2 || ls.Stats().Slabs != 1 {
+		t.Fatalf("free lists grew: %d vectors, %+v", ls.Vectors(), ls.Stats())
 	}
 }
 
@@ -159,188 +252,43 @@ func TestSetCompaction(t *testing.T) {
 	}
 }
 
-func TestMapGrowSweepsDeadKeys(t *testing.T) {
-	h := heap.New()
-	r := &fakeStore{}
-	m := index.NewMap()
-	dead := 0
-	for i := 0; i < 200; i++ {
-		k := h.Alloc("")
-		set := index.NewSet()
-		set.Add(r, r.alloc())
-		m.Put(r, k, set)
-		if i%3 == 0 {
-			h.Free(k)
-			dead++
-		}
-	}
-	// Growth sweeps exhaustively; remaining entries are only live ones.
-	m.ExpungeAll(r)
-	if m.Len() != 200-dead {
-		t.Fatalf("len = %d, want %d", m.Len(), 200-dead)
-	}
-}
-
+// TestTreeLookup: Figure 6's tree over two parameters, as the θ-table
+// column it became — a two-object key tuple reaches its leaf, distinct
+// tuples reach distinct leaves, and the death of either object breaks the
+// path and notifies the monitors below.
 func TestTreeLookup(t *testing.T) {
 	h := heap.New()
 	r := &fakeStore{}
-	tree := index.NewTree(param.SetOf(0, 1))
+	kt := newKeyTable()
+	R := param.SetOf(0, 1, 2)
 	c1, i1, i2 := h.Alloc("c1"), h.Alloc("i1"), h.Alloc("i2")
+	inst1 := param.Empty().Bind(0, c1).Bind(1, i1)
+	inst2 := param.Empty().Bind(0, c1).Bind(1, i2)
 
-	v1 := param.Empty().Bind(0, c1).Bind(1, i1)
-	v2 := param.Empty().Bind(0, c1).Bind(1, i2)
-	inst1, inst2 := &v1, &v2
-
-	if tree.Lookup(r, inst1) != nil {
+	if kt.get(inst1, R) != nil {
 		t.Fatal("lookup before insert must be nil")
 	}
 	mon := r.alloc()
-	s1 := tree.GetOrCreate(r, inst1)
+	s1 := kt.put(inst1, R)
 	s1.Add(r, mon)
-	s2 := tree.GetOrCreate(r, inst2)
+	s2 := kt.put(inst2, R)
 	s2.Add(r, r.alloc())
 	if s1 == s2 {
 		t.Fatal("distinct tuples must get distinct leaves")
 	}
-	if tree.GetOrCreate(r, inst1) != s1 {
-		t.Fatal("GetOrCreate must be stable")
+	if kt.put(inst1, R) != s1 {
+		t.Fatal("put must be stable")
 	}
-	if tree.Lookup(r, inst1) != s1 || tree.Lookup(r, inst2) != s2 {
+	if kt.get(inst1, R) != s1 || kt.get(inst2, R) != s2 {
 		t.Fatal("lookup after insert")
 	}
 	h.Free(c1)
-	tree.Root().ExpungeAll(r)
-	if tree.Lookup(r, inst1) != nil {
-		t.Fatal("dead first-level key must break the path")
+	kt.sweep(r)
+	if kt.get(inst1, R) != nil || kt.get(inst2, R) != nil {
+		t.Fatal("a dead object of the key tuple must break the path")
 	}
 	if r.at(mon).notified == 0 {
 		t.Fatal("monitor under the dead key must be notified")
-	}
-}
-
-// TestLazyExpungeQuota: without touching the map, dead keys stay; each
-// operation only examines a bounded number of buckets.
-func TestLazyExpungeQuota(t *testing.T) {
-	h := heap.New()
-	r := &fakeStore{}
-	m := index.NewMap()
-	var keys []*heap.Object
-	for i := 0; i < 64; i++ {
-		k := h.Alloc("")
-		keys = append(keys, k)
-		m.Put(r, k, index.NewSet())
-	}
-	before := m.Len()
-	for _, k := range keys {
-		h.Free(k)
-	}
-	if m.Len() != before {
-		t.Fatal("no operation yet: nothing expunged")
-	}
-	// A single Get expunges at most ExpungeQuota buckets.
-	m.Get(r, keys[0])
-	if before-m.Len() > 16 {
-		t.Fatalf("one op expunged %d entries; laziness broken", before-m.Len())
-	}
-	m.ExpungeAll(r)
-	if m.Len() != 0 {
-		t.Fatalf("full sweep left %d entries", m.Len())
-	}
-}
-
-func TestEachHandleWalksSubtrees(t *testing.T) {
-	h := heap.New()
-	r := &fakeStore{}
-	outer := index.NewMap()
-	inner := index.NewMap()
-	set := index.NewSet()
-	set.Add(r, r.alloc())
-	set.Add(r, r.alloc())
-	inner.Put(r, h.Alloc("i"), set)
-	outer.Put(r, h.Alloc("c"), inner)
-	count := 0
-	outer.EachHandle(func(index.Handle) { count++ })
-	if count != 2 {
-		t.Fatalf("EachHandle visited %d", count)
-	}
-}
-
-// TestExpungeQuotaFinalBucket: a dead key whose bucket is the last one the
-// round-robin cursor reaches is still discovered — quota exhaustion per
-// operation postpones, never loses, the notification. The amortized stride
-// means an operation may charge no scan at all; the test bounds the number
-// of operations needed by the table size times the stride.
-func TestExpungeQuotaFinalBucket(t *testing.T) {
-	h := heap.New()
-	r := &fakeStore{}
-	m := index.NewMap()
-	var keys []*heap.Object
-	for i := 0; i < 64; i++ { // spread over all buckets, no resize after
-		k := h.Alloc("")
-		keys = append(keys, k)
-		set := index.NewSet()
-		set.Add(r, r.alloc())
-		m.Put(r, k, set)
-	}
-	probe := h.Alloc("probe")
-	mon := r.alloc()
-	set := index.NewSet()
-	set.Add(r, mon)
-	m.Put(r, probe, set)
-	h.Free(probe)
-
-	// Worst case: the cursor has just passed the probe's bucket, so a full
-	// round-robin revolution is needed. Each operation scans at most
-	// ExpungeQuota buckets and only every strideth operation scans at all;
-	// 4*64 live-key Gets overshoot any table size this test can have.
-	alive := keys[0]
-	for i := 0; i < 4*64 && r.at(mon).notified == 0; i++ {
-		m.Get(r, alive)
-	}
-	if r.at(mon).notified == 0 {
-		t.Fatal("dead key in the cursor's last bucket never expunged")
-	}
-	if _, ok := m.Get(r, probe); ok {
-		t.Fatal("dead mapping still reachable after expunge")
-	}
-	if !r.at(mon).collected {
-		t.Fatal("monitor under the dead key not released")
-	}
-}
-
-// TestResizeFullSweep: growing the table expunges exhaustively — every dead
-// key is discovered by the resize itself, with no expunge quota involved.
-func TestResizeFullSweep(t *testing.T) {
-	h := heap.New()
-	r := &fakeStore{}
-	m := index.NewMap()
-	var dead []index.Handle
-	// NewMap starts with 8 buckets and grows at 32 entries; insert the dead
-	// cohort first, kill it, then push past the resize threshold.
-	for i := 0; i < 16; i++ {
-		k := h.Alloc("")
-		mon := r.alloc()
-		set := index.NewSet()
-		set.Add(r, mon)
-		m.Put(r, k, set)
-		dead = append(dead, mon)
-		h.Free(k)
-	}
-	for i := 0; i < 40; i++ { // crosses the 32-entry growth threshold
-		set := index.NewSet()
-		set.Add(r, r.alloc())
-		m.Put(r, h.Alloc(""), set)
-	}
-	for i, mon := range dead {
-		if r.at(mon).notified == 0 {
-			t.Fatalf("dead key %d not notified by the resize sweep", i)
-		}
-		if !r.at(mon).collected {
-			t.Fatalf("dead key %d's monitor not released by the resize sweep", i)
-		}
-	}
-	if m.Len() != 40 {
-		t.Fatalf("len = %d after resize, want 40 live", m.Len())
 	}
 }
 

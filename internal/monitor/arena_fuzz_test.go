@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rvgo/internal/arena"
+	"rvgo/internal/index"
 )
 
 // FuzzSlabArena drives random interleavings of alloc/free/reuse against
@@ -128,3 +129,30 @@ func FuzzSlabArena(f *testing.F) {
 		}
 	})
 }
+
+// TestLeafPoison: the engine's poison/verify pair on the leaf pool — a
+// member added through a *Set kept past its leaf's recycling fails loudly
+// when the record is reused.
+func TestLeafPoison(t *testing.T) {
+	var ls index.Leaves
+	ls.SetChecks(poisonLeaf, verifyLeaf)
+	var head arena.Handle
+	stale := ls.Insert(&head, 1)
+	ls.Compact(nopResolver{}, &head) // empty: recycled
+	ls.Insert(&head, 1)              // an untouched record passes verify
+	ls.Compact(nopResolver{}, &head)
+	stale.Add(nopResolver{}, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a member added to a pooled leaf record went unnoticed")
+		}
+	}()
+	ls.Insert(&head, 1)
+}
+
+type nopResolver struct{}
+
+func (nopResolver) NotifyParamDeath(index.Handle) {}
+func (nopResolver) Collectable(index.Handle) bool { return false }
+func (nopResolver) Retain(index.Handle)           {}
+func (nopResolver) Release(index.Handle)          {}

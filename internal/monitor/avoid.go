@@ -23,7 +23,7 @@
 //     a doomed state is doomed), with tombstones standing in as Figure-5
 //     scan progenitors. This requires GCNone — with monitor GC on, a real
 //     doomed monitor's flag timing (which ends its progenitor role)
-//     depends on tree-access and sweep timing a tombstone cannot mirror.
+//     depends on access and sweep timing a tombstone cannot mirror.
 package monitor
 
 import (

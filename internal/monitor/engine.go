@@ -1,7 +1,9 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,8 +80,9 @@ type Options struct {
 	// Barrier, Flush or Close; on the remote client it runs on the
 	// session's reader goroutine and must not call back into the client.
 	OnVerdict func(Verdict)
-	// SweepInterval is the number of events between tombstone sweeps
-	// (0 = default).
+	// SweepInterval is the number of events between sweeps, the engine's
+	// one death-discovery pass: θ-records with a dead object lose their
+	// leaves, Δ entry, tombstone and table mapping (0 = default, 4096).
 	SweepInterval int
 	// Avoid selects the creation-avoidance mode: off (default), audit
 	// (count guard hits in Stats.Avoided, create anyway), or enforce
@@ -185,6 +188,11 @@ type theta struct {
 	// created or tombstoned it, or found it already in Δ. Comparing against
 	// Stats.Events is the per-event processed set; nothing is cleared.
 	stamp uint64
+	// leaf heads the chain of leaf records keyed by θ (index.Leaves): one
+	// per monitor domain R with members under θ, holding the monitors of
+	// domain R whose instance extends θ — the indexing trees' leaf for the
+	// key tuple θ, as a column of the θ-table.
+	leaf  arena.Handle
 	flags uint8
 }
 
@@ -196,7 +204,17 @@ const (
 	thetaSeenEvent
 )
 
-// Engine is the RV runtime for one specification.
+// Engine is the RV runtime for one specification. Its bulk state is three
+// slab pools that name each other by handle: monitor records (mons; Mon.instH
+// names the monitor's θ-record), θ-records (intern; theta.mon names Δ(θ) and
+// theta.leaf the head of θ's leaf chain) and leaf records (leaves; their
+// members are monitor handles). The θ-table is the only structure keyed by
+// the monitored program's objects and the sweep the only pass that notices
+// their deaths. Every whole-structure pass — the propositional walk, the
+// CreateFull scan, insert, sweep, Flush, Monitors — walks slabs and slices
+// in index order, so nothing the engine computes depends on Go map
+// iteration order (the per-object seen table is ranged only to drop dead
+// entries).
 type Engine struct {
 	spec *Spec
 	an   *Analysis
@@ -219,9 +237,9 @@ type Engine struct {
 	// intern is the θ-table: every θ the engine touches resolves to one
 	// slab slot, whose handle is the instance's identity (monitor records
 	// store it) and whose payload is everything kept per θ — Δ, the
-	// processed stamp, the tombstone bits. The sweep unmaps a θ once an
-	// object of it is dead and it is neither in Δ nor tombstoned; the slot
-	// itself stays while a monitor pins it.
+	// processed stamp, the leaf chain, the tombstone bits. The sweep unmaps
+	// a θ once an object of it is dead and it is neither in Δ nor
+	// tombstoned; the slot itself stays while a monitor pins it.
 	intern *param.Interner[theta]
 
 	// mons is the monitor store: a slab arena of pointer-free Mon records
@@ -234,13 +252,13 @@ type Engine struct {
 	// blueprints, indexed by monitor slot; unused (empty) in graph mode.
 	boxState []logic.State
 
-	// trees are the dispatch indexing trees, one per event parameter set
-	// (Figure 6).
-	trees map[param.Set]*index.Tree
-	// regs are the per-domain join indexes (CreateEnable).
-	regs map[param.Set]*domainReg
-	// domains is every instance domain, descending popcount.
-	domains []param.Set
+	// leaves holds the index: the leaf records hanging off the θ-records
+	// (theta.leaf). A monitor of domain R sits in the leaf for R under
+	// θ|K for every K in its domain's key list.
+	leaves index.Leaves
+	// domains is every instance domain with its registry and key list,
+	// descending popcount, then mask.
+	domains []domain
 	// joins[sym] lists the domains R (⊉ D(e)) that a CreateEnable join
 	// must consider for events with symbol sym, with the overlap O.
 	joins [][]joinPlan
@@ -281,18 +299,24 @@ type Engine struct {
 	thBuf    []arena.Handle
 }
 
-// domainReg indexes the monitor instances whose domain is exactly R, for
-// the creation joins: projections[O] maps θ|O to the instances agreeing on
-// O; all holds every instance (used when a join has empty overlap).
-type domainReg struct {
-	R           param.Set
-	projections map[param.Set]*index.Tree
-	all         *index.Set
+// domain is one instance domain R with the two things kept per domain.
+type domain struct {
+	R param.Set
+	// keys are the key domains K under which a monitor of domain R is
+	// indexed (leaf R of the chain of θ|K): the event domains inside R, for
+	// dispatch, and the non-empty overlaps of R's join plans, for the
+	// creation joins. Fixed in New.
+	keys []param.Set
+	// all holds every monitor of domain exactly R — the leaf for R under
+	// the empty key, read by the joins with empty overlap.
+	all index.Set
 }
 
+// joinPlan is one creation join of an event symbol: progenitors of domain R
+// agreeing with the event on the overlap O; all is R's registry set.
 type joinPlan struct {
-	R param.Set
-	O param.Set
+	R, O param.Set
+	all  *index.Set
 }
 
 // seenRec tracks one object's event history shape: which event domains it
@@ -310,7 +334,11 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	if opts.SweepInterval <= 0 {
-		opts.SweepInterval = 1 << 14
+		// The sweep is the only thing that discovers a dead key, so in a
+		// churn stream the θ-table, the leaves and the flagged monitors
+		// they still hold grow with the period while the sweep's cost per
+		// event does not (the table it scans grows with it too).
+		opts.SweepInterval = 1 << 12
 	}
 	if opts.Avoid < AvoidOff || opts.Avoid > AvoidEnforce {
 		return nil, fmt.Errorf("monitor: unknown avoidance mode %d", opts.Avoid)
@@ -332,8 +360,6 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		opts:       opts,
 		bp:         spec.RuntimeBlueprint(),
 		intern:     param.NewInterner[theta](),
-		trees:      map[param.Set]*index.Tree{},
-		regs:       map[param.Set]*domainReg{},
 		seen:       map[uint64]seenRec{},
 		met:        opts.Metrics,
 		profGuards: opts.ProfileGuards,
@@ -348,6 +374,7 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 	if poolCheck {
 		e.mons.SetChecks(poisonMon, verifyMon)
 		e.intern.SetChecks(poisonTheta, verifyTheta)
+		e.leaves.SetChecks(poisonLeaf, verifyLeaf)
 	}
 	e.domBit = make([]uint16, len(spec.Events))
 	for sym, ev := range spec.Events {
@@ -370,43 +397,34 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		e.botState = e.bp.Start()
 	}
 
-	// Dispatch trees: one per distinct event parameter set.
-	for _, ev := range spec.Events {
-		if !ev.Params.Empty() {
-			if _, ok := e.trees[ev.Params]; !ok {
-				e.trees[ev.Params] = index.NewTree(ev.Params)
+	// Instance domains: the closure of the event parameter sets under
+	// union. A monitor is indexed under every event domain inside its own.
+	var doms []param.Set
+	for _, d := range e.evDomains {
+		if !d.Empty() {
+			doms = append(doms, d)
+		}
+	}
+	for i := 0; i < len(doms); i++ {
+		for j := 0; j < i; j++ {
+			if u := doms[i].Union(doms[j]); !slices.Contains(doms, u) {
+				doms = append(doms, u)
 			}
 		}
 	}
-	// Instance domains: closure of event parameter sets under union.
-	domSet := map[param.Set]bool{}
-	for _, ev := range spec.Events {
-		if !ev.Params.Empty() {
-			domSet[ev.Params] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		var cur []param.Set
-		for d := range domSet {
-			cur = append(cur, d)
-		}
-		for _, a := range cur {
-			for _, b := range cur {
-				u := a.Union(b)
-				if !domSet[u] {
-					domSet[u] = true
-					changed = true
-				}
+	// Descending popcount (largest progenitors first), then ascending mask.
+	slices.SortFunc(doms, func(a, b param.Set) int {
+		return cmp.Or(b.Count()-a.Count(), int(a)-int(b))
+	})
+	e.domains = make([]domain, len(doms))
+	for i, R := range doms {
+		d := &e.domains[i]
+		d.R = R
+		for _, K := range e.evDomains {
+			if !K.Empty() && K.SubsetOf(R) {
+				d.keys = append(d.keys, K)
 			}
 		}
-	}
-	for d := range domSet {
-		e.domains = append(e.domains, d)
-	}
-	sortDomains(e.domains)
-	for d := range domSet {
-		e.regs[d] = &domainReg{R: d, projections: map[param.Set]*index.Tree{}, all: index.NewSet()}
 	}
 
 	// Join plans: for event e and domain R ⊉ D(e), the overlap O = R∩D(e).
@@ -415,7 +433,9 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 	// paramsSeen is a nonempty subset of R).
 	e.joins = make([][]joinPlan, len(spec.Events))
 	for sym, ev := range spec.Events {
-		for _, R := range e.domains {
+		for i := range e.domains {
+			d := &e.domains[i]
+			R := d.R
 			if ev.Params.SubsetOf(R) {
 				continue // instances ⊒ θ: handled by dispatch
 			}
@@ -432,12 +452,9 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 				}
 			}
 			O := R.Inter(ev.Params)
-			e.joins[sym] = append(e.joins[sym], joinPlan{R: R, O: O})
-			if !O.Empty() {
-				reg := e.regs[R]
-				if _, ok := reg.projections[O]; !ok {
-					reg.projections[O] = index.NewTree(O)
-				}
+			e.joins[sym] = append(e.joins[sym], joinPlan{R: R, O: O, all: &d.all})
+			if !O.Empty() && !slices.Contains(d.keys, O) {
+				d.keys = append(d.keys, O)
 			}
 		}
 	}
@@ -461,11 +478,14 @@ func (e *Engine) ArenaStats() arena.Stats { return e.mons.Stats() }
 // InstanceArenaStats returns the interner slab arena's occupancy snapshot.
 func (e *Engine) InstanceArenaStats() arena.Stats { return e.intern.Stats() }
 
-// InternedInstances returns the intern-table size (tests, diagnostics).
+// InternedInstances returns the θ-table size (tests, diagnostics): the event
+// instances and monitor instances the engine has met, and the key tuples
+// monitors are indexed under — ⟨c⟩ of a ⟨c,i⟩ monitor counts even if no
+// event ever carried it.
 func (e *Engine) InternedInstances() int { return e.intern.Len() }
 
 // instOf resolves a monitor record's parameter instance: a transient view
-// into its θ-record, for tree walks and liveness checks.
+// into its θ-record, for key restriction and liveness checks.
 func (e *Engine) instOf(m *Mon) *param.Instance { return &e.intern.At(m.instH).Inst }
 
 // claimed reports whether θ takes no creation on the current event, marking
@@ -503,7 +523,17 @@ func (e *Engine) Emit(sym int, vals ...heap.Ref) {
 }
 
 // Dispatch processes one parametric event (the body of Figure 5's loop,
-// with indexing trees playing the role of Δ and Θ).
+// with the θ-table and its leaves playing the role of Δ and Θ):
+//
+//  1. one θ-table lookup canonicalizes θ; the monitors more informative
+//     than θ are the members of θ's leaves, and each is stepped;
+//  2. creation joins: per join plan one lookup of θ restricted to the
+//     overlap, whose leaf for the plan's domain lists the progenitors
+//     (CreateFull scans the θ-table instead);
+//  3. θ itself from ⊥, if nothing claimed it;
+//  4. new monitors enter their registry and the leaves of their keys;
+//  5. θ's objects are marked seen, and every SweepInterval events the
+//     sweep runs.
 func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	e.stats.Events++
 	if e.met != nil && e.stats.Events&(publishInterval-1) == 0 {
@@ -512,7 +542,6 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	e.pendAdd = e.pendAdd[:0]
 	evParams := e.spec.Events[sym].Params
 
-	// 1. Dispatch to existing monitors more informative than θ.
 	if evParams.Empty() {
 		// Propositional event: every instance's slice includes it, ⊥'s
 		// too. The same deterministic rule as the indexed path applies
@@ -549,21 +578,19 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	ts := e.intern.At(th)
 	tp := &ts.Inst
 
-	if leaf := e.trees[evParams].Lookup(e, tp); leaf != nil {
-		// Closure-free leaf walk: AppendLive compacts exactly like
-		// ForEach and fills the reused scratch buffer; the flagged
-		// re-check below mirrors ForEach's visit-time Collectable check.
-		buf := leaf.AppendLive(e, e.visitBuf[:0])
-		for _, h := range buf {
-			m := e.mons.At(h)
-			if m.flags&monFlagged != 0 || !e.observeDeaths(h, m) {
-				continue
-			}
-			e.step(h, m, sym)
-			e.intern.At(m.instH).Data.stamp = e.stats.Events
+	// 1. Step the members of θ's leaves. Closure-free walk: AppendLive
+	// compacts the leaves and fills the reused scratch buffer; the flagged
+	// re-check below is the visit-time Collectable check.
+	buf := e.leaves.AppendLive(e, ts.Data.leaf, e.visitBuf[:0])
+	for _, h := range buf {
+		m := e.mons.At(h)
+		if m.flags&monFlagged != 0 || !e.observeDeaths(h, m) {
+			continue
 		}
-		e.visitBuf = buf[:0]
+		e.step(h, m, sym)
+		e.intern.At(m.instH).Data.stamp = e.stats.Events
 	}
+	e.visitBuf = buf[:0]
 
 	// 2. Creation joins: combine θ with compatible existing instances of
 	// other domains (largest first, so a new instance is built from the
@@ -602,12 +629,15 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		e.thBuf = cands[:0]
 	case CreateEnable:
 		for _, jp := range e.joins[sym] {
-			reg := e.regs[jp.R]
-			var leaf *index.Set
-			if jp.O.Empty() {
-				leaf = reg.all
-			} else if leaf = reg.projections[jp.O].Lookup(e, tp); leaf == nil {
-				continue
+			leaf := jp.all
+			if !jp.O.Empty() {
+				kh, ok := e.intern.Get(tp.Restrict(jp.O).Key())
+				if !ok {
+					continue
+				}
+				if leaf = e.leaves.Find(e.intern.At(kh).Data.leaf, jp.R); leaf == nil {
+					continue
+				}
 			}
 			buf := leaf.AppendLive(e, e.visitBuf[:0])
 			for _, h := range buf {
@@ -624,12 +654,12 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		e.createFromBot(sym, th)
 	}
 
-	// 4. Insert the new monitors into the indexing structures.
+	// 4. Insert the new monitors into the index.
 	for _, h := range e.pendAdd {
 		e.insert(h)
 	}
 
-	// 5. Mark θ's objects as seen and sweep tombstones periodically.
+	// 5. Mark θ's objects as seen and sweep periodically.
 	for pm := evParams; pm != 0; pm = pm.Rest() {
 		v := tp.Value(pm.First())
 		rec, ok := e.seen[v.ID()]
@@ -705,8 +735,8 @@ func (e *Engine) publishMetrics() {
 
 // --- index.Resolver ---------------------------------------------------
 //
-// The indexing trees hold generation-tagged handles, not pointers; the
-// engine is their Resolver, mapping a handle back to monitor behavior
+// The leaves and registries hold generation-tagged handles, not pointers;
+// the engine is their Resolver, mapping a handle back to monitor behavior
 // through the slab arena. Every dereference is generation-checked, so a
 // container that somehow held a stale handle fails loudly at the point of
 // misuse instead of silently touching a recycled record.
@@ -768,13 +798,13 @@ func (e *Engine) flagMon(m *Mon) {
 
 // observeDeaths delivers parameter-death notifications for a monitor at a
 // deterministic point — the moment an event or a creation join reaches it —
-// rather than whenever lazy expunging or a sweep happens to discover the
-// death (Figure 7's notification, hoisted onto the access path). Verdict
+// rather than whenever a sweep happens to discover the death (Figure 7's
+// notification, hoisted onto the access path). Verdict
 // semantics are unchanged: a monitor is only flagged when its ALIVENESS
 // formula is false, and by Theorem 1 such a monitor can never reach a goal
 // verdict. What eagerness buys is that step and creation decisions become a
-// pure function of the per-slice event/death sequence, independent of
-// expunge quotas and sweep intervals — the property that lets the sharded
+// pure function of the per-slice event/death sequence, independent of the
+// sweep interval — the property that lets the sharded
 // runtime (internal/shard) compare its merged counters exactly against the
 // sequential engine. Reports whether the monitor may be stepped.
 func (e *Engine) observeDeaths(h arena.Handle, m *Mon) bool {
@@ -797,8 +827,8 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 	progInst := e.instOf(prog)
 	if e.opts.Creation == CreateEnable && !progInst.AllAlive() {
 		// The death of any bound object ends the progenitor role: in
-		// JavaMOP/RV a progenitor is only reachable through weak-keyed
-		// trees (see sweep). Observing the death here, instead of at the
+		// JavaMOP/RV a progenitor is only reachable through weak keys
+		// (see sweep). Observing the death here, instead of at the
 		// sweep that would compact the registry, makes the creation
 		// decision deterministic. CreateFull is exempt — it is the exact
 		// Figure 5 oracle, and Figure 5 has no notion of object death.
@@ -1024,34 +1054,47 @@ func alive(disjuncts []param.Set, inst param.Instance) bool {
 	return false
 }
 
-// insert places a monitor into every dispatch tree over a subset of its
-// domain and into its domain registry.
+// insert places a monitor into its domain's registry and, for every key
+// domain K of its domain, into the leaf under θ|K.
 func (e *Engine) insert(h arena.Handle) {
-	inst := e.instOf(e.mons.At(h))
-	dom := inst.Mask()
-	for ps, tree := range e.trees {
-		if ps.SubsetOf(dom) {
-			tree.GetOrCreate(e, inst).Add(e, h)
+	m := e.mons.At(h)
+	inst := e.instOf(m)
+	d := e.domainOf(inst.Mask())
+	d.all.Add(e, h)
+	for _, K := range d.keys {
+		kh := m.instH // θ|R is θ itself
+		if K != d.R {
+			kh = e.intern.Intern(inst.Restrict(K))
+		}
+		e.leaves.Insert(&e.intern.At(kh).Data.leaf, d.R).Add(e, h)
+	}
+}
+
+// domainOf returns the record of an instance domain (a handful at most).
+func (e *Engine) domainOf(R param.Set) *domain {
+	for i := range e.domains {
+		if e.domains[i].R == R {
+			return &e.domains[i]
 		}
 	}
-	reg := e.regs[dom]
-	reg.all.Add(e, h)
-	for _, tree := range reg.projections {
-		tree.GetOrCreate(e, inst).Add(e, h)
-	}
+	panic(fmt.Sprintf("monitor: %v is not an instance domain", R))
 }
 
 // sweep applies the physical weak-reference semantics the paper's systems
 // get from the JVM: bookkeeping entries whose objects died are dropped. It
-// is one pass over the θ-table — every rule below concerns a θ with a dead
-// bound object, so the rest are skipped — then the fresh-object records and
-// the registries:
+// is the engine's only death discovery: one pass over the θ-table — every
+// rule below concerns a θ with a dead bound object, so the rest are skipped
+// — then the fresh-object records and the registries. Per θ, in order:
 //
+//   - θ's leaves are detached (Figure 7): the monitors indexed under the
+//     dead key are notified, then released, and the leaf records recycled.
+//     This comes first, so a θ-record is never unmapped or recycled with a
+//     leaf attached.
 //   - Δ(θ) of a *flagged* monitor goes — such an instance can never recur
 //     in an event, so no wrong-slice resurrection is possible, and the flag
 //     means nothing will step it again. Unflagged monitors stay even with a
-//     dead parameter (they remain reachable through live keys in the weak
-//     trees, and keeping them makes propositional dispatch independent of
+//     dead parameter (they remain reachable through their live keys,
+//     and keeping them makes propositional dispatch independent of
 //     sweep timing). Flagged monitors whose objects all live stay as
 //     tombstones: their instances can recur, and rebuilding them from a
 //     progenitor would resurrect them with a wrong slice.
@@ -1077,19 +1120,19 @@ func (e *Engine) insert(h arena.Handle) {
 //     recycled when no monitor pins it (see param.Interner).
 //   - Fresh-object guard records for dead objects go as well.
 //   - Domain registries release members with dead bound objects: in
-//     JavaMOP/RV a progenitor is only reachable through weak-keyed trees,
-//     so the death of any of its objects ends its progenitor role.
+//     JavaMOP/RV a progenitor is only reachable through weak keys, so
+//     the death of any of its objects ends its progenitor role.
 func (e *Engine) sweep() {
 	for th, s := range e.intern.All() {
 		if s.Inst.AllAlive() {
 			continue
 		}
 		t := &s.Data
+		e.leaves.Detach(e, &t.leaf)
 		if h := t.mon; h != arena.Nil {
 			m := e.mons.At(h)
-			// An object died without the trees noticing yet; give the
-			// monitor its notification now (equivalent to the paper's
-			// tree-access notification, just on the sweep path).
+			// The keys that index θ's monitor may come later in this pass;
+			// notify it now, so the rule below sees its settled flag.
 			e.NotifyParamDeath(h)
 			if m.flags&monFlagged != 0 || m.flags&monCollected != 0 && e.opts.Creation != CreateFull {
 				t.mon = arena.Nil
@@ -1111,8 +1154,8 @@ func (e *Engine) sweep() {
 			delete(e.seen, id)
 		}
 	}
-	for _, reg := range e.regs {
-		reg.all.CompactWith(e, e.deadParam)
+	for i := range e.domains {
+		e.domains[i].all.CompactWith(e, e.deadParam)
 	}
 }
 
@@ -1122,26 +1165,26 @@ func (e *Engine) deadParam(h index.Handle) bool {
 	return !e.instOf(e.mons.At(h)).AllAlive()
 }
 
-// Flush performs a full expunge/compaction pass over every structure; used
-// at the end of a monitored run so the Figure 10 counters settle.
+// Flush performs a full compaction pass over every structure; used at the
+// end of a monitored run so the Figure 10 counters settle: the leaves of
+// every θ whose objects all live are compacted and the emptied ones
+// recycled, then the registries, then a sweep.
 //
-// Two passes are required for the counters to converge deterministically:
-// the first delivers every pending death notification (expunging a dead key
-// notifies the monitors below; the sweep notifies exact-map stragglers), but
-// a monitor can become flagged mid-pass, after some of its containers were
-// already compacted — which containers depends on map iteration order. The
-// second pass re-compacts with the settled flag state, releasing every
-// flagged monitor from every container.
+// Two passes are required for the counters to converge: the first delivers
+// every pending death notification (the sweep detaches the leaves of dead
+// keys, notifying the monitors below, and notifies Δ stragglers), but a
+// monitor can become flagged there, after the containers under its live
+// keys were already compacted. The second pass re-compacts with the settled
+// flag state, releasing every flagged monitor from every container.
 func (e *Engine) Flush() {
 	for pass := 0; pass < 2; pass++ {
-		for _, t := range e.trees {
-			t.Root().FlushAll(e)
-		}
-		for _, reg := range e.regs {
-			reg.all.Compact(e)
-			for _, t := range reg.projections {
-				t.Root().FlushAll(e)
+		for _, s := range e.intern.All() {
+			if s.Data.leaf != arena.Nil && s.Inst.AllAlive() {
+				e.leaves.Compact(e, &s.Data.leaf)
 			}
+		}
+		for i := range e.domains {
+			e.domains[i].all.Compact(e)
 		}
 		e.timedSweep()
 	}
@@ -1178,23 +1221,6 @@ func (e *Engine) State(inst param.Instance) logic.State {
 		return e.g.State(int(m.state))
 	}
 	return e.boxState[h.Index()]
-}
-
-func sortDomains(ds []param.Set) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && domLess(ds[j], ds[j-1]); j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
-// domLess orders domains by descending popcount (largest progenitors
-// first), then ascending mask.
-func domLess(a, b param.Set) bool {
-	if a.Count() != b.Count() {
-		return a.Count() > b.Count()
-	}
-	return a < b
 }
 
 // thetaLess orders θ handles by instance key (mask, then IDs), the

@@ -140,7 +140,7 @@ func TestUnsafeMapIterGC(t *testing.T) {
 		eng.Emit(createIter, c, it)
 		eng.Emit(useIter, it)
 		h.Free(it)
-		eng.Emit(updateMap, m) // touches the ⟨m⟩-tree: lazy notification
+		eng.Emit(updateMap, m) // reaches the monitors under ⟨m⟩: they observe the death
 	}
 	eng.Flush()
 	st := eng.Stats()
@@ -233,7 +233,8 @@ func TestRealWeakReferences(t *testing.T) {
 		makeIterator(k == 25)
 	}
 	heap.ForceCollect()
-	// Touch the trees so lazy expunging observes the collected iterators.
+	// One more event over the collection: its dispatch observes the
+	// collected iterators before Flush settles the counters.
 	eng.Emit(symUpdate, collRef)
 	eng.Flush()
 

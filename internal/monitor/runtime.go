@@ -3,6 +3,7 @@ package monitor
 import (
 	"rvgo/internal/arena"
 	"rvgo/internal/heap"
+	"rvgo/internal/index"
 	"rvgo/internal/param"
 )
 
@@ -40,7 +41,7 @@ type Runtime interface {
 	// Barrier returns once every event dispatched before the call has been
 	// fully processed. Synchronous backends return immediately.
 	Barrier()
-	// Flush performs a full expunge/compaction pass so the Figure 10
+	// Flush performs a full sweep/compaction pass so the Figure 10
 	// counters settle; it implies Barrier.
 	Flush()
 	// Stats returns the monitoring counters. For asynchronous backends the
@@ -65,11 +66,13 @@ func (e *Engine) Free(refs ...heap.Ref) {}
 
 // Close implements Runtime. The sequential engine holds no goroutines or
 // external resources; closing settles any published telemetry, returns
-// the slab arenas (monitor records and the θ-table) to the host allocator
-// in O(slabs) — the engine-side counterpart of the per-monitor reclamation
-// the GC policies do during the run — and drops the fresh-object table, the
-// last holder of the monitored program's refs: callers keep a closed engine
-// around to read Stats, and it must pin nothing. Dispatching after Close
+// the slab arenas (monitor records, the θ-table, the leaf records) to the
+// host allocator in O(slabs) — the engine-side counterpart of the
+// per-monitor reclamation the GC policies do during the run — and empties
+// the registries and the fresh-object table. The θ-table and the
+// fresh-object table are the only holders of the monitored program's refs
+// (the index hangs off the θ-records and holds handles only): callers keep
+// a closed engine around to read Stats, and it must pin nothing. Dispatching after Close
 // is a programming error; with the store reset it fails fast on a stale
 // handle rather than corrupting state.
 func (e *Engine) Close() {
@@ -85,6 +88,10 @@ func (e *Engine) Close() {
 	}
 	e.mons.Reset()
 	e.intern.Reset()
+	e.leaves.Reset()
+	for i := range e.domains {
+		e.domains[i].all = index.Set{}
+	}
 	e.boxState = nil
 	e.seen = map[uint64]seenRec{}
 }

@@ -1,5 +1,5 @@
 // Package monitor implements the RV parametric monitoring engine (paper
-// §4): event dispatch through indexing trees, monitor-instance creation
+// §4): event dispatch through the indexed θ-table, monitor-instance creation
 // with enable-set avoidance, and the paper's contribution — lazy garbage
 // collection of unnecessary monitor instances driven by coenable sets.
 package monitor

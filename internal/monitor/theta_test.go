@@ -86,8 +86,8 @@ func iterChurnTrace(rng *rand.Rand, h *heap.Heap, n int) []thetaStep {
 	return out
 }
 
-// TestThetaInvariants holds the θ-table and the monitor arena to
-// monitor.CheckTheta every 64 events (sweeps run every 37, so the checks
+// TestThetaInvariants holds the θ-table, the monitor arena and the leaf
+// records to monitor.CheckTheta every 64 events (sweeps run every 37, so the checks
 // fall at every distance from one) and after Flush, over random UnsafeMapIter and UnsafeIter streams with random
 // death points, under every GC policy × creation strategy × avoidance mode
 // New accepts.
@@ -127,7 +127,7 @@ func TestThetaInvariants(t *testing.T) {
 							h := heap.New()
 							check := func(when string) {
 								t.Helper()
-								if err := monitor.CheckTheta(eng); err != nil {
+								if err := monitor.CheckTheta(eng, when == "after Flush"); err != nil {
 									t.Fatalf("seed %d, %s: %v", seed, when, err)
 								}
 							}
@@ -159,9 +159,9 @@ func TestThetaInvariants(t *testing.T) {
 
 // TestCloseEmptiesEngine: a closed engine that stays referenced (callers
 // keep it to read Stats) holds no θ-record, no fresh-object record — those
-// carry the monitored program's refs — and no slab, under the configuration
-// that fills every per-θ structure (tombstones included) and under the
-// production one.
+// carry the monitored program's refs — no leaf, no registry member and no
+// slab, under the configuration that fills every per-θ structure
+// (tombstones included) and under the production one.
 func TestCloseEmptiesEngine(t *testing.T) {
 	for _, opts := range []monitor.Options{
 		{GC: monitor.GCNone, Creation: monitor.CreateFull, Avoid: monitor.AvoidEnforce},
@@ -183,6 +183,9 @@ func TestCloseEmptiesEngine(t *testing.T) {
 		if before.Created == 0 || eng.InternedInstances() == 0 || monitor.SeenObjects(eng) == 0 {
 			t.Fatalf("%v/%v: nothing to release: %+v", opts.GC, opts.Creation, before)
 		}
+		if leaves, _, registered := monitor.IndexStats(eng); leaves.Live == 0 || registered == 0 || monitor.HeldRefs(eng) == 0 {
+			t.Fatalf("%v/%v: no index to release: %+v, %d registered", opts.GC, opts.Creation, leaves, registered)
+		}
 		if opts.Avoid == monitor.AvoidEnforce && before.Avoided == 0 {
 			t.Fatalf("enforce run left no tombstone: %+v", before)
 		}
@@ -199,12 +202,124 @@ func TestCloseEmptiesEngine(t *testing.T) {
 		if st := eng.ArenaStats(); st != (arena.Stats{HighWater: st.HighWater}) {
 			t.Errorf("%v/%v: monitor arena after Close: %+v", opts.GC, opts.Creation, st)
 		}
-		if err := monitor.CheckTheta(eng); err != nil {
+		if st, vectors, registered := monitor.IndexStats(eng); st != (arena.Stats{HighWater: st.HighWater}) || vectors != 0 || registered != 0 {
+			t.Errorf("%v/%v: index after Close: leaf arena %+v, %d pooled vectors, %d registry members", opts.GC, opts.Creation, st, vectors, registered)
+		}
+		if n := monitor.HeldRefs(eng); n != 0 {
+			t.Errorf("%v/%v: %d refs of the monitored program reachable after Close", opts.GC, opts.Creation, n)
+		}
+		if err := monitor.CheckTheta(eng, false); err != nil {
 			t.Errorf("%v/%v: after Close: %v", opts.GC, opts.Creation, err)
 		}
 		if got := eng.Stats(); got != before {
 			t.Errorf("%v/%v: Stats after Close = %+v, want %+v", opts.GC, opts.Creation, got, before)
 		}
+	}
+}
+
+// TestCheckThetaCatchesSweepMutants: the two ways a sweep could break the
+// leaf discipline — unmapping a θ-record before its leaves are detached,
+// detaching without releasing the members — are each caught by CheckTheta.
+func TestCheckThetaCatchesSweepMutants(t *testing.T) {
+	for name, corrupt := range map[string]func(*monitor.Engine) bool{
+		"unmap before detach":    monitor.UnmapWithLeaf,
+		"detach without release": monitor.LeakLeafMember,
+	} {
+		eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCCoenable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := heap.New()
+		c := h.Alloc("c")
+		for i := 0; i < 4; i++ {
+			eng.Emit(symCreate, c, h.Alloc("i"))
+		}
+		if err := monitor.CheckTheta(eng, false); err != nil {
+			t.Fatalf("%s: before the corruption: %v", name, err)
+		}
+		if !corrupt(eng) {
+			t.Fatalf("%s: no leaf to corrupt", name)
+		}
+		if err := monitor.CheckTheta(eng, false); err == nil {
+			t.Errorf("%s: CheckTheta accepts the corrupted engine", name)
+		}
+	}
+}
+
+// TestLeavesPartitionByDomain: under a key tuple the monitors sit in one
+// leaf per domain, so a creation join reads the progenitors of its own
+// domain only. After N createIter⟨c0, i_k⟩ on UnsafeMapIter the keys ⟨m⟩ and
+// ⟨m,c0⟩ index the N ⟨m,c0,i_k⟩ monitors beside the one ⟨m,c0⟩ monitor, each
+// domain in its own leaf, and the leaf a createIter join for R = {m,c} reads
+// at ⟨c0⟩ has that one member — under GCNone, where nothing is ever
+// compacted away, a join over a shared leaf would scan all N.
+func TestLeavesPartitionByDomain(t *testing.T) {
+	spec, err := props.Build("UnsafeMapIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pM, pC, pI = 0, 1, 2
+	createColl, _ := spec.Symbol("createColl")
+	createIter, _ := spec.Symbol("createIter")
+	h := heap.New()
+	m, c0 := h.Alloc("m"), h.Alloc("c0")
+	eng.Emit(createColl, m, c0)
+	const n = 50
+	for k := 0; k < n; k++ {
+		eng.Emit(createIter, c0, h.Alloc(fmt.Sprintf("i%d", k)))
+	}
+	mc, mci := param.SetOf(pM, pC), param.SetOf(pM, pC, pI)
+	for _, tc := range []struct {
+		key  param.Instance
+		R    param.Set
+		want int
+	}{
+		{param.Empty().Bind(pC, c0), mc, 1},
+		{param.Empty().Bind(pM, m), mc, 1},
+		{param.Empty().Bind(pM, m), mci, n},
+		{param.Empty().Bind(pM, m).Bind(pC, c0), mc, 1},
+		{param.Empty().Bind(pM, m).Bind(pC, c0), mci, n},
+	} {
+		if got := monitor.LeafLen(eng, tc.key, tc.R); got != tc.want {
+			t.Errorf("leaf %v under %v has %d members, want %d", tc.R, tc.key, got, tc.want)
+		}
+	}
+	if err := monitor.CheckTheta(eng, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMonitorHeldOncePerKey: a key domain that is both an event domain and
+// a join overlap — {c} for UnsafeIter's ⟨c⟩ monitors: update(c) dispatches
+// through it and create⟨c,i⟩ joins through it — indexes the monitor once.
+// Its refcount is its number of key domains plus the registry.
+func TestMonitorHeldOncePerKey(t *testing.T) {
+	eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCCoenable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := heap.New()
+	c, i := h.Alloc("c"), h.Alloc("i")
+	eng.Emit(symUpdate, c)
+	eng.Emit(symCreate, c, i)
+	for _, inst := range []param.Instance{
+		param.Empty().Bind(pC, c),
+		param.Empty().Bind(pC, c).Bind(pI, i),
+	} {
+		refs, keys, ok := monitor.MonRefs(eng, inst)
+		if !ok {
+			t.Fatalf("no monitor for %v", inst)
+		}
+		if int(refs) != keys+1 {
+			t.Errorf("monitor for %v: refcount %d, want %d key domains + its registry", inst, refs, keys)
+		}
+	}
+	if refs, keys, _ := monitor.MonRefs(eng, param.Empty().Bind(pC, c)); keys != 1 || refs != 2 {
+		t.Errorf("⟨c⟩ monitor: %d key domains, refcount %d; want {c} once and the registry", keys, refs)
 	}
 }
 

@@ -8,7 +8,7 @@
 // parameter instances never interact, so monitors can be partitioned by a
 // pivot parameter's object (see Router) and each partition monitored by an
 // unmodified sequential engine, preserving the paper's lazy collection
-// discipline — per-shard indexing trees, per-shard sweeps, no cross-shard
+// discipline — per-shard index, per-shard sweeps, no cross-shard
 // locking. Events whose bindings do not determine a shard are broadcast;
 // they reach the one shard holding their monitors and are no-ops elsewhere.
 //

@@ -178,7 +178,8 @@ func WithBatch(size, depth int) Option {
 }
 
 // WithSweepInterval sets the number of events between the engine's
-// tombstone sweeps (0 keeps the default). Local backends only.
+// sweeps, the periodic pass that notices dead parameter objects (0 keeps
+// the default). Local backends only.
 func WithSweepInterval(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
