@@ -6,48 +6,31 @@
 //
 //	rvbench [-table fig9a|fig9b|fig10|retained|micro|metrics|all] [-scale 0.1]
 //	        [-timeout 60s] [-bench bloat,pmd,...] [-prop HasNext,...]
-//	        [-backend seq|shard|remote|cluster] [-shards N] [-remote addr]
-//	        [-nodes a:7472,b:7472] [-guard off|audit|enforce] [-live] [-retro]
-//	        [-avoid] [-cluster -min-speedup X] [-json] [-out run.json]
+//	        [-live] [-avoid] [-json] [-out run.json]
 //	        [-compare BENCH_X.json -tolerance T] [-v]
 //
-// -backend selects where the RV and MOP cells run: the sequential engine
-// (seq, the default), the sharded concurrent runtime (shard, sized by
-// -shards), or sessions against an rvserve monitoring server (remote,
-// addressed by -remote). Left unset it is inferred from the modifier
-// flags. -json emits
-// the full result grid as machine-readable JSON instead of the tables, so
-// runs can be archived (BENCH_*.json) and compared across revisions; -out
-// writes the same JSON to a file as well (CI uploads it as an artifact).
-// Every grid includes the hot-path micro section (ns/event and
-// allocs/event over fixed warmed loops); -compare gates on exact counter
-// equality, bounded runtime drift, and a tight allocs/event limit — the
-// allocation numbers are deterministic, so the allocation gate catches a
-// hot-path regression that CI timing noise would hide.
+// The RV and MOP cells run the sequential engine (coenable vs all-dead
+// GC); the sharded, remote and cluster backends are measured end to end
+// by internal/bench and held to the sequential engine by their oracle
+// tests. -json emits the full result grid as machine-readable JSON
+// instead of the tables, so runs can be archived (BENCH_*.json) and
+// compared across revisions; -out writes the same JSON to a file as well
+// (CI uploads it as an artifact). Every grid includes the hot-path micro
+// section (ns/event and allocs/event over fixed warmed loops); -compare
+// gates on exact counter equality, bounded runtime drift, and a tight
+// allocs/event limit — the allocation numbers are deterministic, so the
+// allocation gate catches a hot-path regression that CI timing noise
+// would hide.
 // -live runs the live-object ingestion experiment instead of the DaCapo
 // grid: real Go objects monitored through the rv frontend, with monitor
 // reclamation driven by real, pinned garbage-collection cycles.
-// -retro runs the retroactive-monitoring tier instead: one monitored
-// workload recorded to the persistent trace store, replayed sequentially
-// and in parallel over the recorded pivot index, with verdicts and
-// settled counters verified bit-identical to the online run. Its JSON
-// (the grid's Retro section) is archived by the bench CI job like any
-// other run.
 // -avoid runs the creation-avoidance tier instead: one monitored workload
 // recorded to the trace store and replayed under every creation-guard
 // configuration — static guards in audit and enforce modes under both
 // creation strategies, plus the profile-guided mode fed by the recorded
 // trace's per-creation-site statistics — with the suppression contract
 // (verdicts preserved, Created + Avoided == unguarded Created) verified
-// on every leg. -guard applies the static guards to the DaCapo grid's
-// RV/MOP cells themselves (any backend; audit is bit-identical).
-// -cluster runs the cluster comparison tier instead: the same recorded
-// multi-pivot workload monitored through a single remote session and a
-// pivot-hashed cluster session over four in-process rvserve nodes, with
-// the two runs verified to settle identically; -min-speedup optionally
-// gates on the cluster/single speedup (its JSON is the grid's Cluster
-// section). A grid run can also place its RV/MOP cells on a real cluster
-// with -backend cluster -nodes.
+// on every leg.
 //
 // Scale 1.0 corresponds to roughly 1/50 of the paper's event volumes; the
 // default keeps the full grid under a few minutes. Absolute numbers are
@@ -71,44 +54,24 @@ import (
 
 func main() {
 	var (
-		table    = flag.String("table", "all", "which table to print: fig9a, fig9b, fig10, retained, micro, metrics, all")
-		scale    = flag.Float64("scale", 0.1, "workload scale (1.0 ≈ paper/50)")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-cell time budget (exceeded = ∞)")
-		benchs   = flag.String("bench", "", "comma-separated benchmark subset (default: all 15)")
-		prs      = flag.String("prop", "", "comma-separated property subset (default: the paper's five)")
-		backend  = flag.String("backend", "", "RV/MOP backend: seq, shard, remote, cluster (default: inferred from -shards/-remote/-nodes)")
-		shards   = flag.Int("shards", 1, "shard count for -backend shard")
-		remote   = flag.String("remote", "", "rvserve address for -backend remote")
-		nodesFl  = flag.String("nodes", "", "comma-separated rvserve node addresses for -backend cluster")
-		clusterT = flag.Bool("cluster", false, "run the cluster comparison tier (N in-process nodes vs a single node) instead of the DaCapo grid")
-		minSpeed = flag.Float64("min-speedup", 0, "with -cluster: fail unless cluster/single speedup reaches this (0 = report only)")
-		live     = flag.Bool("live", false, "run the live-object ingestion experiment (rv frontend, real Go GC)")
-		retro    = flag.Bool("retro", false, "run the retroactive-monitoring tier (record, replay, verify identity)")
-		avoid    = flag.Bool("avoid", false, "run the creation-avoidance tier (record, replay under every guard configuration, verify the suppression contract)")
-		guard    = flag.String("guard", "off", "creation-guard mode for the grid's RV/MOP cells: off, audit, enforce")
-		jsonOut  = flag.Bool("json", false, "emit the result grid as JSON instead of tables")
-		outPath  = flag.String("out", "", "also write the current run's JSON to this file (works with -compare; CI uploads it as an artifact)")
-		compare  = flag.String("compare", "", "baseline JSON (from -json): rerun its config and fail on regressions")
-		tol      = flag.Float64("tolerance", 1.0, "with -compare: allowed relative runtime regression (1.0 = 2x)")
-		verbose  = flag.Bool("v", false, "print per-cell progress")
+		table   = flag.String("table", "all", "which table to print: fig9a, fig9b, fig10, retained, micro, metrics, all")
+		scale   = flag.Float64("scale", 0.1, "workload scale (1.0 ≈ paper/50)")
+		timeout = flag.Duration("timeout", 60*time.Second, "per-cell time budget (exceeded = ∞)")
+		benchs  = flag.String("bench", "", "comma-separated benchmark subset (default: all 15)")
+		prs     = flag.String("prop", "", "comma-separated property subset (default: the paper's five)")
+		live    = flag.Bool("live", false, "run the live-object ingestion experiment (rv frontend, real Go GC)")
+		avoid   = flag.Bool("avoid", false, "run the creation-avoidance tier (record, replay under every guard configuration, verify the suppression contract)")
+		jsonOut = flag.Bool("json", false, "emit the result grid as JSON instead of tables")
+		outPath = flag.String("out", "", "also write the current run's JSON to this file (works with -compare; CI uploads it as an artifact)")
+		compare = flag.String("compare", "", "baseline JSON (from -json): rerun its config and fail on regressions")
+		tol     = flag.Float64("tolerance", 1.0, "with -compare: allowed relative runtime regression (1.0 = 2x)")
+		verbose = flag.Bool("v", false, "print per-cell progress")
 	)
 	flag.Parse()
 
-	nodes := cliutil.SplitNodes(*nodesFl)
-	if _, err := cliutil.ParseBackend(*backend, *shards, *remote, nodes); err != nil {
-		fatalf("%v", err)
-	}
-	guardMode, err := cliutil.ParseAvoid(*guard)
-	if err != nil {
-		fatalf("-guard: %v", err)
-	}
 	cfg := eval.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Timeout = *timeout
-	cfg.Shards = *shards
-	cfg.Remote = *remote
-	cfg.Nodes = nodes
-	cfg.Avoid = guardMode
 	if *benchs != "" {
 		cfg.Benchmarks = splitList(*benchs)
 		for _, b := range cfg.Benchmarks {
@@ -136,32 +99,7 @@ func main() {
 		return
 	}
 	if *live {
-		runLive(eval.LiveConfig{Scale: *scale, Shards: *shards}, *jsonOut, *outPath)
-		return
-	}
-	if *clusterT {
-		ccfg := eval.ClusterConfig{Scale: *scale}
-		if len(cfg.Benchmarks) > 0 && *benchs != "" {
-			ccfg.Bench = cfg.Benchmarks[0]
-		}
-		if len(cfg.Properties) > 0 && *prs != "" {
-			ccfg.Prop = cfg.Properties[0]
-		}
-		runCluster(ccfg, cfg, *minSpeed, *jsonOut, *outPath)
-		return
-	}
-	if *retro {
-		rcfg := eval.RetroConfig{Scale: *scale}
-		if len(cfg.Benchmarks) > 0 && *benchs != "" {
-			rcfg.Bench = cfg.Benchmarks[0]
-		}
-		if len(cfg.Properties) > 0 && *prs != "" {
-			rcfg.Prop = cfg.Properties[0]
-		}
-		if *shards > 1 {
-			rcfg.Workers = []int{1, *shards}
-		}
-		runRetro(rcfg, cfg, *jsonOut, *outPath)
+		runLive(eval.LiveConfig{Scale: *scale}, *jsonOut, *outPath)
 		return
 	}
 	if *avoid {
@@ -182,11 +120,7 @@ func main() {
 	}
 	writeOut(*outPath, res)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatalf("%v", err)
-		}
+		writeJSON(os.Stdout, res)
 		return
 	}
 	switch *table {
@@ -215,7 +149,7 @@ func main() {
 }
 
 // writeOut archives a run's JSON for CI artifacts / new baselines.
-func writeOut(path string, res *eval.Results) {
+func writeOut(path string, v any) {
 	if path == "" {
 		return
 	}
@@ -223,52 +157,32 @@ func writeOut(path string, res *eval.Results) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		fatalf("%v", err)
-	}
+	writeJSON(f, v)
 	if err := f.Close(); err != nil {
 		fatalf("%v", err)
 	}
 }
 
-// runLive runs the live-object ingestion experiment and its scale tier,
-// and prints their tables: the Figure 10 counters per GC policy with
-// deaths delivered by the real garbage collector at pinned collection
-// points, then the slab store's host-GC cost a decade of live monitors
-// apart. With -out (or -json) the combined report is archived as the
-// -live artifact.
+func writeJSON(w io.Writer, v any) {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// runLive runs the live-object ingestion experiment and prints its table:
+// the Figure 10 counters per GC policy with deaths delivered by the real
+// garbage collector at pinned collection points. With -out (or -json) the
+// per-policy results are archived as the -live artifact.
 func runLive(cfg eval.LiveConfig, jsonOut bool, outPath string) {
 	results, err := eval.RunLive(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	scaleRes, err := eval.RunLiveScale(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	report := &eval.LiveReport{Policies: results, Scale: scaleRes}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatalf("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("%v", err)
-		}
-	}
+	writeOut(outPath, results)
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatalf("%v", err)
-		}
+		writeJSON(os.Stdout, results)
 		return
 	}
 	fmt.Println("live-object ingestion (rv frontend, real Go GC; see DESIGN.md)")
@@ -282,58 +196,6 @@ func runLive(cfg eval.LiveConfig, jsonOut bool, outPath string) {
 		fmt.Printf("%-10s %10d %10d %10d %10d %8d %8d %9d %8.2f %8.1fms%s\n",
 			r.Policy, r.Stats.Events, r.Stats.Created, r.Stats.Flagged, r.Stats.Collected,
 			r.Stats.Live, r.Delivered, r.GCPinned, r.RunSec, r.GCPauseSec*1e3, mark)
-	}
-	s := scaleRes
-	fmt.Println("\nscale tier (slab arena store vs host collector, 5 forced GCs per point)")
-	fmt.Printf("%-14s %10s %12s %7s %10s %10s %10s\n",
-		"live monitors", "gc-pause", "pause/mon", "slabs", "arena-cap", "occupancy", "sublinear")
-	fmt.Printf("%-14d %8.2fms %10.1fns %7s %10s %10s %10s\n",
-		s.SmallMonitors, s.SmallPauseSec*1e3, s.SmallPauseSec*1e9/float64(s.SmallMonitors), "-", "-", "-", "-")
-	fmt.Printf("%-14d %8.2fms %10.1fns %7d %10d %9.1f%% %10v\n",
-		s.BigMonitors, s.BigPauseSec*1e3, s.BigPauseSec*1e9/float64(s.BigMonitors),
-		s.Arena.Slabs, s.Arena.Cap, s.Occupancy*100, s.Sublinear)
-	if !s.Sublinear {
-		fmt.Println("  WARNING: host-GC pause grew with monitor count; the store should be noscan")
-	}
-}
-
-// runRetro runs the retroactive-monitoring tier, prints its table, and
-// archives the result as a grid whose Retro section carries the
-// measurements (so bench CI uploads it like any other run). A replay that
-// is not bit-identical to the online run is a hard failure.
-func runRetro(rcfg eval.RetroConfig, cfg eval.Config, jsonOut bool, outPath string) {
-	rr, err := eval.RunRetro(rcfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	res := &eval.Results{Config: cfg, Retro: rr}
-	writeOut(outPath, res)
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatalf("%v", err)
-		}
-	} else {
-		fmt.Printf("retroactive monitoring: %s/%s (persistent trace store; see DESIGN.md)\n", rr.Bench, rr.Prop)
-		fmt.Printf("  online: %d events in %.2fs = %.0f events/s (seq engine); trace %.2f MB, %d segments\n",
-			rr.Online.Events, rr.OnlineSec, rr.OnlineRate, rr.TraceMB, rr.Segments)
-		fmt.Printf("%-9s %12s %8s %9s %10s\n", "workers", "events/s", "sec", "speedup", "identical")
-		for _, run := range rr.Runs {
-			fmt.Printf("%-9d %12.0f %8.3f %8.1fx %10v\n", run.Workers, run.Rate, run.Sec, run.Speedup, run.Identical)
-		}
-		if s := rr.Selective; s != nil {
-			fmt.Printf("  selective query (pivot %d): %.0f events/s coverage = %.1fx online (%d dispatched, %d index-skipped, %d/%d segments skimmed, identical=%v)\n",
-				s.Pivot, s.Coverage, s.Speedup, s.Dispatched, s.Skipped, s.Skimmed, rr.Segments, s.Identical)
-		}
-	}
-	for _, run := range rr.Runs {
-		if !run.Identical {
-			fatalf("replay ×%d diverged from the online run", run.Workers)
-		}
-	}
-	if rr.Selective != nil && !rr.Selective.Identical {
-		fatalf("selective query (pivot %d) diverged from the online run", rr.Selective.Pivot)
 	}
 }
 
@@ -351,11 +213,7 @@ func runAvoid(acfg eval.AvoidConfig, cfg eval.Config, jsonOut bool, outPath stri
 	res := &eval.Results{Config: cfg, Avoid: ar}
 	writeOut(outPath, res)
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatalf("%v", err)
-		}
+		writeJSON(os.Stdout, res)
 	} else {
 		fmt.Printf("creation avoidance: %s/%s (%d/%d automaton states doomed; trace %.2f MB, %d segments; see DESIGN.md)\n",
 			ar.Bench, ar.Prop, ar.DoomedStates, ar.TotalStates, ar.TraceMB, ar.Segments)
@@ -386,45 +244,11 @@ func runAvoid(acfg eval.AvoidConfig, cfg eval.Config, jsonOut bool, outPath stri
 	}
 }
 
-// runCluster runs the cluster comparison tier, prints its table, and
-// archives the result as a grid whose Cluster section carries the
-// measurements. A cluster run that does not settle identically to the
-// single-node run is a hard failure; the speedup gate is opt-in via
-// -min-speedup (single-core CI reports it without gating).
-func runCluster(ccfg eval.ClusterConfig, cfg eval.Config, minSpeedup float64, jsonOut bool, outPath string) {
-	cr, err := eval.RunCluster(ccfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	res := &eval.Results{Config: cfg, Cluster: cr}
-	writeOut(outPath, res)
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatalf("%v", err)
-		}
-	} else {
-		fmt.Printf("cluster tier: %s/%s over %d in-process nodes (pivot-hashed; see DESIGN.md)\n",
-			cr.Bench, cr.Prop, cr.Nodes)
-		fmt.Printf("%-12s %12s %8s %12s %10s\n", "session", "events/s", "sec", "verdicts", "identical")
-		fmt.Printf("%-12s %12.0f %8.3f %12d %10s\n", "single", cr.SingleRate, cr.SingleSec, cr.Verdicts, "-")
-		fmt.Printf("%-12s %12.0f %8.3f %12d %10v\n", fmt.Sprintf("cluster×%d", cr.Nodes), cr.ClusterRate, cr.ClusterSec, cr.Verdicts, cr.Identical)
-		fmt.Printf("  speedup %.2fx over %d events\n", cr.Speedup, cr.Events)
-	}
-	if !cr.Identical {
-		fatalf("cluster run diverged from the single-node run")
-	}
-	if minSpeedup > 0 && cr.Speedup < minSpeedup {
-		fatalf("cluster speedup %.2fx below -min-speedup %.2f", cr.Speedup, minSpeedup)
-	}
-}
-
 // compareBaseline reruns a baseline's configuration and fails (exit 1) on
 // counter divergence, micro allocs/event regression, or runtime regression
 // beyond the tolerance. The baseline's grid shape (scale, benchmarks,
-// properties, systems, shards) is authoritative; the current -timeout and
-// -remote still apply. With outPath the current run is archived either way.
+// properties, systems) is authoritative; the current -timeout still
+// applies. With outPath the current run is archived either way.
 func compareBaseline(path string, tol float64, cur eval.Config, outPath string, progress io.Writer) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -436,7 +260,6 @@ func compareBaseline(path string, tol float64, cur eval.Config, outPath string, 
 	}
 	cfg := base.Config
 	cfg.Timeout = cur.Timeout
-	cfg.Remote = cur.Remote
 	res, err := eval.Run(cfg, progress)
 	if err != nil {
 		fatalf("%v", err)

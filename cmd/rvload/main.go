@@ -201,11 +201,9 @@ func main() {
 		if res.err != nil {
 			fatalf("conn %d: %v", g, res.err)
 		}
+		// Connections are independent sessions: Events sums like the rest.
+		total.Merge(res.stats)
 		total.Events += res.stats.Events
-		total.Created += res.stats.Created
-		total.Flagged += res.stats.Flagged
-		total.Collected += res.stats.Collected
-		total.GoalVerdicts += res.stats.GoalVerdicts
 		probes = append(probes, res.probes...)
 		verdicts += res.verdicts
 	}

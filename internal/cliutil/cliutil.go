@@ -1,8 +1,8 @@
 // Package cliutil holds the flag-parsing and backend-construction helpers
 // shared by the command-line tools (cmd/rvmon, cmd/rvbench, cmd/rvserve,
-// cmd/rvload) and the evaluation harness, so every tool validates
-// -backend, -shards and -gc the same way and builds the same backend for
-// the same flags.
+// cmd/rvload, cmd/rvquery), so every tool validates -backend, -shards and
+// -gc the same way and builds the same façade monitor for the same flags,
+// plus the retroactive-query core (RunRetroQuery) behind cmd/rvquery.
 package cliutil
 
 import (
@@ -13,7 +13,6 @@ import (
 	"rvgo/internal/dacapo"
 	"rvgo/internal/monitor"
 	"rvgo/internal/props"
-	"rvgo/internal/shard"
 	"rvgo/spec"
 )
 
@@ -194,19 +193,4 @@ func NewMonitor(s *spec.Spec, backend Backend, shards int, remote string, nodes 
 		opts = append(opts, rvgo.WithCluster(nodes...))
 	}
 	return rvgo.New(s, opts...)
-}
-
-// NewRuntime builds the internal monitoring backend the -shards flag
-// selects: the sequential engine for 1, the sharded runtime for >1.
-// Invalid shard counts are rejected with the ValidateShards error. The
-// evaluation harness uses this for its in-process cells; the tools build
-// façade monitors with NewMonitor instead.
-func NewRuntime(spec *monitor.Spec, opts monitor.Options, shards int) (monitor.Runtime, error) {
-	if err := ValidateShards(shards); err != nil {
-		return nil, err
-	}
-	if shards > 1 {
-		return shard.New(spec, shard.Options{Options: opts, Shards: shards})
-	}
-	return monitor.New(spec, opts)
 }

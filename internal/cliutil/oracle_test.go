@@ -13,6 +13,7 @@ import (
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
 	"rvgo/internal/props"
+	"rvgo/internal/shard"
 	"rvgo/internal/trace"
 )
 
@@ -42,22 +43,31 @@ func oracleKey(v monitor.Verdict) string {
 	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
 }
 
+// onlineVerdict is one verdict of an online run: its oracleKey and the
+// binding it was reported on.
+type onlineVerdict struct {
+	key  string
+	inst param.Key
+}
+
 // onlineOracle drives the recorded workload through a sequential engine
 // (optionally recording the monitored stream) and returns settled stats
-// and sorted verdict keys. Every call replays onto a fresh heap, so
+// and the verdicts sorted by key. Every call replays onto a fresh heap, so
 // object IDs — and hence verdict keys — are identical across calls and
 // equal to the recorded IDs.
-func onlineOracle(t *testing.T, wl *dacapo.Trace, prop string, gc monitor.GCPolicy, w *trace.Writer) (monitor.Stats, []string) {
+func onlineOracle(t *testing.T, wl *dacapo.Trace, prop string, gc monitor.GCPolicy, w *trace.Writer) (monitor.Stats, []onlineVerdict) {
 	t.Helper()
 	spec, err := props.Build(prop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var verdicts []string
+	var verdicts []onlineVerdict
 	eng, err := monitor.New(spec, monitor.Options{
-		GC:        gc,
-		Creation:  monitor.CreateEnable,
-		OnVerdict: func(v monitor.Verdict) { verdicts = append(verdicts, oracleKey(v)) },
+		GC:       gc,
+		Creation: monitor.CreateEnable,
+		OnVerdict: func(v monitor.Verdict) {
+			verdicts = append(verdicts, onlineVerdict{oracleKey(v), v.Inst.Key()})
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +96,54 @@ func onlineOracle(t *testing.T, wl *dacapo.Trace, prop string, gc monitor.GCPoli
 	if rec.err != nil {
 		t.Fatal(rec.err)
 	}
-	sort.Strings(verdicts)
+	sort.Slice(verdicts, func(a, b int) bool { return verdicts[a].key < verdicts[b].key })
 	return eng.Stats(), verdicts
+}
+
+// keys renders verdicts as their sorted oracle keys.
+func keys(vs []onlineVerdict) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.key
+	}
+	return out
+}
+
+// settled is the part of Stats a parallel replay reproduces exactly:
+// everything but PeakLive, which sums the per-worker peaks.
+func settled(s monitor.Stats) monitor.Stats {
+	s.PeakLive = 0
+	return s
+}
+
+// recordOracle records bench's workload at scale, monitored for prop under
+// coenable GC, into a fresh trace with small segments (so parallel replay
+// has several to fan out over and the pivot index several to skim). It
+// returns the workload, the trace path and the recording pass's results.
+func recordOracle(t *testing.T, bench string, scale float64, prop string) (*dacapo.Trace, string, monitor.Stats, []onlineVerdict) {
+	t.Helper()
+	p, ok := dacapo.Get(bench)
+	if !ok {
+		t.Fatalf("no %s profile", bench)
+	}
+	wl, err := p.Record(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := props.Build(prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), bench+".rvt")
+	w, err := trace.CreateForSpec(path, spec, trace.WriterOptions{SegmentRecords: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, verdicts := onlineOracle(t, wl, prop, monitor.GCCoenable, w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return wl, path, stats, verdicts
 }
 
 // TestVerdictLines pins the rvquery -verdicts line shape: event name,
@@ -123,31 +179,17 @@ func TestVerdictLines(t *testing.T) {
 // the segment store, then replayed through the rvquery path
 // (RunRetroQuery) sequentially and with 4 parallel workers, under every
 // monitor GC policy — verdicts and settled counters must equal the
-// online run's exactly.
+// online run's exactly. Two legs follow under coenable GC: a
+// pivot-selective query, which must reproduce exactly its pivot's online
+// verdicts while the pivot index skims segments, and a profile-guided
+// enforce replay, which must settle the same at ×1 and ×4.
 func TestRetroOracleDaCapo(t *testing.T) {
 	const prop = "UnsafeIter"
-	p, ok := dacapo.Get("avrora")
-	if !ok {
-		t.Fatal("no avrora profile")
-	}
-	wl, err := p.Record(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec, err := props.Build(prop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "oracle.rvt")
-	// Small segments so the parallel replay has several to fan out over.
-	w, err := trace.CreateForSpec(path, spec, trace.WriterOptions{SegmentRecords: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recStats, _ := onlineOracle(t, wl, prop, monitor.GCCoenable, w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	wl, path, recStats, recVerdicts := recordOracle(t, "avrora", 0.05, prop)
 
 	for _, gc := range []monitor.GCPolicy{monitor.GCCoenable, monitor.GCAllDead, monitor.GCNone} {
 		stats, verdicts := onlineOracle(t, wl, prop, gc, nil)
@@ -166,25 +208,121 @@ func TestRetroOracleDaCapo(t *testing.T) {
 				t.Fatalf("gc %v ×%d: %v", gc, workers, err)
 			}
 			sort.Strings(got)
-			if fmt.Sprint(got) != fmt.Sprint(verdicts) {
+			if fmt.Sprint(got) != fmt.Sprint(keys(verdicts)) {
 				t.Errorf("gc %v ×%d: verdicts diverged:\n  online %v\n  retro  %v", gc, workers, verdicts, got)
 			}
-			for _, c := range []struct {
-				name         string
-				online, quer uint64
-			}{
-				{"events", stats.Events, qr.Stats.Events},
-				{"created", stats.Created, qr.Stats.Created},
-				{"flagged", stats.Flagged, qr.Stats.Flagged},
-				{"collected", stats.Collected, qr.Stats.Collected},
-				{"goal verdicts", stats.GoalVerdicts, qr.Stats.GoalVerdicts},
-				{"steps", stats.Steps, qr.Stats.Steps},
-				{"live", uint64(stats.Live), uint64(qr.Stats.Live)},
-			} {
-				if c.online != c.quer {
-					t.Errorf("gc %v ×%d: %s: online %d, retro %d", gc, workers, c.name, c.online, c.quer)
-				}
+			if settled(qr.Stats) != settled(stats) {
+				t.Errorf("gc %v ×%d: settled counters diverge:\n  online %+v\n  retro  %+v", gc, workers, stats, qr.Stats)
 			}
+		}
+	}
+
+	t.Run("selective", func(t *testing.T) {
+		retroSelective(t, path, spec, recVerdicts)
+		// avrora raises no UnsafeIter verdict at this scale; bloat does, so
+		// there the pivot's verdict identity is not vacuous.
+		_, bloat, _, verdicts := recordOracle(t, "bloat", 0.02, prop)
+		if len(verdicts) == 0 {
+			t.Fatal("bloat raised no UnsafeIter verdict")
+		}
+		retroSelective(t, bloat, spec, verdicts)
+	})
+	t.Run("profile-enforce", func(t *testing.T) { retroProfileEnforce(t, path, spec, recVerdicts) })
+}
+
+// retroSelective replays one slice out of the recorded trace: the
+// verdict-bearing pivot object with the smallest segment footprint (the
+// identity check stays non-vacuous and the index has segments to skip),
+// falling back to the narrowest slice in the trace. The query must report
+// exactly that pivot's online verdicts while skipping the rest of the
+// trace — UnsafeIter's update(c) is a broadcast event, so the slice is not
+// just the pivot's own records.
+func retroSelective(t *testing.T, path string, spec *monitor.Spec, online []onlineVerdict) {
+	router, err := shard.NewRouter(spec, 2)
+	if err != nil || router.Pivot() < 0 {
+		t.Fatalf("%s has no pivot to index by: %v", spec.Name, err)
+	}
+	piv := router.Pivot()
+	r, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footprint := r.PivotSegments()
+	var pivotID uint64
+	best := 0
+	for _, v := range online {
+		if v.inst.Mask.Has(piv) {
+			if n := footprint[v.inst.IDs[piv]]; pivotID == 0 || n < best {
+				pivotID, best = v.inst.IDs[piv], n
+			}
+		}
+	}
+	if pivotID == 0 {
+		for id, n := range footprint {
+			if pivotID == 0 || n < best || (n == best && id < pivotID) {
+				pivotID, best = id, n
+			}
+		}
+	}
+	var want []string
+	for _, v := range online {
+		if v.inst.Mask.Has(piv) && v.inst.IDs[piv] == pivotID {
+			want = append(want, v.key)
+		}
+	}
+	var got []string
+	qr, err := cliutil.RunRetroQuery(path, spec, cliutil.RetroQuery{
+		GC:        monitor.GCCoenable,
+		Workers:   1,
+		Pivots:    []uint64{pivotID},
+		OnVerdict: func(v monitor.Verdict) { got = append(got, oracleKey(v)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("pivot %d: verdicts diverged:\n  online %v\n  retro  %v", pivotID, want, got)
+	}
+	if qr.Replay.SegmentsSkimmed == 0 || qr.Replay.EventsSkipped == 0 {
+		t.Errorf("pivot %d: the index skipped nothing: %+v", pivotID, qr.Replay)
+	}
+}
+
+// retroProfileEnforce profiles the recorded trace per creation site,
+// synthesizes guards from the profile and enforces them over the same
+// trace sequentially and with 4 workers: both replays must keep every
+// online verdict and settle the same counters, Avoided included.
+func retroProfileEnforce(t *testing.T, path string, spec *monitor.Spec, online []onlineVerdict) {
+	prof := monitor.NewCreationProfile(spec)
+	if _, err := cliutil.RunRetroQuery(path, spec, cliutil.RetroQuery{GC: monitor.GCCoenable, Workers: 1, Profile: prof}); err != nil {
+		t.Fatal(err)
+	}
+	guards := prof.Guards()
+	var seq monitor.Stats
+	for _, workers := range []int{1, 4} {
+		var got []string
+		qr, err := cliutil.RunRetroQuery(path, spec, cliutil.RetroQuery{
+			GC:            monitor.GCCoenable,
+			Avoid:         monitor.AvoidEnforce,
+			ProfileGuards: guards,
+			Workers:       workers,
+			OnVerdict:     func(v monitor.Verdict) { got = append(got, oracleKey(v)) },
+		})
+		if err != nil {
+			t.Fatalf("×%d: %v", workers, err)
+		}
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(keys(online)) {
+			t.Errorf("×%d: guarded verdicts diverged from the online run", workers)
+		}
+		if workers == 1 {
+			seq = qr.Stats
+			if seq.Avoided == 0 {
+				t.Fatalf("profile guards avoided nothing: %+v", seq)
+			}
+		} else if settled(qr.Stats) != settled(seq) {
+			t.Errorf("×%d settled counters diverge from ×1:\n  ×1 %+v\n  ×%d %+v", workers, seq, workers, qr.Stats)
 		}
 	}
 }

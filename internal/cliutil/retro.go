@@ -56,8 +56,8 @@ func LoadQuerySpec(prop, specFile string) (*monitor.Spec, error) {
 }
 
 // RetroQuery configures one retroactive run of a property over a recorded
-// trace (cmd/rvquery's core, shared with the evaluation harness's retro
-// tier).
+// trace (cmd/rvquery's core, shared with the evaluation harness's
+// creation-avoidance tier and the internal/bench retro-select workload).
 type RetroQuery struct {
 	// GC is the monitor GC policy of the replay engines.
 	GC monitor.GCPolicy

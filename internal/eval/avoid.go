@@ -25,7 +25,10 @@ import (
 	"time"
 
 	"rvgo/internal/cliutil"
+	"rvgo/internal/dacapo"
+	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
+	"rvgo/internal/param"
 	"rvgo/internal/props"
 	"rvgo/internal/trace"
 )
@@ -82,6 +85,67 @@ type AvoidReport struct {
 	Segments     int
 	Sites        []AvoidSite
 	Runs         []AvoidRun
+}
+
+// recordingDispatcher taps every dispatched event into the trace writer
+// before the engine; deaths are recorded by the heap's free hook. It is
+// the internal image of the façade's WithRecord tap, shaped for the
+// dacapo adapter's fast path.
+type recordingDispatcher struct {
+	rt  monitor.Runtime
+	w   *trace.Writer
+	err error
+}
+
+func (r *recordingDispatcher) Spec() *monitor.Spec { return r.rt.Spec() }
+
+func (r *recordingDispatcher) Dispatch(sym int, theta param.Instance) {
+	if err := r.w.Event(sym, theta); err != nil && r.err == nil {
+		r.err = err
+	}
+	r.rt.Dispatch(sym, theta)
+}
+
+// EmitNamed satisfies the adapter's slow-path Emitter surface; the fast
+// path never calls it.
+func (r *recordingDispatcher) EmitNamed(name string, vals ...heap.Ref) error {
+	return r.rt.EmitNamed(name, vals...)
+}
+
+func verdictKey(v monitor.Verdict) string {
+	k := v.Inst.Key()
+	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
+}
+
+// onlinePass drives the workload through a sequential engine and records
+// the monitored stream into w. Deaths go through the explicit Free path
+// (hook on the simulated heap) so the recorded stream carries them at
+// their positions.
+func onlinePass(cfg AvoidConfig, spec *monitor.Spec, w *trace.Writer) error {
+	eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	rec := &recordingDispatcher{rt: eng, w: w}
+	_, _, _, err = runWorkload(cfg.Bench, cfg.Scale, 0, func(rt *dacapo.Runtime) error {
+		sink, err := dacapo.Adapt(cfg.Prop, rec)
+		if err != nil {
+			return err
+		}
+		rt.AddSink(sink)
+		rt.Heap.SetFreeHook(func(o *heap.Object) {
+			eng.Free(o)
+			if werr := w.Free(o); werr != nil && rec.err == nil {
+				rec.err = werr
+			}
+		})
+		return nil
+	}, eng.Flush)
+	if err != nil {
+		return err
+	}
+	return rec.err
 }
 
 // avoidLeg replays the recorded trace once under a guard configuration
@@ -185,15 +249,14 @@ func RunAvoid(cfg AvoidConfig) (*AvoidReport, error) {
 	}
 
 	// Record the workload once; the replays below all read this trace, so
-	// every leg sees the byte-identical stream (the retro tier proves
-	// replay == online).
+	// every leg sees the byte-identical stream (TestRetroOracleDaCapo
+	// proves replay == online).
 	path := filepath.Join(dir, fmt.Sprintf("%s_%s.rvt", cfg.Bench, cfg.Prop))
 	w, err := trace.CreateForSpec(path, spec, trace.WriterOptions{})
 	if err != nil {
 		return nil, err
 	}
-	rcfg := RetroConfig{Scale: cfg.Scale, Bench: cfg.Bench, Prop: cfg.Prop}
-	if _, _, _, err := onlinePass(rcfg, spec, w); err != nil {
+	if err := onlinePass(cfg, spec, w); err != nil {
 		w.Close()
 		return nil, fmt.Errorf("eval: avoid recording pass: %w", err)
 	}
@@ -239,10 +302,9 @@ func RunAvoid(cfg AvoidConfig) (*AvoidReport, error) {
 
 	// Profile pass: replay unguarded with a per-creation-site profile
 	// attached, synthesize guards from it, then enforce them over the same
-	// trace. On the DaCapo properties the only maximal-domain creation
-	// site also carries every goal, so the profile typically guards
-	// nothing here — the per-site counters (Sites) are the deliverable,
-	// and the enforce leg proves guards that do not fire change nothing.
+	// trace. A site is guarded when monitors were born there and none
+	// reached a goal; the enforce leg proves the suppression keeps every
+	// verdict and accounts for every creation.
 	prof := monitor.NewCreationProfile(spec)
 	profRun, profKeys, err := avoidLeg(path, spec, "enable/profiled", monitor.CreateEnable, monitor.GCCoenable, monitor.AvoidOff, nil, prof)
 	if err != nil {

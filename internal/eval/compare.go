@@ -7,13 +7,12 @@ import (
 // Compare checks a current result grid against a baseline run of the same
 // configuration and returns a list of regressions (empty = pass).
 //
-// Two kinds of checks:
+// The checks:
 //
 //   - Monitoring counters (the Figure 10 statistics) are deterministic for
 //     the seeded synthetic workloads, so any divergence is a semantic
-//     change in the engine and is reported regardless of tolerance.
-//     PeakLive is only compared on single-shard configurations (the
-//     sharded runtime sums per-shard peaks, which is timing-dependent).
+//     change in the engine and is reported regardless of tolerance,
+//     PeakLive included (every cell runs the sequential engine).
 //   - Cell runtimes may regress by at most tol (relative: 1.0 allows 2×
 //     the baseline). An absolute floor of 50ms per cell filters out
 //     scheduling noise on the sub-millisecond cells. Timing checks are
@@ -30,7 +29,6 @@ import (
 // deadline.
 func Compare(base, cur *Results, tol float64) []string {
 	var bad []string
-	exactPeak := base.Config.Shards <= 1 && cur.Config.Shards <= 1
 
 	cell := func(where string, b, c Cell) {
 		if b.TimedOut != c.TimedOut {
@@ -40,12 +38,8 @@ func Compare(base, cur *Results, tol float64) []string {
 		if b.TimedOut {
 			return
 		}
-		bs, cs := b.Stats, c.Stats
-		if !exactPeak {
-			bs.PeakLive, cs.PeakLive = 0, 0
-		}
-		if bs != cs {
-			bad = append(bad, fmt.Sprintf("%s: counters diverge:\n    baseline %+v\n    current  %+v", where, bs, cs))
+		if b.Stats != c.Stats {
+			bad = append(bad, fmt.Sprintf("%s: counters diverge:\n    baseline %+v\n    current  %+v", where, b.Stats, c.Stats))
 		}
 		if b.TMStats != c.TMStats {
 			bad = append(bad, fmt.Sprintf("%s: tracematch counters diverge:\n    baseline %+v\n    current  %+v", where, b.TMStats, c.TMStats))

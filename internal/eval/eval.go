@@ -10,13 +10,9 @@ import (
 	"runtime"
 	"time"
 
-	"rvgo/internal/cliutil"
-	"rvgo/internal/cluster"
 	"rvgo/internal/dacapo"
-	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
 	"rvgo/internal/props"
-	"rvgo/internal/remote"
 	"rvgo/internal/tracematches"
 )
 
@@ -37,29 +33,6 @@ type Config struct {
 	Benchmarks []string
 	Properties []string
 	Systems    []System
-	// Shards selects the monitoring backend for the RV and MOP cells:
-	// 0 or 1 is the sequential engine, >1 the sharded runtime
-	// (internal/shard) with that many workers.
-	Shards int
-	// Remote, when non-empty, is the address of an rvserve monitoring
-	// server: the RV and MOP cells run over the network through the
-	// remote client, one session per cell, with object deaths forwarded
-	// as protocol-level free messages. Shards then selects the backend on
-	// the server side, per session.
-	Remote string
-	// Nodes, when non-empty, lists the rvserve node addresses of a
-	// monitoring cluster: the RV and MOP cells run as one logical session
-	// each, spread across the nodes by pivot hash (rvgo.WithCluster's
-	// backend). Mutually exclusive with Remote; Shards must stay 0 or 1 —
-	// the cluster's per-node sessions are sequential.
-	Nodes []string `json:",omitempty"`
-	// Avoid applies the static creation-avoidance guards to every RV/MOP
-	// cell (off by default): audit counts would-be-suppressed creations in
-	// Stats.Avoided, enforce suppresses them. Supported on every backend
-	// (the guards derive from the spec, so they cross the wire as a mode
-	// byte); the profile-guided guards do not — those live in the -avoid
-	// tier (RunAvoid), which replays a recorded trace sequentially.
-	Avoid monitor.AvoidMode `json:",omitempty"`
 }
 
 // DefaultConfig returns the full Figure 9/10 grid at a CI-friendly scale.
@@ -73,17 +46,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Cell is one measurement. Creation and Avoid record the active creation
-// strategy and guard mode of the RV/MOP backend that produced the cell,
-// so archived grids are self-describing (a baseline from a guarded run
-// cannot be mistaken for an unguarded one).
+// Cell is one measurement. RV and MOP cells run the sequential engine
+// with enable-set creation and no creation guard; only the GC policy
+// differs (coenable vs all-dead).
 type Cell struct {
 	TimedOut    bool
 	RunSec      float64
 	OverheadPct float64
 	PeakMemMB   float64
-	Creation    string        `json:",omitempty"` // creation strategy ("enable"; the grid never runs "full")
-	Avoid       string        `json:",omitempty"` // creation-guard mode: off, audit, enforce
 	Stats       monitor.Stats // RV/MOP counters (Figure 10)
 	TMStats     tracematches.Stats
 }
@@ -106,22 +76,12 @@ type Results struct {
 	// gates on them tightly; older archived baselines without the section
 	// are simply not gated.
 	Micro []MicroResult
-	// Retro, when present, is the retroactive-monitoring tier: a
-	// monitored workload recorded to the persistent trace store, replayed
-	// at several worker counts, verified bit-identical to the online run
-	// (see RunRetro; rvbench -retro produces and archives it).
-	Retro *RetroResult `json:",omitempty"`
 	// Metrics is the telemetry section: the engine's metrics registry
 	// observed over a fixed churn workload (see RunMetricsReport). Counter
 	// fields are deterministic and Compare gates on them exactly; latency
 	// quantiles are reported only. Baselines archived before the section
 	// existed are not gated.
 	Metrics *MetricsReport `json:",omitempty"`
-	// Cluster, when present, is the cluster comparison tier: the same
-	// recorded workload monitored through a single remote session and a
-	// pivot-hashed multi-node cluster session, verified to settle
-	// identically (see RunCluster; rvbench -cluster produces it).
-	Cluster *ClusterReport `json:",omitempty"`
 	// Avoid, when present, is the creation-avoidance tier: one recorded
 	// workload replayed under every guard configuration, with per-site
 	// profile statistics and the suppression invariants verified against
@@ -146,8 +106,7 @@ func (s *memSampler) mb() float64 { return float64(s.peak) / (1 << 20) }
 
 // runWorkload executes one profile with the given sinks attached and
 // returns duration, peak memory and timeout status. settle, if non-nil,
-// runs inside the timed region after the workload ends — asynchronous
-// backends pass their Barrier so queued events count against the clock.
+// runs inside the timed region after the workload ends.
 func runWorkload(bench string, scale float64, timeout time.Duration, attach func(rt *dacapo.Runtime) error, settle func()) (sec float64, peakMB float64, timedOut bool, err error) {
 	p, ok := dacapo.Get(bench)
 	if !ok {
@@ -211,132 +170,48 @@ func RunBaseline(bench string, scale float64) (Baseline, error) {
 	return Baseline{RunSec: sec, PeakMemMB: mem, Events: events}, nil
 }
 
-// newEngine builds the RV/MOP monitoring backend: the sequential engine,
-// the sharded runtime when cfg.Shards > 1, a remote session against
-// cfg.Remote when set, or a pivot-hashed cluster session across cfg.Nodes
-// when set.
-func newEngine(spec *monitor.Spec, prop string, gc monitor.GCPolicy, cfg Config) (monitor.Runtime, error) {
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	if len(cfg.Nodes) > 0 {
-		return cluster.Open(cluster.Options{
-			Prop:     prop,
-			GC:       gc,
-			Creation: monitor.CreateEnable,
-			Avoid:    cfg.Avoid,
-			Nodes:    cfg.Nodes,
-		})
-	}
-	if cfg.Remote != "" {
-		return remote.Dial(cfg.Remote, remote.Options{
-			Prop:     prop,
-			GC:       gc,
-			Creation: monitor.CreateEnable,
-			Avoid:    cfg.Avoid,
-			Shards:   shards,
-		})
-	}
-	opts := monitor.Options{GC: gc, Creation: monitor.CreateEnable, Avoid: cfg.Avoid}
-	return cliutil.NewRuntime(spec, opts, shards)
-}
-
-// sessionErr surfaces a remote backend's sticky session error. The
-// Runtime methods cannot return errors, so a connection lost mid-cell
-// degrades them to no-ops; without this check the cell would report
-// zeroed counters as a successful measurement.
-func sessionErr(eng monitor.Runtime) error {
-	if e, ok := eng.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
-
-// setFreeHook wires object deaths to the monitoring backends through the
-// uniform Runtime.Free path: the hook runs just before the simulated heap
-// marks the object dead, and each backend positions the death its own way
-// — the sequential engine needs nothing (it observes liveness
-// synchronously, so the hook is skipped entirely), the sharded runtime
-// queues a free record in every shard's batch, and a remote session sends
-// a protocol-level free that the server positions the same way.
-func setFreeHook(rt *dacapo.Runtime, engines []monitor.Runtime, cfg Config) {
-	if cfg.Remote == "" && len(cfg.Nodes) == 0 && cfg.Shards <= 1 {
-		return
-	}
-	rt.Heap.SetFreeHook(func(o *heap.Object) {
-		for _, eng := range engines {
-			eng.Free(o)
-		}
-	})
-}
-
 // RunCell measures one benchmark × property × system combination.
 func RunCell(bench, prop string, sys System, base Baseline, cfg Config) (Cell, error) {
-	var cell Cell
-	var eng monitor.Runtime
+	var eng *monitor.Engine
 	var tme *tracematches.Engine
-
 	attach := func(rt *dacapo.Runtime) error {
 		spec, err := props.Build(prop)
 		if err != nil {
 			return err
 		}
+		var em dacapo.Emitter
 		switch sys {
 		case SysRV, SysMOP:
 			gc := monitor.GCCoenable
 			if sys == SysMOP {
 				gc = monitor.GCAllDead
 			}
-			eng, err = newEngine(spec, prop, gc, cfg)
-			if err != nil {
-				return err
-			}
-			cell.Creation, cell.Avoid = "enable", cfg.Avoid.String()
-			sink, err := dacapo.Adapt(prop, eng)
-			if err != nil {
-				return err
-			}
-			rt.AddSink(sink)
-			setFreeHook(rt, []monitor.Runtime{eng}, cfg)
+			eng, err = monitor.New(spec, monitor.Options{GC: gc, Creation: monitor.CreateEnable})
+			em = eng
 		case SysTM:
 			tme, err = tracematches.New(spec, tracematches.Options{})
-			if err != nil {
-				return err
-			}
-			sink, err := dacapo.Adapt(prop, tme)
-			if err != nil {
-				return err
-			}
-			rt.AddSink(sink)
+			em = tme
 		default:
 			return fmt.Errorf("eval: unknown system %q", sys)
 		}
+		if err != nil {
+			return err
+		}
+		sink, err := dacapo.Adapt(prop, em)
+		if err != nil {
+			return err
+		}
+		rt.AddSink(sink)
 		return nil
 	}
-
-	settle := func() {
-		if eng != nil {
-			eng.Barrier()
-		}
-	}
-	sec, mem, timedOut, err := runWorkload(bench, cfg.Scale, cfg.Timeout, attach, settle)
+	cell, err := measure(bench, base, cfg, attach)
 	if err != nil {
 		return cell, err
-	}
-	cell.RunSec = sec
-	cell.PeakMemMB = mem
-	cell.TimedOut = timedOut
-	if base.RunSec > 0 {
-		cell.OverheadPct = (sec - base.RunSec) / base.RunSec * 100
 	}
 	if eng != nil {
 		eng.Flush()
 		cell.Stats = eng.Stats()
 		eng.Close()
-		if err := sessionErr(eng); err != nil {
-			return cell, err
-		}
 	}
 	if tme != nil {
 		tme.Sweep()
@@ -346,61 +221,53 @@ func RunCell(bench, prop string, sys System, base Baseline, cfg Config) (Cell, e
 }
 
 // RunAllProps measures RV monitoring every property simultaneously (the
-// paper's ALL column, "not possible in other monitoring systems").
+// paper's ALL column, "not possible in other monitoring systems"). Its
+// counters are the field-for-field sum of the per-property engines'.
 func RunAllProps(bench string, base Baseline, cfg Config) (Cell, error) {
-	var cell Cell
-	engines := make([]monitor.Runtime, 0, len(cfg.Properties))
+	engines := make([]*monitor.Engine, 0, len(cfg.Properties))
 	attach := func(rt *dacapo.Runtime) error {
 		for _, prop := range cfg.Properties {
 			spec, err := props.Build(prop)
 			if err != nil {
 				return err
 			}
-			eng, err := newEngine(spec, prop, monitor.GCCoenable, cfg)
+			eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
 			if err != nil {
 				return err
 			}
+			engines = append(engines, eng)
 			sink, err := dacapo.Adapt(prop, eng)
 			if err != nil {
 				return err
 			}
 			rt.AddSink(sink)
-			engines = append(engines, eng)
 		}
-		setFreeHook(rt, engines, cfg)
 		return nil
 	}
-	settle := func() {
-		for _, eng := range engines {
-			eng.Barrier()
-		}
-	}
-	sec, mem, timedOut, err := runWorkload(bench, cfg.Scale, cfg.Timeout, attach, settle)
+	cell, err := measure(bench, base, cfg, attach)
 	if err != nil {
 		return cell, err
-	}
-	cell.RunSec = sec
-	cell.PeakMemMB = mem
-	cell.TimedOut = timedOut
-	cell.Creation, cell.Avoid = "enable", cfg.Avoid.String()
-	if base.RunSec > 0 {
-		cell.OverheadPct = (sec - base.RunSec) / base.RunSec * 100
 	}
 	for _, eng := range engines {
 		eng.Flush()
 		st := eng.Stats()
+		// Each engine sees its own event stream, so Events sums too.
+		cell.Stats.Merge(st)
 		cell.Stats.Events += st.Events
-		cell.Stats.Created += st.Created
-		cell.Stats.Flagged += st.Flagged
-		cell.Stats.Collected += st.Collected
-		cell.Stats.GoalVerdicts += st.GoalVerdicts
-		cell.Stats.Avoided += st.Avoided
-		cell.Stats.Live += st.Live
-		cell.Stats.PeakLive += st.PeakLive
 		eng.Close()
-		if err := sessionErr(eng); err != nil {
-			return cell, err
-		}
+	}
+	return cell, nil
+}
+
+// measure times one monitored run of bench against its baseline.
+func measure(bench string, base Baseline, cfg Config, attach func(rt *dacapo.Runtime) error) (Cell, error) {
+	sec, mem, timedOut, err := runWorkload(bench, cfg.Scale, cfg.Timeout, attach, nil)
+	if err != nil {
+		return Cell{}, err
+	}
+	cell := Cell{RunSec: sec, PeakMemMB: mem, TimedOut: timedOut}
+	if base.RunSec > 0 {
+		cell.OverheadPct = (sec - base.RunSec) / base.RunSec * 100
 	}
 	return cell, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rvgo/internal/eval"
+	"rvgo/internal/monitor"
 )
 
 // smallConfig keeps the grid tiny for CI.
@@ -46,8 +47,20 @@ func TestRunGrid(t *testing.T) {
 				t.Fatalf("%s/%s: RV saw no events", bench, prop)
 			}
 		}
-		if _, ok := res.All[bench]; !ok {
+		all, ok := res.All[bench]
+		if !ok {
 			t.Fatalf("%s: missing ALL cell", bench)
+		}
+		// The ALL cell runs one engine per property over the same workload
+		// the per-property RV cells run, so every counter is their sum.
+		var sum monitor.Stats
+		for _, prop := range res.Config.Properties {
+			st := res.Cells[bench][prop][eval.SysRV].Stats
+			sum.Merge(st)
+			sum.Events += st.Events
+		}
+		if all.Stats != sum {
+			t.Errorf("%s: ALL cell is not the sum of its RV cells:\n  ALL %+v\n  sum %+v", bench, all.Stats, sum)
 		}
 	}
 	// avrora produces monitors; RV must flag/collect some of them.
@@ -87,29 +100,5 @@ func TestRunCellUnknownBenchmark(t *testing.T) {
 	cfg := smallConfig()
 	if _, err := eval.RunBaseline("nosuch", cfg.Scale); err == nil {
 		t.Fatal("unknown benchmark must error")
-	}
-}
-
-// TestRunCellSharded: the sharded backend runs a cell end to end and
-// reports sane counters. RunCell barriers the runtime before every object
-// death (via the heap free hook), so this exercises the trace-faithful
-// path; exact equivalence with the sequential engine is covered by
-// internal/shard's oracle tests.
-func TestRunCellSharded(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Shards = 4
-	base, err := eval.RunBaseline("avrora", cfg.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, err := eval.RunCell("avrora", "UnsafeIter", eval.SysRV, base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell.Stats.Events == 0 || cell.Stats.Created == 0 {
-		t.Fatalf("sharded cell saw no monitoring activity: %+v", cell.Stats)
-	}
-	if cell.Stats.Collected == 0 {
-		t.Fatalf("sharded cell collected nothing: %+v", cell.Stats)
 	}
 }

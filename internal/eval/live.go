@@ -14,23 +14,18 @@ package eval
 import (
 	"fmt"
 	"math"
-	"runtime"
 	rtmetrics "runtime/metrics"
 	"time"
 
 	"rvgo"
-	"rvgo/internal/arena"
-	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
-	"rvgo/internal/props"
 	"rvgo/rv"
 	"rvgo/spec"
 )
 
 // LiveConfig controls the live-object run.
 type LiveConfig struct {
-	Scale  float64 // 1.0 ≈ 32k events per policy
-	Shards int     // 0/1 = sequential engine, >1 = sharded runtime
+	Scale float64 // 1.0 ≈ 32k events per policy
 }
 
 // LiveResult is one policy's outcome.
@@ -127,11 +122,7 @@ func RunLivePolicy(gc monitor.GCPolicy, cfg LiveConfig) (LiveResult, error) {
 	if err != nil {
 		return res, err
 	}
-	opts := []rvgo.Option{rvgo.WithGC(gc)}
-	if cfg.Shards > 1 {
-		opts = append(opts, rvgo.WithShards(cfg.Shards))
-	}
-	m, err := rvgo.New(sp, opts...)
+	m, err := rvgo.New(sp, rvgo.WithGC(gc))
 	if err != nil {
 		return res, err
 	}
@@ -189,94 +180,4 @@ func RunLive(cfg LiveConfig) ([]LiveResult, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// LiveReport bundles the -live artifact: the per-policy ingestion results
-// and the scale tier, archived together by the bench CI job.
-type LiveReport struct {
-	Policies []LiveResult
-	Scale    *LiveScaleResult
-}
-
-// LiveScaleResult is the scale tier of the live experiment: the same
-// engine holding 10× more live monitors must not cost the host collector
-// proportionally more stop-the-world time — the slab store is pointer-free
-// (noscan), so pause time stays flat while occupancy scales. Pause numbers
-// are machine-dependent and reported, not CI-gated; the Sublinear verdict
-// uses a deliberately loose bound (5× over a floored baseline) so it holds
-// on noisy hosts whenever the store really is GC-invisible.
-type LiveScaleResult struct {
-	SmallMonitors int     // live monitors in the baseline population
-	BigMonitors   int     // live monitors in the 10× population
-	SmallPauseSec float64 // STW pause over 5 forced GCs, baseline
-	BigPauseSec   float64 // STW pause over 5 forced GCs, 10× population
-	Sublinear     bool    // big pause ≤ 5× floored baseline pause
-	Arena         arena.Stats
-	Occupancy     float64 // Arena live slots / capacity at the 10× peak
-}
-
-// RunLiveScale builds two UNSAFEITER monitor populations a decade apart
-// (GCNone, so nothing is reclaimed) and measures the host collector's
-// stop-the-world cost against each.
-func RunLiveScale(cfg LiveConfig) (*LiveScaleResult, error) {
-	scale := cfg.Scale
-	if scale <= 0 {
-		scale = 1.0
-	}
-	big := int(500_000 * scale)
-	if big < 20_000 {
-		big = 20_000
-	}
-	res := &LiveScaleResult{SmallMonitors: big / 10, BigMonitors: big}
-
-	measure := func(n int) (float64, *monitor.Engine, *heap.Heap, error) {
-		sp, err := props.Build("UnsafeIter")
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		eng, err := monitor.New(sp, monitor.Options{
-			GC:       monitor.GCNone,
-			Creation: monitor.CreateEnable,
-			// The population never dies; don't pay sweeps over it.
-			SweepInterval: 1 << 30,
-		})
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		create, _ := sp.Symbol("create")
-		h := heap.New()
-		c := h.Alloc("c")
-		for i := 0; i < n; i++ {
-			eng.Emit(create, c, h.Alloc(""))
-		}
-		runtime.GC() // let the build's floating garbage clear
-		before := gcPauseTotal()
-		for i := 0; i < 5; i++ {
-			runtime.GC()
-		}
-		return gcPauseTotal() - before, eng, h, nil
-	}
-
-	pause, eng, _, err := measure(res.SmallMonitors)
-	if err != nil {
-		return nil, err
-	}
-	res.SmallPauseSec = pause
-	eng.Close()
-
-	pause, eng, _, err = measure(res.BigMonitors)
-	if err != nil {
-		return nil, err
-	}
-	res.BigPauseSec = pause
-	res.Arena = eng.ArenaStats()
-	res.Occupancy = res.Arena.Occupancy()
-	eng.Close()
-
-	floored := res.SmallPauseSec
-	if floored < 2e-3 {
-		floored = 2e-3
-	}
-	res.Sublinear = res.BigPauseSec <= floored*5
-	return res, nil
 }

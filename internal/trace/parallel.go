@@ -103,14 +103,7 @@ func (r *Reader) ReplayParallel(spec *monitor.Spec, cfg ParallelConfig) (Paralle
 	var traceEvents uint64
 	for k, eng := range workers {
 		eng.Flush()
-		s := eng.Stats()
-		res.Stats.Created += s.Created
-		res.Stats.Flagged += s.Flagged
-		res.Stats.Collected += s.Collected
-		res.Stats.GoalVerdicts += s.GoalVerdicts
-		res.Stats.Steps += s.Steps
-		res.Stats.Live += s.Live
-		res.Stats.PeakLive += s.PeakLive
+		res.Stats.Merge(eng.Stats())
 		eng.Close()
 
 		res.Replay.Events += stats[k].Events
