@@ -58,19 +58,6 @@ const (
 	GCCoenable = monitor.GCCoenable
 )
 
-// CreationStrategy selects how monitor instances are materialized.
-type CreationStrategy = monitor.CreationStrategy
-
-const (
-	// CreateEnable uses the enable-set analysis to skip instances that
-	// could never reach a goal verdict. The production default.
-	CreateEnable = monitor.CreateEnable
-	// CreateFull materializes every least upper bound exactly as in the
-	// paper's Figure 5 — the semantic oracle, quadratic in the worst
-	// case. Requires WithShards(1).
-	CreateFull = monitor.CreateFull
-)
-
 // AvoidMode selects the creation-avoidance mode (see WithAvoidance).
 type AvoidMode = monitor.AvoidMode
 

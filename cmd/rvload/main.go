@@ -7,8 +7,7 @@
 //
 //	rvload [-addr localhost:7472] [-conns 8] [-bench avrora]
 //	       [-prop UnsafeIter] [-scale 0.05] [-repeat 1] [-gc coenable]
-//	       [-backend seq|shard|cluster] [-shards 1] [-nodes a:7472,b:7472]
-//	       [-probe 4096] [-min-rate 0]
+//	       [-shards N | -nodes a:7472,b:7472] [-probe 4096] [-min-rate 0]
 //	       [-record run.rvt] [-workload wl.rvt] [-json]
 //
 // -record taps the first connection's stream into a persistent trace (the
@@ -20,16 +19,15 @@
 // it is loaded instead of re-recording — comparable runs drive the
 // byte-identical workload — otherwise the fresh recording is saved there.
 //
-// -backend selects each session's per-session backend on the server
-// (rvload itself always monitors remotely, against -addr): seq is the
-// sequential engine, shard the sharded runtime sized by -shards. Left
-// unset it is inferred from -shards. With -backend cluster every
-// connection is instead one logical session spread across the rvserve
-// nodes listed in -nodes (slices placed by pivot hash); -addr is unused
-// — the cluster tier replaces the single server. To drive an rvserve
-// router (rvserve -cluster) point -addr at it with the default backend
-// instead: a router accepts ordinary remote sessions and does the
-// pivot-hashed fan-out server-side.
+// rvload always monitors remotely, against -addr. -shards sizes each
+// session's backend on the server (1 = the sequential engine, >1 = the
+// sharded runtime); left unset, the server's -default-shards applies.
+// With -nodes every connection is instead one logical session spread
+// across the listed rvserve nodes (slices placed by pivot hash); -addr is
+// unused — the cluster tier replaces the single server. To drive an
+// rvserve router (rvserve -cluster) point -addr at it instead: a router
+// accepts ordinary remote sessions and does the pivot-hashed fan-out
+// server-side.
 //
 // Every connection is an independent session (its own spec registry
 // entry, backend, and remote-object table on the server); object deaths
@@ -65,9 +63,8 @@ func main() {
 		scale   = flag.Float64("scale", 0.05, "workload scale for the recorded trace")
 		repeat  = flag.Int("repeat", 1, "trace replays per connection")
 		gcMode  = flag.String("gc", "coenable", "monitor GC policy: coenable, alldead, none")
-		backend = flag.String("backend", "", "per-session server backend: seq, shard or cluster (default: inferred from -shards/-nodes)")
-		shards  = flag.Int("shards", 1, "shard count for -backend shard")
-		nodesFl = flag.String("nodes", "", "comma-separated rvserve node addresses for -backend cluster")
+		shards  = flag.Int("shards", 0, "per-session server-side shard count (0 = the server's default)")
+		nodesFl = flag.String("nodes", "", "comma-separated rvserve node addresses: one session across them instead of -addr")
 		probe   = flag.Int("probe", 4096, "events between latency probes (Barrier round trips)")
 		minRate = flag.Int("min-rate", 0, "fail unless aggregate events/s reaches this (0 = report only)")
 		record  = flag.String("record", "", "record the first connection's stream to this trace file (rvquery replays it)")
@@ -80,14 +77,14 @@ func main() {
 		fatalf("%v", err)
 	}
 	nodes := cliutil.SplitNodes(*nodesFl)
-	srvBackend, err := cliutil.ParseBackend(*backend, *shards, "", nodes)
+	remoteAddr := *addr
+	if len(nodes) > 0 {
+		remoteAddr = "" // the cluster tier replaces the single server
+	}
+	backendOpts, err := cliutil.BackendOptions(*shards, remoteAddr, nodes)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if srvBackend == cliutil.BackendRemote {
-		fatalf("-backend remote is implied; rvload sessions always run against -addr")
-	}
-	clustered := srvBackend == cliutil.BackendCluster
 	if *conns < 1 {
 		fatalf("-conns must be >= 1, got %d", *conns)
 	}
@@ -140,15 +137,10 @@ func main() {
 			defer wg.Done()
 			res := &results[g]
 			var verdicts uint64
-			opts := []rvgo.Option{
+			opts := append([]rvgo.Option{
 				rvgo.WithGC(gc),
 				rvgo.WithVerdictHandler(func(rvgo.Verdict) { verdicts++ }),
-			}
-			if clustered {
-				opts = append(opts, rvgo.WithCluster(nodes...))
-			} else {
-				opts = append(opts, rvgo.WithRemote(*addr), rvgo.WithShards(*shards))
-			}
+			}, backendOpts...)
 			if recordPath != "" && g == 0 {
 				opts = append(opts, rvgo.WithRecord(recordPath))
 			}
@@ -212,8 +204,7 @@ func main() {
 	if *jsonOut {
 		report := map[string]any{
 			"conns": *conns, "bench": *bench, "prop": *prop, "scale": *scale,
-			"repeat": *repeat, "gc": *gcMode, "shards": *shards,
-			"backend": srvBackend.String(), "nodes": len(nodes),
+			"repeat": *repeat, "gc": *gcMode, "shards": *shards, "nodes": len(nodes),
 			"events": total.Events, "wall_sec": wall.Seconds(), "events_per_sec": rate,
 			"created": total.Created, "flagged": total.Flagged, "collected": total.Collected,
 			"verdicts": verdicts,
@@ -228,7 +219,7 @@ func main() {
 			fatalf("%v", err)
 		}
 	} else {
-		if clustered {
+		if len(nodes) > 0 {
 			fmt.Printf("rvload: %d conns × %s/%s scale %g ×%d (gc=%s cluster of %d nodes)\n",
 				*conns, *bench, *prop, *scale, *repeat, *gcMode, len(nodes))
 		} else {

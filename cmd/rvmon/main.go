@@ -4,25 +4,25 @@
 // Usage:
 //
 //	rvmon -spec hasnext.rv [-trace trace.txt] [-gc coenable|alldead|none]
-//	      [-backend seq|shard|remote|cluster] [-shards N] [-remote addr]
-//	      [-nodes a:7472,b:7472] [-record run.rvt] [-stats]
+//	      [-shards N] [-remote addr | -nodes a:7472,b:7472]
+//	      [-record run.rvt] [-stats]
 //
 // -record taps the monitored stream into a persistent trace (the segment
 // format cmd/rvquery replays), so the run can be re-checked later against
 // any property over the same events. It requires a spec defining a single
 // property (one trace records one stream).
 //
-// -backend selects the monitoring backend: the in-process sequential
-// engine (seq, the default), the sharded concurrent runtime (shard, sized
-// by -shards), a session against an rvserve monitoring server (remote,
-// addressed by -remote; the spec must define a single property, which
-// both ends compile and verify in the handshake), or one logical session
-// spread across a cluster of rvserve nodes (cluster, addressed by -nodes;
-// slices are placed by pivot hash). Left unset, the backend is inferred
-// from the modifier flags. Trace semantics are identical on every backend
-// — every "free" line is positioned in the runtime's stream with Free
-// before the object is killed, so deaths land at their trace positions,
-// exactly as the sequential engine observes them.
+// The backend follows from the flags, each of which selects its own: by
+// default the in-process sequential engine; -shards N > 1 the sharded
+// concurrent runtime; -remote a session against an rvserve monitoring
+// server (the spec must define a single property, which both ends compile
+// and verify in the handshake; -shards sizes the session's server-side
+// backend, left to the server's default when unset); -nodes one logical
+// session spread across a cluster of rvserve nodes, with slices placed by
+// pivot hash. Trace semantics are identical on every backend — every
+// "free" line is positioned in the runtime's stream with Free before the
+// object is killed, so deaths land at their trace positions, exactly as
+// the sequential engine observes them.
 //
 // The trace is read from the file or stdin, one step per line:
 //
@@ -72,10 +72,9 @@ func main() {
 		specPath  = flag.String("spec", "", "path to the .rv specification (required)")
 		tracePath = flag.String("trace", "", "path to the trace file (default: stdin)")
 		gcMode    = flag.String("gc", "coenable", "monitor GC policy: coenable, alldead, none")
-		backendFl = flag.String("backend", "", "monitoring backend: seq, shard, remote, cluster (default: inferred from -shards/-remote/-nodes)")
-		shards    = flag.Int("shards", 1, "shard count for -backend shard")
-		remoteFl  = flag.String("remote", "", "rvserve address for -backend remote")
-		nodesFl   = flag.String("nodes", "", "comma-separated rvserve node addresses for -backend cluster")
+		shards    = flag.Int("shards", 0, "shard count: >1 runs the sharded runtime locally; with -remote, the session's server-side shards (0 = the server's default)")
+		remoteFl  = flag.String("remote", "", "monitor in a session against the rvserve at this address")
+		nodesFl   = flag.String("nodes", "", "monitor in one session across these comma-separated rvserve node addresses")
 		record    = flag.String("record", "", "record the monitored stream to this trace file (rvquery replays it)")
 		stats     = flag.Bool("stats", false, "print monitoring statistics at the end")
 	)
@@ -95,12 +94,10 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	nodes := cliutil.SplitNodes(*nodesFl)
-	backend, err := cliutil.ParseBackend(*backendFl, *shards, *remoteFl, nodes)
+	backendOpts, err := cliutil.BackendOptions(*shards, *remoteFl, cliutil.SplitNodes(*nodesFl))
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var recordOpts []rvgo.Option
 	if *record != "" {
 		if len(specs) > 1 {
 			fatalf("-record needs a spec defining a single property (%s defines %d)", *specPath, len(specs))
@@ -109,22 +106,21 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		recordOpts = append(recordOpts, rvgo.WithRecord(path))
+		backendOpts = append(backendOpts, rvgo.WithRecord(path))
 	}
 
 	var engines []*engine
 	for _, sp := range specs {
 		sp := sp
 		handlers := sp.Handlers()
-		m, err := cliutil.NewMonitor(sp, backend, *shards, *remoteFl, nodes,
-			append(recordOpts,
-				rvgo.WithGC(gc),
-				rvgo.WithVerdictHandler(func(v rvgo.Verdict) {
-					fmt.Printf("%s: %s at %s\n", sp.Name(), v.Cat, v.Inst.Format(sp.Params()))
-					if body, ok := handlers[string(v.Cat)]; ok {
-						spec.RunHandler(body, func(line string) { fmt.Println("  " + line) })
-					}
-				}))...)
+		m, err := rvgo.New(sp, append(backendOpts,
+			rvgo.WithGC(gc),
+			rvgo.WithVerdictHandler(func(v rvgo.Verdict) {
+				fmt.Printf("%s: %s at %s\n", sp.Name(), v.Cat, v.Inst.Format(sp.Params()))
+				if body, ok := handlers[string(v.Cat)]; ok {
+					spec.RunHandler(body, func(line string) { fmt.Println("  " + line) })
+				}
+			}))...)
 		if err != nil {
 			fatalf("%v", err)
 		}

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	rvquery -trace run.rvt [-prop UnsafeIter | -spec prop.rv]
-//	        [-gc coenable|alldead|none] [-backend seq|shard] [-shards 4]
-//	        [-parallel 0] [-pivots 1,2,3] [-avoid off|audit|enforce]
+//	        [-gc coenable|alldead|none] [-parallel 0] [-pivots 1,2,3]
+//	        [-avoid off|audit|enforce]
 //	        [-profile] [-verdicts] [-json]
 //
 // The query property need not be the recorded one: events are matched by
@@ -50,9 +50,7 @@ func main() {
 		prop      = flag.String("prop", "", "built-in property to check")
 		specFile  = flag.String("spec", "", "path to a .rv specification to check")
 		gcMode    = flag.String("gc", "coenable", "monitor GC policy: coenable, alldead, none")
-		backend   = flag.String("backend", "", "replay backend: seq or shard (default: inferred from -shards)")
-		shards    = flag.Int("shards", 1, "worker count for -backend shard")
-		parallel  = flag.Int("parallel", 0, "parallel replay workers (overrides -backend/-shards)")
+		parallel  = flag.Int("parallel", 0, "parallel replay workers (0 or 1 = sequential replay)")
 		pivots    = flag.String("pivots", "", "comma-separated pivot object IDs to restrict the query to")
 		avoidFl   = flag.String("avoid", "off", "creation-guard mode for the replay: off, audit, enforce")
 		profileFl = flag.Bool("profile", false, "collect per-creation-site statistics and print the avoidance report (sequential replay only)")
@@ -71,20 +69,7 @@ func main() {
 	if err != nil {
 		fatalf("-avoid: %v", err)
 	}
-	bk, err := cliutil.ParseBackend(*backend, *shards, "", nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if bk == cliutil.BackendRemote || bk == cliutil.BackendCluster {
-		fatalf("-backend %v: retroactive queries replay in-process", bk)
-	}
-	workers := 1
-	if bk == cliutil.BackendShard {
-		workers = *shards
-	}
-	if *parallel > 0 {
-		workers = *parallel
-	}
+	workers := max(*parallel, 1)
 	// With -profile the property is resolved through the public spec
 	// package, whose compiled form drives the replay: the per-site profile
 	// and the avoidance report must describe the same specification.
@@ -95,9 +80,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	if *profileFl {
-		if workers > 1 {
-			fatalf("-profile: per-site profiling requires sequential replay (drop -parallel/-backend shard)")
-		}
 		if fs, err = loadFacadeSpec(*prop, *specFile); err != nil {
 			fatalf("%v", err)
 		}

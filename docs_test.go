@@ -65,4 +65,41 @@ func TestDocsHealth(t *testing.T) {
 			t.Errorf("%s is referenced by %s but does not exist", target, strings.Join(uniq, ", "))
 		}
 	}
+	checkOptionNames(t)
+}
+
+// optionName matches a façade option named in prose or code, with or
+// without its rvgo. qualifier.
+var optionName = regexp.MustCompile(`\bWith[A-Z][A-Za-z]*\b`)
+
+// checkOptionNames fails when the user-facing documentation — README.md,
+// DESIGN.md, doc.go and the examples — names a With* option the façade's
+// exported surface (api/rvgo.txt) does not have. CHANGES.md and ROADMAP.md
+// are history and may name options that are gone.
+func checkOptionNames(t *testing.T) {
+	api, err := os.ReadFile("api/rvgo.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []string{"README.md", "DESIGN.md", "doc.go"}
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range optionName.FindAllString(string(raw), -1) {
+			if !strings.Contains(string(api), "\nfunc "+name+"(") {
+				t.Errorf("%s names %s, which is not in the façade's API (api/rvgo.txt)", f, name)
+			}
+		}
+	}
 }

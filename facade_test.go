@@ -91,7 +91,7 @@ func TestShardVerdictHandlerContract(t *testing.T) {
 	byInst := map[string]int{}
 	var order []string
 	m, err := rvgo.New(sp,
-		rvgo.WithShards(4), rvgo.WithBatch(4, 4),
+		rvgo.WithShards(4),
 		rvgo.WithVerdictHandler(func(v rvgo.Verdict) {
 			k := v.Inst.Format(sp.Params())
 			byInst[k]++
@@ -171,6 +171,56 @@ func TestVerdictStream(t *testing.T) {
 	}
 }
 
+// TestProfileGuardsWorkflow runs README's profile → guards workflow through
+// the façade on a HasNext stream with two creation sites: iterators born at
+// hasnexttrue are used safely, iterators born at next fail at once. An
+// unguarded run collects a creation profile, which guards the first site
+// only; a run enforcing the guards must raise exactly the unguarded run's
+// verdicts, with Created + Avoided equal to the unguarded Created.
+func TestProfileGuardsWorkflow(t *testing.T) {
+	sp, err := spec.Builtin("HasNext")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ...rvgo.Option) (rvgo.Stats, []string) {
+		var verdicts []string
+		m, err := rvgo.New(sp, append(opts, rvgo.WithVerdictHandler(func(v rvgo.Verdict) {
+			verdicts = append(verdicts, string(v.Cat)+"@"+v.Inst.Format(sp.Params()))
+		}))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hnT, hnF, next := m.MustEvent("hasnexttrue"), m.MustEvent("hasnextfalse"), m.MustEvent("next")
+		h := rvgo.NewHeap()
+		for k := 0; k < 50; k++ {
+			safe, bad := h.Alloc(fmt.Sprintf("safe%d", k)), h.Alloc(fmt.Sprintf("bad%d", k))
+			hnT.Emit(safe)
+			next.Emit(safe)
+			hnF.Emit(safe)
+			next.Emit(bad)
+			m.Free(safe, bad)
+			h.Free(safe)
+			h.Free(bad)
+		}
+		m.Flush()
+		m.Close()
+		return m.Stats(), verdicts
+	}
+	prof := rvgo.NewCreationProfile(sp)
+	plain, want := run(rvgo.WithCreationProfile(prof))
+	if len(want) != 50 || prof.GuardedSites() != 1 {
+		t.Fatalf("unguarded run: %d verdicts, %d guarded sites; want 50 and 1", len(want), prof.GuardedSites())
+	}
+	guarded, got := run(rvgo.WithAvoidance(rvgo.AvoidEnforce), rvgo.WithProfileGuards(prof.Guards()))
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("guarded verdicts %v, want the unguarded %v", got, want)
+	}
+	if guarded.Avoided != 50 || guarded.Created+guarded.Avoided != plain.Created {
+		t.Errorf("guarded Created %d + Avoided %d, want unguarded Created %d with the 50 safe iterators avoided",
+			guarded.Created, guarded.Avoided, plain.Created)
+	}
+}
+
 // TestOptionValidation pins the construction-time error contract: bad
 // options fail at New with a message naming the option, never later.
 func TestOptionValidation(t *testing.T) {
@@ -182,9 +232,6 @@ func TestOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
 	cases := []struct {
 		name string
 		sp   *spec.Spec
@@ -192,22 +239,16 @@ func TestOptionValidation(t *testing.T) {
 		want string
 	}{
 		{"ZeroShards", builtin, []rvgo.Option{rvgo.WithShards(0)}, "WithShards"},
-		{"WindowLocal", builtin, []rvgo.Option{rvgo.WithWindow(8)}, "WithWindow"},
-		{"BatchSeq", builtin, []rvgo.Option{rvgo.WithBatch(4, 4)}, "WithBatch"},
 		{"EmptyRemote", builtin, []rvgo.Option{rvgo.WithRemote("")}, "WithRemote"},
-		{"RemoteAndConn", builtin, []rvgo.Option{rvgo.WithRemote("x:1"), rvgo.WithRemoteConn(c1)}, "mutually exclusive"},
 		{"BadGC", builtin, []rvgo.Option{rvgo.WithGC(rvgo.GCPolicy(9))}, "GC policy"},
-		{"BadCreation", builtin, []rvgo.Option{rvgo.WithCreation(rvgo.CreationStrategy(9))}, "creation strategy"},
 		{"RemoteNeedsProvenance", built, []rvgo.Option{rvgo.WithRemote("127.0.0.1:1")}, "provenance"},
-		{"FullCreationSharded", builtin, []rvgo.Option{rvgo.WithShards(4), rvgo.WithCreation(rvgo.CreateFull)}, "single shard"},
 		{"EmptyCluster", builtin, []rvgo.Option{rvgo.WithCluster()}, "WithCluster"},
 		{"ClusterEmptyAddr", builtin, []rvgo.Option{rvgo.WithCluster("a:1", "")}, "WithCluster"},
 		{"ClusterAndRemote", builtin, []rvgo.Option{rvgo.WithCluster("a:1"), rvgo.WithRemote("b:1")}, "mutually exclusive"},
-		{"ClusterAndConn", builtin, []rvgo.Option{rvgo.WithCluster("a:1"), rvgo.WithRemoteConn(c1)}, "mutually exclusive"},
 		{"ClusterShards", builtin, []rvgo.Option{rvgo.WithCluster("a:1"), rvgo.WithShards(2)}, "WithShards"},
-		{"SeedLocal", builtin, []rvgo.Option{rvgo.WithHashSeed(7)}, "WithHashSeed"},
 		{"ClusterNeedsProvenance", built, []rvgo.Option{rvgo.WithCluster("127.0.0.1:1")}, "provenance"},
-		{"ClusterSweep", builtin, []rvgo.Option{rvgo.WithCluster("a:1"), rvgo.WithSweepInterval(64)}, "WithSweepInterval"},
+		{"ProfileGuardsRemote", builtin, []rvgo.Option{rvgo.WithRemote("127.0.0.1:1"), rvgo.WithProfileGuards([]bool{true, false, false})}, "local backend"},
+		{"ProfileSharded", builtin, []rvgo.Option{rvgo.WithShards(4), rvgo.WithCreationProfile(rvgo.NewCreationProfile(builtin))}, "creation profiling requires"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

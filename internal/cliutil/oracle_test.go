@@ -230,6 +230,33 @@ func TestRetroOracleDaCapo(t *testing.T) {
 	t.Run("profile-enforce", func(t *testing.T) { retroProfileEnforce(t, path, spec, recVerdicts) })
 }
 
+// TestRetroParallelRefusals: a parallel query under full creation would
+// over-count Created (the workers' monitor populations overlap), and a
+// creation profile is engine-local. Both are refused with
+// monitor.Options.Check's message for the requested worker count, and both
+// run sequentially.
+func TestRetroParallelRefusals(t *testing.T) {
+	const prop = "UnsafeIter"
+	spec, err := props.Build(prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, path, _, _ := recordOracle(t, "avrora", 0.01, prop)
+	for name, q := range map[string]cliutil.RetroQuery{
+		"full":    {GC: monitor.GCNone, Creation: monitor.CreateFull, Workers: 4},
+		"profile": {GC: monitor.GCCoenable, Profile: monitor.NewCreationProfile(spec), Workers: 4},
+	} {
+		want := monitor.Options{GC: q.GC, Creation: q.Creation, Profile: q.Profile}.Check(spec, q.Workers)
+		if _, err := cliutil.RunRetroQuery(path, spec, q); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("%s ×%d: %v, want Check's %v", name, q.Workers, err, want)
+		}
+		q.Workers = 1
+		if _, err := cliutil.RunRetroQuery(path, spec, q); err != nil {
+			t.Errorf("%s ×1: %v", name, err)
+		}
+	}
+}
+
 // retroSelective replays one slice out of the recorded trace: the
 // verdict-bearing pivot object with the smallest segment footprint (the
 // identity check stays non-vacuous and the index has segments to skip),

@@ -62,6 +62,7 @@ type RetroQuery struct {
 	// GC is the monitor GC policy of the replay engines.
 	GC monitor.GCPolicy
 	// Creation selects the creation strategy (zero value CreateEnable).
+	// CreateFull, like Profile, needs Workers <= 1 (monitor.Options.Check).
 	Creation monitor.CreationStrategy
 	// Avoid is the creation-avoidance guard mode of the replay engines
 	// (off, audit, enforce). Enforce with the full strategy requires
@@ -72,8 +73,7 @@ type RetroQuery struct {
 	// engines. The vector is read-only, so parallel replay is fine.
 	ProfileGuards []bool
 	// Profile, when non-nil, collects per-creation-site statistics
-	// during the replay. Profiles are engine-local and unsynchronized:
-	// Workers must be <= 1.
+	// during the replay. Profiles are engine-local and unsynchronized.
 	Profile *monitor.CreationProfile
 	// Workers is the parallel fan-out; <= 1 replays sequentially.
 	Workers int
@@ -124,9 +124,6 @@ func RunRetroQuery(path string, spec *monitor.Spec, q RetroQuery) (*RetroResult,
 		OnVerdict:     q.OnVerdict,
 	}
 	if q.Workers > 1 {
-		if q.Profile != nil {
-			return nil, fmt.Errorf("cliutil: creation profiling requires sequential replay (the profile counters are engine-local)")
-		}
 		pr, err := r.ReplayParallel(spec, trace.ParallelConfig{
 			Workers: q.Workers,
 			Monitor: mopts,

@@ -471,30 +471,40 @@ func TestRouterCarriesAvoidance(t *testing.T) {
 		t.Errorf("after Close Stats().Avoided = %d, want %d", got, want)
 	}
 
-	// The same bad byte, the same refusal, whoever answers.
+	// The same bad modes, the same refusal, whoever answers: an undefined
+	// mode byte, and enforced avoidance under full creation with a
+	// collecting GC policy (legal modes, illegal together).
 	_, dial := startNodes(t, "node")
-	refusal := func(conn net.Conn, err error) string {
+	refusal := func(h wire.Hello, open func() (net.Conn, error)) string {
+		conn, err := open()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
 		w := wire.NewWriter(conn)
-		w.WriteHello(wire.Hello{
-			Version: wire.Version, SpecKind: wire.SpecProp, Spec: "UnsafeIter",
-			GC: byte(monitor.GCNone), Creation: byte(monitor.CreateEnable), Avoid: 99,
-		})
+		w.WriteHello(h)
 		w.Flush()
 		var msg wire.Msg
 		if err := wire.NewReader(conn).Next(&msg); err != nil || msg.Type != wire.TError {
-			t.Fatalf("Hello with Avoid=99 answered with type %d (%v), want an Error frame", msg.Type, err)
+			t.Fatalf("Hello %+v answered with type %d (%v), want an Error frame", h, msg.Type, err)
 		}
 		return msg.Error.Msg
 	}
-	fromNode := refusal(dial("node"))
-	fromRouter := refusal(net.Dial("tcp", l.Addr().String()))
-	if fromRouter != fromNode || !strings.Contains(fromNode, "avoidance") {
-		t.Errorf("Avoid=99 refused with %q by the router and %q by a node, want the same avoidance-mode error", fromRouter, fromNode)
+	for _, tc := range []struct {
+		gc, creation, avoid byte
+		want                string
+	}{
+		{byte(monitor.GCNone), byte(monitor.CreateEnable), 99, "avoidance"},
+		{byte(monitor.GCCoenable), byte(monitor.CreateFull), byte(monitor.AvoidEnforce), "requires the none GC policy"},
+	} {
+		h := wire.Hello{Version: wire.Version, SpecKind: wire.SpecProp, Spec: "UnsafeIter", GC: tc.gc, Creation: tc.creation, Avoid: tc.avoid}
+		fromNode := refusal(h, func() (net.Conn, error) { return dial("node") })
+		fromRouter := refusal(h, func() (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) })
+		if fromRouter != fromNode || !strings.Contains(fromNode, tc.want) {
+			t.Errorf("GC=%d Creation=%d Avoid=%d refused with %q by the router and %q by a node, want the same error containing %q",
+				tc.gc, tc.creation, tc.avoid, fromRouter, fromNode, tc.want)
+		}
 	}
 }
 
@@ -517,6 +527,19 @@ func TestOpenValidation(t *testing.T) {
 			c.Close()
 			t.Errorf("%s: Open accepted", tc.name)
 		}
+	}
+
+	// The fanout is a monitor.Options.Check boundary over its slots: full
+	// creation cannot be split across them.
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := monitor.Options{Creation: monitor.CreateFull}
+	want := full.Check(spec, 4)
+	_, err = cluster.Open(cluster.Options{Prop: "UnsafeIter", Creation: full.Creation, Nodes: []string{"n1"}, Slots: 4, Dial: dial})
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("full creation over 4 slots: Open = %v, want Check's %v", err, want)
 	}
 }
 

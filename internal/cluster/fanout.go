@@ -133,18 +133,18 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 		}
 		seen[n] = true
 	}
-	if monitor.CreationStrategy(cfg.hello.Creation) == monitor.CreateFull {
-		return nil, fmt.Errorf("cluster: the full creation strategy requires the sequential backend (only enable-set creation guarantees every monitor binds the pivot)")
+	nslots := cfg.slots
+	if nslots <= 0 {
+		nslots = defaultSlots
+	}
+	if err := cfg.hello.Options().Check(spec, nslots); err != nil {
+		return nil, err
 	}
 	sr, err := shard.NewRouter(spec, 2)
 	if err != nil {
 		return nil, err
 	}
 	pivot := sr.Pivot()
-	nslots := cfg.slots
-	if nslots <= 0 {
-		nslots = defaultSlots
-	}
 	if pivot < 0 {
 		// Unshardable spec: a single slot on one node still gives the
 		// remote-cluster deployment shape (and handoff) without routing.

@@ -6,7 +6,7 @@
 // create-once discipline (an instance in Δ is never rebuilt from a less
 // informative slice) stays in lockstep with the unguarded engine.
 //
-// Soundness boundaries, mirrored by the checks in New and proven against
+// Soundness boundaries, stated by Options.Check and proven against
 // the unguarded engine by conformance.RunAvoidanceOracle (see DESIGN.md
 // "Static creation avoidance"):
 //

@@ -110,6 +110,32 @@ type Options struct {
 	Metrics *metrics.EngineSeries
 }
 
+// Check is the one statement of which configurations are legal for spec
+// run over lanes pivot lanes — shards, parallel replay workers, cluster
+// slots; 1 is a single sequential engine. Every boundary that builds
+// engines calls it with the lane count it was asked for, before clamping
+// the count for an unshardable spec, so a configuration is refused the same
+// way whichever front receives it.
+func (o Options) Check(spec *Spec, lanes int) error {
+	switch {
+	case o.GC < GCNone || o.GC > GCCoenable:
+		return fmt.Errorf("monitor: unknown GC policy %d", o.GC)
+	case o.Creation != CreateEnable && o.Creation != CreateFull:
+		return fmt.Errorf("monitor: unknown creation strategy %d", o.Creation)
+	case o.Avoid < AvoidOff || o.Avoid > AvoidEnforce:
+		return fmt.Errorf("monitor: unknown avoidance mode %d", o.Avoid)
+	case o.Avoid == AvoidEnforce && o.Creation == CreateFull && o.GC != GCNone:
+		return fmt.Errorf("monitor: enforced creation avoidance under the full strategy requires the none GC policy (a tombstone cannot mirror the flag timing that ends a real doomed monitor's Figure-5 progenitor role); use audit mode")
+	case o.ProfileGuards != nil && len(o.ProfileGuards) != len(spec.Events):
+		return fmt.Errorf("monitor: profile guards cover %d events, spec %q has %d", len(o.ProfileGuards), spec.Name, len(spec.Events))
+	case lanes > 1 && o.Creation != CreateEnable:
+		return fmt.Errorf("monitor: the full creation strategy requires a single lane, not %d (only enable-set creation guarantees every monitor binds the pivot)", lanes)
+	case lanes > 1 && o.Profile != nil:
+		return fmt.Errorf("monitor: creation profiling requires a single lane, not %d (the profile counters are engine-local and unsynchronized)", lanes)
+	}
+	return nil
+}
+
 // publishInterval is the delta-publication period in events; a power of
 // two so the hot-path check is a mask.
 const publishInterval = 256
@@ -340,14 +366,8 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		// event does not (the table it scans grows with it too).
 		opts.SweepInterval = 1 << 12
 	}
-	if opts.Avoid < AvoidOff || opts.Avoid > AvoidEnforce {
-		return nil, fmt.Errorf("monitor: unknown avoidance mode %d", opts.Avoid)
-	}
-	if opts.Avoid == AvoidEnforce && opts.Creation == CreateFull && opts.GC != GCNone {
-		return nil, fmt.Errorf("monitor: enforced creation avoidance under the full strategy requires the none GC policy (a tombstone cannot mirror the flag timing that ends a real doomed monitor's Figure-5 progenitor role); use audit mode")
-	}
-	if opts.ProfileGuards != nil && len(opts.ProfileGuards) != len(spec.Events) {
-		return nil, fmt.Errorf("monitor: profile guards cover %d events, spec %q has %d", len(opts.ProfileGuards), spec.Name, len(spec.Events))
+	if err := opts.Check(spec, 1); err != nil {
+		return nil, err
 	}
 	if opts.Profile != nil {
 		if err := opts.Profile.bind(spec); err != nil {

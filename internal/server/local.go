@@ -86,11 +86,9 @@ func openLocal(s *Session) (Backend, error) {
 		return nil, fmt.Errorf("shards %d out of range 1..%d", shards, srv.opts.MaxShards)
 	}
 	b := &local{s: s, heap: heap.New(), objects: map[uint64]*heap.Object{}}
-	gc := monitor.GCPolicy(h.GC)
-	opts := monitor.Options{
-		GC: gc, Creation: monitor.CreationStrategy(h.Creation), Avoid: monitor.AvoidMode(h.Avoid), OnVerdict: b.onVerdict,
-		Metrics: metrics.NewEngineSeries(srv.reg, compiled.Name, gc.String()),
-	}
+	opts := h.Options()
+	opts.OnVerdict = b.onVerdict
+	opts.Metrics = metrics.NewEngineSeries(srv.reg, compiled.Name, opts.GC.String())
 	if shards > 1 {
 		srt, err := shard.New(compiled, shard.Options{
 			Options: opts, Shards: shards,

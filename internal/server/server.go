@@ -476,8 +476,9 @@ func (s *Session) handle(msg *wire.Msg) (bye bool, err error) {
 // compileHello validates a Hello and compiles the spec it names: the
 // protocol version, the spec reference — a library property name, or .rv
 // source compiled on the spot (which must define exactly one property) —
-// and the range of each mode byte. It is the one place these are checked:
-// a backend converts the bytes, or hands them on, as they are.
+// and the modes, which monitor.Options.Check judges for one lane. Every
+// front refuses a bad Hello here, with the same error; a backend converts
+// the bytes (Hello.Options), or hands them on, as they are.
 func compileHello(h wire.Hello) (compiled *monitor.Spec, err error) {
 	if h.Version != wire.Version {
 		return nil, fmt.Errorf("protocol version %d not supported (server speaks %d)", h.Version, wire.Version)
@@ -493,14 +494,8 @@ func compileHello(h wire.Hello) (compiled *monitor.Spec, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if gc := monitor.GCPolicy(h.GC); gc < monitor.GCNone || gc > monitor.GCCoenable {
-		return nil, fmt.Errorf("unknown GC policy %d", h.GC)
-	}
-	if c := monitor.CreationStrategy(h.Creation); c != monitor.CreateEnable && c != monitor.CreateFull {
-		return nil, fmt.Errorf("unknown creation strategy %d", h.Creation)
-	}
-	if a := monitor.AvoidMode(h.Avoid); a < monitor.AvoidOff || a > monitor.AvoidEnforce {
-		return nil, fmt.Errorf("unknown avoidance mode %d", h.Avoid)
+	if err := h.Options().Check(compiled, 1); err != nil {
+		return nil, err
 	}
 	return compiled, nil
 }

@@ -167,17 +167,17 @@ func TestUnshardableFallsBack(t *testing.T) {
 	}
 }
 
-// TestCreateFullRejected: the Figure 5 oracle strategy cannot be sharded.
+// TestCreateFullRejected: the Figure 5 oracle strategy cannot be sharded,
+// and shard.New says so with monitor.Options.Check's message.
 func TestCreateFullRejected(t *testing.T) {
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.New(spec, shard.Options{
-		Options: monitor.Options{Creation: monitor.CreateFull},
-		Shards:  4,
-	}); err == nil {
-		t.Fatal("CreateFull with 4 shards must be rejected")
+	full := monitor.Options{Creation: monitor.CreateFull}
+	want := full.Check(spec, 4)
+	if _, err := shard.New(spec, shard.Options{Options: full, Shards: 4}); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("CreateFull with 4 shards: New = %v, want Check's %v", err, want)
 	}
 	rt, err := shard.New(spec, shard.Options{
 		Options: monitor.Options{Creation: monitor.CreateFull},

@@ -54,7 +54,6 @@
 package shard
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -118,11 +117,11 @@ type Runtime struct {
 
 var _ monitor.Runtime = (*Runtime)(nil)
 
-// New builds a sharded runtime. The creation strategy must be CreateEnable
-// when more than one shard is requested: the enable-set analysis is what
-// guarantees every monitor instance binds the routing pivot (CreateFull
-// materializes instances for arbitrary event subsets, which cannot be
-// partitioned without cross-shard joins).
+// New builds a sharded runtime. The options must pass monitor.Options.Check
+// for the requested shard count: more than one shard needs CreateEnable,
+// the enable-set analysis being what guarantees every monitor instance
+// binds the routing pivot (CreateFull materializes instances for arbitrary
+// event subsets, which cannot be partitioned without cross-shard joins).
 func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = runtime.GOMAXPROCS(0)
@@ -133,11 +132,8 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if opts.MailboxDepth <= 0 {
 		opts.MailboxDepth = 16
 	}
-	if opts.Creation != monitor.CreateEnable && opts.Shards > 1 {
-		return nil, fmt.Errorf("shard: creation strategy %d requires a single shard", opts.Creation)
-	}
-	if opts.Profile != nil && opts.Shards > 1 {
-		return nil, fmt.Errorf("shard: creation profiling requires a single shard (the profile is engine-local and unsynchronized)")
+	if err := opts.Options.Check(spec, opts.Shards); err != nil {
+		return nil, err
 	}
 	router, err := NewRouter(spec, opts.Shards)
 	if err != nil {

@@ -44,10 +44,14 @@ type ParallelResult struct {
 // in stream order, and skims pivot-indexed segments owning none of its
 // slices; each worker being sequential, free positioning is exact. Every
 // monitor instance binds the pivot, so the workers' monitor populations
-// are disjoint and verdicts and settled counters merge losslessly.
+// are disjoint and verdicts and settled counters merge losslessly — which
+// is why cfg.Monitor must pass monitor.Options.Check for cfg.Workers lanes.
 func (r *Reader) ReplayParallel(spec *monitor.Spec, cfg ParallelConfig) (ParallelResult, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
+	}
+	if err := cfg.Monitor.Check(spec, cfg.Workers); err != nil {
+		return ParallelResult{}, err
 	}
 	if cfg.Workers > 1 {
 		router, err := shard.NewRouter(spec, 2)

@@ -300,6 +300,31 @@ func TestParallelReplayOracle(t *testing.T) {
 	}
 }
 
+// TestParallelReplayRefusesFullCreation: full creation does not confine a
+// monitor to its pivot's worker, so a parallel replay under it would
+// over-count Created. ReplayParallel refuses it with monitor.Options.Check's
+// message for the requested worker count, and still accepts one worker.
+func TestParallelReplayRefusesFullCreation(t *testing.T) {
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.rvt")
+	record(t, path, spec, genUnsafeIter(t, spec, 2, 4), 64)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := monitor.Options{GC: monitor.GCNone, Creation: monitor.CreateFull}
+	want := full.Check(spec, 4)
+	if _, err := r.ReplayParallel(spec, ParallelConfig{Workers: 4, Monitor: full}); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("×4 under full creation: %v, want Check's %v", err, want)
+	}
+	if _, err := r.ReplayParallel(spec, ParallelConfig{Workers: 1, Monitor: full}); err != nil {
+		t.Fatalf("×1 under full creation: %v", err)
+	}
+}
+
 // TestPivotFilter: replaying only selected slices yields exactly those
 // slices' verdicts, and the pivot index skims pure (broadcast-free)
 // segments wholesale.

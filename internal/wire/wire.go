@@ -150,6 +150,17 @@ type Hello struct {
 	Window uint64
 }
 
+// Options is the engine configuration the Hello's mode bytes select: the
+// one Hello → monitor.Options conversion. The bytes are taken as they are;
+// monitor.Options.Check judges them.
+func (h Hello) Options() monitor.Options {
+	return monitor.Options{
+		GC:       monitor.GCPolicy(h.GC),
+		Creation: monitor.CreationStrategy(h.Creation),
+		Avoid:    monitor.AvoidMode(h.Avoid),
+	}
+}
+
 // EventDef mirrors monitor.EventDef on the wire: the event name and the
 // parameter-set bitmask D(e).
 type EventDef struct {

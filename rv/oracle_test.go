@@ -109,7 +109,7 @@ func backend(t testing.TB, prop string, gc monitor.GCPolicy, shards int, remote 
 	case remote != "":
 		opts = append(opts, rvgo.WithRemote(remote), rvgo.WithShards(max(shards, 1)))
 	case shards > 0:
-		opts = append(opts, rvgo.WithShards(shards), rvgo.WithBatch(4, 0))
+		opts = append(opts, rvgo.WithShards(shards))
 	}
 	m, err := rvgo.New(sp, opts...)
 	if err != nil {

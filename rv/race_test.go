@@ -63,7 +63,7 @@ func TestFreeDuringDispatchRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	srt, err := rvgo.New(sp,
-		rvgo.WithShards(4), rvgo.WithBatch(4, 4),
+		rvgo.WithShards(4),
 		rvgo.WithVerdictHandler(func(v rvgo.Verdict) {
 			vmu.Lock()
 			got[v.Inst.Format(spec.Params)] = append(got[v.Inst.Format(spec.Params)], string(v.Cat))

@@ -3,7 +3,6 @@ package rvgo
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 
 	"rvgo/internal/cluster"
@@ -42,20 +41,12 @@ type Monitor struct {
 
 type config struct {
 	gc         GCPolicy
-	creation   CreationStrategy
 	avoid      AvoidMode
 	profGuards []bool
 	profile    *CreationProfile
 	shards     int
-	sweep      int
-	batch      int
-	depth      int
 	remoteAddr string
-	remoteConn net.Conn
 	nodes      []string
-	hashSeed   uint64
-	hasSeed    bool
-	window     int
 	handler    func(Verdict)
 	streamBuf  int
 	hasStream  bool
@@ -68,29 +59,12 @@ type config struct {
 type Option func(*config) error
 
 // WithGC selects the monitor garbage-collection policy (default
-// GCCoenable, the paper's contribution).
+// GCCoenable, the paper's contribution). New refuses an undefined policy,
+// as it does an undefined avoidance mode.
 func WithGC(p GCPolicy) Option {
 	return func(c *config) error {
-		switch p {
-		case GCNone, GCAllDead, GCCoenable:
-			c.gc = p
-			return nil
-		}
-		return fmt.Errorf("rvgo: unknown GC policy %d (want GCCoenable, GCAllDead or GCNone)", int(p))
-	}
-}
-
-// WithCreation selects the monitor creation strategy (default
-// CreateEnable). CreateFull is the Figure 5 semantic oracle and requires
-// the sequential backend.
-func WithCreation(s CreationStrategy) Option {
-	return func(c *config) error {
-		switch s {
-		case CreateEnable, CreateFull:
-			c.creation = s
-			return nil
-		}
-		return fmt.Errorf("rvgo: unknown creation strategy %d (want CreateEnable or CreateFull)", int(s))
+		c.gc = p
+		return nil
 	}
 }
 
@@ -99,18 +73,12 @@ func WithCreation(s CreationStrategy) Option {
 // WithProfileGuards) consulted before a monitor is materialized. AvoidAudit
 // counts guard hits in Stats.Avoided without changing behavior; AvoidEnforce
 // suppresses guarded creations while keeping per-slice verdicts
-// bit-identical to the unguarded engine. Enforcement under CreateFull
-// additionally requires GCNone (see the engine's soundness boundary).
-// Works on every backend; the mode travels in the session handshake for
-// remote and cluster Monitors.
+// bit-identical to the unguarded engine. Works on every backend; the mode
+// travels in the session handshake for remote and cluster Monitors.
 func WithAvoidance(mode AvoidMode) Option {
 	return func(c *config) error {
-		switch mode {
-		case AvoidOff, AvoidAudit, AvoidEnforce:
-			c.avoid = mode
-			return nil
-		}
-		return fmt.Errorf("rvgo: unknown avoidance mode %d (want AvoidOff, AvoidAudit or AvoidEnforce)", int(mode))
+		c.avoid = mode
+		return nil
 	}
 }
 
@@ -162,34 +130,6 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithBatch tunes the sharded runtime's ingestion batching: records
-// (events and frees) per mailbox batch and mailbox depth in batches (zero
-// keeps a default). A full batch is shipped to its shard at once; a
-// partial one waits for a sync operation (Barrier, Flush, Stats, Close) or
-// a fixed 1 ms linger, whichever comes first. Requires WithShards(n > 1).
-func WithBatch(size, depth int) Option {
-	return func(c *config) error {
-		if size < 0 || depth < 0 {
-			return fmt.Errorf("rvgo: WithBatch(%d, %d): sizes must be >= 0", size, depth)
-		}
-		c.batch, c.depth = size, depth
-		return nil
-	}
-}
-
-// WithSweepInterval sets the number of events between the engine's
-// sweeps, the periodic pass that notices dead parameter objects (0 keeps
-// the default). Local backends only.
-func WithSweepInterval(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("rvgo: WithSweepInterval(%d): interval must be >= 0", n)
-		}
-		c.sweep = n
-		return nil
-	}
-}
-
 // WithRemote monitors over the network: the Monitor becomes a session
 // against the monitoring server at addr (cmd/rvserve, or a Server from
 // NewServer). The spec must carry transferable provenance — built by
@@ -207,25 +147,13 @@ func WithRemote(addr string) Option {
 	}
 }
 
-// WithRemoteConn is WithRemote over an already-established connection
-// (a test pipe, a tunneled stream). The Monitor owns the connection.
-func WithRemoteConn(conn net.Conn) Option {
-	return func(c *config) error {
-		if conn == nil {
-			return errors.New("rvgo: WithRemoteConn: nil connection")
-		}
-		c.remoteConn = conn
-		return nil
-	}
-}
-
 // WithCluster monitors across a cluster of monitoring servers: the
 // Monitor becomes one logical session whose slices are spread over the
 // given rvserve nodes by consistent-hashing the property's pivot
 // parameter. Everything WithRemote requires applies (transferable spec
-// provenance, explicit Free/FreeAsync deaths); additionally the session
-// must use enable-set creation — the guarantee that every monitor binds
-// the pivot is what makes the slice placement sound. Events that do not
+// provenance, explicit Free/FreeAsync deaths). The placement is sound
+// because enable-set creation, the only strategy the façade runs,
+// guarantees that every monitor binds the pivot. Events that do not
 // bind the pivot broadcast to every node under an all-or-nothing credit
 // discipline, nodes may join and leave mid-run (see Monitor.Nodes), and a
 // node crash re-homes its slices onto the survivors by deterministic
@@ -243,29 +171,6 @@ func WithCluster(addrs ...string) Option {
 			}
 		}
 		c.nodes = append([]string(nil), addrs...)
-		return nil
-	}
-}
-
-// WithHashSeed perturbs the cluster's pivot→slot and slot→node hashes.
-// Sessions that must agree on slice placement should share a seed; a
-// single session can leave it unset. Cluster sessions only.
-func WithHashSeed(seed uint64) Option {
-	return func(c *config) error {
-		c.hashSeed = seed
-		c.hasSeed = true
-		return nil
-	}
-}
-
-// WithWindow caps a remote session's event-credit window (0 accepts the
-// server's). Remote sessions only.
-func WithWindow(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("rvgo: WithWindow(%d): window must be >= 0", n)
-		}
-		c.window = n
 		return nil
 	}
 }
@@ -348,8 +253,10 @@ func WithVerdictStream(buffer int) Option {
 
 // New builds a Monitor for a property. With no options it monitors on the
 // in-process sequential engine with coenable-set GC and enable-set
-// creation avoidance — the paper's configuration. The spec's validation
-// and static analyses have already run at build time, so New only wires
+// creation — the paper's configuration; enable-set creation is the only
+// strategy the façade runs. The spec's validation and static analyses have
+// already run at build time, so New only checks the configuration
+// (monitor.Options.Check, before any backend is built or dialed) and wires
 // the backend; a non-nil Monitor is ready for events.
 func New(s *spec.Spec, opts ...Option) (*Monitor, error) {
 	if s == nil {
@@ -358,56 +265,31 @@ func New(s *spec.Spec, opts ...Option) (*Monitor, error) {
 	// cfg.shards stays 0 when WithShards is omitted: locally that means
 	// the sequential engine; remotely it lets the server's configured
 	// default backend apply (the wire Hello carries 0).
-	cfg := config{gc: GCCoenable, creation: CreateEnable}
-	// fail releases a caller-supplied connection on every construction
-	// error: the Monitor owns it from the moment the option is applied,
-	// even if New never reaches the handshake.
-	fail := func(err error) (*Monitor, error) {
-		if cfg.remoteConn != nil {
-			cfg.remoteConn.Close()
-		}
-		return nil, err
-	}
+	cfg := config{gc: GCCoenable}
 	for _, o := range opts {
 		if o == nil {
 			continue
 		}
 		if err := o(&cfg); err != nil {
-			return fail(err)
+			return nil, err
 		}
 	}
-	remote := cfg.remoteAddr != "" || cfg.remoteConn != nil
 	clustered := len(cfg.nodes) > 0
-	networked := remote || clustered
-	if cfg.remoteAddr != "" && cfg.remoteConn != nil {
-		return fail(errors.New("rvgo: WithRemote and WithRemoteConn are mutually exclusive"))
+	networked := clustered || cfg.remoteAddr != ""
+	switch {
+	case clustered && cfg.remoteAddr != "":
+		return nil, errors.New("rvgo: WithCluster and WithRemote are mutually exclusive")
+	case clustered && cfg.shards != 0:
+		return nil, errors.New("rvgo: WithShards does not apply to cluster sessions: the cluster already shards by pivot across nodes, and its per-node sessions must stay sequential")
+	case networked && (cfg.profGuards != nil || cfg.profile != nil):
+		return nil, errors.New("rvgo: WithProfileGuards and WithCreationProfile require a local backend (profiles do not cross the wire)")
 	}
-	if clustered && remote {
-		return fail(errors.New("rvgo: WithCluster and WithRemote/WithRemoteConn are mutually exclusive"))
-	}
-	if cfg.hasSeed && !clustered {
-		return fail(errors.New("rvgo: WithHashSeed applies only to cluster sessions (WithCluster)"))
-	}
-	if clustered && cfg.shards != 0 {
-		return fail(errors.New("rvgo: WithShards does not apply to cluster sessions: the cluster already shards by pivot across nodes, and its per-node sessions must stay sequential"))
-	}
-	if cfg.window != 0 && !networked {
-		return fail(errors.New("rvgo: WithWindow applies only to remote and cluster sessions"))
-	}
-	if (cfg.batch != 0 || cfg.depth != 0) && (networked || cfg.shards <= 1) {
-		return fail(errors.New("rvgo: WithBatch requires a local sharded backend (WithShards(n > 1))"))
-	}
-	if cfg.sweep != 0 && networked {
-		return fail(errors.New("rvgo: WithSweepInterval is not supported for remote or cluster sessions"))
-	}
-	if cfg.profGuards != nil && networked {
-		return fail(errors.New("rvgo: WithProfileGuards requires a local backend (the guard vector does not cross the wire)"))
-	}
-	if cfg.profile != nil && (networked || cfg.shards > 1) {
-		return fail(errors.New("rvgo: WithCreationProfile requires the sequential backend (the profile counters are engine-local)"))
+	mo := monitor.Options{GC: cfg.gc, Avoid: cfg.avoid, ProfileGuards: cfg.profGuards, Profile: cfg.profile}
+	if err := mo.Check(s.Compiled(), max(cfg.shards, 1)); err != nil {
+		return nil, err
 	}
 
-	m := &Monitor{sp: s}
+	m := &Monitor{sp: s, met: cfg.met}
 	handler := cfg.handler
 	if cfg.flightN > 0 {
 		// Snapshot before the user handler runs, so a handler (or a
@@ -434,13 +316,11 @@ func New(s *spec.Spec, opts ...Option) (*Monitor, error) {
 		}
 	}
 
-	m.met = cfg.met
 	// cli counts the remote session's client-side stream: with WithRemote
 	// the engine (and its rv_engine_* series) lives in the server, so the
 	// local registry carries rv_client_* totals instead, counted at the tap.
 	var cli *metrics.ClientSeries
-	switch {
-	case networked:
+	if networked {
 		if cfg.met != nil {
 			cli = metrics.NewClientSeries(cfg.met.reg, s.Name())
 			cs, user := cli, handler
@@ -451,66 +331,29 @@ func New(s *spec.Spec, opts ...Option) (*Monitor, error) {
 				}
 			}
 		}
-		if clustered {
-			cl, err := m.dialCluster(cfg, handler)
-			if err != nil {
-				return fail(err)
-			}
-			m.rt, m.clu = cl, cl
-			break
-		}
-		cl, err := m.dialRemote(cfg, handler)
-		if err != nil {
-			// remote.NewSession closes the connection on handshake
-			// errors itself; closing again is a harmless no-op, and the
-			// pre-handshake errors (provenance) need it.
-			return fail(err)
-		}
-		m.rt, m.rem = cl, cl
-	case cfg.shards > 1:
-		so := shard.Options{
-			Options: monitor.Options{
-				GC:            cfg.gc,
-				Creation:      cfg.creation,
-				Avoid:         cfg.avoid,
-				ProfileGuards: cfg.profGuards,
-				OnVerdict:     handler,
-				SweepInterval: cfg.sweep,
-			},
-			Shards:       cfg.shards,
-			BatchSize:    cfg.batch,
-			MailboxDepth: cfg.depth,
-		}
-		if cfg.met != nil {
-			// All workers share one engine series; delta publication makes
-			// their counters sum, and the runtime adds per-shard series.
-			so.Options.Metrics = metrics.NewEngineSeries(cfg.met.reg, s.Name(), cfg.gc.String())
-			so.MetricsRegistry = cfg.met.reg
-			so.MetricsLabel = s.Name()
-		}
-		rt, err := shard.New(s.Compiled(), so)
-		if err != nil {
+		if err := m.dial(cfg, handler); err != nil {
 			return nil, err
 		}
-		m.rt = rt
-	default:
-		mo := monitor.Options{
-			GC:            cfg.gc,
-			Creation:      cfg.creation,
-			Avoid:         cfg.avoid,
-			ProfileGuards: cfg.profGuards,
-			Profile:       cfg.profile,
-			OnVerdict:     handler,
-			SweepInterval: cfg.sweep,
-		}
+	} else {
+		mo.OnVerdict = handler
 		if cfg.met != nil {
+			// Shard workers share one engine series: delta publication makes
+			// their counters sum, and the runtime adds per-shard series.
 			mo.Metrics = metrics.NewEngineSeries(cfg.met.reg, s.Name(), cfg.gc.String())
 		}
-		eng, err := monitor.New(s.Compiled(), mo)
+		var err error
+		if cfg.shards > 1 {
+			so := shard.Options{Options: mo, Shards: cfg.shards}
+			if cfg.met != nil {
+				so.MetricsRegistry, so.MetricsLabel = cfg.met.reg, s.Name()
+			}
+			m.rt, err = shard.New(s.Compiled(), so)
+		} else {
+			m.rt, err = monitor.New(s.Compiled(), mo)
+		}
 		if err != nil {
 			return nil, err
 		}
-		m.rt = eng
 	}
 	if cfg.recordPath != "" || m.flight != nil || cli != nil {
 		// The tap becomes the Monitor's runtime before anything resolves
@@ -542,59 +385,41 @@ func NewCreationProfile(s *spec.Spec) *CreationProfile {
 	return monitor.NewCreationProfile(s.Compiled())
 }
 
-func (m *Monitor) dialRemote(cfg config, handler func(Verdict)) (*remote.Client, error) {
+// dial opens the Monitor's network session: a cluster session across
+// cfg.nodes, or a remote one against cfg.remoteAddr. The peers compile the
+// spec themselves, from the reference the handshake carries.
+func (m *Monitor) dial(cfg config, handler func(Verdict)) error {
 	kind, ref, ok := m.sp.Source()
 	if !ok {
-		return nil, fmt.Errorf("rvgo: property %q cannot back a remote session: the server needs transferable provenance (build the spec with spec.Builtin or from .rv source)", m.sp.Name())
+		return fmt.Errorf("rvgo: property %q cannot back a remote or cluster session: the peers need transferable provenance (build the spec with spec.Builtin or from .rv source)", m.sp.Name())
 	}
-	ropts := remote.Options{
-		GC:        cfg.gc,
-		Creation:  cfg.creation,
-		Avoid:     cfg.avoid,
-		Shards:    cfg.shards,
-		Window:    cfg.window,
-		OnVerdict: handler,
-	}
+	var prop, source string
 	switch kind {
 	case spec.SourceBuiltin:
-		ropts.Prop = ref
+		prop = ref
 	case spec.SourceFile:
-		ropts.SpecSource = ref
+		source = ref
 	default:
-		return nil, fmt.Errorf("rvgo: unknown spec provenance %q", kind)
+		return fmt.Errorf("rvgo: unknown spec provenance %q", kind)
 	}
-	if cfg.remoteConn != nil {
-		return remote.NewSession(cfg.remoteConn, ropts)
+	if len(cfg.nodes) > 0 {
+		copts := cluster.Options{Prop: prop, SpecSource: source, GC: cfg.gc, Avoid: cfg.avoid, Nodes: cfg.nodes, OnVerdict: handler}
+		if cfg.met != nil {
+			copts.Metrics = metrics.NewClusterSeries(cfg.met.reg, m.sp.Name())
+		}
+		cl, err := cluster.Open(copts)
+		if err != nil {
+			return err
+		}
+		m.rt, m.clu = cl, cl
+		return nil
 	}
-	return remote.Dial(cfg.remoteAddr, ropts)
-}
-
-func (m *Monitor) dialCluster(cfg config, handler func(Verdict)) (*cluster.Client, error) {
-	kind, ref, ok := m.sp.Source()
-	if !ok {
-		return nil, fmt.Errorf("rvgo: property %q cannot back a cluster session: the nodes need transferable provenance (build the spec with spec.Builtin or from .rv source)", m.sp.Name())
+	cl, err := remote.Dial(cfg.remoteAddr, remote.Options{Prop: prop, SpecSource: source, GC: cfg.gc, Avoid: cfg.avoid, Shards: cfg.shards, OnVerdict: handler})
+	if err != nil {
+		return err
 	}
-	copts := cluster.Options{
-		GC:        cfg.gc,
-		Creation:  cfg.creation,
-		Avoid:     cfg.avoid,
-		Nodes:     cfg.nodes,
-		Seed:      cfg.hashSeed,
-		Window:    cfg.window,
-		OnVerdict: handler,
-	}
-	if cfg.met != nil {
-		copts.Metrics = metrics.NewClusterSeries(cfg.met.reg, m.sp.Name())
-	}
-	switch kind {
-	case spec.SourceBuiltin:
-		copts.Prop = ref
-	case spec.SourceFile:
-		copts.SpecSource = ref
-	default:
-		return nil, fmt.Errorf("rvgo: unknown spec provenance %q", kind)
-	}
-	return cluster.Open(copts)
+	m.rt, m.rem = cl, cl
+	return nil
 }
 
 var _ monitor.Runtime = (*Monitor)(nil)
