@@ -321,9 +321,9 @@ func BenchmarkShardScalingHasNext(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				it := iters[i&1023]
 				if i&1 == 0 {
-					rt.Emit(hnT, it)
+					monitor.Emit(rt, hnT, it)
 				} else {
-					rt.Emit(nxt, it)
+					monitor.Emit(rt, nxt, it)
 				}
 			}
 			rt.Barrier()
@@ -353,15 +353,15 @@ func BenchmarkShardScalingUnsafeIter(b *testing.B) {
 			}
 			for i := range its {
 				its[i] = h.Alloc("")
-				rt.Emit(create, cols[i%nColl], its[i])
+				monitor.Emit(rt, create, cols[i%nColl], its[i])
 			}
 			rt.Barrier() // drain the setup events before the clock starts
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i&7 == 7 {
-					rt.Emit(update, cols[i%nColl])
+					monitor.Emit(rt, update, cols[i%nColl])
 				} else {
-					rt.Emit(next, its[i%len(its)])
+					monitor.Emit(rt, next, its[i%len(its)])
 				}
 			}
 			rt.Barrier()
@@ -394,8 +394,8 @@ func BenchmarkDispatchHasNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := iters[i&255]
-		eng.Emit(hnT, it)
-		eng.Emit(nxt, it)
+		monitor.Emit(eng, hnT, it)
+		monitor.Emit(eng, nxt, it)
 	}
 }
 
@@ -417,11 +417,11 @@ func BenchmarkDispatchUnsafeIterUpdate(b *testing.B) {
 	create, _ := spec.Symbol("create")
 	update, _ := spec.Symbol("update")
 	for i := 0; i < 64; i++ {
-		eng.Emit(create, c, h.Alloc(""))
+		monitor.Emit(eng, create, c, h.Alloc(""))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Emit(update, c)
+		monitor.Emit(eng, update, c)
 	}
 }
 
@@ -500,11 +500,11 @@ func BenchmarkTracematchDispatch(b *testing.B) {
 	h := heap.New()
 	c := h.Alloc("c")
 	for i := 0; i < 64; i++ {
-		tm.Emit(0, c, h.Alloc("")) // create
+		monitor.Emit(tm, 0, c, h.Alloc("")) // create
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tm.Emit(1, c) // update
+		monitor.Emit(tm, 1, c) // update
 	}
 }
 
@@ -566,18 +566,17 @@ func BenchmarkDispatchChurnAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := h.Alloc("")
-		eng.Emit(create, c, it)
-		eng.Emit(next, it)
+		monitor.Emit(eng, create, c, it)
+		monitor.Emit(eng, next, it)
 		h.Free(it)
-		eng.Emit(update, c)
+		monitor.Emit(eng, update, c)
 	}
 }
 
 // BenchmarkShardDispatchAllocs: the producer-side cost of routing one
 // event into the sharded runtime (batch append; the batch pool recycles
 // its boxed batches). Dispatch with a bound instance is the production
-// path (the dacapo adapter's fast path builds instances directly); Emit
-// through the Runtime interface would additionally box its variadic slice.
+// path: the dacapo adapter builds instances directly.
 func BenchmarkShardDispatchAllocs(b *testing.B) {
 	b.ReportAllocs()
 	rt := newShardBenchBackend(b, "HasNext", 2)

@@ -15,8 +15,8 @@ import (
 // BenchmarkEmitterEmit measures the façade's per-event hot path on the
 // sequential backend: one pre-resolved Emitter dispatching a
 // single-parameter event in steady state. The allocs/op column must read
-// 0 — the same guarantee the internal dispatcher fast path gives the
-// DaCapo adapter (TestEmitterZeroAlloc gates it in plain `go test`).
+// 0 — the same guarantee the DaCapo adapter's sinks have
+// (TestEmitterZeroAlloc gates it in plain `go test`).
 func BenchmarkEmitterEmit(b *testing.B) {
 	sp, err := spec.Builtin("HasNext")
 	if err != nil {

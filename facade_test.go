@@ -419,4 +419,18 @@ func TestEmitterZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("Emitter.Emit allocates %.2f allocs/op on the sequential backend, want 0", avg)
 	}
+	hnTSym, _ := m.Spec().Symbol("hasnexttrue")
+	nextSym, _ := m.Spec().Symbol("next")
+	if avg := testing.AllocsPerRun(2000, func() {
+		m.Emit(hnTSym, it)
+		m.Emit(nextSym, it)
+	}); avg != 0 {
+		t.Errorf("Monitor.Emit allocates %.2f allocs/op on the sequential backend, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		_ = m.EmitNamed("hasnexttrue", it)
+		_ = m.EmitNamed("next", it)
+	}); avg != 0 {
+		t.Errorf("Monitor.EmitNamed allocates %.2f allocs/op on the sequential backend, want 0", avg)
+	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // recDisp taps dispatched events into the trace writer before the
-// engine — the adapter's fast-path surface, with recording.
+// engine — the adapter's surface, with recording.
 type recDisp struct {
 	rt  monitor.Runtime
 	w   *trace.Writer
@@ -32,10 +32,6 @@ func (r *recDisp) Dispatch(sym int, theta param.Instance) {
 		r.err = err
 	}
 	r.rt.Dispatch(sym, theta)
-}
-
-func (r *recDisp) EmitNamed(name string, vals ...heap.Ref) error {
-	return r.rt.EmitNamed(name, vals...)
 }
 
 func oracleKey(v monitor.Verdict) string {
@@ -74,7 +70,7 @@ func onlineOracle(t *testing.T, wl *dacapo.Trace, prop string, gc monitor.GCPoli
 	}
 	defer eng.Close()
 	rec := &recDisp{rt: eng, w: w}
-	var em dacapo.Emitter = eng
+	var em monitor.Dispatcher = eng
 	if w != nil {
 		em = rec
 	}

@@ -66,8 +66,7 @@ var _ monitor.Runtime = (*Client)(nil)
 // Open resolves the spec and connects every slot session across the
 // given nodes.
 func Open(opts Options) (*Client, error) {
-	c := &Client{}
-	front, err := remote.NewFront(opts.Prop, opts.SpecSource, opts.OnVerdict, c)
+	front, err := remote.NewFront(opts.Prop, opts.SpecSource, opts.OnVerdict)
 	if err != nil {
 		return nil, err
 	}
@@ -84,8 +83,7 @@ func Open(opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Front, c.f = front, f
-	return c, nil
+	return &Client{Front: front, f: f}, nil
 }
 
 // Err returns the sticky session error, if any. Runtime methods degrade

@@ -376,7 +376,7 @@ func TestBroadcastAllOrNothing(t *testing.T) {
 
 	// First broadcast: every stub slot spends its only credit; the event
 	// reaches every slot on both nodes.
-	c.Emit(bsym, testRef(1))
+	monitor.Emit(c, bsym, testRef(1))
 	c.Barrier()
 	if got := sessionEventSum(srv); got != realSlots {
 		t.Fatalf("after first broadcast the real node saw %d events, want %d (one per slot)", got, realSlots)
@@ -389,7 +389,7 @@ func TestBroadcastAllOrNothing(t *testing.T) {
 	// broadcast must stall — including the copies for the healthy node.
 	done := make(chan struct{})
 	go func() {
-		c.Emit(bsym, testRef(2))
+		monitor.Emit(c, bsym, testRef(2))
 		close(done)
 	}()
 	select {

@@ -61,7 +61,7 @@ func TestRouterStatusz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Emit(bsym, testRef(1))
+	monitor.Emit(cl, bsym, testRef(1))
 	cl.Barrier()
 
 	st := rtr.Statusz()
@@ -88,7 +88,7 @@ func TestRouterStatusz(t *testing.T) {
 		t.Fatalf("no node hosts slots: %+v", st.Sessions[0].Nodes)
 	}
 	nodes[victim].kill()
-	cl.Emit(bsym, testRef(2))
+	monitor.Emit(cl, bsym, testRef(2))
 	cl.Barrier() // settles only after every slot is re-homed and live
 
 	st = rtr.Statusz()

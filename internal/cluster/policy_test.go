@@ -55,8 +55,8 @@ func TestLinkFreesRideTheBlock(t *testing.T) {
 	start := time.Now()
 	for k := 0; k < iters; k++ {
 		col, it := h.Alloc("c"), h.Alloc("i")
-		c.Emit(0, col, it)
-		c.Emit(2, it)
+		monitor.Emit(c, 0, col, it)
+		monitor.Emit(c, 2, it)
 		c.Free(it)
 	}
 	elapsed := time.Since(start)
@@ -99,7 +99,7 @@ func TestClusterIdleProducerTimeliness(t *testing.T) {
 			defer c.Close()
 			it := heap.New().Alloc("i")
 			for _, ev := range []string{"hasnexttrue", "next", "next"} {
-				if err := c.EmitNamed(ev, it); err != nil {
+				if err := monitor.EmitNamed(c, ev, it); err != nil {
 					t.Fatal(err)
 				}
 			}

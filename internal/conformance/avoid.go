@@ -223,10 +223,10 @@ func RunAvoidanceEnforcement(t *testing.T) {
 			symA, _ := spec.Symbol("a")
 			symB, _ := spec.Symbol("b")
 			symG, _ := spec.Symbol("g")
-			eng.Emit(symA, a1)
-			eng.Emit(symB, b1)
-			eng.Emit(symB, b2)
-			eng.Emit(symG, a1) // only the a-born slice reaches the goal
+			monitor.Emit(eng, symA, a1)
+			monitor.Emit(eng, symB, b1)
+			monitor.Emit(eng, symB, b2)
+			monitor.Emit(eng, symG, a1) // only the a-born slice reaches the goal
 			eng.Flush()
 			stats := eng.Stats()
 			eng.Close()

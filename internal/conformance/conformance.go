@@ -25,7 +25,7 @@ func RunEmitNamed(t *testing.T, build Factory) {
 		rt := build(t, "UnsafeIter", nil)
 		defer rt.Close()
 		h := heap.New()
-		err := rt.EmitNamed("nosuchevent", h.Alloc("x"))
+		err := monitor.EmitNamed(rt, "nosuchevent", h.Alloc("x"))
 		if err == nil {
 			t.Fatal("EmitNamed with an unknown event name returned nil error")
 		}
@@ -45,7 +45,7 @@ func RunEmitNamed(t *testing.T, build Factory) {
 		c, i := h.Alloc("c"), h.Alloc("i")
 		// create binds (c, i): two values.
 		for _, vals := range [][]heap.Ref{{}, {c}, {c, i, h.Alloc("z")}} {
-			err := rt.EmitNamed("create", vals...)
+			err := monitor.EmitNamed(rt, "create", vals...)
 			if err == nil {
 				t.Fatalf("EmitNamed(create, %d values) returned nil error, want arity error", len(vals))
 			}
@@ -58,7 +58,7 @@ func RunEmitNamed(t *testing.T, build Factory) {
 			t.Errorf("misfired events dispatched: Events = %d, want 0", got)
 		}
 		// The runtime must still be usable after rejected calls.
-		if err := rt.EmitNamed("create", c, i); err != nil {
+		if err := monitor.EmitNamed(rt, "create", c, i); err != nil {
 			t.Fatalf("valid EmitNamed after rejected calls: %v", err)
 		}
 		rt.Barrier()
@@ -86,7 +86,7 @@ func RunEmitNamed(t *testing.T, build Factory) {
 			{"update", []heap.Ref{c}},
 			{"next", []heap.Ref{i}},
 		} {
-			if err := rt.EmitNamed(step.ev, step.vals...); err != nil {
+			if err := monitor.EmitNamed(rt, step.ev, step.vals...); err != nil {
 				t.Fatalf("EmitNamed(%s): %v", step.ev, err)
 			}
 		}

@@ -30,7 +30,7 @@ func freeDriver(t *testing.T, rt monitor.Runtime, async bool) (stats monitor.Sta
 	c, i1, i2 := h.Alloc("c"), h.Alloc("i1"), h.Alloc("i2")
 	emit := func(ev string, vals ...heap.Ref) {
 		t.Helper()
-		if err := rt.EmitNamed(ev, vals...); err != nil {
+		if err := monitor.EmitNamed(rt, ev, vals...); err != nil {
 			t.Fatalf("EmitNamed(%s): %v", ev, err)
 		}
 	}

@@ -8,130 +8,6 @@ import (
 	"rvgo/internal/param"
 )
 
-// Emitter is the property-event half of an adapter: the RV and JavaMOP
-// engines and the tracematch engine all satisfy it.
-type Emitter interface {
-	EmitNamed(event string, vals ...heap.Ref) error
-}
-
-// dispatcher is the fast-path surface every in-process backend, the
-// sharded runtime, the remote client and the tracematch engine provide:
-// with the spec in hand the adapter resolves event symbols and parameter
-// indices once, and each instrumentation event becomes a direct
-// Dispatch(sym, θ) — no per-event name lookup, no variadic slice boxed
-// through an interface call, no allocation.
-type dispatcher interface {
-	Spec() *monitor.Spec
-	Dispatch(sym int, theta param.Instance)
-}
-
-// Adapt translates instrumentation events into the parametric events of a
-// named property, mirroring the AspectJ pointcuts of §1's figures. It
-// returns a Sink that feeds the emitter. Unknown properties are an error,
-// as is (on the fast path) a spec that lacks a property's events.
-func Adapt(property string, em Emitter) (Sink, error) {
-	if d, ok := em.(dispatcher); ok {
-		return adaptFast(property, d)
-	}
-	emit := func(event string, vals ...heap.Ref) {
-		if err := em.EmitNamed(event, vals...); err != nil {
-			panic(fmt.Sprintf("dacapo: adapter for %s: %v", property, err))
-		}
-	}
-	switch property {
-	case "HasNext", "HasNextLTL":
-		return func(ev Event) {
-			switch ev.Op {
-			case OpIterHasNext:
-				if ev.Flag {
-					emit("hasnexttrue", ev.Iter)
-				} else {
-					emit("hasnextfalse", ev.Iter)
-				}
-			case OpIterNext:
-				emit("next", ev.Iter)
-			}
-		}, nil
-
-	case "UnsafeIter":
-		return func(ev Event) {
-			switch ev.Op {
-			case OpIterCreate:
-				emit("create", ev.Coll, ev.Iter)
-			case OpCollUpdate:
-				emit("update", ev.Coll)
-			case OpIterNext:
-				emit("next", ev.Iter)
-			}
-		}, nil
-
-	case "UnsafeMapIter":
-		return func(ev Event) {
-			switch ev.Op {
-			case OpMapView:
-				emit("createColl", ev.Map, ev.Coll)
-			case OpIterCreate:
-				if ev.IsView {
-					emit("createIter", ev.Coll, ev.Iter)
-				}
-			case OpIterNext:
-				emit("useIter", ev.Iter)
-			case OpMapUpdate:
-				emit("updateMap", ev.Map)
-			}
-		}, nil
-
-	case "UnsafeSyncColl":
-		return func(ev Event) {
-			switch ev.Op {
-			case OpCollSync:
-				emit("sync", ev.Coll)
-			case OpIterCreate:
-				if ev.Flag {
-					emit("syncCreateIter", ev.Coll, ev.Iter)
-				} else {
-					emit("asyncCreateIter", ev.Coll, ev.Iter)
-				}
-			case OpIterNext:
-				if ev.Flag {
-					emit("syncAccess", ev.Iter)
-				} else {
-					emit("asyncAccess", ev.Iter)
-				}
-			}
-		}, nil
-
-	case "UnsafeSyncMap":
-		return func(ev Event) {
-			switch ev.Op {
-			case OpMapSync:
-				emit("sync", ev.Map)
-			case OpMapView:
-				emit("createSet", ev.Map, ev.Coll)
-			case OpIterCreate:
-				if !ev.IsView {
-					return
-				}
-				if ev.Flag {
-					emit("syncCreateIter", ev.Coll, ev.Iter)
-				} else {
-					emit("asyncCreateIter", ev.Coll, ev.Iter)
-				}
-			case OpIterNext:
-				if !ev.IsView {
-					return
-				}
-				if ev.Flag {
-					emit("syncAccess", ev.Iter)
-				} else {
-					emit("asyncAccess", ev.Iter)
-				}
-			}
-		}, nil
-	}
-	return nil, fmt.Errorf("dacapo: no adapter for property %q", property)
-}
-
 // fastEv is one pre-resolved parametric event: the symbol plus the
 // parameter indices it binds, in ascending order.
 type fastEv struct {
@@ -142,21 +18,21 @@ type fastEv struct {
 // resolver pre-resolves a property's event names against the backend's
 // compiled spec; emit1/emit2 then cost one Bind chain and one Dispatch.
 type resolver struct {
-	d    dispatcher
-	spec *monitor.Spec
-	err  error
+	d   monitor.Dispatcher
+	err error
 }
 
 func (r *resolver) ev(name string, arity int) fastEv {
 	if r.err != nil {
 		return fastEv{}
 	}
-	sym, ok := r.spec.Symbol(name)
+	spec := r.d.Spec()
+	sym, ok := spec.Symbol(name)
 	if !ok {
-		r.err = fmt.Errorf("dacapo: spec %q has no event %q", r.spec.Name, name)
+		r.err = fmt.Errorf("dacapo: spec %q has no event %q", spec.Name, name)
 		return fastEv{}
 	}
-	ps := r.spec.Events[sym].Params
+	ps := spec.Events[sym].Params
 	if ps.Count() != arity {
 		r.err = fmt.Errorf("dacapo: event %q binds %d parameters, adapter expects %d", name, ps.Count(), arity)
 		return fastEv{}
@@ -176,10 +52,14 @@ func (r *resolver) emit2(f fastEv, a, b heap.Ref) {
 	r.d.Dispatch(f.sym, param.Empty().Bind(f.p1, a).Bind(f.p2, b))
 }
 
-// adaptFast is Adapt for backends exposing their spec: the returned sinks
-// are allocation-free per event.
-func adaptFast(property string, d dispatcher) (Sink, error) {
-	r := &resolver{d: d, spec: d.Spec()}
+// Adapt translates instrumentation events into the parametric events of a
+// named property, mirroring the AspectJ pointcuts of §1's figures. The
+// property's event symbols and parameter indices are resolved once against
+// d's spec, so each instrumentation event becomes one direct Dispatch(sym,
+// θ): no per-event name lookup, no variadic slice, no allocation. Unknown
+// properties are an error, as is a spec that lacks a property's events.
+func Adapt(property string, d monitor.Dispatcher) (Sink, error) {
+	r := &resolver{d: d}
 	switch property {
 	case "HasNext", "HasNextLTL":
 		hnT, hnF, next := r.ev("hasnexttrue", 1), r.ev("hasnextfalse", 1), r.ev("next", 1)

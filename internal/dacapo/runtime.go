@@ -8,6 +8,10 @@
 //   - fifteen synthetic workload profiles calibrated against the event
 //     counts of the paper's Figure 10 (scaled down; see profiles.go).
 //
+// Adapt turns the instrumentation events into a property's parametric
+// events and dispatches them to any monitor.Dispatcher — every backend,
+// the tracematch engine and the recorders alike.
+//
 // The workloads preserve what the paper's evaluation depends on: the
 // relative volume of events per property, the ratio of monitors to events,
 // and — crucially for the garbage-collection comparison — the lifetime

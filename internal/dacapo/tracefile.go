@@ -2,18 +2,12 @@
 // of internal/trace is the repo's one trace format: a persisted workload
 // trace is a segment file whose symbol alphabet is the instrumentation
 // alphabet (one symbol per Op × flag combination, binding the c/i/m
-// operand slots) rather than a property's event alphabet. Traces written
-// before the segment store used a line-based text format; ReadTraceFile
-// sniffs the magic and falls back to parsing it, so old fixtures stay
-// readable.
+// operand slots) rather than a property's event alphabet.
 
 package dacapo
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 
 	"rvgo/internal/heap"
@@ -130,24 +124,9 @@ func fileOperand(id uint64) heap.Ref {
 	return fileRef{id}
 }
 
-// ReadTraceFile loads a persisted workload trace: segment-format files
-// (the "RVTR" magic) through the trace reader, anything else through the
-// legacy line-based fallback parser.
+// ReadTraceFile loads a persisted workload trace. A file that is not a
+// segment trace is refused with trace.ErrNotTrace.
 func ReadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var magic [4]byte
-	n, _ := f.Read(magic[:])
-	f.Close()
-	if n == 4 && string(magic[:]) == "RVTR" {
-		return readSegmentTrace(path)
-	}
-	return readLegacyTrace(path)
-}
-
-func readSegmentTrace(path string) (*Trace, error) {
 	r, err := trace.Open(path)
 	if err != nil {
 		return nil, err
@@ -181,92 +160,6 @@ func readSegmentTrace(path string) (*Trace, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// legacyHeader is the first line of the pre-segment-store text format.
-const legacyHeader = "# rvgo dacapo trace"
-
-// writeLegacyFile emits the legacy line-based format — kept as the
-// reference implementation of what the fallback parser accepts (and to
-// generate fixtures for its tests).
-func writeLegacyFile(t *Trace, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, legacyHeader)
-	for _, st := range t.Steps {
-		if st.Death != nil {
-			fmt.Fprintf(w, "f %d\n", st.Death.ID())
-			continue
-		}
-		fmt.Fprintf(w, "e %d %d %d %d %d\n", int(st.Ev.Op), eventFlags(st.Ev),
-			refID(st.Ev.Coll), refID(st.Ev.Iter), refID(st.Ev.Map))
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readLegacyTrace parses the line-based format: "e op flags coll iter
-// map" per event, "f id" per death, blank lines and #-comments ignored.
-func readLegacyTrace(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr := &Trace{}
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		bad := func() error {
-			return fmt.Errorf("dacapo: %s:%d: malformed legacy trace line %q", path, line, text)
-		}
-		nums := make([]uint64, len(fields)-1)
-		for i, s := range fields[1:] {
-			if nums[i], err = strconv.ParseUint(s, 10, 64); err != nil {
-				return nil, bad()
-			}
-		}
-		switch fields[0] {
-		case "f":
-			if len(nums) != 1 || nums[0] == 0 {
-				return nil, bad()
-			}
-			tr.Steps = append(tr.Steps, Step{Death: fileRef{nums[0]}})
-		case "e":
-			if len(nums) != 5 || nums[0] >= uint64(len(opNames)) || nums[1] >= 16 {
-				return nil, bad()
-			}
-			f := int(nums[1])
-			tr.Steps = append(tr.Steps, Step{Ev: Event{
-				Op:         Op(nums[0]),
-				Coll:       fileOperand(nums[2]),
-				Iter:       fileOperand(nums[3]),
-				Map:        fileOperand(nums[4]),
-				Flag:       f&flagFlag != 0,
-				CollSynced: f&flagCollSynced != 0,
-				MapSynced:  f&flagMapSynced != 0,
-				IsView:     f&flagIsView != 0,
-			}})
-		default:
-			return nil, bad()
-		}
-	}
-	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return tr, nil

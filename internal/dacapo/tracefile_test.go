@@ -1,6 +1,7 @@
 package dacapo
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
 	"rvgo/internal/props"
+	"rvgo/internal/trace"
 )
 
 // stepShape reduces a step to its persisted identity: operand IDs, op and
@@ -101,44 +103,15 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceFileLegacyFallback(t *testing.T) {
-	tr := recordSmall(t)
-	path := filepath.Join(t.TempDir(), "legacy.txt")
-	if err := writeLegacyFile(tr, path); err != nil {
+// TestTraceFileNotTrace: a file that is not a segment trace — text
+// included — is refused with trace.ErrNotTrace.
+func TestTraceFileNotTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "text.txt")
+	if err := os.WriteFile(path, []byte("# rvgo dacapo trace\ne 0 0 1 2 0\nf 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTraceFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := shapes(tr)
-	have := shapes(got)
-	if len(want) != len(have) {
-		t.Fatalf("reread %d steps, recorded %d", len(have), len(want))
-	}
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("step %d: reread %+v, recorded %+v", i, have[i], want[i])
-		}
-	}
-}
-
-func TestTraceFileLegacyMalformed(t *testing.T) {
-	dir := t.TempDir()
-	for name, body := range map[string]string{
-		"badtag":   "# rvgo dacapo trace\nx 1 2 3\n",
-		"badop":    "e 99 0 1 0 0\n",
-		"badflags": "e 0 16 1 2 0\n",
-		"zerofree": "f 0\n",
-		"badnum":   "e one 0 1 2 0\n",
-	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadTraceFile(path); err == nil {
-			t.Errorf("%s: malformed legacy trace accepted", name)
-		}
+	if _, err := ReadTraceFile(path); !errors.Is(err, trace.ErrNotTrace) {
+		t.Fatalf("ReadTraceFile(text) = %v, want trace.ErrNotTrace", err)
 	}
 }
 

@@ -90,7 +90,7 @@ type AvoidReport struct {
 // recordingDispatcher taps every dispatched event into the trace writer
 // before the engine; deaths are recorded by the heap's free hook. It is
 // the internal image of the façade's WithRecord tap, shaped for the
-// dacapo adapter's fast path.
+// dacapo adapter.
 type recordingDispatcher struct {
 	rt  monitor.Runtime
 	w   *trace.Writer
@@ -104,12 +104,6 @@ func (r *recordingDispatcher) Dispatch(sym int, theta param.Instance) {
 		r.err = err
 	}
 	r.rt.Dispatch(sym, theta)
-}
-
-// EmitNamed satisfies the adapter's slow-path Emitter surface; the fast
-// path never calls it.
-func (r *recordingDispatcher) EmitNamed(name string, vals ...heap.Ref) error {
-	return r.rt.EmitNamed(name, vals...)
 }
 
 func verdictKey(v monitor.Verdict) string {

@@ -179,7 +179,7 @@ func RunCell(bench, prop string, sys System, base Baseline, cfg Config) (Cell, e
 		if err != nil {
 			return err
 		}
-		var em dacapo.Emitter
+		var em monitor.Dispatcher
 		switch sys {
 		case SysRV, SysMOP:
 			gc := monitor.GCCoenable

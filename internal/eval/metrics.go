@@ -69,11 +69,11 @@ func RunMetricsReport() (*MetricsReport, error) {
 	next, _ := spec.Symbol("next")
 	for i := 0; i < metricsChurnEvents; i += 4 {
 		it := h.Alloc("")
-		eng.Emit(create, c, it)
-		eng.Emit(next, it)
+		monitor.Emit(eng, create, c, it)
+		monitor.Emit(eng, next, it)
 		h.Free(it)
-		eng.Emit(update, c)
-		eng.Emit(update, c)
+		monitor.Emit(eng, update, c)
+		monitor.Emit(eng, update, c)
 	}
 	eng.Flush()
 	// Arena occupancy is read at settle, before Close: Close releases the

@@ -95,9 +95,9 @@ func microHasNext() (func(int), error) {
 		for i := 0; i < n; i++ {
 			it := iters[i&255]
 			if i&1 == 0 {
-				eng.Emit(hnT, it)
+				monitor.Emit(eng, hnT, it)
 			} else {
-				eng.Emit(nxt, it)
+				monitor.Emit(eng, nxt, it)
 			}
 		}
 	}, nil
@@ -119,11 +119,11 @@ func microFanout() (func(int), error) {
 	create, _ := spec.Symbol("create")
 	update, _ := spec.Symbol("update")
 	for i := 0; i < 64; i++ {
-		eng.Emit(create, c, h.Alloc(""))
+		monitor.Emit(eng, create, c, h.Alloc(""))
 	}
 	return func(n int) {
 		for i := 0; i < n; i++ {
-			eng.Emit(update, c)
+			monitor.Emit(eng, update, c)
 		}
 	}, nil
 }
@@ -151,11 +151,11 @@ func microChurn() (func(int), error) {
 	return func(n int) {
 		for i := 0; i < n; i += 4 {
 			it := h.Alloc("")
-			eng.Emit(create, c, it)
-			eng.Emit(next, it)
+			monitor.Emit(eng, create, c, it)
+			monitor.Emit(eng, next, it)
 			h.Free(it)
-			eng.Emit(update, c)
-			eng.Emit(update, c)
+			monitor.Emit(eng, update, c)
+			monitor.Emit(eng, update, c)
 		}
 	}, nil
 }

@@ -74,7 +74,7 @@ type Options struct {
 	// Concurrency contract (it differs per backend, and the façade's
 	// WithVerdictHandler documents the same rules for users): on the
 	// sequential Engine the handler runs synchronously on the goroutine
-	// calling Emit/Dispatch; on the sharded runtime it runs on worker
+	// calling Dispatch; on the sharded runtime it runs on worker
 	// goroutines, serialized (never two invocations at once), with
 	// handler-written state readable by other goroutines only after a
 	// Barrier, Flush or Close; on the remote client it runs on the
@@ -521,25 +521,6 @@ func (e *Engine) claimed(t *theta) bool {
 		t.stamp = e.stats.Events
 	}
 	return true
-}
-
-// EmitNamed dispatches an event by name; vals bind D(e)'s parameters in
-// ascending parameter-index order. Unknown names and arity mismatches are
-// reported as errors (Emit, the index-based hot path, panics instead).
-func (e *Engine) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, err := e.spec.Resolve(name, len(vals))
-	if err != nil {
-		return err
-	}
-	e.Emit(sym, vals...)
-	return nil
-}
-
-// Emit dispatches the parametric event sym⟨vals⟩. vals bind the parameters
-// in D(e) in ascending index order and must all be alive.
-func (e *Engine) Emit(sym int, vals ...heap.Ref) {
-	theta := param.Of(e.spec.Events[sym].Params, vals...)
-	e.Dispatch(sym, theta)
 }
 
 // Dispatch processes one parametric event (the body of Figure 5's loop,

@@ -335,12 +335,12 @@ func TestPaperScenario(t *testing.T) {
 		// Many iterators created and abandoned; collection lives forever.
 		for k := 0; k < 50; k++ {
 			it := h.Alloc(fmt.Sprintf("i%d", k))
-			eng.Emit(symCreate, c, it)
-			eng.Emit(symNext, it)
+			monitor.Emit(eng, symCreate, c, it)
+			monitor.Emit(eng, symNext, it)
 			h.Free(it)
 			// Subsequent updates touch the ⟨c⟩-tree, triggering lazy
 			// notification of dead iterators (Figure 7).
-			eng.Emit(symUpdate, c)
+			monitor.Emit(eng, symUpdate, c)
 		}
 		eng.Flush()
 		return eng.Stats()
@@ -388,13 +388,13 @@ func TestHasNextSingleParam(t *testing.T) {
 		hnF = 1
 		nxt = 2
 	)
-	eng.Emit(hnT, i1)
-	eng.Emit(nxt, i1) // ok
-	eng.Emit(hnT, i2)
-	eng.Emit(nxt, i2) // ok
-	eng.Emit(nxt, i2) // violation: next after next
-	eng.Emit(hnF, i1)
-	eng.Emit(nxt, i1) // violation: next after hasnextfalse
+	monitor.Emit(eng, hnT, i1)
+	monitor.Emit(eng, nxt, i1) // ok
+	monitor.Emit(eng, hnT, i2)
+	monitor.Emit(eng, nxt, i2) // ok
+	monitor.Emit(eng, nxt, i2) // violation: next after next
+	monitor.Emit(eng, hnF, i1)
+	monitor.Emit(eng, nxt, i1) // violation: next after hasnextfalse
 
 	if len(verdicts) != 2 {
 		t.Fatalf("verdicts = %v, want two violations", verdicts)

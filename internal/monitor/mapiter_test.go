@@ -134,13 +134,13 @@ func TestUnsafeMapIterGC(t *testing.T) {
 	useIter, _ := spec.Symbol("useIter")
 	updateMap, _ := spec.Symbol("updateMap")
 
-	eng.Emit(createColl, m, c)
+	monitor.Emit(eng, createColl, m, c)
 	for k := 0; k < 20; k++ {
 		it := h.Alloc(fmt.Sprintf("i%d", k))
-		eng.Emit(createIter, c, it)
-		eng.Emit(useIter, it)
+		monitor.Emit(eng, createIter, c, it)
+		monitor.Emit(eng, useIter, it)
 		h.Free(it)
-		eng.Emit(updateMap, m) // reaches the monitors under ⟨m⟩: they observe the death
+		monitor.Emit(eng, updateMap, m) // reaches the monitors under ⟨m⟩: they observe the death
 	}
 	eng.Flush()
 	st := eng.Stats()
@@ -166,12 +166,12 @@ func TestEngineStatsConsistency(t *testing.T) {
 		case 0:
 			it := h.Alloc("")
 			live = append(live, it)
-			eng.Emit(symCreate, c, it)
+			monitor.Emit(eng, symCreate, c, it)
 		case 1:
-			eng.Emit(symUpdate, c)
+			monitor.Emit(eng, symUpdate, c)
 		case 2:
 			if len(live) > 0 {
-				eng.Emit(symNext, live[rng.Intn(len(live))])
+				monitor.Emit(eng, symNext, live[rng.Intn(len(live))])
 			}
 		case 3:
 			if len(live) > 0 {
@@ -221,11 +221,11 @@ func TestRealWeakReferences(t *testing.T) {
 	makeIterator := func(violate bool) {
 		it := &iterator{}
 		ref := heap.NewWeak(it, "i")
-		eng.Emit(symCreate, collRef, ref)
-		eng.Emit(symNext, ref)
+		monitor.Emit(eng, symCreate, collRef, ref)
+		monitor.Emit(eng, symNext, ref)
 		if violate {
-			eng.Emit(symUpdate, collRef)
-			eng.Emit(symNext, ref)
+			monitor.Emit(eng, symUpdate, collRef)
+			monitor.Emit(eng, symNext, ref)
 		}
 		runtime.KeepAlive(it)
 	}
@@ -235,7 +235,7 @@ func TestRealWeakReferences(t *testing.T) {
 	heap.ForceCollect()
 	// One more event over the collection: its dispatch observes the
 	// collected iterators before Flush settles the counters.
-	eng.Emit(symUpdate, collRef)
+	monitor.Emit(eng, symUpdate, collRef)
 	eng.Flush()
 
 	if verdicts != 1 {

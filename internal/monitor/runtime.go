@@ -7,6 +7,37 @@ import (
 	"rvgo/internal/param"
 )
 
+// Dispatcher is the one way events enter a backend: a parametric event
+// e⟨θ⟩ (the body of Figure 5's loop) against the spec that names e. Emit
+// and EmitNamed below are the by-value and by-name forms, written once
+// over it; the dacapo adapter resolves its events against Spec and
+// dispatches directly.
+type Dispatcher interface {
+	// Spec returns the specification being monitored.
+	Spec() *Spec
+	// Dispatch processes one parametric event.
+	Dispatch(sym int, theta param.Instance)
+}
+
+// Emit dispatches the parametric event sym⟨vals⟩ to d; vals bind D(sym) in
+// ascending parameter-index order and must all be alive. A wrong arity
+// panics (param.Of).
+func Emit(d Dispatcher, sym int, vals ...heap.Ref) {
+	d.Dispatch(sym, param.Of(d.Spec().Events[sym].Params, vals...))
+}
+
+// EmitNamed dispatches an event by name to d. Unknown names and arity
+// mismatches are reported as errors (Emit, the index-based form, panics
+// instead).
+func EmitNamed(d Dispatcher, name string, vals ...heap.Ref) error {
+	sym, err := d.Spec().Resolve(name, len(vals))
+	if err != nil {
+		return err
+	}
+	Emit(d, sym, vals...)
+	return nil
+}
+
 // Runtime is the engine-agnostic monitoring surface: everything a workload
 // adapter, a trace driver or the evaluation harness needs from a backend.
 // The sequential Engine implements it synchronously; the sharded runtime
@@ -14,15 +45,7 @@ import (
 // Every future backend (remote, persistent, ...) should implement Runtime
 // so the tools in cmd/ can run it unchanged.
 type Runtime interface {
-	// Spec returns the specification being monitored.
-	Spec() *Spec
-	// Emit dispatches the parametric event sym⟨vals⟩; vals bind D(e) in
-	// ascending parameter-index order and must all be alive.
-	Emit(sym int, vals ...heap.Ref)
-	// EmitNamed dispatches an event by name.
-	EmitNamed(name string, vals ...heap.Ref) error
-	// Dispatch processes one parametric event.
-	Dispatch(sym int, theta param.Instance)
+	Dispatcher
 	// Free positions an object death in the event stream: every event
 	// dispatched before the call observes the refs alive — whatever the
 	// caller does to them afterwards — and the events dispatched after it

@@ -59,7 +59,7 @@ func buildLiveMonitors(t *testing.T, n int) (*monitor.Engine, *heap.Heap) {
 	h := heap.New()
 	c := h.Alloc("c")
 	for j := 0; j < n; j++ {
-		eng.Emit(symCreate, c, h.Alloc(""))
+		monitor.Emit(eng, symCreate, c, h.Alloc(""))
 	}
 	return eng, h
 }

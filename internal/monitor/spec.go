@@ -123,7 +123,7 @@ func (s *Spec) Symbol(name string) (int, bool) {
 	return 0, false
 }
 
-// Resolve is the EmitNamed front half every Runtime shares: the symbol of
+// Resolve is EmitNamed's front half: the symbol of
 // the event called name, provided nvals values is what it binds. Unknown
 // names and arity mismatches are errors, so EmitNamed — unlike Emit, the
 // index-based hot path — never panics on caller input.

@@ -232,7 +232,7 @@ func TestCheckThetaCatchesSweepMutants(t *testing.T) {
 		h := heap.New()
 		c := h.Alloc("c")
 		for i := 0; i < 4; i++ {
-			eng.Emit(symCreate, c, h.Alloc("i"))
+			monitor.Emit(eng, symCreate, c, h.Alloc("i"))
 		}
 		if err := monitor.CheckTheta(eng, false); err != nil {
 			t.Fatalf("%s: before the corruption: %v", name, err)
@@ -267,10 +267,10 @@ func TestLeavesPartitionByDomain(t *testing.T) {
 	createIter, _ := spec.Symbol("createIter")
 	h := heap.New()
 	m, c0 := h.Alloc("m"), h.Alloc("c0")
-	eng.Emit(createColl, m, c0)
+	monitor.Emit(eng, createColl, m, c0)
 	const n = 50
 	for k := 0; k < n; k++ {
-		eng.Emit(createIter, c0, h.Alloc(fmt.Sprintf("i%d", k)))
+		monitor.Emit(eng, createIter, c0, h.Alloc(fmt.Sprintf("i%d", k)))
 	}
 	mc, mci := param.SetOf(pM, pC), param.SetOf(pM, pC, pI)
 	for _, tc := range []struct {
@@ -304,8 +304,8 @@ func TestMonitorHeldOncePerKey(t *testing.T) {
 	}
 	h := heap.New()
 	c, i := h.Alloc("c"), h.Alloc("i")
-	eng.Emit(symUpdate, c)
-	eng.Emit(symCreate, c, i)
+	monitor.Emit(eng, symUpdate, c)
+	monitor.Emit(eng, symCreate, c, i)
 	for _, inst := range []param.Instance{
 		param.Empty().Bind(pC, c),
 		param.Empty().Bind(pC, c).Bind(pI, i),
@@ -358,7 +358,7 @@ func TestSequentialDispatchNoAlloc(t *testing.T) {
 	}
 	c := h.Alloc("c")
 	for i := 0; i < 32; i++ {
-		iter.Emit(symCreate, c, h.Alloc("i"))
+		monitor.Emit(iter, symCreate, c, h.Alloc("i"))
 	}
 	update := param.Empty().Bind(pC, c)
 	iter.Dispatch(symUpdate, update) // sizes the leaf-walk scratch buffer

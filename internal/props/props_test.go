@@ -45,7 +45,7 @@ func run(t *testing.T, prop string, script [][]string) int {
 		for _, name := range step[1:] {
 			vals = append(vals, obj(name))
 		}
-		if err := eng.EmitNamed(step[0], vals...); err != nil {
+		if err := monitor.EmitNamed(eng, step[0], vals...); err != nil {
 			t.Fatalf("%s: %v", step[0], err)
 		}
 	}

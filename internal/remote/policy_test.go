@@ -55,8 +55,8 @@ func TestFreesRideTheBlock(t *testing.T) {
 	start := time.Now()
 	for k := 0; k < iters; k++ {
 		c, it := h.Alloc("c"), h.Alloc("i")
-		cl.Emit(0, c, it)
-		cl.Emit(2, it)
+		monitor.Emit(cl, 0, c, it)
+		monitor.Emit(cl, 2, it)
 		cl.Free(it)
 	}
 	elapsed := time.Since(start)
@@ -93,7 +93,7 @@ func TestIdleProducerTimeliness(t *testing.T) {
 			defer cl.Close()
 			it := heap.New().Alloc("i")
 			for _, ev := range []string{"hasnexttrue", "next", "next"} {
-				if err := cl.EmitNamed(ev, it); err != nil {
+				if err := monitor.EmitNamed(cl, ev, it); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -77,24 +77,18 @@ type Options struct {
 	OnVerdict func(monitor.Verdict)
 }
 
-// Sender is the half of a client that touches its sink. Each client
-// implements Dispatch (and Free) itself, against its concrete sink type:
-// handing Dispatch's stack-resident ID vector to the sink through an
-// interface (or a type parameter) makes it escape — one allocation per
-// event — where the concrete call costs none. Everything around the two
-// calls is the Front's.
-type Sender interface {
-	Dispatch(sym int, theta param.Instance)
-}
-
 // Front is the ref-level half of a monitoring client, embedded by Client
 // and by the cluster tier's Client. It works in refs above and IDs below.
+// Each client implements Dispatch (and Free) itself, against its concrete
+// sink type: handing Dispatch's stack-resident ID vector to the sink
+// through an interface (or a type parameter) makes it escape — one
+// allocation per event — where the concrete call costs none. Everything
+// around the two calls is the Front's.
 type Front struct {
 	spec      *monitor.Spec
 	kind      byte   // wire.SpecProp or wire.SpecSource
 	ref       string // the property name / .rv source the peer compiles
 	onVerdict func(monitor.Verdict)
-	tx        Sender
 
 	// tmu guards the remote-ID table used to reconstruct verdict
 	// instances.
@@ -109,13 +103,13 @@ type Front struct {
 
 // NewFront compiles the client-side copy of the spec — from the same
 // reference the peer receives, exactly one of prop (a library name) and
-// source (.rv text) — and builds the front of the client tx.
-func NewFront(prop, source string, onVerdict func(monitor.Verdict), tx Sender) (*Front, error) {
+// source (.rv text) — and builds a client's front.
+func NewFront(prop, source string, onVerdict func(monitor.Verdict)) (*Front, error) {
 	local, kind, ref, err := resolveSpec(prop, source)
 	if err != nil {
 		return nil, err
 	}
-	return &Front{spec: local, kind: kind, ref: ref, onVerdict: onVerdict, tx: tx, table: map[uint64]heap.Ref{}}, nil
+	return &Front{spec: local, kind: kind, ref: ref, onVerdict: onVerdict, table: map[uint64]heap.Ref{}}, nil
 }
 
 // resolveSpec compiles the client-side copy of the spec.
@@ -170,7 +164,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 // (Dial with a dialed TCP conn; tests may pass an in-process pipe).
 func NewSession(conn net.Conn, opts Options) (*Client, error) {
 	c := &Client{}
-	front, err := NewFront(opts.Prop, opts.SpecSource, opts.OnVerdict, c)
+	front, err := NewFront(opts.Prop, opts.SpecSource, opts.OnVerdict)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -245,21 +239,6 @@ func (f *Front) DeliverVerdict(v wire.Verdict) {
 
 // Spec implements monitor.Runtime.
 func (f *Front) Spec() *monitor.Spec { return f.spec }
-
-// Emit implements monitor.Runtime.
-func (f *Front) Emit(sym int, vals ...heap.Ref) {
-	f.tx.Dispatch(sym, param.Of(f.spec.Events[sym].Params, vals...))
-}
-
-// EmitNamed implements monitor.Runtime.
-func (f *Front) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, err := f.spec.Resolve(name, len(vals))
-	if err != nil {
-		return err
-	}
-	f.Emit(sym, vals...)
-	return nil
-}
 
 // EventIDs appends to ids the remote IDs of the objects theta binds for
 // event sym, in ascending parameter order — the event's wire form — and

@@ -240,7 +240,7 @@ func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, p
 		for k, o := range st.objs {
 			vals[k] = get(o)
 		}
-		rt.Emit(st.sym, vals...)
+		monitor.Emit(rt, st.sym, vals...)
 	}
 }
 
@@ -477,9 +477,9 @@ func TestShardedVerdictStream(t *testing.T) {
 	const iters = 5000
 	for k := 0; k < iters; k++ {
 		it := h.Alloc("i")
-		cl.Emit(hnT, it)
-		cl.Emit(next, it)
-		cl.Emit(next, it) // violation: verdict fires on a shard worker
+		monitor.Emit(cl, hnT, it)
+		monitor.Emit(cl, next, it)
+		monitor.Emit(cl, next, it) // violation: verdict fires on a shard worker
 		cl.Free(it)
 	}
 	cl.Flush()
@@ -542,7 +542,7 @@ func TestSpecSourceSession(t *testing.T) {
 	h := heap.New()
 	i := h.Alloc("it")
 	for _, ev := range []string{"hasnexttrue", "next", "next"} {
-		if err := cl.EmitNamed(ev, i); err != nil {
+		if err := monitor.EmitNamed(cl, ev, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -591,7 +591,7 @@ func TestServerDrain(t *testing.T) {
 	}
 	h := heap.New()
 	it := h.Alloc("i")
-	if err := cl.EmitNamed("hasnexttrue", it); err != nil {
+	if err := monitor.EmitNamed(cl, "hasnexttrue", it); err != nil {
 		t.Fatal(err)
 	}
 
@@ -611,7 +611,7 @@ func TestServerDrain(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := cl.EmitNamed("next", it); err != nil {
+	if err := monitor.EmitNamed(cl, "next", it); err != nil {
 		t.Fatal(err)
 	}
 	cl.Flush()

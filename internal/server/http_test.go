@@ -75,10 +75,10 @@ func TestDebugHandler(t *testing.T) {
 	h := heap.New()
 	for i := 0; i < 2000; i++ {
 		it := h.Alloc("it")
-		if err := cl.EmitNamed("hasnexttrue", it); err != nil {
+		if err := monitor.EmitNamed(cl, "hasnexttrue", it); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.EmitNamed("next", it); err != nil {
+		if err := monitor.EmitNamed(cl, "next", it); err != nil {
 			t.Fatal(err)
 		}
 		cl.Free(it)

@@ -393,18 +393,18 @@ func TestFlightWindowDump(t *testing.T) {
 	}
 	h := heap.New()
 	stale, it := h.Alloc("stale"), h.Alloc("it")
-	if err := cl.EmitNamed("hasnexttrue", stale); err != nil {
+	if err := monitor.EmitNamed(cl, "hasnexttrue", stale); err != nil {
 		t.Fatal(err)
 	}
 	cl.Free(stale)
 	h.Free(stale)
-	if err := cl.EmitNamed("hasnexttrue", it); err != nil {
+	if err := monitor.EmitNamed(cl, "hasnexttrue", it); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.EmitNamed("next", it); err != nil {
+	if err := monitor.EmitNamed(cl, "next", it); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.EmitNamed("next", it); err != nil { // next without hasNext: error
+	if err := monitor.EmitNamed(cl, "next", it); err != nil { // next without hasNext: error
 		t.Fatal(err)
 	}
 	cl.Flush()

@@ -77,8 +77,8 @@ func TestFreesRideTheBatch(t *testing.T) {
 	start := time.Now()
 	for k := 0; k < iters; k++ {
 		c, it := h.Alloc("c"), h.Alloc("i")
-		rt.Emit(create, c, it)
-		rt.Emit(next, it)
+		monitor.Emit(rt, create, c, it)
+		monitor.Emit(rt, next, it)
 		rt.Free(it)
 		h.Free(it)
 	}
@@ -112,7 +112,7 @@ func TestIdleProducerTimeliness(t *testing.T) {
 	defer rt.Close()
 	it := heap.New().Alloc("i")
 	for _, ev := range []string{"hasnexttrue", "next", "next"} {
-		if err := rt.EmitNamed(ev, it); err != nil {
+		if err := monitor.EmitNamed(rt, ev, it); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,8 +140,8 @@ func TestVerdictAfterDeathKeepsIdentity(t *testing.T) {
 	h := heap.New()
 	c, it := h.Alloc("c"), h.Alloc("i")
 	for _, err := range []error{
-		rt.EmitNamed("create", c, it),
-		rt.EmitNamed("update", c),
+		monitor.EmitNamed(rt, "create", c, it),
+		monitor.EmitNamed(rt, "update", c),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestVerdictAfterDeathKeepsIdentity(t *testing.T) {
 	}
 	rt.Free(c)
 	h.Free(c)
-	if err := rt.EmitNamed("next", it); err != nil { // the match, on a slice whose collection is dead
+	if err := monitor.EmitNamed(rt, "next", it); err != nil { // the match, on a slice whose collection is dead
 		t.Fatal(err)
 	}
 	rt.Flush()
@@ -188,8 +188,8 @@ func TestViewTableHygiene(t *testing.T) {
 	var unfreed []*heap.Object
 	for k := 0; k < 500; k++ {
 		c, it := h.Alloc("c"), h.Alloc("i")
-		rt.Emit(create, c, it)
-		rt.Emit(next, it)
+		monitor.Emit(rt, create, c, it)
+		monitor.Emit(rt, next, it)
 		if k%2 == 0 {
 			rt.Free(c, it)
 			h.Free(c)
@@ -252,7 +252,7 @@ func TestCloseRacesLinger(t *testing.T) {
 	for k := 0; k < 200; k++ {
 		rt := newRuntime(t, spec, Options{Options: monitor.Options{GC: monitor.GCCoenable}, Shards: 2})
 		it := h.Alloc("i")
-		rt.Emit(hnT, it)
+		monitor.Emit(rt, hnT, it)
 		time.Sleep(linger - 100*time.Microsecond + time.Duration(k)*time.Microsecond)
 		rt.Close()
 		if st := rt.Stats(); st.Events != 1 || st.Created != 1 {

@@ -122,7 +122,7 @@ func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, p
 				runtime.Gosched()
 			}
 		} else {
-			rt.Emit(st.sym, vals...)
+			monitor.Emit(rt, st.sym, vals...)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, s
 		for k, o := range st.objs {
 			vals[k] = get(o)
 		}
-		rt.Emit(st.sym, vals...)
+		monitor.Emit(rt, st.sym, vals...)
 	}
 	release()
 	rt.Flush()
@@ -180,8 +180,8 @@ func TestFreeAsyncConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				it := h.Alloc(fmt.Sprintf("p%d_%d", p, r))
-				rt.Emit(hnT, it)
-				rt.Emit(nxt, it)
+				monitor.Emit(rt, hnT, it)
+				monitor.Emit(rt, nxt, it)
 				rt.Free(it)
 				h.Free(it)
 			}

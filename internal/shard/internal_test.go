@@ -195,7 +195,7 @@ func TestDispatchAfterClosePanics(t *testing.T) {
 	}{
 		{"Dispatch", func(rt *Runtime) { rt.Dispatch(0, theta) }},
 		{"TryDispatch", func(rt *Runtime) { rt.TryDispatch(0, theta) }},
-		{"Emit", func(rt *Runtime) { rt.Emit(0, h.Alloc("j")) }},
+		{"Emit", func(rt *Runtime) { monitor.Emit(rt, 0, h.Alloc("j")) }},
 	} {
 		rt, err := New(spec, Options{
 			Options: monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
@@ -241,7 +241,7 @@ func TestPartialBatchVisible(t *testing.T) {
 	h := heap.New()
 	hnT, _ := spec.Symbol("hasnexttrue")
 	for k := 0; k < 5; k++ {
-		rt.Emit(hnT, h.Alloc("i"))
+		monitor.Emit(rt, hnT, h.Alloc("i"))
 	}
 	st := rt.Stats()
 	if st.Events != 5 || st.Created != 5 {
@@ -267,7 +267,7 @@ func TestStatsAfterClose(t *testing.T) {
 	h := heap.New()
 	hnT, _ := spec.Symbol("hasnexttrue")
 	for k := 0; k < 7; k++ {
-		rt.Emit(hnT, h.Alloc("i"))
+		monitor.Emit(rt, hnT, h.Alloc("i"))
 	}
 	rt.Close()
 	rt.Close() // idempotent

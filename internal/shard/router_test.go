@@ -158,8 +158,8 @@ func TestUnshardableFallsBack(t *testing.T) {
 		t.Fatalf("shards=%d pivot=%d, want 1/-1", rt.Shards(), rt.Pivot())
 	}
 	h := heap.New()
-	rt.Emit(0, h.Alloc("x1"))
-	rt.Emit(1, h.Alloc("y1"))
+	monitor.Emit(rt, 0, h.Alloc("x1"))
+	monitor.Emit(rt, 1, h.Alloc("y1"))
 	rt.Flush()
 	st := rt.Stats()
 	if st.Events != 2 || st.GoalVerdicts != 2 {

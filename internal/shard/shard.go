@@ -219,23 +219,6 @@ func (rt *Runtime) Shards() int { return len(rt.workers) }
 // unshardable.
 func (rt *Runtime) Pivot() int { return rt.router.Pivot() }
 
-// Emit implements monitor.Runtime.
-func (rt *Runtime) Emit(sym int, vals ...heap.Ref) {
-	rt.Dispatch(sym, param.Of(rt.spec.Events[sym].Params, vals...))
-}
-
-// EmitNamed implements monitor.Runtime. Unknown names and arity
-// mismatches are reported as errors (Emit, the index-based hot path,
-// panics instead).
-func (rt *Runtime) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, err := rt.spec.Resolve(name, len(vals))
-	if err != nil {
-		return err
-	}
-	rt.Emit(sym, vals...)
-	return nil
-}
-
 // Dispatch routes one parametric event, blocking when the target mailbox
 // (every mailbox, for broadcast events) is full. Safe for concurrent use;
 // events from one goroutine reach each shard in dispatch order.

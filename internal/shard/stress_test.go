@@ -86,9 +86,9 @@ func TestShardArenaRaceStress(t *testing.T) {
 					c = h.Alloc(fmt.Sprintf("c%d_%d", p, r))
 				}
 				it := h.Alloc(fmt.Sprintf("i%d_%d", p, r))
-				rt.Emit(create, c, it)
-				rt.Emit(update, c)
-				rt.Emit(next, it) // the UNSAFEITER match
+				monitor.Emit(rt, create, c, it)
+				monitor.Emit(rt, update, c)
+				monitor.Emit(rt, next, it) // the UNSAFEITER match
 				rt.Free(it)
 				h.Free(it)
 			}

@@ -116,7 +116,7 @@ func TestCompileAndRunBothFormalisms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ev := range []string{"hasnexttrue", "next", "next"} {
-			if err := eng.EmitNamed(ev, it); err != nil {
+			if err := monitor.EmitNamed(eng, ev, it); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -178,7 +178,7 @@ func TestCompileCFGProperty(t *testing.T) {
 		for _, v := range ev[1:] {
 			vals = append(vals, v.(*heap.Object))
 		}
-		if err := eng.EmitNamed(ev[0].(string), vals...); err != nil {
+		if err := monitor.EmitNamed(eng, ev[0].(string), vals...); err != nil {
 			t.Fatal(err)
 		}
 	}

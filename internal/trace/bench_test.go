@@ -16,15 +16,13 @@ type nullRuntime struct {
 	events uint64
 }
 
-func (n *nullRuntime) Spec() *monitor.Spec                 { return n.spec }
-func (n *nullRuntime) Emit(sym int, vals ...heap.Ref)      {}
-func (n *nullRuntime) EmitNamed(string, ...heap.Ref) error { return nil }
-func (n *nullRuntime) Dispatch(sym int, _ param.Instance)  { n.events++ }
-func (n *nullRuntime) Free(...heap.Ref)                    {}
-func (n *nullRuntime) Barrier()                            {}
-func (n *nullRuntime) Flush()                              {}
-func (n *nullRuntime) Stats() (st monitor.Stats)           { st.Events = n.events; return }
-func (n *nullRuntime) Close()                              {}
+func (n *nullRuntime) Spec() *monitor.Spec                { return n.spec }
+func (n *nullRuntime) Dispatch(sym int, _ param.Instance) { n.events++ }
+func (n *nullRuntime) Free(...heap.Ref)                   {}
+func (n *nullRuntime) Barrier()                           {}
+func (n *nullRuntime) Flush()                             {}
+func (n *nullRuntime) Stats() (st monitor.Stats)          { st.Events = n.events; return }
+func (n *nullRuntime) Close()                             {}
 
 // benchTrace records a UNSAFEITER workload of about n events.
 func benchTrace(b *testing.B, n int) (string, uint64) {

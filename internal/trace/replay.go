@@ -182,9 +182,10 @@ func (r *Reader) Replay(rt monitor.Runtime, opts ReplayOptions) (ReplayStats, er
 		if err != nil {
 			return ReplayStats{}, err
 		}
-		qpivot = router.Pivot()
-		if qpivot < 0 && opts.workers > 1 {
-			return ReplayStats{}, fmt.Errorf("trace: spec %q has no pivot parameter; parallel replay requires one", qspec.Name)
+		// With no pivot there are no slices to select or partition: no
+		// event would be filtered, and every slice would be replayed.
+		if qpivot = router.Pivot(); qpivot < 0 {
+			return ReplayStats{}, fmt.Errorf("trace: spec %q has no pivot parameter; parallel and pivot-selective replay require one", qspec.Name)
 		}
 	}
 	rp := &replayer{rt: rt, opts: opts}

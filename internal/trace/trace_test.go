@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"rvgo/internal/ere"
+	"rvgo/internal/logic"
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
 	"rvgo/internal/props"
@@ -354,6 +357,47 @@ func TestPivotFilter(t *testing.T) {
 	eqVerdicts(t, "filtered", got, want)
 	if rs.SegmentsSkimmed == 0 {
 		t.Errorf("pivot filter skimmed no segments (replay stats %+v)", rs)
+	}
+}
+
+// TestPivotFilterRefusesUnpivotedSpec: a spec with no pivot has no slices
+// to select — two creation events over disjoint parameters, either of
+// which can begin a goal trace — so a pivot-selective replay is refused,
+// naming the spec, instead of silently replaying every slice.
+func TestPivotFilterRefusesUnpivotedSpec(t *testing.T) {
+	bp, err := ere.Compile("a | b", []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &monitor.Spec{
+		Name:   "Disjoint",
+		Params: []string{"x", "y"},
+		Events: []monitor.EventDef{
+			{Name: "a", Params: param.SetOf(0)},
+			{Name: "b", Params: param.SetOf(1)},
+		},
+		BP:   bp,
+		Goal: []logic.Category{logic.Match},
+	}
+	if err := spec.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.rvt")
+	record(t, path, spec, []step{{sym: 0, ids: []uint64{1}}, {sym: 1, ids: []uint64{2}}}, 64)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := r.Replay(eng, ReplayOptions{Pivots: []uint64{1}}); err == nil || !strings.Contains(err.Error(), `"Disjoint"`) {
+		t.Fatalf("pivot-selective replay of a spec without a pivot: %v, want an error naming the spec", err)
+	}
+	if eng.Stats().Events != 0 {
+		t.Errorf("refused replay dispatched %d events", eng.Stats().Events)
 	}
 }
 

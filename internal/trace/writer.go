@@ -22,10 +22,6 @@ type WriterOptions struct {
 	// SegmentRecords rotates the current segment after this many records
 	// (events + frees). 0 = DefaultSegmentRecords.
 	SegmentRecords int
-	// SyncInterval is the cadence of the background fsync goroutine.
-	// 0 = DefaultSyncInterval; negative disables background fsync (Close
-	// still syncs).
-	SyncInterval time.Duration
 	// Metrics, when non-nil, receives the writer's telemetry: sealed
 	// segments, records, bytes, and fsync latency. Updates happen on the
 	// seal and fsync cold paths only — the per-record append path is
@@ -38,8 +34,8 @@ type WriterOptions struct {
 // traces, large enough that the per-segment header is noise.
 const DefaultSegmentRecords = 1 << 16
 
-// DefaultSyncInterval is the default background fsync cadence.
-const DefaultSyncInterval = 200 * time.Millisecond
+// syncInterval is the cadence of the background fsync goroutine.
+const syncInterval = 200 * time.Millisecond
 
 // Writer appends a monitored event stream to a segment file. Methods are
 // safe for concurrent use (the façade tap calls them from whatever
@@ -142,33 +138,23 @@ func Create(path string, syms []SymbolDef, pivot int, opts WriterOptions) (*Writ
 	encodeSymbols(&he, syms)
 	he.i(int64(pivot))
 	w.head = he.buf
-	interval := opts.SyncInterval
-	if interval == 0 {
-		interval = DefaultSyncInterval
-	}
-	go w.syncLoop(interval)
+	go w.syncLoop()
 	return w, nil
 }
 
 // syncLoop fsyncs sealed bytes in the background: on every rotation signal
-// and, when interval > 0, on a timer — so a steady stream reaches disk
-// even between rotations.
-func (w *Writer) syncLoop(interval time.Duration) {
+// and on a timer — so a steady stream reaches disk even between rotations.
+func (w *Writer) syncLoop() {
 	defer close(w.syncDone)
-	var tick *time.Ticker
-	var tickC <-chan time.Time
-	if interval > 0 {
-		tick = time.NewTicker(interval)
-		tickC = tick.C
-		defer tick.Stop()
-	}
+	tick := time.NewTicker(syncInterval)
+	defer tick.Stop()
 	for {
 		select {
 		case _, ok := <-w.syncReq:
 			if !ok {
 				return
 			}
-		case <-tickC:
+		case <-tick.C:
 		}
 		w.syncFile()
 	}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"rvgo/internal/coenable"
-	"rvgo/internal/heap"
 	"rvgo/internal/logic"
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
@@ -160,24 +159,9 @@ func New(spec *monitor.Spec, opts Options) (*Engine, error) {
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Spec returns the engine's specification (it also lets the dacapo adapter
-// take its symbol-resolved fast path).
+// Spec returns the engine's specification; with Dispatch it makes the
+// engine a monitor.Dispatcher.
 func (e *Engine) Spec() *monitor.Spec { return e.spec }
-
-// EmitNamed dispatches an event by name.
-func (e *Engine) EmitNamed(name string, vals ...heap.Ref) error {
-	sym, ok := e.spec.Symbol(name)
-	if !ok {
-		return fmt.Errorf("tracematches: no event %q", name)
-	}
-	e.Emit(sym, vals...)
-	return nil
-}
-
-// Emit dispatches the parametric event sym⟨vals⟩.
-func (e *Engine) Emit(sym int, vals ...heap.Ref) {
-	e.Dispatch(sym, param.Of(e.spec.Events[sym].Params, vals...))
-}
 
 // Dispatch processes one parametric event.
 func (e *Engine) Dispatch(sym int, theta param.Instance) {

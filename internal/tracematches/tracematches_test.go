@@ -32,10 +32,10 @@ func TestUnsafeIterViolation(t *testing.T) {
 	tm, _, matches := newTM(t, "UnsafeIter")
 	h := heap.New()
 	c, i := h.Alloc("c"), h.Alloc("i")
-	must(t, tm.EmitNamed("create", c, i))
-	must(t, tm.EmitNamed("next", i))
-	must(t, tm.EmitNamed("update", c))
-	must(t, tm.EmitNamed("next", i))
+	must(t, monitor.EmitNamed(tm, "create", c, i))
+	must(t, monitor.EmitNamed(tm, "next", i))
+	must(t, monitor.EmitNamed(tm, "update", c))
+	must(t, monitor.EmitNamed(tm, "next", i))
 	if *matches != 1 {
 		t.Fatalf("matches = %d", *matches)
 	}
@@ -45,9 +45,9 @@ func TestNoCrossBindingMatch(t *testing.T) {
 	tm, _, matches := newTM(t, "UnsafeIter")
 	h := heap.New()
 	c1, c2, i1 := h.Alloc("c1"), h.Alloc("c2"), h.Alloc("i1")
-	must(t, tm.EmitNamed("create", c1, i1))
-	must(t, tm.EmitNamed("update", c2)) // different collection
-	must(t, tm.EmitNamed("next", i1))
+	must(t, monitor.EmitNamed(tm, "create", c1, i1))
+	must(t, monitor.EmitNamed(tm, "update", c2)) // different collection
+	must(t, monitor.EmitNamed(tm, "next", i1))
 	if *matches != 0 {
 		t.Fatalf("matches = %d", *matches)
 	}
@@ -87,19 +87,19 @@ func TestAgreesWithRVEngine(t *testing.T) {
 				c := cols[rng.Intn(2)]
 				it := h.Alloc(fmt.Sprintf("i%d", len(iters)))
 				iters = append(iters, iter{it})
-				must(t, tm.EmitNamed("create", c, it))
-				must(t, eng.EmitNamed("create", c, it))
+				must(t, monitor.EmitNamed(tm, "create", c, it))
+				must(t, monitor.EmitNamed(eng, "create", c, it))
 			case 1:
 				c := cols[rng.Intn(2)]
-				must(t, tm.EmitNamed("update", c))
-				must(t, eng.EmitNamed("update", c))
+				must(t, monitor.EmitNamed(tm, "update", c))
+				must(t, monitor.EmitNamed(eng, "update", c))
 			case 2:
 				if len(iters) == 0 {
 					continue
 				}
 				it := iters[rng.Intn(len(iters))].obj
-				must(t, tm.EmitNamed("next", it))
-				must(t, eng.EmitNamed("next", it))
+				must(t, monitor.EmitNamed(tm, "next", it))
+				must(t, monitor.EmitNamed(eng, "next", it))
 			}
 		}
 		if fmt.Sprint(tmGot) != fmt.Sprint(rvGot) {
@@ -116,8 +116,8 @@ func TestStateBasedGC(t *testing.T) {
 	c := h.Alloc("c")
 	for k := 0; k < 100; k++ {
 		it := h.Alloc(fmt.Sprintf("i%d", k))
-		must(t, tm.EmitNamed("create", c, it))
-		must(t, tm.EmitNamed("next", it))
+		must(t, monitor.EmitNamed(tm, "create", c, it))
+		must(t, monitor.EmitNamed(tm, "next", it))
 		h.Free(it)
 	}
 	tm.Sweep()

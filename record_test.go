@@ -220,3 +220,37 @@ func TestRecordOptionValidation(t *testing.T) {
 		t.Error("WithRecord into a missing directory did not fail at New")
 	}
 }
+
+// TestEmitArityMismatch: Monitor.Emit with fewer values than the event
+// binds panics with param.Of's message on every runtime, tapped or not —
+// the recorders see the event only through Dispatch, after the binding.
+func TestEmitArityMismatch(t *testing.T) {
+	sp, err := spec.Builtin("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string][]rvgo.Option{
+		"plain":  nil,
+		"flight": {rvgo.WithFlightRecorder(8)},
+		"record": {rvgo.WithRecord(filepath.Join(t.TempDir(), "arity.rvt"))},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, err := rvgo.New(sp, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			create, ok := m.Spec().Symbol("create")
+			if !ok {
+				t.Fatal("UnsafeIter has no create event")
+			}
+			c := rvgo.NewHeap().Alloc("c")
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != "param: Of arity mismatch" {
+					t.Errorf("Emit(create, c) panicked with %v, want param: Of arity mismatch", r)
+				}
+			}()
+			m.Emit(create, c)
+		})
+	}
+}

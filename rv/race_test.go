@@ -151,7 +151,7 @@ func TestFreeDuringDispatchRace(t *testing.T) {
 				name string
 				vals []heap.Ref
 			}{{"create", []heap.Ref{c, it}}, {"update", []heap.Ref{c}}, {"next", []heap.Ref{it}}} {
-				if err := eng.EmitNamed(e.name, e.vals...); err != nil {
+				if err := monitor.EmitNamed(eng, e.name, e.vals...); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -437,12 +437,14 @@ func (m *Monitor) Spec() *monitor.Spec { return m.rt.Spec() }
 // parameters in binding order (see spec.Spec.EventParams) and must all be
 // alive. Symbols index the spec's event list; prefer Event, whose Emitter
 // carries the resolved symbol with a readable name attached.
-func (m *Monitor) Emit(sym int, vals ...Ref) { m.rt.Emit(sym, vals...) }
+func (m *Monitor) Emit(sym int, vals ...Ref) { monitor.Emit(m.rt, sym, vals...) }
 
 // EmitNamed dispatches an event by name. Unknown names and arity
 // mismatches are errors; the event is not dispatched and the Monitor
 // remains usable. For hot paths resolve an Emitter once instead.
-func (m *Monitor) EmitNamed(name string, vals ...Ref) error { return m.rt.EmitNamed(name, vals...) }
+func (m *Monitor) EmitNamed(name string, vals ...Ref) error {
+	return monitor.EmitNamed(m.rt, name, vals...)
+}
 
 // Dispatch processes one pre-bound parametric event (see BindingOf).
 func (m *Monitor) Dispatch(sym int, theta Instance) { m.rt.Dispatch(sym, theta) }

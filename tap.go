@@ -5,15 +5,14 @@ import (
 
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 	"rvgo/internal/trace"
 )
 
 // tap interposes on a backend's event surface to feed the persistent
 // trace recorder (WithRecord) and the flight recorder (WithFlightRecorder)
 // before forwarding. It is installed as the Monitor's runtime before any
-// Emitter is resolved, so every ingestion path — Emit, EmitNamed,
-// Dispatch, Emitter.Emit, Free — passes through it.
+// Emitter is resolved, so every ingestion path passes through it: Emit,
+// EmitNamed and Emitter.Emit all end in Dispatch, deaths in Free.
 type tap struct {
 	rt   monitor.Runtime
 	rec  *trace.Writer         // nil when not recording
@@ -45,31 +44,6 @@ func (t *tap) recErr() error {
 }
 
 func (t *tap) Spec() *monitor.Spec { return t.rt.Spec() }
-
-func (t *tap) Emit(sym int, vals ...Ref) {
-	spec := t.rt.Spec()
-	if sym < 0 || sym >= len(spec.Events) {
-		// Forward: the backend owns the error/panic discipline.
-		t.rt.Emit(sym, vals...)
-		return
-	}
-	theta := param.Empty()
-	k := 0
-	for m := spec.Events[sym].Params; m != 0 && k < len(vals); m = m.Rest() {
-		theta = theta.Bind(m.First(), vals[k])
-		k++
-	}
-	t.Dispatch(sym, theta)
-}
-
-func (t *tap) EmitNamed(name string, vals ...Ref) error {
-	sym, err := t.rt.Spec().Resolve(name, len(vals))
-	if err != nil {
-		return err
-	}
-	t.Emit(sym, vals...)
-	return nil
-}
 
 func (t *tap) Dispatch(sym int, theta Instance) {
 	if t.cli != nil {
