@@ -97,15 +97,12 @@ func (c *Client) Dispatch(sym int, theta param.Instance) {
 	c.f.Event(sym, c.EventIDs(buf[:0], sym, theta))
 }
 
-// Free implements monitor.Runtime's death positioning: the deaths
-// broadcast to every slot, each of whose nodes positions them in its
-// backend's stream before applying them.
-func (c *Client) Free(refs ...heap.Ref) {
-	if len(refs) == 0 {
-		return
-	}
-	var buf [8]uint64 // a death rarely names more; append spills the rest
-	c.f.Free(remote.RefIDs(buf[:0], refs))
+// Free implements monitor.Runtime's death positioning: the death
+// broadcasts to every slot, each of whose nodes positions it in its
+// backend's stream before applying it.
+func (c *Client) Free(ref heap.Ref) {
+	id := [1]uint64{ref.ID()}
+	c.f.Free(id[:])
 }
 
 // Barrier implements monitor.Runtime: every event dispatched before the

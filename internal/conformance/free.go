@@ -126,8 +126,9 @@ func RunFreePolicy(t *testing.T, build Factory, gc monitor.GCPolicy) {
 	}
 }
 
-// RunLargeFree drives one death of more objects than a free frame or a
-// trace record may name — 400 000, after 49 creations — through rt, which
+// RunLargeFree drives the deaths of more objects than a free frame or a
+// trace record may name — 400 000 at one stream position, after 49
+// creations — through rt, which
 // monitors UnsafeIter under coenable GC and enable-set creation, and
 // requires its settled counters to equal the sequential engine's, PeakLive
 // aside (a backend of several engines sums their peaks). The caller checks
@@ -147,7 +148,8 @@ func RunLargeFree(t *testing.T, rt monitor.Runtime) {
 }
 
 // largeFree is RunLargeFree's stream: create(c, i) for 49 iterators, then
-// one death of c, the iterators and objects no event named.
+// the deaths of c, the iterators and objects no event named, one Free each
+// with no event between them.
 func largeFree(rt monitor.Runtime) monitor.Stats {
 	create, _ := rt.Spec().Symbol("create")
 	h := heap.New()
@@ -162,7 +164,9 @@ func largeFree(rt monitor.Runtime) monitor.Stats {
 	for id := uint64(1 << 40); len(refs) < cap(refs); id++ {
 		refs = append(refs, idRef(id))
 	}
-	rt.Free(refs...)
+	for _, ref := range refs {
+		rt.Free(ref)
+	}
 	for _, o := range objs {
 		h.Free(o)
 	}

@@ -29,14 +29,17 @@ import (
 	"weak"
 )
 
-// Ref is a possibly-weak reference to a parameter object. The monitoring
-// runtime stores Refs in indexing-tree keys and in monitor instances; a Ref
-// must never keep its referent alive.
+// Ref is a possibly-weak reference to a parameter object. A monitoring
+// engine keeps each Ref once, in its object table, however many parameter
+// instances bind the object; a Ref must never keep its referent alive.
 type Ref interface {
 	// ID returns a stable nonzero identifier for the referent, usable for
 	// hashing and equality even after the referent dies.
 	ID() uint64
-	// Alive reports whether the referent has not yet been collected.
+	// Alive reports whether the referent has not yet been collected. It is
+	// monotone: a ref that has reported dead never reports alive again.
+	// The engine caches an observed death in its object table and never
+	// asks that ref again.
 	Alive() bool
 	// Label returns a human-readable name for diagnostics.
 	Label() string

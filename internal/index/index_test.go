@@ -48,22 +48,45 @@ func (s *fakeStore) Release(h index.Handle) {
 }
 
 // keyTable is the index as the engine builds it: a θ-table whose payload is
-// the head of the key tuple's leaf chain, and the leaf store.
+// the head of the key tuple's leaf chain, the leaf store, and the object
+// table the θ-table's bindings name objects through.
 type keyTable struct {
 	keys   *param.Interner[index.Handle]
 	leaves index.Leaves
+	ids    map[uint64]uint32
+	objs   []heap.Ref
 }
 
-func newKeyTable() *keyTable { return &keyTable{keys: param.NewInterner[index.Handle]()} }
+func newKeyTable() *keyTable {
+	return &keyTable{keys: param.NewInterner[index.Handle](), ids: map[uint64]uint32{}}
+}
+
+// binding converts a key tuple to the binding the θ-table is keyed by,
+// giving each object its handle on first sight.
+func (kt *keyTable) binding(key param.Instance) *param.Binding {
+	b := param.Binding{Mask: key.Mask()}
+	for m := key.Mask(); m != 0; m = m.Rest() {
+		v := key.Value(m.First())
+		h, ok := kt.ids[v.ID()]
+		if !ok {
+			h = uint32(len(kt.objs))
+			kt.ids[v.ID()] = h
+			kt.objs = append(kt.objs, v)
+		}
+		b.H[m.First()] = h
+	}
+	return &b
+}
 
 // put returns the leaf for domain R under the key tuple, creating both.
 func (kt *keyTable) put(key param.Instance, R param.Set) *index.Set {
-	return kt.leaves.Insert(&kt.keys.At(kt.keys.Intern(key)).Data, R)
+	kh, _ := kt.keys.Intern(kt.binding(key))
+	return kt.leaves.Insert(&kt.keys.At(kh).Data, R)
 }
 
 // get returns the leaf for domain R under the key tuple, or nil.
 func (kt *keyTable) get(key param.Instance, R param.Set) *index.Set {
-	kh, ok := kt.keys.Get(key.Key())
+	kh, ok := kt.keys.Get(kt.binding(key))
 	if !ok {
 		return nil
 	}
@@ -74,9 +97,12 @@ func (kt *keyTable) get(key param.Instance, R param.Set) *index.Set {
 // a dead object is detached and the tuple unmapped.
 func (kt *keyTable) sweep(r index.Resolver) {
 	for kh, s := range kt.keys.All() {
-		if !s.Inst.AllAlive() {
-			kt.leaves.Detach(r, &s.Data)
-			kt.keys.Unmap(kh)
+		for m := s.B.Mask; m != 0; m = m.Rest() {
+			if !kt.objs[s.B.H[m.First()]].Alive() {
+				kt.leaves.Detach(r, &s.Data)
+				kt.keys.Unmap(kh)
+				break
+			}
 		}
 	}
 }

@@ -8,15 +8,15 @@
 //     any container over it) may not appear in a store outside
 //     internal/monitor.
 //   - *param.Instance: a pointer to a parameter instance. Instances travel
-//     by value everywhere (events, verdicts, Monitors()); the only
-//     addressable ones live in θ-table slots (param.Interner), so a retained
-//     pointer is a retained slab view — it would dangle the moment the slot
-//     recycles, and as a map key it would be a second identity for θ next
-//     to the slot handle. A *pointer* to param.Instance (or any container
-//     over one, map keys included) may not appear in a store in any
-//     package, internal/monitor and internal/param included — the table
-//     itself holds its instances by value. By-value param.Instance is legal
-//     everywhere.
+//     by value everywhere (events, verdicts, Monitors()). θ-table slots
+//     (param.Interner) hold object-handle bindings (param.Binding), not
+//     instances: an engine builds an instance from a slot only to hand it
+//     out, so a retained pointer to one points at a copy that stopped
+//     tracking θ when it was made, and as a map key it would be a second
+//     identity for θ next to the slot handle. A *pointer* to
+//     param.Instance (or any container over one, map keys included) may
+//     not appear in a store in any package, internal/monitor and
+//     internal/param included. By-value param.Instance is legal everywhere.
 //
 // Generation-tagged handles exist precisely so stale references are caught
 // — but only handles carry generations, raw pointers do not.

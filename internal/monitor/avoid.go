@@ -173,17 +173,17 @@ func (e *Engine) recordAvoided(th arena.Handle) {
 // built from it starts in a doomed state too (doom is a trap), so it is
 // recorded as avoided rather than materialized. First-claim-wins ordering
 // with the real candidates is preserved by the one sorted scan in Dispatch.
-func (e *Engine) tryAvoidLub(theta *param.Instance, ghost arena.Handle) {
-	lub, ok := e.intern.At(ghost).Inst.Lub(*theta)
+func (e *Engine) tryAvoidLub(theta *param.Binding, ghost arena.Handle) {
+	lub, ok := e.intern.At(ghost).B.Lub(theta)
 	if !ok {
 		return
 	}
-	lh, known := e.intern.Get(lub.Key())
+	lh, known := e.intern.Get(&lub)
 	if known && e.claimed(&e.intern.At(lh).Data) {
 		return
 	}
 	if !known {
-		lh = e.intern.Intern(lub)
+		lh = e.internB(&lub)
 	}
 	e.stats.Avoided++
 	e.recordAvoided(lh)

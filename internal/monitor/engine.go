@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rvgo/internal/arena"
-	"rvgo/internal/heap"
 	"rvgo/internal/index"
 	"rvgo/internal/logic"
 	"rvgo/internal/metrics"
@@ -234,13 +233,13 @@ const (
 // slab pools that name each other by handle: monitor records (mons; Mon.instH
 // names the monitor's θ-record), θ-records (intern; theta.mon names Δ(θ) and
 // theta.leaf the head of θ's leaf chain) and leaf records (leaves; their
-// members are monitor handles). The θ-table is the only structure keyed by
-// the monitored program's objects and the sweep the only pass that notices
-// their deaths. Every whole-structure pass — the propositional walk, the
-// CreateFull scan, insert, sweep, Flush, Monitors — walks slabs and slices
-// in index order, so nothing the engine computes depends on Go map
-// iteration order (the per-object seen table is ranged only to drop dead
-// entries).
+// members are monitor handles) — and the object table (objs), whose handles
+// the θ-records bind. The object table is the only holder of the monitored
+// program's refs, the θ-table the only structure keyed by its objects, and
+// the sweep the only pass that notices their deaths. Every whole-structure
+// pass — the propositional walk, the CreateFull scan, insert, sweep, Flush,
+// Monitors — walks slabs and slices in index order, so nothing the engine
+// computes depends on Go map iteration order.
 type Engine struct {
 	spec *Spec
 	an   *Analysis
@@ -253,6 +252,9 @@ type Engine struct {
 	// g is nil (CFG monitors with unbounded state), per-monitor boxed
 	// states live in the boxState side slice instead.
 	g *logic.Graph
+	// goal marks, per state word of g, the states whose category is a goal
+	// of the spec (graph mode only).
+	goal []bool
 	// botWord/botState is Δ(⊥): the state of the empty-domain slice, in
 	// whichever representation the blueprint uses. It only advances on
 	// propositional events (D(e) = ∅) and is the progenitor state for
@@ -263,10 +265,15 @@ type Engine struct {
 	// intern is the θ-table: every θ the engine touches resolves to one
 	// slab slot, whose handle is the instance's identity (monitor records
 	// store it) and whose payload is everything kept per θ — Δ, the
-	// processed stamp, the leaf chain, the tombstone bits. The sweep unmaps
-	// a θ once an object of it is dead and it is neither in Δ nor
-	// tombstoned; the slot itself stays while a monitor pins it.
+	// processed stamp, the leaf chain, the tombstone bits. A slot binds
+	// object handles (param.Binding), so its slab holds no pointer. The
+	// sweep unmaps a θ once an object of it is dead and it is neither in Δ
+	// nor tombstoned; the slot itself stays while a monitor pins it.
 	intern *param.Interner[theta]
+	// objs is the object table: one record per parameter object met in an
+	// event — its ref, its cached death, the event domains it appeared
+	// under — pinned by every θ-record that binds it.
+	objs objects
 
 	// mons is the monitor store: a slab arena of pointer-free Mon records
 	// addressed by generation-tagged handles. Reclaimed monitors are a
@@ -289,12 +296,11 @@ type Engine struct {
 	// must consider for events with symbol sym, with the overlap O.
 	joins [][]joinPlan
 
-	// seen records, per object that has appeared in an event, which event
-	// parameter-domains it appeared under. With theta.flags' thetaSeenEvent
-	// it backs the fresh-object creation guard; both are swept periodically.
-	seen      map[uint64]seenRec
-	evDomains []param.Set // distinct event parameter sets, for seenRec bits
-	domBit    []uint16    // per symbol, bit for its domain in seenRec.doms
+	// evDomains are the distinct event parameter sets and domBit the bit of
+	// each symbol's set in object.doms: with theta.flags' thetaSeenEvent
+	// they back the fresh-object creation guard.
+	evDomains []param.Set
+	domBit    []uint16
 	sinceSwep int
 
 	// allParams is the maximal instance domain (the union of every event's
@@ -345,14 +351,6 @@ type joinPlan struct {
 	all  *index.Set
 }
 
-// seenRec tracks one object's event history shape: which event domains it
-// has been bound under. Stored by value: the seen map never allocates per
-// record.
-type seenRec struct {
-	ref  heap.Ref
-	doms uint16
-}
-
 // New builds an engine for a spec; Analyze is run if it has not been.
 func New(spec *Spec, opts Options) (*Engine, error) {
 	an, err := spec.Analysis()
@@ -380,7 +378,7 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		opts:       opts,
 		bp:         spec.RuntimeBlueprint(),
 		intern:     param.NewInterner[theta](),
-		seen:       map[uint64]seenRec{},
+		objs:       newObjects(poolCheck),
 		met:        opts.Metrics,
 		profGuards: opts.ProfileGuards,
 		prof:       opts.Profile,
@@ -390,6 +388,10 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 	}
 	if gb, ok := e.bp.(logic.GraphBlueprint); ok {
 		e.g = gb.G
+		e.goal = make([]bool, len(e.g.Cat))
+		for w, c := range e.g.Cat {
+			e.goal[w] = spec.goalSet[c]
+		}
 	}
 	if poolCheck {
 		e.mons.SetChecks(poisonMon, verifyMon)
@@ -504,9 +506,37 @@ func (e *Engine) InstanceArenaStats() arena.Stats { return e.intern.Stats() }
 // event ever carried it.
 func (e *Engine) InternedInstances() int { return e.intern.Len() }
 
-// instOf resolves a monitor record's parameter instance: a transient view
-// into its θ-record, for key restriction and liveness checks.
-func (e *Engine) instOf(m *Mon) *param.Instance { return &e.intern.At(m.instH).Inst }
+// bindOf resolves a monitor record's binding: a transient view into its
+// θ-record, for key restriction and liveness checks.
+func (e *Engine) bindOf(m *Mon) *param.Binding { return &e.intern.At(m.instH).B }
+
+// instance resolves a binding to the parameter instance it stands for: the
+// form verdicts and diagnostics hand out.
+func (e *Engine) instance(b *param.Binding) param.Instance { return b.Instance(e.objs.ref) }
+
+// intern returns the θ-record of a binding, allocating one — and pinning
+// the objects it binds — on first sight.
+func (e *Engine) internB(b *param.Binding) arena.Handle {
+	h, added := e.intern.Intern(b)
+	if added {
+		e.objs.pin(b)
+	}
+	return h
+}
+
+// unpinTheta and unmap drop a claim on a θ-record; the one that recycles
+// it drops the record's claims on its objects.
+func (e *Engine) unpinTheta(th arena.Handle) {
+	if b, freed := e.intern.Unpin(th); freed {
+		e.objs.unpin(&b)
+	}
+}
+
+func (e *Engine) unmap(th arena.Handle) {
+	if b, freed := e.intern.Unmap(th); freed {
+		e.objs.unpin(&b)
+	}
+}
 
 // claimed reports whether θ takes no creation on the current event, marking
 // it processed if so: it was processed already, or it is in Δ (materialized
@@ -526,15 +556,16 @@ func (e *Engine) claimed(t *theta) bool {
 // Dispatch processes one parametric event (the body of Figure 5's loop,
 // with the θ-table and its leaves playing the role of Δ and Θ):
 //
-//  1. one θ-table lookup canonicalizes θ; the monitors more informative
+//  1. one object-table lookup per parameter turns θ into a binding, and
+//     one θ-table lookup canonicalizes it; the monitors more informative
 //     than θ are the members of θ's leaves, and each is stepped;
 //  2. creation joins: per join plan one lookup of θ restricted to the
 //     overlap, whose leaf for the plan's domain lists the progenitors
 //     (CreateFull scans the θ-table instead);
 //  3. θ itself from ⊥, if nothing claimed it;
 //  4. new monitors enter their registry and the leaves of their keys;
-//  5. θ's objects are marked seen, and every SweepInterval events the
-//     sweep runs.
+//  5. θ's objects record the event's domain, and every SweepInterval
+//     events the sweep runs.
 func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	e.stats.Events++
 	if e.met != nil && e.stats.Events&(publishInterval-1) == 0 {
@@ -572,12 +603,17 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		return
 	}
 
-	// Canonicalize θ: the one per-θ table lookup of the event. Everything
-	// below reaches θ's record, and the records of the monitors it meets,
-	// through handles.
-	th := e.intern.Intern(theta)
+	// Canonicalize θ: one object-table lookup per parameter, then the one
+	// per-θ table lookup of the event. Everything below reaches θ's record,
+	// and the records of the monitors it meets, through handles.
+	tb := param.Binding{Mask: theta.Mask()}
+	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
+		i := pm.First()
+		tb.H[i] = e.objs.handle(theta.Value(i))
+	}
+	th := e.internB(&tb)
 	ts := e.intern.At(th)
-	tp := &ts.Inst
+	tp := &ts.B
 
 	// 1. Step the members of θ's leaves. Closure-free walk: AppendLive
 	// compacts the leaves and fills the reused scratch buffer; the flagged
@@ -612,7 +648,7 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		cands := e.thBuf[:0]
 		for ch, s := range e.intern.All() {
 			t := &s.Data
-			if t.stamp == e.stats.Events || !s.Inst.Compatible(*tp) {
+			if t.stamp == e.stats.Events || !s.B.Compatible(tp) {
 				continue
 			}
 			if t.flags&thetaAvoided != 0 || t.mon != arena.Nil && e.mons.At(t.mon).flags&monFlagged == 0 {
@@ -632,7 +668,8 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		for _, jp := range e.joins[sym] {
 			leaf := jp.all
 			if !jp.O.Empty() {
-				kh, ok := e.intern.Get(tp.Restrict(jp.O).Key())
+				kb := tp.Restrict(jp.O)
+				kh, ok := e.intern.Get(&kb)
 				if !ok {
 					continue
 				}
@@ -660,15 +697,9 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		e.insert(h)
 	}
 
-	// 5. Mark θ's objects as seen and sweep periodically.
+	// 5. Record the event's domain on θ's objects and sweep periodically.
 	for pm := evParams; pm != 0; pm = pm.Rest() {
-		v := tp.Value(pm.First())
-		rec, ok := e.seen[v.ID()]
-		if !ok {
-			rec.ref = v
-		}
-		rec.doms |= e.domBit[sym]
-		e.seen[v.ID()] = rec
+		e.objs.recs[tp.H[pm.First()]].doms |= e.domBit[sym]
 	}
 	if evParams.Count() > 1 {
 		ts.Data.flags |= thetaSeenEvent
@@ -683,7 +714,7 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 // createFromBot materializes θ from the empty-domain progenitor ⊥, unless
 // the creation-avoidance guard fires first.
 func (e *Engine) createFromBot(sym int, th arena.Handle) {
-	if e.opts.Avoid != AvoidOff && e.guardHit(sym, e.intern.At(th).Inst.Mask(), e.botWord) {
+	if e.opts.Avoid != AvoidOff && e.guardHit(sym, e.intern.At(th).B.Mask, e.botWord) {
 		e.stats.Avoided++
 		if e.opts.Avoid == AvoidEnforce {
 			e.recordAvoided(th)
@@ -755,7 +786,7 @@ func (e *Engine) NotifyParamDeath(h index.Handle) {
 	switch e.opts.GC {
 	case GCNone:
 	case GCAllDead:
-		if e.instOf(m).AliveMask().Empty() {
+		if e.objs.aliveMask(e.bindOf(m)).Empty() {
 			e.flagMon(m)
 		}
 	case GCCoenable:
@@ -812,7 +843,7 @@ func (e *Engine) observeDeaths(h arena.Handle, m *Mon) bool {
 	if m.flags&monFlagged != 0 {
 		return false
 	}
-	if !e.instOf(m).AllAlive() {
+	if !e.objs.allAlive(e.bindOf(m)) {
 		e.NotifyParamDeath(h)
 		return m.flags&monFlagged == 0
 	}
@@ -820,13 +851,13 @@ func (e *Engine) observeDeaths(h arena.Handle, m *Mon) bool {
 }
 
 // tryCreate materializes θ' = progenitor ⊔ θ if permitted.
-func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
+func (e *Engine) tryCreate(sym int, theta *param.Binding, progH arena.Handle) {
 	prog := e.mons.At(progH)
 	if prog.flags&monFlagged != 0 {
 		return
 	}
-	progInst := e.instOf(prog)
-	if e.opts.Creation == CreateEnable && !progInst.AllAlive() {
+	progB := e.bindOf(prog)
+	if e.opts.Creation == CreateEnable && !e.objs.allAlive(progB) {
 		// The death of any bound object ends the progenitor role: in
 		// JavaMOP/RV a progenitor is only reachable through weak keys
 		// (see sweep). Observing the death here, instead of at the
@@ -836,7 +867,7 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 		e.NotifyParamDeath(progH)
 		return
 	}
-	lub, ok := progInst.Lub(*theta)
+	lub, ok := progB.Lub(theta)
 	if !ok {
 		return
 	}
@@ -844,7 +875,7 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 	// below reject must leave no intern-table entry behind (its objects
 	// may live arbitrarily long), so canonicalization happens only once
 	// creation is certain.
-	lh, known := e.intern.Get(lub.Key())
+	lh, known := e.intern.Get(&lub)
 	if known && e.claimed(&e.intern.At(lh).Data) {
 		return
 	}
@@ -854,22 +885,22 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 		if !e.an.EnableParams[sym][prog.paramsSeen] {
 			return
 		}
-		if !e.priorEventsOK(&lub, progInst.Mask()) {
+		if !e.priorEventsOK(&lub, progB.Mask) {
 			return
 		}
 	}
-	if e.opts.Avoid != AvoidOff && e.guardHit(sym, lub.Mask(), prog.state) {
+	if e.opts.Avoid != AvoidOff && e.guardHit(sym, lub.Mask, prog.state) {
 		e.stats.Avoided++
 		if e.opts.Avoid == AvoidEnforce {
 			if !known {
-				lh = e.intern.Intern(lub)
+				lh = e.internB(&lub)
 			}
 			e.recordAvoided(lh)
 			return
 		}
 	}
 	if !known {
-		lh = e.intern.Intern(lub)
+		lh = e.internB(&lub)
 	}
 	var baseBox logic.State
 	if e.g == nil {
@@ -891,23 +922,22 @@ func (e *Engine) tryCreate(sym int, theta *param.Instance, progH arena.Handle) {
 // itself skipped as unable to reach G (enable theorem), making θ”s true
 // slice unviable. The price is completeness on object-recombination
 // interleavings, which JavaMOP's timestamp scheme trades away as well (see
-// DESIGN.md).
-func (e *Engine) priorEventsOK(lub *param.Instance, progDom param.Set) bool {
-	target := lub.Mask()
+// DESIGN.md). The event domains an object appeared under are read off its
+// object record.
+func (e *Engine) priorEventsOK(lub *param.Binding, progDom param.Set) bool {
+	target := lub.Mask
 	for xm := target.Diff(progDom); xm != 0; xm = xm.Rest() {
 		x := xm.First()
-		rec, ok := e.seen[lub.Value(x).ID()]
-		if !ok {
-			continue
-		}
+		doms := e.objs.recs[lub.H[x]].doms
 		for bi, d := range e.evDomains {
-			if rec.doms&(1<<uint(bi)) == 0 || !d.SubsetOf(target) {
+			if doms&(1<<uint(bi)) == 0 || !d.SubsetOf(target) {
 				continue
 			}
 			if d == param.SetOf(x) {
 				return false
 			}
-			if h, ok := e.intern.Get(lub.Restrict(d).Key()); ok && e.intern.At(h).Data.flags&thetaSeenEvent != 0 {
+			kb := lub.Restrict(d)
+			if h, ok := e.intern.Get(&kb); ok && e.intern.At(h).Data.flags&thetaSeenEvent != 0 {
 				return false
 			}
 		}
@@ -965,26 +995,26 @@ func (e *Engine) recycle(h arena.Handle, m *Mon) {
 		e.boxState[h.Index()] = nil
 	}
 	e.mons.Free(h)
-	e.intern.Unpin(instH)
+	e.unpinTheta(instH)
 	e.recycled++
 }
 
 // step advances one monitor with an event, reports goal verdicts and
 // applies monitor termination.
 func (e *Engine) step(h arena.Handle, m *Mon, sym int) {
-	var cat logic.Category
+	var goal bool
 	var st logic.State
 	if e.g != nil {
-		// Graph mode: a step is one array read on the state word; the
-		// verdict category another. No interface values are touched unless
-		// a verdict or the dead-state check needs a boxed state.
+		// Graph mode: a step is one array read on the state word; the goal
+		// test another. No interface values are touched unless a verdict or
+		// the dead-state check needs a boxed state.
 		m.state = uint32(e.g.Next[m.state][sym])
-		cat = e.g.Cat[m.state]
+		goal = e.goal[m.state]
 	} else {
 		idx := h.Index()
 		st = e.boxState[idx].Step(sym)
 		e.boxState[idx] = st
-		cat = st.Category()
+		goal = e.spec.goalSet[st.Category()]
 	}
 	m.lastSym = int32(sym)
 	m.paramsSeen = m.paramsSeen.Union(e.spec.Events[sym].Params)
@@ -1000,14 +1030,20 @@ func (e *Engine) step(h arena.Handle, m *Mon, sym int) {
 			e.prof.Restepped[m.birthSym]++
 		}
 	}
-	if e.spec.goalSet[cat] {
+	if goal {
 		e.stats.GoalVerdicts++
 		if e.prof != nil && m.flags&monGoaled == 0 {
 			m.flags |= monGoaled
 			e.prof.ReachedGoal[m.birthSym]++
 		}
 		if e.opts.OnVerdict != nil {
-			e.opts.OnVerdict(Verdict{Spec: e.spec, Sym: sym, Cat: cat, Inst: *e.instOf(m)})
+			var cat logic.Category
+			if e.g != nil {
+				cat = e.g.Cat[m.state]
+			} else {
+				cat = st.Category()
+			}
+			e.opts.OnVerdict(Verdict{Spec: e.spec, Sym: sym, Cat: cat, Inst: e.instance(e.bindOf(m))})
 		}
 	}
 	if e.opts.GC == GCCoenable {
@@ -1029,24 +1065,23 @@ func (e *Engine) step(h arena.Handle, m *Mon, sym int) {
 // checkAliveness evaluates the ALIVENESS formula for the monitor's last
 // event (Figure 7 / §4.2.2).
 func (e *Engine) checkAliveness(m *Mon) {
-	inst := e.instOf(m)
+	b := e.bindOf(m)
+	aliveMask := e.objs.aliveMask(b)
 	if !e.an.HasCoenable {
 		// Fall back to the all-dead condition.
-		if inst.AliveMask().Empty() {
+		if aliveMask.Empty() {
 			e.flagMon(m)
 		}
 		return
 	}
-	disjuncts := e.an.CoenParams[m.lastSym]
-	if !alive(disjuncts, *inst) {
+	if !alive(e.an.CoenParams[m.lastSym], b.Mask.Diff(aliveMask)) {
 		e.flagMon(m)
 	}
 }
 
-func alive(disjuncts []param.Set, inst param.Instance) bool {
-	bound := inst.Mask()
-	aliveMask := inst.AliveMask()
-	deadBound := bound.Diff(aliveMask)
+// alive is the ALIVENESS formula: some disjunct binds none of the
+// parameters whose objects are dead.
+func alive(disjuncts []param.Set, deadBound param.Set) bool {
 	for _, s := range disjuncts {
 		if s.Inter(deadBound).Empty() {
 			return true
@@ -1059,13 +1094,14 @@ func alive(disjuncts []param.Set, inst param.Instance) bool {
 // domain K of its domain, into the leaf under θ|K.
 func (e *Engine) insert(h arena.Handle) {
 	m := e.mons.At(h)
-	inst := e.instOf(m)
-	d := e.domainOf(inst.Mask())
+	b := e.bindOf(m)
+	d := e.domainOf(b.Mask)
 	d.all.Add(e, h)
 	for _, K := range d.keys {
 		kh := m.instH // θ|R is θ itself
 		if K != d.R {
-			kh = e.intern.Intern(inst.Restrict(K))
+			kb := b.Restrict(K)
+			kh = e.internB(&kb)
 		}
 		e.leaves.Insert(&e.intern.At(kh).Data.leaf, d.R).Add(e, h)
 	}
@@ -1083,9 +1119,11 @@ func (e *Engine) domainOf(R param.Set) *domain {
 
 // sweep applies the physical weak-reference semantics the paper's systems
 // get from the JVM: bookkeeping entries whose objects died are dropped. It
-// is the engine's only death discovery: one pass over the θ-table — every
-// rule below concerns a θ with a dead bound object, so the rest are skipped
-// — then the fresh-object records and the registries. Per θ, in order:
+// is the engine's only death discovery: every object record asks its ref
+// once whether it is alive, then one pass over the θ-table — every rule
+// below concerns a θ with a dead bound object, a bit test on its object
+// records, so the rest are skipped — then the registries and the object
+// records. Per θ, in order:
 //
 //   - θ's leaves are detached (Figure 7): the monitors indexed under the
 //     dead key are notified, then released, and the leaf records recycled.
@@ -1118,14 +1156,17 @@ func (e *Engine) domainOf(R param.Set) *domain {
 //     so this only mirrors bookkeeping lifetime.
 //   - The multi-parameter-event mark of the fresh-object guard goes.
 //   - θ is unmapped once it is neither in Δ nor tombstoned; its slot is
-//     recycled when no monitor pins it (see param.Interner).
-//   - Fresh-object guard records for dead objects go as well.
-//   - Domain registries release members with dead bound objects: in
-//     JavaMOP/RV a progenitor is only reachable through weak keys, so
-//     the death of any of its objects ends its progenitor role.
+//     recycled when no monitor pins it (see param.Interner), and with it
+//     its pins on its objects.
+//
+// Then domain registries release members with dead bound objects: in
+// JavaMOP/RV a progenitor is only reachable through weak keys, so the death
+// of any of its objects ends its progenitor role. Last, the records of dead
+// objects that no θ-record binds any more go.
 func (e *Engine) sweep() {
+	e.objs.observe()
 	for th, s := range e.intern.All() {
-		if s.Inst.AllAlive() {
+		if !e.objs.anyDead(&s.B) {
 			continue
 		}
 		t := &s.Data
@@ -1142,28 +1183,24 @@ func (e *Engine) sweep() {
 				}
 			}
 		}
-		if e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && s.Inst.AliveMask().Empty() {
+		if e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && e.objs.aliveMask(&s.B).Empty() {
 			t.flags &^= thetaAvoided
 		}
 		t.flags &^= thetaSeenEvent
 		if t.mon == arena.Nil && t.flags&thetaAvoided == 0 {
-			e.intern.Unmap(th)
-		}
-	}
-	for id, rec := range e.seen {
-		if !rec.ref.Alive() {
-			delete(e.seen, id)
+			e.unmap(th)
 		}
 	}
 	for i := range e.domains {
 		e.domains[i].all.CompactWith(e, e.deadParam)
 	}
+	e.objs.drop()
 }
 
 // deadParam reports a monitor with a dead bound parameter object (domain
 // registries drop such members; see sweep).
 func (e *Engine) deadParam(h index.Handle) bool {
-	return !e.instOf(e.mons.At(h)).AllAlive()
+	return !e.objs.allAlive(e.bindOf(e.mons.At(h)))
 }
 
 // Flush performs a full compaction pass over every structure; used at the
@@ -1180,7 +1217,7 @@ func (e *Engine) deadParam(h index.Handle) bool {
 func (e *Engine) Flush() {
 	for pass := 0; pass < 2; pass++ {
 		for _, s := range e.intern.All() {
-			if s.Data.leaf != arena.Nil && s.Inst.AllAlive() {
+			if s.Data.leaf != arena.Nil && e.objs.allAlive(&s.B) {
 				e.leaves.Compact(e, &s.Data.leaf)
 			}
 		}
@@ -1197,7 +1234,7 @@ func (e *Engine) Monitors() []param.Instance {
 	var out []param.Instance
 	for _, s := range e.intern.All() {
 		if h := s.Data.mon; h != arena.Nil && e.mons.At(h).flags&(monFlagged|monCollected) == 0 {
-			out = append(out, s.Inst)
+			out = append(out, e.instance(&s.B))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key(), out[j].Key()) })
@@ -1206,7 +1243,7 @@ func (e *Engine) Monitors() []param.Instance {
 
 // State returns the current base state for θ, or nil if no monitor exists.
 func (e *Engine) State(inst param.Instance) logic.State {
-	th, ok := e.intern.Get(inst.Key())
+	th, ok := e.lookup(inst)
 	if !ok {
 		return nil
 	}
@@ -1224,10 +1261,35 @@ func (e *Engine) State(inst param.Instance) logic.State {
 	return e.boxState[h.Index()]
 }
 
+// lookup returns the θ-record of an instance, if the engine has one: no
+// object record or θ-record is added.
+func (e *Engine) lookup(inst param.Instance) (arena.Handle, bool) {
+	b := param.Binding{Mask: inst.Mask()}
+	for m := b.Mask; m != 0; m = m.Rest() {
+		i := m.First()
+		h, ok := e.objs.ids[inst.Value(i).ID()]
+		if !ok {
+			return arena.Nil, false
+		}
+		b.H[i] = h
+	}
+	return e.intern.Get(&b)
+}
+
+// keyOf returns the instance key of a binding: its objects' IDs.
+func (e *Engine) keyOf(b *param.Binding) param.Key {
+	k := param.Key{Mask: b.Mask}
+	for m := b.Mask; m != 0; m = m.Rest() {
+		i := m.First()
+		k.IDs[i] = e.objs.recs[b.H[i]].id
+	}
+	return k
+}
+
 // thetaLess orders θ handles by instance key (mask, then IDs), the
 // deterministic order every backend shares.
 func (e *Engine) thetaLess(a, b arena.Handle) bool {
-	return keyLess(e.intern.At(a).Inst.Key(), e.intern.At(b).Inst.Key())
+	return keyLess(e.keyOf(&e.intern.At(a).B), e.keyOf(&e.intern.At(b).B))
 }
 
 func keyLess(a, b param.Key) bool {
@@ -1246,7 +1308,7 @@ func keyLess(a, b param.Key) bool {
 // instance key: the order in which the Figure-5 scan visits its candidate
 // progenitors, real and tombstoned alike.
 func (e *Engine) moreInformative(a, b arena.Handle) bool {
-	ac, bc := e.intern.At(a).Inst.Mask().Count(), e.intern.At(b).Inst.Mask().Count()
+	ac, bc := e.intern.At(a).B.Mask.Count(), e.intern.At(b).B.Mask.Count()
 	if ac != bc {
 		return ac > bc
 	}

@@ -12,19 +12,11 @@ import (
 // allocation counts mean nothing.
 const RaceBuild = poolCheck
 
-// SeenObjects returns the size of the fresh-object guard's per-object table.
-func SeenObjects(e *Engine) int { return len(e.seen) }
-
 // HeldRefs counts the refs of the monitored program the engine can reach:
-// the bindings of every θ-record and the fresh-object records. Nothing else
-// holds one — the index hangs off the θ-records and holds handles only.
-func HeldRefs(e *Engine) int {
-	n := len(e.seen)
-	for _, s := range e.intern.All() {
-		n += s.Inst.Mask().Count()
-	}
-	return n
-}
+// the object records, one ref each. Nothing else holds one — the θ-records
+// bind object handles and the index hangs off them, holding monitor
+// handles only.
+func HeldRefs(e *Engine) int { return len(e.objs.ids) }
 
 // IndexStats returns the leaf pool's occupancy, the length of the member-
 // vector free list and the total membership of the domain registries.
@@ -38,7 +30,7 @@ func IndexStats(e *Engine) (leaves arena.Stats, vectors, registered int) {
 // LeafLen returns the size of the leaf for domain R under the key tuple, or
 // -1 if the key or the leaf does not exist.
 func LeafLen(e *Engine, key param.Instance, R param.Set) int {
-	kh, ok := e.intern.Get(key.Key())
+	kh, ok := e.lookup(key)
 	if !ok {
 		return -1
 	}
@@ -52,7 +44,7 @@ func LeafLen(e *Engine, key param.Instance, R param.Set) int {
 // MonRefs returns the container refcount of Δ(θ) and the number of key
 // domains its domain is indexed under; ok is false if θ has no monitor.
 func MonRefs(e *Engine, inst param.Instance) (refs int32, keys int, ok bool) {
-	th, found := e.intern.Get(inst.Key())
+	th, found := e.lookup(inst)
 	if !found || e.intern.At(th).Data.mon == arena.Nil {
 		return 0, 0, false
 	}
@@ -109,11 +101,19 @@ func (noRelease) Release(index.Handle) {}
 //     domain is R and whose instance extends κ;
 //   - a monitor's refcount is the number of leaves and registries holding
 //     it (refcount = in-edge count), and a collected monitor is in none;
-//   - every live leaf record is on some θ-record's chain.
+//   - every live leaf record is on some θ-record's chain;
 //
-// With flushed set (right after Flush) additionally no leaf is empty and
-// none hangs off a θ-record with a dead object. After ROADMAP's
-// Engine.CheckInvariants list.
+// and the rules of the object table:
+//
+//   - every handle a θ-record binds names a live object record, the one
+//     the ID map resolves the object's ID to;
+//   - an object record's pin count is the number of θ-records binding it;
+//   - the ID map and the records agree: each mapped ID names a live record
+//     carrying it, and every other record is on the free list.
+//
+// With flushed set (right after Flush) additionally no leaf is empty, none
+// hangs off a θ-record with a dead object, and no object record is both
+// dead and unpinned. After ROADMAP's Engine.CheckInvariants list.
 func CheckTheta(e *Engine, flushed bool) error {
 	pins := map[arena.Handle]int32{}
 	for _, m := range e.mons.All() {
@@ -126,85 +126,108 @@ func CheckTheta(e *Engine, flushed bool) error {
 			if !e.mons.Alive(h) {
 				return fmt.Errorf("registry %v holds %v, a recycled monitor", d.R, h)
 			}
-			if got := e.instOf(e.mons.At(h)).Mask(); got != d.R {
+			if got := e.bindOf(e.mons.At(h)).Mask; got != d.R {
 				return fmt.Errorf("registry %v holds a monitor of domain %v", d.R, got)
 			}
 			edges[h]++
 		}
 	}
+	if err := checkObjects(e); err != nil {
+		return err
+	}
+	objPins := map[uint32]int32{}
 	reached := 0
-	keys := map[param.Key]arena.Handle{}
+	keys := map[param.Binding]arena.Handle{}
 	for th, s := range e.intern.All() {
 		t := &s.Data
-		if t.leaf != arena.Nil && !s.Mapped() {
-			return fmt.Errorf("θ %v has a leaf but is unmapped", s.Inst)
+		for m := s.B.Mask; m != 0; m = m.Rest() {
+			oh := s.B.H[m.First()]
+			if int(oh) >= len(e.objs.recs) || e.objs.recs[oh].ref == nil {
+				return fmt.Errorf("θ-record %v binds object handle %d, which names no live object record", th, oh)
+			}
+			objPins[oh]++
 		}
-		if t.leaf != arena.Nil && flushed && !s.Inst.AllAlive() {
-			return fmt.Errorf("after Flush θ %v has a dead object and a leaf", s.Inst)
+		inst := e.instance(&s.B)
+		if t.leaf != arena.Nil && !s.Mapped() {
+			return fmt.Errorf("θ %v has a leaf but is unmapped", inst)
+		}
+		if t.leaf != arena.Nil && flushed && !inst.AllAlive() {
+			return fmt.Errorf("after Flush θ %v has a dead object and a leaf", inst)
 		}
 		var prev *index.Leaf
 		for lh := t.leaf; lh != arena.Nil; lh = prev.Next {
 			l := e.leaves.At(lh) // panics on a recycled leaf record
 			reached++
 			if prev != nil && prev.R >= l.R {
-				return fmt.Errorf("chain of θ %v: leaf %v after leaf %v", s.Inst, l.R, prev.R)
+				return fmt.Errorf("chain of θ %v: leaf %v after leaf %v", inst, l.R, prev.R)
 			}
 			prev = l
 			if flushed && l.Len() == 0 {
-				return fmt.Errorf("after Flush the leaf %v under %v is empty", l.R, s.Inst)
+				return fmt.Errorf("after Flush the leaf %v under %v is empty", l.R, inst)
 			}
 			for _, h := range l.Members() {
 				if !e.mons.Alive(h) {
-					return fmt.Errorf("leaf %v under %v holds %v, a recycled monitor", l.R, s.Inst, h)
+					return fmt.Errorf("leaf %v under %v holds %v, a recycled monitor", l.R, inst, h)
 				}
-				if mi := e.instOf(e.mons.At(h)); mi.Mask() != l.R || !s.Inst.LessInformative(*mi) {
-					return fmt.Errorf("leaf %v under %v holds a monitor for %v", l.R, s.Inst, mi)
+				if mb := e.bindOf(e.mons.At(h)); mb.Mask != l.R || !s.B.LessInformative(mb) {
+					return fmt.Errorf("leaf %v under %v holds a monitor for %v", l.R, inst, e.instance(mb))
 				}
 				edges[h]++
 			}
 		}
 		if t.mon != arena.Nil {
 			if !s.Mapped() {
-				return fmt.Errorf("θ %v is in Δ but unmapped", s.Inst)
+				return fmt.Errorf("θ %v is in Δ but unmapped", inst)
 			}
 			if !e.mons.Alive(t.mon) {
-				return fmt.Errorf("Δ(%v) = %v, a recycled monitor", s.Inst, t.mon)
+				return fmt.Errorf("Δ(%v) = %v, a recycled monitor", inst, t.mon)
 			}
 			if got := e.mons.At(t.mon).instH; got != th {
-				return fmt.Errorf("Δ(%v) = %v, whose record names θ-record %v, not %v", s.Inst, t.mon, got, th)
+				return fmt.Errorf("Δ(%v) = %v, whose record names θ-record %v, not %v", inst, t.mon, got, th)
 			}
 		}
 		if t.flags&thetaAvoided != 0 && (!s.Mapped() || t.mon != arena.Nil) {
-			return fmt.Errorf("tombstoned θ %v: mapped %v, Δ %v", s.Inst, s.Mapped(), t.mon)
+			return fmt.Errorf("tombstoned θ %v: mapped %v, Δ %v", inst, s.Mapped(), t.mon)
 		}
 		if s.Pins() != pins[th] {
-			return fmt.Errorf("θ %v has %d pins, %d live monitors name it", s.Inst, s.Pins(), pins[th])
+			return fmt.Errorf("θ %v has %d pins, %d live monitors name it", inst, s.Pins(), pins[th])
 		}
 		delete(pins, th)
 		if !s.Mapped() {
 			if s.Pins() <= 0 {
-				return fmt.Errorf("θ %v is unmapped and unpinned but not recycled", s.Inst)
+				return fmt.Errorf("θ %v is unmapped and unpinned but not recycled", inst)
 			}
 			continue
 		}
-		k := s.Inst.Key()
-		if prev, dup := keys[k]; dup {
-			return fmt.Errorf("θ-records %v and %v are both mapped under %v", prev, th, s.Inst)
+		if prev, dup := keys[s.B]; dup {
+			return fmt.Errorf("θ-records %v and %v are both mapped under %v", prev, th, inst)
 		}
-		keys[k] = th
-		if got, ok := e.intern.Get(k); !ok || got != th {
-			return fmt.Errorf("θ %v is marked mapped at %v but the table resolves it to %v (%v)", s.Inst, th, got, ok)
+		keys[s.B] = th
+		if got, ok := e.intern.Get(&s.B); !ok || got != th {
+			return fmt.Errorf("θ %v is marked mapped at %v but the table resolves it to %v (%v)", inst, th, got, ok)
 		}
 	}
 	for th, n := range pins {
 		return fmt.Errorf("%d live monitors name θ-record %v, which is recycled", n, th)
 	}
+	for oh := range e.objs.recs {
+		r := &e.objs.recs[oh]
+		if r.ref == nil {
+			continue
+		}
+		if r.pins != objPins[uint32(oh)] {
+			return fmt.Errorf("object %s has %d pins, %d θ-records bind it", r.ref.Label(), r.pins, objPins[uint32(oh)])
+		}
+		if flushed && r.pins == 0 && !r.ref.Alive() {
+			return fmt.Errorf("after Flush object %s is dead and unpinned but still recorded", r.ref.Label())
+		}
+	}
 	for h, m := range e.mons.All() {
 		if m.refs != edges[h] {
-			return fmt.Errorf("monitor for %v has refcount %d, %d containers hold it", e.instOf(m), m.refs, edges[h])
+			return fmt.Errorf("monitor for %v has refcount %d, %d containers hold it", e.instance(e.bindOf(m)), m.refs, edges[h])
 		}
 		if m.flags&monCollected != 0 && edges[h] != 0 {
-			return fmt.Errorf("collected monitor for %v is in %d containers", e.instOf(m), edges[h])
+			return fmt.Errorf("collected monitor for %v is in %d containers", e.instance(e.bindOf(m)), edges[h])
 		}
 	}
 	if live := e.leaves.Stats().Live; live != reached {
@@ -212,6 +235,32 @@ func CheckTheta(e *Engine, flushed bool) error {
 	}
 	if len(keys) != e.intern.Len() {
 		return fmt.Errorf("θ-table maps %d keys, %d records are marked mapped", e.intern.Len(), len(keys))
+	}
+	return nil
+}
+
+// checkObjects holds the object table's ID map and records to each other:
+// a mapped ID names a live record carrying that ID, whose ref reports it;
+// every record the map does not name is free, on the free list once.
+func checkObjects(e *Engine) error {
+	o := &e.objs
+	for id, h := range o.ids {
+		if int(h) >= len(o.recs) {
+			return fmt.Errorf("object ID %d maps to handle %d, past the %d records", id, h, len(o.recs))
+		}
+		if r := &o.recs[h]; r.ref == nil || r.id != id || r.ref.ID() != id {
+			return fmt.Errorf("object ID %d maps to handle %d, whose record carries ID %d", id, h, r.id)
+		}
+	}
+	onFree := map[uint32]bool{}
+	for _, h := range o.free {
+		if onFree[h] || o.recs[h].ref != nil {
+			return fmt.Errorf("object handle %d is on the free list twice or while live", h)
+		}
+		onFree[h] = true
+	}
+	if len(o.ids)+len(o.free) != len(o.recs) {
+		return fmt.Errorf("%d object records: %d mapped, %d free", len(o.recs), len(o.ids), len(o.free))
 	}
 	return nil
 }

@@ -1,0 +1,160 @@
+package monitor
+
+import (
+	"rvgo/internal/heap"
+	"rvgo/internal/param"
+)
+
+// object is one record of an engine's object table: a parameter object the
+// engine has met in an event, kept once however many θ-records bind it.
+type object struct {
+	ref heap.Ref
+	id  uint64
+	// doms is the set of event parameter-domains the object has been bound
+	// under (bit i for Engine.evDomains[i]), for the fresh-object creation
+	// guard (priorEventsOK).
+	doms uint16
+	// pins is the number of θ-records whose binding names the object.
+	pins int32
+	// dead caches a death once observed through ref: Alive is monotone
+	// (heap.Ref), so a dead object never needs asking again.
+	dead bool
+}
+
+// objects is the object table: the one place an engine keeps a caller's
+// heap.Ref. θ-records bind the uint32 handles it issues (param.Binding), so
+// the θ-table itself holds no pointer, and a θ's liveness is read through
+// the records of its objects. A record lives while a θ-record pins it or
+// its object is alive; the sweep drops the rest (drop), and Close all of
+// them. The zero value is not ready; see newObjects.
+type objects struct {
+	ids  map[uint64]uint32 // object ID → handle
+	recs []object          // by handle; a free record has a nil ref
+	free []uint32          // recycled handles, LIFO
+	// check arms poison-on-free (race builds): a freed record is scrambled
+	// and verified when its handle is reissued, like the arena pools.
+	check bool
+}
+
+func newObjects(check bool) objects {
+	return objects{ids: map[uint64]uint32{}, check: check}
+}
+
+// pooledObject is the poison of a freed record under check: an ID no object
+// has and a negative pin count, with no domain bit and no death, so a stale
+// pin, domain or death write shows. Its nil ref makes a liveness read
+// through a stale handle panic.
+var pooledObject = object{id: ^uint64(0), pins: -1}
+
+// handle returns v's handle, adding a record on first sight.
+func (o *objects) handle(v heap.Ref) uint32 {
+	id := v.ID()
+	if h, ok := o.ids[id]; ok {
+		return h
+	}
+	var h uint32
+	if n := len(o.free); n > 0 {
+		h = o.free[n-1]
+		o.free = o.free[:n-1]
+		if o.check && o.recs[h] != pooledObject {
+			panic("monitor: free-list object record was mutated while pooled")
+		}
+	} else {
+		h = uint32(len(o.recs))
+		o.recs = append(o.recs, object{})
+	}
+	o.recs[h] = object{ref: v, id: id}
+	o.ids[id] = h
+	return h
+}
+
+// ref returns the object a handle names.
+func (o *objects) ref(h uint32) heap.Ref { return o.recs[h].ref }
+
+// alive reports whether the object is alive, caching a death it observes.
+func (o *objects) alive(h uint32) bool {
+	r := &o.recs[h]
+	if r.dead {
+		return false
+	}
+	if r.ref.Alive() {
+		return true
+	}
+	r.dead = true
+	return false
+}
+
+// allAlive reports whether every object b binds is alive.
+func (o *objects) allAlive(b *param.Binding) bool {
+	for m := b.Mask; m != 0; m = m.Rest() {
+		if !o.alive(b.H[m.First()]) {
+			return false
+		}
+	}
+	return true
+}
+
+// aliveMask returns the parameters of b whose objects are alive.
+func (o *objects) aliveMask(b *param.Binding) param.Set {
+	var s param.Set
+	for m := b.Mask; m != 0; m = m.Rest() {
+		if i := m.First(); o.alive(b.H[i]) {
+			s |= 1 << uint(i)
+		}
+	}
+	return s
+}
+
+// anyDead reports whether b binds an object whose death is cached: after
+// observe, the sweep's test for a θ-record, without a call through a ref.
+func (o *objects) anyDead(b *param.Binding) bool {
+	for m := b.Mask; m != 0; m = m.Rest() {
+		if o.recs[b.H[m.First()]].dead {
+			return true
+		}
+	}
+	return false
+}
+
+// observe asks every record's object once whether it is alive.
+func (o *objects) observe() {
+	for h := range o.recs {
+		if r := &o.recs[h]; r.ref != nil && !r.dead && !r.ref.Alive() {
+			r.dead = true
+		}
+	}
+}
+
+// pin and unpin take and drop a θ-record's claims on the objects it binds.
+func (o *objects) pin(b *param.Binding) {
+	for m := b.Mask; m != 0; m = m.Rest() {
+		o.recs[b.H[m.First()]].pins++
+	}
+}
+
+func (o *objects) unpin(b *param.Binding) {
+	for m := b.Mask; m != 0; m = m.Rest() {
+		o.recs[b.H[m.First()]].pins--
+	}
+}
+
+// drop releases the records no θ-record binds whose objects are dead: such
+// an object can never recur in an event, so nothing will look it up again.
+func (o *objects) drop() {
+	for h := range o.recs {
+		r := &o.recs[h]
+		if r.ref == nil || r.pins != 0 || !r.dead {
+			continue
+		}
+		delete(o.ids, r.id)
+		if o.check {
+			*r = pooledObject
+		} else {
+			*r = object{}
+		}
+		o.free = append(o.free, uint32(h))
+	}
+}
+
+// reset drops every record and with it every ref.
+func (o *objects) reset() { *o = newObjects(o.check) }

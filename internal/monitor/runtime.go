@@ -47,20 +47,22 @@ func EmitNamed(d Dispatcher, name string, vals ...heap.Ref) error {
 type Runtime interface {
 	Dispatcher
 	// Free positions an object death in the event stream: every event
-	// dispatched before the call observes the refs alive — whatever the
-	// caller does to them afterwards — and the events dispatched after it
-	// observe them dead once the caller has killed them, which it may do
-	// the instant Free returns. Free never waits on any backend: the
-	// sequential engine has already processed every earlier event and reads
-	// liveness off the refs; the asynchronous backends queue the death as
-	// one more record of the ordered stream (a mailbox batch record, a wire
-	// free frame). The caller dispatches no later event mentioning the refs
-	// (with a garbage-collected object that is automatic: the object is
+	// dispatched before the call observes the ref alive — whatever the
+	// caller does to it afterwards — and the events dispatched after it
+	// observe it dead once the caller has killed it, which it may do the
+	// instant Free returns. Free never waits on any backend: the sequential
+	// engine has already processed every earlier event and reads liveness
+	// off the ref; the asynchronous backends queue the death as one more
+	// record of the ordered stream (a mailbox batch record, a wire free
+	// frame). The ref is taken by value, like Dispatch's instance, so a
+	// call allocates nothing; deaths at one position are consecutive calls.
+	// The caller dispatches no later event mentioning the ref (with a
+	// garbage-collected object that is automatic: the object is
 	// unreachable, so no event can bind it). Every death source uses it:
 	// trace replay, the simulated-heap free hook, protocol frees, and the
 	// live-object frontend (package rv), where Go-GC cleanups become
 	// stream-positioned deaths that drive coenable-set monitor GC.
-	Free(refs ...heap.Ref)
+	Free(ref heap.Ref)
 	// Barrier returns once every event dispatched before the call has been
 	// fully processed. Synchronous backends return immediately.
 	Barrier()
@@ -85,19 +87,19 @@ func (e *Engine) Barrier() {}
 // Free implements Runtime. The sequential engine needs no positioning:
 // every dispatched event has already been processed, and it observes
 // deaths lazily through ref liveness when the death is applied.
-func (e *Engine) Free(refs ...heap.Ref) {}
+func (e *Engine) Free(heap.Ref) {}
 
 // Close implements Runtime. The sequential engine holds no goroutines or
 // external resources; closing settles any published telemetry, returns
 // the slab arenas (monitor records, the θ-table, the leaf records) to the
 // host allocator in O(slabs) — the engine-side counterpart of the
 // per-monitor reclamation the GC policies do during the run — and empties
-// the registries and the fresh-object table. The θ-table and the
-// fresh-object table are the only holders of the monitored program's refs
-// (the index hangs off the θ-records and holds handles only): callers keep
-// a closed engine around to read Stats, and it must pin nothing. Dispatching after Close
-// is a programming error; with the store reset it fails fast on a stale
-// handle rather than corrupting state.
+// the registries and the object table. The object table is the only
+// holder of the monitored program's refs (θ-records bind its handles, and
+// the index hangs off the θ-records and holds monitor handles only):
+// callers keep a closed engine around to read Stats, and it must pin
+// nothing. Dispatching after Close is a programming error; with the store
+// reset it fails fast on a stale handle rather than corrupting state.
 func (e *Engine) Close() {
 	if e.met != nil {
 		e.publishMetrics()
@@ -116,5 +118,5 @@ func (e *Engine) Close() {
 		e.domains[i].all = index.Set{}
 	}
 	e.boxState = nil
-	e.seen = map[uint64]seenRec{}
+	e.objs.reset()
 }

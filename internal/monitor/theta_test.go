@@ -158,9 +158,9 @@ func TestThetaInvariants(t *testing.T) {
 }
 
 // TestCloseEmptiesEngine: a closed engine that stays referenced (callers
-// keep it to read Stats) holds no θ-record, no fresh-object record — those
-// carry the monitored program's refs — no leaf, no registry member and no
-// slab, under the configuration that fills every per-θ structure
+// keep it to read Stats) holds no object record — the one holder of the
+// monitored program's refs — no θ-record, no leaf, no registry member and
+// no slab, under the configuration that fills every per-θ structure
 // (tombstones included) and under the production one.
 func TestCloseEmptiesEngine(t *testing.T) {
 	for _, opts := range []monitor.Options{
@@ -180,7 +180,7 @@ func TestCloseEmptiesEngine(t *testing.T) {
 			}
 		}
 		before := eng.Stats()
-		if before.Created == 0 || eng.InternedInstances() == 0 || monitor.SeenObjects(eng) == 0 {
+		if before.Created == 0 || eng.InternedInstances() == 0 || monitor.HeldRefs(eng) == 0 {
 			t.Fatalf("%v/%v: nothing to release: %+v", opts.GC, opts.Creation, before)
 		}
 		if leaves, _, registered := monitor.IndexStats(eng); leaves.Live == 0 || registered == 0 || monitor.HeldRefs(eng) == 0 {
@@ -193,9 +193,6 @@ func TestCloseEmptiesEngine(t *testing.T) {
 		if n := eng.InternedInstances(); n != 0 {
 			t.Errorf("%v/%v: θ-table maps %d instances after Close", opts.GC, opts.Creation, n)
 		}
-		if n := monitor.SeenObjects(eng); n != 0 {
-			t.Errorf("%v/%v: %d fresh-object records (and their refs) survive Close", opts.GC, opts.Creation, n)
-		}
 		if st := eng.InstanceArenaStats(); st != (arena.Stats{HighWater: st.HighWater}) {
 			t.Errorf("%v/%v: instance arena after Close: %+v", opts.GC, opts.Creation, st)
 		}
@@ -206,7 +203,7 @@ func TestCloseEmptiesEngine(t *testing.T) {
 			t.Errorf("%v/%v: index after Close: leaf arena %+v, %d pooled vectors, %d registry members", opts.GC, opts.Creation, st, vectors, registered)
 		}
 		if n := monitor.HeldRefs(eng); n != 0 {
-			t.Errorf("%v/%v: %d refs of the monitored program reachable after Close", opts.GC, opts.Creation, n)
+			t.Errorf("%v/%v: %d object records (and their refs) survive Close", opts.GC, opts.Creation, n)
 		}
 		if err := monitor.CheckTheta(eng, false); err != nil {
 			t.Errorf("%v/%v: after Close: %v", opts.GC, opts.Creation, err)

@@ -135,10 +135,13 @@ func Of(mask Set, vals ...heap.Ref) Instance {
 	if mask.Count() != len(vals) {
 		panic("param: Of arity mismatch")
 	}
-	t := Instance{}
+	t := Instance{mask: mask}
 	k := 0
 	for m := mask; m != 0; m = m.Rest() {
-		t = t.Bind(m.First(), vals[k])
+		if vals[k] == nil {
+			panic("param: Bind with nil value")
+		}
+		t.vals[m.First()] = vals[k]
 		k++
 	}
 	return t
@@ -186,20 +189,20 @@ func (t Instance) Lub(u Instance) (Instance, bool) {
 	if !t.Compatible(u) {
 		return Instance{}, false
 	}
-	r := t
 	for m := u.mask; m != 0; m = m.Rest() {
 		i := m.First()
-		r = r.Bind(i, u.vals[i])
+		t.vals[i] = u.vals[i]
 	}
-	return r, true
+	t.mask |= u.mask
+	return t, true
 }
 
 // Restrict returns θ restricted to the parameters in s.
 func (t Instance) Restrict(s Set) Instance {
-	r := Instance{}
-	for m := t.mask & s; m != 0; m = m.Rest() {
+	r := Instance{mask: t.mask & s}
+	for m := r.mask; m != 0; m = m.Rest() {
 		i := m.First()
-		r = r.Bind(i, t.vals[i])
+		r.vals[i] = t.vals[i]
 	}
 	return r
 }

@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"rvgo/internal/arena"
-	"rvgo/internal/heap"
 )
 
 // FuzzThetaTable drives random intern / pin / unpin / kill-object / sweep
-// interleavings against a plain map[Key] model of the θ-table, with the
+// interleavings against a plain map[Binding] model of the θ-table, with the
 // poison checks armed, and holds the table to what the engine relies on:
 //
 //   - a mapped key whose objects all live resolves to the same handle, and
@@ -25,15 +24,16 @@ func FuzzThetaTable(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 3, 3, 2, 3, 3, 4, 0, 0, 2, 1, 1, 3, 0, 4, 0, 2, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		type slot struct {
-			key  Key
+			key  Binding
 			pins int
 			tag  int
 		}
 		var (
-			hp     = heap.New()
-			objs   []*heap.Object
+			dead   = newObjects()
+			objs   []uint32 // handles of the pool's current objects
+			nextH  uint32
 			in     = NewInterner[payload]()
-			mapped = map[Key]arena.Handle{}
+			mapped = map[Binding]arena.Handle{}
 			live   = map[arena.Handle]*slot{} // mapped or pinned
 			order  []arena.Handle             // every handle ever issued
 			issued = map[arena.Handle]bool{}
@@ -45,22 +45,24 @@ func FuzzThetaTable(f *testing.F) {
 			}
 		})
 		for i := 0; i < 6; i++ {
-			objs = append(objs, hp.Alloc(""))
+			objs = append(objs, nextH)
+			nextH++
 		}
-		// instance picks one or two bindings out of the object pool; dead
-		// objects are replaced first, as events only mention live ones.
-		instance := func(arg byte) Instance {
-			pick := func(i int) *heap.Object {
-				if !objs[i].Alive() {
-					objs[i] = hp.Alloc("")
+		// binding picks one or two objects out of the pool; dead objects
+		// are replaced first, as events only mention live ones.
+		binding := func(arg byte) *Binding {
+			pick := func(i int) uint32 {
+				if dead.dead[objs[i]] {
+					objs[i] = nextH
+					nextH++
 				}
 				return objs[i]
 			}
 			a, b := int(arg)%len(objs), int(arg/8)%len(objs)
 			if arg&0x80 != 0 || a == b {
-				return Of(SetOf(0), pick(a))
+				return bind(SetOf(0), pick(a))
 			}
-			return Of(SetOf(0, 1), pick(a), pick(b))
+			return bind(SetOf(0, 1), pick(a), pick(b))
 		}
 		check := func() {
 			t.Helper()
@@ -77,8 +79,8 @@ func FuzzThetaTable(f *testing.F) {
 					t.Fatalf("All yielded %v, which the model recycled", h)
 				}
 				_, isMapped := mapped[m.key]
-				if s.Inst.Key() != m.key || int(s.Pins()) != m.pins || s.Data.tag != m.tag || s.Mapped() != (isMapped && mapped[m.key] == h) {
-					t.Fatalf("slot %v = {%v pins %d tag %d mapped %v}, model %+v mapped %v", h, s.Inst.Key(), s.Pins(), s.Data.tag, s.Mapped(), *m, isMapped)
+				if s.B != m.key || int(s.Pins()) != m.pins || s.Data.tag != m.tag || s.Mapped() != (isMapped && mapped[m.key] == h) {
+					t.Fatalf("slot %v = {%v pins %d tag %d mapped %v}, model %+v mapped %v", h, s.B, s.Pins(), s.Data.tag, s.Mapped(), *m, isMapped)
 				}
 				walked++
 			}
@@ -124,13 +126,16 @@ func FuzzThetaTable(f *testing.F) {
 			op, arg := ops[i], ops[i+1]
 			switch op % 5 {
 			case 0: // intern
-				inst := instance(arg)
-				h := in.Intern(inst)
-				if want, ok := mapped[inst.Key()]; ok {
-					if h != want {
-						t.Fatalf("mapped all-alive key re-interned to %v, was %v", h, want)
+				b := binding(arg)
+				h, added := in.Intern(b)
+				if want, ok := mapped[*b]; ok {
+					if h != want || added {
+						t.Fatalf("mapped all-alive key re-interned to %v (added %v), was %v", h, added, want)
 					}
 					break
+				}
+				if !added {
+					t.Fatalf("new key %v interned to %v without an allocation", *b, h)
 				}
 				if issued[h] {
 					t.Fatalf("handle %v handed out twice", h)
@@ -144,8 +149,8 @@ func FuzzThetaTable(f *testing.F) {
 				in.At(h).Data.tag = nextID
 				issued[h] = true
 				order = append(order, h)
-				mapped[inst.Key()] = h
-				live[h] = &slot{key: inst.Key(), tag: nextID}
+				mapped[*b] = h
+				live[h] = &slot{key: *b, tag: nextID}
 			case 1: // pin
 				if h, ok := anyLive(arg); ok {
 					in.Pin(h)
@@ -153,20 +158,28 @@ func FuzzThetaTable(f *testing.F) {
 				}
 			case 2: // unpin
 				if h, ok := anyLive(arg); ok && live[h].pins > 0 {
-					in.Unpin(h)
+					b, freed := in.Unpin(h)
 					live[h].pins--
+					key := live[h].key
 					release(h)
+					if freed != (live[h] == nil) || freed && b != key {
+						t.Fatalf("Unpin(%v) = %v, %v; model recycled %v", h, b, freed, live[h] == nil)
+					}
 				}
 			case 3: // kill an object
-				hp.Free(objs[int(arg)%len(objs)])
+				dead.dead[objs[int(arg)%len(objs)]] = true
 			case 4: // the owner's sweep: unmap every θ with a dead object
 				for h, s := range in.All() {
-					if !s.Inst.AllAlive() {
-						in.Unmap(h)
-						if mapped[live[h].key] == h {
-							delete(mapped, live[h].key)
+					if !dead.allAlive(&s.B) {
+						key := live[h].key
+						b, freed := in.Unmap(h)
+						if mapped[key] == h {
+							delete(mapped, key)
 						}
 						release(h)
+						if freed != (live[h] == nil) || freed && b != key {
+							t.Fatalf("Unmap(%v) = %v, %v; model recycled %v", h, b, freed, live[h] == nil)
+						}
 					}
 				}
 			}

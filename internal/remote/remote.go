@@ -259,14 +259,6 @@ func (f *Front) EventIDs(ids []uint64, sym int, theta param.Instance) []uint64 {
 	return ids
 }
 
-// RefIDs appends the remote IDs of refs to ids: a free's wire form.
-func RefIDs(ids []uint64, refs []heap.Ref) []uint64 {
-	for _, ref := range refs {
-		ids = append(ids, ref.ID())
-	}
-	return ids
-}
-
 // Shutdown is a client's Close: the first call marks the session closed,
 // runs settle — the sink's orderly shutdown — and caches the final counters
 // it returns for Stats; later calls do nothing.
@@ -305,24 +297,21 @@ func (c *Client) Dispatch(sym int, theta param.Instance) {
 	c.p.Event(sym, ids)
 }
 
-// Free reports parameter-object deaths to the server, in call order
+// Free reports a parameter object's death to the server, in call order
 // relative to Dispatch: every event already dispatched observes the
-// objects alive, every later event must not mention them. This is the
+// object alive, every later event must not mention it. This is the
 // explicit, protocol-level replacement for the weak-reference death signal
 // the in-process backends get from the heap. It implements
 // monitor.Runtime's death positioning: the free frame's place in the
 // ordered stream is the death's position in the trace, and the server
-// positions it in the session's backend before killing the objects. The
-// local refs only feed verdict reconstruction, where dead identities are
-// expected, so the caller may kill them as soon as Free returns. The frame
+// positions it in the session's backend before killing the object. The
+// local ref only feeds verdict reconstruction, where dead identities are
+// expected, so the caller may kill it as soon as Free returns. The frame
 // leaves with its write block, or within the Producer's linger bound when
 // the pipeline goes quiet.
-func (c *Client) Free(refs ...heap.Ref) {
-	if len(refs) == 0 {
-		return
-	}
-	var buf [8]uint64 // a death rarely names more; append spills the rest
-	c.p.Free(RefIDs(buf[:0], refs))
+func (c *Client) Free(ref heap.Ref) {
+	id := [1]uint64{ref.ID()}
+	c.p.Free(id[:])
 }
 
 // roundTrip issues a token frame and waits for its ack. Returns the zero

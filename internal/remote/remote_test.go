@@ -207,7 +207,7 @@ func recordVerdicts(spec *monitor.Spec, mu *sync.Mutex, into map[string][]string
 
 // freer is the death-forwarding surface of the remote remote.
 type freer interface {
-	Free(refs ...heap.Ref)
+	Free(ref heap.Ref)
 }
 
 // replayInto feeds a gstep trace into any backend. Local backends get a

@@ -235,13 +235,11 @@ func (b *local) Free(ids []uint64) error {
 			b.stopRecording(err)
 		}
 	}
-	b.vals = b.vals[:0]
 	for _, id := range ids {
 		if o := b.objects[id]; o != nil {
-			b.vals = append(b.vals, o)
+			b.rt.Free(o)
 		}
 	}
-	b.rt.Free(b.vals...)
 	for _, id := range ids {
 		if o := b.objects[id]; o != nil {
 			b.heap.Free(o)

@@ -191,7 +191,8 @@ func TestViewTableHygiene(t *testing.T) {
 		monitor.Emit(rt, create, c, it)
 		monitor.Emit(rt, next, it)
 		if k%2 == 0 {
-			rt.Free(c, it)
+			rt.Free(c)
+			rt.Free(it)
 			h.Free(c)
 			h.Free(it)
 		} else {

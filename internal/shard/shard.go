@@ -35,7 +35,7 @@
 // so the engines are never handed the caller's refs. The producer keeps a
 // table from object ID to one liveness view per shard (see view), entered
 // at the object's first mention, and every record carries the target
-// shard's views. Free(refs...) holds the object's views alive, drops the
+// shard's views. Free(ref) holds the object's views alive, drops the
 // table entry and appends one free record to every shard's open batch: an
 // ordinary record — no barrier, no flush, no mailbox send of its own. A
 // worker reaching the record kills its own view only, so each shard
@@ -306,7 +306,7 @@ func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 	return ok
 }
 
-// Free implements monitor.Runtime: each object's death becomes one record
+// Free implements monitor.Runtime: the object's death becomes one record
 // in every shard's open batch, positioned behind every event dispatched
 // before the call, and the call returns — the producer never waits for a
 // worker. The object's views are held alive first, so the caller may kill
@@ -314,18 +314,16 @@ func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 // each shard sees the death when its worker reaches the record. An object
 // no event mentioned concerns no monitor and costs nothing. After Close it
 // is a silent no-op.
-func (rt *Runtime) Free(refs ...heap.Ref) {
+func (rt *Runtime) Free(ref heap.Ref) {
 	if rt.closed {
 		return
 	}
-	for _, ref := range refs {
-		ov := rt.hold(ref)
-		for k := range ov {
-			rt.workers[k].enqueue(event{free: &ov[k]})
-		}
-		if ov != nil {
-			rt.arm()
-		}
+	ov := rt.hold(ref)
+	for k := range ov {
+		rt.workers[k].enqueue(event{free: &ov[k]})
+	}
+	if ov != nil {
+		rt.arm()
 	}
 }
 

@@ -18,7 +18,7 @@ type nullRuntime struct {
 
 func (n *nullRuntime) Spec() *monitor.Spec                { return n.spec }
 func (n *nullRuntime) Dispatch(sym int, _ param.Instance) { n.events++ }
-func (n *nullRuntime) Free(...heap.Ref)                   {}
+func (n *nullRuntime) Free(heap.Ref)                      {}
 func (n *nullRuntime) Barrier()                           {}
 func (n *nullRuntime) Flush()                             {}
 func (n *nullRuntime) Stats() (st monitor.Stats)          { st.Events = n.events; return }

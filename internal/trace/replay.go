@@ -255,16 +255,16 @@ func (rp *replayer) segment(seg *segment, sm *symMap, skim bool) error {
 			// Only objects this replay materialized can be bound by a live
 			// monitor here; deaths of unseen objects are no-ops, exactly as
 			// in the online runtimes.
-			rp.refs = rp.refs[:0]
 			rp.dying = rp.dying[:0]
 			for _, id := range rp.ids {
 				if o := rp.objs.lookup(id); o != nil && o.Alive() {
-					rp.refs = append(rp.refs, o)
 					rp.dying = append(rp.dying, o)
 				}
 			}
-			if len(rp.refs) > 0 {
-				rp.rt.Free(rp.refs...)
+			if len(rp.dying) > 0 {
+				for _, o := range rp.dying {
+					rp.rt.Free(o)
+				}
 				for _, o := range rp.dying {
 					o.dead.Store(true)
 				}

@@ -243,7 +243,7 @@ func TestMetricsConformance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return m
+					return runtimeOf{m}
 				}
 				t.Run("EmitNamed", func(t *testing.T) { conformance.RunEmitNamed(t, build) })
 				t.Run("RunFree", func(t *testing.T) { conformance.RunFreePolicy(t, build, gc) })

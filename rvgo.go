@@ -422,7 +422,7 @@ func (m *Monitor) dial(cfg config, handler func(Verdict)) error {
 	return nil
 }
 
-var _ monitor.Runtime = (*Monitor)(nil)
+var _ monitor.Dispatcher = (*Monitor)(nil)
 
 // Property returns the specification being monitored.
 func (m *Monitor) Property() *spec.Spec { return m.sp }
@@ -458,14 +458,20 @@ func (m *Monitor) Dispatch(sym int, theta Instance) { m.rt.Dispatch(sym, theta) 
 // sharded runtime, a free frame on the wire). This is the death signal
 // that drives monitor GC when no real garbage collector is involved
 // (trace replay, simulated heaps, remote sessions).
-func (m *Monitor) Free(refs ...Ref) { m.rt.Free(refs...) }
+func (m *Monitor) Free(refs ...Ref) {
+	for _, ref := range refs {
+		m.rt.Free(ref)
+	}
+}
 
 // FreeAsync is Free followed by die, which marks the objects dead: since
 // Free never waits and tolerates an immediate kill, the positioned point
 // is the call itself on every backend. Package rv uses it to turn Go
 // garbage-collection cleanups into stream-positioned deaths.
 func (m *Monitor) FreeAsync(die func(), refs ...Ref) {
-	m.rt.Free(refs...)
+	for _, ref := range refs {
+		m.rt.Free(ref)
+	}
 	if die != nil {
 		die()
 	}

@@ -6,7 +6,6 @@ import (
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
-	"rvgo/internal/remote"
 	"rvgo/internal/trace"
 )
 
@@ -64,24 +63,23 @@ func (t *tap) Dispatch(sym int, theta Instance) {
 	t.rt.Dispatch(sym, theta)
 }
 
-func (t *tap) Free(refs ...Ref) {
+func (t *tap) Free(ref Ref) {
 	// The record position is the call: the producer dispatches no later
-	// event mentioning the refs, so replay applying the death here
+	// event mentioning the ref, so replay applying the death here
 	// reproduces exactly the liveness every recorded event observed.
 	if t.cli != nil {
 		t.cli.Frees.Inc()
 	}
 	if t.ring != nil || t.rec != nil {
-		var buf [8]uint64 // a death rarely names more; append spills the rest
-		ids := remote.RefIDs(buf[:0], refs)
+		id := [1]uint64{ref.ID()}
 		if t.ring != nil {
-			t.ring.RecordFreeIDs(ids)
+			t.ring.RecordFreeIDs(id[:])
 		}
 		if t.rec != nil {
-			t.fail(t.rec.FreeIDs(ids))
+			t.fail(t.rec.FreeIDs(id[:]))
 		}
 	}
-	t.rt.Free(refs...)
+	t.rt.Free(ref)
 }
 
 func (t *tap) Barrier() { t.rt.Barrier() }
