@@ -3,6 +3,7 @@ package monitor
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -79,9 +80,13 @@ type Options struct {
 	// Barrier, Flush or Close; on the remote client it runs on the
 	// session's reader goroutine and must not call back into the client.
 	OnVerdict func(Verdict)
-	// SweepInterval is the number of events between sweeps, the engine's
-	// one death-discovery pass: θ-records with a dead object lose their
-	// leaves, Δ entry, tombstone and table mapping (0 = default, 4096).
+	// SweepInterval is the longest run of events without a sweep, the
+	// engine's one death-discovery pass: θ-records with a dead object lose
+	// their leaves, Δ entry, tombstone and table mapping. 0 selects the
+	// default, max(4096, θ-table size after the last sweep), so a large
+	// steady table is visited at most once per event. Independently of
+	// the period, a sweep falls due whenever the θ-table has doubled since
+	// the last one (see Engine.sweep).
 	SweepInterval int
 	// Avoid selects the creation-avoidance mode: off (default), audit
 	// (count guard hits in Stats.Avoided, create anyway), or enforce
@@ -138,6 +143,15 @@ func (o Options) Check(spec *Spec, lanes int) error {
 // publishInterval is the delta-publication period in events; a power of
 // two so the hot-path check is a mask.
 const publishInterval = 256
+
+// defaultSweepInterval is the shortest period of the default sweep schedule
+// (Options.SweepInterval 0), and minSweepGoal the smallest θ-table size at
+// which a sweep falls due early: the pacer's floor, so a small table is not
+// swept after every few adds.
+const (
+	defaultSweepInterval = 1 << 12
+	minSweepGoal         = 256
+)
 
 // Stats are the monitoring counters of the paper's Figure 10, plus some.
 type Stats struct {
@@ -301,7 +315,13 @@ type Engine struct {
 	// they back the fresh-object creation guard.
 	evDomains []param.Set
 	domBit    []uint16
+
+	// sinceSwep counts events toward the next sweep of the period schedule,
+	// period is that schedule's current length, and sweepGoal the θ-table
+	// size at which a sweep falls due early (see sweep).
 	sinceSwep int
+	period    int
+	sweepGoal int
 
 	// allParams is the maximal instance domain (the union of every event's
 	// parameter set — by union closure the unique maximal element of
@@ -357,13 +377,6 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.SweepInterval <= 0 {
-		// The sweep is the only thing that discovers a dead key, so in a
-		// churn stream the θ-table, the leaves and the flagged monitors
-		// they still hold grow with the period while the sweep's cost per
-		// event does not (the table it scans grows with it too).
-		opts.SweepInterval = 1 << 12
-	}
 	if err := opts.Check(spec, 1); err != nil {
 		return nil, err
 	}
@@ -382,6 +395,11 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		met:        opts.Metrics,
 		profGuards: opts.ProfileGuards,
 		prof:       opts.Profile,
+		period:     opts.SweepInterval,
+		sweepGoal:  minSweepGoal,
+	}
+	if e.period <= 0 {
+		e.period = defaultSweepInterval
 	}
 	for _, ev := range spec.Events {
 		e.allParams = e.allParams.Union(ev.Params)
@@ -515,11 +533,19 @@ func (e *Engine) bindOf(m *Mon) *param.Binding { return &e.intern.At(m.instH).B 
 func (e *Engine) instance(b *param.Binding) param.Instance { return b.Instance(e.objs.ref) }
 
 // intern returns the θ-record of a binding, allocating one — and pinning
-// the objects it binds — on first sight.
+// the objects it binds — on first sight. The add that brings the table to
+// the sweep goal makes a sweep fall due at the end of the current Dispatch:
+// it puts one period on the schedule's counter, which Dispatch takes off
+// again when it sweeps, so the early sweep is added to the period schedule
+// without shifting it.
 func (e *Engine) internB(b *param.Binding) arena.Handle {
 	h, added := e.intern.Intern(b)
 	if added {
 		e.objs.pin(b)
+		if e.intern.Len() >= e.sweepGoal {
+			e.sinceSwep += e.period
+			e.sweepGoal = math.MaxInt
+		}
 	}
 	return h
 }
@@ -564,8 +590,8 @@ func (e *Engine) claimed(t *theta) bool {
 //     (CreateFull scans the θ-table instead);
 //  3. θ itself from ⊥, if nothing claimed it;
 //  4. new monitors enter their registry and the leaves of their keys;
-//  5. θ's objects record the event's domain, and every SweepInterval
-//     events the sweep runs.
+//  5. θ's objects record the event's domain, and the sweep runs if one
+//     is due: a period has passed, or the θ-table reached its sweep goal.
 func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	e.stats.Events++
 	if e.met != nil && e.stats.Events&(publishInterval-1) == 0 {
@@ -697,7 +723,9 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		e.insert(h)
 	}
 
-	// 5. Record the event's domain on θ's objects and sweep periodically.
+	// 5. Record the event's domain on θ's objects and sweep if one is due.
+	// Only here: the sweep recycles θ-records, and the steps above hold
+	// pointers into them.
 	for pm := evParams; pm != 0; pm = pm.Rest() {
 		e.objs.recs[tp.H[pm.First()]].doms |= e.domBit[sym]
 	}
@@ -705,8 +733,8 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		ts.Data.flags |= thetaSeenEvent
 	}
 	e.sinceSwep++
-	if e.sinceSwep >= e.opts.SweepInterval {
-		e.sinceSwep = 0
+	if e.sinceSwep >= e.period {
+		e.sinceSwep -= e.period
 		e.timedSweep()
 	}
 }
@@ -834,11 +862,13 @@ func (e *Engine) flagMon(m *Mon) {
 // notification, hoisted onto the access path). Verdict
 // semantics are unchanged: a monitor is only flagged when its ALIVENESS
 // formula is false, and by Theorem 1 such a monitor can never reach a goal
-// verdict. What eagerness buys is that step and creation decisions become a
-// pure function of the per-slice event/death sequence, independent of the
-// sweep interval — the property that lets the sharded
-// runtime (internal/shard) compare its merged counters exactly against the
-// sequential engine. Reports whether the monitor may be stepped.
+// verdict. What eagerness buys is that creation decisions and verdicts become
+// a pure function of the per-slice event/death sequence, independent of the
+// sweep schedule — the property that lets the sharded runtime
+// (internal/shard) compare its merged counters against the sequential
+// engine. Flagged and Steps can still depend on the schedule: a sweep may
+// flag a monitor this path has not reached. Reports whether the monitor may
+// be stepped.
 func (e *Engine) observeDeaths(h arena.Handle, m *Mon) bool {
 	if m.flags&monFlagged != 0 {
 		return false
@@ -1163,6 +1193,13 @@ func (e *Engine) domainOf(R param.Set) *domain {
 // JavaMOP/RV a progenitor is only reachable through weak keys, so the death
 // of any of its objects ends its progenitor role. Last, the records of dead
 // objects that no θ-record binds any more go.
+//
+// The sweep then sets its own pace. The next one falls due when the
+// θ-table has doubled (its goal is max(2×size, minSweepGoal)), or when the
+// period has passed — under the default, max(defaultSweepInterval, size)
+// events. A churn stream, whose new keys are mostly garbage, is thus swept
+// at the rate it adds keys. A steady table sweeps on the period alone, at
+// most one θ-record visited per event.
 func (e *Engine) sweep() {
 	e.objs.observe()
 	for th, s := range e.intern.All() {
@@ -1195,6 +1232,11 @@ func (e *Engine) sweep() {
 		e.domains[i].all.CompactWith(e, e.deadParam)
 	}
 	e.objs.drop()
+	n := e.intern.Len()
+	e.sweepGoal = max(2*n, minSweepGoal)
+	if e.opts.SweepInterval <= 0 {
+		e.period = max(n, defaultSweepInterval)
+	}
 }
 
 // deadParam reports a monitor with a dead bound parameter object (domain

@@ -50,8 +50,6 @@ func buildLiveMonitors(t *testing.T, n int) (*monitor.Engine, *heap.Heap) {
 	eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{
 		GC:       monitor.GCNone,
 		Creation: monitor.CreateEnable,
-		// The soak population never dies; don't pay sweeps over it.
-		SweepInterval: 1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)

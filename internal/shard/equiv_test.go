@@ -193,6 +193,21 @@ func propMixSpec(t testing.TB) *monitor.Spec {
 	return s
 }
 
+// oracleSpecs is the spec set of the random-trace oracles: PropMix and
+// every property in the library.
+func oracleSpecs(t testing.TB) []*monitor.Spec {
+	t.Helper()
+	specs := []*monitor.Spec{propMixSpec(t)}
+	for _, name := range props.Names() {
+		spec, err := props.Build(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		specs = append(specs, spec)
+	}
+	return specs
+}
+
 // TestShardEquivalenceAllProps is the core oracle: for every property in
 // the library (plus a spec with a propositional event), random traces with
 // mid-trace object deaths produce the same per-slice verdict sequences and
@@ -204,17 +219,7 @@ func TestShardEquivalenceAllProps(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	specs := map[string]*monitor.Spec{"PropMix": propMixSpec(t)}
-	names := append([]string{"PropMix"}, props.Names()...)
-	for _, name := range names {
-		spec, ok := specs[name]
-		if !ok {
-			var err error
-			spec, err = props.Build(name)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-		}
+	for _, spec := range oracleSpecs(t) {
 		for seed := 0; seed < seeds; seed++ {
 			rng := rand.New(rand.NewSource(int64(seed)))
 			steps := genTrace(rng, spec, 300)
@@ -222,7 +227,54 @@ func TestShardEquivalenceAllProps(t *testing.T) {
 				oracle := execTrace(t, spec, gc, 0, 0, steps, false)
 				for _, n := range []int{1, 2, 4, 8} {
 					got := execTrace(t, spec, gc, n, 4, steps, n == 4)
-					compareResults(t, fmt.Sprintf("%s/seed%d/gc=%s/shards=%d", name, seed, gc, n), oracle, got)
+					compareResults(t, fmt.Sprintf("%s/seed%d/gc=%s/shards=%d", spec.Name, seed, gc, n), oracle, got)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepScheduleIndependence holds the sequential engine's outcome to
+// its sweep schedule: the same trace swept after every event, every 16
+// events, or on the default pacing yields the same per-slice verdicts and
+// the same Events, Created, Collected, GoalVerdicts and Avoided once
+// flushed. Flagged and Steps are left out: they still depend on when a
+// sweep discovers a death (ROADMAP item 3 records the cases).
+func TestSweepScheduleIndependence(t *testing.T) {
+	gcs := []monitor.GCPolicy{monitor.GCNone, monitor.GCAllDead, monitor.GCCoenable}
+	for _, spec := range oracleSpecs(t) {
+		for seed := 0; seed < 4; seed++ {
+			steps := genTrace(rand.New(rand.NewSource(int64(seed))), spec, 300)
+			for _, gc := range gcs {
+				var base result
+				for _, interval := range []int{0, 1, 16} {
+					verdicts := map[string][]string{}
+					eng, err := monitor.New(spec, monitor.Options{
+						GC: gc, Creation: monitor.CreateEnable, SweepInterval: interval,
+						OnVerdict: recordVerdicts(spec, verdicts),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					replayInto(t, eng, heap.New(), steps, "", false)
+					eng.Flush()
+					st := eng.Stats()
+					eng.Close()
+					st = monitor.Stats{
+						Events: st.Events, Created: st.Created, Collected: st.Collected,
+						GoalVerdicts: st.GoalVerdicts, Avoided: st.Avoided,
+					}
+					if interval == 0 {
+						base = result{verdicts: verdicts, stats: st}
+						continue
+					}
+					at := fmt.Sprintf("%s/seed%d/gc=%s", spec.Name, seed, gc)
+					if st != base.stats {
+						t.Errorf("%s: stats diverge:\n  default pacing %+v\n  interval %d    %+v", at, base.stats, interval, st)
+					}
+					if !reflect.DeepEqual(base.verdicts, verdicts) {
+						t.Errorf("%s: per-slice verdicts diverge:\n  default pacing %v\n  interval %d    %v", at, base.verdicts, interval, verdicts)
+					}
 				}
 			}
 		}

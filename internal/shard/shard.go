@@ -25,10 +25,14 @@
 // was observable — slices are independent).
 //
 // The Runtime implements monitor.Runtime, so cmd/rvmon, cmd/rvbench and the
-// evaluation harness run either backend behind one interface. Merged
-// counters match the sequential engine exactly on the same per-slice event
-// and death sequence (see the equivalence tests); PeakLive is the one
-// exception — it sums per-shard peaks, an upper bound on the global peak.
+// evaluation harness run either backend behind one interface. On the same
+// per-slice event and death sequence, per-slice verdicts and the merged
+// Events, Created, Collected, GoalVerdicts and Avoided match the sequential
+// engine exactly (see the equivalence tests): they do not depend on when an
+// engine sweeps. Flagged and Steps match when the shards' sweeps discover
+// deaths where the sequential engine's do; each shard paces its sweeps by
+// its own θ-table, so on some streams they can differ. PeakLive sums
+// per-shard peaks, an upper bound on the global peak.
 //
 // Death positioning. Liveness is read when an event is processed, not when
 // it is dispatched, and callers kill an object the instant Free returns —
