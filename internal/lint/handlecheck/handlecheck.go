@@ -17,6 +17,12 @@
 //     param.Instance (or any container over one, map keys included) may
 //     not appear in a store in any package, internal/monitor and
 //     internal/param included. By-value param.Instance is legal everywhere.
+//   - *param.Binding: a pointer into a θ-table slot's binding (or to a
+//     copy of one). Slots recycle within the θ-table's 256-record slabs, so
+//     a retained *Binding silently reads whichever θ reuses the slot next —
+//     it carries no generation. The same rule as *param.Instance: no store
+//     in any package; by-value param.Binding (a comparable map key, the
+//     slot's own field) is legal everywhere.
 //
 // Generation-tagged handles exist precisely so stale references are caught
 // — but only handles carry generations, raw pointers do not.
@@ -24,8 +30,8 @@
 // The linter is a syntactic pass over the repository's Go sources using
 // only the standard library (go/parser + go/ast): for every file it
 // resolves the file's import aliases of rvgo/internal/monitor and
-// rvgo/internal/param (inside package param the bare name Instance) and
-// flags the types above appearing in
+// rvgo/internal/param (inside package param the bare names Instance and
+// Binding) and flags the types above appearing in
 //
 //   - a struct field type,
 //   - a package-level var declaration,
@@ -141,7 +147,8 @@ func importName(f *ast.File, path string) string {
 // names is how one file spells the policed types: the qualifier of
 // monitor.Mon ("" = not imported; files of package monitor itself never
 // match, which is the exemption the store's own package gets), and the
-// qualifier of param.Instance (inParam: the bare identifier).
+// qualifier of param.Instance and param.Binding (inParam: the bare
+// identifiers).
 type names struct {
 	mon, par string
 	inParam  bool
@@ -225,9 +232,10 @@ func deref(t ast.Expr) ast.Expr {
 // retained names the pooled-record view that storing a value of type t
 // retains ("" if none): a monitor.Mon — the selector itself, a pointer to
 // it, or any array, slice, map or channel over such a type — or a pointer
-// to a param.Instance under the same containers. Function types are not
-// stores (their values capture nothing by type alone), and nested struct
-// types are handled by checkStruct so each field gets its own finding.
+// to a param.Instance or param.Binding under the same containers. Function
+// types are not stores (their values capture nothing by type alone), and
+// nested struct types are handled by checkStruct so each field gets its
+// own finding.
 func (n names) retained(t ast.Expr) string {
 	switch x := t.(type) {
 	case *ast.SelectorExpr:
@@ -237,12 +245,12 @@ func (n names) retained(t ast.Expr) string {
 	case *ast.StarExpr:
 		switch p := deref(x).(type) {
 		case *ast.SelectorExpr:
-			if id, ok := p.X.(*ast.Ident); ok && n.par != "" && id.Name == n.par && p.Sel.Name == "Instance" {
-				return "*" + n.par + ".Instance"
+			if id, ok := p.X.(*ast.Ident); ok && n.par != "" && id.Name == n.par && paramView(p.Sel.Name) {
+				return "*" + n.par + "." + p.Sel.Name
 			}
 		case *ast.Ident:
-			if n.inParam && p.Name == "Instance" {
-				return "*Instance"
+			if n.inParam && paramView(p.Name) {
+				return "*" + p.Name
 			}
 		}
 		return n.retained(x.X)
@@ -262,3 +270,7 @@ func (n names) retained(t ast.Expr) string {
 	}
 	return ""
 }
+
+// paramView reports whether a pointer to the param type of this name is a
+// view into the θ-table.
+func paramView(name string) bool { return name == "Instance" || name == "Binding" }

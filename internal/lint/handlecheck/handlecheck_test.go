@@ -69,10 +69,29 @@ func TestCatchesInstancePointers(t *testing.T) {
 	})
 }
 
-// TestCatchesInstancePointersInParam: inside package param the type is the
-// bare identifier, and the rule holds there too.
+// TestCatchesBindingPointers: a pointer to param.Binding in a struct
+// field, a map key or value, a package var, a named container, a channel,
+// a local struct or a nested anonymous struct is found.
+func TestCatchesBindingPointers(t *testing.T) {
+	expectFindings(t, "testdata/bad_binding.go", []want{
+		{10, "struct field retains *param.Binding"},
+		{16, "struct field retains *param.Binding"},
+		{17, "struct field retains *param.Binding"},
+		{21, "package-level var retains *param.Binding"},
+		{24, "named type retains *param.Binding"},
+		{28, "struct field retains *param.Binding"},
+		{34, "struct field retains *param.Binding"},
+		{42, "struct field retains *param.Binding"},
+	})
+}
+
+// TestCatchesInstancePointersInParam: inside package param the types are
+// the bare identifiers, and the rule holds there too.
 func TestCatchesInstancePointersInParam(t *testing.T) {
-	expectFindings(t, "testdata/bad_param.go", []want{{9, "struct field retains *Instance"}})
+	expectFindings(t, "testdata/bad_param.go", []want{
+		{9, "struct field retains *Instance"},
+		{16, "struct field retains *Binding"},
+	})
 }
 
 // TestPermitsTransientUses: parameters, results, locals, func-typed
@@ -90,7 +109,8 @@ func TestPermitsTransientUses(t *testing.T) {
 
 // TestRepositoryClean runs the linter over the whole repository: no
 // package outside internal/monitor may retain a *monitor.Mon, and no
-// package at all a *param.Instance. CI runs this in the lint job.
+// package at all a *param.Instance or a *param.Binding. CI runs this in
+// the lint job.
 func TestRepositoryClean(t *testing.T) {
 	findings, err := CheckDir("../../..")
 	if err != nil {

@@ -47,3 +47,13 @@ func lookup(inst *param.Instance) *param.Instance { return inst }
 type walker struct {
 	visit func(*param.Instance) bool
 }
+
+// Bindings are compared and hashed by value: a by-value field or map key
+// is the θ-table's own idiom, and a pointer passed down one call is not
+// stored.
+type table struct {
+	m    map[param.Binding]uint32
+	last param.Binding
+}
+
+func compatible(a, b *param.Binding) bool { return a.Compatible(b) }

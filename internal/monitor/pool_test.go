@@ -2,6 +2,7 @@ package monitor_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"rvgo/internal/heap"
@@ -94,4 +95,52 @@ func TestPooledEngineMatchesFreshCounters(t *testing.T) {
 	if d := diffVerdicts(v1, v2); d != "" {
 		t.Fatalf("verdicts diverge: %s", d)
 	}
+}
+
+// TestEngineFloor: an engine costs what it holds. After one event a fresh
+// engine has one 256-record slab in each of its three pools (θ-records,
+// monitors, leaves), and sixteen such engines average at most 64 KB of
+// live heap each — the floor a server pays per session and a cluster per
+// slot.
+func TestEngineFloor(t *testing.T) {
+	spec := unsafeIterSpec(t)
+	const engines, floor = 16, 64 << 10
+	open := func(h *heap.Heap) *monitor.Engine {
+		eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		monitor.Emit(eng, symCreate, h.Alloc("c"), h.Alloc("i"))
+		return eng
+	}
+
+	h := heap.New()
+	eng := open(h)
+	leaves, _, _ := monitor.IndexStats(eng)
+	for name, got := range map[string]int{
+		"θ-record": eng.InstanceArenaStats().Cap,
+		"monitor":  eng.ArenaStats().Cap,
+		"leaf":     leaves.Cap,
+	} {
+		if got != 256 {
+			t.Errorf("%s pool capacity after one event = %d, want one 256-record slab", name, got)
+		}
+	}
+	eng.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := make([]*monitor.Engine, engines)
+	for i := range held {
+		held[i] = open(h)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / engines
+	t.Logf("heap per engine after one event: %d B", per)
+	if per > floor {
+		t.Errorf("heap per engine after one event = %d B, want ≤ %d", per, floor)
+	}
+	runtime.KeepAlive(held)
 }

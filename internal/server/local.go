@@ -10,6 +10,16 @@
 // collection can reclaim a monitor whose client never declares its objects
 // dead, and nothing but the table keeps them alive.
 //
+// The table holds only live objects: a Free deletes the entry, and the
+// freed ID goes into a bit set, one bit per ID in 64-bit words keyed by
+// id>>6. The bit is what the use-after-free contract costs — an event
+// naming a freed ID must be refused, never silently re-allocated, however
+// long ago the free was and whether or not an event ever mentioned the ID
+// — so a session holds its live objects plus one bit per freed ID. A late
+// verdict (the alldead/none GC policies keep monitors over dead objects)
+// still carries its IDs: the engine's object table holds the object while
+// a θ binds it, and an object's ID is its remote ID.
+//
 // A Free's place in the session's ordered stream is the death's position
 // in the trace — it does not matter when the producer's write block
 // carrying it left the client. Before killing the objects the backend
@@ -53,11 +63,12 @@ type local struct {
 	flight *trace.Ring   // non-nil with Options.FlightWindow > 0
 	rec    *trace.Writer // non-nil with Options.RecordDir
 
-	// objects maps a remote ID to its session heap object; a nil entry is
-	// the tombstone of an ID freed before any event mentioned it. Only the
-	// session goroutine touches the table: an object's ID is its remote ID,
-	// so verdicts need no reverse lookup.
+	// objects maps a remote ID to its session heap object while the object
+	// is alive; freed holds one bit per freed ID, word id>>6, bit id&63.
+	// Only the session goroutine touches either: an object's ID is its
+	// remote ID, so verdicts need no reverse lookup.
 	objects map[uint64]*heap.Object
+	freed   map[uint64]uint64
 
 	// vskip is the number of verdict forwards still to suppress inside a
 	// handoff bracket (node mode: the session carries a router's NodeHello,
@@ -85,7 +96,7 @@ func openLocal(s *Session) (Backend, error) {
 	if shards < 1 || shards > srv.opts.MaxShards {
 		return nil, fmt.Errorf("shards %d out of range 1..%d", shards, srv.opts.MaxShards)
 	}
-	b := &local{s: s, heap: heap.New(), objects: map[uint64]*heap.Object{}}
+	b := &local{s: s, heap: heap.New(), objects: map[uint64]*heap.Object{}, freed: map[uint64]uint64{}}
 	opts := h.Options()
 	opts.OnVerdict = b.onVerdict
 	opts.Metrics = metrics.NewEngineSeries(srv.reg, compiled.Name, opts.GC.String())
@@ -149,11 +160,12 @@ func (b *local) Event(sym int, ids []uint64) error {
 	for _, id := range ids {
 		o, ok := b.objects[id]
 		if !ok {
+			// First mention, or a use after free.
+			if b.freed[id>>6]&(1<<(id&63)) != 0 {
+				return fmt.Errorf("event %q uses remote object %d after its free", ev.Name, id)
+			}
 			o = b.heap.AllocRemote(id)
 			b.objects[id] = o
-		}
-		if o == nil || !o.Alive() {
-			return fmt.Errorf("event %q uses remote object %d after its free", ev.Name, id)
 		}
 		b.vals = append(b.vals, o)
 	}
@@ -221,11 +233,10 @@ func (b *local) stallDispatch(sym int, theta param.Instance) {
 // ALIVENESS formula depended on them, exactly as if a weak reference had
 // been cleared. Objects that never appeared in an event (dacapo workloads
 // free far more objects than any one property mentions) have no heap
-// object and cost the runtime nothing. Table entries are retained,
-// now holding dead objects: an event naming the ID again is
-// use-after-free and must be refused (never silently re-allocated), and a
-// late verdict (the alldead/none GC policies keep such monitors) may
-// still mention the object.
+// object and cost the runtime nothing. Each freed ID leaves the live table
+// and sets its bit in the freed set, whether or not an event mentioned it:
+// an event naming the ID again is use-after-free and must be refused. An ID
+// named twice, in one Free or in two, dies once.
 func (b *local) Free(ids []uint64) error {
 	if b.flight != nil {
 		b.flight.RecordFreeIDs(ids)
@@ -243,13 +254,9 @@ func (b *local) Free(ids []uint64) error {
 	for _, id := range ids {
 		if o := b.objects[id]; o != nil {
 			b.heap.Free(o)
-		} else {
-			// Never appeared in an event: record a tombstone anyway, so
-			// the death is final for this ID too — a later event naming
-			// it must be refused, not silently allocated live. No monitor
-			// can mention it, so it needs no heap object.
-			b.objects[id] = nil
+			delete(b.objects, id)
 		}
+		b.freed[id>>6] |= 1 << (id & 63)
 	}
 	return nil
 }
