@@ -374,7 +374,7 @@ func BenchmarkShardScalingUnsafeIter(b *testing.B) {
 
 // BenchmarkDispatchHasNext measures one single-parameter event dispatch.
 // The sequential hot path is allocation-free in steady state (run with
-// -benchmem; the allocs-regression CI gate pins this via eval.RunMicro).
+// -benchmem; internal/monitor's TestSequentialDispatchNoAlloc pins it).
 func BenchmarkDispatchHasNext(b *testing.B) {
 	b.ReportAllocs()
 	spec, err := props.Build("HasNext")
@@ -537,10 +537,11 @@ func BenchmarkReferenceAlgorithm(b *testing.B) {
 //
 // These pin the allocation-free hot path: interned parameter instances,
 // pooled monitors, preboxed monitor states, scratch-buffer leaf walks and
-// the reused wire decode buffers. The same scenarios run inside
-// eval.RunMicro, whose allocs/event section is what the CI -compare gate
-// enforces; the Benchmark forms exist for benchstat comparisons across
-// revisions.
+// the reused wire decode buffers. Tier-1 pins the same scenarios at zero
+// allocations per event (TestSequentialDispatchNoAlloc and
+// TestChurnDispatchNoAlloc in internal/monitor, TestReaderNoAlloc in
+// internal/wire); the Benchmark forms exist for benchstat comparisons
+// across revisions.
 
 // BenchmarkDispatchChurnAllocs: generations of short-lived iterators —
 // create, step, die, collect, recycle. Steady state allocates only the

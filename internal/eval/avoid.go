@@ -38,9 +38,6 @@ type AvoidConfig struct {
 	Scale float64 // workload scale (1.0 ≈ paper/50)
 	Bench string  // DaCapo profile (default avrora)
 	Prop  string  // property (default UnsafeIter)
-	// Dir, when non-empty, keeps the recorded trace there (default: a
-	// temporary directory removed after the run).
-	Dir string
 }
 
 // AvoidSite is one creation site (event symbol) of the property: its
@@ -69,16 +66,12 @@ type AvoidRun struct {
 	Sec           float64
 	Stats         monitor.Stats
 	CreatedCut    float64 // 1 - Created/reference Created
-	PeakCut       float64 // 1 - PeakLive/reference PeakLive
 	Identical     bool    // verdicts (and invariants) hold vs the reference
 }
 
-// AvoidReport is the creation-avoidance section of a result grid. Scale
-// records the workload scale the trace was recorded at, so a baseline
-// comparison can rerun the identical tier.
+// AvoidReport is the creation-avoidance tier's outcome.
 type AvoidReport struct {
 	Bench, Prop  string
-	Scale        float64
 	DoomedStates int // automaton states that cannot reach the goal
 	TotalStates  int
 	TraceMB      float64
@@ -199,9 +192,6 @@ func (run *AvoidRun) checkAgainst(ref AvoidRun, refKeys, keys []string) {
 	if ref.Stats.Created > 0 {
 		run.CreatedCut = 1 - float64(run.Stats.Created)/float64(ref.Stats.Created)
 	}
-	if ref.Stats.PeakLive > 0 {
-		run.PeakCut = 1 - float64(run.Stats.PeakLive)/float64(ref.Stats.PeakLive)
-	}
 }
 
 // RunAvoid records one monitored workload and replays it under the full
@@ -219,15 +209,11 @@ func RunAvoid(cfg AvoidConfig) (*AvoidReport, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.1
 	}
-	dir := cfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "rvavoid")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, err := os.MkdirTemp("", "rvavoid")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 	spec, err := props.Build(cfg.Prop)
 	if err != nil {
 		return nil, err
@@ -236,7 +222,7 @@ func RunAvoid(cfg AvoidConfig) (*AvoidReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &AvoidReport{Bench: cfg.Bench, Prop: cfg.Prop, Scale: cfg.Scale, TotalStates: len(an.Doomed)}
+	res := &AvoidReport{Bench: cfg.Bench, Prop: cfg.Prop, TotalStates: len(an.Doomed)}
 	for _, d := range an.Doomed {
 		if d {
 			res.DoomedStates++

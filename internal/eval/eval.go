@@ -71,22 +71,6 @@ type Results struct {
 	Base   map[string]Baseline                   // by benchmark
 	Cells  map[string]map[string]map[System]Cell // bench → prop → system
 	All    map[string]Cell                       // RV monitoring all properties at once
-	// Micro is the hot-path trajectory: per-event ns and allocation
-	// counts (see RunMicro). Allocations are deterministic, so Compare
-	// gates on them tightly; older archived baselines without the section
-	// are simply not gated.
-	Micro []MicroResult
-	// Metrics is the telemetry section: the engine's metrics registry
-	// observed over a fixed churn workload (see RunMetricsReport). Counter
-	// fields are deterministic and Compare gates on them exactly; latency
-	// quantiles are reported only. Baselines archived before the section
-	// existed are not gated.
-	Metrics *MetricsReport `json:",omitempty"`
-	// Avoid, when present, is the creation-avoidance tier: one recorded
-	// workload replayed under every guard configuration, with per-site
-	// profile statistics and the suppression invariants verified against
-	// the unguarded replay (see RunAvoid; rvbench -avoid produces it).
-	Avoid *AvoidReport `json:",omitempty"`
 }
 
 // memSampler tracks peak heap usage on a fixed cadence.
@@ -310,26 +294,6 @@ func Run(cfg Config, progress io.Writer) (*Results, error) {
 			fmt.Fprintf(progress, "%-10s %-14s %-3s %7.2fs  ovh %8.1f%%  mem %7.1fMB%s\n",
 				bench, "ALL", "RV", all.RunSec, all.OverheadPct, all.PeakMemMB, timeoutMark(all))
 		}
-	}
-	micro, err := RunMicro()
-	if err != nil {
-		return nil, err
-	}
-	res.Micro = micro
-	if progress != nil {
-		for _, m := range micro {
-			fmt.Fprintf(progress, "%-28s %8.1f ns/ev  %6.3f allocs/ev  %7.1f B/ev\n",
-				"micro:"+m.Name, m.NsPerEvent, m.AllocsPerEvent, m.BytesPerEvent)
-		}
-	}
-	met, err := RunMetricsReport()
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics = met
-	if progress != nil {
-		fmt.Fprintf(progress, "%-28s pool hit %5.1f%%  sweeps %d  sweep p50/p99 %.1f/%.1f µs\n",
-			"metrics:churn", met.PoolHitRate*100, met.Sweeps, met.SweepP50Us, met.SweepP99Us)
 	}
 	return res, nil
 }

@@ -149,35 +149,3 @@ func human(n uint64) string {
 		return fmt.Sprintf("%d", n)
 	}
 }
-
-// MicroTable prints the hot-path micro measurements (allocs/event is the
-// CI-gated column; see Compare).
-func (r *Results) MicroTable(w io.Writer) {
-	if len(r.Micro) == 0 {
-		return
-	}
-	fmt.Fprintln(w, "\nhot-path micro (fixed loops, warmed, GC paused; allocs/event is CI-gated)")
-	fmt.Fprintf(w, "%-28s %10s %12s %14s %10s\n", "scenario", "events", "ns/event", "allocs/event", "B/event")
-	for _, m := range r.Micro {
-		fmt.Fprintf(w, "%-28s %10d %12.1f %14.3f %10.1f\n",
-			m.Name, m.Events, m.NsPerEvent, m.AllocsPerEvent, m.BytesPerEvent)
-	}
-}
-
-// MetricsTable prints the telemetry section: what the metrics registry
-// observed over the fixed churn workload (counters CI-gated, latency
-// quantiles reported only).
-func (r *Results) MetricsTable(w io.Writer) {
-	m := r.Metrics
-	if m == nil {
-		return
-	}
-	fmt.Fprintln(w, "\nengine telemetry (fixed churn workload, coenable GC, metrics registry attached)")
-	fmt.Fprintf(w, "%-12s %-12s %-12s %-12s %-12s %-10s %-8s %-14s %-7s %-10s %-10s\n",
-		"events", "created", "collected", "recycled", "reused", "pool-hit", "sweeps", "p50/p99 µs", "slabs", "arena-cap", "free-slots")
-	fmt.Fprintf(w, "%-12d %-12d %-12d %-12d %-12d %-10s %-8d %-14s %-7d %-10d %-10d\n",
-		m.Events, m.Created, m.Collected, m.Recycled, m.Reused,
-		fmt.Sprintf("%.1f%%", m.PoolHitRate*100), m.Sweeps,
-		fmt.Sprintf("%.1f/%.1f", m.SweepP50Us, m.SweepP99Us),
-		m.ArenaSlabs, m.ArenaCap, m.ArenaFree)
-}

@@ -367,3 +367,45 @@ func TestSequentialDispatchNoAlloc(t *testing.T) {
 		t.Fatalf("update fan-out took %d steps over 1024+ events, want 32 per event", got)
 	}
 }
+
+// TestChurnDispatchNoAlloc: generations of short-lived iterators — create,
+// next, death, update, update — allocate nothing per generation once the
+// engine is warm: the θ-records, the monitor and the leaf entries of a
+// dead iterator are collected by the sweep and recycled for the next one.
+func TestChurnDispatchNoAlloc(t *testing.T) {
+	if monitor.RaceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const warm, measured = 20_000, 4096
+	eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCCoenable, SweepInterval: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := heap.New()
+	c := h.Alloc("c")
+	// The workload's own objects are allocated up front: AllocsPerRun
+	// counts every allocation, and only the engine's are under test.
+	its := make([]*heap.Object, warm+measured+1)
+	for i := range its {
+		its[i] = h.Alloc("i")
+	}
+	k := 0
+	generation := func() {
+		it := its[k]
+		k++
+		monitor.Emit(eng, symCreate, c, it)
+		monitor.Emit(eng, symNext, it)
+		h.Free(it)
+		monitor.Emit(eng, symUpdate, c)
+		monitor.Emit(eng, symUpdate, c)
+	}
+	for k < warm {
+		generation()
+	}
+	if avg := testing.AllocsPerRun(measured, generation); avg != 0 {
+		t.Errorf("churn generation allocates %.2f times, want 0", avg)
+	}
+	if st := eng.Stats(); st.Collected < warm {
+		t.Fatalf("only %d of %d+ dead iterators' monitors collected: %+v", st.Collected, warm, st)
+	}
+}

@@ -192,6 +192,58 @@ func TestReaderReuse(t *testing.T) {
 	}
 }
 
+// TestReaderNoAlloc: the server's per-frame decode loop over a pipelined
+// event stream allocates nothing per frame — the reader reuses its frame
+// and ID buffers.
+func TestReaderNoAlloc(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const burst = 4096
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < burst; i++ {
+		if err := w.WriteEvent(i&3, []uint64{uint64(i & 1023), uint64(i & 255)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&loopReader{data: buf.Bytes()})
+	var msg Msg
+	next := func() {
+		if err := r.Next(&msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < burst; i++ {
+		next() // one pass sizes the reader's buffers
+	}
+	if avg := testing.AllocsPerRun(2*burst, next); avg != 0 {
+		t.Errorf("Reader.Next allocates %.2f times per event frame, want 0", avg)
+	}
+	if msg.Type != TEvent {
+		t.Fatalf("decoded %v, want an event frame", msg.Type)
+	}
+}
+
+// loopReader replays a byte stream forever (frame boundaries align with
+// the buffer, so wrapping between Read calls is safe).
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	if l.off == len(l.data) {
+		l.off = 0
+	}
+	n := copy(p, l.data[l.off:])
+	l.off += n
+	return n, nil
+}
+
 // FuzzReader feeds arbitrary bytes to the frame decoder: it must never
 // panic and must always terminate.
 func FuzzReader(f *testing.F) {
