@@ -10,11 +10,12 @@
 //     explicitly frees objects. This is the substrate used by tests and by
 //     the DaCapo-style benchmark harness, because reproducing the paper's
 //     Figure 10 statistics requires deterministic collection points. It is
-//     also the identity currency of the other death channels: the remote
-//     server materializes one Object per protocol object ID, and the
-//     live-object registry (internal/registry) allocates one Object per
-//     registered Go object, freeing it when the real GC's cleanup signal
-//     is delivered.
+//     also the identity currency of the live-object registry
+//     (internal/registry), which allocates one Object per registered Go
+//     object and frees it when the real GC's cleanup signal is delivered.
+//     (A monitoring server needs no Object at all: its client's IDs go
+//     straight into the engine's object table, and a protocol free is the
+//     death.)
 //   - Real weak references (Weak) built on Go 1.24's weak.Pointer, showing
 //     the same engine running against the real garbage collector.
 //
@@ -64,12 +65,8 @@ func New() *Heap { return &Heap{} }
 type Object struct {
 	id    uint64
 	label string
-	// remote objects (AllocRemote) format their label lazily, so the
-	// server's per-object cost is free of string formatting on the ingest
-	// path.
-	remote bool
-	dead   atomic.Bool
-	h      *Heap
+	dead  atomic.Bool
+	h     *Heap
 }
 
 // Alloc allocates a new live object with a diagnostic label.
@@ -81,20 +78,6 @@ func (h *Heap) Alloc(label string) *Object {
 	h.allocs++
 	h.mu.Unlock()
 	return &Object{id: id, label: label, h: h}
-}
-
-// AllocRemote allocates a live object standing in for the remote protocol
-// object rid, and rid is its ID: one ID names the object from the client
-// through the engine to a recorded trace. A heap holding remote objects
-// holds nothing else, so the IDs stay distinct. The label ("r<rid>") is
-// formatted only when Label is called — diagnostics pay for strings, the
-// monitoring server's first-sight allocation does not.
-func (h *Heap) AllocRemote(rid uint64) *Object {
-	h.mu.Lock()
-	h.live++
-	h.allocs++
-	h.mu.Unlock()
-	return &Object{id: rid, remote: true, h: h}
 }
 
 // Free marks the object as collected. Freeing an already-dead object is a
@@ -143,9 +126,6 @@ func (o *Object) Alive() bool { return !o.dead.Load() }
 func (o *Object) Label() string {
 	if o.label != "" {
 		return o.label
-	}
-	if o.remote {
-		return fmt.Sprintf("r%d", o.id)
 	}
 	return fmt.Sprintf("obj#%d", o.id)
 }

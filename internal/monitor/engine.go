@@ -524,6 +524,21 @@ func (e *Engine) InstanceArenaStats() arena.Stats { return e.intern.Stats() }
 // event ever carried it.
 func (e *Engine) InternedInstances() int { return e.intern.Len() }
 
+// ObjectRecords returns the object table's size (tests, diagnostics): the
+// records it holds, and how many of them name dead objects — records the
+// sweeps release once no θ-record binds them.
+func (e *Engine) ObjectRecords() (records, dead int) {
+	for h := range e.objs.recs {
+		if r := &e.objs.recs[h]; r.ref != nil {
+			records++
+			if r.dead || !r.ref.Alive() {
+				dead++
+			}
+		}
+	}
+	return records, dead
+}
+
 // bindOf resolves a monitor record's binding: a transient view into its
 // θ-record, for key restriction and liveness checks.
 func (e *Engine) bindOf(m *Mon) *param.Binding { return &e.intern.At(m.instH).B }
@@ -579,12 +594,14 @@ func (e *Engine) claimed(t *theta) bool {
 	return true
 }
 
-// Dispatch processes one parametric event (the body of Figure 5's loop,
-// with the θ-table and its leaves playing the role of Δ and Θ):
+// dispatch processes one parametric event over θ's binding — Dispatch and
+// DispatchIDs after their object-table lookup, which turned θ into the
+// binding. It is the body of Figure 5's loop, with the θ-table and its
+// leaves playing the role of Δ and Θ:
 //
-//  1. one object-table lookup per parameter turns θ into a binding, and
-//     one θ-table lookup canonicalizes it; the monitors more informative
-//     than θ are the members of θ's leaves, and each is stepped;
+//  1. one θ-table lookup canonicalizes the binding; the monitors more
+//     informative than θ are the members of θ's leaves, and each is
+//     stepped;
 //  2. creation joins: per join plan one lookup of θ restricted to the
 //     overlap, whose leaf for the plan's domain lists the progenitors
 //     (CreateFull scans the θ-table instead);
@@ -592,7 +609,7 @@ func (e *Engine) claimed(t *theta) bool {
 //  4. new monitors enter their registry and the leaves of their keys;
 //  5. θ's objects record the event's domain, and the sweep runs if one
 //     is due: a period has passed, or the θ-table reached its sweep goal.
-func (e *Engine) Dispatch(sym int, theta param.Instance) {
+func (e *Engine) dispatch(sym int, tb *param.Binding) {
 	e.stats.Events++
 	if e.met != nil && e.stats.Events&(publishInterval-1) == 0 {
 		e.publishMetrics()
@@ -629,15 +646,10 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		return
 	}
 
-	// Canonicalize θ: one object-table lookup per parameter, then the one
-	// per-θ table lookup of the event. Everything below reaches θ's record,
-	// and the records of the monitors it meets, through handles.
-	tb := param.Binding{Mask: theta.Mask()}
-	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
-		i := pm.First()
-		tb.H[i] = e.objs.handle(theta.Value(i))
-	}
-	th := e.internB(&tb)
+	// Canonicalize θ: the one per-θ table lookup of the event. Everything
+	// below reaches θ's record, and the records of the monitors it meets,
+	// through handles.
+	th := e.internB(tb)
 	ts := e.intern.At(th)
 	tp := &ts.B
 
@@ -737,6 +749,17 @@ func (e *Engine) Dispatch(sym int, theta param.Instance) {
 		e.sinceSwep -= e.period
 		e.timedSweep()
 	}
+}
+
+// Dispatch processes one parametric event: one object-table lookup per
+// parameter turns θ into a binding, and dispatch does the rest.
+func (e *Engine) Dispatch(sym int, theta param.Instance) {
+	tb := param.Binding{Mask: theta.Mask()}
+	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
+		i := pm.First()
+		tb.H[i] = e.objs.handle(theta.Value(i))
+	}
+	e.dispatch(sym, &tb)
 }
 
 // createFromBot materializes θ from the empty-domain progenitor ⊥, unless

@@ -147,11 +147,11 @@ func CheckTheta(e *Engine, flushed bool) error {
 			}
 			objPins[oh]++
 		}
-		inst := e.instance(&s.B)
+		inst := lazyInst{e, s.B}
 		if t.leaf != arena.Nil && !s.Mapped() {
 			return fmt.Errorf("θ %v has a leaf but is unmapped", inst)
 		}
-		if t.leaf != arena.Nil && flushed && !inst.AllAlive() {
+		if t.leaf != arena.Nil && flushed && !allAlive(e, &s.B) {
 			return fmt.Errorf("after Flush θ %v has a dead object and a leaf", inst)
 		}
 		var prev *index.Leaf
@@ -216,10 +216,10 @@ func CheckTheta(e *Engine, flushed bool) error {
 			continue
 		}
 		if r.pins != objPins[uint32(oh)] {
-			return fmt.Errorf("object %s has %d pins, %d θ-records bind it", r.ref.Label(), r.pins, objPins[uint32(oh)])
+			return fmt.Errorf("object %d has %d pins, %d θ-records bind it", r.id, r.pins, objPins[uint32(oh)])
 		}
-		if flushed && r.pins == 0 && !r.ref.Alive() {
-			return fmt.Errorf("after Flush object %s is dead and unpinned but still recorded", r.ref.Label())
+		if flushed && r.pins == 0 && !aliveRec(r) {
+			return fmt.Errorf("after Flush object %d is dead and unpinned but still recorded", r.id)
 		}
 	}
 	for h, m := range e.mons.All() {
@@ -239,6 +239,34 @@ func CheckTheta(e *Engine, flushed bool) error {
 	return nil
 }
 
+// lazyInst formats a θ-record's binding as the instance it stands for, only
+// when a report needs it: resolving an ID-named record's ref changes the
+// record, and a check must leave the engine as it found it.
+type lazyInst struct {
+	e *Engine
+	b param.Binding
+}
+
+func (l lazyInst) String() string { return l.e.instance(&l.b).String() }
+
+// aliveRec and allAlive read liveness as the engine does, without caching a
+// death the engine has yet to observe.
+func aliveRec(r *object) bool { return !r.dead && r.ref.Alive() }
+
+func allAlive(e *Engine, b *param.Binding) bool {
+	for m := b.Mask; m != 0; m = m.Rest() {
+		if !aliveRec(&e.objs.recs[b.H[m.First()]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ObjectSlots is the object table's length: records live and free. Fewer
+// slots than objects met means handles were reissued — under race builds,
+// each after its pooledObject poison was verified.
+func ObjectSlots(e *Engine) int { return len(e.objs.recs) }
+
 // checkObjects holds the object table's ID map and records to each other:
 // a mapped ID names a live record carrying that ID, whose ref reports it;
 // every record the map does not name is free, on the free list once.
@@ -248,7 +276,7 @@ func checkObjects(e *Engine) error {
 		if int(h) >= len(o.recs) {
 			return fmt.Errorf("object ID %d maps to handle %d, past the %d records", id, h, len(o.recs))
 		}
-		if r := &o.recs[h]; r.ref == nil || r.id != id || r.ref.ID() != id {
+		if r := &o.recs[h]; r.ref == nil || r.id != id || r.ref != named && r.ref.ID() != id {
 			return fmt.Errorf("object ID %d maps to handle %d, whose record carries ID %d", id, h, r.id)
 		}
 	}

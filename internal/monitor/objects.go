@@ -1,12 +1,17 @@
 package monitor
 
 import (
+	"fmt"
+
 	"rvgo/internal/heap"
 	"rvgo/internal/param"
 )
 
 // object is one record of an engine's object table: a parameter object the
 // engine has met in an event, kept once however many θ-records bind it.
+// The object is named by the caller's ref (Dispatch) or by its ID alone
+// (DispatchIDs); an ID-named record holds the engine's own ref, named until
+// something asks for the object (ref).
 type object struct {
 	ref heap.Ref
 	id  uint64
@@ -17,16 +22,18 @@ type object struct {
 	// pins is the number of θ-records whose binding names the object.
 	pins int32
 	// dead caches a death once observed through ref: Alive is monotone
-	// (heap.Ref), so a dead object never needs asking again.
+	// (heap.Ref), so a dead object never needs asking again. An ID-named
+	// record's ref never dies; FreeIDs sets dead directly (kill).
 	dead bool
 }
 
 // objects is the object table: the one place an engine keeps a caller's
-// heap.Ref. θ-records bind the uint32 handles it issues (param.Binding), so
-// the θ-table itself holds no pointer, and a θ's liveness is read through
-// the records of its objects. A record lives while a θ-record pins it or
-// its object is alive; the sweep drops the rest (drop), and Close all of
-// them. The zero value is not ready; see newObjects.
+// heap.Ref, or the ID of an object the caller names by ID. θ-records bind
+// the uint32 handles it issues (param.Binding), so the θ-table itself holds
+// no pointer, and a θ's liveness is read through the records of its
+// objects. A record lives while a θ-record pins it or its object is alive;
+// the sweep drops the rest (drop), and Close all of them. The zero value is
+// not ready; see newObjects.
 type objects struct {
 	ids  map[uint64]uint32 // object ID → handle
 	recs []object          // by handle; a free record has a nil ref
@@ -52,6 +59,11 @@ func (o *objects) handle(v heap.Ref) uint32 {
 	if h, ok := o.ids[id]; ok {
 		return h
 	}
+	return o.add(v, id)
+}
+
+// add adds the record of a newly met object, which ref names under id.
+func (o *objects) add(v heap.Ref, id uint64) uint32 {
 	var h uint32
 	if n := len(o.free); n > 0 {
 		h = o.free[n-1]
@@ -68,8 +80,15 @@ func (o *objects) handle(v heap.Ref) uint32 {
 	return h
 }
 
-// ref returns the object a handle names.
-func (o *objects) ref(h uint32) heap.Ref { return o.recs[h].ref }
+// ref returns the object a handle names. An ID-named record gets its ref
+// here, the first time a verdict or diagnostic needs the object.
+func (o *objects) ref(h uint32) heap.Ref {
+	r := &o.recs[h]
+	if r.ref == named {
+		r.ref = &idRef{r.id}
+	}
+	return r.ref
+}
 
 // alive reports whether the object is alive, caching a death it observes.
 func (o *objects) alive(h uint32) bool {
@@ -158,3 +177,33 @@ func (o *objects) drop() {
 
 // reset drops every record and with it every ref.
 func (o *objects) reset() { *o = newObjects(o.check) }
+
+// handleID is handle for an object the caller names by ID (DispatchIDs):
+// the record it adds holds no caller ref.
+func (o *objects) handleID(id uint64) uint32 {
+	if h, ok := o.ids[id]; ok {
+		return h
+	}
+	return o.add(named, id)
+}
+
+// kill applies the death of the object id names, if the table holds it.
+func (o *objects) kill(id uint64) {
+	if h, ok := o.ids[id]; ok {
+		o.recs[h].dead = true
+	}
+}
+
+// named is the ref of an ID-named record: always alive, so alive, observe
+// and drop read the record like any other and only kill ends it. It stands
+// for no object; ref replaces it with one naming the record's ID when
+// asked.
+var named heap.Ref = &idRef{}
+
+// idRef is an object known by its ID alone: the ref a verdict or diagnostic
+// gets for an ID-named record. It never dies; the record holds the death.
+type idRef struct{ id uint64 }
+
+func (r *idRef) ID() uint64    { return r.id }
+func (r *idRef) Alive() bool   { return true }
+func (r *idRef) Label() string { return fmt.Sprintf("r%d", r.id) }

@@ -58,10 +58,12 @@ type Runtime interface {
 	// call allocates nothing; deaths at one position are consecutive calls.
 	// The caller dispatches no later event mentioning the ref (with a
 	// garbage-collected object that is automatic: the object is
-	// unreachable, so no event can bind it). Every death source uses it:
-	// trace replay, the simulated-heap free hook, protocol frees, and the
-	// live-object frontend (package rv), where Go-GC cleanups become
-	// stream-positioned deaths that drive coenable-set monitor GC.
+	// unreachable, so no event can bind it). Every death source with refs
+	// uses it: trace replay, the simulated-heap free hook, the remote
+	// clients' protocol frees, and the live-object frontend (package rv),
+	// where Go-GC cleanups become stream-positioned deaths that drive
+	// coenable-set monitor GC. A server session names objects by ID and
+	// uses FreeIDs (Engine, and the sharded runtime) instead.
 	Free(ref heap.Ref)
 	// Barrier returns once every event dispatched before the call has been
 	// fully processed. Synchronous backends return immediately.
@@ -88,6 +90,36 @@ func (e *Engine) Barrier() {}
 // every dispatched event has already been processed, and it observes
 // deaths lazily through ref liveness when the death is applied.
 func (e *Engine) Free(heap.Ref) {}
+
+// DispatchIDs is Dispatch for a caller that names objects by ID — a
+// monitoring server's session, whose client's IDs are the objects: ids bind
+// D(sym) in ascending parameter-index order; a wrong arity panics, as
+// Emit's does. An object first named here gets a record that holds no ref
+// and dies only by FreeIDs; one engine takes its objects through one of the
+// two entries, since both key the object table by ID.
+func (e *Engine) DispatchIDs(sym int, ids []uint64) {
+	tb := param.Binding{Mask: e.spec.Events[sym].Params}
+	if tb.Mask.Count() != len(ids) {
+		panic("monitor: DispatchIDs arity mismatch")
+	}
+	k := 0
+	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
+		tb.H[pm.First()] = e.objs.handleID(ids[k])
+		k++
+	}
+	e.dispatch(sym, &tb)
+}
+
+// FreeIDs applies the deaths of objects named by ID at this point of the
+// stream: every event dispatched before the call saw them alive, and the
+// engine sees them dead from here on. An ID no event named concerns no
+// monitor and costs nothing; an ID freed twice dies once. The caller
+// dispatches no later event naming a freed ID.
+func (e *Engine) FreeIDs(ids []uint64) {
+	for _, id := range ids {
+		e.objs.kill(id)
+	}
+}
 
 // Close implements Runtime. The sequential engine holds no goroutines or
 // external resources; closing settles any published telemetry, returns

@@ -1,38 +1,37 @@
 // local.go: the backend of a monitoring server's sessions — the session is
 // monitored here, by an engine (or sharded runtime) of its own.
 //
-// The remote-ID→object table is the network replacement for weak
-// references: a client names parameter objects with integer IDs, the
-// backend materializes one session-heap object per ID on first mention,
-// and a protocol Free kills the object — which is exactly the death signal
-// the coenable-set GC consumes. Monitor lifetime here is governed entirely
-// by these protocol-level deaths; no amount of server-side garbage
-// collection can reclaim a monitor whose client never declares its objects
-// dead, and nothing but the table keeps them alive.
+// A client names parameter objects with integer IDs, and the backend hands
+// those IDs straight to its runtime (DispatchIDs): the engine's object
+// table keeps one record per ID, with its death bit, and nothing else stands
+// for the object — no heap object, no second ID map. A protocol Free is the
+// network replacement for a cleared weak reference: FreeIDs applies the
+// death, which is exactly the signal the coenable-set GC consumes. Monitor
+// lifetime here is governed entirely by these protocol-level deaths; no
+// amount of server-side garbage collection can reclaim a monitor whose
+// client never declares its objects dead.
 //
-// The table holds only live objects: a Free deletes the entry, and the
-// freed ID goes into a bit set, one bit per ID in 64-bit words keyed by
+// The backend itself keeps one bit per freed ID, in 64-bit words keyed by
 // id>>6. The bit is what the use-after-free contract costs — an event
-// naming a freed ID must be refused, never silently re-allocated, however
-// long ago the free was and whether or not an event ever mentioned the ID
-// — so a session holds its live objects plus one bit per freed ID. A late
+// naming a freed ID must be refused, never silently revived, however long
+// ago the free was and whether or not an event ever mentioned the ID — so a
+// session holds its runtime's records plus one bit per freed ID. A late
 // verdict (the alldead/none GC policies keep monitors over dead objects)
-// still carries its IDs: the engine's object table holds the object while
-// a θ binds it, and an object's ID is its remote ID.
+// still carries its IDs: the engine's object table holds the record while a
+// θ binds it, and the record's ID is the remote ID.
 //
 // A Free's place in the session's ordered stream is the death's position
 // in the trace — it does not matter when the producer's write block
-// carrying it left the client. Before killing the objects the backend
-// positions the death in its runtime with Free (nothing to do on the
-// sequential engine, one batch record per shard on the sharded runtime, no
-// waiting on either), so every event sent before the Free observes the
-// objects alive: per-session counters and verdicts are trace-faithful and
-// equal to a local replay of the same stream (see internal/remote's oracle
-// tests).
+// carrying it left the client. The sequential engine applies it at once,
+// behind every earlier event; the sharded runtime queues one free record
+// per shard, no waiting on either. So every event sent before the Free
+// observes the objects alive: per-session counters and verdicts are
+// trace-faithful and equal to a local replay of the same stream (see
+// internal/remote's oracle tests).
 //
 // Ingestion into a sharded runtime first tries the non-blocking
-// TryDispatch; when the target mailbox refuses, Event falls back to the
-// blocking Dispatch — which is the stall the front turns into withheld
+// TryDispatchIDs; when the target mailbox refuses, Event falls back to the
+// blocking DispatchIDs — which is the stall the front turns into withheld
 // credit.
 package server
 
@@ -42,33 +41,27 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rvgo/internal/heap"
 	"rvgo/internal/logic"
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 	"rvgo/internal/shard"
 	"rvgo/internal/trace"
 	"rvgo/internal/wire"
 )
 
-// local is one session's own monitor: a backend, a heap, and the
-// remote-ID table.
+// local is one session's own monitor: a runtime fed by ID, and the freed
+// IDs.
 type local struct {
 	s *Session
 
-	rt     monitor.Runtime
+	rt     idRuntime
 	srt    *shard.Runtime // non-nil when the backend is sharded
-	heap   *heap.Heap
-	flight *trace.Ring   // non-nil with Options.FlightWindow > 0
-	rec    *trace.Writer // non-nil with Options.RecordDir
+	flight *trace.Ring    // non-nil with Options.FlightWindow > 0
+	rec    *trace.Writer  // non-nil with Options.RecordDir
 
-	// objects maps a remote ID to its session heap object while the object
-	// is alive; freed holds one bit per freed ID, word id>>6, bit id&63.
-	// Only the session goroutine touches either: an object's ID is its
-	// remote ID, so verdicts need no reverse lookup.
-	objects map[uint64]*heap.Object
-	freed   map[uint64]uint64
+	// freed holds one bit per freed ID, word id>>6, bit id&63. Only the
+	// session goroutine touches it.
+	freed map[uint64]uint64
 
 	// vskip is the number of verdict forwards still to suppress inside a
 	// handoff bracket (node mode: the session carries a router's NodeHello,
@@ -82,8 +75,15 @@ type local struct {
 	stalls  atomic.Uint64
 	stallNs atomic.Uint64
 
-	vals []heap.Ref // dispatch scratch
-	vids []uint64   // verdict-ID scratch (onVerdict is serialized)
+	vids []uint64 // verdict-ID scratch (onVerdict is serialized)
+}
+
+// idRuntime is a runtime that takes objects by ID: the sequential engine or
+// the sharded runtime.
+type idRuntime interface {
+	monitor.Runtime
+	DispatchIDs(sym int, ids []uint64)
+	FreeIDs(ids []uint64)
 }
 
 // openLocal builds the backend a session's Hello asks for.
@@ -96,7 +96,7 @@ func openLocal(s *Session) (Backend, error) {
 	if shards < 1 || shards > srv.opts.MaxShards {
 		return nil, fmt.Errorf("shards %d out of range 1..%d", shards, srv.opts.MaxShards)
 	}
-	b := &local{s: s, heap: heap.New(), objects: map[uint64]*heap.Object{}, freed: map[uint64]uint64{}}
+	b := &local{s: s, freed: map[uint64]uint64{}}
 	opts := h.Options()
 	opts.OnVerdict = b.onVerdict
 	opts.Metrics = metrics.NewEngineSeries(srv.reg, compiled.Name, opts.GC.String())
@@ -153,28 +153,19 @@ func (b *local) stopRecording(err error) {
 	b.rec = nil
 }
 
-// Event dispatches one remote event into the runtime.
+// Event dispatches one remote event into the runtime, unless it names a
+// freed ID.
 func (b *local) Event(sym int, ids []uint64) error {
-	ev := &b.s.Spec.Events[sym]
-	b.vals = b.vals[:0]
 	for _, id := range ids {
-		o, ok := b.objects[id]
-		if !ok {
-			// First mention, or a use after free.
-			if b.freed[id>>6]&(1<<(id&63)) != 0 {
-				return fmt.Errorf("event %q uses remote object %d after its free", ev.Name, id)
-			}
-			o = b.heap.AllocRemote(id)
-			b.objects[id] = o
+		if b.freed[id>>6]&(1<<(id&63)) != 0 {
+			return fmt.Errorf("event %q uses remote object %d after its free", b.s.Spec.Events[sym].Name, id)
 		}
-		b.vals = append(b.vals, o)
 	}
-	theta := param.Of(ev.Params, b.vals...)
 	// Record before dispatch: on the sequential backend the verdict
 	// handler runs inside Dispatch, and the window it dumps must include
 	// the event that triggered it.
 	if b.flight != nil {
-		b.flight.RecordDispatchIDs(sym, ev.Params, ids)
+		b.flight.RecordDispatchIDs(sym, b.s.Spec.Events[sym].Params, ids)
 	}
 	if b.rec != nil {
 		if err := b.rec.EventIDs(sym, ids); err != nil {
@@ -186,11 +177,11 @@ func (b *local) Event(sym int, ids []uint64) error {
 		// and the blocking fallback is precisely the backpressure — the
 		// session reads no further frames (and grants no further credit)
 		// until the shard drains.
-		if !b.srt.TryDispatch(sym, theta) {
-			b.stallDispatch(sym, theta)
+		if !b.srt.TryDispatchIDs(sym, ids) {
+			b.stallDispatch(sym, ids)
 		}
 	} else {
-		b.rt.Dispatch(sym, theta)
+		b.rt.DispatchIDs(sym, ids)
 	}
 	return nil
 }
@@ -202,7 +193,7 @@ func (b *local) Event(sym int, ids []uint64) error {
 // credit and the backlog — the "why is my session stuck" diagnostic. The
 // timer allocation is fine: this path is already blocking on a full
 // mailbox.
-func (b *local) stallDispatch(sym int, theta param.Instance) {
+func (b *local) stallDispatch(sym int, ids []uint64) {
 	s := b.s
 	s.series.CreditStalls.Inc()
 	credits := s.ungrant
@@ -218,7 +209,7 @@ func (b *local) stallDispatch(sym int, theta param.Instance) {
 		s.srv.logf("session %d: credit-starved >1s tenant=%s credits_withheld=%d mailbox_depth=%d shards=%d",
 			s.ID, s.Spec.Name, credits, deepest, len(depths))
 	})
-	b.srt.Dispatch(sym, theta)
+	b.srt.DispatchIDs(sym, ids)
 	warn.Stop()
 	d := time.Since(start)
 	s.series.StallSeconds.Observe(d.Seconds())
@@ -226,17 +217,16 @@ func (b *local) stallDispatch(sym int, theta param.Instance) {
 	b.stalls.Add(1)
 }
 
-// Free applies protocol-level object deaths: position them in the runtime
-// so every event sent before the Free is processed against the old
-// liveness, then kill the objects — from the death's place in the stream
-// on, the coenable-set GC may flag and collect every monitor whose
-// ALIVENESS formula depended on them, exactly as if a weak reference had
-// been cleared. Objects that never appeared in an event (dacapo workloads
-// free far more objects than any one property mentions) have no heap
-// object and cost the runtime nothing. Each freed ID leaves the live table
-// and sets its bit in the freed set, whether or not an event mentioned it:
-// an event naming the ID again is use-after-free and must be refused. An ID
-// named twice, in one Free or in two, dies once.
+// Free applies protocol-level object deaths at this point of the stream:
+// every event sent before the Free is processed against the old liveness,
+// and from here on the coenable-set GC may flag and collect every monitor
+// whose ALIVENESS formula depended on the objects, exactly as if a weak
+// reference had been cleared. IDs that never appeared in an event (dacapo
+// workloads free far more objects than any one property mentions) cost the
+// runtime nothing. Each freed ID sets its bit in the freed set, whether or
+// not an event mentioned it: an event naming the ID again is
+// use-after-free and must be refused. An ID named twice, in one Free or in
+// two, dies once.
 func (b *local) Free(ids []uint64) error {
 	if b.flight != nil {
 		b.flight.RecordFreeIDs(ids)
@@ -246,16 +236,8 @@ func (b *local) Free(ids []uint64) error {
 			b.stopRecording(err)
 		}
 	}
+	b.rt.FreeIDs(ids)
 	for _, id := range ids {
-		if o := b.objects[id]; o != nil {
-			b.rt.Free(o)
-		}
-	}
-	for _, id := range ids {
-		if o := b.objects[id]; o != nil {
-			b.heap.Free(o)
-			delete(b.objects, id)
-		}
 		b.freed[id>>6] |= 1 << (id & 63)
 	}
 	return nil

@@ -10,8 +10,8 @@
 // never looks behind it, which is what lets one front serve both tiers: a
 // Server built by New monitors each session itself (local.go: a spec
 // registry entry compiled from the client's Hello, a sequential engine or
-// sharded runtime chosen per session, a session-scoped simulated heap and
-// the remote-ID→object table), and the cluster router (internal/cluster)
+// sharded runtime chosen per session and fed the client's object IDs, and
+// the set of freed IDs), and the cluster router (internal/cluster)
 // is the same front over a backend that fans the session out across nodes.
 // A client cannot tell the two apart.
 //

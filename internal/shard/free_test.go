@@ -20,11 +20,23 @@ import (
 // and therefore identical results. With park the workers are held until
 // the producer has emitted, freed and killed everything: every liveness
 // check then happens after every kill, the worst case for a design that
-// reads the caller's liveness behind the record.
-func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, shards, batch int, steps []gstep, park bool) result {
+// reads the caller's liveness behind the record. With byID the objects are
+// named by ID alone, as a server session names them: events through
+// DispatchIDs, deaths through FreeIDs, and no ref to kill.
+func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, shards, batch int, steps []gstep, park, byID bool) result {
 	t.Helper()
 	verdicts := map[string][]string{}
 	opts := monitor.Options{GC: gc, Creation: monitor.CreateEnable, OnVerdict: recordVerdicts(spec, verdicts)}
+	if byID {
+		// Key the slices as the ref runs do: object o has ID o+1.
+		record := opts.OnVerdict
+		opts.OnVerdict = func(v monitor.Verdict) {
+			v.Inst = v.Inst.Map(func(_ int, r heap.Ref) heap.Ref {
+				return &shard.FlagRef{Ident: r.ID(), Name: fmt.Sprintf("o%d", r.ID()-1)}
+			})
+			record(v)
+		}
+	}
 	var rt monitor.Runtime
 	release := func() {}
 	if shards == 0 {
@@ -55,6 +67,21 @@ func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, s
 		return v
 	}
 	for _, st := range steps {
+		if byID {
+			ids := make([]uint64, len(st.objs))
+			for k, o := range st.objs {
+				ids[k] = uint64(o) + 1
+			}
+			if idr := rt.(interface {
+				DispatchIDs(int, []uint64)
+				FreeIDs([]uint64)
+			}); st.sym < 0 {
+				idr.FreeIDs(ids)
+			} else {
+				idr.DispatchIDs(st.sym, ids)
+			}
+			continue
+		}
 		if st.sym < 0 {
 			o := get(st.objs[0])
 			rt.Free(o)
@@ -76,9 +103,10 @@ func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, s
 
 // TestFreeAsyncEquivalence: random traces with mid-trace deaths produce
 // the same per-slice verdict sequences and settled counters whether deaths
-// ride the synchronous Barrier-then-kill path or pipelined Free records
-// (killed at once), on the sequential engine and on 1/2/4/8 shards, under
-// all three GC policies.
+// ride the synchronous Barrier-then-kill path, pipelined Free records
+// (killed at once) or, with the objects named by ID, FreeIDs records, on
+// the sequential engine and on 1/2/4/8 shards, under all three GC
+// policies.
 func TestFreeAsyncEquivalence(t *testing.T) {
 	gcs := []monitor.GCPolicy{monitor.GCNone, monitor.GCAllDead, monitor.GCCoenable}
 	propsUnder := []string{"HasNext", "UnsafeIter", "UnsafeMapIter"}
@@ -97,8 +125,10 @@ func TestFreeAsyncEquivalence(t *testing.T) {
 			for _, gc := range gcs {
 				oracle := execTrace(t, spec, gc, 0, 0, steps, false)
 				for _, n := range []int{0, 1, 2, 4, 8} {
-					got := execTraceFreeAsync(t, spec, gc, n, 4, steps, false)
+					got := execTraceFreeAsync(t, spec, gc, n, 4, steps, false, false)
 					compareResults(t, fmt.Sprintf("%s/seed%d/gc=%s/shards=%d/freeasync", name, seed, gc, n), oracle, got)
+					got = execTraceFreeAsync(t, spec, gc, n, 4, steps, false, true)
+					compareResults(t, fmt.Sprintf("%s/seed%d/gc=%s/shards=%d/freeids", name, seed, gc, n), oracle, got)
 				}
 			}
 		}
@@ -109,7 +139,8 @@ func TestFreeAsyncEquivalence(t *testing.T) {
 // Frees and kills at once; only then are the workers released. Per-slice
 // verdicts and settled counters must equal the sequential engine's — every
 // event ahead of a free record observes the object alive although the
-// caller's own ref has long said dead.
+// caller's own ref has long said dead. Objects named by ID (FreeIDs) are
+// held to the same.
 func TestKillRightAfterFree(t *testing.T) {
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {
@@ -123,8 +154,10 @@ func TestKillRightAfterFree(t *testing.T) {
 				t.Fatalf("seed %d gc=%s: the trace exercises nothing: %+v", seed, gc, oracle.stats)
 			}
 			for _, n := range []int{1, 2, 4} {
-				got := execTraceFreeAsync(t, spec, gc, n, 4, steps, true)
+				got := execTraceFreeAsync(t, spec, gc, n, 4, steps, true, false)
 				compareResults(t, fmt.Sprintf("seed%d/gc=%s/shards=%d/parked", seed, gc, n), oracle, got)
+				got = execTraceFreeAsync(t, spec, gc, n, 4, steps, true, true)
+				compareResults(t, fmt.Sprintf("seed%d/gc=%s/shards=%d/parked/byid", seed, gc, n), oracle, got)
 			}
 		}
 	}
@@ -146,8 +179,10 @@ func TestKillRightAfterFreeStress(t *testing.T) {
 	steps := genTrace(rand.New(rand.NewSource(7)), spec, n)
 	oracle := execTrace(t, spec, monitor.GCCoenable, 0, 0, steps, false)
 	for _, batch := range []int{1, 5, 64} {
-		got := execTraceFreeAsync(t, spec, monitor.GCCoenable, 2, batch, steps, false)
+		got := execTraceFreeAsync(t, spec, monitor.GCCoenable, 2, batch, steps, false, false)
 		compareResults(t, fmt.Sprintf("batch=%d", batch), oracle, got)
+		got = execTraceFreeAsync(t, spec, monitor.GCCoenable, 2, batch, steps, false, true)
+		compareResults(t, fmt.Sprintf("batch=%d/byid", batch), oracle, got)
 	}
 }
 

@@ -46,7 +46,10 @@
 // observes the death between exactly the records the producer put it
 // between, and no worker ever waits for another. An object no event
 // mentioned has no entry and costs no record. Verdict handlers receive
-// instances over the caller's own refs.
+// instances over the caller's own refs. A caller that names objects by ID
+// (DispatchIDs, FreeIDs: a server session) has no refs: its objects' views
+// are held from the first mention, and their free records are the only
+// deaths; its verdicts carry the views, which report the IDs.
 //
 // An object killed without a Free is seen dead when its ref says so (the
 // views follow it): a death racing the mailboxes can then be observed by
@@ -223,15 +226,10 @@ func (rt *Runtime) Shards() int { return len(rt.workers) }
 // unshardable.
 func (rt *Runtime) Pivot() int { return rt.router.Pivot() }
 
-// Dispatch routes one parametric event, blocking when the target mailbox
-// (every mailbox, for broadcast events) is full. Safe for concurrent use;
-// events from one goroutine reach each shard in dispatch order.
-// Dispatching after Close is a programming error and panics with a
-// diagnosable message rather than corrupting the shut-down mailboxes.
-func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
-	rt.checkOpen()
+// dispatch routes one event over the instance and views the lookup found:
+// the body Dispatch and DispatchIDs share.
+func (rt *Runtime) dispatch(sym int, theta param.Instance, vs *objViews) {
 	rt.events.Add(1)
-	vs := rt.lookup(theta)
 	if target, broadcast := rt.router.Route(sym, theta); !broadcast {
 		rt.workers[target].enqueue(event{sym: sym, inst: vs.seenBy(target, theta)})
 	} else {
@@ -241,6 +239,17 @@ func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
 		}
 	}
 	rt.arm()
+}
+
+// Dispatch routes one parametric event, blocking when the target mailbox
+// (every mailbox, for broadcast events) is full. Safe for concurrent use;
+// events from one goroutine reach each shard in dispatch order.
+// Dispatching after Close is a programming error and panics with a
+// diagnosable message rather than corrupting the shut-down mailboxes.
+func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
+	rt.checkOpen()
+	vs := rt.lookup(theta)
+	rt.dispatch(sym, theta, &vs)
 }
 
 // QueueDepths returns each shard mailbox's current length in batches. The
@@ -254,14 +263,9 @@ func (rt *Runtime) QueueDepths() []int {
 	return out
 }
 
-// TryDispatch is the non-blocking Dispatch: it enqueues the event and
-// returns true only when every target shard can accept it without blocking.
-// A refused event is not enqueued anywhere (all-or-nothing, so broadcast
-// events cannot be half-delivered). Callers retrying TryDispatch must
-// preserve their own per-slice ordering.
-func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
-	rt.checkOpen()
-	vs := rt.lookup(theta)
+// tryDispatch is dispatch without blocking: the body TryDispatch and
+// TryDispatchIDs share.
+func (rt *Runtime) tryDispatch(sym int, theta param.Instance, vs *objViews) bool {
 	target, broadcast := rt.router.Route(sym, theta)
 	if !broadcast {
 		w := rt.workers[target]
@@ -310,6 +314,17 @@ func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 	return ok
 }
 
+// TryDispatch is the non-blocking Dispatch: it enqueues the event and
+// returns true only when every target shard can accept it without blocking.
+// A refused event is not enqueued anywhere (all-or-nothing, so broadcast
+// events cannot be half-delivered). Callers retrying TryDispatch must
+// preserve their own per-slice ordering.
+func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
+	rt.checkOpen()
+	vs := rt.lookup(theta)
+	return rt.tryDispatch(sym, theta, &vs)
+}
+
 // Free implements monitor.Runtime: the object's death becomes one record
 // in every shard's open batch, positioned behind every event dispatched
 // before the call, and the call returns — the producer never waits for a
@@ -318,11 +333,15 @@ func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 // each shard sees the death when its worker reaches the record. An object
 // no event mentioned concerns no monitor and costs nothing. After Close it
 // is a silent no-op.
-func (rt *Runtime) Free(ref heap.Ref) {
+func (rt *Runtime) Free(ref heap.Ref) { rt.free(ref.ID()) }
+
+// free positions the death of the object id names: the body Free and
+// FreeIDs share.
+func (rt *Runtime) free(id uint64) {
 	if rt.closed {
 		return
 	}
-	ov := rt.hold(ref)
+	ov := rt.hold(id)
 	for k := range ov {
 		rt.workers[k].enqueue(event{free: &ov[k]})
 	}
@@ -396,6 +415,20 @@ func (rt *Runtime) ShardStats() []monitor.Stats {
 	out := make([]monitor.Stats, len(rt.workers))
 	rt.ctlAll(func(i int, e *monitor.Engine) { out[i] = e.Stats() })
 	return out
+}
+
+// ObjectRecords sums the shard engines' object tables (tests, diagnostics;
+// see monitor.Engine.ObjectRecords), behind every record enqueued before
+// the call.
+func (rt *Runtime) ObjectRecords() (records, dead int) {
+	var mu sync.Mutex
+	rt.ctlAll(func(_ int, e *monitor.Engine) {
+		n, d := e.ObjectRecords()
+		mu.Lock()
+		records, dead = records+n, dead+d
+		mu.Unlock()
+	})
+	return records, dead
 }
 
 // ArenaStats returns each shard engine's monitor-arena occupancy. Every
