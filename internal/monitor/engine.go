@@ -253,7 +253,7 @@ const (
 // the sweep the only pass that notices their deaths. Every whole-structure
 // pass — the propositional walk, the CreateFull scan, insert, sweep, Flush,
 // Monitors — walks slabs and slices in index order, so nothing the engine
-// computes depends on Go map iteration order.
+// computes depends on hash order or on the indexes' random seeds.
 type Engine struct {
 	spec *Spec
 	an   *Analysis
@@ -1332,7 +1332,7 @@ func (e *Engine) lookup(inst param.Instance) (arena.Handle, bool) {
 	b := param.Binding{Mask: inst.Mask()}
 	for m := b.Mask; m != 0; m = m.Rest() {
 		i := m.First()
-		h, ok := e.objs.ids[inst.Value(i).ID()]
+		h, ok := e.objs.find(inst.Value(i).ID())
 		if !ok {
 			return arena.Nil, false
 		}

@@ -16,7 +16,7 @@ const RaceBuild = poolCheck
 // the object records, one ref each. Nothing else holds one — the θ-records
 // bind object handles and the index hangs off them, holding monitor
 // handles only.
-func HeldRefs(e *Engine) int { return len(e.objs.ids) }
+func HeldRefs(e *Engine) int { return e.objs.idx.Len() }
 
 // IndexStats returns the leaf pool's occupancy, the length of the member-
 // vector free list and the total membership of the domain registries.
@@ -90,8 +90,8 @@ func (noRelease) Release(index.Handle) {}
 //   - a θ-record's pin count is the number of live monitor records naming
 //     it (so every monitor's instance handle resolves);
 //   - an unmapped θ-record is pinned (otherwise it would have recycled);
-//   - no two mapped θ-records share a key, and the table maps exactly the
-//     mapped ones;
+//   - no two mapped θ-records share a key, and the table's index reaches
+//     exactly the mapped ones, each from its binding's home slot;
 //
 // and the rules that tie the leaf records to both:
 //
@@ -106,10 +106,11 @@ func (noRelease) Release(index.Handle) {}
 // and the rules of the object table:
 //
 //   - every handle a θ-record binds names a live object record, the one
-//     the ID map resolves the object's ID to;
+//     the ID index resolves the object's ID to;
 //   - an object record's pin count is the number of θ-records binding it;
-//   - the ID map and the records agree: each mapped ID names a live record
-//     carrying it, and every other record is on the free list.
+//   - the ID index and the records agree: it stores each live record once,
+//     reached from its ID's home slot, no ID twice, and every other record
+//     is on the free list.
 //
 // With flushed set (right after Flush) additionally no leaf is empty, none
 // hangs off a θ-record with a dead object, and no object record is both
@@ -132,7 +133,10 @@ func CheckTheta(e *Engine, flushed bool) error {
 			edges[h]++
 		}
 	}
-	if err := checkObjects(e); err != nil {
+	if err := checkObjects(&e.objs); err != nil {
+		return err
+	}
+	if _, err := e.intern.Check(); err != nil {
 		return err
 	}
 	objPins := map[uint32]int32{}
@@ -267,18 +271,29 @@ func allAlive(e *Engine, b *param.Binding) bool {
 // each after its pooledObject poison was verified.
 func ObjectSlots(e *Engine) int { return len(e.objs.recs) }
 
-// checkObjects holds the object table's ID map and records to each other:
-// a mapped ID names a live record carrying that ID, whose ref reports it;
-// every record the map does not name is free, on the free list once.
-func checkObjects(e *Engine) error {
-	o := &e.objs
-	for id, h := range o.ids {
+// checkObjects holds the object table's ID index and records to each
+// other: the index stores each live record once, reached by probing from
+// its ID's home slot, under an ID no other stored record carries, and a
+// live ID-named or ref-named record carries its object's ID; every record
+// the index does not store is free, on the free list once.
+func checkObjects(o *objects) error {
+	ids := map[uint64]uint32{}
+	for x := range o.idx.All {
+		h := x - 1
 		if int(h) >= len(o.recs) {
-			return fmt.Errorf("object ID %d maps to handle %d, past the %d records", id, h, len(o.recs))
+			return fmt.Errorf("the object index stores handle %d, past the %d records", h, len(o.recs))
 		}
-		if r := &o.recs[h]; r.ref == nil || r.id != id || r.ref != named && r.ref.ID() != id {
-			return fmt.Errorf("object ID %d maps to handle %d, whose record carries ID %d", id, h, r.id)
+		r := &o.recs[h]
+		if r.ref == nil || r.ref != named && r.ref.ID() != r.id {
+			return fmt.Errorf("the object index stores handle %d, a free record or one whose ref is not object %d", h, r.id)
 		}
+		if prev, dup := ids[r.id]; dup {
+			return fmt.Errorf("object ID %d is stored twice, at handles %d and %d", r.id, prev, h)
+		}
+		ids[r.id] = h
+	}
+	if _, err := o.idx.Check(o.rehash); err != nil {
+		return err
 	}
 	onFree := map[uint32]bool{}
 	for _, h := range o.free {
@@ -287,8 +302,8 @@ func checkObjects(e *Engine) error {
 		}
 		onFree[h] = true
 	}
-	if len(o.ids)+len(o.free) != len(o.recs) {
-		return fmt.Errorf("%d object records: %d mapped, %d free", len(o.recs), len(o.ids), len(o.free))
+	if len(ids)+len(o.free) != len(o.recs) {
+		return fmt.Errorf("%d object records: %d indexed, %d free", len(o.recs), len(ids), len(o.free))
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"rvgo/internal/heap"
 	"rvgo/internal/param"
+	"rvgo/internal/probe"
 )
 
 // object is one record of an engine's object table: a parameter object the
@@ -32,19 +33,21 @@ type object struct {
 // the uint32 handles it issues (param.Binding), so the θ-table itself holds
 // no pointer, and a θ's liveness is read through the records of its
 // objects. A record lives while a θ-record pins it or its object is alive;
-// the sweep drops the rest (drop), and Close all of them. The zero value is
-// not ready; see newObjects.
+// the sweep drops the rest (drop), and Close all of them. Records are found
+// by ID through idx, an open-addressing index (package probe) that stores
+// handle+1 per record and reads the ID back from the record, so each ID is
+// kept once. The zero value is not ready; see newObjects.
 type objects struct {
-	ids  map[uint64]uint32 // object ID → handle
-	recs []object          // by handle; a free record has a nil ref
-	free []uint32          // recycled handles, LIFO
+	idx  probe.Table[uint32] // by ID: handle+1 of every record in use
+	recs []object            // by handle; a free record has a nil ref
+	free []uint32            // recycled handles, LIFO
 	// check arms poison-on-free (race builds): a freed record is scrambled
 	// and verified when its handle is reissued, like the arena pools.
 	check bool
 }
 
 func newObjects(check bool) objects {
-	return objects{ids: map[uint64]uint32{}, check: check}
+	return objects{idx: probe.New[uint32](), check: check}
 }
 
 // pooledObject is the poison of a freed record under check: an ID no object
@@ -56,11 +59,31 @@ var pooledObject = object{id: ^uint64(0), pins: -1}
 // handle returns v's handle, adding a record on first sight.
 func (o *objects) handle(v heap.Ref) uint32 {
 	id := v.ID()
-	if h, ok := o.ids[id]; ok {
+	if h, ok := o.find(id); ok {
 		return h
 	}
 	return o.add(v, id)
 }
+
+// find returns the handle of the record of the object id names, if the
+// table holds one.
+func (o *objects) find(id uint64) (uint32, bool) {
+	for i := o.idx.Home(o.hash(id)); ; i = o.idx.Next(i) {
+		x := o.idx.Slot(i)
+		if x == 0 {
+			return 0, false
+		}
+		if o.recs[x-1].id == id {
+			return x - 1, true
+		}
+	}
+}
+
+// hash is the index's hash of an ID; rehash that of the ID in the record
+// an index entry names.
+func (o *objects) hash(id uint64) uint64 { return probe.Mix(o.idx.Seed(), id) }
+
+func (o *objects) rehash(x uint32) uint64 { return o.hash(o.recs[x-1].id) }
 
 // add adds the record of a newly met object, which ref names under id.
 func (o *objects) add(v heap.Ref, id uint64) uint32 {
@@ -76,7 +99,7 @@ func (o *objects) add(v heap.Ref, id uint64) uint32 {
 		o.recs = append(o.recs, object{})
 	}
 	o.recs[h] = object{ref: v, id: id}
-	o.ids[id] = h
+	o.idx.Insert(o.hash(id), h+1, o.rehash)
 	return h
 }
 
@@ -165,7 +188,7 @@ func (o *objects) drop() {
 		if r.ref == nil || r.pins != 0 || !r.dead {
 			continue
 		}
-		delete(o.ids, r.id)
+		o.idx.Delete(o.hash(r.id), uint32(h)+1, o.rehash)
 		if o.check {
 			*r = pooledObject
 		} else {
@@ -181,7 +204,7 @@ func (o *objects) reset() { *o = newObjects(o.check) }
 // handleID is handle for an object the caller names by ID (DispatchIDs):
 // the record it adds holds no caller ref.
 func (o *objects) handleID(id uint64) uint32 {
-	if h, ok := o.ids[id]; ok {
+	if h, ok := o.find(id); ok {
 		return h
 	}
 	return o.add(named, id)
@@ -189,7 +212,7 @@ func (o *objects) handleID(id uint64) uint32 {
 
 // kill applies the death of the object id names, if the table holds it.
 func (o *objects) kill(id uint64) {
-	if h, ok := o.ids[id]; ok {
+	if h, ok := o.find(id); ok {
 		o.recs[h].dead = true
 	}
 }

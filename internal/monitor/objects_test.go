@@ -55,7 +55,7 @@ func TestObjectPoison(t *testing.T) {
 		h.Free(a)
 		objs.observe()
 		objs.drop()
-		if len(objs.ids) != 0 || objs.recs[ha] != pooledObject {
+		if objs.idx.Len() != 0 || objs.recs[ha] != pooledObject {
 			t.Fatalf("a dead unpinned record was not dropped and poisoned: %+v", objs.recs[ha])
 		}
 		if scribble {
@@ -72,5 +72,31 @@ func TestObjectPoison(t *testing.T) {
 				t.Fatalf("reissued record %d = %+v, want a fresh one for b at %d", hb, objs.recs[hb], ha)
 			}
 		}()
+	}
+}
+
+// TestObjectProbeLengths: 10⁵ IDs spaced 2³², 2²⁰ and 4096 apart — IDs
+// whose low bits agree, as a client choosing its own IDs may send — sit
+// within a bounded probe of their home slots in every seeded table. The
+// bounds are twice the worst maximum and mean measured over 48 tables per
+// shape.
+func TestObjectProbeLengths(t *testing.T) {
+	const keys, tables = 100_000, 4
+	const maxBound, meanBound = 56, 2.63
+	for _, shift := range []uint{32, 20, 12} {
+		for range tables {
+			o := newObjects(false)
+			for k := range uint64(keys) {
+				o.handleID(k << shift)
+			}
+			if err := checkObjects(&o); err != nil {
+				t.Fatalf("IDs k·2^%d: %v", shift, err)
+			}
+			p, _ := o.idx.Check(o.rehash)
+			t.Logf("IDs k·2^%d: longest probe %d, mean %.3f", shift, p.Max, p.Mean)
+			if p.Max > maxBound || p.Mean > meanBound {
+				t.Errorf("IDs k·2^%d: longest probe %d, mean %.3f; want at most %d and %.2f", shift, p.Max, p.Mean, maxBound, meanBound)
+			}
+		}
 	}
 }

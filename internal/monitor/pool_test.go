@@ -144,3 +144,45 @@ func TestEngineFloor(t *testing.T) {
 	}
 	runtime.KeepAlive(held)
 }
+
+// TestEngineLiveFloor: an engine's indexes cost what they hold. After
+// 4096 events, each naming a fresh live object in a θ of its own, four
+// engines average at most liveFloor bytes of live heap each: the
+// θ-records, monitors and leaves of 4096 θs, the object records, and the
+// two indexes that find them. Measured at 1 012 240 B; the floor is 1.25×
+// the measurement.
+func TestEngineLiveFloor(t *testing.T) {
+	if monitor.RaceBuild {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	spec := unsafeIterSpec(t)
+	const engines, objects, liveFloor = 4, 4096, 1_265_300
+	h := heap.New()
+	refs := make([]heap.Ref, engines*objects)
+	for i := range refs {
+		refs[i] = h.Alloc("c")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := make([]*monitor.Engine, engines)
+	for i := range held {
+		eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range refs[i*objects : (i+1)*objects] {
+			monitor.Emit(eng, symUpdate, c)
+		}
+		held[i] = eng
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / engines
+	t.Logf("heap per engine holding %d live objects in distinct θs: %d B", objects, per)
+	if per > liveFloor {
+		t.Errorf("heap per engine holding %d live objects = %d B, want ≤ %d", objects, per, liveFloor)
+	}
+	runtime.KeepAlive(held)
+	runtime.KeepAlive(refs)
+}

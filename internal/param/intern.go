@@ -1,9 +1,11 @@
 package param
 
 import (
+	"fmt"
 	"iter"
 
 	"rvgo/internal/arena"
+	"rvgo/internal/probe"
 )
 
 // Interner is the θ-table: it canonicalizes bindings, so that identical
@@ -12,12 +14,17 @@ import (
 // is the instance's only identity: records that must stay pointer-free
 // (monitors) store it, and everything the owner knows per θ — the payload P,
 // for the engine Δ(θ), the processed stamp and the tombstone bits — sits in
-// the slot next to the bindings, found by the one map lookup Intern does.
+// the slot next to the bindings, found by the one index probe Intern does.
 //
 // Slots live in a slab arena (package arena), not as individual heap
 // objects: at millions of live instances the host collector sees O(slabs)
 // objects, not O(instances). A *Slot obtained from a handle is a transient
 // view, valid until the slot is recycled; slabs never move.
+//
+// The index (package probe) stores only the handles of mapped slots. A
+// binding is hashed over its mask and its bound handles, and a probe
+// compares the binding against the slot each handle names, so every key
+// exists once: in its slot.
 //
 // Slot lifetime is governed by two independent claims:
 //
@@ -31,7 +38,7 @@ import (
 //
 // Steady state is allocation-free: a binding allocates once, the first
 // time it is seen, and every later event carrying it resolves to the same
-// slot through one map lookup. A slot holds a Binding — object handles,
+// slot through one probe. A slot holds a Binding — object handles,
 // never heap.Refs — so with a pointer-free payload the slabs are noscan:
 // the owner's object table is the one place that holds the objects, and
 // nothing here keeps one alive.
@@ -39,7 +46,7 @@ import (
 // An Interner is not safe for concurrent use. Each engine owns one, matching
 // the engine's single-threaded dispatch discipline.
 type Interner[P any] struct {
-	m    map[Binding]arena.Handle
+	idx  probe.Table[arena.Handle] // the mapped slots
 	pool arena.Pool[Slot[P]]
 }
 
@@ -59,7 +66,7 @@ func (s *Slot[P]) Mapped() bool { return s.mapped }
 
 // NewInterner returns an empty table.
 func NewInterner[P any]() *Interner[P] {
-	return &Interner[P]{m: make(map[Binding]arena.Handle)}
+	return &Interner[P]{idx: probe.New[arena.Handle]()}
 }
 
 // SetChecks arms poison-on-free for the slots (race builds): a freed slot
@@ -83,21 +90,54 @@ func (in *Interner[P]) SetChecks(poison, verify func(*P)) {
 // added reports the allocation, so the owner can take its claims on the
 // objects the new slot binds.
 func (in *Interner[P]) Intern(b *Binding) (h arena.Handle, added bool) {
-	if h, ok := in.m[*b]; ok {
+	hash := in.hash(b)
+	if h, ok := in.find(hash, b); ok {
 		return h, false
 	}
 	h, s := in.pool.Alloc()
 	s.B = *b
 	s.mapped = true
-	in.m[*b] = h
+	in.idx.Insert(hash, h, in.rehash)
 	return h, true
 }
 
 // Get returns the handle for a binding without creating one.
-func (in *Interner[P]) Get(b *Binding) (arena.Handle, bool) {
-	h, ok := in.m[*b]
-	return h, ok
+func (in *Interner[P]) Get(b *Binding) (arena.Handle, bool) { return in.find(in.hash(b), b) }
+
+// find probes the index for the mapped slot binding b, whose hash is hash.
+func (in *Interner[P]) find(hash uint64, b *Binding) (arena.Handle, bool) {
+	for i := in.idx.Home(hash); ; i = in.idx.Next(i) {
+		h := in.idx.Slot(i)
+		if h == arena.Nil {
+			return arena.Nil, false
+		}
+		if in.pool.At(h).B == *b {
+			return h, true
+		}
+	}
 }
+
+// hash hashes a binding under the table's seed: the mask selects the
+// start, and the bound handles are folded in two to a 64-bit word, so a
+// binding of one or two objects costs one Mix.
+func (in *Interner[P]) hash(b *Binding) uint64 {
+	h := in.idx.Seed() + uint64(b.Mask)*0x9e3779b97f4a7c15
+	var w uint64
+	odd := false
+	for m := b.Mask; m != 0; m = m.Rest() {
+		w = w<<32 | uint64(b.H[m.First()])
+		if odd = !odd; !odd {
+			h, w = probe.Mix(h, w), 0
+		}
+	}
+	if odd {
+		h = probe.Mix(h, w)
+	}
+	return h
+}
+
+// rehash is the hash of the binding of the mapped slot h.
+func (in *Interner[P]) rehash(h arena.Handle) uint64 { return in.hash(&in.pool.At(h).B) }
 
 // At returns the record of a live slot. Panics on a stale handle — a pinned
 // slot is never stale, so a panic here means a monitor outlived its pin (an
@@ -143,21 +183,49 @@ func (in *Interner[P]) Unmap(h arena.Handle) (Binding, bool) {
 	if !s.mapped {
 		return Binding{}, false
 	}
-	delete(in.m, s.B)
+	in.idx.Delete(in.hash(&s.B), h, in.rehash)
 	s.mapped = false
 	return in.release(h, s)
 }
 
 // Len returns the number of interned (table-mapped) bindings.
-func (in *Interner[P]) Len() int { return len(in.m) }
+func (in *Interner[P]) Len() int { return in.idx.Len() }
 
 // Stats returns the slot arena's occupancy snapshot (pinned-but-unmapped
 // slots count as live until their monitors release them).
 func (in *Interner[P]) Stats() arena.Stats { return in.pool.Stats() }
 
-// Reset drops the table and every slab, returning the store to the host
+// Reset drops the index and every slab, returning the store to the host
 // allocator in O(1) regardless of size. All handles become stale.
 func (in *Interner[P]) Reset() {
-	in.m = make(map[Binding]arena.Handle)
+	in.idx = probe.New[arena.Handle]()
 	in.pool.Reset()
+}
+
+// Check holds the index to the slots (invariant checks): the index's own
+// invariants hold (probe.Table.Check), every handle it stores names a
+// live, mapped slot, no binding is stored twice, and it stores exactly the
+// mapped slots. It reports the index's probe lengths.
+func (in *Interner[P]) Check() (probe.Probes, error) {
+	keys := make(map[Binding]arena.Handle, in.idx.Len())
+	for h := range in.idx.All {
+		s, ok := in.pool.Get(h)
+		if !ok || !s.mapped {
+			return probe.Probes{}, fmt.Errorf("param: the θ index stores %v, which is not a mapped slot", h)
+		}
+		if prev, dup := keys[s.B]; dup {
+			return probe.Probes{}, fmt.Errorf("param: the θ index stores %v and %v under one binding", prev, h)
+		}
+		keys[s.B] = h
+	}
+	mapped := 0
+	for _, s := range in.pool.All() {
+		if s.mapped {
+			mapped++
+		}
+	}
+	if mapped != len(keys) {
+		return probe.Probes{}, fmt.Errorf("param: %d θ slots are mapped, the index stores %d", mapped, len(keys))
+	}
+	return in.idx.Check(in.rehash)
 }

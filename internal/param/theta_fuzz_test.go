@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzThetaTable drives random intern / pin / unpin / kill-object / sweep
-// interleavings against a plain map[Binding] model of the θ-table, with the
-// poison checks armed, and holds the table to what the engine relies on:
+// interleavings against a plain map[Binding]arena.Handle model of the
+// θ-table, with the poison checks armed, and holds the table to what the
+// engine relies on:
 //
 //   - a mapped key whose objects all live resolves to the same handle, and
 //     to the payload written through it, however often it is interned;
@@ -16,7 +17,9 @@ import (
 //     bindings until the last Unpin, mapped or not;
 //   - no handle is handed out twice, and no slot is live under two;
 //   - Len() is the model's size and the arena's live count is the number of
-//     mapped-or-pinned slots.
+//     mapped-or-pinned slots;
+//   - the index stores exactly the mapped slots, each reached from its
+//     binding's home slot (Check).
 func FuzzThetaTable(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 0, 2, 0, 0, 1})
 	f.Add([]byte{0, 1, 0, 1, 1, 0, 3, 1, 4, 0, 0, 1, 2, 0})
@@ -71,6 +74,9 @@ func FuzzThetaTable(f *testing.F) {
 			}
 			if got := in.Stats().Live; got != len(live) {
 				t.Fatalf("arena live = %d, model holds %d mapped-or-pinned slots", got, len(live))
+			}
+			if _, err := in.Check(); err != nil {
+				t.Fatal(err)
 			}
 			walked := 0
 			for h, s := range in.All() {
