@@ -174,7 +174,7 @@ func main() {
 			h := rvgo.NewHeap()
 			h.SetFreeHook(func(o *rvgo.Object) { cl.Free(o) })
 			for it := 0; it < *repeat; it++ {
-				tr.Replay(h, probed, nil)
+				tr.Replay(h, probed)
 			}
 			cl.Flush()
 			res.stats = cl.Stats()

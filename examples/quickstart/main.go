@@ -41,7 +41,8 @@ func main() {
 	//    enable-set creation avoidance are the defaults, so only the
 	//    verdict handler needs saying. rvgo.WithShards(4) here would run
 	//    the same property on the sharded concurrent runtime, and
-	//    rvgo.WithRemote("host:7472") on a monitoring server.
+	//    rvgo.WithRemote("host:7472") on a monitoring server; both learn
+	//    of a death only through m.Free, which step 4 calls.
 	m, err := rvgo.New(property, rvgo.WithVerdictHandler(func(v rvgo.Verdict) {
 		fmt.Printf("improper Iterator use found! (%s)\n", v.Inst.Format(property.Params()))
 	}))
@@ -68,7 +69,8 @@ func main() {
 		next.Emit(good)
 	}
 	hasNextFalse.Emit(good)
-	h.Free(good)
+	m.Free(good) // position the death in the event stream...
+	h.Free(good) // ...then let the object die
 
 	// A sloppy iterator: next() after hasNext() returned false.
 	bad := h.Alloc("bad-iter")
@@ -76,6 +78,7 @@ func main() {
 	next.Emit(bad)
 	hasNextFalse.Emit(bad)
 	next.Emit(bad) // violation: the handler fires here
+	m.Free(bad)
 	h.Free(bad)
 
 	// 5. Statistics (the counters of the paper's Figure 10).

@@ -39,7 +39,8 @@ func run(gc rvgo.GCPolicy) rvgo.Stats {
 		create.Emit(coll, it)
 		next.Emit(it)
 		next.Emit(it)
-		h.Free(it)        // the iterator goes out of scope immediately...
+		m.Free(it) // the iterator goes out of scope immediately...
+		h.Free(it)
 		update.Emit(coll) // ...and the collection keeps being updated
 	}
 	m.Flush()

@@ -88,7 +88,7 @@ func onlineOracle(t *testing.T, wl *dacapo.Trace, prop string, gc monitor.GCPoli
 			}
 		}
 	})
-	wl.Replay(h, sink, nil)
+	wl.Replay(h, sink)
 	eng.Flush()
 	if rec.err != nil {
 		t.Fatal(rec.err)

@@ -42,11 +42,11 @@ func (p Profile) Record(scale float64) (*Trace, error) {
 
 // Replay feeds the trace into sink, reallocating every recorded object on
 // h (on first mention, preserving allocation order and labels) and freeing
-// it at its recorded death point. beforeFree, if non-nil, runs before each
-// death takes effect — asynchronous backends pass their Barrier here so
-// queued events are processed against the liveness they were recorded
-// under.
-func (t *Trace) Replay(h *heap.Heap, sink Sink, beforeFree func()) {
+// it at its recorded death point. A backend that does not ask its refs
+// whether they are alive — the sharded runtime — must be told of each
+// death at its position in the stream: pass the backend's Free to
+// h.SetFreeHook before replaying.
+func (t *Trace) Replay(h *heap.Heap, sink Sink) {
 	objs := map[uint64]*heap.Object{}
 	remap := func(r heap.Ref) heap.Ref {
 		if r == nil {
@@ -67,9 +67,6 @@ func (t *Trace) Replay(h *heap.Heap, sink Sink, beforeFree func()) {
 				// (e.g. a collection that was never iterated); there is
 				// nothing for the backends to observe.
 				continue
-			}
-			if beforeFree != nil {
-				beforeFree()
 			}
 			h.Free(o)
 			continue

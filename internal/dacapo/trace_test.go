@@ -56,7 +56,7 @@ func TestRecordReplayMatchesLiveRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.Replay(heap.New(), sink2, nil)
+		tr.Replay(heap.New(), sink2)
 		replayed.Flush()
 
 		a, b := live.Stats(), replayed.Stats()

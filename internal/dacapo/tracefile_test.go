@@ -72,7 +72,7 @@ func monitorTrace(t *testing.T, tr *Trace, prop string) monitor.Stats {
 	}
 	h := heap.New()
 	h.SetFreeHook(func(o *heap.Object) { eng.Free(o) })
-	tr.Replay(h, sink, nil)
+	tr.Replay(h, sink)
 	eng.Flush()
 	return eng.Stats()
 }

@@ -526,12 +526,13 @@ func (e *Engine) InternedInstances() int { return e.intern.Len() }
 
 // ObjectRecords returns the object table's size (tests, diagnostics): the
 // records it holds, and how many of them name dead objects — records the
-// sweeps release once no θ-record binds them.
+// sweeps release once no θ-record binds them. A held record is dead once
+// its free was applied, whatever its ref says.
 func (e *Engine) ObjectRecords() (records, dead int) {
 	for h := range e.objs.recs {
-		if r := &e.objs.recs[h]; r.ref != nil {
+		if r := &e.objs.recs[h]; r.inUse() {
 			records++
-			if r.dead || !r.ref.Alive() {
+			if r.dead || !r.held && !r.ref.Alive() {
 				dead++
 			}
 		}
@@ -594,10 +595,10 @@ func (e *Engine) claimed(t *theta) bool {
 	return true
 }
 
-// dispatch processes one parametric event over θ's binding — Dispatch and
-// DispatchIDs after their object-table lookup, which turned θ into the
-// binding. It is the body of Figure 5's loop, with the θ-table and its
-// leaves playing the role of Δ and Θ:
+// dispatch processes one parametric event over θ's binding — Dispatch,
+// DispatchIDs and DispatchHeld after their object-table lookup, which
+// turned θ into the binding. It is the body of Figure 5's loop, with the
+// θ-table and its leaves playing the role of Δ and Θ:
 //
 //  1. one θ-table lookup canonicalizes the binding; the monitors more
 //     informative than θ are the members of θ's leaves, and each is

@@ -146,7 +146,7 @@ func CheckTheta(e *Engine, flushed bool) error {
 		t := &s.Data
 		for m := s.B.Mask; m != 0; m = m.Rest() {
 			oh := s.B.H[m.First()]
-			if int(oh) >= len(e.objs.recs) || e.objs.recs[oh].ref == nil {
+			if int(oh) >= len(e.objs.recs) || !e.objs.recs[oh].inUse() {
 				return fmt.Errorf("θ-record %v binds object handle %d, which names no live object record", th, oh)
 			}
 			objPins[oh]++
@@ -216,7 +216,7 @@ func CheckTheta(e *Engine, flushed bool) error {
 	}
 	for oh := range e.objs.recs {
 		r := &e.objs.recs[oh]
-		if r.ref == nil {
+		if !r.inUse() {
 			continue
 		}
 		if r.pins != objPins[uint32(oh)] {
@@ -254,8 +254,9 @@ type lazyInst struct {
 func (l lazyInst) String() string { return l.e.instance(&l.b).String() }
 
 // aliveRec and allAlive read liveness as the engine does, without caching a
-// death the engine has yet to observe.
-func aliveRec(r *object) bool { return !r.dead && r.ref.Alive() }
+// death the engine has yet to observe: a held record's from the record
+// alone.
+func aliveRec(r *object) bool { return !r.dead && (r.held || r.ref.Alive()) }
 
 func allAlive(e *Engine, b *param.Binding) bool {
 	for m := b.Mask; m != 0; m = m.Rest() {
@@ -274,8 +275,9 @@ func ObjectSlots(e *Engine) int { return len(e.objs.recs) }
 // checkObjects holds the object table's ID index and records to each
 // other: the index stores each live record once, reached by probing from
 // its ID's home slot, under an ID no other stored record carries, and a
-// live ID-named or ref-named record carries its object's ID; every record
-// the index does not store is free, on the free list once.
+// live record's ref, if it has one, names the record's ID; every record the
+// index does not store is free, on the free list once. Nothing here asks a
+// ref whether it is alive: a held record's death is in the record.
 func checkObjects(o *objects) error {
 	ids := map[uint64]uint32{}
 	for x := range o.idx.All {
@@ -284,7 +286,7 @@ func checkObjects(o *objects) error {
 			return fmt.Errorf("the object index stores handle %d, past the %d records", h, len(o.recs))
 		}
 		r := &o.recs[h]
-		if r.ref == nil || r.ref != named && r.ref.ID() != r.id {
+		if !r.inUse() || r.ref != nil && r.ref.ID() != r.id {
 			return fmt.Errorf("the object index stores handle %d, a free record or one whose ref is not object %d", h, r.id)
 		}
 		if prev, dup := ids[r.id]; dup {
@@ -297,7 +299,7 @@ func checkObjects(o *objects) error {
 	}
 	onFree := map[uint32]bool{}
 	for _, h := range o.free {
-		if onFree[h] || o.recs[h].ref != nil {
+		if onFree[h] || o.recs[h].inUse() {
 			return fmt.Errorf("object handle %d is on the free list twice or while live", h)
 		}
 		onFree[h] = true

@@ -40,16 +40,19 @@ type idVerdict struct {
 	key param.Key
 }
 
-// TestDispatchIDsMatchesRefs: the ID entry is the Ref entry after the
-// object-table lookup. Random HasNext, UnsafeIter and UnsafeMapIter streams
-// with deaths run through two engines — one fed heap refs by Dispatch, each
-// killed right after Free, and one fed the refs' IDs by DispatchIDs, each
-// death a FreeIDs — under every GC policy × creation strategy
-// Options.Check accepts. The verdict sequences (IDs included) and the
-// Stats, PeakLive among them, must be identical, and the ID engine keeps
-// CheckTheta's invariants every 64 events and after Flush. Its records are
-// dropped and their handles reissued like ref records (under race builds
-// through the same pooledObject poison check).
+// TestDispatchIDsMatchesRefs: the ID and held entries are the Ref entry
+// after the object-table lookup. Random HasNext, UnsafeIter and
+// UnsafeMapIter streams with deaths run through three engines — one fed
+// heap refs by Dispatch, each killed right after Free; one fed the refs'
+// IDs by DispatchIDs; and one fed refs that report themselves dead from the
+// start by DispatchHeld — the last two with each death a FreeIDs at its
+// position — under every GC policy × creation strategy Options.Check
+// accepts. The verdict sequences (IDs included) and the Stats, PeakLive
+// among them, must be identical, the held engine must never ask a ref
+// whether it is alive, and both keep CheckTheta's invariants every 64
+// events and after Flush. Their records are dropped and their handles
+// reissued like ref records (under race builds through the same
+// pooledObject poison check).
 func TestDispatchIDsMatchesRefs(t *testing.T) {
 	mapIter, err := props.Build("UnsafeMapIter")
 	if err != nil {
@@ -83,19 +86,31 @@ func TestDispatchIDsMatchesRefs(t *testing.T) {
 						steps := st.gen(rand.New(rand.NewSource(seed)), h)
 						refs, refStats := runRefs(t, st.spec, opts, h, steps)
 						ids, idStats, eng := runIDs(t, st.spec, opts, steps)
-						if len(ids) != len(refs) {
-							t.Fatalf("seed %d: %d verdicts by ID, %d by ref", seed, len(ids), len(refs))
-						}
-						for i := range refs {
-							if ids[i] != refs[i] {
-								t.Fatalf("seed %d: verdict %d by ID %+v, by ref %+v", seed, i, ids[i], refs[i])
+						held, heldStats, heldEng := runHeld(t, st.spec, opts, steps)
+						for _, col := range []struct {
+							name  string
+							got   []idVerdict
+							stats monitor.Stats
+							eng   *monitor.Engine
+						}{{"by ID", ids, idStats, eng}, {"held", held, heldStats, heldEng}} {
+							if len(col.got) != len(refs) {
+								t.Fatalf("seed %d: %d verdicts %s, %d by ref", seed, len(col.got), col.name, len(refs))
+							}
+							for i := range refs {
+								if col.got[i] != refs[i] {
+									t.Fatalf("seed %d: verdict %d %s %+v, by ref %+v", seed, i, col.name, col.got[i], refs[i])
+								}
+							}
+							if col.stats != refStats {
+								t.Fatalf("seed %d: Stats %s %+v, by ref %+v", seed, col.name, col.stats, refStats)
+							}
+							if gc == monitor.GCCoenable && monitor.ObjectSlots(col.eng) >= objectsIn(steps) {
+								t.Fatalf("seed %d: %d object slots for %d objects: no %s record was dropped and reissued", seed, monitor.ObjectSlots(col.eng), objectsIn(steps), col.name)
 							}
 						}
-						if idStats != refStats {
-							t.Fatalf("seed %d: Stats by ID %+v, by ref %+v", seed, idStats, refStats)
-						}
-						if gc == monitor.GCCoenable && monitor.ObjectSlots(eng) >= objectsIn(steps) {
-							t.Fatalf("seed %d: %d object slots for %d objects: no ID-named record was dropped and reissued", seed, monitor.ObjectSlots(eng), objectsIn(steps))
+						idRecs, idDead := eng.ObjectRecords()
+						if n, d := heldEng.ObjectRecords(); n != idRecs || d != idDead {
+							t.Fatalf("seed %d: held engine keeps %d object records (%d dead), the ID engine %d (%d)", seed, n, d, idRecs, idDead)
 						}
 					}
 				})
@@ -156,6 +171,73 @@ func runIDs(t *testing.T, spec *monitor.Spec, opts monitor.Options, steps []thet
 	eng.Flush()
 	if err := monitor.CheckTheta(eng, true); err != nil {
 		t.Fatalf("after Flush: %v", err)
+	}
+	return got, eng.Stats(), eng
+}
+
+// deadRef is a caller's ref that reports itself dead from the start and
+// counts every time it is asked: a held record must read its liveness from
+// the record alone.
+type deadRef struct {
+	id    uint64
+	asked *int
+}
+
+func (r *deadRef) ID() uint64    { return r.id }
+func (r *deadRef) Label() string { return fmt.Sprintf("d%d", r.id) }
+func (r *deadRef) Alive() bool {
+	*r.asked++
+	return false
+}
+
+// runHeld drives the same steps through DispatchHeld, over deadRefs in
+// place of the heap objects, and FreeIDs at the recorded death positions,
+// holding the engine to CheckTheta as it goes. Verdicts must carry the
+// refs the engine was handed, and no ref may ever be asked.
+func runHeld(t *testing.T, spec *monitor.Spec, opts monitor.Options, steps []thetaStep) ([]idVerdict, monitor.Stats, *monitor.Engine) {
+	t.Helper()
+	var got []idVerdict
+	asked := 0
+	opts.OnVerdict = func(v monitor.Verdict) {
+		for m := v.Inst.Mask(); m != 0; m = m.Rest() {
+			if _, ok := v.Inst.Value(m.First()).(*deadRef); !ok {
+				t.Fatalf("verdict %v carries %T, not the held ref", v.Inst, v.Inst.Value(m.First()))
+			}
+		}
+		got = append(got, idVerdict{v.Sym, v.Cat, v.Inst.Key()})
+	}
+	eng, err := monitor.New(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := map[uint64]*deadRef{}
+	for _, s := range steps {
+		if s.kill != nil {
+			eng.FreeIDs([]uint64{s.kill.ID()})
+			continue
+		}
+		theta := s.ev.Inst.Map(func(_ int, v heap.Ref) heap.Ref {
+			r, ok := refs[v.ID()]
+			if !ok {
+				r = &deadRef{id: v.ID(), asked: &asked}
+				refs[v.ID()] = r
+			}
+			return r
+		})
+		eng.DispatchHeld(s.ev.Sym, theta)
+		if n := eng.Stats().Events; n%64 == 0 {
+			if err := monitor.CheckTheta(eng, false); err != nil {
+				t.Fatalf("event %d: %v", n, err)
+			}
+		}
+	}
+	eng.Flush()
+	if err := monitor.CheckTheta(eng, true); err != nil {
+		t.Fatalf("after Flush: %v", err)
+	}
+	eng.ObjectRecords() // a diagnostic must not ask either
+	if asked != 0 {
+		t.Fatalf("the engine asked held refs %d times whether they are alive", asked)
 	}
 	return got, eng.Stats(), eng
 }

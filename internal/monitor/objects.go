@@ -10,8 +10,8 @@ import (
 
 // object is one record of an engine's object table: a parameter object the
 // engine has met in an event, kept once however many θ-records bind it.
-// The object is named by the caller's ref (Dispatch) or by its ID alone
-// (DispatchIDs); an ID-named record holds the engine's own ref, named until
+// The object is named by the caller's ref (Dispatch, DispatchHeld) or by
+// its ID alone (DispatchIDs); an ID-named record gets a ref only when
 // something asks for the object (ref).
 type object struct {
 	ref heap.Ref
@@ -23,9 +23,12 @@ type object struct {
 	// pins is the number of θ-records whose binding names the object.
 	pins int32
 	// dead caches a death once observed through ref: Alive is monotone
-	// (heap.Ref), so a dead object never needs asking again. An ID-named
-	// record's ref never dies; FreeIDs sets dead directly (kill).
+	// (heap.Ref), so a dead object never needs asking again. A held record
+	// is never asked; FreeIDs sets dead directly (kill).
 	dead bool
+	// held marks a record whose liveness is its dead bit alone: the object
+	// came in by DispatchHeld or DispatchIDs, and only its free ends it.
+	held bool
 }
 
 // objects is the object table: the one place an engine keeps a caller's
@@ -39,7 +42,7 @@ type object struct {
 // kept once. The zero value is not ready; see newObjects.
 type objects struct {
 	idx  probe.Table[uint32] // by ID: handle+1 of every record in use
-	recs []object            // by handle; a free record has a nil ref
+	recs []object            // by handle; see inUse
 	free []uint32            // recycled handles, LIFO
 	// check arms poison-on-free (race builds): a freed record is scrambled
 	// and verified when its handle is reissued, like the arena pools.
@@ -51,10 +54,14 @@ func newObjects(check bool) objects {
 }
 
 // pooledObject is the poison of a freed record under check: an ID no object
-// has and a negative pin count, with no domain bit and no death, so a stale
-// pin, domain or death write shows. Its nil ref makes a liveness read
-// through a stale handle panic.
+// has and a negative pin count, with no domain bit, no death and no hold,
+// so a stale pin, domain, death or hold write shows. Its nil ref makes a
+// liveness read through a stale handle panic.
 var pooledObject = object{id: ^uint64(0), pins: -1}
+
+// inUse reports whether a record names an object: a free one has neither a
+// ref nor a hold.
+func (r *object) inUse() bool { return r.ref != nil || r.held }
 
 // handle returns v's handle, adding a record on first sight.
 func (o *objects) handle(v heap.Ref) uint32 {
@@ -62,7 +69,7 @@ func (o *objects) handle(v heap.Ref) uint32 {
 	if h, ok := o.find(id); ok {
 		return h
 	}
-	return o.add(v, id)
+	return o.add(object{ref: v, id: id})
 }
 
 // find returns the handle of the record of the object id names, if the
@@ -85,8 +92,8 @@ func (o *objects) hash(id uint64) uint64 { return probe.Mix(o.idx.Seed(), id) }
 
 func (o *objects) rehash(x uint32) uint64 { return o.hash(o.recs[x-1].id) }
 
-// add adds the record of a newly met object, which ref names under id.
-func (o *objects) add(v heap.Ref, id uint64) uint32 {
+// add adds r, the record of a newly met object.
+func (o *objects) add(r object) uint32 {
 	var h uint32
 	if n := len(o.free); n > 0 {
 		h = o.free[n-1]
@@ -98,8 +105,8 @@ func (o *objects) add(v heap.Ref, id uint64) uint32 {
 		h = uint32(len(o.recs))
 		o.recs = append(o.recs, object{})
 	}
-	o.recs[h] = object{ref: v, id: id}
-	o.idx.Insert(o.hash(id), h+1, o.rehash)
+	o.recs[h] = r
+	o.idx.Insert(o.hash(r.id), h+1, o.rehash)
 	return h
 }
 
@@ -107,7 +114,7 @@ func (o *objects) add(v heap.Ref, id uint64) uint32 {
 // here, the first time a verdict or diagnostic needs the object.
 func (o *objects) ref(h uint32) heap.Ref {
 	r := &o.recs[h]
-	if r.ref == named {
+	if r.ref == nil {
 		r.ref = &idRef{r.id}
 	}
 	return r.ref
@@ -119,7 +126,7 @@ func (o *objects) alive(h uint32) bool {
 	if r.dead {
 		return false
 	}
-	if r.ref.Alive() {
+	if r.held || r.ref.Alive() {
 		return true
 	}
 	r.dead = true
@@ -158,10 +165,10 @@ func (o *objects) anyDead(b *param.Binding) bool {
 	return false
 }
 
-// observe asks every record's object once whether it is alive.
+// observe asks every followed record's object once whether it is alive.
 func (o *objects) observe() {
 	for h := range o.recs {
-		if r := &o.recs[h]; r.ref != nil && !r.dead && !r.ref.Alive() {
+		if r := &o.recs[h]; r.ref != nil && !r.held && !r.dead && !r.ref.Alive() {
 			r.dead = true
 		}
 	}
@@ -185,7 +192,7 @@ func (o *objects) unpin(b *param.Binding) {
 func (o *objects) drop() {
 	for h := range o.recs {
 		r := &o.recs[h]
-		if r.ref == nil || r.pins != 0 || !r.dead {
+		if !r.inUse() || r.pins != 0 || !r.dead {
 			continue
 		}
 		o.idx.Delete(o.hash(r.id), uint32(h)+1, o.rehash)
@@ -201,27 +208,12 @@ func (o *objects) drop() {
 // reset drops every record and with it every ref.
 func (o *objects) reset() { *o = newObjects(o.check) }
 
-// handleID is handle for an object the caller names by ID (DispatchIDs):
-// the record it adds holds no caller ref.
-func (o *objects) handleID(id uint64) uint32 {
-	if h, ok := o.find(id); ok {
-		return h
-	}
-	return o.add(named, id)
-}
-
 // kill applies the death of the object id names, if the table holds it.
 func (o *objects) kill(id uint64) {
 	if h, ok := o.find(id); ok {
 		o.recs[h].dead = true
 	}
 }
-
-// named is the ref of an ID-named record: always alive, so alive, observe
-// and drop read the record like any other and only kill ends it. It stands
-// for no object; ref replaces it with one naming the record's ID when
-// asked.
-var named heap.Ref = &idRef{}
 
 // idRef is an object known by its ID alone: the ref a verdict or diagnostic
 // gets for an ID-named record. It never dies; the record holds the death.

@@ -87,7 +87,7 @@ func TestObjectProbeLengths(t *testing.T) {
 		for range tables {
 			o := newObjects(false)
 			for k := range uint64(keys) {
-				o.handleID(k << shift)
+				o.handleHeld(nil, k<<shift)
 			}
 			if err := checkObjects(&o); err != nil {
 				t.Fatalf("IDs k·2^%d: %v", shift, err)

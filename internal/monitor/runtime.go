@@ -62,8 +62,11 @@ type Runtime interface {
 	// uses it: trace replay, the simulated-heap free hook, the remote
 	// clients' protocol frees, and the live-object frontend (package rv),
 	// where Go-GC cleanups become stream-positioned deaths that drive
-	// coenable-set monitor GC. A server session names objects by ID and
-	// uses FreeIDs (Engine, and the sharded runtime) instead.
+	// coenable-set monitor GC. On the sharded runtime the Free is the
+	// object's only death: its engines hold the caller's refs without
+	// asking them, so an object killed without a Free stays alive there.
+	// A server session names objects by ID and uses FreeIDs (Engine, and
+	// the sharded runtime) instead.
 	Free(ref heap.Ref)
 	// Barrier returns once every event dispatched before the call has been
 	// fully processed. Synchronous backends return immediately.
@@ -87,16 +90,18 @@ var _ Runtime = (*Engine)(nil)
 func (e *Engine) Barrier() {}
 
 // Free implements Runtime. The sequential engine needs no positioning:
-// every dispatched event has already been processed, and it observes
-// deaths lazily through ref liveness when the death is applied.
+// every dispatched event has already been processed, and it observes the
+// deaths of the refs Dispatch handed it lazily, through ref liveness, once
+// the caller has killed them. A record DispatchHeld added never asks its
+// ref; FreeIDs is its death.
 func (e *Engine) Free(heap.Ref) {}
 
 // DispatchIDs is Dispatch for a caller that names objects by ID — a
 // monitoring server's session, whose client's IDs are the objects: ids bind
 // D(sym) in ascending parameter-index order; a wrong arity panics, as
-// Emit's does. An object first named here gets a record that holds no ref
-// and dies only by FreeIDs; one engine takes its objects through one of the
-// two entries, since both key the object table by ID.
+// Emit's does. An object first named here gets a held record with no ref,
+// which dies only by FreeIDs; one engine takes its objects through one of
+// the three entries, since all key the object table by ID.
 func (e *Engine) DispatchIDs(sym int, ids []uint64) {
 	tb := param.Binding{Mask: e.spec.Events[sym].Params}
 	if tb.Mask.Count() != len(ids) {
@@ -104,7 +109,7 @@ func (e *Engine) DispatchIDs(sym int, ids []uint64) {
 	}
 	k := 0
 	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
-		tb.H[pm.First()] = e.objs.handleID(ids[k])
+		tb.H[pm.First()] = e.objs.handleHeld(nil, ids[k])
 		k++
 	}
 	e.dispatch(sym, &tb)
@@ -151,4 +156,31 @@ func (e *Engine) Close() {
 	}
 	e.boxState = nil
 	e.objs.reset()
+}
+
+// DispatchHeld is Dispatch for a caller that positions every death with
+// FreeIDs — a shard worker, which reaches an object's free record exactly
+// where the producer put it. An object first named here gets a held
+// record: it keeps the caller's ref for verdicts, but its liveness is the
+// record's own, so the ref is never asked and the caller may kill the
+// object whenever it likes.
+func (e *Engine) DispatchHeld(sym int, theta param.Instance) {
+	tb := param.Binding{Mask: theta.Mask()}
+	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
+		i := pm.First()
+		v := theta.Value(i)
+		tb.H[i] = e.objs.handleHeld(v, v.ID())
+	}
+	e.dispatch(sym, &tb)
+}
+
+// handleHeld is handle for an object whose death the caller positions
+// (DispatchHeld, and DispatchIDs with v nil): the record it adds is held,
+// so its ref, if any, is never asked.
+func (o *objects) handleHeld(v heap.Ref, id uint64) uint32 {
+	h, ok := o.find(id)
+	if !ok {
+		h = o.add(object{ref: v, id: id, held: true})
+	}
+	return h
 }

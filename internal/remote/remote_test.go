@@ -205,14 +205,8 @@ func recordVerdicts(spec *monitor.Spec, mu *sync.Mutex, into map[string][]string
 	}
 }
 
-// freer is the death-forwarding surface of the remote remote.
-type freer interface {
-	Free(ref heap.Ref)
-}
-
-// replayInto feeds a gstep trace into any backend. Local backends get a
-// Barrier before each death; the remote client gets an explicit Free (the
-// server barriers on its side).
+// replayInto feeds a gstep trace into any backend, positioning each death
+// with Free right before the kill.
 func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, prefix string) {
 	t.Helper()
 	objs := map[int]*heap.Object{}
@@ -224,15 +218,10 @@ func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, p
 		}
 		return v
 	}
-	f, isRemote := rt.(freer)
 	for _, st := range steps {
 		if st.sym < 0 {
 			o := get(st.objs[0])
-			if isRemote {
-				f.Free(o)
-			} else {
-				rt.Barrier()
-			}
+			rt.Free(o)
 			h.Free(o)
 			continue
 		}
@@ -397,12 +386,8 @@ func TestRemoteEquivalenceDaCapo(t *testing.T) {
 					t.Fatal(err)
 				}
 				h := heap.New()
-				if f, ok := rt.(freer); ok {
-					h.SetFreeHook(func(o *heap.Object) { f.Free(o) })
-					tr.Replay(h, sink, nil)
-				} else {
-					tr.Replay(h, sink, rt.Barrier)
-				}
+				h.SetFreeHook(func(o *heap.Object) { rt.Free(o) })
+				tr.Replay(h, sink)
 				rt.Flush()
 				st := rt.Stats()
 				rt.Close()

@@ -223,7 +223,8 @@ func (b *local) stallDispatch(sym int, ids []uint64) {
 // whose ALIVENESS formula depended on the objects, exactly as if a weak
 // reference had been cleared. IDs that never appeared in an event (dacapo
 // workloads free far more objects than any one property mentions) cost the
-// runtime nothing. Each freed ID sets its bit in the freed set, whether or
+// runtime one object-table miss (per shard, behind one batch record each).
+// Each freed ID sets its bit in the freed set, whether or
 // not an event mentioned it: an event naming the ID again is
 // use-after-free and must be refused. An ID named twice, in one Free or in
 // two, dies once.

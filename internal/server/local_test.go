@@ -151,33 +151,36 @@ func TestSessionTableHoldsLiveObjects(t *testing.T) {
 	}
 }
 
-// TestSessionIngestNoAlloc: a warm sequential session allocates nothing per
-// generation of fresh objects — create, next and update over a new
-// collection and iterator, then their free. The IDs go straight into the
-// engine's object table, whose records and θ-records recycle.
+// TestSessionIngestNoAlloc: a warm session, sequential or on two shards,
+// allocates nothing per generation of fresh objects — create, next and
+// update over a new collection and iterator, then their free. The IDs go
+// straight into the engines' object tables, whose records and θ-records
+// recycle; on shards they ride the batches' ID columns.
 func TestSessionIngestNoAlloc(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	b := openTestLocal(t, 1)
-	create, next, update := symOf(t, b, "create"), symOf(t, b, "next"), symOf(t, b, "update")
-	ci, i, c := make([]uint64, 2), make([]uint64, 1), make([]uint64, 1)
-	id := uint64(0)
-	generation := func() {
-		id += 2
-		ci[0], ci[1], i[0], c[0] = id, id+1, id+1, id
-		if b.Event(create, ci) != nil || b.Event(next, i) != nil || b.Event(update, c) != nil || b.Free(ci) != nil {
-			t.Fatal("session refused a fresh object")
+	for _, shards := range []uint64{1, 2} {
+		b := openTestLocal(t, shards)
+		create, next, update := symOf(t, b, "create"), symOf(t, b, "next"), symOf(t, b, "update")
+		ci, i, c := make([]uint64, 2), make([]uint64, 1), make([]uint64, 1)
+		id := uint64(0)
+		generation := func() {
+			id += 2
+			ci[0], ci[1], i[0], c[0] = id, id+1, id+1, id
+			if b.Event(create, ci) != nil || b.Event(next, i) != nil || b.Event(update, c) != nil || b.Free(ci) != nil {
+				t.Fatal("session refused a fresh object")
+			}
 		}
-	}
-	for range 20_000 {
-		generation()
-	}
-	if avg := testing.AllocsPerRun(4096, generation); avg != 0 {
-		t.Errorf("session generation allocates %.2f times, want 0", avg)
-	}
-	if st, _ := b.Stats(); st.Collected < 20_000 {
-		t.Fatalf("only %d monitors of 20 000+ dead generations collected: %+v", st.Collected, st)
+		for range 20_000 {
+			generation()
+		}
+		if avg := testing.AllocsPerRun(4096, generation); avg != 0 {
+			t.Errorf("%d shards: session generation allocates %.2f times, want 0", shards, avg)
+		}
+		if st, _ := b.Stats(); st.Collected < 20_000 {
+			t.Fatalf("%d shards: only %d monitors of 20 000+ dead generations collected: %+v", shards, st.Collected, st)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"rvgo/internal/heap"
 	"rvgo/internal/metrics"
@@ -27,35 +28,6 @@ func newRuntime(t testing.TB, spec *monitor.Spec, opts Options) *Runtime {
 		t.Fatal(err)
 	}
 	return rt
-}
-
-// TestViewReadsCallerRefFirst pins the order of the two loads in
-// view.Alive deterministically: a Free and the caller's kill land after
-// the first load and before the second. Reading the caller's ref first
-// then finds the state already held; reading the state first would pair a
-// stale "follow" with the kill and report a death the shard's stream has
-// not reached.
-func TestViewReadsCallerRefFirst(t *testing.T) {
-	r := &FlagRef{Ident: 1}
-	v := &view{inner: r}
-	r.peek = func() {
-		r.peek = nil
-		v.state.Store(viewHeld) // Free ...
-		r.dead.Store(true)      // ... and the kill right behind it
-	}
-	if !v.Alive() {
-		t.Fatal("a view reported dead with its free record still ahead of the worker")
-	}
-	if !v.Alive() {
-		t.Fatal("a held view must stay alive after the caller's kill")
-	}
-	v.state.Store(viewDead)
-	if v.Alive() {
-		t.Fatal("a view must be dead once its shard passed the free record")
-	}
-	if v.ID() != 1 || v.Label() != "f1" {
-		t.Fatalf("identity after death = %d %q, want 1 \"f1\"", v.ID(), v.Label())
-	}
 }
 
 // TestFreesRideTheBatch is the mailbox analogue of internal/remote's
@@ -118,7 +90,7 @@ func TestIdleProducerTimeliness(t *testing.T) {
 	}
 	select {
 	case v := <-verdict:
-		// The handler sees the caller's own ref, not the shard's view.
+		// The handler sees the caller's own ref.
 		if got := v.Inst.Value(0); got != heap.Ref(it) {
 			t.Errorf("verdict carries %T %v, want the caller's ref", got, got)
 		}
@@ -166,24 +138,31 @@ func TestVerdictAfterDeathKeepsIdentity(t *testing.T) {
 	}
 }
 
-// TestViewTableHygiene: the table holds an object from its first mention
-// to its Free — or, for an object that dies without one, to the next
-// Flush. An object no event mentioned never enters it.
-func TestViewTableHygiene(t *testing.T) {
+// TestObjectRecordHygiene: the shard engines hold an object from its first
+// mention to its free record. After the frees and a Flush the records are
+// exactly the live objects'; freeing an object no event mentioned leaves
+// nothing; a second free of an object dies once. The caller's kills change
+// nothing: only free records do.
+func TestObjectRecordHygiene(t *testing.T) {
 	spec := buildProp(t, "UnsafeIter")
 	rt := newRuntime(t, spec, Options{Options: monitor.Options{GC: monitor.GCCoenable}, Shards: 4})
 	defer rt.Close()
 	create, _ := spec.Symbol("create")
 	next, _ := spec.Symbol("next")
-	tableLen := func() int {
-		rt.tmu.Lock()
-		defer rt.tmu.Unlock()
-		return len(rt.views)
+	records := func() int {
+		rt.Flush()
+		n, dead := rt.ObjectRecords()
+		if dead != 0 {
+			t.Fatalf("%d dead object records after Flush", dead)
+		}
+		return n
 	}
 	h := heap.New()
-	rt.Free(h.Alloc("never mentioned"))
-	if n := tableLen(); n != 0 {
-		t.Fatalf("freeing an unmentioned object left %d table entries", n)
+	o := h.Alloc("never mentioned")
+	rt.Free(o)
+	h.Free(o)
+	if n := records(); n != 0 {
+		t.Fatalf("freeing an unmentioned object left %d object records", n)
 	}
 	var unfreed []*heap.Object
 	for k := 0; k < 500; k++ {
@@ -195,30 +174,38 @@ func TestViewTableHygiene(t *testing.T) {
 			rt.Free(it)
 			h.Free(c)
 			h.Free(it)
+			rt.Free(it) // a double free dies once
 		} else {
 			unfreed = append(unfreed, c, it)
 		}
 	}
-	if n := tableLen(); n != len(unfreed) {
-		t.Fatalf("%d table entries after the frees, want the %d objects still alive", n, len(unfreed))
+	// A live collection has a record on its pivot's shard; a live iterator
+	// on every shard, since next does not bind the pivot and broadcasts.
+	live := len(unfreed) / 2 * (1 + rt.Shards())
+	if n := records(); n != live {
+		t.Fatalf("%d object records after the frees, want the %d of the objects still alive", n, live)
 	}
-	// The old contract: barrier, then kill without telling the runtime.
-	rt.Barrier()
 	for _, o := range unfreed {
-		h.Free(o)
+		h.Free(o) // killed without a Free: the shards keep them
 	}
-	rt.Flush()
-	if n := tableLen(); n != 0 {
-		t.Fatalf("%d table entries after Flush, want 0", n)
+	if n := records(); n != live {
+		t.Fatalf("%d object records after kills without a Free, want %d", n, live)
+	}
+	for _, o := range unfreed {
+		rt.Free(o)
+	}
+	if n := records(); n != 0 {
+		t.Fatalf("%d object records after every Free, want 0", n)
 	}
 	if st := rt.Stats(); st.Created != 500 || st.Collected != 500 {
 		t.Errorf("settled %+v, want 500 monitors created and collected", st)
 	}
 }
 
-// TestDispatchNoAlloc: an event over objects the runtime has already seen
-// costs no allocation on the producer side (a first mention allocates the
-// object's one []view, and the table grows amortised).
+// TestDispatchNoAlloc: an event costs no allocation on the producer side or
+// in the workers, whether it mentions objects the runtime has seen or, each
+// time, a fresh object that is freed right after; the engines' tables and
+// slabs grow amortised and recycle.
 func TestDispatchNoAlloc(t *testing.T) {
 	spec := buildProp(t, "HasNext")
 	rt := newRuntime(t, spec, Options{Options: monitor.Options{GC: monitor.GCCoenable}, Shards: 2})
@@ -240,6 +227,33 @@ func TestDispatchNoAlloc(t *testing.T) {
 	rt.Barrier()
 	if avg := testing.AllocsPerRun(4096, dispatch); avg != 0 {
 		t.Errorf("Dispatch over known objects allocates %.1f times per event, want 0", avg)
+	}
+	const runs = 4096
+	fresh := make([]*heap.Object, 3*runs)
+	for i := range fresh {
+		fresh[i] = h.Alloc("f")
+	}
+	k = 0
+	firstMention := func() {
+		o := fresh[k]
+		k++
+		rt.Dispatch(hnT, param.Of(spec.Events[hnT].Params, o))
+		rt.Free(o)
+	}
+	for i := 0; i < runs; i++ { // the engines' tables reach their churn size
+		firstMention()
+	}
+	rt.Barrier()
+	if avg := testing.AllocsPerRun(runs, firstMention); avg != 0 {
+		t.Errorf("Dispatch of a fresh object and its Free allocate %.1f times per event, want 0", avg)
+	}
+}
+
+// TestBatchRecordLayout pins the size of a batch record: the instance plus
+// one word. IDs travel in the batch's column, not in the record.
+func TestBatchRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 152 {
+		t.Errorf("a batch record is %d B, want at most 152", n)
 	}
 }
 

@@ -90,9 +90,10 @@ func recordVerdicts(spec *monitor.Spec, into map[string][]string) func(monitor.V
 }
 
 // replayInto feeds a gstep trace into a backend, allocating fresh objects
-// labeled prefix+ordinal and barriering before every death so the backend
-// observes deaths at their trace positions. useTry exercises the
-// non-blocking path with a retry loop (order-preserving).
+// labeled prefix+ordinal and positioning every death with Free right
+// before the kill, so the backend observes deaths at their trace
+// positions. useTry exercises the non-blocking path with a retry loop
+// (order-preserving).
 func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, prefix string, useTry bool) {
 	t.Helper()
 	spec := rt.Spec()
@@ -108,8 +109,9 @@ func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, p
 	srt, _ := rt.(*shard.Runtime)
 	for _, st := range steps {
 		if st.sym < 0 {
-			rt.Barrier()
-			h.Free(get(st.objs[0]))
+			o := get(st.objs[0])
+			rt.Free(o)
+			h.Free(o)
 			continue
 		}
 		vals := make([]heap.Ref, len(st.objs))
@@ -284,7 +286,7 @@ func TestSweepScheduleIndependence(t *testing.T) {
 // TestShardEquivalenceDaCapo replays recorded DaCapo workload traces —
 // instrumentation events and object deaths in program order — through the
 // property adapters into both backends and requires identical verdicts and
-// counters.
+// counters. The heap's free hook positions every death with Free.
 func TestShardEquivalenceDaCapo(t *testing.T) {
 	benches := []struct {
 		name  string
@@ -331,7 +333,9 @@ func TestShardEquivalenceDaCapo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr.Replay(heap.New(), sink, rt.Barrier)
+				h := heap.New()
+				h.SetFreeHook(func(o *heap.Object) { rt.Free(o) })
+				tr.Replay(h, sink)
 				rt.Flush()
 				st := rt.Stats()
 				rt.Close()

@@ -22,13 +22,11 @@ func (rt *Runtime) Park() (release func()) {
 
 // FlagRef is a caller-owned Ref with a bare atomic death flag — what
 // internal/bench and trace.Replay hand the runtime, and kill themselves the
-// instant Free returns. peek, when set, runs inside Alive before the flag
-// is read: whatever it does lands in the middle of a liveness check.
+// instant Free returns.
 type FlagRef struct {
 	Ident uint64
 	Name  string
 	dead  atomic.Bool
-	peek  func()
 }
 
 func (r *FlagRef) ID() uint64 { return r.Ident }
@@ -39,9 +37,4 @@ func (r *FlagRef) Label() string {
 	}
 	return fmt.Sprintf("f%d", r.Ident)
 }
-func (r *FlagRef) Alive() bool {
-	if r.peek != nil {
-		r.peek()
-	}
-	return !r.dead.Load()
-}
+func (r *FlagRef) Alive() bool { return !r.dead.Load() }

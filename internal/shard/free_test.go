@@ -12,14 +12,13 @@ import (
 	"rvgo/internal/shard"
 )
 
-// execTraceFreeAsync is execTrace with deaths delivered as Free records
-// and the object — a caller-owned ref with a bare atomic flag, as in
-// internal/bench — killed the instant Free returns, instead of
-// Barrier-then-kill: the producer never stalls on a death, yet the
-// positioning contract promises the same per-slice event/death sequences —
-// and therefore identical results. With park the workers are held until
-// the producer has emitted, freed and killed everything: every liveness
-// check then happens after every kill, the worst case for a design that
+// execTraceFreeAsync is execTrace with the objects caller-owned refs with a
+// bare atomic flag, as in internal/bench, each killed the instant Free
+// returns: the producer never stalls on a death, yet the positioning
+// contract promises the same per-slice event/death sequences — and
+// therefore identical results. With park the workers are held until the
+// producer has emitted, freed and killed everything: every event then
+// reaches a worker after every kill, the worst case for a design that
 // reads the caller's liveness behind the record. With byID the objects are
 // named by ID alone, as a server session names them: events through
 // DispatchIDs, deaths through FreeIDs, and no ref to kill.
@@ -102,11 +101,11 @@ func execTraceFreeAsync(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, s
 }
 
 // TestFreeAsyncEquivalence: random traces with mid-trace deaths produce
-// the same per-slice verdict sequences and settled counters whether deaths
-// ride the synchronous Barrier-then-kill path, pipelined Free records
-// (killed at once) or, with the objects named by ID, FreeIDs records, on
-// the sequential engine and on 1/2/4/8 shards, under all three GC
-// policies.
+// the same per-slice verdict sequences and settled counters on the
+// sequential engine's heap objects and on pipelined Free records (each
+// object killed at once) or, with the objects named by ID, FreeIDs
+// records, on the sequential engine and on 1/2/4/8 shards, under all three
+// GC policies.
 func TestFreeAsyncEquivalence(t *testing.T) {
 	gcs := []monitor.GCPolicy{monitor.GCNone, monitor.GCAllDead, monitor.GCCoenable}
 	propsUnder := []string{"HasNext", "UnsafeIter", "UnsafeMapIter"}
@@ -165,8 +164,8 @@ func TestKillRightAfterFree(t *testing.T) {
 
 // TestKillRightAfterFreeStress is the same contract at full speed, the
 // workers racing the producer's kills through every batch trigger: a death
-// must never be seen early (view.Alive's read order) nor late. Run it
-// under -race -count=20.
+// must never be seen early (before the shard's free record) nor late. Run
+// it under -race -count=20.
 func TestKillRightAfterFreeStress(t *testing.T) {
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {

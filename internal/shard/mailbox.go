@@ -8,23 +8,37 @@ import (
 	"rvgo/internal/param"
 )
 
-// event is one record in flight to a shard: a parametric event over the
-// shard's views, or — free non-nil — an object death, the point in the
-// shard's stream at which that view dies.
+// event is one record of a shard batch: a parametric event over the
+// caller's own refs (at == refs), a parametric event over objects named by
+// ID, or — sym == freeSym — an object death, the point in the shard's
+// stream at which its engine applies it. The IDs of the last two sit in
+// the batch's ID column from index at on: the event's D(sym) of them, a
+// death's one. Keeping them out of the record keeps the record at the
+// instance plus one word, whatever the entry.
 type event struct {
-	sym  int
+	sym  int32
+	at   int32
 	inst param.Instance
-	free *view
+}
+
+const (
+	freeSym int32 = -1 // the sym of a free record
+	refs    int32 = -1 // the at of an event over the caller's refs
+)
+
+// batch is one mailbox batch: the records in stream order and the ID
+// column they index.
+type batch struct {
+	recs []event
+	ids  []uint64
 }
 
 // message is one mailbox element: a batch of records, or a control request
 // executed by the worker between batches (stats snapshots, flushes,
 // barriers). Both ride the same FIFO, so by the time a control request
-// executes, every record enqueued before it has been processed. Batches
-// travel as *[]event so the pool round-trip reuses one boxed header
-// instead of re-boxing the slice into an interface on every Get/Put.
+// executes, every record enqueued before it has been processed.
 type message struct {
-	batch *[]event
+	batch *batch
 	ctl   func(*monitor.Engine)
 	done  chan<- struct{}
 }
@@ -32,21 +46,20 @@ type message struct {
 // batchPool recycles record batches between producers and workers without
 // taking any worker lock (a worker must never need a producer-side lock to
 // make progress, or a blocking Dispatch holding that lock would deadlock).
-var batchPool = sync.Pool{New: func() any { return new([]event) }}
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
-func getBatch(capHint int) *[]event {
-	p := batchPool.Get().(*[]event)
-	if cap(*p) < capHint {
-		*p = make([]event, 0, capHint)
+func getBatch(capHint int) *batch {
+	b := batchPool.Get().(*batch)
+	if cap(b.recs) < capHint {
+		b.recs = make([]event, 0, capHint)
 	}
-	*p = (*p)[:0]
-	return p
+	return b
 }
 
-func putBatch(p *[]event) {
-	clear(*p)
-	*p = (*p)[:0]
-	batchPool.Put(p)
+func putBatch(b *batch) {
+	clear(b.recs)
+	b.recs, b.ids = b.recs[:0], b.ids[:0]
+	batchPool.Put(b)
 }
 
 // worker is one shard: a single-threaded monitor.Engine behind a bounded
@@ -58,7 +71,7 @@ type worker struct {
 	idx     int
 	eng     *monitor.Engine
 	mu      sync.Mutex
-	pending *[]event // open batch, always len < batchSize outside mu
+	pending *batch // open batch, always len(recs) < batchSize outside mu
 	mailbox chan message
 	stopped bool // under mu: the mailbox is closed
 	batchSz int
@@ -69,26 +82,32 @@ type worker struct {
 }
 
 // run is the shard goroutine: drain batches in FIFO order, execute control
-// requests in between. A free record kills this shard's view of the object
-// and nothing else, so the death takes effect between exactly the records
-// the producer put it between.
+// requests in between. Its engine holds the objects of ref events without
+// asking them whether they live; a free record kills the object in this
+// engine only, so the death takes effect between exactly the records the
+// producer put it between, and no worker waits for another.
 func (w *worker) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer w.metDepth.Set(0) // a stopped worker has no backlog
+	events := w.eng.Spec().Events
 	for msg := range w.mailbox {
 		if msg.ctl != nil {
 			msg.ctl(w.eng)
 			close(msg.done)
 			continue
 		}
-		for _, ev := range *msg.batch {
-			if ev.free != nil {
-				ev.free.state.Store(viewDead)
-				continue
+		b := msg.batch
+		for _, ev := range b.recs {
+			switch {
+			case ev.at == refs:
+				w.eng.DispatchHeld(int(ev.sym), ev.inst)
+			case ev.sym == freeSym:
+				w.eng.FreeIDs(b.ids[ev.at : ev.at+1])
+			default:
+				w.eng.DispatchIDs(int(ev.sym), b.ids[ev.at:int(ev.at)+events[ev.sym].Params.Count()])
 			}
-			w.eng.Dispatch(ev.sym, ev.inst)
 		}
-		putBatch(msg.batch)
+		putBatch(b)
 		w.metDepth.Set(int64(len(w.mailbox)))
 	}
 }
@@ -97,7 +116,7 @@ func (w *worker) run(wg *sync.WaitGroup) {
 // the backpressure) and starts a fresh one, recording the batch shape and
 // the post-send backlog. Callers hold mu.
 func (w *worker) ship() {
-	n := len(*w.pending)
+	n := len(w.pending.recs)
 	w.mailbox <- message{batch: w.pending}
 	w.pending = getBatch(w.batchSz)
 	w.metBatches.Inc()
@@ -109,9 +128,9 @@ func (w *worker) ship() {
 // mailbox when it fills. The mailbox send blocks while holding mu — that is
 // the backpressure: further producers queue on the mutex until the worker
 // drains a batch.
-func (w *worker) enqueue(ev event) {
+func (w *worker) enqueue(ev event, ids []uint64) {
 	w.mu.Lock()
-	w.enqueueLocked(ev)
+	w.enqueueLocked(ev, ids)
 	w.mu.Unlock()
 }
 
@@ -119,14 +138,20 @@ func (w *worker) enqueue(ev event) {
 // the open batch has room to spare, or the mailbox can take the filled
 // batch. Callers must hold mu.
 func (w *worker) canAccept() bool {
-	return len(*w.pending)+1 < w.batchSz || len(w.mailbox) < cap(w.mailbox)
+	return len(w.pending.recs)+1 < w.batchSz || len(w.mailbox) < cap(w.mailbox)
 }
 
 // enqueueLocked is enqueue for callers already holding mu (after a
-// positive canAccept the mailbox send is guaranteed not to block).
-func (w *worker) enqueueLocked(ev event) {
-	*w.pending = append(*w.pending, ev)
-	if len(*w.pending) >= w.batchSz {
+// positive canAccept the mailbox send is guaranteed not to block). A record
+// whose at is not refs gets ids appended to the batch's ID column.
+func (w *worker) enqueueLocked(ev event, ids []uint64) {
+	b := w.pending
+	if ev.at != refs {
+		ev.at = int32(len(b.ids))
+		b.ids = append(b.ids, ids...)
+	}
+	b.recs = append(b.recs, ev)
+	if len(b.recs) >= w.batchSz {
 		w.ship()
 	}
 }
@@ -134,7 +159,7 @@ func (w *worker) enqueueLocked(ev event) {
 // flushLocked ships the open batch even if partially filled; callers hold
 // mu.
 func (w *worker) flushLocked() {
-	if len(*w.pending) > 0 {
+	if len(w.pending.recs) > 0 {
 		w.ship()
 	}
 }

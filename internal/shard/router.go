@@ -35,8 +35,10 @@ import (
 // shard k's seen-records contain every record the guard consults.
 type Router struct {
 	shards int
-	pivot  int    // parameter index, or -1 when unshardable (single shard)
-	binds  []bool // per symbol: does D(sym) contain the pivot?
+	pivot  int // parameter index, or -1 when unshardable (single shard)
+	// at is, per symbol, the pivot's position among D(sym)'s parameters in
+	// ascending order, or -1 when D(sym) does not contain the pivot.
+	at []int
 }
 
 // NewRouter analyzes the spec and selects the pivot parameter. Candidate
@@ -75,9 +77,12 @@ func NewRouter(spec *monitor.Spec, shards int) (*Router, error) {
 	if pivot < 0 {
 		shards = 1
 	}
-	r := &Router{shards: shards, pivot: pivot, binds: make([]bool, len(spec.Events))}
+	r := &Router{shards: shards, pivot: pivot, at: make([]int, len(spec.Events))}
 	for sym, ev := range spec.Events {
-		r.binds[sym] = pivot >= 0 && ev.Params.Has(pivot)
+		r.at[sym] = -1
+		if pivot >= 0 && ev.Params.Has(pivot) {
+			r.at[sym] = (ev.Params & (1<<uint(pivot) - 1)).Count()
+		}
 	}
 	return r, nil
 }
@@ -93,13 +98,23 @@ func (r *Router) Pivot() int { return r.pivot }
 // Route returns the target shard for an event, or broadcast=true when the
 // event must go to every shard (it does not bind the pivot).
 func (r *Router) Route(sym int, theta param.Instance) (target int, broadcast bool) {
+	var id uint64
+	if r.shards > 1 && r.at[sym] >= 0 {
+		id = theta.Value(r.pivot).ID()
+	}
+	return r.route(sym, id)
+}
+
+// route is Route given the ID of the event's pivot object; id is ignored
+// when D(sym) does not bind the pivot.
+func (r *Router) route(sym int, id uint64) (target int, broadcast bool) {
 	if r.shards == 1 {
 		return 0, false
 	}
-	if !r.binds[sym] {
+	if r.at[sym] < 0 {
 		return 0, true
 	}
-	return int(mix(theta.Value(r.pivot).ID()) % uint64(r.shards)), false
+	return int(mix(id) % uint64(r.shards)), false
 }
 
 // Mix exposes the router's ID-mixing function. Replay drivers that

@@ -34,30 +34,27 @@
 // its own θ-table, so on some streams they can differ. PeakLive sums
 // per-shard peaks, an upper bound on the global peak.
 //
-// Death positioning. Liveness is read when an event is processed, not when
-// it is dispatched, and callers kill an object the instant Free returns —
-// so the engines are never handed the caller's refs. The producer keeps a
-// table from object ID to one liveness view per shard (see view), entered
-// at the object's first mention, and every record carries the target
-// shard's views. Free(ref) holds the object's views alive, drops the
-// table entry and appends one free record to every shard's open batch: an
-// ordinary record — no barrier, no flush, no mailbox send of its own. A
-// worker reaching the record kills its own view only, so each shard
-// observes the death between exactly the records the producer put it
-// between, and no worker ever waits for another. An object no event
-// mentioned has no entry and costs no record. Verdict handlers receive
-// instances over the caller's own refs. A caller that names objects by ID
-// (DispatchIDs, FreeIDs: a server session) has no refs: its objects' views
-// are held from the first mention, and their free records are the only
-// deaths; its verdicts carry the views, which report the IDs.
+// Death positioning. Each shard engine holds the caller's own refs as held
+// records (monitor.Engine.DispatchHeld): it never asks a ref whether its
+// object lives. Free(ref) appends one free record carrying the object's ID
+// to every shard's open batch: an ordinary record — no barrier, no flush,
+// no mailbox send of its own — and returns, so the caller may kill the
+// object at once. A worker reaching the record kills the object in its own
+// engine only (monitor.Engine.FreeIDs), so each shard observes the death
+// between exactly the records the producer put it between, and no worker
+// ever waits for another: one liveness bit shared by all shards would let
+// shard B see the death as soon as shard A passed its record, ahead of
+// events B has yet to process. A shard whose engine never met the object
+// skips the record. The producer keeps no per-object state; verdict
+// handlers receive instances over the caller's own refs, which the engines'
+// object tables hold for as long as any θ binds them. A caller that names
+// objects by ID (DispatchIDs, FreeIDs: a server session) is handled alike;
+// its verdicts carry refs that report the IDs.
 //
-// An object killed without a Free is seen dead when its ref says so (the
-// views follow it): a death racing the mailboxes can then be observed by
-// queued events that preceded it. That only ever collects monitors earlier —
-// but verdicts still in flight at death time can be suppressed with them.
-// Barrier before such a kill, or keep the object alive until its events are
-// processed (the natural contract with real weak references). The table
-// entries of such objects are dropped at Flush.
+// The free record is an object's only death: a shard never sees an object
+// die that was killed without a Free, and keeps its monitors as though it
+// lived. Free before the kill (the call never waits), as every death source
+// with refs in this module does.
 package shard
 
 import (
@@ -109,10 +106,6 @@ type Runtime struct {
 	broadcasts *metrics.Counter
 	refusals   *metrics.Counter
 	vmu        sync.Mutex // serializes OnVerdict across shards
-	// views maps an object ID to its per-shard liveness views, from the
-	// object's first mention to its Free (see view); tmu guards it.
-	tmu   sync.Mutex
-	views map[uint64][]view
 	// The linger deadline: one timer for all shards, re-armed by the first
 	// record enqueued after it last fired.
 	timer  *time.Timer
@@ -146,7 +139,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{spec: spec, router: router, views: map[uint64][]view{}}
+	rt := &Runtime{spec: spec, router: router}
 	var shardMet *metrics.ShardSeries
 	if opts.MetricsRegistry != nil {
 		label := opts.MetricsLabel
@@ -160,7 +153,6 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	engOpts := opts.Options
 	if user := opts.OnVerdict; user != nil {
 		engOpts.OnVerdict = func(v monitor.Verdict) {
-			v.Inst = unview(v.Inst)
 			rt.vmu.Lock()
 			defer rt.vmu.Unlock()
 			user(v)
@@ -226,16 +218,17 @@ func (rt *Runtime) Shards() int { return len(rt.workers) }
 // unshardable.
 func (rt *Runtime) Pivot() int { return rt.router.Pivot() }
 
-// dispatch routes one event over the instance and views the lookup found:
-// the body Dispatch and DispatchIDs share.
-func (rt *Runtime) dispatch(sym int, theta param.Instance, vs *objViews) {
+// dispatch enqueues one event record (see enqueueLocked for ids) on the
+// shard Route chose or, broadcast, on every shard: the body Dispatch and
+// DispatchIDs share.
+func (rt *Runtime) dispatch(target int, broadcast bool, ev event, ids []uint64) {
 	rt.events.Add(1)
-	if target, broadcast := rt.router.Route(sym, theta); !broadcast {
-		rt.workers[target].enqueue(event{sym: sym, inst: vs.seenBy(target, theta)})
+	if !broadcast {
+		rt.workers[target].enqueue(ev, ids)
 	} else {
 		rt.broadcasts.Inc()
-		for i, w := range rt.workers {
-			w.enqueue(event{sym: sym, inst: vs.seenBy(i, theta)})
+		for _, w := range rt.workers {
+			w.enqueue(ev, ids)
 		}
 	}
 	rt.arm()
@@ -248,8 +241,33 @@ func (rt *Runtime) dispatch(sym int, theta param.Instance, vs *objViews) {
 // diagnosable message rather than corrupting the shut-down mailboxes.
 func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
 	rt.checkOpen()
-	vs := rt.lookup(theta)
-	rt.dispatch(sym, theta, &vs)
+	target, broadcast := rt.router.Route(sym, theta)
+	rt.dispatch(target, broadcast, event{sym: int32(sym), at: refs, inst: theta}, nil)
+}
+
+// DispatchIDs is Dispatch for a caller that names objects by ID (a server
+// session): ids bind D(sym) in ascending parameter-index order, and a wrong
+// arity panics. The event is routed by the pivot's ID; each shard engine
+// that gets it keeps the IDs as held records, which die only at the free
+// records FreeIDs positions. One runtime takes its objects through one of
+// the two entries.
+func (rt *Runtime) DispatchIDs(sym int, ids []uint64) {
+	rt.checkOpen()
+	target, broadcast := rt.routeIDs(sym, ids)
+	rt.dispatch(target, broadcast, event{sym: int32(sym)}, ids)
+}
+
+// routeIDs is Route for an event whose objects ids names, after the arity
+// check a worker could only make by panicking.
+func (rt *Runtime) routeIDs(sym int, ids []uint64) (target int, broadcast bool) {
+	if rt.spec.Events[sym].Params.Count() != len(ids) {
+		panic("shard: DispatchIDs arity mismatch")
+	}
+	var id uint64
+	if at := rt.router.at[sym]; at >= 0 {
+		id = ids[at]
+	}
+	return rt.router.route(sym, id)
 }
 
 // QueueDepths returns each shard mailbox's current length in batches. The
@@ -265,14 +283,13 @@ func (rt *Runtime) QueueDepths() []int {
 
 // tryDispatch is dispatch without blocking: the body TryDispatch and
 // TryDispatchIDs share.
-func (rt *Runtime) tryDispatch(sym int, theta param.Instance, vs *objViews) bool {
-	target, broadcast := rt.router.Route(sym, theta)
+func (rt *Runtime) tryDispatch(target int, broadcast bool, ev event, ids []uint64) bool {
 	if !broadcast {
 		w := rt.workers[target]
 		w.mu.Lock()
 		ok := w.canAccept()
 		if ok {
-			w.enqueueLocked(event{sym: sym, inst: vs.seenBy(target, theta)})
+			w.enqueueLocked(ev, ids)
 		}
 		w.mu.Unlock()
 		if ok {
@@ -297,8 +314,8 @@ func (rt *Runtime) tryDispatch(sym int, theta param.Instance, vs *objViews) bool
 		}
 	}
 	if ok {
-		for i, w := range rt.workers {
-			w.enqueueLocked(event{sym: sym, inst: vs.seenBy(i, theta)})
+		for _, w := range rt.workers {
+			w.enqueueLocked(ev, ids)
 		}
 	}
 	for i := len(rt.workers) - 1; i >= 0; i-- {
@@ -321,33 +338,43 @@ func (rt *Runtime) tryDispatch(sym int, theta param.Instance, vs *objViews) bool
 // preserve their own per-slice ordering.
 func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
 	rt.checkOpen()
-	vs := rt.lookup(theta)
-	return rt.tryDispatch(sym, theta, &vs)
+	target, broadcast := rt.router.Route(sym, theta)
+	return rt.tryDispatch(target, broadcast, event{sym: int32(sym), at: refs, inst: theta}, nil)
+}
+
+// TryDispatchIDs is the non-blocking DispatchIDs, refusing as TryDispatch
+// does.
+func (rt *Runtime) TryDispatchIDs(sym int, ids []uint64) bool {
+	rt.checkOpen()
+	target, broadcast := rt.routeIDs(sym, ids)
+	return rt.tryDispatch(target, broadcast, event{sym: int32(sym)}, ids)
 }
 
 // Free implements monitor.Runtime: the object's death becomes one record
 // in every shard's open batch, positioned behind every event dispatched
 // before the call, and the call returns — the producer never waits for a
-// worker. The object's views are held alive first, so the caller may kill
-// it at once: the events ahead of the record still observe it alive, and
-// each shard sees the death when its worker reaches the record. An object
-// no event mentioned concerns no monitor and costs nothing. After Close it
-// is a silent no-op.
-func (rt *Runtime) Free(ref heap.Ref) { rt.free(ref.ID()) }
+// worker. The engines never ask the ref, so the caller may kill the object
+// at once: the events ahead of the record still find it alive, and each
+// shard sees the death when its worker reaches the record. A shard whose
+// engine never met the object skips it, and a second Free of the object
+// changes nothing. After Close it is a silent no-op.
+func (rt *Runtime) Free(ref heap.Ref) {
+	id := [1]uint64{ref.ID()}
+	rt.FreeIDs(id[:])
+}
 
-// free positions the death of the object id names: the body Free and
-// FreeIDs share.
-func (rt *Runtime) free(id uint64) {
-	if rt.closed {
+// FreeIDs is Free for objects named by ID: each death becomes one record in
+// every shard's open batch, at this point of the stream.
+func (rt *Runtime) FreeIDs(ids []uint64) {
+	if rt.closed || len(ids) == 0 {
 		return
 	}
-	ov := rt.hold(id)
-	for k := range ov {
-		rt.workers[k].enqueue(event{free: &ov[k]})
+	for k := range ids {
+		for _, w := range rt.workers {
+			w.enqueue(event{sym: freeSym}, ids[k:k+1])
+		}
 	}
-	if ov != nil {
-		rt.arm()
-	}
+	rt.arm()
 }
 
 // checkOpen panics when the runtime has been closed. The check is
@@ -385,11 +412,10 @@ func (rt *Runtime) Barrier() {
 }
 
 // Flush implements monitor.Runtime: a barrier followed by a full
-// expunge/compaction pass on every shard, so the merged counters settle,
-// and on the view table. After Close it is a no-op (Close flushes).
+// expunge/compaction pass on every shard, so the merged counters settle.
+// After Close it is a no-op (Close flushes).
 func (rt *Runtime) Flush() {
 	rt.ctlAll(func(_ int, e *monitor.Engine) { e.Flush() })
-	rt.sweep()
 }
 
 // Stats implements monitor.Runtime: per-shard counters are snapshotted by

@@ -117,9 +117,11 @@ func WithCreationProfile(p *CreationProfile) Option {
 
 // WithShards selects the backend shape: 1 is the sequential engine
 // (also the local default when the option is omitted), n > 1 the sharded
-// concurrent runtime with n worker engines. Combined with WithRemote it
-// sizes the server-side backend of the session instead; there, omitting
-// the option leaves the choice to the server's configured default.
+// concurrent runtime with n worker engines, whose only object deaths are
+// Free/FreeAsync calls, as on the wire: an object killed without one stays
+// alive there. Combined with WithRemote it sizes the server-side backend
+// of the session instead; there, omitting the option leaves the choice to
+// the server's configured default.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -457,7 +459,8 @@ func (m *Monitor) Dispatch(sym int, theta Instance) { m.rt.Dispatch(sym, theta) 
 // stream (nothing at all on the sequential engine, a batch record on the
 // sharded runtime, a free frame on the wire). This is the death signal
 // that drives monitor GC when no real garbage collector is involved
-// (trace replay, simulated heaps, remote sessions).
+// (trace replay, simulated heaps, remote sessions), and on the sharded
+// runtime the only one.
 func (m *Monitor) Free(refs ...Ref) {
 	for _, ref := range refs {
 		m.rt.Free(ref)
