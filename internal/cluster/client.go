@@ -2,8 +2,9 @@
 // is internal/remote's client with a different sink: the same ref-level
 // Front (spec, remote-ID table, verdict reconstruction, shutdown state),
 // over a fanout — which does the pivot routing, broadcast and verdict
-// merging — where the remote Client has one wire.Producer. This is what
-// rvgo.WithCluster wraps.
+// merging — where the remote Client has one wire.Producer. Its lanes are
+// the slots: an entry of the Front's table goes once every slot has
+// released the object. This is what rvgo.WithCluster wraps.
 package cluster
 
 import (
@@ -79,10 +80,12 @@ func Open(opts Options) (*Client, error) {
 		logf:      opts.Logf,
 		met:       opts.Metrics,
 		onVerdict: front.DeliverVerdict, // the fanout serializes deliveries
+		onRelease: front.Release,
 	})
 	if err != nil {
 		return nil, err
 	}
+	front.SetLanes(f.Lanes())
 	return &Client{Front: front, f: f}, nil
 }
 
@@ -102,6 +105,7 @@ func (c *Client) Dispatch(sym int, theta param.Instance) {
 // backend's stream before applying it.
 func (c *Client) Free(ref heap.Ref) {
 	id := [1]uint64{ref.ID()}
+	c.Arm(id[0])
 	c.f.Free(id[:])
 }
 

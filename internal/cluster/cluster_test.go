@@ -188,7 +188,7 @@ func (sc *stubConn) send(f func(*wire.Writer) error) {
 
 // helloAck is the HelloAck a node compiling spec answers with.
 func helloAck(spec *monitor.Spec, window uint64) wire.HelloAck {
-	ack := wire.HelloAck{Window: window, SpecName: spec.Name, Params: spec.Params}
+	ack := wire.HelloAck{Window: window, Lanes: 1, SpecName: spec.Name, Params: spec.Params}
 	for _, ev := range spec.Events {
 		ack.Events = append(ack.Events, wire.EventDef{Name: ev.Name, Params: uint64(ev.Params)})
 	}

@@ -24,6 +24,18 @@
 // end-to-end determinism audit on every rebalance. The journal is the
 // durability story and its cost: memory grows with the stream, the price
 // of being able to reconstruct any slot on any node at any time.
+//
+// Lanes. Each slot is one lane of the upstream session (see wire's
+// Releases): its node session runs one engine, which releases a freed ID
+// once it holds no record of the object, and the fanout forwards the
+// release upstream with the slot as the lane — to the cluster Client's
+// ref table, or as a Release frame on a Router's session. A handoff replay
+// runs the slot's frees again, so the new engine releases some IDs a second
+// time; the slot's lane already released them upstream, and a client
+// ignores a lane that has, so a repeat is a no-op and needs no counting.
+// Releases are not verdicts: they never count toward the handoff Skip. Past
+// wire.MaxReleaseLanes slots the client tracks no lanes and keeps its refs
+// until Close; a Router's session then writes no Release frames.
 package cluster
 
 import (
@@ -63,6 +75,9 @@ type fanoutConfig struct {
 
 	// onVerdict receives merged verdicts; invocations are serialized.
 	onVerdict func(wire.Verdict)
+	// onRelease receives each slot's releases with the slot as the lane,
+	// serialized with onVerdict.
+	onRelease func(lane int, ids []uint64)
 	// onHandoff is invoked after each completed slot move with the number
 	// of journal records replayed (nil ok).
 	onHandoff func(records int)
@@ -206,8 +221,10 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 	return f, nil
 }
 
-// openSlot opens a fresh session for slot i on addr, wiring the verdict
-// and failure callbacks.
+// openSlot opens a fresh session for slot i on addr, wiring the verdict,
+// release and failure callbacks. A release is not a verdict: it does not
+// count toward the handoff Skip, and the repeats a handoff replay sends
+// are no-ops upstream (the slot's lane already released the IDs).
 func (f *fanout) openSlot(i int, addr string) (*link, error) {
 	onVerdict := func(v wire.Verdict) {
 		// Count, then deliver, both inside the reader's synchronous
@@ -221,14 +238,22 @@ func (f *fanout) openSlot(i int, addr string) (*link, error) {
 		f.cfg.onVerdict(v)
 		f.vmu.Unlock()
 	}
+	onRelease := func(r wire.Release) {
+		f.vmu.Lock()
+		f.cfg.onRelease(i, r.IDs)
+		f.vmu.Unlock()
+	}
 	onDown := func() {
 		// Reader goroutine; repair needs the fanout lock, so detach. If an
 		// operation is already stuck on this link it repairs inline first
 		// and this pass finds nothing dirty.
 		go f.repair()
 	}
-	return openLink(f.cfg.dial, addr, f.routerID, i, f.spec, f.hello, onVerdict, onDown)
+	return openLink(f.cfg.dial, addr, f.routerID, i, f.spec, f.hello, onVerdict, onRelease, onDown)
 }
+
+// Lanes is the number of lanes whose releases the fanout reports: its slots.
+func (f *fanout) Lanes() int { return len(f.slots) }
 
 // repair re-homes dead slots from the background failure path.
 func (f *fanout) repair() {

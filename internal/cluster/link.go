@@ -30,11 +30,12 @@ type link struct {
 }
 
 // openLink dials a node, marks the session with a NodeHello, and runs the
-// ordinary Hello handshake, verifying the node compiled the same spec.
-// onVerdict runs on the link's reader goroutine and must not call back;
-// onDown is invoked once if the session dies with an error.
+// ordinary Hello handshake, verifying the node compiled the same spec and
+// runs the slot on one engine — one lane, whose releases are the slot's.
+// onVerdict and onRelease run on the link's reader goroutine and must not
+// call back; onDown is invoked once if the session dies with an error.
 func openLink(dial func(string) (net.Conn, error), addr string, router uint64, slot int,
-	spec *monitor.Spec, hello wire.Hello, onVerdict func(wire.Verdict), onDown func()) (*link, error) {
+	spec *monitor.Spec, hello wire.Hello, onVerdict func(wire.Verdict), onRelease func(wire.Release), onDown func()) (*link, error) {
 	conn, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %s: %w", addr, err)
@@ -44,13 +45,15 @@ func openLink(dial func(string) (net.Conn, error), addr string, router uint64, s
 	if err == nil {
 		if err = remote.VerifyAck(spec, ack); err != nil {
 			err = fmt.Errorf("cluster: node %s: %w", addr, err)
+		} else if ack.Lanes != 1 {
+			err = fmt.Errorf("cluster: node %s runs the slot session on %d lanes, want 1", addr, ack.Lanes)
 		}
 	}
 	if err != nil {
 		l.p.Close()
 		return nil, err
 	}
-	l.p.Start(onVerdict, onDown)
+	l.p.Start(onVerdict, onRelease, onDown)
 	return l, nil
 }
 

@@ -207,7 +207,9 @@ func TestLargeFreeCluster(t *testing.T) {
 // through the fanout: the ID vector the shared front gathers reaches the
 // fanout by a concrete call, so neither a pivot-routed event (create) nor
 // a broadcast one (next, copied into all 16 slot journals) allocates per
-// event — journal chunks amortize to nothing.
+// event — journal chunks amortize to nothing — and neither does a fresh
+// pair's stay in the table: its event, its frees (broadcast) and the 16
+// slots' releases, handed to the Front as the links would.
 func TestClusterDispatchNoAlloc(t *testing.T) {
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {
@@ -256,5 +258,29 @@ func TestClusterDispatchNoAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(2000, func() { c.Dispatch(ev.sym, ev.theta) }); n != 0 {
 			t.Errorf("%s Dispatch allocates %v objects per event, want 0", ev.name, n)
 		}
+	}
+
+	const runs = 2000
+	fresh := make([]*heap.Object, 2*(runs+1))
+	for k := range fresh {
+		fresh[k] = h.Alloc("o")
+	}
+	next := 0
+	generation := func() {
+		col, it := fresh[next], fresh[next+1]
+		next += 2
+		c.Dispatch(0, param.Of(spec.Events[0].Params, col, it))
+		c.Free(col)
+		c.Free(it)
+		ids := [2]uint64{col.ID(), it.ID()}
+		for slot := range 16 {
+			c.Release(slot, ids[:])
+		}
+	}
+	if n := testing.AllocsPerRun(runs, generation); n != 0 {
+		t.Errorf("a fresh pair's event, frees and releases allocate %v objects, want 0", n)
+	}
+	if n := c.HeldRefs(); n != 2 {
+		t.Errorf("the table holds %d refs after the released generations, want the first pair's 2", n)
 	}
 }

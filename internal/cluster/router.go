@@ -12,6 +12,10 @@
 // after the fanout has placed the event — which for a broadcast means
 // every slot granted a credit. One refusing node therefore stalls the
 // upstream producer exactly as a slow single server would.
+//
+// Releases pass through the same way: the session's HelloAck announces
+// one lane per slot, and each slot's releases go upstream as Release
+// frames under the slot's lane.
 package cluster
 
 import (
@@ -221,6 +225,7 @@ func (r *Router) open(s *server.Session) (server.Backend, error) {
 		// IDs pass through untouched: the nodes echo the very IDs the
 		// upstream client chose, so no translation table is needed.
 		onVerdict: s.Verdict,
+		onRelease: func(lane int, ids []uint64) { s.Release(lane, ids...) },
 		onHandoff: func(records int) {
 			r.handoffs.Add(1)
 			r.handoffRecords.Add(uint64(records))

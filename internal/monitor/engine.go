@@ -273,8 +273,13 @@ type Engine struct {
 	// whichever representation the blueprint uses. It only advances on
 	// propositional events (D(e) = ∅) and is the progenitor state for
 	// instances created from ⊥.
-	botWord  uint32
-	botState logic.State
+	botWord uint32
+	// allParams is the maximal instance domain (the union of every event's
+	// parameter set — by union closure the unique maximal element of
+	// domains). It sits beside botWord, in that word's padding: the struct
+	// stays within its allocation size class.
+	allParams param.Set
+	botState  logic.State
 
 	// intern is the θ-table: every θ the engine touches resolves to one
 	// slab slot, whose handle is the instance's identity (monitor records
@@ -323,10 +328,7 @@ type Engine struct {
 	period    int
 	sweepGoal int
 
-	// allParams is the maximal instance domain (the union of every event's
-	// parameter set — by union closure the unique maximal element of
-	// domains); profGuards/prof are Options.ProfileGuards/Profile.
-	allParams  param.Set
+	// profGuards/prof are Options.ProfileGuards/Profile.
 	profGuards []bool
 	prof       *CreationProfile
 
@@ -349,6 +351,10 @@ type Engine struct {
 	pendAdd  []arena.Handle
 	visitBuf []index.Handle
 	thBuf    []arena.Handle
+
+	// onRelease receives the IDs of freed objects the object table let go
+	// of (SetOnRelease); nil unless a server session set it.
+	onRelease func(id uint64)
 }
 
 // domain is one instance domain R with the two things kept per domain.
@@ -1255,7 +1261,7 @@ func (e *Engine) sweep() {
 	for i := range e.domains {
 		e.domains[i].all.CompactWith(e, e.deadParam)
 	}
-	e.objs.drop()
+	e.objs.drop(e.onRelease)
 	n := e.intern.Len()
 	e.sweepGoal = max(2*n, minSweepGoal)
 	if e.opts.SweepInterval <= 0 {

@@ -189,30 +189,38 @@ func (o *objects) unpin(b *param.Binding) {
 
 // drop releases the records no θ-record binds whose objects are dead: such
 // an object can never recur in an event, so nothing will look it up again.
-func (o *objects) drop() {
+// Each dropped ID goes to onRelease, if set.
+func (o *objects) drop(onRelease func(uint64)) {
 	for h := range o.recs {
 		r := &o.recs[h]
 		if !r.inUse() || r.pins != 0 || !r.dead {
 			continue
 		}
-		o.idx.Delete(o.hash(r.id), uint32(h)+1, o.rehash)
+		id := r.id
+		o.idx.Delete(o.hash(id), uint32(h)+1, o.rehash)
 		if o.check {
 			*r = pooledObject
 		} else {
 			*r = object{}
 		}
 		o.free = append(o.free, uint32(h))
+		if onRelease != nil {
+			onRelease(id)
+		}
 	}
 }
 
-// reset drops every record and with it every ref.
+// reset drops every record and with it every ref, releasing none.
 func (o *objects) reset() { *o = newObjects(o.check) }
 
-// kill applies the death of the object id names, if the table holds it.
-func (o *objects) kill(id uint64) {
-	if h, ok := o.find(id); ok {
+// kill applies the death of the object id names, reporting whether the
+// table holds it.
+func (o *objects) kill(id uint64) bool {
+	h, ok := o.find(id)
+	if ok {
 		o.recs[h].dead = true
 	}
+	return ok
 }
 
 // idRef is an object known by its ID alone: the ref a verdict or diagnostic

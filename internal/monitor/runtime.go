@@ -118,11 +118,14 @@ func (e *Engine) DispatchIDs(sym int, ids []uint64) {
 // FreeIDs applies the deaths of objects named by ID at this point of the
 // stream: every event dispatched before the call saw them alive, and the
 // engine sees them dead from here on. An ID no event named concerns no
-// monitor and costs nothing; an ID freed twice dies once. The caller
-// dispatches no later event naming a freed ID.
+// monitor and costs nothing but its release (SetOnRelease), which it gets
+// here; an ID freed twice dies once. The caller dispatches no later event
+// naming a freed ID.
 func (e *Engine) FreeIDs(ids []uint64) {
 	for _, id := range ids {
-		e.objs.kill(id)
+		if !e.objs.kill(id) && e.onRelease != nil {
+			e.onRelease(id)
+		}
 	}
 }
 
@@ -184,3 +187,14 @@ func (o *objects) handleHeld(v heap.Ref, id uint64) uint32 {
 	}
 	return h
 }
+
+// SetOnRelease makes f receive the ID of each freed object the engine holds
+// no record of any more — no later verdict can name it — for a caller that
+// names objects by ID and tells their holders when they may let go (a
+// server session, whose client keeps a ref per ID it sent). After
+// FreeIDs(id) the engine releases id exactly once: at once when the object
+// table holds no record of it, else when a sweep drops the dead record.
+// The caller frees each ID once. f runs on the goroutine calling FreeIDs,
+// a Dispatch entry or Flush, after every verdict that named the object;
+// Close releases nothing. Set it before the first event.
+func (e *Engine) SetOnRelease(f func(id uint64)) { e.onRelease = f }

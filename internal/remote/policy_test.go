@@ -139,14 +139,17 @@ func TestLargeFreeRemote(t *testing.T) {
 // vector and hands it to the Producer by a concrete call. Handing it over
 // through an interface or a type-parameter method instead makes the vector
 // escape — one allocation per event — so with the objects already in the
-// ref table and credit in hand, an event must allocate nothing.
+// ref table and credit in hand, an event must allocate nothing. Nor may a
+// fresh pair's whole stay in the table: its event, its two frees and the
+// release that ends its entries (the sink never answers, so the test
+// hands the Front the release the server would send).
 func TestDispatchNoAlloc(t *testing.T) {
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var greeting bytes.Buffer
-	ack := wire.HelloAck{Window: 1 << 40, SpecName: spec.Name, Params: spec.Params}
+	ack := wire.HelloAck{Window: 1 << 40, Lanes: 1, SpecName: spec.Name, Params: spec.Params}
 	for _, ev := range spec.Events {
 		ack.Events = append(ack.Events, wire.EventDef{Name: ev.Name, Params: uint64(ev.Params)})
 	}
@@ -167,5 +170,51 @@ func TestDispatchNoAlloc(t *testing.T) {
 	c.Dispatch(0, theta) // enters both objects into the ref table
 	if n := testing.AllocsPerRun(2000, func() { c.Dispatch(0, theta) }); n != 0 {
 		t.Errorf("Dispatch allocates %v objects per event, want 0", n)
+	}
+
+	const runs = 2000
+	fresh := make([]*heap.Object, 2*(runs+1))
+	for k := range fresh {
+		fresh[k] = h.Alloc("o")
+	}
+	next := 0
+	generation := func() {
+		col, it := fresh[next], fresh[next+1]
+		next += 2
+		c.Dispatch(0, param.Of(spec.Events[0].Params, col, it))
+		c.Free(col)
+		c.Free(it)
+		ids := [2]uint64{col.ID(), it.ID()}
+		c.Release(0, ids[:])
+	}
+	if n := testing.AllocsPerRun(runs, generation); n != 0 {
+		t.Errorf("a fresh pair's event, frees and release allocate %v objects, want 0", n)
+	}
+	if n := c.HeldRefs(); n != 2 {
+		t.Errorf("the table holds %d refs after the released generations, want the first pair's 2", n)
+	}
+}
+
+// TestDeliverVerdictNoAlloc: turning a verdict's IDs back into the caller's
+// refs allocates nothing when the table holds them.
+func TestDeliverVerdictNoAlloc(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	delivered := 0
+	f, err := remote.NewFront("UnsafeIter", "", func(monitor.Verdict) { delivered++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := f.Spec()
+	h := heap.New()
+	c, i := h.Alloc("c"), h.Alloc("i")
+	ids := f.EventIDs(nil, 0, param.Of(spec.Events[0].Params, c, i))
+	v := wire.Verdict{Sym: 2, Cat: "match", Mask: uint64(spec.Events[0].Params), IDs: ids}
+	if n := testing.AllocsPerRun(1000, func() { f.DeliverVerdict(v) }); n != 0 {
+		t.Errorf("DeliverVerdict allocates %v objects per verdict, want 0", n)
+	}
+	if delivered == 0 {
+		t.Fatal("no verdict delivered")
 	}
 }

@@ -29,11 +29,21 @@
 // exhausted — that is the protocol-level backpressure of a backend that
 // cannot keep up.
 //
-// Memory: the Client keeps one table entry per distinct object it has
-// sent, including dead ones, so that late verdicts mentioning a dead
-// object (possible under the alldead/none GC policies, whose monitors
-// outlive their objects) can be reconstructed with the original refs —
-// the same lifetime a dead heap.Ref's identity has in process.
+// Memory: the Client keeps a table entry per object it has sent while some
+// engine behind the session may still name the object in a verdict, so
+// that every verdict — a late one about a dead object too (the alldead and
+// none GC policies keep monitors past their objects' deaths, and any
+// verdict of an event sent before a Free may arrive after it) — carries the
+// caller's own refs. The server tells it when that ends: each lane of the
+// session's backend (an engine — the server's one, a shard, a cluster
+// slot) sends a Release for a freed ID once it holds no record of the
+// object, behind every verdict it sent before. The object's first Free
+// marks every lane as still holding it, each lane's release clears its
+// mark, and the entry goes with the last one. So after a Flush the table
+// holds the objects some engine still records — the live ones, and dead
+// ones that monitors still bind — and after Close it holds nothing. A
+// backend of more than wire.MaxReleaseLanes lanes releases nothing, so
+// there the table keeps every object sent until Close.
 package remote
 
 import (
@@ -78,7 +88,10 @@ type Options struct {
 }
 
 // Front is the ref-level half of a monitoring client, embedded by Client
-// and by the cluster tier's Client. It works in refs above and IDs below.
+// and by the cluster tier's Client. It works in refs above and IDs below:
+// EventIDs enters the objects an event sends, Arm marks a freed one as held
+// by every lane, Release clears a lane's mark and DeliverVerdict turns a
+// verdict's IDs back into the refs.
 // Each client implements Dispatch (and Free) itself, against its concrete
 // sink type: handing Dispatch's stack-resident ID vector to the sink
 // through an interface (or a type parameter) makes it escape — one
@@ -91,9 +104,11 @@ type Front struct {
 	onVerdict func(monitor.Verdict)
 
 	// tmu guards the remote-ID table used to reconstruct verdict
-	// instances.
+	// instances and the mask of the session's lanes (0 when the session
+	// releases nothing).
 	tmu   sync.Mutex
-	table map[uint64]heap.Ref
+	table map[uint64]entry
+	lanes uint64
 
 	// smu guards the shutdown state.
 	smu    sync.Mutex
@@ -109,7 +124,29 @@ func NewFront(prop, source string, onVerdict func(monitor.Verdict)) (*Front, err
 	if err != nil {
 		return nil, err
 	}
-	return &Front{spec: local, kind: kind, ref: ref, onVerdict: onVerdict, table: map[uint64]heap.Ref{}}, nil
+	return &Front{spec: local, kind: kind, ref: ref, onVerdict: onVerdict,
+		table: map[uint64]entry{}}, nil
+}
+
+// entry is an object's table entry: the caller's ref and, once the object
+// is freed, the lanes that may still name it in a verdict (0 before its
+// Free).
+type entry struct {
+	ref   heap.Ref
+	lanes uint64
+}
+
+// SetLanes sets the number of lanes behind the session, whose releases
+// free a table entry; the sink calls it before the first Free. A session
+// of more than wire.MaxReleaseLanes lanes releases nothing, so its table
+// keeps every object until Shutdown.
+func (f *Front) SetLanes(n int) {
+	f.tmu.Lock()
+	f.lanes = 0
+	if n <= wire.MaxReleaseLanes {
+		f.lanes = 1<<uint(n) - 1
+	}
+	f.tmu.Unlock()
 }
 
 // resolveSpec compiles the client-side copy of the spec.
@@ -180,7 +217,8 @@ func NewSession(conn net.Conn, opts Options) (*Client, error) {
 		c.p.Close()
 		return nil, err
 	}
-	c.p.Start(c.DeliverVerdict, nil)
+	c.SetLanes(int(ack.Lanes))
+	c.p.Start(c.DeliverVerdict, func(r wire.Release) { c.Release(int(r.Lane), r.IDs) }, nil)
 	return c, nil
 }
 
@@ -215,14 +253,15 @@ func (f *Front) DeliverVerdict(v wire.Verdict) {
 		return
 	}
 	inst := param.Empty()
-	mask := param.Set(v.Mask)
 	f.tmu.Lock()
-	for k, p := range mask.Members() {
-		ref, ok := f.table[v.IDs[k]]
-		if !ok {
+	k := 0
+	for m := param.Set(v.Mask); m != 0; m = m.Rest() {
+		ref := f.table[v.IDs[k]].ref
+		if ref == nil {
 			ref = ghostRef(v.IDs[k])
 		}
-		inst = inst.Bind(p, ref)
+		inst = inst.Bind(m.First(), ref)
+		k++
 	}
 	f.tmu.Unlock()
 	var sym int
@@ -237,14 +276,22 @@ func (f *Front) DeliverVerdict(v wire.Verdict) {
 	})
 }
 
+// HeldRefs is the number of the caller's objects the table holds refs to
+// (tests, diagnostics).
+func (f *Front) HeldRefs() int {
+	f.tmu.Lock()
+	defer f.tmu.Unlock()
+	return len(f.table)
+}
+
 // Spec implements monitor.Runtime.
 func (f *Front) Spec() *monitor.Spec { return f.spec }
 
 // EventIDs appends to ids the remote IDs of the objects theta binds for
 // event sym, in ascending parameter order — the event's wire form — and
-// enters each first-seen object into the table. The table keeps one entry
-// per distinct object ever sent, dead ones included, so a late verdict
-// keeps its original identities.
+// enters each first-seen object into the table, where it stays until every
+// lane has released it after its Free, so a late verdict keeps its
+// original identities.
 func (f *Front) EventIDs(ids []uint64, sym int, theta param.Instance) []uint64 {
 	f.tmu.Lock()
 	for pm := f.spec.Events[sym].Params; pm != 0; pm = pm.Rest() {
@@ -252,16 +299,52 @@ func (f *Front) EventIDs(ids []uint64, sym int, theta param.Instance) []uint64 {
 		id := ref.ID()
 		ids = append(ids, id)
 		if _, ok := f.table[id]; !ok {
-			f.table[id] = ref
+			f.table[id] = entry{ref: ref}
 		}
 	}
 	f.tmu.Unlock()
 	return ids
 }
 
+// Arm marks a freed object as held by every lane, before its free leaves
+// for the server: its entry goes once each lane has released it. An object
+// the client never sent has no entry, and a second Free re-arms nothing.
+func (f *Front) Arm(id uint64) {
+	f.tmu.Lock()
+	if e, ok := f.table[id]; ok && e.lanes == 0 {
+		e.lanes = f.lanes
+		f.table[id] = e
+	}
+	f.tmu.Unlock()
+}
+
+// Release clears lane's mark on the objects ids names, dropping each entry
+// no lane holds any more. The sink calls it, serialized with DeliverVerdict
+// and behind the lane's earlier verdicts; an ID the table lacks, or one the
+// lane already released (a cluster handoff replays a slot's frees), is
+// skipped.
+func (f *Front) Release(lane int, ids []uint64) {
+	bit := uint64(1) << uint(lane)
+	f.tmu.Lock()
+	for _, id := range ids {
+		e, ok := f.table[id]
+		if !ok || e.lanes&bit == 0 {
+			continue
+		}
+		if e.lanes &^= bit; e.lanes != 0 {
+			f.table[id] = e
+		} else {
+			delete(f.table, id)
+		}
+	}
+	f.tmu.Unlock()
+}
+
 // Shutdown is a client's Close: the first call marks the session closed,
 // runs settle — the sink's orderly shutdown — and caches the final counters
-// it returns for Stats; later calls do nothing.
+// it returns for Stats; later calls do nothing. Once settle has returned no
+// verdict can arrive, so the table is emptied: a closed client kept for its
+// Stats pins none of the caller's objects.
 func (f *Front) Shutdown(settle func() monitor.Stats) {
 	f.smu.Lock()
 	first := !f.closed
@@ -269,6 +352,9 @@ func (f *Front) Shutdown(settle func() monitor.Stats) {
 	f.smu.Unlock()
 	if first {
 		st := settle()
+		f.tmu.Lock()
+		clear(f.table)
+		f.tmu.Unlock()
 		f.smu.Lock()
 		f.final = st
 		f.smu.Unlock()
@@ -306,11 +392,13 @@ func (c *Client) Dispatch(sym int, theta param.Instance) {
 // ordered stream is the death's position in the trace, and the server
 // positions it in the session's backend before killing the object. The
 // local ref only feeds verdict reconstruction, where dead identities are
-// expected, so the caller may kill it as soon as Free returns. The frame
-// leaves with its write block, or within the Producer's linger bound when
-// the pipeline goes quiet.
+// expected, so the caller may kill it as soon as Free returns; the client
+// lets go of it once the server has released it. The frame leaves with its
+// write block, or within the Producer's linger bound when the pipeline
+// goes quiet.
 func (c *Client) Free(ref heap.Ref) {
 	id := [1]uint64{ref.ID()}
+	c.Arm(id[0])
 	c.p.Free(id[:])
 }
 

@@ -68,7 +68,7 @@ func (s *Server) Statusz() Statusz {
 			UptimeSec: time.Since(sess.opened).Seconds(),
 		}
 		if b, ok := sess.b.(*local); ok {
-			st.Shards = b.shardCount()
+			st.Shards = b.Lanes()
 			st.Stalls = b.stalls.Load()
 			st.StallSec = float64(b.stallNs.Load()) / 1e9
 		}

@@ -15,10 +15,17 @@
 // id>>6. The bit is what the use-after-free contract costs — an event
 // naming a freed ID must be refused, never silently revived, however long
 // ago the free was and whether or not an event ever mentioned the ID — so a
-// session holds its runtime's records plus one bit per freed ID. A late
-// verdict (the alldead/none GC policies keep monitors over dead objects)
-// still carries its IDs: the engine's object table holds the record while a
-// θ binds it, and the record's ID is the remote ID.
+// session holds its runtime's records plus one bit per freed ID. The bit
+// also keeps a repeated free from reaching the runtime, so each engine
+// frees each ID once. A late verdict (the alldead/none GC policies keep
+// monitors over dead objects) still carries its IDs: the engine's object
+// table holds the record while a θ binds it, and the record's ID is the
+// remote ID.
+//
+// The backend's lanes are its engines: one, or one per shard. Each engine
+// releases a freed ID once it holds no record of it (SetOnRelease), and
+// the release goes to the session (Session.Release) under the engine's
+// lane, behind the engine's verdicts.
 //
 // A Free's place in the session's ordered stream is the death's position
 // in the trace — it does not matter when the producer's write block
@@ -76,6 +83,7 @@ type local struct {
 	stallNs atomic.Uint64
 
 	vids []uint64 // verdict-ID scratch (onVerdict is serialized)
+	fids []uint64 // the first frees of one Free (session goroutine)
 }
 
 // idRuntime is a runtime that takes objects by ID: the sequential engine or
@@ -103,6 +111,7 @@ func openLocal(s *Session) (Backend, error) {
 	if shards > 1 {
 		srt, err := shard.New(compiled, shard.Options{
 			Options: opts, Shards: shards,
+			OnRelease:       func(lane int, ids []uint64) { s.Release(lane, ids...) },
 			MetricsRegistry: srv.reg, MetricsLabel: compiled.Name,
 		})
 		if err != nil {
@@ -114,6 +123,7 @@ func openLocal(s *Session) (Backend, error) {
 		if err != nil {
 			return nil, err
 		}
+		eng.SetOnRelease(func(id uint64) { s.Release(0, id) })
 		b.rt = eng
 	}
 	if srv.opts.FlightWindow > 0 {
@@ -138,7 +148,8 @@ func openLocal(s *Session) (Backend, error) {
 	return b, nil
 }
 
-func (b *local) shardCount() int {
+// Lanes implements Backend: the session's engines.
+func (b *local) Lanes() int {
 	if b.srt != nil {
 		return b.srt.Shards()
 	}
@@ -227,7 +238,7 @@ func (b *local) stallDispatch(sym int, ids []uint64) {
 // Each freed ID sets its bit in the freed set, whether or
 // not an event mentioned it: an event naming the ID again is
 // use-after-free and must be refused. An ID named twice, in one Free or in
-// two, dies once.
+// two, dies once: only its first free reaches the runtime.
 func (b *local) Free(ids []uint64) error {
 	if b.flight != nil {
 		b.flight.RecordFreeIDs(ids)
@@ -237,10 +248,15 @@ func (b *local) Free(ids []uint64) error {
 			b.stopRecording(err)
 		}
 	}
-	b.rt.FreeIDs(ids)
+	first := b.fids[:0]
 	for _, id := range ids {
-		b.freed[id>>6] |= 1 << (id & 63)
+		if w, bit := id>>6, uint64(1)<<(id&63); b.freed[w]&bit == 0 {
+			b.freed[w] |= bit
+			first = append(first, id)
+		}
 	}
+	b.fids = first
+	b.rt.FreeIDs(first)
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -31,7 +33,7 @@ func openTestLocal(t *testing.T, shards uint64) *local {
 		t.Fatal(err)
 	}
 	srv := New(Options{})
-	s := &Session{ID: 1, Spec: compiled, Hello: h, srv: srv}
+	s := &Session{ID: 1, Spec: compiled, Hello: h, srv: srv, w: wire.NewWriter(io.Discard)}
 	s.series = metrics.NewServerSeries(srv.reg, compiled.Name)
 	b, err := openLocal(s)
 	if err != nil {
@@ -70,10 +72,13 @@ func symOf(t *testing.T, b *local, name string) int {
 // death of every freed ID stays final: an event naming an ID freed 90 000
 // IDs earlier is refused, mentioned or not. A Free that names one ID twice,
 // then a third Free of it, takes exactly one object out of the session.
+// Every lane releases every freed ID exactly once, and no live one.
 func TestSessionTableHoldsLiveObjects(t *testing.T) {
 	for _, shards := range []uint64{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			b := openTestLocal(t, shards)
+			var out bytes.Buffer
+			b.s.w = wire.NewWriter(&out)
 			update := symOf(t, b, "update")
 
 			const n, window = 100_000, 64
@@ -147,21 +152,55 @@ func TestSessionTableHoldsLiveObjects(t *testing.T) {
 			if records, dead := objectRecords(b); records != len(live)-1 || dead != 0 {
 				t.Errorf("freeing ID %d three times left %d records, %d dead; want %d live", victim, records, dead, len(live)-1)
 			}
+
+			if err := b.s.answer(func() error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			released := map[uint64]map[uint64]int{} // ID → lane → releases
+			r := wire.NewReader(&out)
+			var msg wire.Msg
+			for r.Next(&msg) == nil {
+				for _, id := range msg.Release.IDs {
+					if released[id] == nil {
+						released[id] = map[uint64]int{}
+					}
+					released[id][msg.Release.Lane]++
+				}
+			}
+			for _, id := range live[1:] {
+				if released[id] != nil {
+					t.Fatalf("live ID %d was released: %v", id, released[id])
+				}
+			}
+			for id := uint64(1); id <= n; id++ {
+				if id < live[1] || id%7 == 0 {
+					for lane := range shards {
+						if k := released[id][lane]; k != 1 {
+							t.Fatalf("freed ID %d was released %d times by lane %d, want once", id, k, lane)
+						}
+					}
+				}
+			}
 		})
 	}
 }
 
 // TestSessionIngestNoAlloc: a warm session, sequential or on two shards,
 // allocates nothing per generation of fresh objects — create, next and
-// update over a new collection and iterator, then their free. The IDs go
-// straight into the engines' object tables, whose records and θ-records
-// recycle; on shards they ride the batches' ID columns.
+// update over a new collection and iterator, then their free and a credit
+// grant; the engines' releases of the pair queue per lane and leave in
+// Release frames a batch at a time. The IDs go straight into the engines'
+// object tables, whose records and θ-records recycle; on shards they ride
+// the batches' ID columns; the release queue and the frames reuse their
+// buffers.
 func TestSessionIngestNoAlloc(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	for _, shards := range []uint64{1, 2} {
 		b := openTestLocal(t, shards)
+		var out bytes.Buffer
+		b.s.w = wire.NewWriter(&out)
 		create, next, update := symOf(t, b, "create"), symOf(t, b, "next"), symOf(t, b, "update")
 		ci, i, c := make([]uint64, 2), make([]uint64, 1), make([]uint64, 1)
 		id := uint64(0)
@@ -171,6 +210,11 @@ func TestSessionIngestNoAlloc(t *testing.T) {
 			if b.Event(create, ci) != nil || b.Event(next, i) != nil || b.Event(update, c) != nil || b.Free(ci) != nil {
 				t.Fatal("session refused a fresh object")
 			}
+			b.s.ungrant = 3
+			if b.s.grantCredit() != nil {
+				t.Fatal("credit grant failed")
+			}
+			out.Reset()
 		}
 		for range 20_000 {
 			generation()
@@ -180,6 +224,27 @@ func TestSessionIngestNoAlloc(t *testing.T) {
 		}
 		if st, _ := b.Stats(); st.Collected < 20_000 {
 			t.Fatalf("%d shards: only %d monitors of 20 000+ dead generations collected: %+v", shards, st.Collected, st)
+		}
+		// The frees came back: after a Flush every lane has released the
+		// last generation's objects, and the ack carries them.
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.s.answer(func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		released := map[uint64]int{}
+		r := wire.NewReader(&out)
+		var msg wire.Msg
+		for r.Next(&msg) == nil {
+			if msg.Type == wire.TRelease {
+				for _, rid := range msg.Release.IDs {
+					released[rid]++
+				}
+			}
+		}
+		if released[id] != int(shards) || released[id+1] != int(shards) {
+			t.Errorf("%d shards: the last generation's objects %d and %d were released %d and %d times, want once per lane", shards, id, id+1, released[id], released[id+1])
 		}
 	}
 }

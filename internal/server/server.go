@@ -21,6 +21,15 @@
 // settled once per block (or before any frame that answers the client, so
 // an ack never overtakes the counts it acknowledges).
 //
+// Releases: a backend tells the session when a lane — one engine behind it
+// — holds a freed object no longer (Session.Release), so that the client
+// may drop its ref. The session gathers them per lane and writes a lane's
+// batch as one Release frame when it is full, or ahead of the next ack
+// (so after a Barrier, Flush or Bye the client has every release the
+// backend made). A release is queued after every verdict its lane wrote,
+// so it reaches the client behind them. A backend of more lanes than a
+// client tracks (wire.MaxReleaseLanes) releases nothing.
+//
 // Flow control: sessions grant event credits (wire.Credit) as the backend
 // actually accepts events — a credit is returned only after Backend.Event
 // has. A backend that blocks there (a full shard mailbox locally, a slot
@@ -94,6 +103,9 @@ type Backend interface {
 	// counters. The front calls it exactly once per opened backend, when
 	// the stream ends — by a Bye, a disconnect or an error alike.
 	Close() (monitor.Stats, error)
+	// Lanes is the number of lanes whose releases the backend reports
+	// (Session.Release), at least 1; the HelloAck announces it.
+	Lanes() int
 }
 
 // Server accepts and runs monitoring sessions.
@@ -281,6 +293,13 @@ type Session struct {
 
 	wmu sync.Mutex // serializes all frame writes + flushes
 	w   *wire.Writer
+	// rel[lane] holds up to releaseBatch IDs lane released that are not
+	// yet in the write buffer; under wmu. Nil until the first release.
+	rel [][]uint64
+	// wide: the backend has more lanes than a client tracks
+	// (wire.MaxReleaseLanes), so its releases are dropped. Set before the
+	// HelloAck.
+	wide bool
 
 	window  int
 	ungrant int // events accepted since the last credit grant
@@ -349,7 +368,7 @@ func (s *Session) run() {
 		s.fail(cerr)
 		return
 	}
-	s.writeLocked(func() error { return s.w.WriteByeAck(wire.ByeAck{Stats: wire.StatsOf(0, st)}) })
+	s.answer(func() error { return s.w.WriteByeAck(wire.ByeAck{Stats: wire.StatsOf(0, st)}) })
 	s.srv.logf("session %d: closed after %d events", s.ID, s.events.Load())
 }
 
@@ -438,18 +457,18 @@ func (s *Session) handle(msg *wire.Msg) (bye bool, err error) {
 		if err := s.b.Barrier(); err != nil {
 			return false, err
 		}
-		s.writeLocked(func() error { return s.w.WriteSync(wire.TBarrierAck, token) })
+		s.answer(func() error { return s.w.WriteSync(wire.TBarrierAck, token) })
 	case wire.TFlush:
 		if err := s.b.Flush(); err != nil {
 			return false, err
 		}
-		s.writeLocked(func() error { return s.w.WriteSync(wire.TFlushAck, token) })
+		s.answer(func() error { return s.w.WriteSync(wire.TFlushAck, token) })
 	case wire.TStatsReq:
 		st, err := s.b.Stats()
 		if err != nil {
 			return false, err
 		}
-		s.writeLocked(func() error { return s.w.WriteStats(wire.StatsOf(token, st)) })
+		s.answer(func() error { return s.w.WriteStats(wire.StatsOf(token, st)) })
 	case wire.TBye:
 		return true, nil
 	case wire.THandoffBegin, wire.THandoffEnd:
@@ -466,7 +485,7 @@ func (s *Session) handle(msg *wire.Msg) (bye bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		s.writeLocked(func() error { return s.w.WriteHandoffAck(wire.StatsOf(token, st)) })
+		s.answer(func() error { return s.w.WriteHandoffAck(wire.StatsOf(token, st)) })
 	default:
 		return false, fmt.Errorf("unexpected message type %d", msg.Type)
 	}
@@ -518,6 +537,7 @@ func (s *Session) handshake(h wire.Hello) error {
 		return err
 	}
 	s.b = b
+	s.wide = b.Lanes() > wire.MaxReleaseLanes
 	s.series.Sessions.Inc()
 	s.opened = time.Now()
 	s.srv.mu.Lock()
@@ -528,6 +548,7 @@ func (s *Session) handshake(h wire.Hello) error {
 	ack := wire.HelloAck{
 		Session:  s.ID,
 		Window:   uint64(s.window),
+		Lanes:    uint64(s.b.Lanes()),
 		SpecName: s.Spec.Name,
 		Params:   s.Spec.Params,
 	}
@@ -555,6 +576,56 @@ func (s *Session) Verdict(v wire.Verdict) {
 	s.srv.verdicts.Add(1)
 	s.series.Verdicts.Inc()
 	s.writeLocked(func() error { return s.w.WriteVerdict(v) })
+}
+
+// Release queues the IDs of freed objects lane holds no record of any more,
+// for the client. Backends call it from whatever goroutine reaches the
+// release, after every verdict of the lane that named the objects, and
+// serialize it with their verdicts; the IDs leave in a Release frame when
+// the lane's batch is full, or ahead of the session's next ack. A backend
+// of more than wire.MaxReleaseLanes lanes releases nothing.
+func (s *Session) Release(lane int, ids ...uint64) {
+	if s.wide {
+		return
+	}
+	s.wmu.Lock()
+	for len(s.rel) <= lane {
+		s.rel = append(s.rel, nil)
+	}
+	q := s.rel[lane]
+	if len(q)+len(ids) > releaseBatch {
+		// A write error resurfaces at the next frame's flush.
+		s.w.WriteRelease(uint64(lane), q)
+		q = q[:0]
+		if len(ids) > releaseBatch {
+			s.w.WriteRelease(uint64(lane), ids)
+			ids = nil
+		}
+	}
+	if q == nil {
+		q = make([]uint64, 0, releaseBatch)
+	}
+	s.rel[lane] = append(q, ids...)
+	s.wmu.Unlock()
+}
+
+// releaseBatch is a lane's batch of releases, one frame's worth: it bounds
+// what a session queues per lane, and what a client holds for lack of a
+// release, however long the client goes without an ack.
+const releaseBatch = 128
+
+// answer writes a frame that answers the client — an ack — behind every
+// queued release, one frame per lane.
+func (s *Session) answer(f func() error) error {
+	return s.writeLocked(func() error {
+		for lane, ids := range s.rel {
+			if err := s.w.WriteRelease(uint64(lane), ids); err != nil {
+				return err
+			}
+			s.rel[lane] = ids[:0]
+		}
+		return f()
+	})
 }
 
 // fail sends a fatal Error frame and logs; the caller ends the session.

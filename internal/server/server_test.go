@@ -20,11 +20,17 @@ import (
 // address and a raw-dial helper for speaking the protocol by hand.
 func startServer(t *testing.T) string {
 	t.Helper()
+	return startServerWith(t, server.Options{})
+}
+
+// startServerWith is startServer with the server's options.
+func startServerWith(t *testing.T, opts server.Options) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Options{})
+	srv := server.New(opts)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	t.Cleanup(func() {
@@ -159,17 +165,91 @@ func TestEventBeforeHello(t *testing.T) {
 	})
 }
 
-// TestBadVersion: an unknown protocol version is refused.
+// TestBadVersion: an unknown protocol version is refused, and so is the
+// previous one, whose clients would not understand Release frames.
 func TestBadVersion(t *testing.T) {
 	eachFront(t, func(t *testing.T, addr string) {
-		_, w, r := dialRaw(t, addr)
-		h := validHello()
-		h.Version = 99
-		hello(t, w, h)
-		if msg := expectError(t, r); !strings.Contains(msg, "version") {
-			t.Errorf("error %q does not mention the version", msg)
+		for _, v := range []uint64{99, wire.Version - 1} {
+			_, w, r := dialRaw(t, addr)
+			h := validHello()
+			h.Version = v
+			hello(t, w, h)
+			if msg := expectError(t, r); !strings.Contains(msg, "version") {
+				t.Errorf("version %d: error %q does not mention the version", v, msg)
+			}
 		}
 	})
+}
+
+// TestClientRelease: a Release is the server's to send; one from a client
+// is refused with an Error frame.
+func TestClientRelease(t *testing.T) {
+	eachFront(t, func(t *testing.T, addr string) {
+		_, w, r := dialRaw(t, addr)
+		open(t, w, r, validHello())
+		if err := w.WriteRelease(0, []uint64{1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if msg := expectError(t, r); !strings.Contains(msg, fmt.Sprintf("message type %d", wire.TRelease)) {
+			t.Errorf("error %q does not name the Release frame", msg)
+		}
+	})
+}
+
+// TestHelloAckLanes: the HelloAck announces the lanes whose releases the
+// session will send — one engine, one per shard, one per router slot — and
+// each lane releases each freed ID once, by the next ack. A backend of more
+// lanes than a client tracks announces them all and releases nothing.
+func TestHelloAckLanes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		addr   string
+		shards uint64
+		lanes  uint64
+		ids    int // release IDs by the FlushAck
+	}{
+		{"sequential", startServer(t), 1, 1, 2},
+		{"sharded", startServer(t), 3, 3, 6},
+		{"router", startRouter(t), 1, 16, 32}, // the default slot ring
+		{"wide", startServerWith(t, server.Options{MaxShards: 65}), 65, 65, 0},
+	} {
+		_, w, r := dialRaw(t, c.addr)
+		h := validHello()
+		h.Shards = c.shards
+		hello(t, w, h)
+		var msg wire.Msg
+		if err := r.Next(&msg); err != nil || msg.Type != wire.THelloAck {
+			t.Fatalf("%s: no HelloAck: %v %d", c.name, err, msg.Type)
+		}
+		if msg.HelloAck.Lanes != c.lanes {
+			t.Errorf("%s: HelloAck reports %d lanes, want %d", c.name, msg.HelloAck.Lanes, c.lanes)
+		}
+		// create(c=1, i=2), both freed, then a Flush.
+		w.WriteEvent(0, []uint64{1, 2})
+		w.WriteFree([]uint64{1, 2})
+		w.WriteSync(wire.TFlush, 1)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ids := 0
+		for {
+			if err := r.Next(&msg); err != nil {
+				t.Fatalf("%s: %v before the FlushAck", c.name, err)
+			}
+			if msg.Type == wire.TFlushAck {
+				break
+			}
+			if msg.Type == wire.TRelease {
+				ids += len(msg.Release.IDs)
+			}
+		}
+		if ids != c.ids {
+			t.Errorf("%s: %d IDs released by the FlushAck, want %d", c.name, ids, c.ids)
+		}
+	}
 }
 
 // TestUseAfterFree: an event naming a remote object the client already

@@ -75,6 +75,10 @@ type worker struct {
 	mailbox chan message
 	stopped bool // under mu: the mailbox is closed
 	batchSz int
+	// rel gathers the IDs the engine releases while the worker runs one
+	// message; onRelease (nil without Options.OnRelease) hands them on.
+	rel       []uint64
+	onRelease func(ids []uint64)
 	// per-shard series (nil-safe when telemetry is off).
 	metDepth       *metrics.Gauge
 	metBatches     *metrics.Counter
@@ -93,6 +97,7 @@ func (w *worker) run(wg *sync.WaitGroup) {
 	for msg := range w.mailbox {
 		if msg.ctl != nil {
 			msg.ctl(w.eng)
+			w.release()
 			close(msg.done)
 			continue
 		}
@@ -108,7 +113,17 @@ func (w *worker) run(wg *sync.WaitGroup) {
 			}
 		}
 		putBatch(b)
+		w.release()
 		w.metDepth.Set(int64(len(w.mailbox)))
+	}
+}
+
+// release hands the IDs the engine released during one message to
+// onRelease, all in one call.
+func (w *worker) release() {
+	if len(w.rel) > 0 {
+		w.onRelease(w.rel)
+		w.rel = w.rel[:0]
 	}
 }
 

@@ -75,6 +75,13 @@ import (
 // handlers need not be safe for concurrent use.
 type Options struct {
 	monitor.Options
+	// OnRelease, when non-nil, receives each shard engine's releases (see
+	// monitor.Engine.SetOnRelease) with the shard's index as the lane: one
+	// call per mailbox batch or control request that released any, before
+	// the request completes, serialized with OnVerdict, so a shard's
+	// release follows every verdict the shard delivered before it. ids is
+	// valid only during the call.
+	OnRelease func(lane int, ids []uint64)
 	// Shards is the number of worker engines (default: GOMAXPROCS). The
 	// effective count may be lower: 1 when the spec is unshardable.
 	Shards int
@@ -105,7 +112,7 @@ type Runtime struct {
 	// metric series (nil-safe when telemetry is off).
 	broadcasts *metrics.Counter
 	refusals   *metrics.Counter
-	vmu        sync.Mutex // serializes OnVerdict across shards
+	vmu        sync.Mutex // serializes OnVerdict and OnRelease across shards
 	// The linger deadline: one timer for all shards, re-armed by the first
 	// record enqueued after it last fired.
 	timer  *time.Timer
@@ -159,16 +166,24 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 		}
 	}
 	for i := 0; i < router.Shards(); i++ {
+		w := &worker{
+			idx:     i,
+			pending: getBatch(opts.BatchSize),
+			mailbox: make(chan message, opts.MailboxDepth),
+			batchSz: opts.BatchSize,
+		}
 		eng, err := monitor.New(spec, engOpts)
 		if err != nil {
 			return nil, err
 		}
-		w := &worker{
-			idx:     i,
-			eng:     eng,
-			pending: getBatch(opts.BatchSize),
-			mailbox: make(chan message, opts.MailboxDepth),
-			batchSz: opts.BatchSize,
+		w.eng = eng
+		if user := opts.OnRelease; user != nil {
+			eng.SetOnRelease(func(id uint64) { w.rel = append(w.rel, id) })
+			w.onRelease = func(ids []uint64) {
+				rt.vmu.Lock()
+				user(i, ids)
+				rt.vmu.Unlock()
+			}
 		}
 		if shardMet != nil {
 			w.metDepth = shardMet.MailboxDepth[i]

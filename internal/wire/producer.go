@@ -23,7 +23,8 @@ const (
 const byeToken = 0
 
 // Producer is the producer half of a session: the side that sends events,
-// deaths and sync requests and receives verdicts, credit and acks. Both
+// deaths and sync requests and receives verdicts, releases, credit and
+// acks. Both
 // clients of the protocol — internal/remote's Client and the cluster
 // tier's slot links — are built on it.
 //
@@ -40,9 +41,10 @@ const byeToken = 0
 // write lock, so a write stalled on TCP backpressure cannot wedge the
 // inbound stream that feeds credit back to unblock it.
 type Producer struct {
-	conn net.Conn
-	name string // error prefix: who lost what
-	r    *Reader
+	conn  net.Conn
+	name  string // error prefix: who lost what
+	r     *Reader
+	lanes uint64 // the peer's HelloAck.Lanes: a Release naming another lane is a violation
 
 	// wmu serializes frame writes, flushes and the linger state.
 	wmu   sync.Mutex
@@ -85,7 +87,8 @@ func NewProducer(conn net.Conn, name string) *Producer {
 }
 
 // Handshake opens the session: an optional NodeHello marker, the Hello,
-// and the peer's HelloAck, whose window becomes the initial credit. The
+// and the peer's HelloAck, whose window becomes the initial credit and
+// whose lane count, at least 1, bounds the lanes its Releases may name. The
 // caller verifies the ack against its own spec and then calls Start, or
 // calls Close if either step failed.
 func (p *Producer) Handshake(node *NodeHello, h Hello) (HelloAck, error) {
@@ -113,24 +116,30 @@ func (p *Producer) Handshake(node *NodeHello, h Hello) (HelloAck, error) {
 	default:
 		return HelloAck{}, fmt.Errorf("%s: expected HelloAck, got message type %d", p.name, msg.Type)
 	}
+	if msg.HelloAck.Lanes < 1 {
+		return HelloAck{}, fmt.Errorf("%s: HelloAck reports no lanes", p.name)
+	}
+	p.lanes = msg.HelloAck.Lanes
 	p.credits.Store(int64(msg.HelloAck.Window))
 	return msg.HelloAck, nil
 }
 
-// Start launches the read loop: verdicts go to onVerdict (on the reader
-// goroutine; it must not call back into the Producer), credit to the
-// window, acks to their waiters. onFail, when non-nil, runs once if the
-// session dies with an error.
-func (p *Producer) Start(onVerdict func(Verdict), onFail func()) {
+// Start launches the read loop: verdicts go to onVerdict and releases to
+// onRelease (both on the reader goroutine, in stream order; they must not
+// call back into the Producer), credit to the window, acks to their
+// waiters. A release naming a lane the HelloAck did not announce fails the
+// session. onFail, when non-nil, runs once if the session dies with an
+// error.
+func (p *Producer) Start(onVerdict func(Verdict), onRelease func(Release), onFail func()) {
 	p.onFail = onFail
 	p.started = true
-	go p.readLoop(onVerdict)
+	go p.readLoop(onVerdict, onRelease)
 }
 
 // readLoop drains the inbound stream. On any exit every still-pending
 // waiter is released (a sync op racing Close can land after the Bye and
 // never be answered; its caller gets the zero result, not a hang).
-func (p *Producer) readLoop(onVerdict func(Verdict)) {
+func (p *Producer) readLoop(onVerdict func(Verdict), onRelease func(Release)) {
 	defer close(p.readerDone)
 	defer p.drainPending()
 	var msg Msg
@@ -142,6 +151,12 @@ func (p *Producer) readLoop(onVerdict func(Verdict)) {
 		switch msg.Type {
 		case TVerdict:
 			onVerdict(msg.Verdict)
+		case TRelease:
+			if msg.Release.Lane >= p.lanes {
+				p.fail(fmt.Errorf("%s: release names lane %d of %d", p.name, msg.Release.Lane, p.lanes))
+				return
+			}
+			onRelease(msg.Release)
 		case TCredit:
 			p.grant(int64(msg.Credit.N))
 		case TBarrierAck, TFlushAck:

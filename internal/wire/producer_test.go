@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func dialPeer(t *testing.T, window uint64) (*wire.Producer, *conformance.Countin
 			conn.Close()
 			return
 		}
-		pr.w.WriteHelloAck(wire.HelloAck{Window: window})
+		pr.w.WriteHelloAck(wire.HelloAck{Window: window, Lanes: 1})
 		pr.w.Flush()
 		ready <- pr
 		for r.Next(&msg) == nil {
@@ -81,7 +82,7 @@ func (pr *peer) expect(t *testing.T, want byte, within time.Duration) {
 // deadline.
 func TestProducerBlockAndLinger(t *testing.T) {
 	p, cc, pr := dialPeer(t, 1<<20)
-	p.Start(func(wire.Verdict) {}, nil)
+	p.Start(func(wire.Verdict) {}, func(wire.Release) {}, nil)
 	defer p.Close()
 
 	const n = 3000
@@ -114,7 +115,7 @@ func TestProducerBlockAndLinger(t *testing.T) {
 // sync op flushes and blocks until its ack.
 func TestProducerPeerMustAct(t *testing.T) {
 	p, _, pr := dialPeer(t, 1)
-	p.Start(func(wire.Verdict) {}, nil)
+	p.Start(func(wire.Verdict) {}, func(wire.Release) {}, nil)
 	defer p.Close()
 
 	if n, stalled := p.Acquire(8); n != 1 || stalled {
@@ -157,7 +158,7 @@ func TestProducerPeerMustAct(t *testing.T) {
 func TestProducerFailureReleasesEveryone(t *testing.T) {
 	p, _, pr := dialPeer(t, 1)
 	failed := make(chan struct{})
-	p.Start(func(wire.Verdict) {}, func() { close(failed) })
+	p.Start(func(wire.Verdict) {}, func(wire.Release) {}, func() { close(failed) })
 	defer p.Close()
 
 	p.Acquire(1)
@@ -176,6 +177,36 @@ func TestProducerFailureReleasesEveryone(t *testing.T) {
 	}
 	if _, ok := p.Bye(); ok {
 		t.Error("Bye succeeded on a dead session")
+	}
+}
+
+// TestProducerReleaseLanes: releases reach onRelease in stream order, and
+// one naming a lane the HelloAck did not announce fails the session with an
+// error — it never reaches the client's lane mask.
+func TestProducerReleaseLanes(t *testing.T) {
+	p, _, pr := dialPeer(t, 1) // the peer announces one lane
+	failed := make(chan struct{})
+	var got []uint64
+	p.Start(func(wire.Verdict) {}, func(r wire.Release) {
+		if r.Lane != 0 {
+			t.Errorf("onRelease got lane %d of 1", r.Lane)
+		}
+		got = append(got, r.IDs...)
+	}, func() { close(failed) })
+	defer p.Close()
+	pr.w.WriteRelease(0, []uint64{5, 6})
+	pr.w.WriteRelease(1, []uint64{7})
+	pr.w.Flush()
+	select {
+	case <-failed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a release naming lane 1 of 1 did not fail the session")
+	}
+	if err := p.Err(); err == nil || !strings.Contains(err.Error(), "lane 1 of 1") {
+		t.Errorf("session error %v, want one naming lane 1 of 1", err)
+	}
+	if len(got) != 2 || got[0] != 5 || got[1] != 6 {
+		t.Errorf("onRelease received IDs %v, want [5 6]", got)
 	}
 }
 

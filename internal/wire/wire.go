@@ -26,9 +26,9 @@
 //
 //	client                         server
 //	Hello{spec, gc, shards} ───────▶  compile spec, build Runtime
-//	       ◀─────── HelloAck{session, window, event defs}
+//	       ◀─────── HelloAck{session, window, lanes, event defs}
 //	Event* Free* Barrier/Flush/StatsReq ───▶ (pipelined)
-//	       ◀─────── Verdict* Credit* BarrierAck/FlushAck/Stats
+//	       ◀─────── Verdict* Release* Credit* BarrierAck/FlushAck/Stats
 //	Bye ───────────▶ drain, final flush
 //	       ◀─────── ByeAck{final stats}
 //
@@ -41,6 +41,26 @@
 // death or a drain must never be blocked behind the window it is meant to
 // help clear.
 //
+// # Releases
+//
+// A client must map the IDs in a verdict back to its own objects, so it
+// keeps a ref per ID it has sent; Release frames tell it when it may let
+// one go. A session's backend is one or more lanes — engines that each
+// hold a part of the session's monitors: 1 for a sequential engine, the
+// shard count for a sharded one, the slot count behind a cluster router —
+// and HelloAck.Lanes says how many. After a Free, each lane releases each
+// freed ID exactly once, when it holds no record of the object any more:
+// from then on no verdict from that lane can name it. A Release frame is
+// written behind every verdict its lane pushed before it, on the same
+// ordered stream, so a client that drops its ref once every lane has
+// released the ID never meets the ID in a later verdict. A lane may
+// release an ID again (a cluster handoff replays the frees of a slot); the
+// client ignores a lane that already released it. A client never sends a
+// Release. A client tracks the lanes still holding an object in one 64-bit
+// word, so a backend of more than MaxReleaseLanes lanes sends no Release
+// at all, and its client keeps every ref it was sent until the session
+// ends.
+//
 // # Records
 //
 // An event or a death is one record wherever it travels — in a frame, in a
@@ -48,7 +68,8 @@
 // bytes: Enc is the one encoder and Cursor the one decoder. An event body
 // is the uvarint symbol, then one uvarint ID per bound parameter in
 // ascending parameter order; a death body is the uvarint count, then the
-// IDs. An event frame is TEvent and an event body, with no ID count: the
+// IDs. A release frame is TRelease, the uvarint lane and a death body. An
+// event frame is TEvent and an event body, with no ID count: the
 // frame length delimits the IDs (Version 3). A free frame is TFree and a
 // death body. A stored record (a trace segment's) is a tag byte and a
 // body. A death names at most MaxDeathIDs objects: a longer one is written
@@ -104,8 +125,9 @@ import (
 
 // Version is the protocol version. A server refuses a Hello whose version
 // it does not speak. Version 2 added Hello.Avoid and Stats.Avoided;
-// Version 3 dropped the ID count from event frames.
-const Version = 3
+// Version 3 dropped the ID count from event frames; Version 4 added
+// HelloAck.Lanes and the Release frame.
+const Version = 4
 
 // MaxFrame bounds a frame payload; a peer announcing a larger frame is
 // corrupt or hostile and the connection is dropped.
@@ -114,6 +136,11 @@ const MaxFrame = 1 << 20
 // MaxDeathIDs bounds the IDs of one death record: a free frame of
 // full-width IDs stays under MaxFrame.
 const MaxDeathIDs = 1 << 16
+
+// MaxReleaseLanes is the most lanes a session sends releases for: a client
+// tracks the lanes still holding an object in one 64-bit word. A session of
+// more lanes releases nothing (see Releases).
+const MaxReleaseLanes = 64
 
 // Stored-record tags.
 const (
@@ -145,6 +172,8 @@ const (
 	THandoffBegin byte = 17 // r→n: slot journal replay follows; suppress Skip verdict forwards
 	THandoffEnd   byte = 18 // r→n: replay complete; flush and ack with settled stats
 	THandoffAck   byte = 19 // n→r: handoff settled, counters attached
+
+	TRelease byte = 20 // s→c: a lane holds freed objects no longer
 )
 
 // SpecKind says how Hello.Spec is to be interpreted.
@@ -199,6 +228,7 @@ type EventDef struct {
 type HelloAck struct {
 	Session  uint64
 	Window   uint64 // granted credit window
+	Lanes    uint64 // the backend's lanes, at least 1 (see Releases)
 	SpecName string
 	Params   []string
 	Events   []EventDef
@@ -216,6 +246,13 @@ type Event struct {
 // every event sent before the Free observes the objects alive.
 type Free struct {
 	IDs []uint64
+}
+
+// Release says that lane Lane holds no record of the freed objects IDs
+// any more: no later verdict from the lane names them.
+type Release struct {
+	Lane uint64
+	IDs  []uint64
 }
 
 // Sync is the shared shape of Barrier/BarrierAck/Flush/FlushAck/StatsReq:
@@ -382,6 +419,7 @@ func (w *Writer) WriteHelloAck(a HelloAck) error {
 	w.frame(THelloAck)
 	w.buf.U(a.Session)
 	w.buf.U(a.Window)
+	w.buf.U(a.Lanes)
 	w.buf.S(a.SpecName)
 	w.buf.U(uint64(len(a.Params)))
 	for _, p := range a.Params {
@@ -406,6 +444,13 @@ func (w *Writer) WriteEvent(sym int, ids []uint64) error {
 func (w *Writer) WriteFree(ids []uint64) error {
 	w.buf = w.buf[:0]
 	w.buf.FreeFrames(ids)
+	return w.WriteFrames(w.buf)
+}
+
+// WriteRelease encodes the Release frames of one lane's IDs.
+func (w *Writer) WriteRelease(lane uint64, ids []uint64) error {
+	w.buf = w.buf[:0]
+	w.buf.ReleaseFrames(lane, ids)
 	return w.WriteFrames(w.buf)
 }
 
@@ -504,6 +549,7 @@ type Msg struct {
 	HelloAck     HelloAck
 	Event        Event
 	Free         Free
+	Release      Release
 	Sync         Sync
 	Stats        Stats
 	Verdict      Verdict
@@ -518,7 +564,7 @@ type Reader struct {
 	br  *bufio.Reader
 	buf []byte
 	c   Cursor   // over the current frame's payload
-	ids []uint64 // reused backing for Event/Free/Verdict IDs
+	ids []uint64 // reused backing for Event/Free/Release/Verdict IDs
 }
 
 // NewReader wraps r.
@@ -559,7 +605,7 @@ func (r *Reader) FrameBuffered() bool {
 // ErrFrameTooLarge reports a frame exceeding MaxFrame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 
-// Next reads and decodes one frame into msg. The Event/Free/Verdict ID
+// Next reads and decodes one frame into msg. The Event/Free/Release/Verdict ID
 // slices and all strings are valid until the following Next call. Returns
 // io.EOF at a clean end of stream.
 func (r *Reader) Next(msg *Msg) error {
@@ -593,6 +639,10 @@ func (r *Reader) Next(msg *Msg) error {
 	case TFree:
 		r.ids = r.c.ids(r.ids[:0], r.c.Count())
 		msg.Free.IDs = r.ids
+	case TRelease:
+		msg.Release.Lane = r.c.U()
+		r.ids = r.c.ids(r.ids[:0], r.c.Count())
+		msg.Release.IDs = r.ids
 	case TBarrier, TBarrierAck, TFlush, TFlushAck, TStatsReq, THandoffEnd:
 		msg.Sync.Token = r.c.U()
 	case TStats, TByeAck, THandoffAck:
@@ -629,6 +679,7 @@ func (r *Reader) decodeHello(h *Hello) {
 func (r *Reader) decodeHelloAck(a *HelloAck) {
 	a.Session = r.c.U()
 	a.Window = r.c.U()
+	a.Lanes = r.c.U()
 	a.SpecName = r.c.S()
 	a.Params = make([]string, r.c.Count())
 	for i := range a.Params {
@@ -719,6 +770,17 @@ func (e *Enc) FreeFrames(ids []uint64) {
 		if len(ids) == 0 {
 			return
 		}
+	}
+}
+
+// ReleaseFrames appends the release frames of one lane's IDs: one per
+// MaxDeathIDs IDs, and none for no IDs.
+func (e *Enc) ReleaseFrames(lane uint64, ids []uint64) {
+	for len(ids) > 0 {
+		start := e.open(TRelease)
+		e.U(lane)
+		ids = e.death(ids)
+		e.close(start)
 	}
 }
 

@@ -16,7 +16,7 @@ func encodeAll(t testing.TB) ([]byte, []Msg) {
 		{Type: THello, Hello: Hello{Version: Version, SpecKind: SpecProp, Spec: "HasNext", GC: 2, Creation: 0, Shards: 4, Window: 1024}},
 		{Type: THello, Hello: Hello{Version: Version, SpecKind: SpecSource, Spec: "property X {...}", GC: 0, Creation: 1}},
 		{Type: THelloAck, HelloAck: HelloAck{
-			Session: 7, Window: 512, SpecName: "UnsafeIter",
+			Session: 7, Window: 512, Lanes: 4, SpecName: "UnsafeIter",
 			Params: []string{"c", "i"},
 			Events: []EventDef{{Name: "create", Params: 3}, {Name: "update", Params: 1}, {Name: "next", Params: 2}},
 		}},
@@ -25,6 +25,8 @@ func encodeAll(t testing.TB) ([]byte, []Msg) {
 		{Type: TEvent, Event: Event{Sym: 1, IDs: []uint64{}}},
 		{Type: TFree, Free: Free{IDs: []uint64{9, 10, 11}}},
 		{Type: TFree, Free: Free{IDs: []uint64{}}},
+		{Type: TRelease, Release: Release{Lane: 3, IDs: []uint64{9, 1 << 40}}},
+		{Type: TRelease, Release: Release{IDs: []uint64{11}}},
 		{Type: TBarrier, Sync: Sync{Token: 42}},
 		{Type: TBarrierAck, Sync: Sync{Token: 42}},
 		{Type: TFlush, Sync: Sync{Token: 1}},
@@ -55,6 +57,8 @@ func encodeAll(t testing.TB) ([]byte, []Msg) {
 			err = w.WriteEvent(m.Event.Sym, m.Event.IDs)
 		case TFree:
 			err = w.WriteFree(m.Free.IDs)
+		case TRelease:
+			err = w.WriteRelease(m.Release.Lane, m.Release.IDs)
 		case TBarrier, TBarrierAck, TFlush, TFlushAck, TStatsReq, THandoffEnd:
 			err = w.WriteSync(m.Type, m.Sync.Token)
 		case TStats:
@@ -100,12 +104,16 @@ func TestRoundTrip(t *testing.T) {
 		// comparison and copy out before the next frame overwrites it.
 		got.Event.IDs = append([]uint64{}, got.Event.IDs...)
 		got.Free.IDs = append([]uint64{}, got.Free.IDs...)
+		got.Release.IDs = append([]uint64{}, got.Release.IDs...)
 		got.Verdict.IDs = append([]uint64{}, got.Verdict.IDs...)
 		if exp.Event.IDs == nil {
 			exp.Event.IDs = []uint64{}
 		}
 		if exp.Free.IDs == nil {
 			exp.Free.IDs = []uint64{}
+		}
+		if exp.Release.IDs == nil {
+			exp.Release.IDs = []uint64{}
 		}
 		if exp.Verdict.IDs == nil {
 			exp.Verdict.IDs = []uint64{}
@@ -252,6 +260,7 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{5, TEvent, 1, 1, 1, 1})
+	f.Add([]byte{5, TRelease, 2, 2, 7, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		var msg Msg
@@ -265,7 +274,7 @@ func FuzzReader(f *testing.F) {
 
 // FuzzWire is the CI smoke fuzz target: arbitrary bytes through the frame
 // decoder must never panic, must terminate, and every frame that decodes as
-// an Event, Free or Verdict must re-encode and decode back to itself
+// an Event, Free, Release or Verdict must re-encode and decode back to itself
 // (decode → encode → decode is the identity on the decoder's image).
 func FuzzWire(f *testing.F) {
 	stream, _ := encodeAll(f)
@@ -274,6 +283,7 @@ func FuzzWire(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{2, TFree, 0})
 	f.Add([]byte{5, TEvent, 1, 1, 1, 1})
+	f.Add([]byte{5, TRelease, 2, 2, 7, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		var msg Msg
@@ -289,6 +299,8 @@ func FuzzWire(f *testing.F) {
 				werr = w.WriteEvent(msg.Event.Sym, msg.Event.IDs)
 			case TFree:
 				werr = w.WriteFree(msg.Free.IDs)
+			case TRelease:
+				werr = w.WriteRelease(msg.Release.Lane, msg.Release.IDs)
 			case TVerdict:
 				werr = w.WriteVerdict(msg.Verdict)
 			default:
@@ -307,12 +319,21 @@ func FuzzWire(f *testing.F) {
 				want.Event = Event{Sym: msg.Event.Sym, IDs: append([]uint64{}, msg.Event.IDs...)}
 			case TFree:
 				want.Free = Free{IDs: append([]uint64{}, msg.Free.IDs...)}
+			case TRelease:
+				want.Release = Release{Lane: msg.Release.Lane, IDs: append([]uint64{}, msg.Release.IDs...)}
 			case TVerdict:
 				want.Verdict = Verdict{Sym: msg.Verdict.Sym, Cat: msg.Verdict.Cat,
 					Mask: msg.Verdict.Mask, IDs: append([]uint64{}, msg.Verdict.IDs...)}
 			}
 			r2 := NewReader(&buf)
 			var msg2 Msg
+			if want.Type == TRelease && len(want.Release.IDs) == 0 {
+				// A release of no IDs encodes as no frame at all.
+				if err := r2.Next(&msg2); err != io.EOF {
+					t.Fatalf("empty release re-encoded as a frame (err %v)", err)
+				}
+				continue
+			}
 			if err := r2.Next(&msg2); err != nil {
 				t.Fatalf("decoding re-encoded frame: %v", err)
 			}
@@ -332,6 +353,20 @@ func FuzzWire(f *testing.F) {
 				}
 				if !reflect.DeepEqual(got, want.Free.IDs) {
 					t.Fatalf("free round trip: %v != %v", got, want.Free.IDs)
+				}
+			case TRelease:
+				if msg2.Release.Lane != want.Release.Lane {
+					t.Fatalf("release round trip: lane %d != %d", msg2.Release.Lane, want.Release.Lane)
+				}
+				got := append([]uint64{}, msg2.Release.IDs...)
+				for r2.Next(&msg2) == nil {
+					if msg2.Type != TRelease || msg2.Release.Lane != want.Release.Lane {
+						t.Fatalf("release continued as frame %d, lane %d; want lane %d", msg2.Type, msg2.Release.Lane, want.Release.Lane)
+					}
+					got = append(got, msg2.Release.IDs...)
+				}
+				if !reflect.DeepEqual(got, want.Release.IDs) {
+					t.Fatalf("release round trip: %v != %v", got, want.Release.IDs)
 				}
 			case TVerdict:
 				if msg2.Verdict.Sym != want.Verdict.Sym || msg2.Verdict.Cat != want.Verdict.Cat ||
