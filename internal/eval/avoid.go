@@ -67,6 +67,7 @@ type AvoidRun struct {
 	Stats         monitor.Stats
 	CreatedCut    float64 // 1 - Created/reference Created
 	Identical     bool    // verdicts (and invariants) hold vs the reference
+	segments      int     // intact segments the replay's reader indexed
 }
 
 // AvoidReport is the creation-avoidance tier's outcome.
@@ -167,6 +168,7 @@ func avoidLeg(path string, spec *monitor.Spec, label string, creation monitor.Cr
 		ProfileGuided: guards != nil,
 		Sec:           time.Since(start).Seconds(),
 		Stats:         qr.Stats,
+		segments:      qr.Segments,
 	}
 	return run, keys, nil
 }
@@ -321,10 +323,7 @@ func RunAvoid(cfg AvoidConfig) (*AvoidReport, error) {
 		res.Sites = append(res.Sites, site)
 	}
 
-	// Segment count from any replay of the store.
-	if r, err := trace.Open(path); err == nil {
-		res.Segments = r.Segments()
-	}
+	res.Segments = refE.segments
 	return res, nil
 }
 

@@ -87,17 +87,31 @@ type SymbolDef struct {
 	Params param.Set
 }
 
-// segHeader is the decoded per-segment metadata: everything a reader needs
-// to decide whether to replay, skip or partition the segment before
-// touching a single record.
-type segHeader struct {
-	syms      []SymbolDef
-	arity     []int    // per symbol: the IDs its event records carry
-	pivot     int      // recording spec's pivot parameter, -1 = none
-	pivotIDs  []uint64 // ascending object IDs of pivots bound in segment
-	broadcast uint64   // events not binding the pivot
-	events    uint64   // event records
-	records   uint64   // total records
+// symTable is a decoded symbol table and the pivot recorded with it:
+// the part of a segment header a Writer repeats verbatim in every
+// segment. Open decodes each distinct byte image once and every segment
+// carrying it shares the result, so a replay maps the recorded alphabet
+// onto its query spec once per table, not once per segment.
+type symTable struct {
+	image []byte // the encoded table, as it appears in the payload
+	syms  []SymbolDef
+	arity []int // per symbol: the IDs its event records carry
+	pivot int   // recording spec's pivot parameter, -1 = none
+}
+
+// segment is one intact on-disk segment as Open indexes it: the decoded
+// header and where the payload lies in the file, but none of its records.
+type segment struct {
+	tab       *symTable
+	pivLo     int    // the segment's pivot IDs are Reader.pivots[pivLo:pivHi],
+	pivHi     int    // ascending
+	broadcast uint64 // events not binding the pivot
+	events    uint64 // event records
+	records   uint64 // total records (events + frees)
+	off       int64  // file offset of the payload
+	size      int    // payload bytes
+	recs      int    // offset of the first record within the payload
+	crc       uint32 // the payload's CRC32-IEEE, as its footer gave it
 }
 
 // encodeSymbols writes the recorder's event alphabet as the segment symbol
@@ -112,34 +126,36 @@ func encodeSymbols(e *wire.Enc, syms []SymbolDef) {
 	}
 }
 
-// decodeHeader decodes a segment payload's header, leaving the cursor
-// positioned at the first record.
-func decodeHeader(d *wire.Cursor) (*segHeader, error) {
-	h := &segHeader{syms: make([]SymbolDef, d.Count())}
-	h.arity = make([]int, len(h.syms))
-	for i := range h.syms {
+// skipSymbols advances d past a segment's symbol table and pivot without
+// decoding them, so the table's byte image can be compared with the ones
+// already decoded.
+func skipSymbols(d *wire.Cursor) {
+	for n := d.Count(); n > 0; n-- {
+		d.Pos += d.Count() // name
+		d.U()              // parameter mask
+	}
+	d.I()
+}
+
+// decodeSymbols decodes a symbol table and pivot from the whole of image.
+func decodeSymbols(image []byte) (*symTable, error) {
+	d := &wire.Cursor{Buf: image}
+	t := &symTable{image: image, syms: make([]SymbolDef, d.Count())}
+	t.arity = make([]int, len(t.syms))
+	for i := range t.syms {
 		name, m := d.S(), d.U()
 		if m >= 1<<param.MaxParams {
 			return nil, fmt.Errorf("trace: symbol %q has parameter mask %#x beyond MaxParams", name, m)
 		}
-		h.syms[i] = SymbolDef{Name: name, Params: param.Set(m)}
-		h.arity[i] = h.syms[i].Params.Count()
+		t.syms[i] = SymbolDef{Name: name, Params: param.Set(m)}
+		t.arity[i] = t.syms[i].Params.Count()
 	}
 	pivot := d.I()
 	if pivot < -1 || pivot >= param.MaxParams {
 		return nil, fmt.Errorf("trace: pivot parameter %d out of range", pivot)
 	}
-	h.pivot = int(pivot)
-	h.pivotIDs = make([]uint64, d.Count())
-	var prev uint64
-	for i := range h.pivotIDs {
-		prev += d.U()
-		h.pivotIDs[i] = prev
-	}
-	h.broadcast = d.U()
-	h.events = d.U()
-	h.records = d.U()
-	return h, d.Err
+	t.pivot = int(pivot)
+	return t, d.Err
 }
 
 // pivotPos returns the position of parameter pivot within mask, counting
@@ -147,22 +163,4 @@ func decodeHeader(d *wire.Cursor) (*segHeader, error) {
 // ascending-parameter ID list.
 func pivotPos(mask param.Set, pivot int) int {
 	return mask.Inter(param.Set(1<<uint(pivot)) - 1).Count()
-}
-
-// hasPivot reports whether a pivot-filtered or partitioned reader owns any
-// of the segment's pivot objects. Both lists are ascending, so this is a
-// linear merge.
-func hasPivot(segIDs, want []uint64) bool {
-	i, j := 0, 0
-	for i < len(segIDs) && j < len(want) {
-		switch {
-		case segIDs[i] == want[j]:
-			return true
-		case segIDs[i] < want[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

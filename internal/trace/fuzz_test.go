@@ -44,8 +44,7 @@ func fuzzSeed(f *testing.F, segRecords int) []byte {
 // FuzzTraceSegment mirrors FuzzWire for the trace store: arbitrary bytes
 // presented as a trace file must never panic the scanner or the replayer —
 // they either open (possibly truncated) and replay cleanly through an
-// engine, or fail with an error. Every intact trace in the decoder's image
-// replays without error.
+// engine, whole and for one slice, or fail with an error.
 func FuzzTraceSegment(f *testing.F) {
 	seed := fuzzSeed(f, 8)
 	f.Add(seed)
@@ -53,6 +52,8 @@ func FuzzTraceSegment(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("RVTR"))
 	f.Add(append([]byte("RVTR\x01RSEG"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
+	// A length prefix (200) running past the end of the file.
+	f.Add(append([]byte("RVTR\x01RSEG"), 0xC8, 0x01, 0x00, 0x00, 0x00, 0x00))
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {
 		f.Fatal(err)
@@ -67,18 +68,25 @@ func FuzzTraceSegment(f *testing.F) {
 			return
 		}
 		r.Records()
-		r.PivotIDs()
+		pivots := r.PivotIDs()
 		r.SymbolNames()
-		eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
 		// Replay may reject a decodable-but-inconsistent trace (arity
-		// mismatch, symbol out of range); it must not panic.
-		if _, err := r.Replay(eng, ReplayOptions{}); err != nil {
-			return
+		// mismatch, symbol out of range); it must not panic. The
+		// pivot-selective replay of the first slice exercises the skim
+		// rule and the on-demand segment loads.
+		replay := func(ro ReplayOptions) {
+			eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if _, err := r.Replay(eng, ro); err == nil {
+				eng.Flush()
+			}
 		}
-		eng.Flush()
+		replay(ReplayOptions{})
+		if len(pivots) > 0 {
+			replay(ReplayOptions{Pivots: pivots[:1]})
+		}
 	})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"rvgo/internal/heap"
@@ -48,58 +49,60 @@ type ReplayStats struct {
 	UnknownSkipped  uint64 // events whose name the query spec lacks
 }
 
-// symMap is the per-segment mapping from recorded symbols to the query
-// spec's: a trace records the alphabet of the spec that was monitored, a
-// retroactive query replays it against a possibly different spec, matched
-// by event name.
+// symMap maps one recorded symbol table onto the query spec's: a trace
+// records the alphabet of the spec that was monitored, a retroactive
+// query replays it against a possibly different spec, matched by event
+// name.
 type symMap struct {
-	to      []int       // recorded sym -> query sym, -1 = not in query spec
-	mask    []param.Set // query D(sym) for mapped symbols
-	qbinds  []bool      // recorded sym binds the query pivot
-	qpos    []int       // query pivot ID position in the record's ID list
-	indexOK bool        // segment pivot index is valid for the query pivot
+	tab     *symTable
+	syms    []symMapping // per recorded symbol
+	indexOK bool         // the pivot index is valid for the query pivot
 }
 
-// mapSymbols builds the recorded→query symbol mapping for one segment and
-// decides whether the segment's pivot index may accelerate this query.
-// The index was built over the recording spec's pivot parameter; it is
-// valid for the query iff, for every shared event, the recorded pivot and
-// the query pivot occupy the same position in the event's ID list — then
-// "pivot object of a record" names the same ID either way. Otherwise the
-// index is ignored (replay stays correct, just unaccelerated).
-func mapSymbols(hdr *segHeader, qspec *monitor.Spec, qpivot int) (*symMap, error) {
-	m := &symMap{
-		to:     make([]int, len(hdr.syms)),
-		mask:   make([]param.Set, len(hdr.syms)),
-		qbinds: make([]bool, len(hdr.syms)),
-		qpos:   make([]int, len(hdr.syms)),
-	}
-	m.indexOK = hdr.pivot >= 0 && qpivot >= 0
-	for i, sd := range hdr.syms {
-		rbinds := hdr.pivot >= 0 && sd.Params.Has(hdr.pivot)
+type symMapping struct {
+	to     int       // query symbol, -1 = not in query spec
+	mask   param.Set // query D(sym), for a mapped symbol
+	qbinds bool      // the recorded symbol binds the query pivot
+	qpos   int       // query pivot ID position in the record's ID list
+}
+
+// mapSymbols builds the recorded→query symbol mapping for one symbol table
+// and decides whether the pivot index of the segments carrying it may
+// accelerate this query. The index was built over the recording spec's
+// pivot parameter; it is valid for the query iff, for every shared event,
+// the recorded pivot and the query pivot occupy the same position in the
+// event's ID list — then "pivot object of a record" names the same ID
+// either way. Otherwise the index is ignored (replay stays correct, just
+// unaccelerated).
+func mapSymbols(tab *symTable, qspec *monitor.Spec, qpivot int) (*symMap, error) {
+	m := &symMap{tab: tab, syms: make([]symMapping, len(tab.syms))}
+	m.indexOK = tab.pivot >= 0 && qpivot >= 0
+	for i, sd := range tab.syms {
+		rbinds := tab.pivot >= 0 && sd.Params.Has(tab.pivot)
 		rpos := 0
 		if rbinds {
-			rpos = pivotPos(sd.Params, hdr.pivot)
+			rpos = pivotPos(sd.Params, tab.pivot)
 		}
-		m.to[i] = -1
+		sm := &m.syms[i]
+		sm.to = -1
 		qsym, ok := qspec.Symbol(sd.Name)
 		if !ok {
 			continue
 		}
 		qmask := qspec.Events[qsym].Params
-		if qmask.Count() != hdr.arity[i] {
+		if qmask.Count() != tab.arity[i] {
 			return nil, fmt.Errorf("trace: event %q recorded with %d objects but query spec binds %d parameters",
-				sd.Name, hdr.arity[i], qmask.Count())
+				sd.Name, tab.arity[i], qmask.Count())
 		}
-		m.to[i] = qsym
-		m.mask[i] = qmask
-		m.qbinds[i] = qpivot >= 0 && qmask.Has(qpivot)
-		if m.qbinds[i] {
-			m.qpos[i] = pivotPos(qmask, qpivot)
+		sm.to = qsym
+		sm.mask = qmask
+		sm.qbinds = qpivot >= 0 && qmask.Has(qpivot)
+		if sm.qbinds {
+			sm.qpos = pivotPos(qmask, qpivot)
 		}
 		// Index validity: recorded and query pivot must pick the same ID
 		// out of every shared event's record.
-		if rbinds != m.qbinds[i] || (rbinds && rpos != m.qpos[i]) {
+		if rbinds != sm.qbinds || (rbinds && rpos != sm.qpos) {
 			m.indexOK = false
 		}
 	}
@@ -114,6 +117,7 @@ type objTable struct {
 	dense  []*obj
 	sparse map[uint64]*obj
 	n      int // objects materialized
+	died   int // of them, objects dead
 }
 
 // maxDenseID bounds the dense table (8 bytes/slot); IDs beyond it spill
@@ -154,14 +158,19 @@ func (t *objTable) materialize(id uint64) *obj {
 
 // replayer is the per-replay state shared by the segment loop.
 type replayer struct {
-	rt    monitor.Runtime
-	opts  ReplayOptions
-	want  map[uint64]struct{}
-	objs  objTable
-	refs  []heap.Ref
-	ids   []uint64
-	dying []*obj
-	stats ReplayStats
+	r      *Reader
+	src    *source
+	rt     monitor.Runtime
+	qspec  *monitor.Spec
+	qpivot int
+	opts   ReplayOptions
+	want   []uint64  // the queried pivots, ascending; nil = every slice
+	maps   []*symMap // one per distinct symbol table met so far
+	objs   objTable
+	refs   []heap.Ref
+	ids    []uint64
+	dying  []*obj
+	stats  ReplayStats
 }
 
 // Replay replays the trace sequentially through rt, materializing one
@@ -186,69 +195,93 @@ func (r *Reader) Replay(rt monitor.Runtime, opts ReplayOptions) (ReplayStats, er
 			return ReplayStats{}, fmt.Errorf("trace: spec %q has no pivot parameter; parallel and pivot-selective replay require one", qspec.Name)
 		}
 	}
-	rp := &replayer{rt: rt, opts: opts}
+	rp := &replayer{r: r, src: &source{r: r}, rt: rt, qspec: qspec, qpivot: qpivot, opts: opts}
+	defer rp.src.close()
 	if len(opts.Pivots) > 0 {
-		rp.want = make(map[uint64]struct{}, len(opts.Pivots))
-		for _, id := range opts.Pivots {
-			rp.want[id] = struct{}{}
-		}
+		rp.want = slices.Clone(opts.Pivots)
+		slices.Sort(rp.want)
 	}
-	for si, seg := range r.segs {
-		sm, err := mapSymbols(seg.hdr, qspec, qpivot)
-		if err != nil {
-			return rp.stats, fmt.Errorf("trace: segment %d: %w", si, err)
-		}
-		// Slice skipping. A segment whose pivot index names no object this
-		// replay owns — and with no broadcast (non-pivot-binding) events,
-		// which could touch any slice — dispatches nothing here. It may
-		// still *free* objects materialized from earlier segments, so it
-		// is skimmed (deaths applied, dispatch skipped) rather than
-		// ignored; when nothing has been materialized yet even the skim is
-		// unnecessary.
-		if sm.indexOK && seg.hdr.broadcast == 0 && !rp.owns(seg.hdr.pivotIDs) {
-			rp.stats.SegmentsSkimmed++
-			rp.stats.EventsSkipped += seg.hdr.events
-			if rp.objs.n == 0 || seg.hdr.records == seg.hdr.events {
-				continue
-			}
-			if err := rp.segment(seg, sm, true); err != nil {
-				return rp.stats, fmt.Errorf("trace: segment %d: %w", si, err)
-			}
-			continue
-		}
-		if err := rp.segment(seg, sm, false); err != nil {
+	for si := range r.segs {
+		if err := rp.segment(si); err != nil {
 			return rp.stats, fmt.Errorf("trace: segment %d: %w", si, err)
 		}
 	}
 	return rp.stats, nil
 }
 
-// owns reports whether any of the segment's pivot objects passes this
-// replay's filter and partition.
+// symMap returns the query mapping of tab, built on first use.
+func (rp *replayer) symMap(tab *symTable) (*symMap, error) {
+	for _, sm := range rp.maps {
+		if sm.tab == tab {
+			return sm, nil
+		}
+	}
+	sm, err := mapSymbols(tab, rp.qspec, rp.qpivot)
+	if err != nil {
+		return nil, err
+	}
+	rp.maps = append(rp.maps, sm)
+	return sm, nil
+}
+
+// selected reports whether the slice of pivot object id is this replay's:
+// queried (or no query given) and in this worker's partition.
+func (rp *replayer) selected(id uint64) bool {
+	if rp.want != nil {
+		if _, ok := slices.BinarySearch(rp.want, id); !ok {
+			return false
+		}
+	}
+	return rp.opts.workers <= 1 || int(shard.Mix(id)%uint64(rp.opts.workers)) == rp.opts.self
+}
+
+// owns reports whether any of the segment's pivot objects is selected.
 func (rp *replayer) owns(pivotIDs []uint64) bool {
 	for _, id := range pivotIDs {
-		if rp.want != nil {
-			if _, ok := rp.want[id]; !ok {
-				continue
-			}
+		if rp.selected(id) {
+			return true
 		}
-		if rp.opts.workers > 1 && int(shard.Mix(id)%uint64(rp.opts.workers)) != rp.opts.self {
-			continue
-		}
-		return true
 	}
 	return false
 }
 
-// segment replays one segment. In skim mode event records are decoded past
-// without dispatching (their slices are not owned) while free records are
-// still applied to already-materialized objects — the deaths of a slice's
-// objects may fall in segments the slice's events do not.
-func (rp *replayer) segment(seg *segment, sm *symMap, skim bool) error {
-	d := wire.Cursor{Buf: seg.recs}
-	for rec := uint64(0); rec < seg.hdr.records; rec++ {
+// segment replays segment si, loading it from the file only if it has
+// something to deliver.
+//
+// Slice skipping. A segment whose pivot index names no object this replay
+// owns — and with no broadcast (non-pivot-binding) events, which could
+// touch any slice — dispatches nothing here. It may still *free* objects
+// materialized from earlier segments, so it is skimmed (deaths applied,
+// dispatch skipped) rather than ignored — but only while some object this
+// replay materialized is still alive: a death of an unseen or already
+// dead object is a no-op, so once every materialized object has died the
+// skim has nothing left to apply and the segment is not even read.
+func (rp *replayer) segment(si int) error {
+	seg := &rp.r.segs[si]
+	sm, err := rp.symMap(seg.tab)
+	if err != nil {
+		return err
+	}
+	skim := sm.indexOK && seg.broadcast == 0 && !rp.owns(rp.r.pivotIDs(si))
+	if skim {
+		rp.stats.SegmentsSkimmed++
+		rp.stats.EventsSkipped += seg.events
+		if rp.objs.n == rp.objs.died || seg.records == seg.events {
+			return nil
+		}
+	}
+	recs, err := rp.src.load(si)
+	if err != nil {
+		return err
+	}
+	// In skim mode event records are decoded past without dispatching
+	// (their slices are not owned) while free records are still applied
+	// to already-materialized objects — the deaths of a slice's objects
+	// may fall in segments the slice's events do not.
+	d := wire.Cursor{Buf: recs}
+	for rec := uint64(0); rec < seg.records; rec++ {
 		var rsym int
-		if rsym, rp.ids = d.Record(rp.ids[:0], seg.hdr.arity); d.Err != nil {
+		if rsym, rp.ids = d.Record(rp.ids[:0], seg.tab.arity); d.Err != nil {
 			return d.Err
 		}
 		if rsym < 0 {
@@ -265,30 +298,29 @@ func (rp *replayer) segment(seg *segment, sm *symMap, skim bool) error {
 				for _, o := range rp.dying {
 					rp.rt.Free(o)
 				}
+				// A record may name one ID twice: count each death once.
 				for _, o := range rp.dying {
-					o.dead.Store(true)
+					if !o.dead.Swap(true) {
+						rp.objs.died++
+					}
 				}
 				rp.stats.Frees++
+				if skim && rp.objs.n == rp.objs.died {
+					return nil
+				}
 			}
 			continue
 		}
 		if skim {
 			continue
 		}
-		qsym := sm.to[rsym]
-		if qsym < 0 {
+		m := &sm.syms[rsym]
+		if m.to < 0 {
 			rp.stats.UnknownSkipped++
 			continue
 		}
-		if sm.qbinds[rsym] {
-			pid := rp.ids[sm.qpos[rsym]]
-			if rp.want != nil {
-				if _, ok := rp.want[pid]; !ok {
-					rp.stats.EventsSkipped++
-					continue
-				}
-			}
-			if rp.opts.workers > 1 && int(shard.Mix(pid)%uint64(rp.opts.workers)) != rp.opts.self {
+		if m.qbinds {
+			if !rp.selected(rp.ids[m.qpos]) {
 				rp.stats.EventsSkipped++
 				continue
 			}
@@ -299,7 +331,7 @@ func (rp *replayer) segment(seg *segment, sm *symMap, skim bool) error {
 		for _, id := range rp.ids {
 			rp.refs = append(rp.refs, rp.objs.materialize(id))
 		}
-		rp.rt.Dispatch(qsym, param.Of(sm.mask[rsym], rp.refs...))
+		rp.rt.Dispatch(m.to, param.Of(m.mask, rp.refs...))
 		rp.stats.Events++
 	}
 	return nil

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -548,11 +550,17 @@ func segmentOffsets(t *testing.T, data []byte) []int64 {
 	pos := len(fileMagic) + 1
 	for pos < len(data) {
 		offs = append(offs, int64(pos))
-		_, next, ok := scanSegment(data, pos)
-		if !ok {
+		if !bytes.HasPrefix(data[pos:], []byte(segMagic)) {
 			t.Fatalf("corrupt fixture at offset %d", pos)
 		}
-		pos = next
+		plen, n := binary.Uvarint(data[pos+len(segMagic):])
+		if n <= 0 {
+			t.Fatalf("corrupt fixture at offset %d", pos)
+		}
+		pos += len(segMagic) + n + int(plen) + 4
+	}
+	if pos != len(data) {
+		t.Fatalf("fixture's last segment overruns the file (%d > %d bytes)", pos, len(data))
 	}
 	return append(offs, int64(len(data)))
 }
