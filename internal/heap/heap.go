@@ -4,30 +4,24 @@
 // The RV system's monitor garbage collection is driven by the deaths of
 // parameter objects: when the JVM collects an Iterator, the coenable-set
 // analysis may prove that some monitor instances can never trigger again.
-// This package supplies the equivalent signal in Go in two flavours:
+// This package supplies the equivalent signal in Go: a deterministic
+// simulated heap (Heap/Object), where the workload explicitly frees
+// objects. It is the substrate used by tests and by the DaCapo-style
+// benchmark harness, because reproducing the paper's Figure 10 statistics
+// requires deterministic collection points. It is also the identity
+// currency of the live-object registry (internal/registry), which
+// allocates one Object per registered Go object and frees it when the real
+// GC's cleanup signal is delivered. (A monitoring server and a trace
+// replay need no Object at all: the recorded or client IDs go straight
+// into the engine's object table, and a free is the death.)
 //
-//   - A deterministic simulated heap (Heap/Object), where the workload
-//     explicitly frees objects. This is the substrate used by tests and by
-//     the DaCapo-style benchmark harness, because reproducing the paper's
-//     Figure 10 statistics requires deterministic collection points. It is
-//     also the identity currency of the live-object registry
-//     (internal/registry), which allocates one Object per registered Go
-//     object and frees it when the real GC's cleanup signal is delivered.
-//     (A monitoring server needs no Object at all: its client's IDs go
-//     straight into the engine's object table, and a protocol free is the
-//     death.)
-//   - Real weak references (Weak) built on Go 1.24's weak.Pointer, showing
-//     the same engine running against the real garbage collector.
-//
-// Both implement Ref, the only interface the monitoring engine sees.
+// Object implements Ref, the interface the monitoring engine sees.
 package heap
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"weak"
 )
 
 // Ref is a possibly-weak reference to a parameter object. A monitoring
@@ -128,44 +122,4 @@ func (o *Object) Label() string {
 		return o.label
 	}
 	return fmt.Sprintf("obj#%d", o.id)
-}
-
-var weakIDs atomic.Uint64
-
-// Weak is a Ref backed by a real weak pointer; the referent becomes dead
-// when the Go garbage collector reclaims it.
-type Weak[T any] struct {
-	id    uint64
-	label string
-	p     weak.Pointer[T]
-}
-
-// NewWeak wraps ptr in a weak Ref.
-func NewWeak[T any](ptr *T, label string) *Weak[T] {
-	return &Weak[T]{id: weakIDs.Add(1), label: label, p: weak.Make(ptr)}
-}
-
-// ID implements Ref.
-func (w *Weak[T]) ID() uint64 { return w.id }
-
-// Alive implements Ref.
-func (w *Weak[T]) Alive() bool { return w.p.Value() != nil }
-
-// Get returns a strong pointer to the referent, or nil if collected.
-func (w *Weak[T]) Get() *T { return w.p.Value() }
-
-// Label implements Ref.
-func (w *Weak[T]) Label() string {
-	if w.label != "" {
-		return w.label
-	}
-	return fmt.Sprintf("weak#%d", w.id)
-}
-
-// ForceCollect encourages the runtime to collect unreachable referents of
-// weak Refs. It is best-effort and intended for tests.
-func ForceCollect() {
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-	}
 }

@@ -1,7 +1,6 @@
 package heap_test
 
 import (
-	"runtime"
 	"testing"
 
 	"rvgo/internal/heap"
@@ -34,36 +33,4 @@ func TestSimHeapLifecycle(t *testing.T) {
 	if h.Alloc("").Label() == "" {
 		t.Fatal("unnamed objects get a synthetic label")
 	}
-}
-
-func TestWeakRefCollected(t *testing.T) {
-	type big struct{ buf [1024]byte }
-	mk := func() *heap.Weak[big] {
-		p := &big{}
-		return heap.NewWeak(p, "w")
-	}
-	w := mk()
-	// Best effort: the referent is unreachable after mk returns.
-	heap.ForceCollect()
-	if w.Alive() {
-		t.Skip("runtime kept the weak referent alive (best-effort test)")
-	}
-	if w.Get() != nil {
-		t.Fatal("Get must be nil after collection")
-	}
-}
-
-func TestWeakRefAliveWhileHeld(t *testing.T) {
-	p := &struct{ x int }{x: 42}
-	w := heap.NewWeak(p, "held")
-	heap.ForceCollect()
-	if !w.Alive() || w.Get() == nil || w.Get().x != 42 {
-		t.Fatal("weak ref must stay alive while the referent is reachable")
-	}
-	if w.ID() == 0 {
-		t.Fatal("weak ids must be nonzero")
-	}
-	// Without this, the compiler may treat p as dead before ForceCollect
-	// and the GC is free to clear the weak pointer mid-test.
-	runtime.KeepAlive(p)
 }

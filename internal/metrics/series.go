@@ -77,7 +77,7 @@ type ShardSeries struct {
 // shards. Shard label values are "tenant/s0" … "tenant/s<n-1>".
 func NewShardSeries(r *Registry, tenant string, n int) *ShardSeries {
 	s := &ShardSeries{
-		Refusals:   r.LabeledCounter("rv_shard_refusals_total", "TryDispatch batches refused for lack of mailbox space.", "tenant", tenant),
+		Refusals:   r.LabeledCounter("rv_shard_refusals_total", "TryDispatchIDs batches refused for lack of mailbox space.", "tenant", tenant),
 		Broadcasts: r.LabeledCounter("rv_shard_broadcasts_total", "Events broadcast to every shard.", "tenant", tenant),
 	}
 	for i := 0; i < n; i++ {

@@ -59,14 +59,14 @@ type Runtime interface {
 	// The caller dispatches no later event mentioning the ref (with a
 	// garbage-collected object that is automatic: the object is
 	// unreachable, so no event can bind it). Every death source with refs
-	// uses it: trace replay, the simulated-heap free hook, the remote
-	// clients' protocol frees, and the live-object frontend (package rv),
-	// where Go-GC cleanups become stream-positioned deaths that drive
-	// coenable-set monitor GC. On the sharded runtime the Free is the
-	// object's only death: its engines hold the caller's refs without
-	// asking them, so an object killed without a Free stays alive there.
-	// A server session names objects by ID and uses FreeIDs (Engine, and
-	// the sharded runtime) instead.
+	// uses it: the simulated-heap free hook, the remote clients' protocol
+	// frees, and the live-object frontend (package rv), where Go-GC
+	// cleanups become stream-positioned deaths that drive coenable-set
+	// monitor GC. On the sharded runtime the Free is the object's only
+	// death: its engines hold the caller's refs without asking them, so an
+	// object killed without a Free stays alive there. A server session and
+	// a trace replay name objects by ID and use FreeIDs (Engine, and the
+	// sharded runtime) instead.
 	Free(ref heap.Ref)
 	// Barrier returns once every event dispatched before the call has been
 	// fully processed. Synchronous backends return immediately.
@@ -97,7 +97,8 @@ func (e *Engine) Barrier() {}
 func (e *Engine) Free(heap.Ref) {}
 
 // DispatchIDs is Dispatch for a caller that names objects by ID — a
-// monitoring server's session, whose client's IDs are the objects: ids bind
+// monitoring server's session, whose client's IDs are the objects, or a
+// trace replay, whose recorded IDs are: ids bind
 // D(sym) in ascending parameter-index order; a wrong arity panics, as
 // Emit's does. An object first named here gets a held record with no ref,
 // which dies only by FreeIDs; one engine takes its objects through one of

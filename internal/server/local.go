@@ -197,7 +197,7 @@ func (b *local) Event(sym int, ids []uint64) error {
 	return nil
 }
 
-// stallDispatch is the blocking fallback behind a TryDispatch refusal:
+// stallDispatch is the blocking fallback behind a TryDispatchIDs refusal:
 // the session reader stalls here, withholding credit, until the shard
 // mailbox drains. The stall is counted and timed, and a stall still
 // blocked after one second logs a structured warning with the withheld

@@ -92,11 +92,9 @@ func recordVerdicts(spec *monitor.Spec, into map[string][]string) func(monitor.V
 // replayInto feeds a gstep trace into a backend, allocating fresh objects
 // labeled prefix+ordinal and positioning every death with Free right
 // before the kill, so the backend observes deaths at their trace
-// positions. useTry exercises the non-blocking path with a retry loop
-// (order-preserving).
-func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, prefix string, useTry bool) {
+// positions.
+func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, prefix string) {
 	t.Helper()
-	spec := rt.Spec()
 	objs := map[int]*heap.Object{}
 	get := func(o int) *heap.Object {
 		v, ok := objs[o]
@@ -106,7 +104,6 @@ func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, p
 		}
 		return v
 	}
-	srt, _ := rt.(*shard.Runtime)
 	for _, st := range steps {
 		if st.sym < 0 {
 			o := get(st.objs[0])
@@ -118,24 +115,52 @@ func replayInto(t testing.TB, rt monitor.Runtime, h *heap.Heap, steps []gstep, p
 		for k, o := range st.objs {
 			vals[k] = get(o)
 		}
-		if useTry && srt != nil {
-			theta := param.Of(spec.Events[st.sym].Params, vals...)
-			for !srt.TryDispatch(st.sym, theta) {
+		monitor.Emit(rt, st.sym, vals...)
+	}
+}
+
+// idRuntime is a backend that takes objects by ID: the sequential engine
+// or the sharded runtime.
+type idRuntime interface {
+	monitor.Runtime
+	DispatchIDs(sym int, ids []uint64)
+	FreeIDs(ids []uint64)
+}
+
+// replayIDs feeds a gstep trace into a backend by ID, as a server session
+// or a trace replay does: ordinal o is object base+o+1, events go through
+// DispatchIDs and deaths through FreeIDs, and verdicts label the objects
+// r<id>. With useTry the sharded runtime gets its events through
+// TryDispatchIDs with a retry loop (order-preserving).
+func replayIDs(t testing.TB, rt idRuntime, steps []gstep, base uint64, useTry bool) {
+	t.Helper()
+	srt, _ := rt.(*shard.Runtime)
+	for _, st := range steps {
+		ids := make([]uint64, len(st.objs))
+		for k, o := range st.objs {
+			ids[k] = base + uint64(o) + 1
+		}
+		switch {
+		case st.sym < 0:
+			rt.FreeIDs(ids)
+		case useTry && srt != nil:
+			for !srt.TryDispatchIDs(st.sym, ids) {
 				runtime.Gosched()
 			}
-		} else {
-			monitor.Emit(rt, st.sym, vals...)
+		default:
+			rt.DispatchIDs(st.sym, ids)
 		}
 	}
 }
 
 // execTrace runs one backend over a trace. shards == 0 selects the
-// sequential engine (the oracle); otherwise the sharded runtime.
+// sequential engine (the oracle); otherwise the sharded runtime. useTry
+// feeds the trace by ID (replayIDs), else by heap objects (replayInto).
 func execTrace(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, shards, batch int, steps []gstep, useTry bool) result {
 	t.Helper()
 	verdicts := map[string][]string{}
 	opts := monitor.Options{GC: gc, Creation: monitor.CreateEnable, OnVerdict: recordVerdicts(spec, verdicts)}
-	var rt monitor.Runtime
+	var rt idRuntime
 	var err error
 	if shards == 0 {
 		rt, err = monitor.New(spec, opts)
@@ -145,7 +170,11 @@ func execTrace(t testing.TB, spec *monitor.Spec, gc monitor.GCPolicy, shards, ba
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayInto(t, rt, heap.New(), steps, "", useTry)
+	if useTry {
+		replayIDs(t, rt, steps, 0, true)
+	} else {
+		replayInto(t, rt, heap.New(), steps, "")
+	}
 	rt.Flush()
 	st := rt.Stats()
 	rt.Close()
@@ -214,7 +243,8 @@ func oracleSpecs(t testing.TB) []*monitor.Spec {
 // the library (plus a spec with a propositional event), random traces with
 // mid-trace object deaths produce the same per-slice verdict sequences and
 // the same settled counters on the sharded runtime (N ∈ {1,2,4,8}) as on
-// the sequential engine, under all three GC policies.
+// the sequential engine, under all three GC policies. At N = 4 both sides
+// take the trace by ID, the shards through TryDispatchIDs.
 func TestShardEquivalenceAllProps(t *testing.T) {
 	gcs := []monitor.GCPolicy{monitor.GCNone, monitor.GCAllDead, monitor.GCCoenable}
 	seeds := 4
@@ -227,9 +257,14 @@ func TestShardEquivalenceAllProps(t *testing.T) {
 			steps := genTrace(rng, spec, 300)
 			for _, gc := range gcs {
 				oracle := execTrace(t, spec, gc, 0, 0, steps, false)
+				idOracle := execTrace(t, spec, gc, 0, 0, steps, true)
 				for _, n := range []int{1, 2, 4, 8} {
+					want := oracle
+					if n == 4 {
+						want = idOracle
+					}
 					got := execTrace(t, spec, gc, n, 4, steps, n == 4)
-					compareResults(t, fmt.Sprintf("%s/seed%d/gc=%s/shards=%d", spec.Name, seed, gc, n), oracle, got)
+					compareResults(t, fmt.Sprintf("%s/seed%d/gc=%s/shards=%d", spec.Name, seed, gc, n), want, got)
 				}
 			}
 		}
@@ -258,7 +293,7 @@ func TestSweepScheduleIndependence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					replayInto(t, eng, heap.New(), steps, "", false)
+					replayInto(t, eng, heap.New(), steps, "")
 					eng.Flush()
 					st := eng.Stats()
 					eng.Close()
@@ -357,10 +392,11 @@ func TestShardEquivalenceDaCapo(t *testing.T) {
 
 // TestShardParallelProducers is the randomized multi-goroutine dispatch
 // oracle (run under -race in CI): several producers with disjoint object
-// families feed one sharded runtime concurrently, mixing Dispatch and
-// TryDispatch. Slices of disjoint families are independent, so the merged
-// outcome must equal the sequential engine processing the producers' traces
-// back to back.
+// families feed one sharded runtime concurrently, all by heap objects or
+// all by ID, mixing DispatchIDs and TryDispatchIDs. Slices of disjoint
+// families are independent, so the merged outcome must equal the
+// sequential engine processing the producers' traces back to back, fed the
+// same way.
 func TestShardParallelProducers(t *testing.T) {
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {
@@ -371,55 +407,66 @@ func TestShardParallelProducers(t *testing.T) {
 	if testing.Short() {
 		rounds = 2
 	}
+	// feed enters family g's trace into rt; by ID, family g's objects are
+	// g<<32 + 1, g<<32 + 2, ...
+	feed := func(rt idRuntime, h *heap.Heap, g int, steps []gstep, byID bool) {
+		if byID {
+			replayIDs(t, rt, steps, uint64(g)<<32, g%2 == 1)
+		} else {
+			replayInto(t, rt, h, steps, fmt.Sprintf("g%d.", g))
+		}
+	}
 	for seed := 0; seed < rounds; seed++ {
 		traces := make([][]gstep, producers)
 		for g := range traces {
 			rng := rand.New(rand.NewSource(int64(1000*seed + g)))
 			traces[g] = genTrace(rng, spec, 400)
 		}
-
-		// Sequential oracle: the concatenation, families labeled apart.
-		oracleVerdicts := map[string][]string{}
-		eng, err := monitor.New(spec, monitor.Options{
-			GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
-			OnVerdict: recordVerdicts(spec, oracleVerdicts),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oh := heap.New()
-		for g, steps := range traces {
-			replayInto(t, eng, oh, steps, fmt.Sprintf("g%d.", g), false)
-		}
-		eng.Flush()
-		oracle := result{verdicts: oracleVerdicts, stats: eng.Stats()}
-
-		// Concurrent run: one runtime, one producer goroutine per family.
-		gotVerdicts := map[string][]string{}
-		rt, err := shard.New(spec, shard.Options{
-			Options: monitor.Options{
+		for _, byID := range []bool{false, true} {
+			// Sequential oracle: the concatenation, families labeled apart.
+			oracleVerdicts := map[string][]string{}
+			eng, err := monitor.New(spec, monitor.Options{
 				GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
-				OnVerdict: recordVerdicts(spec, gotVerdicts),
-			},
-			Shards:    4,
-			BatchSize: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
+				OnVerdict: recordVerdicts(spec, oracleVerdicts),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oh := heap.New()
+			for g, steps := range traces {
+				feed(eng, oh, g, steps, byID)
+			}
+			eng.Flush()
+			oracle := result{verdicts: oracleVerdicts, stats: eng.Stats()}
+			eng.Close()
+
+			// Concurrent run: one runtime, one producer goroutine per family.
+			gotVerdicts := map[string][]string{}
+			rt, err := shard.New(spec, shard.Options{
+				Options: monitor.Options{
+					GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+					OnVerdict: recordVerdicts(spec, gotVerdicts),
+				},
+				Shards:    4,
+				BatchSize: 8,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := heap.New()
+			var wg sync.WaitGroup
+			for g, steps := range traces {
+				wg.Add(1)
+				go func(g int, steps []gstep) {
+					defer wg.Done()
+					feed(rt, sh, g, steps, byID)
+				}(g, steps)
+			}
+			wg.Wait()
+			rt.Flush()
+			got := result{verdicts: gotVerdicts, stats: rt.Stats()}
+			rt.Close()
+			compareResults(t, fmt.Sprintf("parallel/seed%d/byID=%v", seed, byID), oracle, got)
 		}
-		sh := heap.New()
-		var wg sync.WaitGroup
-		for g, steps := range traces {
-			wg.Add(1)
-			go func(g int, steps []gstep) {
-				defer wg.Done()
-				replayInto(t, rt, sh, steps, fmt.Sprintf("g%d.", g), g%2 == 1)
-			}(g, steps)
-		}
-		wg.Wait()
-		rt.Flush()
-		got := result{verdicts: gotVerdicts, stats: rt.Stats()}
-		rt.Close()
-		compareResults(t, fmt.Sprintf("parallel/seed%d", seed), oracle, got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestTryDispatchBackpressure stalls a worker and fills its mailbox:
-// TryDispatch must refuse exactly when the mailbox is full and accept
+// TryDispatchIDs must refuse exactly when the mailbox is full and accept
 // again once the worker drains.
 func TestTryDispatchBackpressure(t *testing.T) {
 	spec, err := props.Build("HasNext")
@@ -32,17 +32,16 @@ func TestTryDispatchBackpressure(t *testing.T) {
 	}
 	defer rt.Close()
 
-	// Find an object routed to shard 0.
-	h := heap.New()
-	var it heap.Ref
-	for {
-		o := h.Alloc("i")
-		if target, _ := rt.router.Route(0, param.Of(param.SetOf(0), o)); target == 0 {
-			it = o
-			break
+	// routedTo returns the first object ID from next on whose events go to
+	// shard want.
+	routedTo := func(want int, next uint64) []uint64 {
+		for id := next; ; id++ {
+			if target, _ := rt.routeIDs(0, []uint64{id}); target == want {
+				return []uint64{id}
+			}
 		}
 	}
-	theta := param.Of(param.SetOf(0), it)
+	it := routedTo(0, 1)
 
 	// Stall worker 0 inside a control request; entered guarantees the
 	// worker has taken the request off the mailbox.
@@ -57,31 +56,23 @@ func TestTryDispatchBackpressure(t *testing.T) {
 	// With BatchSize 1 every accepted event is one mailbox send: exactly
 	// depth of them fit while the worker is stalled.
 	for k := 0; k < depth; k++ {
-		if !rt.TryDispatch(0, theta) {
-			t.Fatalf("TryDispatch refused at %d/%d with mailbox space left", k, depth)
+		if !rt.TryDispatchIDs(0, it) {
+			t.Fatalf("TryDispatchIDs refused at %d/%d with mailbox space left", k, depth)
 		}
 	}
-	if rt.TryDispatch(0, theta) {
-		t.Fatal("TryDispatch accepted with a full mailbox and stalled worker")
+	if rt.TryDispatchIDs(0, it) {
+		t.Fatal("TryDispatchIDs accepted with a full mailbox and stalled worker")
 	}
 	// The other shard is idle and must still accept its own events.
-	var other heap.Ref
-	for {
-		o := h.Alloc("j")
-		if target, _ := rt.router.Route(0, param.Of(param.SetOf(0), o)); target == 1 {
-			other = o
-			break
-		}
-	}
-	if !rt.TryDispatch(0, param.Of(param.SetOf(0), other)) {
-		t.Fatal("a stalled shard must not block TryDispatch to other shards")
+	if !rt.TryDispatchIDs(0, routedTo(1, it[0]+1)) {
+		t.Fatal("a stalled shard must not block TryDispatchIDs to other shards")
 	}
 
 	close(gate)
 	<-done
 	rt.Barrier()
-	if !rt.TryDispatch(0, theta) {
-		t.Fatal("TryDispatch must accept again after the worker drained")
+	if !rt.TryDispatchIDs(0, it) {
+		t.Fatal("TryDispatchIDs must accept again after the worker drained")
 	}
 	rt.Barrier()
 	if got := rt.Stats().Events; got != depth+2 {
@@ -111,7 +102,7 @@ func TestTryDispatchBroadcastAllOrNothing(t *testing.T) {
 	if !ok {
 		t.Fatal("no tick symbol")
 	}
-	if _, broadcast := rt.router.Route(tick, param.Empty()); !broadcast {
+	if _, broadcast := rt.routeIDs(tick, nil); !broadcast {
 		t.Fatal("tick must be a broadcast event")
 	}
 
@@ -124,18 +115,18 @@ func TestTryDispatchBroadcastAllOrNothing(t *testing.T) {
 	})
 	<-entered
 	for k := 0; k < depth; k++ {
-		if !rt.TryDispatch(tick, param.Empty()) {
+		if !rt.TryDispatchIDs(tick, nil) {
 			t.Fatalf("broadcast refused at %d/%d with space left everywhere", k, depth)
 		}
 	}
-	if rt.TryDispatch(tick, param.Empty()) {
+	if rt.TryDispatchIDs(tick, nil) {
 		t.Fatal("broadcast accepted with shard 1's mailbox full")
 	}
 	before := rt.events.Load()
 	close(gate)
 	<-done
 	rt.Barrier()
-	if !rt.TryDispatch(tick, param.Empty()) {
+	if !rt.TryDispatchIDs(tick, nil) {
 		t.Fatal("broadcast must be accepted after the stalled shard drained")
 	}
 	rt.Barrier()
@@ -194,7 +185,7 @@ func TestDispatchAfterClosePanics(t *testing.T) {
 		call func(rt *Runtime)
 	}{
 		{"Dispatch", func(rt *Runtime) { rt.Dispatch(0, theta) }},
-		{"TryDispatch", func(rt *Runtime) { rt.TryDispatch(0, theta) }},
+		{"TryDispatchIDs", func(rt *Runtime) { rt.TryDispatchIDs(0, []uint64{1}) }},
 		{"Emit", func(rt *Runtime) { monitor.Emit(rt, 0, h.Alloc("j")) }},
 	} {
 		rt, err := New(spec, Options{

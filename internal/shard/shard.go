@@ -19,7 +19,7 @@
 // a producer that goes quiet still gets its records monitored), or a sync
 // operation needs the workers to have seen everything (Barrier, Flush,
 // Stats, Close). Dispatch blocks when a mailbox is full (backpressure);
-// TryDispatch refuses instead. Because each slice's events flow through one
+// TryDispatchIDs refuses instead. Because each slice's events flow through one
 // producer into one FIFO mailbox and one worker, per-slice verdict ordering
 // stays deterministic; cross-slice verdict interleaving is not (it never
 // was observable — slices are independent).
@@ -48,8 +48,8 @@
 // skips the record. The producer keeps no per-object state; verdict
 // handlers receive instances over the caller's own refs, which the engines'
 // object tables hold for as long as any θ binds them. A caller that names
-// objects by ID (DispatchIDs, FreeIDs: a server session) is handled alike;
-// its verdicts carry refs that report the IDs.
+// objects by ID (DispatchIDs, FreeIDs: a server session, a trace replay) is
+// handled alike; its verdicts carry refs that report the IDs.
 //
 // The free record is an object's only death: a shard never sees an object
 // die that was killed without a Free, and keeps its monitors as though it
@@ -261,7 +261,7 @@ func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
 }
 
 // DispatchIDs is Dispatch for a caller that names objects by ID (a server
-// session): ids bind D(sym) in ascending parameter-index order, and a wrong
+// session, a trace replay): ids bind D(sym) in ascending parameter-index order, and a wrong
 // arity panics. The event is routed by the pivot's ID; each shard engine
 // that gets it keeps the IDs as held records, which die only at the free
 // records FreeIDs positions. One runtime takes its objects through one of
@@ -296,9 +296,15 @@ func (rt *Runtime) QueueDepths() []int {
 	return out
 }
 
-// tryDispatch is dispatch without blocking: the body TryDispatch and
-// TryDispatchIDs share.
-func (rt *Runtime) tryDispatch(target int, broadcast bool, ev event, ids []uint64) bool {
+// TryDispatchIDs is the non-blocking DispatchIDs: it enqueues the event and
+// returns true only when every target shard can accept it without blocking.
+// A refused event is not enqueued anywhere (all-or-nothing, so broadcast
+// events cannot be half-delivered). Callers retrying TryDispatchIDs must
+// preserve their own per-slice ordering.
+func (rt *Runtime) TryDispatchIDs(sym int, ids []uint64) bool {
+	rt.checkOpen()
+	target, broadcast := rt.routeIDs(sym, ids)
+	ev := event{sym: int32(sym)}
 	if !broadcast {
 		w := rt.workers[target]
 		w.mu.Lock()
@@ -344,25 +350,6 @@ func (rt *Runtime) tryDispatch(target int, broadcast bool, ev event, ids []uint6
 		rt.refusals.Inc()
 	}
 	return ok
-}
-
-// TryDispatch is the non-blocking Dispatch: it enqueues the event and
-// returns true only when every target shard can accept it without blocking.
-// A refused event is not enqueued anywhere (all-or-nothing, so broadcast
-// events cannot be half-delivered). Callers retrying TryDispatch must
-// preserve their own per-slice ordering.
-func (rt *Runtime) TryDispatch(sym int, theta param.Instance) bool {
-	rt.checkOpen()
-	target, broadcast := rt.router.Route(sym, theta)
-	return rt.tryDispatch(target, broadcast, event{sym: int32(sym), at: refs, inst: theta}, nil)
-}
-
-// TryDispatchIDs is the non-blocking DispatchIDs, refusing as TryDispatch
-// does.
-func (rt *Runtime) TryDispatchIDs(sym int, ids []uint64) bool {
-	rt.checkOpen()
-	target, broadcast := rt.routeIDs(sym, ids)
-	return rt.tryDispatch(target, broadcast, event{sym: int32(sym)}, ids)
 }
 
 // Free implements monitor.Runtime: the object's death becomes one record

@@ -4,25 +4,16 @@ import (
 	"path/filepath"
 	"testing"
 
-	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 	"rvgo/internal/props"
 )
 
 // nullRuntime absorbs dispatches: the decode-only bound of replay.
-type nullRuntime struct {
-	spec   *monitor.Spec
-	events uint64
-}
+type nullRuntime struct{ spec *monitor.Spec }
 
-func (n *nullRuntime) Spec() *monitor.Spec                { return n.spec }
-func (n *nullRuntime) Dispatch(sym int, _ param.Instance) { n.events++ }
-func (n *nullRuntime) Free(heap.Ref)                      {}
-func (n *nullRuntime) Barrier()                           {}
-func (n *nullRuntime) Flush()                             {}
-func (n *nullRuntime) Stats() (st monitor.Stats)          { st.Events = n.events; return }
-func (n *nullRuntime) Close()                             {}
+func (n *nullRuntime) Spec() *monitor.Spec       { return n.spec }
+func (n *nullRuntime) DispatchIDs(int, []uint64) {}
+func (n *nullRuntime) FreeIDs([]uint64)          {}
 
 // benchTrace records a UNSAFEITER workload of about n events.
 func benchTrace(b *testing.B, n int) (string, uint64) {

@@ -5,10 +5,10 @@
 // observe an event stream once and discard it. This package makes the
 // stream durable: a Writer taps every Dispatch/Free into an append-only
 // segment file, and a Reader replays a stored trace — whole, slice-filtered
-// or partitioned across parallel workers — through any monitor.Runtime, so
-// a specification written after the fact can be checked against the exact
-// past, with verdicts and settled counters bit-identical to online
-// monitoring of the same stream.
+// or partitioned across parallel workers — through a runtime's ID entry
+// (the sequential engine, the sharded runtime), so a specification written
+// after the fact can be checked against the exact past, with verdicts and
+// settled counters bit-identical to online monitoring of the same stream.
 //
 // # On-disk format
 //

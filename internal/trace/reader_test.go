@@ -14,7 +14,7 @@ import (
 )
 
 // TestSkimAppliesLateDeaths: a pivot query reads the segments its slice
-// binds, skims the later ones only while an object it materialized is
+// binds, skims the later ones only while an object it dispatched is
 // still alive, and settles exactly as a full replay of its slice does.
 // Three slices of one HasNext trace, four records a segment:
 //
@@ -29,7 +29,9 @@ import (
 // Each query must equal a full replay of a trace holding only its slice's
 // events and every free, under each GC policy; and once seg 5 is
 // corrupted on disk after Open, each query still succeeds — it never
-// reads a segment after its slice died — while a full replay fails.
+// reads a segment after its slice died — while a full replay fails. A free
+// record naming one object twice, and every ID offset past maxDenseID,
+// change nothing either.
 func TestSkimAppliesLateDeaths(t *testing.T) {
 	spec, err := props.Build("HasNext")
 	if err != nil {
@@ -164,6 +166,78 @@ func TestSkimAppliesLateDeaths(t *testing.T) {
 		eqVerdicts(t, name, gotVerdicts, wantVerdicts)
 		if rs.SegmentsSkimmed != 2 {
 			t.Errorf("%s: skimmed %d segments, want 2", name, rs.SegmentsSkimmed)
+		}
+	}
+
+	// IDs past maxDenseID live in the map half of the replay's object
+	// table. With every ID offset by 1<<40, each query above, the [S, S]
+	// record included, must report the same verdicts (labelled r<id>),
+	// settle the same Stats and skim the same segments as its dense run.
+	const far = 1 << 40
+	queryAt := func(path string, pivots []uint64, off uint64, opts monitor.Options) (monitor.Stats, []string, ReplayStats) {
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var verdicts []string
+		opts.OnVerdict = func(v monitor.Verdict) {
+			k := v.Inst.Key()
+			for m := k.Mask; m != 0; m = m.Rest() {
+				i := m.First()
+				if got, want := v.Inst.Value(i).Label(), fmt.Sprintf("r%d", k.IDs[i]); got != want {
+					t.Errorf("verdict labels object %d %q, want %q", k.IDs[i], got, want)
+				}
+				k.IDs[i] -= off
+			}
+			verdicts = append(verdicts, fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs))
+		}
+		eng, err := monitor.New(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		want := make([]uint64, len(pivots))
+		for i, id := range pivots {
+			want[i] = id + off
+		}
+		rs, err := r.Replay(eng, ReplayOptions{Pivots: want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Flush()
+		sort.Strings(verdicts)
+		return eng.Stats(), verdicts, rs
+	}
+	for fi, fx := range []struct {
+		steps  []step
+		pivots [][]uint64
+	}{
+		{steps, [][]uint64{{P}, {Q}, {R}}},
+		{dup, [][]uint64{{S, T}}},
+	} {
+		densePath := filepath.Join(dir, fmt.Sprintf("dense%d.rvt", fi))
+		record(t, densePath, spec, fx.steps, 4)
+		shifted := make([]step, len(fx.steps))
+		for i, st := range fx.steps {
+			shifted[i] = step{sym: st.sym}
+			for _, id := range st.ids {
+				shifted[i].ids = append(shifted[i].ids, id+far)
+			}
+		}
+		farPath := filepath.Join(dir, fmt.Sprintf("far%d.rvt", fi))
+		record(t, farPath, spec, shifted, 4)
+		for _, gc := range gcPolicies {
+			opts := monitor.Options{GC: gc, Creation: monitor.CreateEnable}
+			for _, pivots := range fx.pivots {
+				name := fmt.Sprintf("%s/far%v", gc, pivots)
+				wantStats, wantVerdicts, wantRS := queryAt(densePath, pivots, 0, opts)
+				gotStats, gotVerdicts, gotRS := queryAt(farPath, pivots, far, opts)
+				eqStats(t, name, gotStats, wantStats)
+				eqVerdicts(t, name, gotVerdicts, wantVerdicts)
+				if gotRS.SegmentsSkimmed != wantRS.SegmentsSkimmed {
+					t.Errorf("%s: skimmed %d segments, want %d", name, gotRS.SegmentsSkimmed, wantRS.SegmentsSkimmed)
+				}
+			}
 		}
 	}
 }

@@ -3,26 +3,22 @@ package trace
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
-	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 	"rvgo/internal/shard"
 	"rvgo/internal/wire"
 )
 
-// obj is a replayed parameter object. Its ID is the recorded object ID —
-// not a fresh heap ID — so replayed verdict instances, indexing-tree keys
-// and pivot routing agree bit-for-bit with the recording run.
-type obj struct {
-	id   uint64
-	dead atomic.Bool
+// Target is what a replay drives: a runtime that takes objects by ID, the
+// sequential engine (monitor.Engine) or the sharded runtime. A replayed
+// object is its recorded ID, not a fresh heap object, so replayed verdict
+// instances, index keys and pivot routing agree bit-for-bit with the
+// recording run, and verdicts label it r<id>.
+type Target interface {
+	Spec() *monitor.Spec
+	DispatchIDs(sym int, ids []uint64)
+	FreeIDs(ids []uint64)
 }
-
-func (o *obj) ID() uint64    { return o.id }
-func (o *obj) Alive() bool   { return !o.dead.Load() }
-func (o *obj) Label() string { return fmt.Sprintf("r%d", o.id) }
 
 // ReplayOptions configures a sequential replay.
 type ReplayOptions struct {
@@ -60,10 +56,9 @@ type symMap struct {
 }
 
 type symMapping struct {
-	to     int       // query symbol, -1 = not in query spec
-	mask   param.Set // query D(sym), for a mapped symbol
-	qbinds bool      // the recorded symbol binds the query pivot
-	qpos   int       // query pivot ID position in the record's ID list
+	to     int  // query symbol, -1 = not in query spec
+	qbinds bool // the recorded symbol binds the query pivot
+	qpos   int  // query pivot ID position in the record's ID list
 }
 
 // mapSymbols builds the recorded→query symbol mapping for one symbol table
@@ -95,7 +90,6 @@ func mapSymbols(tab *symTable, qspec *monitor.Spec, qpivot int) (*symMap, error)
 				sd.Name, tab.arity[i], qmask.Count())
 		}
 		sm.to = qsym
-		sm.mask = qmask
 		sm.qbinds = qpivot >= 0 && qmask.Has(qpivot)
 		if sm.qbinds {
 			sm.qpos = pivotPos(qmask, qpivot)
@@ -109,79 +103,90 @@ func mapSymbols(tab *symTable, qspec *monitor.Spec, qpivot int) (*symMap, error)
 	return m, nil
 }
 
-// objTable maps recorded object IDs to replayed objects. Recorded heap
-// IDs are allocated sequentially from 1, so a dense slice serves the hot
-// path; a map catches arbitrarily large IDs (a trace recorded from a
-// frontend with its own handle space).
+// objTable keeps the state of every recorded object ID the replay has met:
+// unseen, live (dispatched) or dead (freed after that). Recorded heap IDs
+// are allocated sequentially from 1, so a dense slice serves the hot path;
+// a map catches arbitrarily large IDs (a trace recorded from a frontend
+// with its own handle space).
 type objTable struct {
-	dense  []*obj
-	sparse map[uint64]*obj
-	n      int // objects materialized
+	dense  []objState
+	sparse map[uint64]objState
+	n      int // objects dispatched
 	died   int // of them, objects dead
 }
 
-// maxDenseID bounds the dense table (8 bytes/slot); IDs beyond it spill
-// to the map.
+type objState uint8
+
+const (
+	unseen objState = iota
+	live
+	dead
+)
+
+// maxDenseID bounds the dense table (1 byte/slot); IDs beyond it spill to
+// the map.
 const maxDenseID = 1 << 22
 
-func (t *objTable) lookup(id uint64) *obj {
-	if id < uint64(len(t.dense)) {
-		return t.dense[id]
+// see records that an event names id: an unseen object becomes live.
+func (t *objTable) see(id uint64) {
+	if id < maxDenseID {
+		if n := uint64(len(t.dense)); id >= n {
+			t.dense = append(t.dense, make([]objState, id+1-n)...)
+		}
+		if t.dense[id] == unseen {
+			t.dense[id] = live
+			t.n++
+		}
+		return
 	}
-	return t.sparse[id]
+	if _, ok := t.sparse[id]; !ok {
+		if t.sparse == nil {
+			t.sparse = map[uint64]objState{}
+		}
+		t.sparse[id] = live
+		t.n++
+	}
 }
 
-func (t *objTable) materialize(id uint64) *obj {
-	if id < maxDenseID {
-		for uint64(len(t.dense)) <= id {
-			t.dense = append(t.dense, nil)
-		}
-		if o := t.dense[id]; o != nil {
-			return o
-		}
-		o := &obj{id: id}
-		t.dense[id] = o
-		t.n++
-		return o
+// kill marks a live id dead, reporting whether it was live: the death of
+// an unseen or already dead object is a no-op.
+func (t *objTable) kill(id uint64) bool {
+	switch {
+	case id < uint64(len(t.dense)) && t.dense[id] == live:
+		t.dense[id] = dead
+	case id >= maxDenseID && t.sparse[id] == live:
+		t.sparse[id] = dead
+	default:
+		return false
 	}
-	if o := t.sparse[id]; o != nil {
-		return o
-	}
-	if t.sparse == nil {
-		t.sparse = map[uint64]*obj{}
-	}
-	o := &obj{id: id}
-	t.sparse[id] = o
-	t.n++
-	return o
+	t.died++
+	return true
 }
 
 // replayer is the per-replay state shared by the segment loop.
 type replayer struct {
 	r      *Reader
 	src    *source
-	rt     monitor.Runtime
+	rt     Target
 	qspec  *monitor.Spec
 	qpivot int
 	opts   ReplayOptions
 	want   []uint64  // the queried pivots, ascending; nil = every slice
 	maps   []*symMap // one per distinct symbol table met so far
 	objs   objTable
-	refs   []heap.Ref
 	ids    []uint64
-	dying  []*obj
 	stats  ReplayStats
 }
 
-// Replay replays the trace sequentially through rt, materializing one
-// replayed object per recorded ID and positioning each free record exactly
-// as the online drivers do: rt.Free first (the runtime positions the death
-// behind every prior event, which observes the objects alive), then the
-// objects are marked dead. rt may be any backend — the sequential engine, the sharded
-// runtime, a remote client. Events whose name the query spec does not
-// define are skipped (the trace may record a richer alphabet than the
-// retroactive spec cares about). The caller flushes and reads stats.
-func (r *Reader) Replay(rt monitor.Runtime, opts ReplayOptions) (ReplayStats, error) {
+// Replay replays the trace sequentially through rt, handing it the recorded
+// object IDs: each event goes to rt.DispatchIDs, and each free record
+// becomes one rt.FreeIDs call at its stream position, naming the record's
+// IDs that this replay dispatched and has not yet freed, each once. Every
+// event before the call saw them alive, every event after it sees them
+// dead, exactly as in the online run. Events whose name the query spec
+// does not define are skipped (the trace may record a richer alphabet than
+// the retroactive spec cares about). The caller flushes and reads stats.
+func (r *Reader) Replay(rt Target, opts ReplayOptions) (ReplayStats, error) {
 	qspec := rt.Spec()
 	qpivot := -1
 	if opts.workers > 1 || len(opts.Pivots) > 0 {
@@ -251,11 +256,11 @@ func (rp *replayer) owns(pivotIDs []uint64) bool {
 // Slice skipping. A segment whose pivot index names no object this replay
 // owns — and with no broadcast (non-pivot-binding) events, which could
 // touch any slice — dispatches nothing here. It may still *free* objects
-// materialized from earlier segments, so it is skimmed (deaths applied,
+// dispatched from earlier segments, so it is skimmed (deaths applied,
 // dispatch skipped) rather than ignored — but only while some object this
-// replay materialized is still alive: a death of an unseen or already
-// dead object is a no-op, so once every materialized object has died the
-// skim has nothing left to apply and the segment is not even read.
+// replay dispatched is still alive: a death of an unseen or already dead
+// object is a no-op, so once every dispatched object has died the skim has
+// nothing left to apply and the segment is not even read.
 func (rp *replayer) segment(si int) error {
 	seg := &rp.r.segs[si]
 	sm, err := rp.symMap(seg.tab)
@@ -276,8 +281,8 @@ func (rp *replayer) segment(si int) error {
 	}
 	// In skim mode event records are decoded past without dispatching
 	// (their slices are not owned) while free records are still applied
-	// to already-materialized objects — the deaths of a slice's objects
-	// may fall in segments the slice's events do not.
+	// to already-dispatched objects — the deaths of a slice's objects may
+	// fall in segments the slice's events do not.
 	d := wire.Cursor{Buf: recs}
 	for rec := uint64(0); rec < seg.records; rec++ {
 		var rsym int
@@ -285,25 +290,18 @@ func (rp *replayer) segment(si int) error {
 			return d.Err
 		}
 		if rsym < 0 {
-			// Only objects this replay materialized can be bound by a live
+			// Only objects this replay dispatched can be bound by a live
 			// monitor here; deaths of unseen objects are no-ops, exactly as
-			// in the online runtimes.
-			rp.dying = rp.dying[:0]
+			// in the online runtimes. A record may name one ID twice: kill
+			// keeps the first.
+			dying := rp.ids[:0]
 			for _, id := range rp.ids {
-				if o := rp.objs.lookup(id); o != nil && o.Alive() {
-					rp.dying = append(rp.dying, o)
+				if rp.objs.kill(id) {
+					dying = append(dying, id)
 				}
 			}
-			if len(rp.dying) > 0 {
-				for _, o := range rp.dying {
-					rp.rt.Free(o)
-				}
-				// A record may name one ID twice: count each death once.
-				for _, o := range rp.dying {
-					if !o.dead.Swap(true) {
-						rp.objs.died++
-					}
-				}
+			if len(dying) > 0 {
+				rp.rt.FreeIDs(dying)
 				rp.stats.Frees++
 				if skim && rp.objs.n == rp.objs.died {
 					return nil
@@ -327,11 +325,10 @@ func (rp *replayer) segment(si int) error {
 		} else {
 			rp.stats.Broadcast++
 		}
-		rp.refs = rp.refs[:0]
 		for _, id := range rp.ids {
-			rp.refs = append(rp.refs, rp.objs.materialize(id))
+			rp.objs.see(id)
 		}
-		rp.rt.Dispatch(m.to, param.Of(m.mask, rp.refs...))
+		rp.rt.DispatchIDs(m.to, rp.ids)
 		rp.stats.Events++
 	}
 	return nil

@@ -35,7 +35,7 @@
 // Flow control is credit-based: HelloAck grants the client a window of
 // event credits and every Event spends one; the server replenishes with
 // Credit messages as the monitoring runtime actually accepts events, so a
-// backend refusing shard.TryDispatch withholds credit and stalls the
+// backend refusing shard.TryDispatchIDs withholds credit and stalls the
 // producer at the protocol level rather than in an unbounded server
 // queue. Free, Barrier, Flush, StatsReq and Bye are credit-exempt: a
 // death or a drain must never be blocked behind the window it is meant to
@@ -92,7 +92,7 @@
 //     slot with an empty window therefore withholds the whole broadcast —
 //     and, because the router's ingest stalls, withholds the upstream
 //     client's credit end-to-end. This mirrors the in-process sharded
-//     runtime, whose TryDispatch refuses a broadcast unless every shard
+//     runtime, whose TryDispatchIDs refuses a broadcast unless every shard
 //     mailbox has room; partial acceptance would let slots observe
 //     different event prefixes at a barrier. See the all-or-nothing
 //     broadcast test in internal/cluster.
