@@ -36,6 +36,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,70 +69,91 @@ func (e *engine) emitter(event string) *rvgo.Emitter {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintf(os.Stderr, "rvmon: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, monitors the trace (the -trace file, or stdin) and
+// prints verdicts, handler output and the -stats lines to stdout; usage
+// goes to stderr.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rvmon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		specPath  = flag.String("spec", "", "path to the .rv specification (required)")
-		tracePath = flag.String("trace", "", "path to the trace file (default: stdin)")
-		gcMode    = flag.String("gc", "coenable", "monitor GC policy: coenable, alldead, none")
-		shards    = flag.Int("shards", 0, "shard count: >1 runs the sharded runtime locally; with -remote, the session's server-side shards (0 = the server's default)")
-		remoteFl  = flag.String("remote", "", "monitor in a session against the rvserve at this address")
-		nodesFl   = flag.String("nodes", "", "monitor in one session across these comma-separated rvserve node addresses")
-		record    = flag.String("record", "", "record the monitored stream to this trace file (rvquery replays it)")
-		stats     = flag.Bool("stats", false, "print monitoring statistics at the end")
+		specPath  = fs.String("spec", "", "path to the .rv specification (required)")
+		tracePath = fs.String("trace", "", "path to the trace file (default: stdin)")
+		gcMode    = fs.String("gc", "coenable", "monitor GC policy: coenable, alldead, none")
+		shards    = fs.Int("shards", 0, "shard count: >1 runs the sharded runtime locally; with -remote, the session's server-side shards (0 = the server's default)")
+		remoteFl  = fs.String("remote", "", "monitor in a session against the rvserve at this address")
+		nodesFl   = fs.String("nodes", "", "monitor in one session across these comma-separated rvserve node addresses")
+		record    = fs.String("record", "", "record the monitored stream to this trace file (rvquery replays it)")
+		stats     = fs.Bool("stats", false, "print monitoring statistics at the end")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *specPath == "" {
-		fatalf("missing -spec")
+		return errors.New("missing -spec")
 	}
 	src, err := os.ReadFile(*specPath)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	specs, err := spec.Parse(string(src))
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	gc, err := cliutil.ParseGC(*gcMode)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	backendOpts, err := cliutil.BackendOptions(*shards, *remoteFl, cliutil.SplitNodes(*nodesFl))
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *record != "" {
 		if len(specs) > 1 {
-			fatalf("-record needs a spec defining a single property (%s defines %d)", *specPath, len(specs))
+			return fmt.Errorf("-record needs a spec defining a single property (%s defines %d)", *specPath, len(specs))
 		}
 		path, err := cliutil.ValidateRecordPath("-record", *record, *tracePath, *specPath)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		backendOpts = append(backendOpts, rvgo.WithRecord(path))
 	}
 
 	var engines []*engine
+	defer func() {
+		for _, e := range engines {
+			e.m.Close()
+		}
+	}()
 	for _, sp := range specs {
-		sp := sp
 		handlers := sp.Handlers()
 		m, err := rvgo.New(sp, append(backendOpts,
 			rvgo.WithGC(gc),
 			rvgo.WithVerdictHandler(func(v rvgo.Verdict) {
-				fmt.Printf("%s: %s at %s\n", sp.Name(), v.Cat, v.Inst.Format(sp.Params()))
+				fmt.Fprintf(stdout, "%s: %s at %s\n", sp.Name(), v.Cat, v.Inst.Format(sp.Params()))
 				if body, ok := handlers[string(v.Cat)]; ok {
-					spec.RunHandler(body, func(line string) { fmt.Println("  " + line) })
+					spec.RunHandler(body, func(line string) { fmt.Fprintln(stdout, "  "+line) })
 				}
 			}))...)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		engines = append(engines, &engine{m: m, name: sp.Name(), emitters: map[string]*rvgo.Emitter{}})
 	}
 
-	var in io.Reader = os.Stdin
+	in := stdin
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		defer f.Close()
 		in = f
@@ -187,45 +209,41 @@ func main() {
 			}
 			dispatched = true
 			if want := em.Arity(); len(fields)-1 != want {
-				fatalf("line %d: event %q takes %d objects, got %d", lineNo, event, want, len(fields)-1)
+				return fmt.Errorf("line %d: event %q takes %d objects, got %d", lineNo, event, want, len(fields)-1)
 			}
 			vals := make([]rvgo.Ref, 0, len(fields)-1)
 			for _, name := range fields[1:] {
 				o := obj(name)
 				if !o.Alive() {
-					fatalf("line %d: object %q was freed", lineNo, name)
+					return fmt.Errorf("line %d: object %q was freed", lineNo, name)
 				}
 				vals = append(vals, o)
 			}
 			em.Emit(vals...)
 		}
 		if !dispatched {
-			fatalf("line %d: unknown event %q", lineNo, event)
+			return fmt.Errorf("line %d: unknown event %q", lineNo, event)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	if *stats {
 		for _, e := range engines {
 			e.m.Flush()
 			st := e.m.Stats()
-			fmt.Printf("%s: events=%d created=%d flagged=%d collected=%d verdicts=%d\n",
+			fmt.Fprintf(stdout, "%s: events=%d created=%d flagged=%d collected=%d verdicts=%d\n",
 				e.name, st.Events, st.Created, st.Flagged, st.Collected, st.GoalVerdicts)
 		}
 	}
 	for _, e := range engines {
 		// Close before the error check: it seals the recorded trace, and a
-		// failure of that final write must still be fatal.
+		// failure of that final write must still be an error.
 		e.m.Close()
 		if err := e.m.Err(); err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rvmon: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

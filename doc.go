@@ -24,8 +24,9 @@
 // monitoring server (NewServer, cmd/rvserve), speaking a compact binary
 // protocol in which object death is an explicit trace event — the network
 // replacement for the weak references the in-process engines consume.
-// The conformance suite holds all three to the same observable behavior,
-// so backend choice is a deployment decision, not a semantic one.
+// One differential harness (internal/conformance) holds all three to the
+// sequential engine's observable behavior, so backend choice is a
+// deployment decision, not a semantic one.
 //
 // Three ingestion modes feed a Monitor: recorded traces (cmd/rvmon, the
 // DaCapo substrate driven by cmd/rvbench), network sessions (WithRemote,

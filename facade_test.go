@@ -34,45 +34,20 @@ func startFacadeServer(t testing.TB) string {
 	return l.Addr().String()
 }
 
-// TestFacadeConformance runs the backend-independent Runtime suites
-// against rvgo.Monitor for all three backends × all three GC policies:
-// the façade must preserve the oracle behavior of the backends it wraps —
-// EmitNamed's error contract, death positioning, verdict equality with a
-// sequential reference — no matter which options selected it.
-func TestFacadeConformance(t *testing.T) {
-	addr := startFacadeServer(t)
-	addr2 := startFacadeServer(t)
-	backends := []struct {
-		name string
-		opts func() []rvgo.Option
-	}{
-		{"seq", func() []rvgo.Option { return nil }},
-		{"shard4", func() []rvgo.Option { return []rvgo.Option{rvgo.WithShards(4)} }},
-		{"remote", func() []rvgo.Option { return []rvgo.Option{rvgo.WithRemote(addr)} }},
-		{"cluster2", func() []rvgo.Option { return []rvgo.Option{rvgo.WithCluster(addr, addr2)} }},
-	}
-	policies := []rvgo.GCPolicy{rvgo.GCCoenable, rvgo.GCAllDead, rvgo.GCNone}
-	for _, bk := range backends {
-		for _, gc := range policies {
-			gc := gc
-			build := func(t *testing.T, prop string, onVerdict func(monitor.Verdict)) monitor.Runtime {
-				sp, err := spec.Builtin(prop)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts := append(bk.opts(), rvgo.WithGC(gc), rvgo.WithVerdictHandler(onVerdict))
-				m, err := rvgo.New(sp, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return runtimeOf{m}
-			}
-			t.Run(fmt.Sprintf("%s/gc=%s", bk.name, gc), func(t *testing.T) {
-				t.Run("EmitNamed", func(t *testing.T) { conformance.RunEmitNamed(t, build) })
-				t.Run("RunFree", func(t *testing.T) { conformance.RunFreePolicy(t, build, gc) })
-			})
+// facadeBackend is rvgo.Monitor, under the options opts returns, as a
+// harness backend.
+func facadeBackend(name string, lanes int, opts func() []rvgo.Option) conformance.Backend {
+	return conformance.Backend{Name: name, Lanes: lanes, Open: func(t *testing.T, sp *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+		prop, err := spec.Builtin(sp.Name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		mon, err := rvgo.New(prop, append(opts(), rvgo.WithGC(m.GC), rvgo.WithVerdictHandler(onVerdict))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runtimeOf{mon}
+	}}
 }
 
 // runtimeOf adapts a Monitor to monitor.Runtime, whose Free takes one ref
@@ -80,6 +55,45 @@ func TestFacadeConformance(t *testing.T) {
 type runtimeOf struct{ *rvgo.Monitor }
 
 func (r runtimeOf) Free(ref rvgo.Ref) { r.Monitor.Free(ref) }
+
+// facadeBackends are the façade's four backend selections: sequential,
+// four shards, a session on the server at addr (one lane, the server's
+// default) and a cluster of the servers at addr and addr2 (16 slots).
+func facadeBackends(addr, addr2 string) []conformance.Backend {
+	return []conformance.Backend{
+		facadeBackend("seq", 1, func() []rvgo.Option { return nil }),
+		facadeBackend("shard4", 4, func() []rvgo.Option { return []rvgo.Option{rvgo.WithShards(4)} }),
+		facadeBackend("remote", 1, func() []rvgo.Option { return []rvgo.Option{rvgo.WithRemote(addr)} }),
+		facadeBackend("cluster2", 16, func() []rvgo.Option { return []rvgo.Option{rvgo.WithCluster(addr, addr2)} }),
+	}
+}
+
+// facadeSuites runs the EmitNamed suite and the death-positioning streams
+// on b under gc.
+func facadeSuites(t *testing.T, b conformance.Backend, gc monitor.GCPolicy) {
+	m := conformance.Mode{GC: gc}
+	t.Run("EmitNamed", func(t *testing.T) { conformance.RunEmitNamed(t, b, m) })
+	t.Run("RunFree", func(t *testing.T) {
+		for _, s := range conformance.FreeStreams(t) {
+			t.Run(s.Name, func(t *testing.T) {
+				conformance.Diff(t, s, []conformance.Backend{b}, []conformance.Mode{m})
+			})
+		}
+	})
+}
+
+// TestFacadeConformance runs the backend-independent Runtime suites
+// against rvgo.Monitor for all four backends × all three GC policies:
+// the façade must preserve the oracle behavior of the backends it wraps —
+// EmitNamed's error contract, death positioning, verdict equality with a
+// sequential reference — no matter which options selected it.
+func TestFacadeConformance(t *testing.T) {
+	for _, b := range facadeBackends(startFacadeServer(t), startFacadeServer(t)) {
+		for _, gc := range []rvgo.GCPolicy{rvgo.GCCoenable, rvgo.GCAllDead, rvgo.GCNone} {
+			t.Run(fmt.Sprintf("%s/gc=%s", b.Name, gc), func(t *testing.T) { facadeSuites(t, b, gc) })
+		}
+	}
+}
 
 // TestShardVerdictHandlerContract exercises the documented concurrency
 // contract of WithVerdictHandler on the sharded backend with the race

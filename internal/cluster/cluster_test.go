@@ -64,55 +64,68 @@ func startNodes(t testing.TB, names ...string) (map[string]*testNode, func(strin
 	return nodes, dial
 }
 
-// TestClusterOracle is the headline acceptance test: the avrora trace
-// through a 4-node cluster.Client — with a fifth node joining at a third
-// of the trace, one node killed outright at the half, and another drained
-// gracefully at two thirds — must match the sequential engine bit for bit
-// under every GC policy.
-func TestClusterOracle(t *testing.T) {
-	conformance.RunClusterOracle(t, func(t *testing.T, prop string, gc monitor.GCPolicy, onVerdict func(monitor.Verdict)) conformance.ClusterHarness {
-		nodes, dial := startNodes(t, "n1", "n2", "n3", "n4", "n5")
-		c, err := cluster.Open(cluster.Options{
-			Prop:      prop,
-			GC:        gc,
-			Creation:  monitor.CreateEnable,
-			Nodes:     []string{"n1", "n2", "n3", "n4"},
-			Dial:      dial,
-			OnVerdict: onVerdict,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conformance.ClusterHarness{
-			RT:    c,
-			Join:  func() error { return c.AddNode("n5") },
-			Kill:  func() error { nodes["n2"].kill(); return nil },
-			Leave: func() error { return c.RemoveNode("n1") },
-		}
-	})
+// defaultSlots is the slot ring a cluster opens with when the caller
+// chooses none: the lanes of the cluster cells.
+const defaultSlots = 16
+
+// avrora is the oracle stream of the cluster cells.
+func avrora(t *testing.T) conformance.Stream {
+	return conformance.Live(t, "avrora", 0.05, "UnsafeIter")
 }
 
-// TestClusterAvoidanceOracle replays the avrora trace through a stable
-// 4-node cluster under every GC policy × avoidance mode (the mode travels
-// in every slot session's Hello) and holds verdicts and settled counters
-// against the unguarded sequential reference.
-func TestClusterAvoidanceOracle(t *testing.T) {
-	conformance.RunAvoidanceOracle(t, func(t *testing.T, prop string, gc monitor.GCPolicy, avoid monitor.AvoidMode, onVerdict func(monitor.Verdict)) monitor.Runtime {
-		_, dial := startNodes(t, "n1", "n2", "n3", "n4")
-		c, err := cluster.Open(cluster.Options{
-			Prop:      prop,
-			GC:        gc,
-			Creation:  monitor.CreateEnable,
-			Avoid:     avoid,
-			Nodes:     []string{"n1", "n2", "n3", "n4"},
-			Dial:      dial,
-			OnVerdict: onVerdict,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+// TestClusterOracle is the headline acceptance test: the avrora run
+// through a 4-node cluster.Client — with a fifth node joining at a third
+// of the stream, one node killed outright at the half, and another drained
+// gracefully at two thirds — must match the sequential engine under every
+// GC policy.
+func TestClusterOracle(t *testing.T) {
+	var nodes map[string]*testNode
+	var c *cluster.Client
+	conformance.Diff(t, avrora(t), []conformance.Backend{{
+		Name:  "cluster",
+		Lanes: defaultSlots,
+		Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+			var dial func(string) (net.Conn, error)
+			nodes, dial = startNodes(t, "n1", "n2", "n3", "n4", "n5")
+			c = openCluster(t, spec, m, onVerdict, dial, "n1", "n2", "n3", "n4")
+			return c
+		},
+		Join:  func() error { return c.AddNode("n5") },
+		Kill:  func() error { nodes["n2"].kill(); return nil },
+		Leave: func() error { return c.RemoveNode("n1") },
+	}}, conformance.GCModes())
+}
+
+// openCluster opens a cluster.Client for spec under m over the given
+// nodes.
+func openCluster(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict), dial func(string) (net.Conn, error), nodes ...string) *cluster.Client {
+	c, err := cluster.Open(cluster.Options{
+		Prop:      spec.Name,
+		GC:        m.GC,
+		Creation:  monitor.CreateEnable,
+		Avoid:     m.Avoid,
+		Nodes:     nodes,
+		Dial:      dial,
+		OnVerdict: onVerdict,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestClusterAvoidanceOracle replays the avrora run through a stable
+// 4-node cluster under every GC policy × avoidance mode (the mode travels
+// in every slot session's Hello).
+func TestClusterAvoidanceOracle(t *testing.T) {
+	conformance.Diff(t, avrora(t), []conformance.Backend{{
+		Name:  "cluster",
+		Lanes: defaultSlots,
+		Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+			_, dial := startNodes(t, "n1", "n2", "n3", "n4")
+			return openCluster(t, spec, m, onVerdict, dial, "n1", "n2", "n3", "n4")
+		},
+	}}, conformance.AvoidModes())
 }
 
 // TestRouterOracle runs the same bar through the full deployment shape: an
@@ -122,38 +135,42 @@ func TestClusterAvoidanceOracle(t *testing.T) {
 // lifts and the health probe re-admits it; the kill exercises lazy
 // eviction and crash handoff under a live upstream session.
 func TestRouterOracle(t *testing.T) {
-	conformance.RunClusterOracle(t, func(t *testing.T, prop string, gc monitor.GCPolicy, onVerdict func(monitor.Verdict)) conformance.ClusterHarness {
-		nodes, dial := startNodes(t, "n1", "n2", "n3", "n4", "n5")
-		nodes["n5"].up.Store(false) // running, but unreachable until Join
-		rtr, err := cluster.NewRouter(cluster.RouterOptions{
-			Nodes: []string{"n1", "n2", "n3", "n4", "n5"},
-			Dial:  dial,
-			Probe: 20 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go rtr.Serve(l)
-		t.Cleanup(func() { rtr.Shutdown(time.Second) })
-		cl, err := remote.Dial(l.Addr().String(), remote.Options{
-			Prop:      prop,
-			GC:        gc,
-			Creation:  monitor.CreateEnable,
-			OnVerdict: onVerdict,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conformance.ClusterHarness{
-			RT:   cl,
-			Join: func() error { nodes["n5"].up.Store(true); return nil },
-			Kill: func() error { nodes["n2"].kill(); return nil },
-		}
-	})
+	var nodes map[string]*testNode
+	conformance.Diff(t, avrora(t), []conformance.Backend{{
+		Name:  "router",
+		Lanes: defaultSlots,
+		Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+			var dial func(string) (net.Conn, error)
+			nodes, dial = startNodes(t, "n1", "n2", "n3", "n4", "n5")
+			nodes["n5"].up.Store(false) // running, but unreachable until Join
+			rtr, err := cluster.NewRouter(cluster.RouterOptions{
+				Nodes: []string{"n1", "n2", "n3", "n4", "n5"},
+				Dial:  dial,
+				Probe: 20 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go rtr.Serve(l)
+			t.Cleanup(func() { rtr.Shutdown(time.Second) })
+			cl, err := remote.Dial(l.Addr().String(), remote.Options{
+				Prop:      spec.Name,
+				GC:        m.GC,
+				Creation:  monitor.CreateEnable,
+				OnVerdict: onVerdict,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cl
+		},
+		Join: func() error { nodes["n5"].up.Store(true); return nil },
+		Kill: func() error { nodes["n2"].kill(); return nil },
+	}}, conformance.GCModes())
 }
 
 // stubNode speaks just enough of the wire protocol to hold slot sessions:

@@ -139,68 +139,86 @@ func TestClusterIdleProducerTimeliness(t *testing.T) {
 // sequential engine like any other.
 func TestSlotMovedTwiceOracle(t *testing.T) {
 	moved := regexp.MustCompile(`slot (\d+) moved to`)
-	conformance.RunClusterOracle(t, func(t *testing.T, prop string, gc monitor.GCPolicy, onVerdict func(monitor.Verdict)) conformance.ClusterHarness {
-		nodes, dial := startNodes(t, "n1", "n2", "n3", "n4", "n5")
-		var mu sync.Mutex
-		moves := map[string]int{}
-		c, err := cluster.Open(cluster.Options{
-			Prop:      prop,
-			GC:        gc,
-			Creation:  monitor.CreateEnable,
-			Nodes:     []string{"n1", "n2", "n3", "n4"},
-			Dial:      dial,
-			OnVerdict: onVerdict,
-			Logf: func(format string, args ...any) {
-				if m := moved.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
-					mu.Lock()
-					moves[m[1]]++
-					mu.Unlock()
-				}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, n := range moves {
-				if n >= 2 {
-					return
-				}
+	var nodes map[string]*testNode
+	var c *cluster.Client
+	conformance.Diff(t, avrora(t), []conformance.Backend{{
+		Name:  "cluster",
+		Lanes: defaultSlots,
+		Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+			var dial func(string) (net.Conn, error)
+			nodes, dial = startNodes(t, "n1", "n2", "n3", "n4", "n5")
+			var mu sync.Mutex
+			moves := map[string]int{}
+			var err error
+			c, err = cluster.Open(cluster.Options{
+				Prop:      spec.Name,
+				GC:        m.GC,
+				Creation:  monitor.CreateEnable,
+				Nodes:     []string{"n1", "n2", "n3", "n4"},
+				Dial:      dial,
+				OnVerdict: onVerdict,
+				Logf: func(format string, args ...any) {
+					if m := moved.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
+						mu.Lock()
+						moves[m[1]]++
+						mu.Unlock()
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Errorf("no slot moved twice (moves per slot: %v); the scenario no longer exercises a handoff-built donor", moves)
-		})
-		return conformance.ClusterHarness{
-			RT: c,
-			// The barrier makes every link notice the dead node now, so the
-			// crash re-homing is over before the join below begins.
-			Kill:  func() error { nodes["n2"].kill(); c.Barrier(); return c.Err() },
-			Leave: func() error { return c.AddNode("n5") },
-		}
-	})
+			t.Cleanup(func() {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, n := range moves {
+					if n >= 2 {
+						return
+					}
+				}
+				t.Errorf("no slot moved twice (moves per slot: %v); the scenario no longer exercises a handoff-built donor", moves)
+			})
+			return c
+		},
+		// The barrier makes every link notice the dead node now, so the
+		// crash re-homing is over before the join below begins.
+		Kill:  func() error { nodes["n2"].kill(); c.Barrier(); return c.Err() },
+		Leave: func() error { return c.AddNode("n5") },
+	}}, conformance.GCModes())
 }
 
 // TestLargeFreeCluster is TestLargeFreeRemote through a two-node fanout:
 // every slot journals and sends the long death as consecutive free frames,
 // so no handoff replays an oversized frame and no node is evicted.
 func TestLargeFreeCluster(t *testing.T) {
-	_, dial := startNodes(t, "n1", "n2")
-	c, err := cluster.Open(cluster.Options{
-		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
-		Nodes: []string{"n1", "n2"}, Dial: dial, Slots: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	conformance.RunLargeFree(t, c)
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	conformance.Diff(t, conformance.LargeFree(t), []conformance.Backend{{
+		Name:  "cluster2",
+		Lanes: 2,
+		Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+			_, dial := startNodes(t, "n1", "n2")
+			c, err := cluster.Open(cluster.Options{
+				Prop: spec.Name, GC: m.GC, Creation: monitor.CreateEnable,
+				Nodes: []string{"n1", "n2"}, Dial: dial, Slots: 2, OnVerdict: onVerdict,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bothNodes{c, t}
+		},
+	}}, []conformance.Mode{{GC: monitor.GCCoenable}})
+}
+
+// bothNodes fails the run if a node left the membership before Close.
+type bothNodes struct {
+	*cluster.Client
+	t *testing.T
+}
+
+func (c bothNodes) Close() {
 	if n := len(c.Nodes()); n != 2 {
-		t.Errorf("%d nodes left in the membership, want both", n)
+		c.t.Errorf("%d nodes left in the membership, want both", n)
 	}
+	c.Client.Close()
 }
 
 // TestClusterDispatchNoAlloc is the remote client's TestDispatchNoAlloc

@@ -1,10 +1,14 @@
 // Package conformance is the backend-independent monitor.Runtime test
-// suite. Every backend — the sequential engine, the sharded runtime, and
-// the remote client — must pass it; each backend's test package invokes
-// the suite with a factory building that backend.
+// suite. Its differential harness, Diff, replays one Stream through a
+// table of Backends under a table of Modes and holds every run to the
+// sequential engine's run of the same stream (the slicing semantics every
+// backend must keep); settle is its one comparison and states every
+// exclusion once. RunEmitNamed holds a backend to EmitNamed's error
+// contract.
 package conformance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,17 +16,108 @@ import (
 	"rvgo/internal/monitor"
 )
 
-// Factory builds one backend instance for the given property, wired to
-// the verdict handler. The suite closes every runtime it builds.
-type Factory func(t *testing.T, prop string, onVerdict func(monitor.Verdict)) monitor.Runtime
+// Backend is one runtime under test.
+type Backend struct {
+	Name string
+	// Lanes is how many engines the backend runs: 1 for the sequential
+	// engine or a one-shard session, the shard count, a cluster's slots.
+	Lanes int
+	// ByID feeds the backend through DispatchIDs and FreeIDs.
+	ByID bool
+	// Open builds the backend for spec under m, delivering verdicts to
+	// onVerdict. The harness closes what it returns.
+	Open func(t *testing.T, spec *monitor.Spec, m Mode, onVerdict func(monitor.Verdict)) monitor.Runtime
+	// Join, Kill and Leave, when set, change a cluster's membership
+	// mid-stream (see Backend.run): admit a node, destroy one without a
+	// goodbye, drain one out.
+	Join, Kill, Leave func() error
+}
+
+// Engine is the sequential engine: the reference, and a backend like any
+// other.
+var Engine = Backend{Name: "engine", Lanes: 1, Open: openEngine}
+
+// EngineIDs is the sequential engine fed by ID, as a server session or a
+// trace replay feeds it.
+var EngineIDs = Backend{Name: "engine-ids", Lanes: 1, ByID: true, Open: openEngine}
+
+func openEngine(t *testing.T, spec *monitor.Spec, m Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+	eng, err := monitor.New(spec, m.Options(onVerdict))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// Mode is one engine configuration a backend runs under: its GC policy,
+// creation-avoidance mode and sweep interval (0, the default schedule).
+// Creation is always enable-set, the only strategy every backend runs.
+type Mode struct {
+	GC            monitor.GCPolicy
+	Avoid         monitor.AvoidMode
+	SweepInterval int
+}
+
+// Options is m as engine options.
+func (m Mode) Options(onVerdict func(monitor.Verdict)) monitor.Options {
+	return monitor.Options{
+		GC:            m.GC,
+		Creation:      monitor.CreateEnable,
+		Avoid:         m.Avoid,
+		SweepInterval: m.SweepInterval,
+		OnVerdict:     onVerdict,
+	}
+}
+
+// variant names what m changes beyond its GC policy, or "".
+func (m Mode) variant() string {
+	var parts []string
+	if m.Avoid != monitor.AvoidOff {
+		parts = append(parts, m.Avoid.String())
+	}
+	if m.SweepInterval != 0 {
+		parts = append(parts, fmt.Sprintf("sweep%d", m.SweepInterval))
+	}
+	return strings.Join(parts, "-")
+}
+
+var gcPolicies = []monitor.GCPolicy{monitor.GCNone, monitor.GCAllDead, monitor.GCCoenable}
+
+// GCModes is one mode per GC policy.
+func GCModes() []Mode {
+	var out []Mode
+	for _, gc := range gcPolicies {
+		out = append(out, Mode{GC: gc})
+	}
+	return out
+}
+
+// AvoidModes is every GC policy in audit and in enforce mode.
+func AvoidModes() []Mode {
+	var out []Mode
+	for _, gc := range gcPolicies {
+		out = append(out, Mode{GC: gc, Avoid: monitor.AvoidAudit}, Mode{GC: gc, Avoid: monitor.AvoidEnforce})
+	}
+	return out
+}
+
+// SweepModes is every GC policy swept after every event and every 16.
+func SweepModes() []Mode {
+	var out []Mode
+	for _, gc := range gcPolicies {
+		out = append(out, Mode{GC: gc, SweepInterval: 1}, Mode{GC: gc, SweepInterval: 16})
+	}
+	return out
+}
 
 // RunEmitNamed exercises the EmitNamed error contract on a backend:
 // unknown event names and arity mismatches must come back as errors (not
 // panics, not silent drops), must not dispatch anything, and must leave
 // the runtime usable; correct calls must dispatch and reach verdicts.
-func RunEmitNamed(t *testing.T, build Factory) {
+func RunEmitNamed(t *testing.T, b Backend, m Mode) {
+	spec := Prop(t, "UnsafeIter")
 	t.Run("UnknownEvent", func(t *testing.T) {
-		rt := build(t, "UnsafeIter", nil)
+		rt := b.Open(t, spec, m, nil)
 		defer rt.Close()
 		h := heap.New()
 		err := monitor.EmitNamed(rt, "nosuchevent", h.Alloc("x"))
@@ -39,7 +134,7 @@ func RunEmitNamed(t *testing.T, build Factory) {
 	})
 
 	t.Run("WrongArity", func(t *testing.T) {
-		rt := build(t, "UnsafeIter", nil)
+		rt := b.Open(t, spec, m, nil)
 		defer rt.Close()
 		h := heap.New()
 		c, i := h.Alloc("c"), h.Alloc("i")
@@ -70,7 +165,7 @@ func RunEmitNamed(t *testing.T, build Factory) {
 	t.Run("VerdictDelivery", func(t *testing.T) {
 		var verdicts []string
 		done := make(chan struct{})
-		rt := build(t, "UnsafeIter", func(v monitor.Verdict) {
+		rt := b.Open(t, spec, m, func(v monitor.Verdict) {
 			verdicts = append(verdicts, string(v.Cat)+"@"+v.Inst.Format(v.Spec.Params))
 			close(done)
 		})

@@ -7,7 +7,7 @@
 // informative slice) stays in lockstep with the unguarded engine.
 //
 // Soundness boundaries, stated by Options.Check and proven against
-// the unguarded engine by conformance.RunAvoidanceOracle (see DESIGN.md
+// the audited engine by conformance.Diff's avoidance modes (see DESIGN.md
 // "Static creation avoidance"):
 //
 //   - Audit mode never changes behavior: any strategy, any GC policy.

@@ -5,74 +5,42 @@ import (
 
 	"rvgo/internal/conformance"
 	"rvgo/internal/monitor"
-	"rvgo/internal/props"
 )
 
-// engineFactory builds a sequential engine for the conformance suites.
-func engineFactory(t *testing.T, prop string, onVerdict func(monitor.Verdict)) monitor.Runtime {
-	return enginePolicyFactory(t, prop, monitor.GCCoenable, onVerdict)
-}
-
-// enginePolicyFactory builds a sequential engine under an explicit GC
-// policy for the oracle matrix.
-func enginePolicyFactory(t *testing.T, prop string, gc monitor.GCPolicy, onVerdict func(monitor.Verdict)) monitor.Runtime {
-	spec, err := props.Build(prop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := monitor.New(spec, monitor.Options{
-		GC:        gc,
-		Creation:  monitor.CreateEnable,
-		OnVerdict: onVerdict,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
-}
+var coenable = []conformance.Mode{{GC: monitor.GCCoenable}}
 
 // TestEngineConformance runs the backend-independent Runtime suite on the
 // sequential engine.
 func TestEngineConformance(t *testing.T) {
-	conformance.RunEmitNamed(t, engineFactory)
+	conformance.RunEmitNamed(t, conformance.Engine, coenable[0])
 }
 
-// TestEngineFreeConformance runs the death-positioning suite (Free and
-// FreeAsync) on the sequential engine.
+// TestEngineFreeConformance holds the sequential engine's death
+// positioning (Free, and FreeAsync spelled out) to the reference.
 func TestEngineFreeConformance(t *testing.T) {
-	conformance.RunFree(t, engineFactory)
-}
-
-// TestEngineArenaOracle replays the avrora trace under every GC policy on
-// a fresh engine and compares it against a reference engine run of the
-// same trace — the arena-store engine must be observationally identical
-// to itself across independent runs (determinism of the slab/handle
-// store) before the cross-backend cells mean anything.
-func TestEngineArenaOracle(t *testing.T) {
-	conformance.RunArenaOracle(t, enginePolicyFactory)
-}
-
-// TestEngineAvoidanceOracle replays the avrora trace under every GC policy
-// × avoidance mode and holds verdicts and settled counters against the
-// unguarded engine (bit-identical in audit mode; verdict-identical with
-// the Created + Avoided invariant in enforce mode).
-func TestEngineAvoidanceOracle(t *testing.T) {
-	conformance.RunAvoidanceOracle(t, func(t *testing.T, prop string, gc monitor.GCPolicy, avoid monitor.AvoidMode, onVerdict func(monitor.Verdict)) monitor.Runtime {
-		spec, err := props.Build(prop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := monitor.New(spec, monitor.Options{
-			GC:        gc,
-			Creation:  monitor.CreateEnable,
-			Avoid:     avoid,
-			OnVerdict: onVerdict,
+	for _, s := range conformance.FreeStreams(t) {
+		t.Run(s.Name, func(t *testing.T) {
+			conformance.Diff(t, s, []conformance.Backend{conformance.Engine}, coenable)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
-	})
+	}
+}
+
+// TestEngineArenaOracle replays the avrora run under every GC policy on a
+// fresh engine against a reference engine run of the same stream — the
+// arena-store engine must be observationally identical to itself across
+// independent runs (determinism of the slab/handle store) before the
+// cross-backend cells mean anything.
+func TestEngineArenaOracle(t *testing.T) {
+	conformance.Diff(t, conformance.Live(t, "avrora", 0.05, "UnsafeIter"),
+		[]conformance.Backend{conformance.Engine}, conformance.GCModes())
+}
+
+// TestEngineAvoidanceOracle replays the avrora run under every GC policy ×
+// avoidance mode against the audited engine (bit-identical in audit mode;
+// verdict-identical with the Created + Avoided identity in enforce mode).
+func TestEngineAvoidanceOracle(t *testing.T) {
+	conformance.Diff(t, conformance.Live(t, "avrora", 0.05, "UnsafeIter"),
+		[]conformance.Backend{conformance.Engine}, conformance.AvoidModes())
 }
 
 // TestEngineAvoidanceEnforcement proves the guard-firing enforcement

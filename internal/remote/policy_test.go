@@ -121,17 +121,8 @@ func TestIdleProducerTimeliness(t *testing.T) {
 // carry crosses as consecutive frames at its position, and the session
 // survives it and settles like the sequential engine.
 func TestLargeFreeRemote(t *testing.T) {
-	cl, err := remote.Dial(startServer(t, server.Options{}), remote.Options{
-		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	conformance.RunLargeFree(t, cl)
-	if err := cl.Err(); err != nil {
-		t.Fatal(err)
-	}
+	conformance.Diff(t, conformance.LargeFree(t), []conformance.Backend{remoteBackend(startServer(t, server.Options{}), 1)},
+		[]conformance.Mode{{GC: monitor.GCCoenable}})
 }
 
 // TestDispatchNoAlloc guards the seam between the ref-level Front and the

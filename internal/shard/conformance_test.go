@@ -5,76 +5,35 @@ import (
 
 	"rvgo/internal/conformance"
 	"rvgo/internal/monitor"
-	"rvgo/internal/props"
-	"rvgo/internal/shard"
 )
 
-// shardFactory builds a 4-shard runtime for the conformance suites.
-func shardFactory(t *testing.T, prop string, onVerdict func(monitor.Verdict)) monitor.Runtime {
-	return shardPolicyFactory(t, prop, monitor.GCCoenable, onVerdict)
-}
-
-// shardPolicyFactory builds a 4-shard runtime under an explicit GC policy
-// for the oracle matrix.
-func shardPolicyFactory(t *testing.T, prop string, gc monitor.GCPolicy, onVerdict func(monitor.Verdict)) monitor.Runtime {
-	spec, err := props.Build(prop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := shard.New(spec, shard.Options{
-		Options: monitor.Options{
-			GC:        gc,
-			Creation:  monitor.CreateEnable,
-			OnVerdict: onVerdict,
-		},
-		Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt
-}
+var shard4 = []conformance.Backend{shards{n: 4}.backend()}
 
 // TestShardConformance runs the backend-independent Runtime suite on the
 // sharded runtime.
 func TestShardConformance(t *testing.T) {
-	conformance.RunEmitNamed(t, shardFactory)
+	conformance.RunEmitNamed(t, shard4[0], conformance.Mode{GC: monitor.GCCoenable})
 }
 
-// TestShardFreeConformance runs the death-positioning suite (Free and
-// FreeAsync) on the sharded runtime.
+// TestShardFreeConformance holds the sharded runtime's death positioning
+// (Free, and FreeAsync spelled out) to the sequential engine.
 func TestShardFreeConformance(t *testing.T) {
-	conformance.RunFree(t, shardFactory)
-}
-
-// TestShardArenaOracle replays the avrora trace through the 4-shard
-// runtime under every GC policy and requires per-slice verdicts and
-// settled counters bit-identical to a sequential-engine reference.
-func TestShardArenaOracle(t *testing.T) {
-	conformance.RunArenaOracle(t, shardPolicyFactory)
-}
-
-// TestShardAvoidanceOracle replays the avrora trace through the 4-shard
-// runtime under every GC policy × avoidance mode, against the unguarded
-// sequential reference.
-func TestShardAvoidanceOracle(t *testing.T) {
-	conformance.RunAvoidanceOracle(t, func(t *testing.T, prop string, gc monitor.GCPolicy, avoid monitor.AvoidMode, onVerdict func(monitor.Verdict)) monitor.Runtime {
-		spec, err := props.Build(prop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := shard.New(spec, shard.Options{
-			Options: monitor.Options{
-				GC:        gc,
-				Creation:  monitor.CreateEnable,
-				Avoid:     avoid,
-				OnVerdict: onVerdict,
-			},
-			Shards: 4,
+	for _, s := range conformance.FreeStreams(t) {
+		t.Run(s.Name, func(t *testing.T) {
+			conformance.Diff(t, s, shard4, []conformance.Mode{{GC: monitor.GCCoenable}})
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rt
-	})
+	}
+}
+
+// TestShardArenaOracle replays the avrora run through the 4-shard runtime
+// under every GC policy against the sequential engine.
+func TestShardArenaOracle(t *testing.T) {
+	conformance.Diff(t, conformance.Live(t, "avrora", 0.05, "UnsafeIter"), shard4, conformance.GCModes())
+}
+
+// TestShardAvoidanceOracle replays the avrora run through the 4-shard
+// runtime under every GC policy × avoidance mode against the audited
+// sequential engine.
+func TestShardAvoidanceOracle(t *testing.T) {
+	conformance.Diff(t, conformance.Live(t, "avrora", 0.05, "UnsafeIter"), shard4, conformance.AvoidModes())
 }

@@ -1,11 +1,6 @@
 package shard
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"rvgo/internal/monitor"
-)
+import "rvgo/internal/monitor"
 
 // Park holds every worker behind a blocking control request until release
 // is called: whatever the producer does meanwhile, no record is processed.
@@ -19,22 +14,3 @@ func (rt *Runtime) Park() (release func()) {
 	}
 	return func() { close(gate) }
 }
-
-// FlagRef is a caller-owned Ref with a bare atomic death flag — what
-// internal/bench and trace.Replay hand the runtime, and kill themselves the
-// instant Free returns.
-type FlagRef struct {
-	Ident uint64
-	Name  string
-	dead  atomic.Bool
-}
-
-func (r *FlagRef) ID() uint64 { return r.Ident }
-func (r *FlagRef) Kill()      { r.dead.Store(true) }
-func (r *FlagRef) Label() string {
-	if r.Name != "" {
-		return r.Name
-	}
-	return fmt.Sprintf("f%d", r.Ident)
-}
-func (r *FlagRef) Alive() bool { return !r.dead.Load() }

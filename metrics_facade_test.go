@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"rvgo"
-	"rvgo/internal/conformance"
-	"rvgo/internal/monitor"
 	"rvgo/spec"
 )
 
@@ -218,35 +216,22 @@ func scriptedRun(t *testing.T, opts ...rvgo.Option) (rvgo.Stats, []string) {
 func TestMetricsConformance(t *testing.T) {
 	addr := startFacadeServer(t)
 	backends := []struct {
-		name string
-		opts func() []rvgo.Option
+		name  string
+		lanes int
+		opts  func() []rvgo.Option
 	}{
-		{"seq", func() []rvgo.Option { return nil }},
-		{"shard4", func() []rvgo.Option { return []rvgo.Option{rvgo.WithShards(4)} }},
-		{"remote", func() []rvgo.Option { return []rvgo.Option{rvgo.WithRemote(addr)} }},
+		{"seq", 1, func() []rvgo.Option { return nil }},
+		{"shard4", 4, func() []rvgo.Option { return []rvgo.Option{rvgo.WithShards(4)} }},
+		{"remote", 1, func() []rvgo.Option { return []rvgo.Option{rvgo.WithRemote(addr)} }},
 	}
 	policies := []rvgo.GCPolicy{rvgo.GCCoenable, rvgo.GCAllDead, rvgo.GCNone}
 	for _, bk := range backends {
 		for _, gc := range policies {
-			bk, gc := bk, gc
 			t.Run(fmt.Sprintf("%s/gc=%s", bk.name, gc), func(t *testing.T) {
 				// Oracle suites with a registry attached.
-				build := func(t *testing.T, prop string, onVerdict func(monitor.Verdict)) monitor.Runtime {
-					sp, err := spec.Builtin(prop)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := append(bk.opts(), rvgo.WithGC(gc),
-						rvgo.WithMetrics(rvgo.NewMetrics()),
-						rvgo.WithVerdictHandler(onVerdict))
-					m, err := rvgo.New(sp, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return runtimeOf{m}
-				}
-				t.Run("EmitNamed", func(t *testing.T) { conformance.RunEmitNamed(t, build) })
-				t.Run("RunFree", func(t *testing.T) { conformance.RunFreePolicy(t, build, gc) })
+				facadeSuites(t, facadeBackend(bk.name, bk.lanes, func() []rvgo.Option {
+					return append(bk.opts(), rvgo.WithMetrics(rvgo.NewMetrics()))
+				}), gc)
 
 				// Bit-identical with and without instrumentation.
 				t.Run("Identical", func(t *testing.T) {

@@ -19,8 +19,9 @@ import (
 // the sharded concurrent runtime, or a remote session against a
 // monitoring server — is chosen by the options passed to New and is
 // invisible afterwards: every Monitor supports the same event, death,
-// synchronization and counter surface, and the conformance suite holds
-// all backends to the same observable behavior.
+// synchronization and counter surface, and one differential harness
+// (internal/conformance) holds all backends to the sequential engine's
+// observable behavior.
 //
 // Concurrency: with the sequential backend (the default) a Monitor is
 // single-threaded. With WithShards(n > 1), WithRemote or WithCluster,
