@@ -58,13 +58,24 @@ func reference(t *testing.T, s Stream, gc monitor.GCPolicy) outcome {
 		rs = *s.ref
 	}
 	ref := Engine.run(t, rs, Mode{GC: gc, Avoid: monitor.AvoidAudit}, 0)
-	if ref.stats.Events == 0 {
-		t.Fatalf("%s: the stream drove no events", rs.Name)
-	}
-	if s.collects != monitor.GCNone && gc >= s.collects && ref.stats.Collected == 0 {
-		t.Fatalf("%s: the reference collected no monitor under %s", rs.Name, gc)
+	if why := vacuous(s, gc, ref); why != "" {
+		t.Fatalf("%s: %s", rs.Name, why)
 	}
 	return ref
+}
+
+// vacuous says why the reference run ref of s under gc checks nothing s
+// asks of it, or "".
+func vacuous(s Stream, gc monitor.GCPolicy, ref outcome) string {
+	switch {
+	case ref.stats.Events == 0:
+		return "the stream drove no events"
+	case s.verdicts && len(ref.verdicts) == 0:
+		return fmt.Sprintf("the reference delivered no verdict under %s", gc)
+	case s.collects != monitor.GCNone && gc >= s.collects && ref.stats.Collected == 0:
+		return fmt.Sprintf("the reference collected no monitor under %s", gc)
+	}
+	return ""
 }
 
 // outcome is one run's observable result.

@@ -135,3 +135,30 @@ func TestSettleExclusions(t *testing.T) {
 		}
 	}
 }
+
+// TestVacuousStreams holds reference's vacuity rule to what each stream
+// asks: events always, a verdict and a coenable collection only of a
+// stream made Exercising.
+func TestVacuousStreams(t *testing.T) {
+	plain := Random(Prop(t, "UnsafeIter"), 0, 10)
+	busy := monitor.Stats{Events: 10, Collected: 3}
+	some := map[string][]string{"c=o0 i=o1 ": {"2/match"}}
+	for _, c := range []struct {
+		name  string
+		s     Stream
+		gc    monitor.GCPolicy
+		ref   outcome
+		fails bool
+	}{
+		{"no events", plain, monitor.GCNone, outcome{}, true},
+		{"plain, nothing else", plain, monitor.GCCoenable, outcome{stats: monitor.Stats{Events: 10}}, false},
+		{"exercising, no verdict", plain.Exercising(), monitor.GCNone, outcome{stats: busy}, true},
+		{"exercising, nothing collected under coenable", plain.Exercising(), monitor.GCCoenable, outcome{verdicts: some, stats: monitor.Stats{Events: 10}}, true},
+		{"exercising, nothing collected under alldead", plain.Exercising(), monitor.GCAllDead, outcome{verdicts: some, stats: monitor.Stats{Events: 10}}, false},
+		{"exercising, both", plain.Exercising(), monitor.GCCoenable, outcome{verdicts: some, stats: busy}, false},
+	} {
+		if why := vacuous(c.s, c.gc, c.ref); (why != "") != c.fails {
+			t.Errorf("%s: vacuous = %q, want a reason %v", c.name, why, c.fails)
+		}
+	}
+}

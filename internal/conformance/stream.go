@@ -17,7 +17,7 @@ import (
 
 // Step is one step of a stream over object ordinals: an event (Sym ≥ 0)
 // binding Objs in the event's parameter order, or (Sym < 0) the death of
-// ordinal Objs[0].
+// ordinal Objs[0]. A death retires its ordinal: no later step names it.
 type Step struct {
 	Sym  int
 	Objs []int
@@ -31,23 +31,52 @@ type Stream struct {
 	Spec  *monitor.Spec
 	Steps []Step
 
-	// workload drives rt by ref when the stream has no Steps.
-	workload func(rt monitor.Runtime) error
+	// workload drives rt by ref when the stream has no Steps, handing
+	// each death to free (nil: the object dies unannounced).
+	workload func(rt monitor.Runtime, free func(*heap.Object)) error
 	// async hands each death to the façade's FreeAsync where the runtime
 	// has one.
 	async bool
+	// lazy lets the workload's objects die without a Free (see Lazy).
+	lazy bool
 	// collects is the weakest GC policy under which the reference must
 	// collect a monitor; GCNone asks nothing.
 	collects monitor.GCPolicy
+	// verdicts requires the reference to deliver a verdict.
+	verdicts bool
 	// ref, when set, is the stream the reference runs instead.
 	ref *Stream
+	// renumber keys the workload's objects by order of first mention.
+	renumber bool
 }
 
 // Against returns s with its reference run driven by ref: the backends
 // replay s and are held to the sequential engine's run of ref (a live
-// workload against the replay of its recording, say).
+// workload against the replay of its recording, say). Both sides' objects
+// are renumbered in order of first mention, so that a live run and the
+// replay of its recording (which allocates each object where it is first
+// named) key their slices alike.
 func (s Stream) Against(ref Stream) Stream {
+	ref.renumber, s.renumber = true, true
 	s.ref = &ref
+	return s
+}
+
+// Exercising returns the random stream s with its reference required to
+// deliver a verdict under every GC policy and to collect a monitor under
+// coenable GC: a generator or seed change must not turn the stream into
+// one that checks nothing.
+func (s Stream) Exercising() Stream {
+	s.verdicts, s.collects = true, monitor.GCCoenable
+	return s
+}
+
+// Lazy returns the workload stream s with no death announced: each object
+// dies without a Free, and the runtime finds the death by asking the ref —
+// the lazy liveness internal/bench still hands its engines.
+func (s Stream) Lazy() Stream {
+	s.lazy = true
+	s.Name += "/lazy"
 	return s
 }
 
@@ -137,7 +166,8 @@ func Prop(t testing.TB, name string) *monitor.Spec {
 
 // Live is the DaCapo workload bench run at scale with prop's pointcuts
 // attached: events and deaths reach the runtime as the workload makes
-// them, each death positioned by the heap's free hook.
+// them, each death positioned by the heap's free hook (unless Lazy). The
+// runtime sees the workload's own objects.
 func Live(t testing.TB, bench string, scale float64, prop string) Stream {
 	t.Helper()
 	p, ok := dacapo.Get(bench)
@@ -148,14 +178,14 @@ func Live(t testing.TB, bench string, scale float64, prop string) Stream {
 		Name:     bench,
 		Spec:     Prop(t, prop),
 		collects: monitor.GCAllDead,
-		workload: func(rt monitor.Runtime) error {
+		workload: func(rt monitor.Runtime, free func(*heap.Object)) error {
 			drt := dacapo.NewRuntime()
 			sink, err := dacapo.Adapt(prop, rt)
 			if err != nil {
 				return err
 			}
 			drt.AddSink(sink)
-			drt.Heap.SetFreeHook(func(o *heap.Object) { rt.Free(o) })
+			drt.Heap.SetFreeHook(free)
 			return p.Run(drt, scale)
 		},
 	}
@@ -178,13 +208,13 @@ func Recorded(t testing.TB, bench string, scale float64, propNames ...string) []
 		out = append(out, Stream{
 			Name: bench + "/" + prop,
 			Spec: Prop(t, prop),
-			workload: func(rt monitor.Runtime) error {
+			workload: func(rt monitor.Runtime, free func(*heap.Object)) error {
 				sink, err := dacapo.Adapt(prop, rt)
 				if err != nil {
 					return err
 				}
 				h := heap.New()
-				h.SetFreeHook(func(o *heap.Object) { rt.Free(o) })
+				h.SetFreeHook(free)
 				tr.Replay(h, sink)
 				return nil
 			},
@@ -229,19 +259,23 @@ func FreeStreams(t testing.TB) []Stream {
 // LargeFree is UnsafeIter's create(c, i) for 49 iterators, then the deaths
 // of c, the iterators and 399 950 objects no event named, with no event
 // between them: more deaths at one stream position than a free frame or a
-// trace record may name.
+// trace record may name. The unnamed objects' IDs run from 1<<40 upward,
+// each a wide varint on the wire.
 func LargeFree(t testing.TB) Stream {
 	t.Helper()
 	spec := Prop(t, "UnsafeIter")
 	create, _ := spec.Symbol("create")
-	const objects = 400_000
+	const named, objects, far = 50, 400_000, 1<<40 - 1 // far: the ordinal of ID 1<<40
 	ords := make([]int, objects)
-	var steps []Step
 	for o := range ords {
 		ords[o] = o
-		if o > 0 && o < 50 {
-			steps = append(steps, Step{create, []int{0, o}})
+		if o >= named {
+			ords[o] = far + o - named
 		}
+	}
+	var steps []Step
+	for o := 1; o < named; o++ {
+		steps = append(steps, Step{create, []int{0, o}})
 	}
 	for o := range ords {
 		steps = append(steps, Step{-1, ords[o : o+1]})
@@ -264,16 +298,26 @@ type asyncFreer interface {
 }
 
 // feed drives s into rt. Ordinal o is object ID o+1 either way: by ID it
-// names the object outright, by ref it is an object with that ID. By ref,
-// each death is Free then the kill, at once. A workload's ordinals are the
-// order of first mention.
+// names the object outright, by ref it is an object with that ID, made at
+// its first mention and forgotten at its death. By ref, each death is Free
+// then the kill, at once.
 func (s Stream) feed(t testing.TB, rt monitor.Runtime, byID bool) {
 	t.Helper()
+	if s.lazy && s.workload == nil {
+		t.Fatalf("%s: only a workload stream runs lazy", s.Name)
+	}
 	if s.workload != nil {
 		if byID {
 			t.Fatalf("%s: a workload stream is fed by ref only", s.Name)
 		}
-		if err := s.workload(&firstMention{Runtime: rt, h: heap.New(), objs: map[uint64]*heap.Object{}}); err != nil {
+		if s.renumber {
+			rt = &firstMention{Runtime: rt, objs: map[uint64]*renumbered{}}
+		}
+		var free func(*heap.Object)
+		if !s.lazy {
+			free = func(o *heap.Object) { rt.Free(o) }
+		}
+		if err := s.workload(rt, free); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -297,20 +341,15 @@ func (s Stream) feed(t testing.TB, rt monitor.Runtime, byID bool) {
 		}
 		return
 	}
-	n := 0
-	for _, st := range s.Steps {
-		for _, o := range st.Objs {
-			n = max(n, o+1)
-		}
-	}
-	objs := make([]object, n)
-	for o := range objs {
-		objs[o].id = uint64(o) + 1
-	}
+	live := map[int]*object{} // the objects named so far and not yet dead
 	vals := make([]heap.Ref, 0, param.MaxParams)
 	for _, st := range s.Steps {
 		if st.Sym < 0 {
-			o := &objs[st.Objs[0]]
+			o := live[st.Objs[0]]
+			if o == nil { // first named by its death
+				o = &object{id: uint64(st.Objs[0]) + 1}
+			}
+			delete(live, st.Objs[0])
 			if f, ok := rt.(asyncFreer); ok && s.async {
 				f.FreeAsync(o.kill, o)
 			} else {
@@ -321,7 +360,10 @@ func (s Stream) feed(t testing.TB, rt monitor.Runtime, byID bool) {
 		}
 		vals = vals[:0]
 		for _, o := range st.Objs {
-			vals = append(vals, &objs[o])
+			if live[o] == nil {
+				live[o] = &object{id: uint64(o) + 1}
+			}
+			vals = append(vals, live[o])
 		}
 		monitor.Emit(rt, st.Sym, vals...)
 	}
@@ -339,19 +381,25 @@ func (o *object) Alive() bool   { return !o.dead.Load() }
 func (o *object) Label() string { return "o" + strconv.FormatUint(o.id-1, 10) }
 func (o *object) kill()         { o.dead.Store(true) }
 
-// firstMention renumbers a workload's objects in order of first mention,
-// so that a live run and the replay of its recording (which reallocates
-// each object where it is first named) key their slices alike.
+// firstMention renumbers a workload's objects in order of first mention
+// (see Against). A renumbered object is the workload's own under another
+// ID: it dies when the workload's object does.
 type firstMention struct {
 	monitor.Runtime
-	h    *heap.Heap
-	objs map[uint64]*heap.Object
+	objs map[uint64]*renumbered
 }
 
-func (r *firstMention) obj(ref heap.Ref) *heap.Object {
+type renumbered struct {
+	heap.Ref
+	id uint64
+}
+
+func (r *renumbered) ID() uint64 { return r.id }
+
+func (r *firstMention) obj(ref heap.Ref) heap.Ref {
 	o, ok := r.objs[ref.ID()]
 	if !ok {
-		o = r.h.Alloc(ref.Label())
+		o = &renumbered{Ref: ref, id: uint64(len(r.objs)) + 1}
 		r.objs[ref.ID()] = o
 	}
 	return o
@@ -361,9 +409,4 @@ func (r *firstMention) Dispatch(sym int, theta param.Instance) {
 	r.Runtime.Dispatch(sym, theta.Map(func(_ int, v heap.Ref) heap.Ref { return r.obj(v) }))
 }
 
-func (r *firstMention) Free(ref heap.Ref) {
-	o := r.obj(ref)
-	delete(r.objs, ref.ID())
-	r.Runtime.Free(o)
-	r.h.Free(o)
-}
+func (r *firstMention) Free(ref heap.Ref) { r.Runtime.Free(r.obj(ref)) }

@@ -16,11 +16,13 @@ import (
 )
 
 // shards is the sharded runtime as a harness backend: n workers, batch
-// records per batch (0: the default), fed by ref or by ID. With try the
-// IDs go through TryDispatchIDs and a retry loop; with park the workers
-// are held until the whole stream is in their mailboxes.
+// records per batch (0: the default), mailboxes depth batches deep (0: the
+// default), fed by ref or by ID. With try the IDs go through
+// TryDispatchIDs and a retry loop; with park the workers are held until
+// the whole stream is in their mailboxes, which must be deep enough for
+// it.
 type shards struct {
-	n, batch        int
+	n, batch, depth int
 	byID, try, park bool
 }
 
@@ -39,12 +41,7 @@ func (c shards) backend() conformance.Backend {
 		name += "-ids"
 	}
 	return conformance.Backend{Name: name, Lanes: c.n, ByID: c.byID, Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
-		opts := shard.Options{Options: m.Options(onVerdict), Shards: c.n, BatchSize: c.batch}
-		if c.park {
-			// A parked worker must not turn into backpressure on the
-			// producer.
-			opts.MailboxDepth = 1 << 12
-		}
+		opts := shard.Options{Options: m.Options(onVerdict), Shards: c.n, BatchSize: c.batch, MailboxDepth: c.depth}
 		rt, err := shard.New(spec, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,11 @@ import (
 	"rvgo/internal/shard"
 )
 
+// deep is a mailbox depth, in batches, for a stream of steps steps: the
+// producer may get the whole stream ahead of the workers, each kill far
+// ahead of the free record that positions it.
+func deep(steps int) int { return steps + 2 }
+
 // TestFreeAsyncEquivalence: random streams with mid-stream deaths, each
 // object killed the instant its Free returns or, named by ID, dying by
 // FreeIDs, settle alike on the sequential engine and on 1/2/4/8 shards
@@ -21,13 +26,14 @@ func TestFreeAsyncEquivalence(t *testing.T) {
 	if testing.Short() {
 		seeds = 1
 	}
+	const steps = 300
 	bs := []conformance.Backend{conformance.Engine, conformance.EngineIDs}
 	for _, n := range []int{1, 2, 4, 8} {
-		bs = append(bs, backends(shards{n: n, batch: 4}, shards{n: n, batch: 4, byID: true})...)
+		bs = append(bs, backends(shards{n: n, batch: 4, depth: deep(steps)}, shards{n: n, batch: 4, depth: deep(steps), byID: true})...)
 	}
 	for _, name := range []string{"HasNext", "UnsafeIter", "UnsafeMapIter"} {
 		for seed := int64(0); seed < seeds; seed++ {
-			s := conformance.Random(conformance.Prop(t, name), 100+seed, 300)
+			s := conformance.Random(conformance.Prop(t, name), 100+seed, steps)
 			t.Run(s.Name, func(t *testing.T) { conformance.Diff(t, s, bs, conformance.GCModes()) })
 		}
 	}
@@ -37,14 +43,16 @@ func TestFreeAsyncEquivalence(t *testing.T) {
 // Frees and kills at once; only then are the workers released. Every event
 // ahead of a free record must observe the object alive although the
 // caller's own ref has long said dead; objects named by ID (FreeIDs) are
-// held to the same.
+// held to the same. Each stream must give a verdict, and collect a monitor
+// under coenable GC, or there is nothing to see early or late.
 func TestKillRightAfterFree(t *testing.T) {
+	const steps = 600
 	var bs []conformance.Backend
 	for _, n := range []int{1, 2, 4} {
-		bs = append(bs, backends(shards{n: n, batch: 4, park: true}, shards{n: n, batch: 4, park: true, byID: true})...)
+		bs = append(bs, backends(shards{n: n, batch: 4, depth: deep(steps), park: true}, shards{n: n, batch: 4, depth: deep(steps), park: true, byID: true})...)
 	}
 	for seed := int64(200); seed < 202; seed++ {
-		s := conformance.Random(conformance.Prop(t, "UnsafeIter"), seed, 600)
+		s := conformance.Random(conformance.Prop(t, "UnsafeIter"), seed, steps).Exercising()
 		t.Run(s.Name, func(t *testing.T) { conformance.Diff(t, s, bs, conformance.GCModes()) })
 	}
 }
@@ -60,7 +68,7 @@ func TestKillRightAfterFreeStress(t *testing.T) {
 	}
 	var bs []conformance.Backend
 	for _, batch := range []int{1, 5, 64} {
-		bs = append(bs, backends(shards{n: 2, batch: batch}, shards{n: 2, batch: batch, byID: true})...)
+		bs = append(bs, backends(shards{n: 2, batch: batch, depth: deep(n)}, shards{n: 2, batch: batch, depth: deep(n), byID: true})...)
 	}
 	conformance.Diff(t, conformance.Random(conformance.Prop(t, "UnsafeIter"), 7, n), bs,
 		[]conformance.Mode{{GC: monitor.GCCoenable}})
