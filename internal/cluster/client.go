@@ -1,7 +1,7 @@
 // client.go: Client implements monitor.Runtime over a whole cluster. It
 // is internal/remote's client with a different sink: the same ref-level
 // Front (spec, remote-ID table, verdict reconstruction, shutdown state),
-// over a fanout — which does the pivot routing, broadcast and verdict
+// over a fanout — which does the pivot routing, the lane masks and verdict
 // merging — where the remote Client has one wire.Producer. Its lanes are
 // the slots: an entry of the Front's table goes once every slot has
 // released the object. This is what rvgo.WithCluster wraps.
@@ -80,7 +80,7 @@ func Open(opts Options) (*Client, error) {
 		logf:      opts.Logf,
 		met:       opts.Metrics,
 		onVerdict: front.DeliverVerdict, // the fanout serializes deliveries
-		onRelease: front.Release,
+		onRelease: front.ReleaseLanes,
 	})
 	if err != nil {
 		return nil, err
@@ -93,16 +93,17 @@ func Open(opts Options) (*Client, error) {
 // to no-ops once it is set.
 func (c *Client) Err() error { return c.f.Err() }
 
-// Dispatch implements monitor.Runtime. It blocks while the pivot slot's
-// credit window — or, for broadcasts, any slot's window — is exhausted.
+// Dispatch implements monitor.Runtime. It blocks while the credit window
+// of any slot the event goes to is exhausted.
 func (c *Client) Dispatch(sym int, theta param.Instance) {
 	var buf [param.MaxParams]uint64
 	c.f.Event(sym, c.EventIDs(buf[:0], sym, theta))
 }
 
-// Free implements monitor.Runtime's death positioning: the death
-// broadcasts to every slot, each of whose nodes positions it in its
-// backend's stream before applying it.
+// Free implements monitor.Runtime's death positioning: the death goes to
+// every slot the object's records went to, each of whose nodes positions
+// it in its backend's stream before applying it, and the fanout releases
+// the object on the other slots' lanes.
 func (c *Client) Free(ref heap.Ref) {
 	id := [1]uint64{ref.ID()}
 	c.Arm(id[0])

@@ -7,11 +7,29 @@
 // its node, so a slot's slices see exactly the event/death interleaving
 // the upstream client produced, and the node's verdict stream for the
 // slot is a deterministic function of that interleaving. Events binding
-// the spec's pivot parameter route to the pivot's slot; events that do
-// not bind the pivot (and all frees) broadcast to every slot — the same
-// discipline internal/shard applies in-process, and sound for the same
-// reason: under enable-set creation every monitor instance binds the
-// pivot, so each slice lives in exactly one slot.
+// the spec's pivot parameter route to the pivot's slot; under enable-set
+// creation every monitor instance binds the pivot, so each slice lives in
+// exactly one slot — the discipline internal/shard applies in-process.
+//
+// Masks. An event that does not bind the pivot, and a free, matter only to
+// the slots whose slices bind their objects, and those are among the slots
+// the objects' records went to. The fanout keeps, per live object, that
+// set of slots (its placement, masks.go), from its first record to its
+// free. A free goes only to its object's slots, and the fanout releases the
+// object on every other lane itself. A maskable event (shard.Router.Maskable:
+// one parameter, not the pivot, no join that could reach another object's
+// monitors) goes only to its object's slots. The rest — an event of more
+// than one parameter, a propositional one, one that joins with any
+// object's monitors, and any event or free of an object no record named
+// yet — go to every slot, as every event not binding the pivot did before
+// masks. One effect of a masked event is lost on the slots it skips: the
+// stamp of its domain on the object, which a later creation binding the
+// object reads (the engine's fresh-object guard). So when a record brings
+// an object to a slot outside its placement, the fanout first journals
+// there, for each domain stamped, one maskable event naming only that
+// object: on a slot with no record of the object it can only stamp it.
+// Past wire.MaxReleaseLanes slots the fanout keeps no placements and sends
+// every event not binding the pivot, and every free, to every slot.
 //
 // Membership changes move whole slots. Each slot keeps a journal of the
 // records it has accepted; moving the slot replays the journal into a
@@ -29,7 +47,9 @@
 // Releases): its node session runs one engine, which releases a freed ID
 // once it holds no record of the object, and the fanout forwards the
 // release upstream with the slot as the lane — to the cluster Client's
-// ref table, or as a Release frame on a Router's session. A handoff replay
+// ref table, or as a Release frame on a Router's session; the fanout
+// releases a freed object itself on the lanes outside its placement,
+// serialized with the forwarded releases and verdicts. A handoff replay
 // runs the slot's frees again, so the new engine releases some IDs a second
 // time; the slot's lane already released them upstream, and a client
 // ignores a lane that has, so a repeat is a no-op and needs no counting.
@@ -40,12 +60,14 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
 
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
+	"rvgo/internal/param"
 	"rvgo/internal/shard"
 	"rvgo/internal/wire"
 )
@@ -75,9 +97,11 @@ type fanoutConfig struct {
 
 	// onVerdict receives merged verdicts; invocations are serialized.
 	onVerdict func(wire.Verdict)
-	// onRelease receives each slot's releases with the slot as the lane,
-	// serialized with onVerdict.
-	onRelease func(lane int, ids []uint64)
+	// onRelease receives releases with the mask of the slots releasing the
+	// IDs as the lanes — one slot's, forwarded from its node, or those a
+	// free skipped — serialized with onVerdict. Past wire.MaxReleaseLanes
+	// slots a slot's bit is 0, as no lane is tracked there.
+	onRelease func(lanes uint64, ids []uint64)
 	// onHandoff is invoked after each completed slot move with the number
 	// of journal records replayed (nil ok).
 	onHandoff func(records int)
@@ -114,10 +138,15 @@ type fanout struct {
 	routerID uint64
 	pivot    int
 	// pivotPos[sym] is the index of the pivot's ID within the event's
-	// ascending-parameter ID vector, or -1 when the event must broadcast.
+	// ascending-parameter ID vector, or -1 when the event does not bind
+	// the pivot.
 	pivotPos []int
+	// maskable[sym] is shard.Router.Maskable, and primer[x] a maskable
+	// symbol binding parameter x (what primeLocked sends for a stamp of x).
+	maskable []bool
+	primer   [param.MaxParams]int
 
-	events atomic.Uint64 // upstream events accepted (broadcasts count once)
+	events atomic.Uint64 // upstream events accepted (once, however many slots took one)
 
 	emu sync.Mutex // guards err alone, so Err never waits on an op
 	err error
@@ -127,10 +156,25 @@ type fanout struct {
 	mu     sync.Mutex
 	nodes  []string
 	slots  []*slotState
-	held   []bool   // broadcast scratch: credits held per slot, under mu
-	enc    wire.Enc // a record's frames, encoded once for every slot, under mu
 	closed bool
 	final  monitor.Stats
+	// masks holds each live object's placement, nil when the ring has one
+	// slot or more than wire.MaxReleaseLanes; all is the mask of every
+	// slot.
+	masks *masks
+	all   uint64
+
+	// Scratch, under mu: a record's frames (encoded once for every slot it
+	// goes to) and a primer's; the slots a record goes to and the credits
+	// held on each; a free's per-ID lanes, one slot's share of its IDs, and
+	// the ID being released (copied, so the caller's IDs never reach the
+	// callback).
+	enc, penc wire.Enc
+	to        []int
+	held      []bool
+	idLanes   []uint64
+	share     []uint64
+	rel       []uint64
 }
 
 var fanoutSeq atomic.Uint64
@@ -181,8 +225,10 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 		routerID: fanoutSeq.Add(1),
 		pivot:    pivot,
 		pivotPos: make([]int, len(spec.Events)),
+		maskable: make([]bool, len(spec.Events)),
 		nodes:    append([]string(nil), cfg.nodes...),
 		slots:    make([]*slotState, nslots),
+		to:       make([]int, 0, nslots),
 		held:     make([]bool, nslots),
 		hello:    cfg.hello,
 	}
@@ -194,6 +240,13 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 			// position is the number of bound parameters below it.
 			f.pivotPos[sym] = (ev.Params & (1<<uint(pivot) - 1)).Count()
 		}
+		if f.maskable[sym] = sr.Maskable(sym); f.maskable[sym] {
+			f.primer[ev.Params.First()] = sym
+		}
+	}
+	if nslots > 1 && nslots <= wire.MaxReleaseLanes {
+		f.masks = newMasks()
+		f.all = ^uint64(0) >> uint(64-nslots)
 	}
 	// Construction holds the fanout lock: a link that dies mid-open fires
 	// its onDown repair goroutine, which must not walk the half-built slot
@@ -240,7 +293,7 @@ func (f *fanout) openSlot(i int, addr string) (*link, error) {
 	}
 	onRelease := func(r wire.Release) {
 		f.vmu.Lock()
-		f.cfg.onRelease(i, r.IDs)
+		f.cfg.onRelease(1<<uint(i), r.IDs)
 		f.vmu.Unlock()
 	}
 	onDown := func() {
@@ -463,11 +516,8 @@ func statsEqual(a, b wire.Stats) bool {
 	return a == b
 }
 
-// Event accepts one upstream event. Pivot-binding events route to the
-// pivot's slot; the rest broadcast under the all-or-nothing credit
-// discipline: one credit is acquired from every slot before any frame is
-// written, so a single refusing node withholds the entire broadcast — and
-// with it the upstream credit the caller would have replenished.
+// Event accepts one upstream event and delivers it to the slots route
+// names, under the all-or-nothing credit discipline (deliverLocked).
 func (f *fanout) Event(sym int, ids []uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -480,33 +530,92 @@ func (f *fanout) Event(sym int, ids []uint64) error {
 	f.events.Add(1)
 	f.enc = f.enc[:0]
 	f.enc.EventFrame(sym, ids)
-	if pp := f.pivotPos[sym]; pp >= 0 && len(f.slots) > 1 {
-		i := f.slotOf(ids[pp])
-		s := f.slots[i]
-		s.journal.append(f.enc)
-		if err := f.pumpLocked(i, s.journal.n); err != nil {
-			return err
-		}
-		if m := f.cfg.met; m != nil {
-			m.Events.Inc()
-		}
-		return nil
+	to := f.routeLocked(sym, ids)
+	for _, i := range to {
+		f.slots[i].journal.append(f.enc)
 	}
-	for _, s := range f.slots {
-		s.journal.append(f.enc)
-	}
-	if err := f.broadcastPumpLocked(); err != nil {
+	if err := f.deliverLocked(to); err != nil {
 		return err
 	}
 	if m := f.cfg.met; m != nil {
-		m.Broadcasts.Inc()
+		if len(to) == len(f.slots) {
+			m.Broadcasts.Inc()
+		} else {
+			m.Events.Inc()
+		}
 	}
 	return nil
 }
 
-// Free broadcasts object deaths to every slot. Frees are credit-exempt
-// (they shrink node state) but journaled like events: replay must
-// reproduce the exact event/death interleaving.
+// routeLocked returns the slots an event goes to, in ascending order: the
+// pivot's slot for an event binding the pivot; for a maskable event
+// (shard.Router.Maskable), the slots its object went to, or every slot for
+// an object no record named yet; every slot for the rest. Without masks
+// (one slot, or more than wire.MaxReleaseLanes) an event that does not
+// bind the pivot goes to every slot. With masks, each object named enters
+// the slots it goes to into its placement, and a slot it moves to is
+// first sent its stamps (primeLocked).
+func (f *fanout) routeLocked(sym int, ids []uint64) []int {
+	to := f.to[:0]
+	lanes := f.all
+	if pp := f.pivotPos[sym]; pp >= 0 && len(f.slots) > 1 {
+		i := f.slotOf(ids[pp])
+		if f.masks == nil {
+			return append(to, i)
+		}
+		lanes = 1 << uint(i)
+	} else if f.masks == nil {
+		for i := range f.slots {
+			to = append(to, i)
+		}
+		return to
+	} else if f.maskable[sym] {
+		if lanes = f.masks.lanes(ids[0]); lanes == 0 {
+			lanes = f.all
+		}
+	}
+	for _, id := range ids {
+		p := f.masks.get(id)
+		if moved := lanes &^ p.lanes; moved != 0 && p.stamps != 0 {
+			f.primeLocked(id, p.stamps, moved)
+		}
+		p.lanes |= lanes
+		if f.maskable[sym] {
+			p.stamps |= f.spec.Events[sym].Params
+		}
+	}
+	for m := lanes; m != 0; m &= m - 1 {
+		to = append(to, bits.TrailingZeros64(m))
+	}
+	return to
+}
+
+// primeLocked journals, for each slot of lanes, one maskable event of
+// each stamped domain naming only the object id, ahead of the record that
+// brings the object there. On a slot that holds no record of the object
+// the event can only stamp it, so the slot's engine reads the same stamps
+// as the sequential engine when a creation there binds the object.
+func (f *fanout) primeLocked(id uint64, stamps param.Set, lanes uint64) {
+	one := [1]uint64{id}
+	for xm := stamps; xm != 0; xm = xm.Rest() {
+		f.penc = f.penc[:0]
+		f.penc.EventFrame(f.primer[xm.First()], one[:])
+		for m := lanes; m != 0; m &= m - 1 {
+			f.slots[bits.TrailingZeros64(m)].journal.append(f.penc)
+		}
+	}
+}
+
+// Free accepts an upstream free. With masks, each slot is sent the IDs
+// whose objects' records went to it, and the fanout releases the others
+// on the slot's lane itself: a slot that never met an object holds no
+// record of it, and its engine would only release the ID at once. An ID
+// with no placement — no event named it, or it was freed before — goes to
+// every slot: the fanout cannot tell which, and a slot that still holds
+// the dead record of an earlier free must release it itself, when its
+// engine drops the record. Frees are credit-exempt (they shrink node
+// state) but journaled like events: replay must reproduce the exact
+// event/death interleaving.
 func (f *fanout) Free(ids []uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -516,16 +625,64 @@ func (f *fanout) Free(ids []uint64) error {
 	if err := f.errLocked(); err != nil {
 		return err
 	}
-	f.enc = f.enc[:0]
-	f.enc.FreeFrames(ids)
-	for i, s := range f.slots {
+	if f.masks == nil {
+		f.enc = f.enc[:0]
+		f.enc.FreeFrames(ids)
+		for i, s := range f.slots {
+			s.journal.append(f.enc)
+			if err := f.pumpLocked(i, s.journal.n); err != nil {
+				return err
+			}
+		}
+	} else if err := f.freeMaskedLocked(ids); err != nil {
+		return err
+	}
+	if m := f.cfg.met; m != nil {
+		m.Frees.Inc()
+	}
+	return nil
+}
+
+// freeMaskedLocked sends each slot the IDs of ids whose placements name it
+// and releases each ID on the lanes outside its placement, then drops the
+// placements. The placements are read before any is dropped, so an ID
+// named twice goes where its object went both times.
+func (f *fanout) freeMaskedLocked(ids []uint64) error {
+	lanes := f.idLanes[:0]
+	var union uint64
+	f.vmu.Lock()
+	for _, id := range ids {
+		m := f.masks.lanes(id)
+		if m == 0 {
+			m = f.all
+		} else if m != f.all {
+			f.rel = append(f.rel[:0], id)
+			f.cfg.onRelease(f.all&^m, f.rel)
+		}
+		lanes = append(lanes, m)
+		union |= m
+	}
+	f.vmu.Unlock()
+	f.idLanes = lanes
+	for _, id := range ids {
+		f.masks.drop(id)
+	}
+	for m := union; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		share := f.share[:0]
+		for k, id := range ids {
+			if lanes[k]&(1<<uint(i)) != 0 {
+				share = append(share, id)
+			}
+		}
+		f.share = share
+		f.enc = f.enc[:0]
+		f.enc.FreeFrames(share)
+		s := f.slots[i]
 		s.journal.append(f.enc)
 		if err := f.pumpLocked(i, s.journal.n); err != nil {
 			return err
 		}
-	}
-	if m := f.cfg.met; m != nil {
-		m.Frees.Inc()
 	}
 	return nil
 }
@@ -551,13 +708,17 @@ func (f *fanout) pumpLocked(i, upto int) error {
 	return nil
 }
 
-// broadcastPumpLocked delivers the freshly appended broadcast record to
-// every slot, acquiring one credit from each before writing to any.
-func (f *fanout) broadcastPumpLocked() error {
-	// Phase 0: slots already behind by more than this record (a prior
-	// failure) catch up first, so each slot is at most one record short.
-	for i, s := range f.slots {
-		if err := f.pumpLocked(i, s.journal.n-1); err != nil {
+// deliverLocked delivers the event record just appended to the journals
+// of the slots in to, acquiring one credit from each of them before
+// writing to any: one refusing node withholds the event from every slot
+// it goes to — and with it the upstream credit the caller would have
+// replenished. An event for one slot is the case of a single credit.
+func (f *fanout) deliverLocked(to []int) error {
+	// Phase 0: records ahead of this one — the stamps a slot is primed
+	// with, or what a prior failure left unsent — go first, so each slot
+	// is exactly one record short.
+	for _, i := range to {
+		if err := f.pumpLocked(i, f.slots[i].journal.n-1); err != nil {
 			return err
 		}
 	}
@@ -565,23 +726,22 @@ func (f *fanout) broadcastPumpLocked() error {
 	// triggers a rebalance whose replay delivers the record to the
 	// re-homed slots; the retry loop keeps track of credits already held
 	// so a live slot never pays twice.
-	held := f.held[:0]
-	for range f.slots {
-		held = append(held, false)
-	}
+	held := f.held[:len(to)]
+	clear(held)
 	for {
 		allLive := true
-		for i, s := range f.slots {
+		for k, i := range to {
+			s := f.slots[i]
 			if s.sent.rec == s.journal.n {
 				// Delivered by a handoff replay (which pays its own way);
 				// any credit held from an earlier pass goes back.
-				if held[i] {
+				if held[k] {
 					s.ln.p.Refund(1)
-					held[i] = false
+					held[k] = false
 				}
 				continue
 			}
-			if held[i] {
+			if held[k] {
 				continue
 			}
 			_, stalled := s.ln.p.Acquire(1)
@@ -593,7 +753,7 @@ func (f *fanout) broadcastPumpLocked() error {
 			if s.ln.dead() {
 				allLive = false // the credit was a dead window's flood
 			} else {
-				held[i] = true
+				held[k] = true
 			}
 		}
 		if allLive {
@@ -605,9 +765,10 @@ func (f *fanout) broadcastPumpLocked() error {
 	}
 	// Phase 2: write the record everywhere the replay did not.
 	failed := false
-	for i, s := range f.slots {
+	for k, i := range to {
+		s := f.slots[i]
 		if s.sent.rec == s.journal.n {
-			if held[i] {
+			if held[k] {
 				s.ln.p.Refund(1)
 			}
 			continue
@@ -658,9 +819,10 @@ func (f *fanout) syncAll(op func(*link) bool) error {
 }
 
 // Stats merges the per-slot counters. Events is the fanout's own count —
-// a broadcast is one upstream event however many slots stepped on it —
-// while the engine-side counters sum exactly: each slice lives in one
-// slot, so no step, creation, or verdict is double-counted.
+// an event is one upstream event however many slots it went to, and the
+// primers a slot is sent are none — while the engine-side counters sum
+// exactly: each slice lives in one slot, so no step, creation, or verdict
+// is double-counted.
 func (f *fanout) Stats() (monitor.Stats, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"net"
 	"regexp"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,8 +78,13 @@ func TestLinkFreesRideTheBlock(t *testing.T) {
 }
 
 // TestClusterIdleProducerTimeliness is the remote client's idle-producer
-// bound through the fanout: verdict and deaths land within 50ms of the
-// producer's last call.
+// bound through the fanout: the verdict, and the free, land within 50ms of
+// the producer's last call. A free goes only to the slots its object's
+// records went to — one, for HasNext, whose only parameter is the pivot —
+// and the fanout has released the object on every other lane by the time
+// Free returns. A late verdict is reported with when the last event left
+// for its slot and when the verdict came, so a miss says whether the time
+// went before or after the slot write.
 func TestClusterIdleProducerTimeliness(t *testing.T) {
 	for _, withFree := range []bool{false, true} {
 		name := "events only"
@@ -87,11 +93,24 @@ func TestClusterIdleProducerTimeliness(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			nodes, dial := startNodes(t, "n1", "n2")
-			verdict := make(chan struct{}, 1)
+			var lastWrite atomic.Int64 // UnixNano of the last write to any slot
+			verdict := make(chan time.Time, 1)
 			c, err := cluster.Open(cluster.Options{
 				Prop: "HasNext", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
-				Nodes: []string{"n1", "n2"}, Dial: dial,
-				OnVerdict: func(monitor.Verdict) { verdict <- struct{}{} },
+				Nodes: []string{"n1", "n2"},
+				Dial: func(addr string) (net.Conn, error) {
+					conn, err := dial(addr)
+					if err != nil {
+						return nil, err
+					}
+					return &stampConn{Conn: conn, last: &lastWrite}, nil
+				},
+				OnVerdict: func(monitor.Verdict) {
+					select {
+					case verdict <- time.Now():
+					default:
+					}
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -105,12 +124,26 @@ func TestClusterIdleProducerTimeliness(t *testing.T) {
 			}
 			if withFree {
 				c.Free(it)
+				// Every lane but the iterator's slot released it at Free: the
+				// slot's own release empties the entry.
+				c.Release(slotOf(it.ID()), []uint64{it.ID()})
+				if n := c.HeldRefs(); n != 0 {
+					t.Errorf("after Free and the slot's release the table holds %d refs, want none", n)
+				}
 			}
+			last := time.Now()
 			deadline := time.After(50 * time.Millisecond)
 			select {
 			case <-verdict:
 			case <-deadline:
-				t.Fatal("no verdict within 50ms of the last call")
+				came := "had not come a second later"
+				select {
+				case at := <-verdict:
+					came = fmt.Sprintf("came %v after it", at.Sub(last))
+				case <-time.After(time.Second):
+				}
+				t.Fatalf("no verdict within 50ms of the last call: the last slot write was %v after it, and the verdict %s",
+					time.Unix(0, lastWrite.Load()).Sub(last), came)
 			}
 			frees := func() (n float64) {
 				for _, nd := range nodes {
@@ -118,16 +151,33 @@ func TestClusterIdleProducerTimeliness(t *testing.T) {
 				}
 				return n
 			}
-			// The free is a rendezvous: one per slot session.
-			for withFree && frees() < 16 {
+			for withFree && frees() < 1 {
 				select {
 				case <-deadline:
-					t.Fatalf("%v of 16 slot sessions applied the free within 50ms of the last call", frees())
+					t.Fatal("no slot session applied the free within 50ms of the last call")
 				case <-time.After(time.Millisecond):
+				}
+			}
+			if withFree {
+				c.Barrier()
+				if n := frees(); n != 1 {
+					t.Errorf("%v slot sessions applied the free, want the iterator's slot alone", n)
 				}
 			}
 		})
 	}
+}
+
+// stampConn records the time of its last write.
+type stampConn struct {
+	net.Conn
+	last *atomic.Int64
+}
+
+func (c *stampConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.last.Store(time.Now().UnixNano())
+	return n, err
 }
 
 // TestSlotMovedTwiceOracle is the handoff audit's regression test: a node

@@ -9,17 +9,19 @@
 // handoffs, all invisible to the upstream session.
 //
 // Credit is end-to-end: the front replenishes an upstream credit only
-// after the fanout has placed the event — which for a broadcast means
-// every slot granted a credit. One refusing node therefore stalls the
-// upstream producer exactly as a slow single server would.
+// after the fanout has placed the event — which means every slot it goes
+// to granted a credit. One refusing node therefore stalls the upstream
+// producer exactly as a slow single server would.
 //
 // Releases pass through the same way: the session's HelloAck announces
 // one lane per slot, and each slot's releases go upstream as Release
-// frames under the slot's lane.
+// frames under the slot's lane, as do the ones the fanout issues for the
+// slots a free skips.
 package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -225,7 +227,11 @@ func (r *Router) open(s *server.Session) (server.Backend, error) {
 		// IDs pass through untouched: the nodes echo the very IDs the
 		// upstream client chose, so no translation table is needed.
 		onVerdict: s.Verdict,
-		onRelease: func(lane int, ids []uint64) { s.Release(lane, ids...) },
+		onRelease: func(lanes uint64, ids []uint64) {
+			for m := lanes; m != 0; m &= m - 1 {
+				s.Release(bits.TrailingZeros64(m), ids...)
+			}
+		},
 		onHandoff: func(records int) {
 			r.handoffs.Add(1)
 			r.handoffRecords.Add(uint64(records))

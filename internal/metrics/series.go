@@ -145,9 +145,9 @@ func NewTraceSeries(r *Registry, writer string) *TraceSeries {
 // routing shape, handoff activity, and downstream flow control of the
 // pivot-hashed cluster fanout (internal/cluster).
 type ClusterSeries struct {
-	Events         *Counter // events routed to a single pivot-owned slot
-	Broadcasts     *Counter // events broadcast to every slot (no pivot bound)
-	Frees          *Counter // free rendezvous broadcast to every slot
+	Events         *Counter // events sent to fewer than every slot (pivot or object placement)
+	Broadcasts     *Counter // events sent to every slot
+	Frees          *Counter // upstream frees, however many slots they reach
 	Verdicts       *Counter // verdicts merged back upstream
 	Handoffs       *Counter // slot moves completed (join, leave, crash)
 	HandoffRecords *Counter // journal records replayed during handoffs
@@ -159,9 +159,9 @@ type ClusterSeries struct {
 // NewClusterSeries interns the cluster families for one tenant.
 func NewClusterSeries(r *Registry, tenant string) *ClusterSeries {
 	return &ClusterSeries{
-		Events:         r.LabeledCounter("rv_cluster_events_total", "Events routed to their pivot-owned slot.", "tenant", tenant),
-		Broadcasts:     r.LabeledCounter("rv_cluster_broadcasts_total", "Events broadcast to every slot.", "tenant", tenant),
-		Frees:          r.LabeledCounter("rv_cluster_frees_total", "Free rendezvous broadcast to every slot.", "tenant", tenant),
+		Events:         r.LabeledCounter("rv_cluster_events_total", "Events sent to their pivot's slot or to the slots their object went to, not to every slot.", "tenant", tenant),
+		Broadcasts:     r.LabeledCounter("rv_cluster_broadcasts_total", "Events sent to every slot.", "tenant", tenant),
+		Frees:          r.LabeledCounter("rv_cluster_frees_total", "Frees accepted from the upstream session, each sent to the slots its objects went to.", "tenant", tenant),
 		Verdicts:       r.LabeledCounter("rv_cluster_verdicts_total", "Verdicts merged back to the upstream session.", "tenant", tenant),
 		Handoffs:       r.LabeledCounter("rv_cluster_handoffs_total", "Slot handoffs completed between nodes.", "tenant", tenant),
 		HandoffRecords: r.LabeledCounter("rv_cluster_handoff_records_total", "Journal records replayed during slot handoffs.", "tenant", tenant),

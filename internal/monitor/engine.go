@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -443,59 +442,28 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		e.botState = e.bp.Start()
 	}
 
-	// Instance domains: the closure of the event parameter sets under
-	// union. A monitor is indexed under every event domain inside its own.
-	var doms []param.Set
-	for _, d := range e.evDomains {
-		if !d.Empty() {
-			doms = append(doms, d)
-		}
-	}
-	for i := 0; i < len(doms); i++ {
-		for j := 0; j < i; j++ {
-			if u := doms[i].Union(doms[j]); !slices.Contains(doms, u) {
-				doms = append(doms, u)
-			}
-		}
-	}
-	// Descending popcount (largest progenitors first), then ascending mask.
-	slices.SortFunc(doms, func(a, b param.Set) int {
-		return cmp.Or(b.Count()-a.Count(), int(a)-int(b))
-	})
-	e.domains = make([]domain, len(doms))
-	for i, R := range doms {
+	// Instance domains (Analysis.Domains). A monitor is indexed under every
+	// event domain inside its own.
+	e.domains = make([]domain, len(an.Domains))
+	for i := range e.domains {
 		d := &e.domains[i]
-		d.R = R
+		d.R = an.Domains[i]
 		for _, K := range e.evDomains {
-			if !K.Empty() && K.SubsetOf(R) {
+			if !K.Empty() && K.SubsetOf(d.R) {
 				d.keys = append(d.keys, K)
 			}
 		}
 	}
 
-	// Join plans: for event e and domain R ⊉ D(e), the overlap O = R∩D(e).
-	// Under CreateEnable a join is statically skipped when no nonempty
-	// enable parameter set fits inside R (an exactly-R progenitor's
-	// paramsSeen is a nonempty subset of R).
+	// Join plans: for event e and each domain R it joins with (Spec.Joins),
+	// the overlap O = R∩D(e).
 	e.joins = make([][]joinPlan, len(spec.Events))
 	for sym, ev := range spec.Events {
 		for i := range e.domains {
 			d := &e.domains[i]
 			R := d.R
-			if ev.Params.SubsetOf(R) {
-				continue // instances ⊒ θ: handled by dispatch
-			}
-			if opts.Creation == CreateEnable {
-				ok := false
-				for y := range an.EnableParams[sym] {
-					if !y.Empty() && y.SubsetOf(R) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
+			if !spec.Joins(sym, R, opts.Creation) {
+				continue
 			}
 			O := R.Inter(ev.Params)
 			e.joins[sym] = append(e.joins[sym], joinPlan{R: R, O: O, all: &d.all})

@@ -309,3 +309,13 @@ func checkObjects(o *objects) error {
 	}
 	return nil
 }
+
+// JoinDomains returns the domains of the engine's join plans for symbol
+// sym, in plan order.
+func JoinDomains(e *Engine, sym int) []param.Set {
+	var ds []param.Set
+	for _, jp := range e.joins[sym] {
+		ds = append(ds, jp.R)
+	}
+	return ds
+}

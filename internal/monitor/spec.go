@@ -5,7 +5,9 @@
 package monitor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rvgo/internal/cfg"
 	"rvgo/internal/coenable"
@@ -57,6 +59,10 @@ type Analysis struct {
 	EnableParams []map[param.Set]bool
 	// Creation[sym] reports ∅ ∈ ENABLE(e): e can begin a goal trace.
 	Creation []bool
+	// Domains are the instance domains: the nonempty event parameter sets
+	// closed under union, the largest first (then by ascending mask). Every
+	// monitor's binding has one of them as its domain.
+	Domains []param.Set
 	// HasCoenable reports whether coenable information exists (false for
 	// CFG properties whose goal is not {match}; such monitors fall back to
 	// all-parameters-dead collection).
@@ -263,8 +269,54 @@ func (s *Spec) Analyze() error {
 		a.EnableParams[sym] = m
 		a.Creation[sym] = m[param.Set(0)]
 	}
+	a.Domains = instanceDomains(evParams)
 	s.analysis = a
 	return nil
+}
+
+// instanceDomains closes the nonempty event domains under union and
+// orders them the largest first, then by ascending mask.
+func instanceDomains(evParams []param.Set) []param.Set {
+	var doms []param.Set
+	for _, d := range evParams {
+		if !d.Empty() && !slices.Contains(doms, d) {
+			doms = append(doms, d)
+		}
+	}
+	for i := 0; i < len(doms); i++ {
+		for j := 0; j < i; j++ {
+			if u := doms[i].Union(doms[j]); !slices.Contains(doms, u) {
+				doms = append(doms, u)
+			}
+		}
+	}
+	slices.SortFunc(doms, func(x, y param.Set) int {
+		return cmp.Or(y.Count()-x.Count(), int(x)-int(y))
+	})
+	return doms
+}
+
+// Joins reports whether an event of symbol sym joins its binding with the
+// instances of domain R to create monitors under strategy c: R must not
+// contain D(sym) (those instances are ⊒ θ, and dispatch steps them), and
+// under CreateEnable some nonempty enable parameter set of sym must fit
+// inside R (an exactly-R progenitor's paramsSeen is a nonempty subset of
+// R). The engine's join plans are the domains it accepts, and a sharded
+// router reads it to tell which events may skip the lanes that never met
+// their objects (shard.Router.Maskable). The spec must be analyzed.
+func (s *Spec) Joins(sym int, R param.Set, c CreationStrategy) bool {
+	if s.Events[sym].Params.SubsetOf(R) {
+		return false
+	}
+	if c != CreateEnable {
+		return true
+	}
+	for y := range s.analysis.EnableParams[sym] {
+		if !y.Empty() && y.SubsetOf(R) {
+			return true
+		}
+	}
+	return false
 }
 
 // cfgBlueprint is satisfied by both CFG monitor backends (the incremental

@@ -323,18 +323,23 @@ func (f *Front) Arm(id uint64) {
 // and behind the lane's earlier verdicts; an ID the table lacks, or one the
 // lane already released (a cluster handoff replays a slot's frees), is
 // skipped.
-func (f *Front) Release(lane int, ids []uint64) {
-	bit := uint64(1) << uint(lane)
+func (f *Front) Release(lane int, ids []uint64) { f.ReleaseLanes(1<<uint(lane), ids) }
+
+// ReleaseLanes is Release for every lane in the mask lanes at once: a
+// cluster fanout releases a freed object itself on all the slots its
+// records never went to.
+func (f *Front) ReleaseLanes(lanes uint64, ids []uint64) {
+	if lanes == 0 {
+		return // a lane past wire.MaxReleaseLanes: nothing is tracked there
+	}
 	f.tmu.Lock()
 	for _, id := range ids {
-		e, ok := f.table[id]
-		if !ok || e.lanes&bit == 0 {
-			continue
-		}
-		if e.lanes &^= bit; e.lanes != 0 {
-			f.table[id] = e
-		} else {
-			delete(f.table, id)
+		if e, ok := f.table[id]; ok && e.lanes&lanes != 0 {
+			if e.lanes &^= lanes; e.lanes == 0 {
+				delete(f.table, id)
+			} else {
+				f.table[id] = e
+			}
 		}
 	}
 	f.tmu.Unlock()

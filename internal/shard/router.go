@@ -39,6 +39,8 @@ type Router struct {
 	// at is, per symbol, the pivot's position among D(sym)'s parameters in
 	// ascending order, or -1 when D(sym) does not contain the pivot.
 	at []int
+	// maskable is, per symbol, Maskable's answer.
+	maskable []bool
 }
 
 // NewRouter analyzes the spec and selects the pivot parameter. Candidate
@@ -77,15 +79,40 @@ func NewRouter(spec *monitor.Spec, shards int) (*Router, error) {
 	if pivot < 0 {
 		shards = 1
 	}
-	r := &Router{shards: shards, pivot: pivot, at: make([]int, len(spec.Events))}
+	r := &Router{shards: shards, pivot: pivot, at: make([]int, len(spec.Events)), maskable: make([]bool, len(spec.Events))}
 	for sym, ev := range spec.Events {
 		r.at[sym] = -1
 		if pivot >= 0 && ev.Params.Has(pivot) {
 			r.at[sym] = (ev.Params & (1<<uint(pivot) - 1)).Count()
 		}
+		// A join plan of a one-parameter event misses it when R lacks it.
+		r.maskable[sym] = pivot >= 0 && ev.Params.Count() == 1 && !ev.Params.Has(pivot)
+		for _, R := range an.Domains {
+			if spec.Joins(sym, R, monitor.CreateEnable) && !R.Has(ev.Params.First()) {
+				r.maskable[sym] = false
+			}
+		}
 	}
 	return r, nil
 }
+
+// Maskable reports whether an event of symbol sym need reach only the lanes
+// its object was already sent to, where the router would broadcast it. It
+// binds exactly one parameter, not the pivot, and none of its join plans
+// (monitor.Spec.Joins under CreateEnable) has an empty overlap with it; a
+// one-parameter event's join plans are domains without its parameter, so
+// it has none. On a lane holding no record of its object such an event
+// then steps nothing, for no instance there binds the object, and creates
+// nothing: it is no creation event (every creation event binds the pivot)
+// and joins with no progenitor. An empty-overlap join would combine it
+// with the progenitors of any object, on any lane: a two-parameter
+// non-pivot event, or one whose enable sets fit a domain without its
+// parameter, must still broadcast. What a masked event leaves undone on
+// such a lane is the stamp of its domain on the object, which the engine's
+// fresh-object creation guard reads when a later creation binds the object
+// there: a fan-out that masks it must deliver the stamp before the
+// object's first record on a new lane.
+func (r *Router) Maskable(sym int) bool { return r.maskable[sym] }
 
 // Shards returns the effective shard count (1 when the spec is
 // unshardable, regardless of what was requested).

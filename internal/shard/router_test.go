@@ -1,8 +1,10 @@
 package shard_test
 
 import (
+	"strings"
 	"testing"
 
+	"rvgo/internal/conformance"
 	"rvgo/internal/ere"
 	"rvgo/internal/heap"
 	"rvgo/internal/logic"
@@ -187,4 +189,95 @@ func TestCreateFullRejected(t *testing.T) {
 		t.Fatalf("CreateFull with a single shard must work: %v", err)
 	}
 	rt.Close()
+}
+
+// joinAnySpec is a two-parameter property whose iterator event joins with
+// monitors of any iterator: update(c) begins the goal trace, so next(i)'s
+// enable set is {c}, a domain without i — an empty-overlap join plan.
+func joinAnySpec(t *testing.T) *monitor.Spec {
+	t.Helper()
+	alphabet := []string{"update", "next"}
+	bp, err := ere.Compile("update next", alphabet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &monitor.Spec{
+		Name:   "JoinAny",
+		Params: []string{"c", "i"},
+		Events: []monitor.EventDef{
+			{Name: "update", Params: param.SetOf(0)},
+			{Name: "next", Params: param.SetOf(1)},
+		},
+		BP:   bp,
+		Goal: []logic.Category{logic.Match},
+	}
+	if err := s.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestMaskable pins, per spec, how a fan-out places each event: by its
+// pivot, only where its object went (maskable), or on every lane. An event
+// is maskable when it binds one parameter, not the pivot, and none of its
+// join plans (monitor.Spec.Joins) misses its parameter: PropMix's tick
+// binds none, UnsafeMapIter's and UnsafeSyncMap's iterator creations bind
+// two, and JoinAny's next joins with the monitors of every collection.
+func TestMaskable(t *testing.T) {
+	want := map[string]string{
+		"PropMix":        "open:pivot tick:broadcast close:pivot",
+		"HasNext":        "hasnexttrue:pivot hasnextfalse:pivot next:pivot",
+		"HasNextLTL":     "hasnexttrue:pivot hasnextfalse:pivot next:pivot",
+		"HashSet":        "add:pivot remove:pivot mutate:pivot",
+		"SafeEnum":       "create:pivot modify:pivot nextElem:maskable",
+		"SafeFile":       "open:pivot read:pivot close:pivot",
+		"SafeFileWriter": "write:pivot close:pivot",
+		"SafeLock":       "acquire:pivot release:pivot begin:pivot end:pivot",
+		"SafeLockMatch":  "acquire:pivot release:pivot begin:pivot end:pivot",
+		"UnsafeIter":     "create:pivot update:pivot next:maskable",
+		"UnsafeMapIter":  "createColl:pivot createIter:broadcast useIter:maskable updateMap:pivot",
+		"UnsafeSyncColl": "sync:pivot syncCreateIter:pivot asyncCreateIter:pivot syncAccess:maskable asyncAccess:maskable",
+		"UnsafeSyncMap":  "sync:pivot createSet:pivot syncCreateIter:broadcast asyncCreateIter:broadcast syncAccess:maskable asyncAccess:maskable",
+		"JoinAny":        "update:pivot next:broadcast",
+		"Disjoint":       "a:broadcast b:broadcast",
+	}
+	specs := append(conformance.Specs(t), joinAnySpec(t), unshardableSpec(t))
+	for _, spec := range specs {
+		r, err := shard.NewRouter(spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := spec.Analysis()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for sym, ev := range spec.Events {
+			kind := "broadcast"
+			switch {
+			case r.Pivot() >= 0 && ev.Params.Has(r.Pivot()):
+				kind = "pivot"
+			case r.Maskable(sym):
+				kind = "maskable"
+			}
+			got = append(got, ev.Name+":"+kind)
+			// The rule, restated over the engine's own join predicate.
+			rule := r.Pivot() >= 0 && ev.Params.Count() == 1 && !ev.Params.Has(r.Pivot())
+			for _, R := range an.Domains {
+				if spec.Joins(sym, R, monitor.CreateEnable) && R.Inter(ev.Params).Empty() {
+					rule = false
+				}
+			}
+			if r.Maskable(sym) != rule {
+				t.Errorf("%s: Maskable(%s) = %v, want %v from Spec.Joins", spec.Name, ev.Name, r.Maskable(sym), rule)
+			}
+		}
+		if g := strings.Join(got, " "); g != want[spec.Name] {
+			t.Errorf("%s: %s, want %s", spec.Name, g, want[spec.Name])
+		}
+		delete(want, spec.Name)
+	}
+	for name := range want {
+		t.Errorf("%s: no such spec any more", name)
+	}
 }
