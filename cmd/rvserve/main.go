@@ -58,7 +58,7 @@ func main() {
 	var (
 		listen        = flag.String("listen", ":7472", "TCP listen address")
 		window        = flag.Int("window", 4096, "per-session event-credit window")
-		maxShards     = flag.Int("max-shards", 16, "largest per-session backend a client may request (past 64 shards a session sends no releases: its client keeps every object's ref until it closes)")
+		maxShards     = flag.Int("max-shards", 16, "largest per-session backend a client may request (at most 64)")
 		defaultShards = flag.Int("default-shards", 1, "backend when the client leaves the choice to the server")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for active sessions")
 		flight        = flag.Int("flight", 0, "per-session flight recorder: dump the last n records on failure verdicts (0 = off)")
@@ -67,7 +67,7 @@ func main() {
 		recordDir     = flag.String("record-dir", "", "record every session's stream as a trace in this directory (empty = off)")
 		clusterFl     = flag.String("cluster", "", "router mode: comma-separated rvserve node addresses to fan sessions out over")
 		hashSeed      = flag.Uint64("hash-seed", 0, "router mode: seed perturbing the pivot and node hashes")
-		slots         = flag.Int("slots", 0, "router mode: virtual hash slots per session (0 = default; past 64 a session sends no releases: its client keeps every object's ref until it closes)")
+		slots         = flag.Int("slots", 0, "router mode: virtual hash slots per session (0 = default; at most 64)")
 		verbose       = flag.Bool("v", false, "log session lifecycle events")
 	)
 	flag.Parse()

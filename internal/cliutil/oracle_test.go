@@ -262,11 +262,10 @@ func TestRetroParallelRefusals(t *testing.T) {
 // trace — UnsafeIter's update(c) is a broadcast event, so the slice is not
 // just the pivot's own records.
 func retroSelective(t *testing.T, path string, spec *monitor.Spec, online []onlineVerdict) {
-	router, err := shard.NewRouter(spec, 2)
-	if err != nil || router.Pivot() < 0 {
+	piv, err := shard.Pivot(spec)
+	if err != nil || piv < 0 {
 		t.Fatalf("%s has no pivot to index by: %v", spec.Name, err)
 	}
-	piv := router.Pivot()
 	r, err := trace.Open(path)
 	if err != nil {
 		t.Fatal(err)

@@ -11,25 +11,13 @@
 // creation every monitor instance binds the pivot, so each slice lives in
 // exactly one slot — the discipline internal/shard applies in-process.
 //
-// Masks. An event that does not bind the pivot, and a free, matter only to
-// the slots whose slices bind their objects, and those are among the slots
-// the objects' records went to. The fanout keeps, per live object, that
-// set of slots (its placement, masks.go), from its first record to its
-// free. A free goes only to its object's slots, and the fanout releases the
-// object on every other lane itself. A maskable event (shard.Router.Maskable:
-// one parameter, not the pivot, no join that could reach another object's
-// monitors) goes only to its object's slots. The rest — an event of more
-// than one parameter, a propositional one, one that joins with any
-// object's monitors, and any event or free of an object no record named
-// yet — go to every slot, as every event not binding the pivot did before
-// masks. One effect of a masked event is lost on the slots it skips: the
-// stamp of its domain on the object, which a later creation binding the
-// object reads (the engine's fresh-object guard). So when a record brings
-// an object to a slot outside its placement, the fanout first journals
-// there, for each domain stamped, one maskable event naming only that
-// object: on a slot with no record of the object it can only stamp it.
-// Past wire.MaxReleaseLanes slots the fanout keeps no placements and sends
-// every event not binding the pivot, and every free, to every slot.
+// Masks. Where a record goes is the fan-out core's to say
+// (shard.Router): an event binding the pivot goes to the pivot's slot, a
+// maskable event and a free only to the slots their object's records went
+// to, and the rest to every slot; a slot an object moves to is first sent
+// the primers of its stamps, and the slots a free skips release the object
+// at once. The fanout journals and delivers what the core decides, and
+// passes the releases upstream.
 //
 // Membership changes move whole slots. Each slot keeps a journal of the
 // records it has accepted; moving the slot replays the journal into a
@@ -53,9 +41,9 @@
 // runs the slot's frees again, so the new engine releases some IDs a second
 // time; the slot's lane already released them upstream, and a client
 // ignores a lane that has, so a repeat is a no-op and needs no counting.
-// Releases are not verdicts: they never count toward the handoff Skip. Past
-// wire.MaxReleaseLanes slots the client tracks no lanes and keeps its refs
-// until Close; a Router's session then writes no Release frames.
+// Releases are not verdicts: they never count toward the handoff Skip. A
+// ring has at most shard.MaxLanes slots, so every slot is a lane a client
+// tracks.
 package cluster
 
 import (
@@ -67,7 +55,6 @@ import (
 
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 	"rvgo/internal/shard"
 	"rvgo/internal/wire"
 )
@@ -89,7 +76,7 @@ type fanoutConfig struct {
 	hello wire.Hello
 	nodes []string
 	seed  uint64
-	slots int
+	slots int // the ring size: 0 for the default, capped at shard.MaxLanes
 
 	dial func(string) (net.Conn, error)
 	logf func(string, ...any)
@@ -99,8 +86,7 @@ type fanoutConfig struct {
 	onVerdict func(wire.Verdict)
 	// onRelease receives releases with the mask of the slots releasing the
 	// IDs as the lanes — one slot's, forwarded from its node, or those a
-	// free skipped — serialized with onVerdict. Past wire.MaxReleaseLanes
-	// slots a slot's bit is 0, as no lane is tracked there.
+	// free skipped — serialized with onVerdict.
 	onRelease func(lanes uint64, ids []uint64)
 	// onHandoff is invoked after each completed slot move with the number
 	// of journal records replayed (nil ok).
@@ -136,15 +122,6 @@ type fanout struct {
 	cfg      fanoutConfig
 	hello    wire.Hello
 	routerID uint64
-	pivot    int
-	// pivotPos[sym] is the index of the pivot's ID within the event's
-	// ascending-parameter ID vector, or -1 when the event does not bind
-	// the pivot.
-	pivotPos []int
-	// maskable[sym] is shard.Router.Maskable, and primer[x] a maskable
-	// symbol binding parameter x (what primeLocked sends for a stamp of x).
-	maskable []bool
-	primer   [param.MaxParams]int
 
 	events atomic.Uint64 // upstream events accepted (once, however many slots took one)
 
@@ -152,29 +129,22 @@ type fanout struct {
 	err error
 
 	vmu sync.Mutex // serializes upstream verdict delivery across readers
+	// release is cfg.onRelease under vmu.
+	release func(lanes uint64, ids []uint64)
 
 	mu     sync.Mutex
 	nodes  []string
 	slots  []*slotState
 	closed bool
 	final  monitor.Stats
-	// masks holds each live object's placement, nil when the ring has one
-	// slot or more than wire.MaxReleaseLanes; all is the mask of every
-	// slot.
-	masks *masks
-	all   uint64
+	router *shard.Router // where each record goes, under mu
 
 	// Scratch, under mu: a record's frames (encoded once for every slot it
 	// goes to) and a primer's; the slots a record goes to and the credits
-	// held on each; a free's per-ID lanes, one slot's share of its IDs, and
-	// the ID being released (copied, so the caller's IDs never reach the
-	// callback).
+	// held on each.
 	enc, penc wire.Enc
 	to        []int
 	held      []bool
-	idLanes   []uint64
-	share     []uint64
-	rel       []uint64
 }
 
 var fanoutSeq atomic.Uint64
@@ -193,23 +163,20 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 		}
 		seen[n] = true
 	}
-	nslots := cfg.slots
+	nslots := min(cfg.slots, shard.MaxLanes)
 	if nslots <= 0 {
 		nslots = defaultSlots
 	}
 	if err := cfg.hello.Options().Check(spec, nslots); err != nil {
 		return nil, err
 	}
-	sr, err := shard.NewRouter(spec, 2)
+	// An unshardable spec gets a single slot: on one node it still gives
+	// the remote-cluster deployment shape (and handoff) without routing.
+	router, err := shard.NewRouter(spec, nslots, cfg.seed, true)
 	if err != nil {
 		return nil, err
 	}
-	pivot := sr.Pivot()
-	if pivot < 0 {
-		// Unshardable spec: a single slot on one node still gives the
-		// remote-cluster deployment shape (and handoff) without routing.
-		nslots = 1
-	}
+	nslots = router.Lanes()
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
 	}
@@ -223,9 +190,7 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 		spec:     spec,
 		cfg:      cfg,
 		routerID: fanoutSeq.Add(1),
-		pivot:    pivot,
-		pivotPos: make([]int, len(spec.Events)),
-		maskable: make([]bool, len(spec.Events)),
+		router:   router,
 		nodes:    append([]string(nil), cfg.nodes...),
 		slots:    make([]*slotState, nslots),
 		to:       make([]int, 0, nslots),
@@ -233,20 +198,10 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 		hello:    cfg.hello,
 	}
 	f.hello.Shards = 1 // slot sessions must be sequential: handoff Skip counts rely on a deterministic verdict order
-	for sym, ev := range spec.Events {
-		f.pivotPos[sym] = -1
-		if pivot >= 0 && ev.Params.Has(pivot) {
-			// IDs cross the wire in ascending parameter order; the pivot's
-			// position is the number of bound parameters below it.
-			f.pivotPos[sym] = (ev.Params & (1<<uint(pivot) - 1)).Count()
-		}
-		if f.maskable[sym] = sr.Maskable(sym); f.maskable[sym] {
-			f.primer[ev.Params.First()] = sym
-		}
-	}
-	if nslots > 1 && nslots <= wire.MaxReleaseLanes {
-		f.masks = newMasks()
-		f.all = ^uint64(0) >> uint(64-nslots)
+	f.release = func(lanes uint64, ids []uint64) {
+		f.vmu.Lock()
+		f.cfg.onRelease(lanes, ids)
+		f.vmu.Unlock()
 	}
 	// Construction holds the fanout lock: a link that dies mid-open fires
 	// its onDown repair goroutine, which must not walk the half-built slot
@@ -291,11 +246,7 @@ func (f *fanout) openSlot(i int, addr string) (*link, error) {
 		f.cfg.onVerdict(v)
 		f.vmu.Unlock()
 	}
-	onRelease := func(r wire.Release) {
-		f.vmu.Lock()
-		f.cfg.onRelease(1<<uint(i), r.IDs)
-		f.vmu.Unlock()
-	}
+	onRelease := func(r wire.Release) { f.release(1<<uint(i), r.IDs) }
 	onDown := func() {
 		// Reader goroutine; repair needs the fanout lock, so detach. If an
 		// operation is already stuck on this link it repairs inline first
@@ -389,16 +340,6 @@ func hashAddr(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// slotOf maps a pivot object ID to its slot. The mapping depends only on
-// the ring size and seed — never on membership — so slices keep their
-// slot identity across joins and leaves.
-func (f *fanout) slotOf(id uint64) int {
-	if len(f.slots) == 1 {
-		return 0
-	}
-	return int(shard.Mix(id^f.cfg.seed) % uint64(len(f.slots)))
 }
 
 // rebalanceLocked drives the slot assignment back to the rendezvous
@@ -516,8 +457,11 @@ func statsEqual(a, b wire.Stats) bool {
 	return a == b
 }
 
-// Event accepts one upstream event and delivers it to the slots route
-// names, under the all-or-nothing credit discipline (deliverLocked).
+// Event accepts one upstream event and delivers it, behind its primers,
+// to the slots the router names, under the all-or-nothing credit
+// discipline (deliverLocked). The slot a pivot object hashes to depends
+// only on the ring size and seed — never on membership — so slices keep
+// their slot identity across joins and leaves.
 func (f *fanout) Event(sym int, ids []uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -528,10 +472,21 @@ func (f *fanout) Event(sym int, ids []uint64) error {
 		return err
 	}
 	f.events.Add(1)
+	lanes := f.router.Route(sym, ids)
+	for _, p := range f.router.Primers() {
+		one := [1]uint64{p.ID}
+		f.penc = f.penc[:0]
+		f.penc.EventFrame(p.Sym, one[:])
+		for m := p.Lanes; m != 0; m &= m - 1 {
+			f.slots[bits.TrailingZeros64(m)].journal.append(f.penc)
+		}
+	}
 	f.enc = f.enc[:0]
 	f.enc.EventFrame(sym, ids)
-	to := f.routeLocked(sym, ids)
-	for _, i := range to {
+	to := f.to[:0]
+	for m := lanes; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		to = append(to, i)
 		f.slots[i].journal.append(f.enc)
 	}
 	if err := f.deliverLocked(to); err != nil {
@@ -547,74 +502,10 @@ func (f *fanout) Event(sym int, ids []uint64) error {
 	return nil
 }
 
-// routeLocked returns the slots an event goes to, in ascending order: the
-// pivot's slot for an event binding the pivot; for a maskable event
-// (shard.Router.Maskable), the slots its object went to, or every slot for
-// an object no record named yet; every slot for the rest. Without masks
-// (one slot, or more than wire.MaxReleaseLanes) an event that does not
-// bind the pivot goes to every slot. With masks, each object named enters
-// the slots it goes to into its placement, and a slot it moves to is
-// first sent its stamps (primeLocked).
-func (f *fanout) routeLocked(sym int, ids []uint64) []int {
-	to := f.to[:0]
-	lanes := f.all
-	if pp := f.pivotPos[sym]; pp >= 0 && len(f.slots) > 1 {
-		i := f.slotOf(ids[pp])
-		if f.masks == nil {
-			return append(to, i)
-		}
-		lanes = 1 << uint(i)
-	} else if f.masks == nil {
-		for i := range f.slots {
-			to = append(to, i)
-		}
-		return to
-	} else if f.maskable[sym] {
-		if lanes = f.masks.lanes(ids[0]); lanes == 0 {
-			lanes = f.all
-		}
-	}
-	for _, id := range ids {
-		p := f.masks.get(id)
-		if moved := lanes &^ p.lanes; moved != 0 && p.stamps != 0 {
-			f.primeLocked(id, p.stamps, moved)
-		}
-		p.lanes |= lanes
-		if f.maskable[sym] {
-			p.stamps |= f.spec.Events[sym].Params
-		}
-	}
-	for m := lanes; m != 0; m &= m - 1 {
-		to = append(to, bits.TrailingZeros64(m))
-	}
-	return to
-}
-
-// primeLocked journals, for each slot of lanes, one maskable event of
-// each stamped domain naming only the object id, ahead of the record that
-// brings the object there. On a slot that holds no record of the object
-// the event can only stamp it, so the slot's engine reads the same stamps
-// as the sequential engine when a creation there binds the object.
-func (f *fanout) primeLocked(id uint64, stamps param.Set, lanes uint64) {
-	one := [1]uint64{id}
-	for xm := stamps; xm != 0; xm = xm.Rest() {
-		f.penc = f.penc[:0]
-		f.penc.EventFrame(f.primer[xm.First()], one[:])
-		for m := lanes; m != 0; m &= m - 1 {
-			f.slots[bits.TrailingZeros64(m)].journal.append(f.penc)
-		}
-	}
-}
-
-// Free accepts an upstream free. With masks, each slot is sent the IDs
-// whose objects' records went to it, and the fanout releases the others
-// on the slot's lane itself: a slot that never met an object holds no
-// record of it, and its engine would only release the ID at once. An ID
-// with no placement — no event named it, or it was freed before — goes to
-// every slot: the fanout cannot tell which, and a slot that still holds
-// the dead record of an earlier free must release it itself, when its
-// engine drops the record. Frees are credit-exempt (they shrink node
-// state) but journaled like events: replay must reproduce the exact
+// Free accepts an upstream free: each slot is sent the IDs whose objects'
+// records went to it, and the router releases the others on the slot's
+// lane at once (shard.Router.Free). Frees are credit-exempt (they shrink
+// node state) but journaled like events: replay must reproduce the exact
 // event/death interleaving.
 func (f *fanout) Free(ids []uint64) error {
 	f.mu.Lock()
@@ -625,64 +516,18 @@ func (f *fanout) Free(ids []uint64) error {
 	if err := f.errLocked(); err != nil {
 		return err
 	}
-	if f.masks == nil {
-		f.enc = f.enc[:0]
-		f.enc.FreeFrames(ids)
-		for i, s := range f.slots {
-			s.journal.append(f.enc)
-			if err := f.pumpLocked(i, s.journal.n); err != nil {
-				return err
-			}
-		}
-	} else if err := f.freeMaskedLocked(ids); err != nil {
-		return err
-	}
-	if m := f.cfg.met; m != nil {
-		m.Frees.Inc()
-	}
-	return nil
-}
-
-// freeMaskedLocked sends each slot the IDs of ids whose placements name it
-// and releases each ID on the lanes outside its placement, then drops the
-// placements. The placements are read before any is dropped, so an ID
-// named twice goes where its object went both times.
-func (f *fanout) freeMaskedLocked(ids []uint64) error {
-	lanes := f.idLanes[:0]
-	var union uint64
-	f.vmu.Lock()
-	for _, id := range ids {
-		m := f.masks.lanes(id)
-		if m == 0 {
-			m = f.all
-		} else if m != f.all {
-			f.rel = append(f.rel[:0], id)
-			f.cfg.onRelease(f.all&^m, f.rel)
-		}
-		lanes = append(lanes, m)
-		union |= m
-	}
-	f.vmu.Unlock()
-	f.idLanes = lanes
-	for _, id := range ids {
-		f.masks.drop(id)
-	}
-	for m := union; m != 0; m &= m - 1 {
+	for m := f.router.Free(ids, f.release); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		share := f.share[:0]
-		for k, id := range ids {
-			if lanes[k]&(1<<uint(i)) != 0 {
-				share = append(share, id)
-			}
-		}
-		f.share = share
 		f.enc = f.enc[:0]
-		f.enc.FreeFrames(share)
+		f.enc.FreeFrames(f.router.Share(ids, i))
 		s := f.slots[i]
 		s.journal.append(f.enc)
 		if err := f.pumpLocked(i, s.journal.n); err != nil {
 			return err
 		}
+	}
+	if m := f.cfg.met; m != nil {
+		m.Frees.Inc()
 	}
 	return nil
 }

@@ -40,13 +40,13 @@ func TestRouterStatusz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := shard.NewRouter(spec, 2)
+	pivot, err := shard.Pivot(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bsym := -1
 	for sym, ev := range spec.Events {
-		if !ev.Params.Has(sr.Pivot()) {
+		if !ev.Params.Has(pivot) {
 			bsym = sym
 			break
 		}

@@ -15,7 +15,7 @@ import (
 
 // slotOf is the slot a pivot object ID hashes to on a ring of
 // defaultSlots under seed 0 (DESIGN.md, "Topology").
-func slotOf(id uint64) int { return int(shard.Mix(id) % defaultSlots) }
+func slotOf(id uint64) int { return shard.LaneOf(id, 0, defaultSlots) }
 
 // migration is a fixed UnsafeIter stream (create(c,i), update(c),
 // next(i); the pivot is c) whose iterators move between the slots of

@@ -20,8 +20,9 @@ import (
 )
 
 // TestLinkFreesRideTheBlock: every slot link, like the remote client,
-// sends events and the broadcast frees in write blocks — a death on a
-// 16-slot cluster is 16 buffered records, not 16 writes.
+// sends events and frees in write blocks — 1000 deaths on a slot are 1000
+// buffered records, not 1000 writes. A free goes only to the slot its
+// object's records went to, so each slot is given its own collections.
 func TestLinkFreesRideTheBlock(t *testing.T) {
 	_, dial := startNodes(t, "n1", "n2")
 	var mu sync.Mutex
@@ -49,16 +50,22 @@ func TestLinkFreesRideTheBlock(t *testing.T) {
 		cc.Reset()
 	}
 
-	// next(i) broadcasts (the pivot is c), so every link sees 1000 events
-	// and 1000 frees — under its 4096-event window, so nothing stalls.
+	// Every link sees 1000 iterators of its own collections: 2000 events,
+	// under its 4096-event window, so nothing stalls, and 1000 frees.
 	const iters = 1000
 	h := heap.New()
 	start := time.Now()
-	for k := 0; k < iters; k++ {
-		col, it := h.Alloc("c"), h.Alloc("i")
-		monitor.Emit(c, 0, col, it)
-		monitor.Emit(c, 2, it)
-		c.Free(it)
+	for slot := range defaultSlots {
+		for k := 0; k < iters; {
+			col, it := h.Alloc("c"), h.Alloc("i")
+			if slotOf(col.ID()) != slot {
+				continue
+			}
+			monitor.Emit(c, 0, col, it)
+			monitor.Emit(c, 2, it)
+			c.Free(it)
+			k++
+		}
 	}
 	elapsed := time.Since(start)
 	time.Sleep(20 * conformance.WriteLinger)

@@ -21,7 +21,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -227,11 +226,7 @@ func (r *Router) open(s *server.Session) (server.Backend, error) {
 		// IDs pass through untouched: the nodes echo the very IDs the
 		// upstream client chose, so no translation table is needed.
 		onVerdict: s.Verdict,
-		onRelease: func(lanes uint64, ids []uint64) {
-			for m := lanes; m != 0; m &= m - 1 {
-				s.Release(bits.TrailingZeros64(m), ids...)
-			}
-		},
+		onRelease: func(lanes uint64, ids []uint64) { s.Release(lanes, ids...) },
 		onHandoff: func(records int) {
 			r.handoffs.Add(1)
 			r.handoffRecords.Add(uint64(records))

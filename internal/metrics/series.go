@@ -78,7 +78,7 @@ type ShardSeries struct {
 func NewShardSeries(r *Registry, tenant string, n int) *ShardSeries {
 	s := &ShardSeries{
 		Refusals:   r.LabeledCounter("rv_shard_refusals_total", "TryDispatchIDs batches refused for lack of mailbox space.", "tenant", tenant),
-		Broadcasts: r.LabeledCounter("rv_shard_broadcasts_total", "Events broadcast to every shard.", "tenant", tenant),
+		Broadcasts: r.LabeledCounter("rv_shard_broadcasts_total", "Events sent to every shard.", "tenant", tenant),
 	}
 	for i := 0; i < n; i++ {
 		lbl := tenant + "/s" + strconv.Itoa(i)

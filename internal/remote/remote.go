@@ -41,9 +41,7 @@
 // marks every lane as still holding it, each lane's release clears its
 // mark, and the entry goes with the last one. So after a Flush the table
 // holds the objects some engine still records — the live ones, and dead
-// ones that monitors still bind — and after Close it holds nothing. A
-// backend of more than wire.MaxReleaseLanes lanes releases nothing, so
-// there the table keeps every object sent until Close.
+// ones that monitors still bind — and after Close it holds nothing.
 package remote
 
 import (
@@ -136,16 +134,12 @@ type entry struct {
 	lanes uint64
 }
 
-// SetLanes sets the number of lanes behind the session, whose releases
-// free a table entry; the sink calls it before the first Free. A session
-// of more than wire.MaxReleaseLanes lanes releases nothing, so its table
-// keeps every object until Shutdown.
+// SetLanes sets the number of lanes behind the session (1 to
+// wire.MaxReleaseLanes), whose releases free a table entry; the sink calls
+// it before the first Free.
 func (f *Front) SetLanes(n int) {
 	f.tmu.Lock()
-	f.lanes = 0
-	if n <= wire.MaxReleaseLanes {
-		f.lanes = 1<<uint(n) - 1
-	}
+	f.lanes = 1<<uint(n) - 1
 	f.tmu.Unlock()
 }
 
@@ -329,9 +323,6 @@ func (f *Front) Release(lane int, ids []uint64) { f.ReleaseLanes(1<<uint(lane), 
 // cluster fanout releases a freed object itself on all the slots its
 // records never went to.
 func (f *Front) ReleaseLanes(lanes uint64, ids []uint64) {
-	if lanes == 0 {
-		return // a lane past wire.MaxReleaseLanes: nothing is tracked there
-	}
 	f.tmu.Lock()
 	for _, id := range ids {
 		if e, ok := f.table[id]; ok && e.lanes&lanes != 0 {

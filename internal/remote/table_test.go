@@ -16,6 +16,7 @@ import (
 	"rvgo/internal/param"
 	"rvgo/internal/remote"
 	"rvgo/internal/server"
+	"rvgo/internal/shard"
 )
 
 // tableBackend is one client shape whose ref table the release tests hold.
@@ -278,12 +279,21 @@ func TestLateVerdictIdentity(t *testing.T) {
 	}
 }
 
-// TestWideSessionKeepsRefs: a backend of more lanes than a client tracks
-// (65 shards, or 65 cluster slots) still serves the session; it releases
-// nothing, so the table keeps every object sent, and late verdicts carry
-// the caller's refs, until Close empties it.
+// TestWideSessionKeepsRefs: no backend has more lanes than a client
+// tracks. A server refuses a session of 65 shards; a cluster's or a
+// router's ring of 65 slots is capped at shard.MaxLanes, and its slots
+// release the objects like any lane: late verdicts still carry the
+// caller's refs, and after Flush the table holds none.
 func TestWideSessionKeepsRefs(t *testing.T) {
-	for _, b := range clientTableBackends([]int{65}, 65) {
+	t.Run("remote/shards=65", func(t *testing.T) {
+		_, err := remote.Dial(startServer(t, server.Options{MaxShards: 65}), remote.Options{
+			SpecSource: lateSpec, GC: monitor.GCCoenable, Creation: monitor.CreateEnable, Shards: 65,
+		})
+		if err == nil || !strings.Contains(err.Error(), "out of range 1..64") {
+			t.Fatalf("a session of 65 shards opened with %v, want a refusal naming the range 1..64", err)
+		}
+	})
+	for _, b := range clientTableBackends(nil, 65) {
 		t.Run(b.name, func(t *testing.T) {
 			matches := 0
 			front, rt, _ := b.open(t, "", lateSpec, monitor.GCCoenable, func(v monitor.Verdict) {
@@ -292,6 +302,15 @@ func TestWideSessionKeepsRefs(t *testing.T) {
 				}
 				matches++
 			})
+			if c, ok := rt.(*cluster.Client); ok {
+				slots := 0
+				for _, n := range c.Nodes() {
+					slots += n.Slots
+				}
+				if slots != shard.MaxLanes {
+					t.Errorf("a ring of 65 slots opened %d, want %d", slots, shard.MaxLanes)
+				}
+			}
 			bind, fire := symbol(t, rt, "bind"), symbol(t, rt, "fire")
 			const pairs = 200
 			h := heap.New()
@@ -305,8 +324,8 @@ func TestWideSessionKeepsRefs(t *testing.T) {
 				h.Free(a)
 			}
 			rt.Flush()
-			if got := front.HeldRefs(); got != 2*pairs {
-				t.Errorf("after Flush the table holds %d refs, want all %d objects sent", got, 2*pairs)
+			if got := front.HeldRefs(); got != 0 {
+				t.Errorf("after Flush the table holds %d refs, want none", got)
 			}
 			if matches != pairs {
 				t.Errorf("%d of %d pairs matched", matches, pairs)
@@ -325,8 +344,8 @@ func TestWideSessionKeepsRefs(t *testing.T) {
 // TestFrontLanes: the Front's lane rule on its own. An entry goes when the
 // last lane that held the object at its first Free releases it; a repeated
 // release, a release of an object never sent and a second Free change
-// nothing; and on a session of more lanes than the Front tracks nothing is
-// released.
+// nothing; and a session of 64 lanes, the most there are, releases like any
+// other.
 func TestFrontLanes(t *testing.T) {
 	f, err := remote.NewFront("UnsafeIter", "", func(monitor.Verdict) {})
 	if err != nil {
@@ -360,13 +379,15 @@ func TestFrontLanes(t *testing.T) {
 	f.Arm(c) // a Free after the entry went
 	want(1, "a Free after the release")
 
-	f.SetLanes(65)
+	f.SetLanes(64)
 	c2, _ := send()
 	f.Arm(c2)
-	for lane := range 65 {
+	for lane := range 63 {
 		f.Release(lane, []uint64{c2})
 	}
-	want(3, "a session of 65 lanes")
+	want(3, "63 of a session's 64 lanes released")
+	f.Release(63, []uint64{c2})
+	want(2, "all 64 lanes released")
 }
 
 // TestClosedClientPinsNothing: a closed client, kept for its Stats, leaves

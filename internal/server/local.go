@@ -114,7 +114,7 @@ func openLocal(s *Session) (Backend, error) {
 	if shards > 1 {
 		srt, err := shard.New(compiled, shard.Options{
 			Options: opts, Shards: shards,
-			OnRelease:       func(lane int, ids []uint64) { s.Release(lane, ids...) },
+			OnRelease:       func(lanes uint64, ids []uint64) { s.Release(lanes, ids...) },
 			MetricsRegistry: srv.reg, MetricsLabel: compiled.Name,
 		})
 		if err != nil {
@@ -126,7 +126,7 @@ func openLocal(s *Session) (Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng.SetOnRelease(func(id uint64) { s.Release(0, id) })
+		eng.SetOnRelease(func(id uint64) { s.Release(1, id) })
 		b.rt = eng
 	}
 	if srv.opts.FlightWindow > 0 {

@@ -27,8 +27,8 @@
 // batch as one Release frame when it is full, or ahead of the next ack
 // (so after a Barrier, Flush or Bye the client has every release the
 // backend made). A release is queued after every verdict its lane wrote,
-// so it reaches the client behind them. A backend of more lanes than a
-// client tracks (wire.MaxReleaseLanes) releases nothing.
+// so it reaches the client behind them. A backend has at most
+// shard.MaxLanes lanes, one bit each in a release mask.
 //
 // Flow control: sessions grant event credits (wire.Credit) as the backend
 // actually accepts events — a credit is returned only after Backend.Event
@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,7 @@ import (
 	"rvgo/internal/metrics"
 	"rvgo/internal/monitor"
 	"rvgo/internal/props"
+	"rvgo/internal/shard"
 	"rvgo/internal/spec"
 	"rvgo/internal/wire"
 )
@@ -60,8 +62,8 @@ type Options struct {
 	// 4096). A client may request a smaller one in its Hello.
 	Window int
 	// MaxShards caps the per-session backend size a client may request
-	// (default 16; the cap exists because shards are goroutines the client
-	// makes the server spawn).
+	// (default 16, at most shard.MaxLanes; the cap exists because shards
+	// are goroutines the client makes the server spawn).
 	MaxShards int
 	// DefaultShards is the backend when the client's Hello leaves the
 	// choice to the server (Shards == 0). Default 1: the sequential
@@ -141,6 +143,7 @@ func New(opts Options) *Server {
 	if opts.MaxShards <= 0 {
 		opts.MaxShards = 16
 	}
+	opts.MaxShards = min(opts.MaxShards, shard.MaxLanes)
 	if opts.DefaultShards <= 0 {
 		opts.DefaultShards = 1
 	}
@@ -296,10 +299,6 @@ type Session struct {
 	// rel[lane] holds up to releaseBatch IDs lane released that are not
 	// yet in the write buffer; under wmu. Nil until the first release.
 	rel [][]uint64
-	// wide: the backend has more lanes than a client tracks
-	// (wire.MaxReleaseLanes), so its releases are dropped. Set before the
-	// HelloAck.
-	wide bool
 
 	window  int
 	ungrant int // events accepted since the last credit grant
@@ -537,7 +536,6 @@ func (s *Session) handshake(h wire.Hello) error {
 		return err
 	}
 	s.b = b
-	s.wide = b.Lanes() > wire.MaxReleaseLanes
 	s.series.Sessions.Inc()
 	s.opened = time.Now()
 	s.srv.mu.Lock()
@@ -578,34 +576,34 @@ func (s *Session) Verdict(v wire.Verdict) {
 	s.writeLocked(func() error { return s.w.WriteVerdict(v) })
 }
 
-// Release queues the IDs of freed objects lane holds no record of any more,
-// for the client. Backends call it from whatever goroutine reaches the
-// release, after every verdict of the lane that named the objects, and
-// serialize it with their verdicts; the IDs leave in a Release frame when
-// the lane's batch is full, or ahead of the session's next ack. A backend
-// of more than wire.MaxReleaseLanes lanes releases nothing.
-func (s *Session) Release(lane int, ids ...uint64) {
-	if s.wide {
-		return
-	}
+// Release queues the IDs of freed objects the lanes of the mask lanes hold
+// no record of any more, for the client. Backends call it from whatever
+// goroutine reaches the release, after every verdict of the lanes that
+// named the objects, and serialize it with their verdicts; the IDs leave in
+// a Release frame per lane when the lane's batch is full, or ahead of the
+// session's next ack.
+func (s *Session) Release(lanes uint64, ids ...uint64) {
 	s.wmu.Lock()
-	for len(s.rel) <= lane {
-		s.rel = append(s.rel, nil)
-	}
-	q := s.rel[lane]
-	if len(q)+len(ids) > releaseBatch {
-		// A write error resurfaces at the next frame's flush.
-		s.w.WriteRelease(uint64(lane), q)
-		q = q[:0]
-		if len(ids) > releaseBatch {
-			s.w.WriteRelease(uint64(lane), ids)
-			ids = nil
+	for m := lanes; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m)
+		for len(s.rel) <= lane {
+			s.rel = append(s.rel, nil)
 		}
+		q, ids := s.rel[lane], ids
+		if len(q)+len(ids) > releaseBatch {
+			// A write error resurfaces at the next frame's flush.
+			s.w.WriteRelease(uint64(lane), q)
+			q = q[:0]
+			if len(ids) > releaseBatch {
+				s.w.WriteRelease(uint64(lane), ids)
+				ids = nil
+			}
+		}
+		if q == nil {
+			q = make([]uint64, 0, releaseBatch)
+		}
+		s.rel[lane] = append(q, ids...)
 	}
-	if q == nil {
-		q = make([]uint64, 0, releaseBatch)
-	}
-	s.rel[lane] = append(q, ids...)
 	s.wmu.Unlock()
 }
 

@@ -201,8 +201,9 @@ func TestClientRelease(t *testing.T) {
 
 // TestHelloAckLanes: the HelloAck announces the lanes whose releases the
 // session will send — one engine, one per shard, one per router slot — and
-// each lane releases each freed ID once, by the next ack. A backend of more
-// lanes than a client tracks announces them all and releases nothing.
+// each lane releases each freed ID once, by the next ack. A session of more
+// lanes than a client tracks is refused: MaxShards is capped at
+// shard.MaxLanes.
 func TestHelloAckLanes(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -214,7 +215,6 @@ func TestHelloAckLanes(t *testing.T) {
 		{"sequential", startServer(t), 1, 1, 2},
 		{"sharded", startServer(t), 3, 3, 6},
 		{"router", startRouter(t), 1, 16, 32}, // the default slot ring
-		{"wide", startServerWith(t, server.Options{MaxShards: 65}), 65, 65, 0},
 	} {
 		_, w, r := dialRaw(t, c.addr)
 		h := validHello()
@@ -249,6 +249,13 @@ func TestHelloAckLanes(t *testing.T) {
 		if ids != c.ids {
 			t.Errorf("%s: %d IDs released by the FlushAck, want %d", c.name, ids, c.ids)
 		}
+	}
+	_, w, r := dialRaw(t, startServerWith(t, server.Options{MaxShards: 65}))
+	h := validHello()
+	h.Shards = 65
+	hello(t, w, h)
+	if msg := expectError(t, r); !strings.Contains(msg, "out of range 1..64") {
+		t.Errorf("wide: a Hello asking 65 shards got %q, want a refusal naming the range 1..64", msg)
 	}
 }
 

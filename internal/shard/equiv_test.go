@@ -65,6 +65,75 @@ func (r tryFeed) DispatchIDs(sym int, ids []uint64) {
 	}
 }
 
+// TestTryDispatchRefusalsRetried: with the workers parked behind one-batch
+// mailboxes, TryDispatchIDs refuses whenever a shard the event goes to is
+// full. A refused event leaves no record on any shard, and the stream, each
+// refused event retried once the shards drained, settles like the
+// sequential engine's.
+func TestTryDispatchRefusalsRetried(t *testing.T) {
+	spec := conformance.Prop(t, "UnsafeIter")
+	refused := 0
+	b := conformance.Backend{Name: "shard2-refusing-ids", Lanes: 2, ByID: true, Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+		rt, err := shard.New(spec, shard.Options{Options: m.Options(onVerdict), Shards: 2, BatchSize: 1, MailboxDepth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &refusing{Runtime: rt, t: t, refused: &refused, release: rt.Park()}
+	}}
+	for seed := int64(0); seed < 2; seed++ {
+		s := conformance.Random(spec, seed, 300)
+		t.Run(s.Name, func(t *testing.T) {
+			conformance.Diff(t, s, []conformance.Backend{b}, []conformance.Mode{{GC: monitor.GCCoenable}})
+		})
+	}
+	if refused == 0 {
+		t.Fatal("no event was refused")
+	}
+}
+
+// refusing feeds a parked runtime through TryDispatchIDs: a refusal must
+// leave every shard's backlog as it was (with one-record batches, the
+// backlog is the mailbox's), and the event is retried after the
+// workers drained and were parked again. A free drains the workers first:
+// it blocks on a full mailbox.
+type refusing struct {
+	*shard.Runtime
+	t       *testing.T
+	refused *int
+	release func()
+}
+
+func (r *refusing) drain() {
+	r.release()
+	r.Barrier()
+	r.release = r.Park()
+}
+
+func (r *refusing) DispatchIDs(sym int, ids []uint64) {
+	for {
+		before := r.QueueDepths()
+		if r.TryDispatchIDs(sym, ids) {
+			return
+		}
+		*r.refused++
+		if after := r.QueueDepths(); !slices.Equal(before, after) {
+			r.t.Errorf("a refused %s left records: backlog %v, was %v", r.Spec().Events[sym].Name, after, before)
+		}
+		r.drain()
+	}
+}
+
+func (r *refusing) FreeIDs(ids []uint64) {
+	r.release()
+	r.Runtime.FreeIDs(ids)
+	r.release = r.Park()
+}
+
+func (r *refusing) Flush() {
+	r.release()
+	r.Runtime.Flush()
+}
+
 // parked releases its held workers at Flush: every event then reaches a
 // worker after every kill, the worst case for a design that would read
 // the caller's liveness behind the free record.

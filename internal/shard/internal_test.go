@@ -36,7 +36,7 @@ func TestTryDispatchBackpressure(t *testing.T) {
 	// shard want.
 	routedTo := func(want int, next uint64) []uint64 {
 		for id := next; ; id++ {
-			if target, _ := rt.routeIDs(0, []uint64{id}); target == want {
+			if target := LaneOf(id, 0, len(rt.workers)); target == want {
 				return []uint64{id}
 			}
 		}
@@ -102,7 +102,7 @@ func TestTryDispatchBroadcastAllOrNothing(t *testing.T) {
 	if !ok {
 		t.Fatal("no tick symbol")
 	}
-	if _, broadcast := rt.routeIDs(tick, nil); !broadcast {
+	if broadcast := rt.router.Route(tick, nil) == rt.router.All(); !broadcast {
 		t.Fatal("tick must be a broadcast event")
 	}
 

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -28,18 +29,18 @@ func TestPivotBindsCreationEvents(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r, err := shard.NewRouter(spec, 4)
+		r, err := shard.NewRouter(spec, 4, 0, false)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if r.Pivot() < 0 {
-			if r.Shards() != 1 {
-				t.Errorf("%s: unshardable spec must fall back to 1 shard, got %d", name, r.Shards())
+			if r.Lanes() != 1 {
+				t.Errorf("%s: unshardable spec must fall back to 1 shard, got %d", name, r.Lanes())
 			}
 			continue
 		}
-		if r.Shards() != 4 {
-			t.Errorf("%s: shardable spec kept %d of 4 shards", name, r.Shards())
+		if r.Lanes() != 4 {
+			t.Errorf("%s: shardable spec kept %d of 4 shards", name, r.Lanes())
 		}
 		for sym := range spec.Events {
 			if an.Creation[sym] && !spec.Events[sym].Params.Has(r.Pivot()) {
@@ -57,20 +58,18 @@ func TestRouterHasNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(spec, 4)
+	r, err := shard.NewRouter(spec, 4, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Pivot() != 0 {
 		t.Fatalf("pivot = %d, want 0", r.Pivot())
 	}
-	h := heap.New()
-	for k := 0; k < 32; k++ {
-		it := h.Alloc("i")
-		theta := param.Of(param.SetOf(0), it)
+	for id := uint64(1); id <= 32; id++ {
 		first := -1
 		for sym := range spec.Events {
-			target, broadcast := r.Route(sym, theta)
+			lanes := r.Route(sym, []uint64{id})
+			target, broadcast := bits.TrailingZeros64(lanes), bits.OnesCount64(lanes) != 1
 			if broadcast {
 				t.Fatalf("event %d broadcast despite binding the pivot", sym)
 			}
@@ -90,22 +89,22 @@ func TestRouterBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(spec, 4)
+	r, err := shard.NewRouter(spec, 4, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Pivot() < 0 {
 		t.Fatal("UnsafeIter must be shardable (create binds both parameters)")
 	}
-	h := heap.New()
 	sawBroadcast := false
+	next := uint64(1)
 	for sym, ev := range spec.Events {
-		vals := make([]heap.Ref, ev.Params.Count())
-		for i := range vals {
-			vals[i] = h.Alloc("o")
+		ids := make([]uint64, ev.Params.Count())
+		for i := range ids {
+			ids[i] = next
+			next++
 		}
-		theta := param.Of(ev.Params, vals...)
-		_, broadcast := r.Route(sym, theta)
+		broadcast := r.Route(sym, ids) == r.All()
 		want := !ev.Params.Has(r.Pivot())
 		if broadcast != want {
 			t.Errorf("event %s: broadcast = %v, want %v", ev.Name, broadcast, want)
@@ -243,7 +242,7 @@ func TestMaskable(t *testing.T) {
 	}
 	specs := append(conformance.Specs(t), joinAnySpec(t), unshardableSpec(t))
 	for _, spec := range specs {
-		r, err := shard.NewRouter(spec, 2)
+		r, err := shard.NewRouter(spec, 2, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}

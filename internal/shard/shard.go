@@ -9,8 +9,22 @@
 // pivot parameter's object (see Router) and each partition monitored by an
 // unmodified sequential engine, preserving the paper's lazy collection
 // discipline — per-shard index, per-shard sweeps, no cross-shard
-// locking. Events whose bindings do not determine a shard are broadcast;
-// they reach the one shard holding their monitors and are no-ops elsewhere.
+// locking. Events whose bindings do not determine a shard go to every
+// shard; they reach the one shard holding their monitors and are no-ops
+// elsewhere.
+//
+// Lanes. Which shards a record goes to is the fan-out core's answer
+// (Router, which a cluster fanout's slots share): an event binding the
+// pivot goes to its pivot object's shard, every other event and every free
+// to every shard, as a set of lanes each entry delivers over. A cluster's
+// router also keeps per-object placements and sends a free, or an event of
+// one object, only where the object's records went; a shard runtime's keeps
+// none. Each shard engine paces its sweeps by the θ-records it holds, and
+// the events of other shards' objects are part of that pace: shards sent
+// only their own objects' records sweep less often and hold more dead
+// monitors, and settling them by frees instead, as a cluster slot does
+// (internal/server), would move their sweeps off the sequential engine's
+// schedule, which the equivalence tests hold them to.
 //
 // Ingestion is batched, and the batch is the unit of work: producers append
 // records — events and object deaths alike — to a per-shard open batch, and
@@ -58,6 +72,7 @@
 package shard
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -76,14 +91,15 @@ import (
 type Options struct {
 	monitor.Options
 	// OnRelease, when non-nil, receives each shard engine's releases (see
-	// monitor.Engine.SetOnRelease) with the shard's index as the lane: one
-	// call per mailbox batch or control request that released any, before
-	// the request completes, serialized with OnVerdict, so a shard's
-	// release follows every verdict the shard delivered before it. ids is
-	// valid only during the call.
-	OnRelease func(lane int, ids []uint64)
-	// Shards is the number of worker engines (default: GOMAXPROCS). The
-	// effective count may be lower: 1 when the spec is unshardable.
+	// monitor.Engine.SetOnRelease) with the mask of the shard's lane, as a
+	// cluster fanout reports its slots': one call per mailbox batch or
+	// control request that released any, before the request completes,
+	// serialized with OnVerdict, so a shard's release follows every verdict
+	// the shard delivered before it. ids is valid only during the call.
+	OnRelease func(lanes uint64, ids []uint64)
+	// Shards is the number of worker engines (default: GOMAXPROCS, at most
+	// MaxLanes; more than MaxLanes is refused). The effective count may be
+	// lower: 1 when the spec is unshardable.
 	Shards int
 	// BatchSize is the number of records (events and frees) a shard's open
 	// batch holds (default 64). A full batch is shipped at once; a partial
@@ -106,9 +122,11 @@ type Options struct {
 // Runtime is the sharded monitoring runtime for one specification.
 type Runtime struct {
 	spec    *monitor.Spec
-	router  *Router
 	workers []*worker
 	events  atomic.Uint64 // Dispatch calls, the merged Stats.Events
+	// router names the shards each event goes to. It keeps no placements
+	// (see Lanes in the package doc), so concurrent producers share it.
+	router *Router
 	// metric series (nil-safe when telemetry is off).
 	broadcasts *metrics.Counter
 	refusals   *metrics.Counter
@@ -131,7 +149,7 @@ var _ monitor.Runtime = (*Runtime)(nil)
 // event subsets, which cannot be partitioned without cross-shard joins).
 func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if opts.Shards <= 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
+		opts.Shards = min(runtime.GOMAXPROCS(0), MaxLanes)
 	}
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = 64
@@ -142,7 +160,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if err := opts.Options.Check(spec, opts.Shards); err != nil {
 		return nil, err
 	}
-	router, err := NewRouter(spec, opts.Shards)
+	router, err := NewRouter(spec, opts.Shards, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +171,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 		if label == "" {
 			label = spec.Name
 		}
-		shardMet = metrics.NewShardSeries(opts.MetricsRegistry, label, router.Shards())
+		shardMet = metrics.NewShardSeries(opts.MetricsRegistry, label, router.Lanes())
 		rt.broadcasts = shardMet.Broadcasts
 		rt.refusals = shardMet.Refusals
 	}
@@ -165,7 +183,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 			user(v)
 		}
 	}
-	for i := 0; i < router.Shards(); i++ {
+	for i := 0; i < router.Lanes(); i++ {
 		w := &worker{
 			idx:     i,
 			pending: getBatch(opts.BatchSize),
@@ -181,7 +199,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 			eng.SetOnRelease(func(id uint64) { w.rel = append(w.rel, id) })
 			w.onRelease = func(ids []uint64) {
 				rt.vmu.Lock()
-				user(i, ids)
+				user(1<<uint(i), ids)
 				rt.vmu.Unlock()
 			}
 		}
@@ -233,56 +251,57 @@ func (rt *Runtime) Shards() int { return len(rt.workers) }
 // unshardable.
 func (rt *Runtime) Pivot() int { return rt.router.Pivot() }
 
-// dispatch enqueues one event record (see enqueueLocked for ids) on the
-// shard Route chose or, broadcast, on every shard: the body Dispatch and
-// DispatchIDs share.
-func (rt *Runtime) dispatch(target int, broadcast bool, ev event, ids []uint64) {
+// Dispatch routes one parametric event, blocking when a mailbox it goes
+// to is full. Safe for concurrent use; events from one goroutine reach
+// each shard in dispatch order. Dispatching after Close is a programming
+// error and panics with a diagnosable message rather than corrupting the
+// shut-down mailboxes.
+func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
+	rt.checkOpen()
+	// A router without placements reads only the pivot's ID.
+	var buf [param.MaxParams]uint64
+	ids := buf[:rt.spec.Events[sym].Params.Count()]
+	if at := rt.router.at[sym]; at >= 0 {
+		ids[at] = theta.Value(rt.router.pivot).ID()
+	}
+	rt.send(rt.router.Route(sym, ids), event{sym: int32(sym), at: refs, inst: theta}, nil)
+}
+
+// DispatchIDs is Dispatch for a caller that names objects by ID (a server
+// session, a trace replay): ids bind D(sym) in ascending parameter-index
+// order, and a wrong arity panics. Each shard engine that gets the event
+// keeps the IDs as held records, which die only at the free records FreeIDs
+// positions. One runtime takes its objects through one of the two entries.
+func (rt *Runtime) DispatchIDs(sym int, ids []uint64) {
+	rt.checkIDs(sym, ids)
+	rt.send(rt.router.Route(sym, ids), event{sym: int32(sym)}, ids)
+}
+
+// send enqueues one event record on every shard of lanes, blocking while a
+// mailbox is full, and counts it.
+func (rt *Runtime) send(lanes uint64, ev event, ids []uint64) {
+	for m := lanes; m != 0; m &= m - 1 {
+		rt.workers[bits.TrailingZeros64(m)].enqueue(ev, ids)
+	}
+	rt.sent(lanes)
+}
+
+// sent counts an event the shards of lanes accepted.
+func (rt *Runtime) sent(lanes uint64) {
 	rt.events.Add(1)
-	if !broadcast {
-		rt.workers[target].enqueue(ev, ids)
-	} else {
+	if lanes == rt.router.All() && len(rt.workers) > 1 {
 		rt.broadcasts.Inc()
-		for _, w := range rt.workers {
-			w.enqueue(ev, ids)
-		}
 	}
 	rt.arm()
 }
 
-// Dispatch routes one parametric event, blocking when the target mailbox
-// (every mailbox, for broadcast events) is full. Safe for concurrent use;
-// events from one goroutine reach each shard in dispatch order.
-// Dispatching after Close is a programming error and panics with a
-// diagnosable message rather than corrupting the shut-down mailboxes.
-func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
+// checkIDs is checkOpen plus the arity check a worker could only make by
+// panicking.
+func (rt *Runtime) checkIDs(sym int, ids []uint64) {
 	rt.checkOpen()
-	target, broadcast := rt.router.Route(sym, theta)
-	rt.dispatch(target, broadcast, event{sym: int32(sym), at: refs, inst: theta}, nil)
-}
-
-// DispatchIDs is Dispatch for a caller that names objects by ID (a server
-// session, a trace replay): ids bind D(sym) in ascending parameter-index order, and a wrong
-// arity panics. The event is routed by the pivot's ID; each shard engine
-// that gets it keeps the IDs as held records, which die only at the free
-// records FreeIDs positions. One runtime takes its objects through one of
-// the two entries.
-func (rt *Runtime) DispatchIDs(sym int, ids []uint64) {
-	rt.checkOpen()
-	target, broadcast := rt.routeIDs(sym, ids)
-	rt.dispatch(target, broadcast, event{sym: int32(sym)}, ids)
-}
-
-// routeIDs is Route for an event whose objects ids names, after the arity
-// check a worker could only make by panicking.
-func (rt *Runtime) routeIDs(sym int, ids []uint64) (target int, broadcast bool) {
 	if rt.spec.Events[sym].Params.Count() != len(ids) {
 		panic("shard: DispatchIDs arity mismatch")
 	}
-	var id uint64
-	if at := rt.router.at[sym]; at >= 0 {
-		id = ids[at]
-	}
-	return rt.router.route(sym, id)
 }
 
 // QueueDepths returns each shard mailbox's current length in batches. The
@@ -297,59 +316,35 @@ func (rt *Runtime) QueueDepths() []int {
 }
 
 // TryDispatchIDs is the non-blocking DispatchIDs: it enqueues the event and
-// returns true only when every target shard can accept it without blocking.
-// A refused event is not enqueued anywhere (all-or-nothing, so broadcast
-// events cannot be half-delivered). Callers retrying TryDispatchIDs must
-// preserve their own per-slice ordering.
+// returns true only when every shard it goes to can accept it without
+// blocking. A refused event is enqueued nowhere (all-or-nothing, so an
+// event for several shards cannot be half-delivered). Callers retrying
+// TryDispatchIDs must preserve their own per-slice ordering.
 func (rt *Runtime) TryDispatchIDs(sym int, ids []uint64) bool {
-	rt.checkOpen()
-	target, broadcast := rt.routeIDs(sym, ids)
-	ev := event{sym: int32(sym)}
-	if !broadcast {
-		w := rt.workers[target]
-		w.mu.Lock()
-		ok := w.canAccept()
-		if ok {
-			w.enqueueLocked(ev, ids)
-		}
-		w.mu.Unlock()
-		if ok {
-			rt.events.Add(1)
-			rt.arm()
-		} else {
-			rt.refusals.Inc()
-		}
-		return ok
-	}
-	// Broadcast: take every shard lock in index order, check, then commit.
+	rt.checkIDs(sym, ids)
+	lanes := rt.router.Route(sym, ids)
+	// Take every target shard's lock in index order, check, then commit.
 	// Mailbox sends only ever happen under the shard's lock, so a positive
 	// canAccept cannot be invalidated before the enqueue.
-	for _, w := range rt.workers {
-		w.mu.Lock()
-	}
 	ok := true
-	for _, w := range rt.workers {
-		if !w.canAccept() {
-			ok = false
-			break
+	for m := lanes; m != 0; m &= m - 1 {
+		w := rt.workers[bits.TrailingZeros64(m)]
+		w.mu.Lock()
+		ok = ok && w.canAccept()
+	}
+	for m := lanes; m != 0; m &= m - 1 {
+		w := rt.workers[bits.TrailingZeros64(m)]
+		if ok {
+			w.enqueueLocked(event{sym: int32(sym)}, ids)
 		}
+		w.mu.Unlock()
 	}
-	if ok {
-		for _, w := range rt.workers {
-			w.enqueueLocked(ev, ids)
-		}
-	}
-	for i := len(rt.workers) - 1; i >= 0; i-- {
-		rt.workers[i].mu.Unlock()
-	}
-	if ok {
-		rt.events.Add(1)
-		rt.broadcasts.Inc()
-		rt.arm()
-	} else {
+	if !ok {
 		rt.refusals.Inc()
+		return false
 	}
-	return ok
+	rt.sent(lanes)
+	return true
 }
 
 // Free implements monitor.Runtime: the object's death becomes one record
@@ -371,10 +366,12 @@ func (rt *Runtime) FreeIDs(ids []uint64) {
 	if rt.closed || len(ids) == 0 {
 		return
 	}
-	for k := range ids {
-		for _, w := range rt.workers {
-			w.enqueue(event{sym: freeSym}, ids[k:k+1])
+	for _, w := range rt.workers {
+		w.mu.Lock()
+		for k := range ids {
+			w.enqueueLocked(event{sym: freeSym}, ids[k:k+1])
 		}
+		w.mu.Unlock()
 	}
 	rt.arm()
 }
@@ -422,9 +419,9 @@ func (rt *Runtime) Flush() {
 
 // Stats implements monitor.Runtime: per-shard counters are snapshotted by
 // the workers (behind any events already mailed) and merged. Events is the
-// number of Dispatch calls — a broadcast event counts once, as in the
-// sequential engine — and PeakLive sums per-shard peaks, an upper bound on
-// the true concurrent peak. All other counters are exact sums.
+// number of Dispatch calls — an event sent to every shard counts once, as
+// in the sequential engine — and PeakLive sums per-shard peaks, an upper
+// bound on the true concurrent peak. All other counters are exact sums.
 func (rt *Runtime) Stats() monitor.Stats {
 	var s monitor.Stats
 	for _, st := range rt.ShardStats() {

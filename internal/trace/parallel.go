@@ -39,7 +39,7 @@ type ParallelResult struct {
 // independent workers, each running its own sequential engine over its
 // hash partition of the pivot space — the retroactive analogue of the
 // online sharded runtime, using the same pivot analysis and the same
-// splitmix64 partition (shard.Mix). Worker k dispatches the events whose
+// partition (shard.LaneOf). Worker k dispatches the events whose
 // pivot object hashes to k plus every broadcast event, applies all deaths
 // in stream order, and skims pivot-indexed segments owning none of its
 // slices; each worker being sequential, free positioning is exact. Every
@@ -54,11 +54,11 @@ func (r *Reader) ReplayParallel(spec *monitor.Spec, cfg ParallelConfig) (Paralle
 		return ParallelResult{}, err
 	}
 	if cfg.Workers > 1 {
-		router, err := shard.NewRouter(spec, 2)
+		pivot, err := shard.Pivot(spec)
 		if err != nil {
 			return ParallelResult{}, err
 		}
-		if router.Pivot() < 0 {
+		if pivot < 0 {
 			// Unshardable spec: a single worker replays everything.
 			cfg.Workers = 1
 		}

@@ -190,13 +190,13 @@ func (r *Reader) Replay(rt Target, opts ReplayOptions) (ReplayStats, error) {
 	qspec := rt.Spec()
 	qpivot := -1
 	if opts.workers > 1 || len(opts.Pivots) > 0 {
-		router, err := shard.NewRouter(qspec, 2)
-		if err != nil {
+		var err error
+		if qpivot, err = shard.Pivot(qspec); err != nil {
 			return ReplayStats{}, err
 		}
 		// With no pivot there are no slices to select or partition: no
 		// event would be filtered, and every slice would be replayed.
-		if qpivot = router.Pivot(); qpivot < 0 {
+		if qpivot < 0 {
 			return ReplayStats{}, fmt.Errorf("trace: spec %q has no pivot parameter; parallel and pivot-selective replay require one", qspec.Name)
 		}
 	}
@@ -237,7 +237,7 @@ func (rp *replayer) selected(id uint64) bool {
 			return false
 		}
 	}
-	return rp.opts.workers <= 1 || int(shard.Mix(id)%uint64(rp.opts.workers)) == rp.opts.self
+	return rp.opts.workers <= 1 || shard.LaneOf(id, 0, rp.opts.workers) == rp.opts.self
 }
 
 // owns reports whether any of the segment's pivot objects is selected.

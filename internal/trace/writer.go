@@ -74,7 +74,7 @@ type Writer struct {
 
 // CreateForSpec opens a trace for recording a monitored runtime: the
 // symbol table is the spec's event alphabet and the pivot is the spec's
-// router pivot. The router's pivot selection is the single source of
+// pivot (shard.Pivot). That pivot selection is the single source of
 // truth for both the online sharded runtime and the recorded index, so a
 // replay partitioned by this index is partitioned exactly as the online
 // sharded runtime would have been. An unshardable spec records without a
@@ -83,9 +83,9 @@ func CreateForSpec(path string, spec *monitor.Spec, opts WriterOptions) (*Writer
 	if spec == nil {
 		return nil, fmt.Errorf("trace: CreateForSpec with nil spec")
 	}
-	pivot := -1
-	if r, err := shard.NewRouter(spec, 2); err == nil {
-		pivot = r.Pivot()
+	pivot, err := shard.Pivot(spec)
+	if err != nil {
+		pivot = -1
 	}
 	syms := make([]SymbolDef, len(spec.Events))
 	for i, ev := range spec.Events {

@@ -116,8 +116,8 @@ func (p *Producer) Handshake(node *NodeHello, h Hello) (HelloAck, error) {
 	default:
 		return HelloAck{}, fmt.Errorf("%s: expected HelloAck, got message type %d", p.name, msg.Type)
 	}
-	if msg.HelloAck.Lanes < 1 {
-		return HelloAck{}, fmt.Errorf("%s: HelloAck reports no lanes", p.name)
+	if msg.HelloAck.Lanes < 1 || msg.HelloAck.Lanes > MaxReleaseLanes {
+		return HelloAck{}, fmt.Errorf("%s: HelloAck reports %d lanes, want 1..%d", p.name, msg.HelloAck.Lanes, MaxReleaseLanes)
 	}
 	p.lanes = msg.HelloAck.Lanes
 	p.credits.Store(int64(msg.HelloAck.Window))

@@ -57,9 +57,8 @@
 // release an ID again (a cluster handoff replays the frees of a slot); the
 // client ignores a lane that already released it. A client never sends a
 // Release. A client tracks the lanes still holding an object in one 64-bit
-// word, so a backend of more than MaxReleaseLanes lanes sends no Release
-// at all, and its client keeps every ref it was sent until the session
-// ends.
+// word, so a backend has at most MaxReleaseLanes lanes, and a producer
+// refuses a HelloAck that announces more.
 //
 // # Records
 //
@@ -137,9 +136,8 @@ const MaxFrame = 1 << 20
 // full-width IDs stays under MaxFrame.
 const MaxDeathIDs = 1 << 16
 
-// MaxReleaseLanes is the most lanes a session sends releases for: a client
-// tracks the lanes still holding an object in one 64-bit word. A session of
-// more lanes releases nothing (see Releases).
+// MaxReleaseLanes is the most lanes a session has: a client tracks the
+// lanes still holding an object in one 64-bit word (see Releases).
 const MaxReleaseLanes = 64
 
 // Stored-record tags.

@@ -118,9 +118,9 @@ func WithCreationProfile(p *CreationProfile) Option {
 
 // WithShards selects the backend shape: 1 is the sequential engine
 // (also the local default when the option is omitted), n > 1 the sharded
-// concurrent runtime with n worker engines, whose only object deaths are
-// Free/FreeAsync calls, as on the wire: an object killed without one stays
-// alive there. Combined with WithRemote it sizes the server-side backend
+// concurrent runtime with n worker engines (at most 64), whose only object
+// deaths are Free/FreeAsync calls, as on the wire: an object killed without
+// one stays alive there. Combined with WithRemote it sizes the server-side backend
 // of the session instead; there, omitting the option leaves the choice to
 // the server's configured default.
 func WithShards(n int) Option {
