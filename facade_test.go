@@ -37,7 +37,7 @@ func startFacadeServer(t testing.TB) string {
 // facadeBackend is rvgo.Monitor, under the options opts returns, as a
 // harness backend.
 func facadeBackend(name string, lanes int, opts func() []rvgo.Option) conformance.Backend {
-	return conformance.Backend{Name: name, Lanes: lanes, Open: func(t *testing.T, sp *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+	return conformance.Backend{Name: name, Lanes: lanes, Lazy: name == "seq", Open: func(t *testing.T, sp *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
 		prop, err := spec.Builtin(sp.Name)
 		if err != nil {
 			t.Fatal(err)

@@ -202,6 +202,21 @@ func (p *Pool[T]) Get(h Handle) (*T, bool) {
 	return &p.slabs[si][so], true
 }
 
+// AtIndex returns the record of slot i without a generation check: for an
+// index whose owner stores only live slots and checks that itself (see
+// param.Interner).
+func (p *Pool[T]) AtIndex(i uint32) *T { return &p.slabs[i>>slabShift][i&slabMask] }
+
+// HandleOf returns the current handle of slot i, and whether the slot is
+// live.
+func (p *Pool[T]) HandleOf(i uint32) (Handle, bool) {
+	if i >= p.next {
+		return Nil, false
+	}
+	g := p.gens[i>>slabShift][i&slabMask]
+	return makeHandle(g, i), g&1 != 0
+}
+
 // Alive reports whether the handle currently addresses a live record.
 func (p *Pool[T]) Alive(h Handle) bool {
 	_, ok := p.Get(h)

@@ -14,6 +14,7 @@ import (
 
 	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
+	"rvgo/internal/param"
 )
 
 // Backend is one runtime under test.
@@ -24,6 +25,10 @@ type Backend struct {
 	Lanes int
 	// ByID feeds the backend through DispatchIDs and FreeIDs.
 	ByID bool
+	// Lazy marks a backend that finds deaths by sweeping — the sequential
+	// engine fed refs, whose Free positions nothing: Diff holds it to the
+	// lazy reference, and every other backend to the positioned one.
+	Lazy bool
 	// Open builds the backend for spec under m, delivering verdicts to
 	// onVerdict. The harness closes what it returns.
 	Open func(t *testing.T, spec *monitor.Spec, m Mode, onVerdict func(monitor.Verdict)) monitor.Runtime
@@ -33,13 +38,30 @@ type Backend struct {
 	Join, Kill, Leave func() error
 }
 
-// Engine is the sequential engine: the reference, and a backend like any
-// other.
-var Engine = Backend{Name: "engine", Lanes: 1, Open: openEngine}
+// Engine is the sequential engine fed refs: the lazy reference, and a
+// backend like any other.
+var Engine = Backend{Name: "engine", Lanes: 1, Lazy: true, Open: openEngine}
 
 // EngineIDs is the sequential engine fed by ID, as a server session or a
-// trace replay feeds it.
+// trace replay feeds it: the positioned reference.
 var EngineIDs = Backend{Name: "engine-ids", Lanes: 1, ByID: true, Open: openEngine}
+
+// engineHeld is the sequential engine holding the refs of a workload
+// stream and positioning each death, as a shard worker does: the
+// positioned reference of a stream that is fed by ref only.
+var engineHeld = Backend{Name: "engine-held", Lanes: 1, Open: func(t *testing.T, spec *monitor.Spec, m Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+	return held{openEngine(t, spec, m, onVerdict).(*monitor.Engine)}
+}}
+
+// held feeds an engine refs through DispatchHeld and each Free as FreeIDs.
+type held struct{ *monitor.Engine }
+
+func (h held) Dispatch(sym int, theta param.Instance) { h.DispatchHeld(sym, theta) }
+
+func (h held) Free(ref heap.Ref) {
+	id := [1]uint64{ref.ID()}
+	h.FreeIDs(id[:])
+}
 
 func openEngine(t *testing.T, spec *monitor.Spec, m Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
 	eng, err := monitor.New(spec, m.Options(onVerdict))

@@ -13,9 +13,12 @@ import (
 
 // Diff replays s through every backend under every mode and holds each
 // run to the sequential engine's run of the same stream: per-slice verdict
-// sequences and the settled counters, under settle's exclusions. The cells
-// are subtests named policy[/variant]/backend; the reference runs once per
-// GC policy, under audit (see settle).
+// sequences and the settled counters, under settle's exclusions. A lazy
+// backend is held to the sequential engine fed refs (Engine), and every
+// other, which positions its deaths, to the sequential engine positioning
+// them too (fed by ID, or holding a workload's refs). The cells are
+// subtests named policy[/variant]/backend; each reference runs once per GC
+// policy, under audit (see settle).
 func Diff(t *testing.T, s Stream, backends []Backend, modes []Mode) {
 	t.Helper()
 	for _, gc := range gcPolicies {
@@ -29,12 +32,24 @@ func Diff(t *testing.T, s Stream, backends []Backend, modes []Mode) {
 			continue
 		}
 		t.Run(gc.String(), func(t *testing.T) {
-			ref := reference(t, s, gc)
+			var refs [2]outcome // positioned, lazy
+			ref := func(b Backend) *outcome {
+				if b.Lazy {
+					return &refs[1]
+				}
+				return &refs[0]
+			}
+			for _, b := range backends {
+				if r := ref(b); r.verdicts == nil {
+					*r = reference(t, s, gc, b.Lazy)
+				}
+			}
 			for _, m := range under {
 				cells := func(t *testing.T) {
 					for _, b := range backends {
+						want := *ref(b)
 						t.Run(b.Name, func(t *testing.T) {
-							settle(t, ref, b.run(t, s, m, ref.stats.Events), b, m)
+							settle(t, want, b.run(t, s, m, want.stats.Events), b, m)
 						})
 					}
 				}
@@ -50,14 +65,25 @@ func Diff(t *testing.T, s Stream, backends []Backend, modes []Mode) {
 
 // reference runs s (or the stream it is held against) on the sequential
 // engine under gc, enable-set creation, the default sweep schedule and
-// audit-mode avoidance, and fails a stream that tests nothing.
-func reference(t *testing.T, s Stream, gc monitor.GCPolicy) outcome {
+// audit-mode avoidance — fed refs when lazy, else with every death
+// positioned — and fails a stream that tests nothing.
+func reference(t *testing.T, s Stream, gc monitor.GCPolicy, lazy bool) outcome {
 	t.Helper()
 	rs := s
 	if s.ref != nil {
 		rs = *s.ref
 	}
-	ref := Engine.run(t, rs, Mode{GC: gc, Avoid: monitor.AvoidAudit}, 0)
+	b := Engine
+	switch {
+	case lazy:
+	case rs.lazy:
+		t.Fatalf("%s: a stream with unannounced deaths has no positioned reference", rs.Name)
+	case rs.workload != nil:
+		b = engineHeld
+	default:
+		b = EngineIDs
+	}
+	ref := b.run(t, rs, Mode{GC: gc, Avoid: monitor.AvoidAudit}, 0)
 	if why := vacuous(s, gc, ref); why != "" {
 		t.Fatalf("%s: %s", rs.Name, why)
 	}
@@ -134,7 +160,9 @@ func settle(t testing.TB, want, got outcome, b Backend, m Mode) {
 		t.Error(d)
 	}
 	w, g := want.stats, got.stats
-	sweepVariant := m.SweepInterval != 0
+	// Only a lazy engine sweeps on a schedule; a positioned one collects
+	// at its frees and events whatever the interval.
+	sweepVariant := m.SweepInterval != 0 && b.Lazy
 	suppressed := m.Avoid == monitor.AvoidEnforce && g.Avoided != 0
 	switch {
 	case sweepVariant || suppressed:
@@ -149,8 +177,8 @@ func settle(t testing.TB, want, got outcome, b Backend, m Mode) {
 			t.Errorf("PeakLive = %d, want positive", g.PeakLive)
 		}
 	case b.Lanes == 1:
-		// One engine on the reference's sweep schedule peaks exactly where
-		// the reference does.
+		// One engine collecting where the reference does peaks exactly
+		// where the reference does.
 		if g.PeakLive != w.PeakLive {
 			t.Errorf("PeakLive = %d, want the sequential peak %d", g.PeakLive, w.PeakLive)
 		}

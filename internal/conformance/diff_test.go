@@ -62,7 +62,7 @@ func TestDiffCatchesDivergence(t *testing.T) {
 		{Backend{Name: "drop-free", Lanes: 1, ByID: true, Open: func(t *testing.T, spec *monitor.Spec, _ Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
 			return &dropFree{Engine: engine(t, spec, onVerdict), k: 1}
 		}}, true},
-		{Backend{Name: "drop-verdict", Lanes: 1, Open: func(t *testing.T, spec *monitor.Spec, _ Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+		{Backend{Name: "drop-verdict", Lanes: 1, Lazy: true, Open: func(t *testing.T, spec *monitor.Spec, _ Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
 			n := 0
 			return engine(t, spec, func(v monitor.Verdict) {
 				if n++; n != 2 {
@@ -70,13 +70,13 @@ func TestDiffCatchesDivergence(t *testing.T) {
 				}
 			})
 		}}, true},
-		{Backend{Name: "event-twice", Lanes: 1, Open: func(t *testing.T, spec *monitor.Spec, _ Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+		{Backend{Name: "event-twice", Lanes: 1, Lazy: true, Open: func(t *testing.T, spec *monitor.Spec, _ Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
 			return &twice{Engine: engine(t, spec, onVerdict), k: 100}
 		}}, true},
 	} {
 		t.Run(c.b.Name, func(t *testing.T) {
 			f := &failures{TB: t}
-			settle(f, reference(t, s, m.GC), c.b.run(t, s, m, 0), c.b, m)
+			settle(f, reference(t, s, m.GC, c.b.Lazy), c.b.run(t, s, m, 0), c.b, m)
 			if failed := len(f.got) > 0; failed != c.fail {
 				t.Errorf("settle failed = %v, want %v: %q", failed, c.fail, f.got)
 			}
@@ -90,6 +90,7 @@ func TestDiffCatchesDivergence(t *testing.T) {
 func TestSettleExclusions(t *testing.T) {
 	ref := monitor.Stats{Events: 100, Created: 40, Flagged: 30, Collected: 30, GoalVerdicts: 5, Steps: 90, Avoided: 6, Live: 10, PeakLive: 20}
 	one := Backend{Name: "one", Lanes: 1}
+	lazy := Backend{Name: "lazy", Lanes: 1, Lazy: true}
 	four := Backend{Name: "four", Lanes: 4}
 	handoff := Backend{Name: "handoff", Lanes: 16, Kill: func() error { return nil }}
 	off := Mode{GC: monitor.GCCoenable}
@@ -109,7 +110,8 @@ func TestSettleExclusions(t *testing.T) {
 		{"peak below with lanes", four, audit, func(s *monitor.Stats) { s.PeakLive-- }, true},
 		{"peak any positive across handoffs", handoff, audit, func(s *monitor.Stats) { s.PeakLive = 1 }, false},
 		{"peak zero across handoffs", handoff, audit, func(s *monitor.Stats) { s.PeakLive = 0 }, true},
-		{"peak moved by the sweep schedule", one, sweep, func(s *monitor.Stats) { s.PeakLive = 3; s.Avoided = 0 }, false},
+		{"peak moved by the sweep schedule", lazy, sweep, func(s *monitor.Stats) { s.PeakLive = 3; s.Avoided = 0 }, false},
+		{"peak moved under a sweep interval, positioned", one, sweep, func(s *monitor.Stats) { s.PeakLive = 3; s.Avoided = 0 }, true},
 		{"unguarded counts nothing", one, off, func(s *monitor.Stats) { s.Avoided = 0 }, false},
 		{"unguarded counting guards", one, off, func(*monitor.Stats) {}, true},
 		{"audit counts differently", one, audit, func(s *monitor.Stats) { s.Avoided-- }, true},
@@ -121,10 +123,12 @@ func TestSettleExclusions(t *testing.T) {
 		{"enforce breaks the creation identity", one, enforce, func(s *monitor.Stats) { s.Created -= 5 }, true},
 		{"enforce avoids otherwise than audit", one, enforce, func(s *monitor.Stats) { s.Created -= 5; s.Avoided = 5 }, true},
 		{"enforce suppressing, events differ", one, enforce, func(s *monitor.Stats) { s.Created -= 6; s.Events++ }, true},
-		{"flags moved by the sweep schedule", one, sweep, func(s *monitor.Stats) { s.Flagged--; s.Steps++; s.Avoided = 0 }, false},
+		{"flags moved by the sweep schedule", lazy, sweep, func(s *monitor.Stats) { s.Flagged--; s.Steps++; s.Avoided = 0 }, false},
+		{"flags moved under a sweep interval, positioned", one, sweep, func(s *monitor.Stats) { s.Flagged--; s.Avoided = 0 }, true},
+		{"steps moved under a sweep interval, positioned", four, sweep, func(s *monitor.Stats) { s.Steps++; s.Avoided = 0 }, true},
 		{"flags moved on the default schedule", one, audit, func(s *monitor.Stats) { s.Flagged-- }, true},
 		{"steps moved on the default schedule", four, audit, func(s *monitor.Stats) { s.Steps++ }, true},
-		{"collections moved by the sweep schedule", one, sweep, func(s *monitor.Stats) { s.Collected--; s.Avoided = 0 }, true},
+		{"collections moved by the sweep schedule", lazy, sweep, func(s *monitor.Stats) { s.Collected--; s.Avoided = 0 }, true},
 	} {
 		got := ref
 		c.edit(&got)

@@ -19,10 +19,11 @@
 //   - No pass ever runs over monitors. A dead key is noticed by the
 //     engine's periodic sweep over the *keys* (θ-records), bounded by the
 //     table's size and amortised by the sweep period, where the paper's
-//     maps examined a few buckets per operation; the monitors below the
-//     dead key are then notified (they decide via coenable ALIVENESS
-//     whether to flag themselves) and the broken mapping is removed
-//     (Detach, Figure 7).
+//     maps examined a few buckets per operation — or, when the engine is
+//     told each death, at the free, over the keys that bind the object;
+//     the monitors below the dead key are then notified (they decide via
+//     coenable ALIVENESS whether to flag themselves) and the broken
+//     mapping is removed (Detach, Figure 7).
 //   - Set iteration skips and compacts away monitors flagged for removal in
 //     a single pass (Figure 8).
 //   - A monitor instance is "collected" once every container has dropped it
@@ -85,6 +86,9 @@ func (s *Set) Len() int { return len(s.items) }
 // Members returns the member vector, flagged-but-unremoved members
 // included: a read-only view for invariant checks.
 func (s *Set) Members() []Handle { return s.items }
+
+// Full reports whether the next Add grows the member vector.
+func (s *Set) Full() bool { return len(s.items) == cap(s.items) }
 
 // Add appends a monitor and retains it.
 func (s *Set) Add(r Resolver, h Handle) {

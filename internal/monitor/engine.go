@@ -79,13 +79,16 @@ type Options struct {
 	// Barrier, Flush or Close; on the remote client it runs on the
 	// session's reader goroutine and must not call back into the client.
 	OnVerdict func(Verdict)
-	// SweepInterval is the longest run of events without a sweep, the
+	// SweepInterval is the longest run of events without a sweep, a lazy
 	// engine's one death-discovery pass: θ-records with a dead object lose
 	// their leaves, Δ entry, tombstone and table mapping. 0 selects the
 	// default, max(4096, θ-table size after the last sweep), so a large
 	// steady table is visited at most once per event. Independently of
 	// the period, a sweep falls due whenever the θ-table has doubled since
-	// the last one (see Engine.sweep).
+	// the last one (see Engine.sweep). Only a lazy engine, one fed refs
+	// through Dispatch, sweeps between Flushes: an engine whose deaths are
+	// positioned (DispatchIDs, DispatchHeld and FreeIDs) applies each at
+	// its free and ignores the interval.
 	SweepInterval int
 	// Avoid selects the creation-avoidance mode: off (default), audit
 	// (count guard hits in Stats.Avoided, create anyway), or enforce
@@ -194,6 +197,11 @@ const (
 	monStepped
 	monRestepped
 	monGoaled
+	// monInReg marks a monitor its domain registry still holds a container
+	// reference on. A positioned engine releases that reference where the
+	// monitor is flagged or an object of it dies, and leaves the entry
+	// behind; the registry drops such entries as it meets them (registry).
+	monInReg
 )
 
 // Mon is one monitor-instance record: a handle to its parameter instance θ
@@ -248,8 +256,13 @@ const (
 // theta.leaf the head of θ's leaf chain) and leaf records (leaves; their
 // members are monitor handles) — and the object table (objs), whose handles
 // the θ-records bind. The object table is the only holder of the monitored
-// program's refs, the θ-table the only structure keyed by its objects, and
-// the sweep the only pass that notices their deaths. Every whole-structure
+// program's refs and the θ-table the only structure keyed by its objects.
+// Deaths reach the engine two ways. A lazy engine, fed refs by Dispatch,
+// notices them only in its sweep, a pass over the whole θ-table that a
+// pacer schedules. A positioned engine, fed by DispatchIDs or DispatchHeld,
+// is told each death by FreeIDs and collects it there: the object's record
+// lists the θ-records that bind it, and settle runs the sweep's body on
+// those alone; such an engine sweeps only in Flush. Every whole-structure
 // pass — the propositional walk, the CreateFull scan, insert, sweep, Flush,
 // Monitors — walks slabs and slices in index order, so nothing the engine
 // computes depends on hash order or on the indexes' random seeds.
@@ -322,10 +335,20 @@ type Engine struct {
 
 	// sinceSwep counts events toward the next sweep of the period schedule,
 	// period is that schedule's current length, and sweepGoal the θ-table
-	// size at which a sweep falls due early (see sweep).
+	// size at which a sweep falls due early (see sweep). The pacer runs only
+	// in a lazy engine: lazy is set by the first Dispatch.
 	sinceSwep int
 	period    int
 	sweepGoal int
+	lazy      bool
+
+	// retire and flagged are a positioned engine's collection work, done by
+	// settle: the θ-records a death or an event left binding a dead object,
+	// and the monitors flagged since the last settle, which leave their
+	// registry there. They start in the engine's own buffers, so a small
+	// engine's collection allocates nothing.
+	retire, flagged       []arena.Handle
+	retireBuf, flaggedBuf [8]arena.Handle
 
 	// profGuards/prof are Options.ProfileGuards/Profile.
 	profGuards []bool
@@ -401,11 +424,12 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		profGuards: opts.ProfileGuards,
 		prof:       opts.Profile,
 		period:     opts.SweepInterval,
-		sweepGoal:  minSweepGoal,
+		sweepGoal:  math.MaxInt,
 	}
 	if e.period <= 0 {
 		e.period = defaultSweepInterval
 	}
+	e.retire, e.flagged, e.objs.dropq = e.retireBuf[:0], e.flaggedBuf[:0], e.objs.dropBuf[:0]
 	for _, ev := range spec.Events {
 		e.allParams = e.allParams.Union(ev.Params)
 	}
@@ -499,9 +523,9 @@ func (e *Engine) InstanceArenaStats() arena.Stats { return e.intern.Stats() }
 func (e *Engine) InternedInstances() int { return e.intern.Len() }
 
 // ObjectRecords returns the object table's size (tests, diagnostics): the
-// records it holds, and how many of them name dead objects — records the
-// sweeps release once no θ-record binds them. A held record is dead once
-// its free was applied, whatever its ref says.
+// records it holds, and how many of them name dead objects — records that
+// go once no θ-record binds them. A held record is dead once its free was
+// applied, whatever its ref says.
 func (e *Engine) ObjectRecords() (records, dead int) {
 	for h := range e.objs.recs {
 		if r := &e.objs.recs[h]; r.inUse() {
@@ -523,21 +547,48 @@ func (e *Engine) bindOf(m *Mon) *param.Binding { return &e.intern.At(m.instH).B 
 func (e *Engine) instance(b *param.Binding) param.Instance { return b.Instance(e.objs.ref) }
 
 // intern returns the θ-record of a binding, allocating one — and pinning
-// the objects it binds — on first sight. The add that brings the table to
-// the sweep goal makes a sweep fall due at the end of the current Dispatch:
-// it puts one period on the schedule's counter, which Dispatch takes off
-// again when it sweeps, so the early sweep is added to the period schedule
-// without shifting it.
+// the objects it binds — on first sight. In a lazy engine the add that
+// brings the table to the sweep goal makes a sweep fall due at the end of
+// the current Dispatch: it puts one period on the schedule's counter,
+// which Dispatch takes off again when it sweeps, so the early sweep is
+// added to the period schedule without shifting it (a positioned engine's
+// goal is never reached).
 func (e *Engine) internB(b *param.Binding) arena.Handle {
 	h, added := e.intern.Intern(b)
 	if added {
-		e.objs.pin(b)
+		e.pinB(b, h)
 		if e.intern.Len() >= e.sweepGoal {
 			e.sinceSwep += e.period
 			e.sweepGoal = math.MaxInt
 		}
 	}
 	return h
+}
+
+// pinB takes a new θ-record's claims on the objects it binds and enters it
+// in the θ list of each held one. Only the full creation strategy binds a
+// new θ-record to an object already dead (a Figure 5 progenitor may bind
+// one); such a record is retired at the next settle, as a sweep would.
+func (e *Engine) pinB(b *param.Binding, th arena.Handle) {
+	dead := false
+	for m := b.Mask; m != 0; m = m.Rest() {
+		r := &e.objs.recs[b.H[m.First()]]
+		r.pins++
+		if r.held {
+			e.objs.lists.push(r, th, e.liveTheta)
+			dead = dead || r.dead
+		}
+	}
+	if dead {
+		e.retire = append(e.retire, th)
+	}
+}
+
+// liveTheta reports whether th still names a θ-record: a θ list entry
+// whose record was recycled is stale.
+func (e *Engine) liveTheta(th arena.Handle) bool {
+	_, ok := e.intern.Live(th)
+	return ok
 }
 
 // unpinTheta and unmap drop a claim on a θ-record; the one that recycles
@@ -582,8 +633,9 @@ func (e *Engine) claimed(t *theta) bool {
 //     (CreateFull scans the θ-table instead);
 //  3. θ itself from ⊥, if nothing claimed it;
 //  4. new monitors enter their registry and the leaves of their keys;
-//  5. θ's objects record the event's domain, and the sweep runs if one
-//     is due: a period has passed, or the θ-table reached its sweep goal.
+//  5. θ's objects record the event's domain. A lazy engine sweeps if a
+//     sweep is due: a period has passed, or the θ-table reached its sweep
+//     goal. A positioned engine settles what the event left to collect.
 func (e *Engine) dispatch(sym int, tb *param.Binding) {
 	e.stats.Events++
 	if e.met != nil && e.stats.Events&(publishInterval-1) == 0 {
@@ -617,6 +669,9 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 			e.botWord = uint32(e.g.Next[e.botWord][sym])
 		} else {
 			e.botState = e.botState.Step(sym)
+		}
+		if !e.lazy {
+			e.settle()
 		}
 		return
 	}
@@ -679,7 +734,7 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 		e.thBuf = cands[:0]
 	case CreateEnable:
 		for _, jp := range e.joins[sym] {
-			leaf := jp.all
+			leaf, r := jp.all, index.Resolver((*registry)(e))
 			if !jp.O.Empty() {
 				kb := tp.Restrict(jp.O)
 				kh, ok := e.intern.Get(&kb)
@@ -689,8 +744,9 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 				if leaf = e.leaves.Find(e.intern.At(kh).Data.leaf, jp.R); leaf == nil {
 					continue
 				}
+				r = e
 			}
-			buf := leaf.AppendLive(e, e.visitBuf[:0])
+			buf := leaf.AppendLive(r, e.visitBuf[:0])
 			for _, h := range buf {
 				e.tryCreate(sym, tp, h)
 			}
@@ -719,6 +775,10 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 	if evParams.Count() > 1 {
 		ts.Data.flags |= thetaSeenEvent
 	}
+	if !e.lazy {
+		e.settle()
+		return
+	}
 	e.sinceSwep++
 	if e.sinceSwep >= e.period {
 		e.sinceSwep -= e.period
@@ -727,8 +787,13 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 }
 
 // Dispatch processes one parametric event: one object-table lookup per
-// parameter turns θ into a binding, and dispatch does the rest.
+// parameter turns θ into a binding, and dispatch does the rest. It makes
+// the engine lazy: the refs it hands over die when the caller kills them,
+// unannounced, and only a sweep finds out.
 func (e *Engine) Dispatch(sym int, theta param.Instance) {
+	if !e.lazy {
+		e.lazy, e.sweepGoal = true, minSweepGoal
+	}
 	tb := param.Binding{Mask: theta.Mask()}
 	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
 		i := pm.First()
@@ -813,10 +878,10 @@ func (e *Engine) NotifyParamDeath(h index.Handle) {
 	case GCNone:
 	case GCAllDead:
 		if e.objs.aliveMask(e.bindOf(m)).Empty() {
-			e.flagMon(m)
+			e.flagMon(h, m)
 		}
 	case GCCoenable:
-		e.checkAliveness(m)
+		e.checkAliveness(h, m)
 	}
 }
 
@@ -847,10 +912,44 @@ func (e *Engine) inDelta(h arena.Handle, m *Mon) bool {
 	return e.intern.At(m.instH).Data.mon == h
 }
 
-func (e *Engine) flagMon(m *Mon) {
+// flagMon flags a monitor; a positioned engine's registry lets go of it
+// at the next settle.
+func (e *Engine) flagMon(h arena.Handle, m *Mon) {
 	if m.flags&monFlagged == 0 {
 		m.flags |= monFlagged
 		e.stats.Flagged++
+		if !e.lazy {
+			e.flagged = append(e.flagged, h)
+		}
+	}
+}
+
+// registry is the Resolver a domain registry is compacted through. Besides
+// flagged members it drops the entries whose monitor it no longer holds a
+// reference on — recycled, or let go of by unregister — without releasing
+// them a second time.
+type registry Engine
+
+func (r *registry) NotifyParamDeath(h index.Handle) { (*Engine)(r).NotifyParamDeath(h) }
+func (r *registry) Retain(h index.Handle)           { (*Engine)(r).Retain(h) }
+
+func (r *registry) Collectable(h index.Handle) bool {
+	m, ok := r.mons.Get(h)
+	return !ok || m.flags&(monInReg|monFlagged) != monInReg
+}
+
+func (r *registry) Release(h index.Handle) {
+	if m, ok := r.mons.Get(h); ok {
+		(*Engine)(r).unregister(h, m)
+	}
+}
+
+// unregister releases the registry's reference on a monitor it holds one
+// on. Its entry stays until the registry next compacts.
+func (e *Engine) unregister(h arena.Handle, m *Mon) {
+	if m.flags&monInReg != 0 {
+		m.flags &^= monInReg
+		e.Release(h)
 	}
 }
 
@@ -873,6 +972,11 @@ func (e *Engine) observeDeaths(h arena.Handle, m *Mon) bool {
 	}
 	if !e.objs.allAlive(e.bindOf(m)) {
 		e.NotifyParamDeath(h)
+		if !e.lazy {
+			// A survivor of a death: the step to come moves its last event,
+			// which its aliveness reads, so settle looks at it again.
+			e.retire = append(e.retire, m.instH)
+		}
 		return m.flags&monFlagged == 0
 	}
 	return true
@@ -1079,31 +1183,31 @@ func (e *Engine) step(h arena.Handle, m *Mon, sym int) {
 			st = e.g.State(int(m.state)) // preboxed: no allocation
 		}
 		if e.an.Dead(st) {
-			e.flagMon(m)
+			e.flagMon(h, m)
 			return
 		}
 		if e.an.HasCoenable && len(e.an.CoenParams[sym]) == 0 {
 			// No suffix can reach G after this event (∅-only coenable
 			// family): terminate after the handler has run (§3).
-			e.flagMon(m)
+			e.flagMon(h, m)
 		}
 	}
 }
 
 // checkAliveness evaluates the ALIVENESS formula for the monitor's last
 // event (Figure 7 / §4.2.2).
-func (e *Engine) checkAliveness(m *Mon) {
+func (e *Engine) checkAliveness(h arena.Handle, m *Mon) {
 	b := e.bindOf(m)
 	aliveMask := e.objs.aliveMask(b)
 	if !e.an.HasCoenable {
 		// Fall back to the all-dead condition.
 		if aliveMask.Empty() {
-			e.flagMon(m)
+			e.flagMon(h, m)
 		}
 		return
 	}
 	if !alive(e.an.CoenParams[m.lastSym], b.Mask.Diff(aliveMask)) {
-		e.flagMon(m)
+		e.flagMon(h, m)
 	}
 }
 
@@ -1119,19 +1223,31 @@ func alive(disjuncts []param.Set, deadBound param.Set) bool {
 }
 
 // insert places a monitor into its domain's registry and, for every key
-// domain K of its domain, into the leaf under θ|K.
+// domain K of its domain, into the leaf under θ|K. A positioned engine's
+// registry, which keeps the entries of the monitors it let go of, is
+// compacted first when it is about to grow.
 func (e *Engine) insert(h arena.Handle) {
 	m := e.mons.At(h)
 	b := e.bindOf(m)
 	d := e.domainOf(b.Mask)
+	if !e.lazy && d.all.Full() {
+		d.all.Compact((*registry)(e))
+	}
 	d.all.Add(e, h)
+	m.flags |= monInReg
 	for _, K := range d.keys {
 		kh := m.instH // θ|R is θ itself
 		if K != d.R {
 			kb := b.Restrict(K)
 			kh = e.internB(&kb)
 		}
-		e.leaves.Insert(&e.intern.At(kh).Data.leaf, d.R).Add(e, h)
+		ks := e.intern.At(kh)
+		e.leaves.Insert(&ks.Data.leaf, d.R).Add(e, h)
+		if e.opts.Creation == CreateFull && !e.lazy && e.objs.anyDead(&ks.B) {
+			// A Figure 5 monitor over a dead object, under a key whose
+			// object's free has been applied already: detach it again.
+			e.retire = append(e.retire, kh)
+		}
 	}
 }
 
@@ -1147,11 +1263,12 @@ func (e *Engine) domainOf(R param.Set) *domain {
 
 // sweep applies the physical weak-reference semantics the paper's systems
 // get from the JVM: bookkeeping entries whose objects died are dropped. It
-// is the engine's only death discovery: every object record asks its ref
-// once whether it is alive, then one pass over the θ-table — every rule
-// below concerns a θ with a dead bound object, a bit test on its object
-// records, so the rest are skipped — then the registries and the object
-// records. Per θ, in order:
+// is a lazy engine's only death discovery (a positioned engine runs its
+// body at each free, and the sweep itself only in Flush): every object
+// record asks its ref once whether it is alive, then one pass over the
+// θ-table — every rule below concerns a θ with a dead bound object, a bit
+// test on its object records, so the rest are skipped — then the
+// registries and the object records. Per θ, in order:
 //
 //   - θ's leaves are detached (Figure 7): the monitors indexed under the
 //     dead key are notified, then released, and the leaf records recycled.
@@ -1204,30 +1321,11 @@ func (e *Engine) sweep() {
 		if !e.objs.anyDead(&s.B) {
 			continue
 		}
-		t := &s.Data
-		e.leaves.Detach(e, &t.leaf)
-		if h := t.mon; h != arena.Nil {
-			m := e.mons.At(h)
-			// The keys that index θ's monitor may come later in this pass;
-			// notify it now, so the rule below sees its settled flag.
-			e.NotifyParamDeath(h)
-			if m.flags&monFlagged != 0 || m.flags&monCollected != 0 && e.opts.Creation != CreateFull {
-				t.mon = arena.Nil
-				if m.flags&monCollected != 0 {
-					e.recycle(h, m)
-				}
-			}
-		}
-		if e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && e.objs.aliveMask(&s.B).Empty() {
-			t.flags &^= thetaAvoided
-		}
-		t.flags &^= thetaSeenEvent
-		if t.mon == arena.Nil && t.flags&thetaAvoided == 0 {
-			e.unmap(th)
-		}
+		e.detachDead(s)
+		e.retireDead(th, s)
 	}
 	for i := range e.domains {
-		e.domains[i].all.CompactWith(e, e.deadParam)
+		e.domains[i].all.CompactWith((*registry)(e), e.deadParam)
 	}
 	e.objs.drop(e.onRelease)
 	n := e.intern.Len()
@@ -1235,6 +1333,76 @@ func (e *Engine) sweep() {
 	if e.opts.SweepInterval <= 0 {
 		e.period = max(n, defaultSweepInterval)
 	}
+}
+
+// detachDead and retireDead are the sweep's two steps for a θ-record s
+// with a dead object. detachDead detaches its leaves and notifies its
+// monitor (the keys that index the monitor may come later in a sweep;
+// notifying it now lets retireDead see its settled flag).
+func (e *Engine) detachDead(s *param.Slot[theta]) {
+	e.leaves.Detach(e, &s.Data.leaf)
+	if h := s.Data.mon; h != arena.Nil {
+		e.NotifyParamDeath(h)
+	}
+}
+
+// retireDead applies the sweep's rules to Δ(θ), θ's tombstone and θ's
+// mapping (see sweep).
+func (e *Engine) retireDead(th arena.Handle, s *param.Slot[theta]) {
+	t := &s.Data
+	if h := t.mon; h != arena.Nil {
+		m := e.mons.At(h)
+		if m.flags&monFlagged != 0 || m.flags&monCollected != 0 && e.opts.Creation != CreateFull {
+			t.mon = arena.Nil
+			if m.flags&monCollected != 0 {
+				e.recycle(h, m)
+			}
+		}
+	}
+	if e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && e.objs.aliveMask(&s.B).Empty() {
+		t.flags &^= thetaAvoided
+	}
+	t.flags &^= thetaSeenEvent
+	if t.mon == arena.Nil && t.flags&thetaAvoided == 0 {
+		e.unmap(th)
+	}
+}
+
+// settle is a positioned engine's collection, run where FreeIDs applied
+// deaths and at the end of every event: it does what a sweep after them
+// would, on what they touched. The θ-records in retire bind a dead object
+// — the records of the objects just freed, survivors of earlier deaths
+// stepped since, new records over a dead object — and get the sweep's two
+// steps, the first on all of them before the second, so every Δ rule sees
+// the monitor's settled flag and refcount. Between the two, every monitor
+// of such a record and every monitor flagged since the last settle leaves
+// its registry, as a sweep's registry compaction would take it. Last, the
+// object records that lost their last θ-record are dropped and released.
+func (e *Engine) settle() {
+	if len(e.retire) == 0 && len(e.flagged) == 0 && len(e.objs.dropq) == 0 {
+		return
+	}
+	ths := e.retire
+	for _, th := range ths {
+		if s, ok := e.intern.Live(th); ok {
+			e.detachDead(s)
+			if h := s.Data.mon; h != arena.Nil {
+				e.unregister(h, e.mons.At(h))
+			}
+		}
+	}
+	for _, h := range e.flagged {
+		if m, ok := e.mons.Get(h); ok {
+			e.unregister(h, m)
+		}
+	}
+	for _, th := range ths {
+		if s, ok := e.intern.Live(th); ok {
+			e.retireDead(th, s)
+		}
+	}
+	e.retire, e.flagged = ths[:0], e.flagged[:0]
+	e.objs.drain(e.onRelease)
 }
 
 // deadParam reports a monitor with a dead bound parameter object (domain
@@ -1262,9 +1430,14 @@ func (e *Engine) Flush() {
 			}
 		}
 		for i := range e.domains {
-			e.domains[i].all.Compact(e)
+			e.domains[i].all.Compact((*registry)(e))
 		}
 		e.timedSweep()
+	}
+	if poolCheck {
+		if err := CheckTheta(e, true); err != nil {
+			panic("monitor: after Flush: " + err.Error())
+		}
 	}
 }
 

@@ -120,7 +120,8 @@ func TestDispatchIDsMatchesRefs(t *testing.T) {
 }
 
 // runRefs drives steps through Dispatch, killing each dying object right
-// after Free.
+// after Free, and sweeps the lazy engine after every death and every event
+// (monitor.SweepNow): the positioned engines collect there.
 func runRefs(t *testing.T, spec *monitor.Spec, opts monitor.Options, h *heap.Heap, steps []thetaStep) ([]idVerdict, monitor.Stats) {
 	t.Helper()
 	var got []idVerdict
@@ -133,9 +134,10 @@ func runRefs(t *testing.T, spec *monitor.Spec, opts monitor.Options, h *heap.Hea
 		if s.kill != nil {
 			eng.Free(s.kill)
 			h.Free(s.kill)
-			continue
+		} else {
+			eng.Dispatch(s.ev.Sym, s.ev.Inst)
 		}
-		eng.Dispatch(s.ev.Sym, s.ev.Inst)
+		monitor.SweepNow(eng)
 	}
 	eng.Flush()
 	return got, eng.Stats()

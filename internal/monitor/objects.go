@@ -16,15 +16,21 @@ import (
 type object struct {
 	ref heap.Ref
 	id  uint64
+	// at and n locate the record's θ list in the table's lists: the
+	// handles of the θ-records that bind the object, kept for a held
+	// record only (at 0: none yet). Its free walks the list. Entries go
+	// stale when their θ-records are recycled, and are dropped when the
+	// list next fills its block.
+	at, n uint32
+	// pins is the number of θ-records whose binding names the object.
+	pins int32
 	// doms is the set of event parameter-domains the object has been bound
 	// under (bit i for Engine.evDomains[i]), for the fresh-object creation
 	// guard (priorEventsOK).
 	doms uint16
-	// pins is the number of θ-records whose binding names the object.
-	pins int32
 	// dead caches a death once observed through ref: Alive is monotone
 	// (heap.Ref), so a dead object never needs asking again. A held record
-	// is never asked; FreeIDs sets dead directly (kill).
+	// is never asked; FreeIDs sets dead directly.
 	dead bool
 	// held marks a record whose liveness is its dead bit alone: the object
 	// came in by DispatchHeld or DispatchIDs, and only its free ends it.
@@ -36,7 +42,9 @@ type object struct {
 // the uint32 handles it issues (param.Binding), so the θ-table itself holds
 // no pointer, and a θ's liveness is read through the records of its
 // objects. A record lives while a θ-record pins it or its object is alive;
-// the sweep drops the rest (drop), and Close all of them. Records are found
+// a held record goes where its free or its last θ-record's recycling
+// leaves it dead and unpinned (drain), a lazy one at the sweep that finds
+// it so (drop), and Close drops all of them. Records are found
 // by ID through idx, an open-addressing index (package probe) that stores
 // handle+1 per record and reads the ID back from the record, so each ID is
 // kept once. The zero value is not ready; see newObjects.
@@ -44,13 +52,20 @@ type objects struct {
 	idx  probe.Table[uint32] // by ID: handle+1 of every record in use
 	recs []object            // by handle; see inUse
 	free []uint32            // recycled handles, LIFO
+	// lists holds the held records' θ lists.
+	lists lists
+	// dropq holds the handles of held records that lost their last pin
+	// after their free: the engine drops them (drain) once the death that
+	// emptied them has been applied. It starts in dropBuf.
+	dropq   []uint32
+	dropBuf [8]uint32
 	// check arms poison-on-free (race builds): a freed record is scrambled
 	// and verified when its handle is reissued, like the arena pools.
 	check bool
 }
 
 func newObjects(check bool) objects {
-	return objects{idx: probe.New[uint32](), check: check}
+	return objects{idx: probe.New[uint32](), lists: lists{check: check}, check: check}
 }
 
 // pooledObject is the poison of a freed record under check: an ID no object
@@ -174,16 +189,16 @@ func (o *objects) observe() {
 	}
 }
 
-// pin and unpin take and drop a θ-record's claims on the objects it binds.
-func (o *objects) pin(b *param.Binding) {
-	for m := b.Mask; m != 0; m = m.Rest() {
-		o.recs[b.H[m.First()]].pins++
-	}
-}
-
+// unpin drops a θ-record's claims on the objects it binds (the engine's
+// pinB takes them). A held record of a dead object that loses its last pin
+// is queued for drain.
 func (o *objects) unpin(b *param.Binding) {
 	for m := b.Mask; m != 0; m = m.Rest() {
-		o.recs[b.H[m.First()]].pins--
+		x := b.H[m.First()]
+		r := &o.recs[x]
+		if r.pins--; r.pins == 0 && r.dead && r.held {
+			o.dropq = append(o.dropq, x)
+		}
 	}
 }
 
@@ -192,36 +207,43 @@ func (o *objects) unpin(b *param.Binding) {
 // Each dropped ID goes to onRelease, if set.
 func (o *objects) drop(onRelease func(uint64)) {
 	for h := range o.recs {
-		r := &o.recs[h]
-		if !r.inUse() || r.pins != 0 || !r.dead {
-			continue
+		if r := &o.recs[h]; r.inUse() && r.pins == 0 && r.dead {
+			o.dropOne(uint32(h), onRelease)
 		}
-		id := r.id
-		o.idx.Delete(o.hash(id), uint32(h)+1, o.rehash)
-		if o.check {
-			*r = pooledObject
-		} else {
-			*r = object{}
+	}
+}
+
+// drain drops the queued held records that are still dead and unpinned.
+func (o *objects) drain(onRelease func(uint64)) {
+	for _, x := range o.dropq {
+		if r := &o.recs[x]; r.inUse() && r.pins == 0 && r.dead {
+			o.dropOne(x, onRelease)
 		}
-		o.free = append(o.free, uint32(h))
-		if onRelease != nil {
-			onRelease(id)
-		}
+	}
+	o.dropq = o.dropq[:0]
+}
+
+// dropOne releases the record h, with its θ list.
+func (o *objects) dropOne(h uint32, onRelease func(uint64)) {
+	r := &o.recs[h]
+	id := r.id
+	o.idx.Delete(o.hash(id), h+1, o.rehash)
+	if r.at != 0 {
+		o.lists.release(r.at)
+	}
+	if o.check {
+		*r = pooledObject
+	} else {
+		*r = object{}
+	}
+	o.free = append(o.free, h)
+	if onRelease != nil {
+		onRelease(id)
 	}
 }
 
 // reset drops every record and with it every ref, releasing none.
 func (o *objects) reset() { *o = newObjects(o.check) }
-
-// kill applies the death of the object id names, reporting whether the
-// table holds it.
-func (o *objects) kill(id uint64) bool {
-	h, ok := o.find(id)
-	if ok {
-		o.recs[h].dead = true
-	}
-	return ok
-}
 
 // idRef is an object known by its ID alone: the ref a verdict or diagnostic
 // gets for an ID-named record. It never dies; the record holds the death.

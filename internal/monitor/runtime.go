@@ -92,8 +92,8 @@ func (e *Engine) Barrier() {}
 // Free implements Runtime. The sequential engine needs no positioning:
 // every dispatched event has already been processed, and it observes the
 // deaths of the refs Dispatch handed it lazily, through ref liveness, once
-// the caller has killed them. A record DispatchHeld added never asks its
-// ref; FreeIDs is its death.
+// the caller has killed them, at the sweep that follows. A record
+// DispatchHeld added never asks its ref; FreeIDs is its death.
 func (e *Engine) Free(heap.Ref) {}
 
 // DispatchIDs is Dispatch for a caller that names objects by ID — a
@@ -118,14 +118,47 @@ func (e *Engine) DispatchIDs(sym int, ids []uint64) {
 
 // FreeIDs applies the deaths of objects named by ID at this point of the
 // stream: every event dispatched before the call saw them alive, and the
-// engine sees them dead from here on. An ID no event named concerns no
-// monitor and costs nothing but its release (SetOnRelease), which it gets
-// here; an ID freed twice dies once. The caller dispatches no later event
-// naming a freed ID.
+// engine sees them dead from here on. The deaths of held records (objects
+// that came in by DispatchIDs or DispatchHeld) are collected here, before
+// the call returns: each walks its object's θ list and retires the
+// θ-records that bind it — leaves detached, monitors notified, Δ entries,
+// tombstones and mappings dropped as a sweep would, the monitors that die
+// out of their registries — and the record goes, released (SetOnRelease),
+// once no θ-record binds it. A θ-record whose monitor the GC policy keeps
+// alive stays, and is looked at again where the monitor next steps. An ID
+// no event named concerns no monitor and costs nothing but its release,
+// which it gets here; an ID freed twice dies once. The caller dispatches
+// no later event naming a freed ID.
 func (e *Engine) FreeIDs(ids []uint64) {
 	for _, id := range ids {
-		if !e.objs.kill(id) && e.onRelease != nil {
-			e.onRelease(id)
+		x, ok := e.objs.find(id)
+		if !ok {
+			if e.onRelease != nil {
+				e.onRelease(id)
+			}
+			continue
+		}
+		r := &e.objs.recs[x]
+		if r.dead {
+			continue
+		}
+		r.dead = true
+		if !r.held {
+			continue // a lazy record: the next sweep collects it
+		}
+		if r.pins == 0 {
+			e.objs.dropq = append(e.objs.dropq, x)
+		}
+		for _, th := range e.objs.lists.of(r) {
+			if _, ok := e.intern.Live(th); ok {
+				e.retire = append(e.retire, th)
+			}
+		}
+	}
+	e.settle()
+	if poolCheck {
+		if err := checkDeaths(e); err != nil {
+			panic("monitor: after FreeIDs: " + err.Error())
 		}
 	}
 }
@@ -193,9 +226,11 @@ func (o *objects) handleHeld(v heap.Ref, id uint64) uint32 {
 // no record of any more — no later verdict can name it — for a caller that
 // names objects by ID and tells their holders when they may let go (a
 // server session, whose client keeps a ref per ID it sent). After
-// FreeIDs(id) the engine releases id exactly once: at once when the object
-// table holds no record of it, else when a sweep drops the dead record.
-// The caller frees each ID once. f runs on the goroutine calling FreeIDs,
-// a Dispatch entry or Flush, after every verdict that named the object;
-// Close releases nothing. Set it before the first event.
+// FreeIDs(id) the engine releases id exactly once: inside that FreeIDs
+// when the object table holds no record of it or the free retires every
+// θ-record that binds it; else at the end of the event, FreeIDs or Flush
+// that recycles the last such θ-record (a survivor's, once its monitor is
+// collected). The caller frees each ID once. f runs on the goroutine
+// calling FreeIDs, a dispatch entry or Flush, after every verdict that
+// named the object; Close releases nothing. Set it before the first event.
 func (e *Engine) SetOnRelease(f func(id uint64)) { e.onRelease = f }

@@ -21,10 +21,13 @@ import (
 // objects, not O(instances). A *Slot obtained from a handle is a transient
 // view, valid until the slot is recycled; slabs never move.
 //
-// The index (package probe) stores only the handles of mapped slots. A
-// binding is hashed over its mask and its bound handles, and a probe
-// compares the binding against the slot each handle names, so every key
-// exists once: in its slot.
+// The index (package probe) stores one word per mapped slot: the slot's
+// index and the low 32 bits of its binding's hash. A binding is hashed over
+// its mask and its bound handles; a probe compares the hash bits first and
+// reads a slot only when they match, and the index rehashes an entry
+// (growing, or closing a deletion's gap) from its stored bits without
+// reading the slot. The binding itself is compared against the slot, so
+// every key exists once: in its slot.
 //
 // Slot lifetime is governed by two independent claims:
 //
@@ -46,9 +49,17 @@ import (
 // An Interner is not safe for concurrent use. Each engine owns one, matching
 // the engine's single-threaded dispatch discipline.
 type Interner[P any] struct {
-	idx  probe.Table[arena.Handle] // the mapped slots
+	idx  probe.Table[uint64] // the mapped slots, as entry words
 	pool arena.Pool[Slot[P]]
 }
+
+// entry is the index word of slot i, whose binding hashes to hash: the
+// hash's low 32 bits above i+1 (never zero). home reads the hash bits back;
+// they place the entry in any table below 2^32 slots as the full hash
+// would.
+func entry(hash uint64, i uint32) uint64 { return hash<<32 | (uint64(i) + 1) }
+
+func home(x uint64) uint64 { return x >> 32 }
 
 // Slot is one θ-record: the canonical binding, the owner's payload, and
 // the slot's two lifetime claims.
@@ -66,7 +77,7 @@ func (s *Slot[P]) Mapped() bool { return s.mapped }
 
 // NewInterner returns an empty table.
 func NewInterner[P any]() *Interner[P] {
-	return &Interner[P]{idx: probe.New[arena.Handle]()}
+	return &Interner[P]{idx: probe.New[uint64]()}
 }
 
 // SetChecks arms poison-on-free for the slots (race builds): a freed slot
@@ -97,7 +108,7 @@ func (in *Interner[P]) Intern(b *Binding) (h arena.Handle, added bool) {
 	h, s := in.pool.Alloc()
 	s.B = *b
 	s.mapped = true
-	in.idx.Insert(hash, h, in.rehash)
+	in.idx.Insert(hash, entry(hash, h.Index()), home)
 	return h, true
 }
 
@@ -105,13 +116,17 @@ func (in *Interner[P]) Intern(b *Binding) (h arena.Handle, added bool) {
 func (in *Interner[P]) Get(b *Binding) (arena.Handle, bool) { return in.find(in.hash(b), b) }
 
 // find probes the index for the mapped slot binding b, whose hash is hash.
+// The index stores mapped, hence live, slots only (Check holds it to that),
+// so a slot is read without a generation check.
 func (in *Interner[P]) find(hash uint64, b *Binding) (arena.Handle, bool) {
+	tag := uint32(hash)
 	for i := in.idx.Home(hash); ; i = in.idx.Next(i) {
-		h := in.idx.Slot(i)
-		if h == arena.Nil {
+		x := in.idx.Slot(i)
+		if x == 0 {
 			return arena.Nil, false
 		}
-		if in.pool.At(h).B == *b {
+		if uint32(x>>32) == tag && in.pool.AtIndex(uint32(x)-1).B == *b {
+			h, _ := in.pool.HandleOf(uint32(x) - 1)
 			return h, true
 		}
 	}
@@ -136,13 +151,14 @@ func (in *Interner[P]) hash(b *Binding) uint64 {
 	return h
 }
 
-// rehash is the hash of the binding of the mapped slot h.
-func (in *Interner[P]) rehash(h arena.Handle) uint64 { return in.hash(&in.pool.At(h).B) }
-
 // At returns the record of a live slot. Panics on a stale handle — a pinned
 // slot is never stale, so a panic here means a monitor outlived its pin (an
 // engine bug).
 func (in *Interner[P]) At(h arena.Handle) *Slot[P] { return in.pool.At(h) }
+
+// Live returns the record of the slot h names, or false if h is stale: its
+// slot was recycled since h was issued.
+func (in *Interner[P]) Live(h arena.Handle) (*Slot[P], bool) { return in.pool.Get(h) }
 
 // All iterates the live slots — mapped, or unmapped and still pinned — in
 // slab order (see arena.Pool.All).
@@ -183,7 +199,8 @@ func (in *Interner[P]) Unmap(h arena.Handle) (Binding, bool) {
 	if !s.mapped {
 		return Binding{}, false
 	}
-	in.idx.Delete(in.hash(&s.B), h, in.rehash)
+	hash := in.hash(&s.B)
+	in.idx.Delete(hash, entry(hash, h.Index()), home)
 	s.mapped = false
 	return in.release(h, s)
 }
@@ -198,20 +215,25 @@ func (in *Interner[P]) Stats() arena.Stats { return in.pool.Stats() }
 // Reset drops the index and every slab, returning the store to the host
 // allocator in O(1) regardless of size. All handles become stale.
 func (in *Interner[P]) Reset() {
-	in.idx = probe.New[arena.Handle]()
+	in.idx = probe.New[uint64]()
 	in.pool.Reset()
 }
 
 // Check holds the index to the slots (invariant checks): the index's own
-// invariants hold (probe.Table.Check), every handle it stores names a
-// live, mapped slot, no binding is stored twice, and it stores exactly the
-// mapped slots. It reports the index's probe lengths.
+// invariants hold (probe.Table.Check), every entry it stores names a live,
+// mapped slot under its binding's hash bits, no binding is stored twice,
+// and it stores exactly the mapped slots. It reports the index's probe
+// lengths.
 func (in *Interner[P]) Check() (probe.Probes, error) {
 	keys := make(map[Binding]arena.Handle, in.idx.Len())
-	for h := range in.idx.All {
-		s, ok := in.pool.Get(h)
-		if !ok || !s.mapped {
-			return probe.Probes{}, fmt.Errorf("param: the θ index stores %v, which is not a mapped slot", h)
+	for x := range in.idx.All {
+		h, live := in.pool.HandleOf(uint32(x) - 1)
+		if !live || !in.pool.AtIndex(uint32(x)-1).mapped {
+			return probe.Probes{}, fmt.Errorf("param: the θ index stores slot %d, which is not a mapped slot", uint32(x)-1)
+		}
+		s := in.pool.At(h)
+		if x != entry(in.hash(&s.B), h.Index()) {
+			return probe.Probes{}, fmt.Errorf("param: the θ index stores slot %d under hash bits %#x, not its binding's", h.Index(), home(x))
 		}
 		if prev, dup := keys[s.B]; dup {
 			return probe.Probes{}, fmt.Errorf("param: the θ index stores %v and %v under one binding", prev, h)
@@ -227,5 +249,5 @@ func (in *Interner[P]) Check() (probe.Probes, error) {
 	if mapped != len(keys) {
 		return probe.Probes{}, fmt.Errorf("param: %d θ slots are mapped, the index stores %d", mapped, len(keys))
 	}
-	return in.idx.Check(in.rehash)
+	return in.idx.Check(home)
 }

@@ -84,9 +84,6 @@ type local struct {
 
 	vids []uint64 // verdict-ID scratch (onVerdict is serialized)
 	fids []uint64 // the first frees of one Free (session goroutine)
-
-	// freesSince and settleAt pace a slot session's settles (see settle).
-	freesSince, settleAt int
 }
 
 // idRuntime is a runtime that takes objects by ID: the sequential engine or
@@ -260,7 +257,6 @@ func (b *local) Free(ids []uint64) error {
 	}
 	b.fids = first
 	b.rt.FreeIDs(first)
-	b.settle()
 	return nil
 }
 
@@ -345,30 +341,4 @@ func (b *local) dumpWindow(v wire.Verdict) {
 		}
 	}
 	b.s.srv.logf("session %d: verdict %s on %v, flight window:%s", b.s.ID, v.Cat, v.IDs, string(out))
-}
-
-// slotSettleFloor is the fewest frees between two settles of a slot
-// session's engine.
-const slotSettleFloor = 16
-
-// settle paces a slot session (node mode; any other session's engine paces
-// itself). It counts the frees Free just applied (fids) and settles the
-// engine (Flush) once they reach as many as the engine held live monitors
-// after the last settle, and at least slotSettleFloor. A slot sees only
-// the records of its own objects — a small share of a stream — but its
-// engine's sweep pacer waits for a whole stream's worth of new θ-records
-// or events, so without it dead monitors would pile up between sweeps in
-// every slot of the ring. A settle costs about what the engine holds, so
-// the cost per free stays constant; and the settle points follow from the
-// slot's records alone, so a handoff replay of the slot's journal meets
-// them at the same records.
-func (b *local) settle() {
-	if b.s.Node == nil {
-		return
-	}
-	if b.freesSince += len(b.fids); b.freesSince >= max(slotSettleFloor, b.settleAt) {
-		b.rt.Flush()
-		b.freesSince = 0
-		b.settleAt = int(b.rt.Stats().Live)
-	}
 }

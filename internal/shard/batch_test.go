@@ -56,17 +56,22 @@ func TestFreesRideTheBatch(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	rt.Barrier() // the tail leaves here: one more send per shard
+	total := uint64(0)
+	for _, w := range rt.workers {
+		total += w.metBatchEvents.Value()
+	}
+	// Each pair's create, next and free go to its collection's shard only.
+	if total != 3*iters {
+		t.Fatalf("%d records shipped, want the %d events and frees, each to one shard", total, 3*iters)
+	}
 	for i, w := range rt.workers {
 		sends, records := w.metBatches.Value(), w.metBatchEvents.Value()
-		if records < iters {
-			t.Fatalf("shard %d: %d records shipped, want at least the %d frees", i, records, iters)
-		}
 		// One send per full batch, one for the tail, and one per linger
 		// period that elapsed meanwhile (a slow machine lets the deadline
 		// fire mid-stream, which is the policy working).
 		if budget := (records+batch-1)/batch + 1 + uint64(elapsed/linger); sends > budget {
-			t.Errorf("shard %d: %d frees among %d records (%v) took %d mailbox sends, want <= %d",
-				i, iters, records, elapsed, sends, budget)
+			t.Errorf("shard %d: %d records (%v) took %d mailbox sends, want <= %d",
+				i, records, elapsed, sends, budget)
 		}
 	}
 }
@@ -179,9 +184,10 @@ func TestObjectRecordHygiene(t *testing.T) {
 			unfreed = append(unfreed, c, it)
 		}
 	}
-	// A live collection has a record on its pivot's shard; a live iterator
-	// on every shard, since next does not bind the pivot and broadcasts.
-	live := len(unfreed) / 2 * (1 + rt.Shards())
+	// A live collection and its iterator each have one record, on the
+	// collection's shard: next does not bind the pivot, and goes only to
+	// the shard the iterator's records went to.
+	live := len(unfreed)
 	if n := records(); n != live {
 		t.Fatalf("%d object records after the frees, want the %d of the objects still alive", n, live)
 	}

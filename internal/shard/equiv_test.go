@@ -178,13 +178,17 @@ func TestShardEquivalenceAllProps(t *testing.T) {
 // TestSweepScheduleIndependence holds the sequential engine's outcome to
 // its sweep schedule: the same stream swept after every event or every 16
 // events settles like the default pacing (settle leaves out what still
-// depends on the schedule).
+// depends on the schedule). The engine fed by ID and two shards, which
+// collect at their frees and events, are held to the positioned
+// reference exactly, Flagged, Steps and PeakLive included, whatever the
+// interval.
 func TestSweepScheduleIndependence(t *testing.T) {
+	bs := append([]conformance.Backend{conformance.Engine, conformance.EngineIDs}, backends(shards{n: 2, batch: 4})...)
 	for _, spec := range conformance.Specs(t) {
 		for seed := int64(0); seed < 4; seed++ {
 			s := conformance.Random(spec, seed, 300)
 			t.Run(s.Name, func(t *testing.T) {
-				conformance.Diff(t, s, []conformance.Backend{conformance.Engine}, conformance.SweepModes())
+				conformance.Diff(t, s, bs, conformance.SweepModes())
 			})
 		}
 	}

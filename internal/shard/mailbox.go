@@ -139,16 +139,6 @@ func (w *worker) ship() {
 	w.metDepth.Set(int64(len(w.mailbox)))
 }
 
-// enqueue appends one record to the open batch, shipping the batch to the
-// mailbox when it fills. The mailbox send blocks while holding mu — that is
-// the backpressure: further producers queue on the mutex until the worker
-// drains a batch.
-func (w *worker) enqueue(ev event, ids []uint64) {
-	w.mu.Lock()
-	w.enqueueLocked(ev, ids)
-	w.mu.Unlock()
-}
-
 // canAccept reports whether one more record fits without blocking: either
 // the open batch has room to spare, or the mailbox can take the filled
 // batch. Callers must hold mu.
@@ -156,19 +146,30 @@ func (w *worker) canAccept() bool {
 	return len(w.pending.recs)+1 < w.batchSz || len(w.mailbox) < cap(w.mailbox)
 }
 
-// enqueueLocked is enqueue for callers already holding mu (after a
-// positive canAccept the mailbox send is guaranteed not to block). A record
-// whose at is not refs gets ids appended to the batch's ID column.
+// enqueueLocked appends one record to the open batch, shipping the batch
+// to the mailbox when it fills. The send blocks while holding mu — that is
+// the backpressure: further producers queue on the mutex until the worker
+// drains a batch — unless a positive canAccept came first. Callers hold
+// mu.
 func (w *worker) enqueueLocked(ev event, ids []uint64) {
+	w.addLocked(ev, ids)
+	if len(w.pending.recs) >= w.batchSz {
+		w.ship()
+	}
+}
+
+// addLocked appends one record to the open batch without shipping it: a
+// primer, which rides in the batch of the event enqueued behind it, so an
+// event costs one record's room however many primers precede it. A record
+// whose at is not refs gets ids appended to the batch's ID column. Callers
+// hold mu.
+func (w *worker) addLocked(ev event, ids []uint64) {
 	b := w.pending
 	if ev.at != refs {
 		ev.at = int32(len(b.ids))
 		b.ids = append(b.ids, ids...)
 	}
 	b.recs = append(b.recs, ev)
-	if len(b.recs) >= w.batchSz {
-		w.ship()
-	}
 }
 
 // flushLocked ships the open batch even if partially filled; callers hold

@@ -86,10 +86,12 @@ type Router struct {
 	recs   []placement
 	free   []uint32 // recycled handles, LIFO
 
-	// Scratch: Route's primers, Free's lanes per ID, one lane's share of
-	// them, and the ID being released (copied, so the caller's IDs never
-	// reach the callback).
+	// Scratch: Peek's primers and the placements it found for each ID (+1,
+	// 0 for none), Free's lanes per ID, one lane's share of them, and the
+	// ID being released (copied, so the caller's IDs never reach the
+	// callback).
 	primers   []Primer
+	peeked    [param.MaxParams]uint32
 	freeLanes []uint64
 	share     []uint64
 	rel       [1]uint64
@@ -225,8 +227,19 @@ func (r *Router) Pivot() int { return r.pivot }
 // Route returns the lanes the event sym over the objects ids (D(sym) in
 // ascending parameter order) goes to and, on a router that keeps
 // placements, enters the event into its objects' placements and gathers
-// the records that must reach some of its lanes first (Primers).
+// the records that must reach some of its lanes first (Primers): Peek,
+// then Place.
 func (r *Router) Route(sym int, ids []uint64) uint64 {
+	lanes := r.Peek(sym, ids)
+	r.Place(sym, ids, lanes)
+	return lanes
+}
+
+// Peek is Route without the commit: it returns the lanes and gathers the
+// primers, and changes no placement. A caller that may yet refuse the
+// event (an all-or-nothing delivery that finds a lane full) peeks, and
+// calls Place with the same arguments only once the event is accepted.
+func (r *Router) Peek(sym int, ids []uint64) uint64 {
 	if r.lanes == 1 {
 		return 1
 	}
@@ -242,6 +255,28 @@ func (r *Router) Route(sym int, ids []uint64) uint64 {
 		return lanes
 	}
 	r.primers = r.primers[:0]
+	for k, id := range ids {
+		h := r.find(id)
+		r.peeked[k] = h
+		if h == 0 || slices.Contains(ids[:k], id) {
+			continue
+		}
+		p := &r.recs[h-1]
+		if moved := lanes &^ p.lanes; moved != 0 && p.stamps != 0 {
+			for xm := p.stamps; xm != 0; xm = xm.Rest() {
+				r.primers = append(r.primers, Primer{Sym: r.primer[xm.First()], ID: id, Lanes: moved})
+			}
+		}
+	}
+	return lanes
+}
+
+// Place enters the event the last Peek looked at, sent to lanes, into its
+// objects' placements.
+func (r *Router) Place(sym int, ids []uint64, lanes uint64) {
+	if r.lanes == 1 || !r.places {
+		return
+	}
 	var stamp param.Set
 	if r.maskable[sym] {
 		stamp = r.params[sym]
@@ -250,24 +285,18 @@ func (r *Router) Route(sym int, ids []uint64) uint64 {
 		if slices.Contains(ids[:k], id) {
 			continue
 		}
-		h := r.find(id)
+		h := r.peeked[k]
 		if h == 0 {
 			h = r.add(id)
 		}
 		p := &r.recs[h-1]
-		if moved := lanes &^ p.lanes; moved != 0 && p.stamps != 0 {
-			for xm := p.stamps; xm != 0; xm = xm.Rest() {
-				r.primers = append(r.primers, Primer{Sym: r.primer[xm.First()], ID: id, Lanes: moved})
-			}
-		}
 		p.lanes |= lanes
 		p.stamps |= stamp
 	}
-	return lanes
 }
 
-// Primers returns the records the last Route gathered, each to be sent to
-// its lanes ahead of the event: valid until the next Route.
+// Primers returns the records the last Peek or Route gathered, each to be
+// sent to its lanes ahead of the event: valid until the next one.
 func (r *Router) Primers() []Primer { return r.primers }
 
 // Free places the frees of ids and drops their placements: each ID goes to

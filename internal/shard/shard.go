@@ -7,24 +7,29 @@
 // semantics make the store shardable: trace slices for incompatible
 // parameter instances never interact, so monitors can be partitioned by a
 // pivot parameter's object (see Router) and each partition monitored by an
-// unmodified sequential engine, preserving the paper's lazy collection
-// discipline — per-shard index, per-shard sweeps, no cross-shard
-// locking. Events whose bindings do not determine a shard go to every
-// shard; they reach the one shard holding their monitors and are no-ops
+// unmodified sequential engine — per-shard index, per-shard collection,
+// no cross-shard locking. Events whose bindings do not determine a shard
+// go to every shard their objects' records went to, or to every shard;
+// they reach the one shard holding their monitors and are no-ops
 // elsewhere.
 //
 // Lanes. Which shards a record goes to is the fan-out core's answer
-// (Router, which a cluster fanout's slots share): an event binding the
-// pivot goes to its pivot object's shard, every other event and every free
-// to every shard, as a set of lanes each entry delivers over. A cluster's
-// router also keeps per-object placements and sends a free, or an event of
-// one object, only where the object's records went; a shard runtime's keeps
-// none. Each shard engine paces its sweeps by the θ-records it holds, and
-// the events of other shards' objects are part of that pace: shards sent
-// only their own objects' records sweep less often and hold more dead
-// monitors, and settling them by frees instead, as a cluster slot does
-// (internal/server), would move their sweeps off the sequential engine's
-// schedule, which the equivalence tests hold them to.
+// (Router, which a cluster fanout's slots share), as a set of lanes each
+// entry delivers over: an event binding the pivot goes to its pivot
+// object's shard; the router keeps, per live object, the shards its
+// records went to (its placement), and a free, or an event of one object
+// that joins with nothing (Router.Maskable), goes only there; every other
+// event goes to every shard. A shard an object moves to is first sent a
+// primer per domain the object was stamped with, and the shards a free
+// skips hold no record of the object, so the router releases it there at
+// once (Options.OnRelease). Every shard engine applies its deaths where
+// its free records sit (monitor.Engine.FreeIDs) and never sweeps between
+// Flushes, so what it holds follows its own objects' records alone, and
+// the merged counters do not depend on which shards saw which records.
+// The router's placements make it the producers' one shared state: a
+// mutex serializes Dispatch, DispatchIDs, TryDispatchIDs and FreeIDs
+// through it, so each shard's records arrive in the order the router
+// placed them.
 //
 // Ingestion is batched, and the batch is the unit of work: producers append
 // records — events and object deaths alike — to a per-shard open batch, and
@@ -42,28 +47,28 @@
 // evaluation harness run either backend behind one interface. On the same
 // per-slice event and death sequence, per-slice verdicts and the merged
 // Events, Created, Collected, GoalVerdicts and Avoided match the sequential
-// engine exactly (see the equivalence tests): they do not depend on when an
-// engine sweeps. Flagged and Steps match when the shards' sweeps discover
-// deaths where the sequential engine's do; each shard paces its sweeps by
-// its own θ-table, so on some streams they can differ. PeakLive sums
-// per-shard peaks, an upper bound on the global peak.
+// engine exactly (see the equivalence tests), and so do Flagged, Steps and
+// Live: every engine collects at its frees and events, not on a sweep
+// schedule. PeakLive sums per-shard peaks, an upper bound on the global
+// peak.
 //
 // Death positioning. Each shard engine holds the caller's own refs as held
 // records (monitor.Engine.DispatchHeld): it never asks a ref whether its
 // object lives. Free(ref) appends one free record carrying the object's ID
-// to every shard's open batch: an ordinary record — no barrier, no flush,
-// no mailbox send of its own — and returns, so the caller may kill the
-// object at once. A worker reaching the record kills the object in its own
-// engine only (monitor.Engine.FreeIDs), so each shard observes the death
-// between exactly the records the producer put it between, and no worker
-// ever waits for another: one liveness bit shared by all shards would let
+// to the open batch of every shard the object's records went to: an
+// ordinary record — no barrier, no flush, no mailbox send of its own — and
+// returns, so the caller may kill the object at once. A worker reaching
+// the record applies the death in its own engine only
+// (monitor.Engine.FreeIDs), so each shard observes the death between
+// exactly the records the producer put it between, and no worker ever
+// waits for another: one liveness bit shared by all shards would let
 // shard B see the death as soon as shard A passed its record, ahead of
-// events B has yet to process. A shard whose engine never met the object
-// skips the record. The producer keeps no per-object state; verdict
-// handlers receive instances over the caller's own refs, which the engines'
-// object tables hold for as long as any θ binds them. A caller that names
-// objects by ID (DispatchIDs, FreeIDs: a server session, a trace replay) is
-// handled alike; its verdicts carry refs that report the IDs.
+// events B has yet to process. Apart from the router's placements the
+// producer keeps no per-object state; verdict handlers receive instances
+// over the caller's own refs, which the engines' object tables hold for as
+// long as any θ binds them. A caller that names objects by ID
+// (DispatchIDs, FreeIDs: a server session, a trace replay) is handled
+// alike; its verdicts carry refs that report the IDs.
 //
 // The free record is an object's only death: a shard never sees an object
 // die that was killed without a Free, and keeps its monitors as though it
@@ -95,7 +100,10 @@ type Options struct {
 	// cluster fanout reports its slots': one call per mailbox batch or
 	// control request that released any, before the request completes,
 	// serialized with OnVerdict, so a shard's release follows every verdict
-	// the shard delivered before it. ids is valid only during the call.
+	// the shard delivered before it. A free also releases its object at
+	// once, on the goroutine calling Free or FreeIDs, on the lanes of the
+	// shards it skips, which hold no record of the object. ids is valid
+	// only during the call.
 	OnRelease func(lanes uint64, ids []uint64)
 	// Shards is the number of worker engines (default: GOMAXPROCS, at most
 	// MaxLanes; more than MaxLanes is refused). The effective count may be
@@ -124,9 +132,13 @@ type Runtime struct {
 	spec    *monitor.Spec
 	workers []*worker
 	events  atomic.Uint64 // Dispatch calls, the merged Stats.Events
-	// router names the shards each event goes to. It keeps no placements
-	// (see Lanes in the package doc), so concurrent producers share it.
-	router *Router
+	// mu serializes the producers through router, which names the shards
+	// each record goes to and keeps the placements (see Lanes in the
+	// package doc); release hands the releases of Router.Free to
+	// Options.OnRelease (nil without one).
+	mu      sync.Mutex
+	router  *Router
+	release func(lanes uint64, ids []uint64)
 	// metric series (nil-safe when telemetry is off).
 	broadcasts *metrics.Counter
 	refusals   *metrics.Counter
@@ -160,7 +172,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if err := opts.Options.Check(spec, opts.Shards); err != nil {
 		return nil, err
 	}
-	router, err := NewRouter(spec, opts.Shards, 0, false)
+	router, err := NewRouter(spec, opts.Shards, 0, true)
 	if err != nil {
 		return nil, err
 	}
@@ -174,6 +186,13 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 		shardMet = metrics.NewShardSeries(opts.MetricsRegistry, label, router.Lanes())
 		rt.broadcasts = shardMet.Broadcasts
 		rt.refusals = shardMet.Refusals
+	}
+	if user := opts.OnRelease; user != nil {
+		rt.release = func(lanes uint64, ids []uint64) {
+			rt.vmu.Lock()
+			user(lanes, ids)
+			rt.vmu.Unlock()
+		}
 	}
 	engOpts := opts.Options
 	if user := opts.OnVerdict; user != nil {
@@ -258,13 +277,16 @@ func (rt *Runtime) Pivot() int { return rt.router.Pivot() }
 // shut-down mailboxes.
 func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
 	rt.checkOpen()
-	// A router without placements reads only the pivot's ID.
 	var buf [param.MaxParams]uint64
-	ids := buf[:rt.spec.Events[sym].Params.Count()]
-	if at := rt.router.at[sym]; at >= 0 {
-		ids[at] = theta.Value(rt.router.pivot).ID()
+	ids := buf[:0]
+	for m := theta.Mask(); m != 0; m = m.Rest() {
+		ids = append(ids, theta.Value(m.First()).ID())
 	}
-	rt.send(rt.router.Route(sym, ids), event{sym: int32(sym), at: refs, inst: theta}, nil)
+	rt.mu.Lock()
+	lanes := rt.router.Route(sym, ids)
+	rt.send(lanes, event{sym: int32(sym), at: refs, inst: theta}, nil)
+	rt.mu.Unlock()
+	rt.sent(lanes)
 }
 
 // DispatchIDs is Dispatch for a caller that names objects by ID (a server
@@ -274,16 +296,48 @@ func (rt *Runtime) Dispatch(sym int, theta param.Instance) {
 // positions. One runtime takes its objects through one of the two entries.
 func (rt *Runtime) DispatchIDs(sym int, ids []uint64) {
 	rt.checkIDs(sym, ids)
-	rt.send(rt.router.Route(sym, ids), event{sym: int32(sym)}, ids)
+	rt.mu.Lock()
+	lanes := rt.router.Route(sym, ids)
+	rt.send(lanes, event{sym: int32(sym)}, ids)
+	rt.mu.Unlock()
+	rt.sent(lanes)
 }
 
-// send enqueues one event record on every shard of lanes, blocking while a
-// mailbox is full, and counts it.
+// send enqueues the event on every shard of lanes, each behind the primers
+// the router gathered for it, blocking while a mailbox is full. Callers
+// hold mu.
 func (rt *Runtime) send(lanes uint64, ev event, ids []uint64) {
 	for m := lanes; m != 0; m &= m - 1 {
-		rt.workers[bits.TrailingZeros64(m)].enqueue(ev, ids)
+		i := bits.TrailingZeros64(m)
+		w := rt.workers[i]
+		w.mu.Lock()
+		rt.prime(w, i, ev)
+		w.enqueueLocked(ev, ids)
+		w.mu.Unlock()
 	}
-	rt.sent(lanes)
+}
+
+// prime adds to the open batch of shard i, which w runs, the primers of
+// the event ev the router gathered for it: each names one of the event's
+// objects, by ref when the event does. Callers hold mu and w.mu.
+func (rt *Runtime) prime(w *worker, i int, ev event) {
+	for _, p := range rt.router.Primers() {
+		if p.Lanes&(1<<uint(i)) == 0 {
+			continue
+		}
+		if ev.at != refs {
+			one := [1]uint64{p.ID}
+			w.addLocked(event{sym: int32(p.Sym)}, one[:])
+			continue
+		}
+		x := rt.spec.Events[p.Sym].Params.First()
+		for m := ev.inst.Mask(); m != 0; m = m.Rest() {
+			if v := ev.inst.Value(m.First()); v.ID() == p.ID {
+				w.addLocked(event{sym: int32(p.Sym), at: refs, inst: param.Empty().Bind(x, v)}, nil)
+				break
+			}
+		}
+	}
 }
 
 // sent counts an event the shards of lanes accepted.
@@ -315,30 +369,41 @@ func (rt *Runtime) QueueDepths() []int {
 	return out
 }
 
-// TryDispatchIDs is the non-blocking DispatchIDs: it enqueues the event and
-// returns true only when every shard it goes to can accept it without
-// blocking. A refused event is enqueued nowhere (all-or-nothing, so an
-// event for several shards cannot be half-delivered). Callers retrying
-// TryDispatchIDs must preserve their own per-slice ordering.
+// TryDispatchIDs is the non-blocking DispatchIDs: it enqueues the event,
+// behind its primers, and returns true only when every shard it goes to
+// can accept them without blocking. A refused event is enqueued nowhere
+// and placed nowhere (all-or-nothing, so an event for several shards
+// cannot be half-delivered, and the router's placements stay as they
+// were). Callers retrying TryDispatchIDs must preserve their own per-slice
+// ordering.
 func (rt *Runtime) TryDispatchIDs(sym int, ids []uint64) bool {
 	rt.checkIDs(sym, ids)
-	lanes := rt.router.Route(sym, ids)
+	rt.mu.Lock()
+	lanes := rt.router.Peek(sym, ids)
 	// Take every target shard's lock in index order, check, then commit.
 	// Mailbox sends only ever happen under the shard's lock, so a positive
-	// canAccept cannot be invalidated before the enqueue.
+	// canAccept cannot be invalidated before the enqueue. The primers ride
+	// in the event's batch.
 	ok := true
 	for m := lanes; m != 0; m &= m - 1 {
 		w := rt.workers[bits.TrailingZeros64(m)]
 		w.mu.Lock()
 		ok = ok && w.canAccept()
 	}
+	if ok {
+		rt.router.Place(sym, ids, lanes)
+	}
+	ev := event{sym: int32(sym)}
 	for m := lanes; m != 0; m &= m - 1 {
-		w := rt.workers[bits.TrailingZeros64(m)]
+		i := bits.TrailingZeros64(m)
+		w := rt.workers[i]
 		if ok {
-			w.enqueueLocked(event{sym: int32(sym)}, ids)
+			rt.prime(w, i, ev)
+			w.enqueueLocked(ev, ids)
 		}
 		w.mu.Unlock()
 	}
+	rt.mu.Unlock()
 	if !ok {
 		rt.refusals.Inc()
 		return false
@@ -348,31 +413,38 @@ func (rt *Runtime) TryDispatchIDs(sym int, ids []uint64) bool {
 }
 
 // Free implements monitor.Runtime: the object's death becomes one record
-// in every shard's open batch, positioned behind every event dispatched
-// before the call, and the call returns — the producer never waits for a
-// worker. The engines never ask the ref, so the caller may kill the object
-// at once: the events ahead of the record still find it alive, and each
-// shard sees the death when its worker reaches the record. A shard whose
-// engine never met the object skips it, and a second Free of the object
-// changes nothing. After Close it is a silent no-op.
+// in the open batch of every shard its records went to, positioned behind
+// every event dispatched before the call, and the call returns — the
+// producer never waits for a worker. The engines never ask the ref, so the
+// caller may kill the object at once: the events ahead of the record still
+// find it alive, and each shard sees the death when its worker reaches the
+// record. A second Free of the object changes nothing. After Close it is a
+// silent no-op.
 func (rt *Runtime) Free(ref heap.Ref) {
 	id := [1]uint64{ref.ID()}
 	rt.FreeIDs(id[:])
 }
 
 // FreeIDs is Free for objects named by ID: each death becomes one record in
-// every shard's open batch, at this point of the stream.
+// the open batch of every shard its object's records went to, at this
+// point of the stream (Router.Free), and the object is released at once on
+// the other shards, which hold no record of it (Options.OnRelease).
 func (rt *Runtime) FreeIDs(ids []uint64) {
 	if rt.closed || len(ids) == 0 {
 		return
 	}
-	for _, w := range rt.workers {
+	rt.mu.Lock()
+	for m := rt.router.Free(ids, rt.release); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		share := rt.router.Share(ids, i)
+		w := rt.workers[i]
 		w.mu.Lock()
-		for k := range ids {
-			w.enqueueLocked(event{sym: freeSym}, ids[k:k+1])
+		for k := range share {
+			w.enqueueLocked(event{sym: freeSym}, share[k:k+1])
 		}
 		w.mu.Unlock()
 	}
+	rt.mu.Unlock()
 	rt.arm()
 }
 

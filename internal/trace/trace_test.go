@@ -107,8 +107,9 @@ func vkey(v monitor.Verdict) string {
 	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
 }
 
-// runOnline feeds the stream to a fresh sequential engine the way the
-// online drivers do and returns its settled stats and sorted verdicts.
+// runOnline feeds the stream to a fresh sequential engine the way a
+// server session does — by ID, each death a FreeIDs at its position — and
+// returns its settled stats and sorted verdicts.
 func runOnline(t testing.TB, spec *monitor.Spec, steps []step, opts monitor.Options) (monitor.Stats, []string) {
 	t.Helper()
 	var verdicts []string
@@ -117,32 +118,12 @@ func runOnline(t testing.TB, spec *monitor.Spec, steps []step, opts monitor.Opti
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs := map[uint64]*tref{}
-	ref := func(id uint64) *tref {
-		o := objs[id]
-		if o == nil {
-			o = &tref{id: id}
-			objs[id] = o
-		}
-		return o
-	}
-	masks := spec.EventParams()
 	for _, st := range steps {
 		if st.sym < 0 {
-			for _, id := range st.ids {
-				o := ref(id)
-				eng.Free(o)
-				o.dead.Store(true)
-			}
-			continue
+			eng.FreeIDs(st.ids)
+		} else {
+			eng.DispatchIDs(st.sym, st.ids)
 		}
-		theta := param.Empty()
-		k := 0
-		for m := masks[st.sym]; m != 0; m = m.Rest() {
-			theta = theta.Bind(m.First(), ref(st.ids[k]))
-			k++
-		}
-		eng.Dispatch(st.sym, theta)
 	}
 	eng.Flush()
 	stats := eng.Stats()

@@ -75,7 +75,7 @@ func (l *live) Close() { l.s.Close() }
 // engine, shards > 0 shards, or a session of max(shards, 1) lanes on the
 // server at remote.
 func liveBackend(name string, lanes, shards int, remote string) conformance.Backend {
-	return conformance.Backend{Name: name, Lanes: lanes, Open: func(t *testing.T, sp *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
+	return conformance.Backend{Name: name, Lanes: lanes, Lazy: shards == 0 && remote == "", Open: func(t *testing.T, sp *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
 		prop, err := spec.Builtin(sp.Name)
 		if err != nil {
 			t.Fatal(err)
