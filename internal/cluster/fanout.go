@@ -172,7 +172,7 @@ func newFanout(spec *monitor.Spec, cfg fanoutConfig) (*fanout, error) {
 	}
 	// An unshardable spec gets a single slot: on one node it still gives
 	// the remote-cluster deployment shape (and handoff) without routing.
-	router, err := shard.NewRouter(spec, nslots, cfg.seed, true)
+	router, err := shard.NewRouter(spec, nslots, cfg.seed)
 	if err != nil {
 		return nil, err
 	}

@@ -43,6 +43,8 @@
 package index
 
 import (
+	"slices"
+
 	"rvgo/internal/arena"
 	"rvgo/internal/param"
 )
@@ -89,6 +91,10 @@ func (s *Set) Members() []Handle { return s.items }
 
 // Full reports whether the next Add grows the member vector.
 func (s *Set) Full() bool { return len(s.items) == cap(s.items) }
+
+// Grow makes room for n more members, so that the next n Adds do not grow
+// the member vector.
+func (s *Set) Grow(n int) { s.items = slices.Grow(s.items, n) }
 
 // Add appends a monitor and retains it.
 func (s *Set) Add(r Resolver, h Handle) {

@@ -238,46 +238,89 @@ func checkObjects(o *objects) error {
 	return nil
 }
 
-// checkDeaths holds a positioned engine to what FreeIDs promises on return:
-// no mapped θ-record binds a dead object unless it has no leaf and either
-// its monitor is unflagged and kept alive by the GC policy, or it is a
-// tombstone the policy keeps (none, or alldead with a live object); no
-// flagged monitor, and none over a dead object, is still referenced by its
-// domain registry. FreeIDs runs it under race builds. A lazy engine's
-// deaths wait for its sweep, so it is not held to this.
+// checkDeaths holds a positioned engine to what FreeIDs promises on return,
+// over the whole θ-table and every monitor: no mapped θ-record binds a dead
+// object unless it has no leaf and either its monitor is unflagged and kept
+// alive by the GC policy, or it is a tombstone the policy keeps (none, or
+// alldead with a live object); no flagged monitor, and none over a dead
+// object, is still referenced by its domain registry. Flush runs it under
+// race builds, before it collects anything; FreeIDs checks what it changed
+// (checkFreed). A lazy engine's deaths wait for its sweep, so it is not
+// held to this.
 func checkDeaths(e *Engine) error {
 	if e.lazy {
 		return nil
 	}
 	for _, s := range e.intern.All() {
-		if !s.Mapped() || !e.objs.anyDead(&s.B) {
-			continue
-		}
-		inst := lazyInst{e, s.B}
-		t := &s.Data
-		switch {
-		case t.leaf != arena.Nil:
-			return fmt.Errorf("θ %v binds a dead object and keeps a leaf", inst)
-		case t.mon != arena.Nil:
-			if m := e.mons.At(t.mon); m.flags&monFlagged != 0 || !e.keeps(m) {
-				return fmt.Errorf("θ %v binds a dead object and keeps a monitor its policy lets go (flags %#x)", inst, m.flags)
-			}
-		case t.flags&thetaAvoided == 0:
-			return fmt.Errorf("θ %v binds a dead object and is still mapped, with no monitor or tombstone", inst)
-		case e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && e.objs.aliveMask(&s.B).Empty():
-			return fmt.Errorf("θ %v binds a dead object and keeps a tombstone its policy lets go", inst)
+		if err := checkDeadTheta(e, s); err != nil {
+			return err
 		}
 	}
 	for h, m := range e.mons.All() {
-		if m.flags&monInReg == 0 {
-			continue
+		if err := checkRegistered(e, h, m); err != nil {
+			return err
 		}
-		if m.flags&monFlagged != 0 {
-			return fmt.Errorf("flagged monitor %v for %v is still in its registry", h, lazyInst{e, *e.bindOf(m)})
+	}
+	return nil
+}
+
+// checkFreed is checkDeaths over what one FreeIDs changed: the θ-records
+// on the freed objects' lists, and the monitors that were Δ of one of them
+// when the free began. A monitor a free flags binds the dead object, so it
+// is among those; so is every θ-record that binds the object.
+func checkFreed(e *Engine, ths, mons []arena.Handle) error {
+	if e.lazy {
+		return nil
+	}
+	for _, th := range ths {
+		if s, ok := e.intern.Live(th); ok {
+			if err := checkDeadTheta(e, s); err != nil {
+				return err
+			}
 		}
-		if e.objs.anyDead(e.bindOf(m)) {
-			return fmt.Errorf("monitor %v for %v binds a dead object and is still in its registry", h, lazyInst{e, *e.bindOf(m)})
+	}
+	for _, h := range mons {
+		if m, ok := e.mons.Get(h); ok {
+			if err := checkRegistered(e, h, m); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// checkDeadTheta is checkDeaths' rule for one θ-record.
+func checkDeadTheta(e *Engine, s *param.Slot[theta]) error {
+	if !s.Mapped() || !e.objs.anyDead(&s.B) {
+		return nil
+	}
+	inst := lazyInst{e, s.B}
+	t := &s.Data
+	switch {
+	case t.leaf != arena.Nil:
+		return fmt.Errorf("θ %v binds a dead object and keeps a leaf", inst)
+	case t.mon != arena.Nil:
+		if m := e.mons.At(t.mon); m.flags&monFlagged != 0 || !e.keeps(m) {
+			return fmt.Errorf("θ %v binds a dead object and keeps a monitor its policy lets go (flags %#x)", inst, m.flags)
+		}
+	case t.flags&thetaAvoided == 0:
+		return fmt.Errorf("θ %v binds a dead object and is still mapped, with no monitor or tombstone", inst)
+	case e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && e.objs.aliveMask(&s.B).Empty():
+		return fmt.Errorf("θ %v binds a dead object and keeps a tombstone its policy lets go", inst)
+	}
+	return nil
+}
+
+// checkRegistered is checkDeaths' rule for one monitor.
+func checkRegistered(e *Engine, h arena.Handle, m *Mon) error {
+	if m.flags&monInReg == 0 {
+		return nil
+	}
+	if m.flags&monFlagged != 0 {
+		return fmt.Errorf("flagged monitor %v for %v is still in its registry", h, lazyInst{e, *e.bindOf(m)})
+	}
+	if e.objs.anyDead(e.bindOf(m)) {
+		return fmt.Errorf("monitor %v for %v binds a dead object and is still in its registry", h, lazyInst{e, *e.bindOf(m)})
 	}
 	return nil
 }

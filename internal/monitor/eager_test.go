@@ -256,3 +256,49 @@ func TestPositionedChurnNoAlloc(t *testing.T) {
 		t.Errorf("%d object records held, want the collection's (and at most one iterator's)", n)
 	}
 }
+
+// TestRegistryChurnNearCapacity: a positioned engine whose live monitors of
+// one domain stay just below a power of two — each generation frees one
+// iterator, whose monitor dies, updates the collection, whose leaf lets go
+// of that monitor, and creates one — compacts that domain's
+// registry about once per half a capacity of inserts, not at every insert,
+// and the registry stays within a small multiple of the live monitors.
+func TestRegistryChurnNearCapacity(t *testing.T) {
+	const live, generations = 127, 20_000
+	eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCCoenable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = 1
+	ci, it, col := []uint64{c, 0}, []uint64{0}, []uint64{c}
+	create := func(i uint64) {
+		ci[1] = i
+		eng.DispatchIDs(symCreate, ci)
+	}
+	for i := uint64(2); i < 2+live; i++ {
+		create(i)
+	}
+	R := param.SetOf(0, 1)
+	compactions, maxCap := 0, 0
+	prev, _ := monitor.RegistryShape(eng, R)
+	for g := uint64(0); g < generations; g++ {
+		it[0] = 2 + g
+		eng.FreeIDs(it)
+		eng.DispatchIDs(symUpdate, col)
+		create(2 + live + g)
+		n, c := monitor.RegistryShape(eng, R)
+		if n <= prev {
+			compactions++
+		}
+		prev, maxCap = n, max(maxCap, c)
+	}
+	if st := eng.Stats(); st.Collected < generations {
+		t.Fatalf("collected %d of %d dead iterators' monitors: %+v", st.Collected, generations, st)
+	}
+	if compactions > generations/32 {
+		t.Errorf("%d registry compactions in %d inserts near capacity, want at most %d", compactions, generations, generations/32)
+	}
+	if maxCap > 8*live {
+		t.Errorf("registry grew to %d entries for %d live monitors", maxCap, live)
+	}
+}

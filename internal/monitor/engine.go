@@ -349,6 +349,9 @@ type Engine struct {
 	// engine's collection allocates nothing.
 	retire, flagged       []arena.Handle
 	retireBuf, flaggedBuf [8]arena.Handle
+	// checked is, under race builds, what the last FreeIDs touched: the
+	// θ-records it retired, then their monitors (checkFreed).
+	checked []arena.Handle
 
 	// profGuards/prof are Options.ProfileGuards/Profile.
 	profGuards []bool
@@ -1225,13 +1228,20 @@ func alive(disjuncts []param.Set, deadBound param.Set) bool {
 // insert places a monitor into its domain's registry and, for every key
 // domain K of its domain, into the leaf under θ|K. A positioned engine's
 // registry, which keeps the entries of the monitors it let go of, is
-// compacted first when it is about to grow.
+// compacted first when it is about to grow, and grown to twice what is left
+// when that freed less than half of it: a churn whose live entries stay
+// just below the capacity then compacts once per half a capacity of
+// inserts, not at every insert.
 func (e *Engine) insert(h arena.Handle) {
 	m := e.mons.At(h)
 	b := e.bindOf(m)
 	d := e.domainOf(b.Mask)
 	if !e.lazy && d.all.Full() {
+		c := d.all.Len()
 		d.all.Compact((*registry)(e))
+		if n := d.all.Len(); 2*n > c {
+			d.all.Grow(n)
+		}
 	}
 	d.all.Add(e, h)
 	m.flags |= monInReg
@@ -1423,6 +1433,11 @@ func (e *Engine) deadParam(h index.Handle) bool {
 // keys were already compacted. The second pass re-compacts with the settled
 // flag state, releasing every flagged monitor from every container.
 func (e *Engine) Flush() {
+	if poolCheck {
+		if err := checkDeaths(e); err != nil {
+			panic("monitor: before Flush: " + err.Error())
+		}
+	}
 	for pass := 0; pass < 2; pass++ {
 		for _, s := range e.intern.All() {
 			if s.Data.leaf != arena.Nil && e.objs.allAlive(&s.B) {

@@ -36,6 +36,13 @@ func IndexStats(e *Engine) (leaves arena.Stats, vectors, registered int) {
 	return e.leaves.Stats(), e.leaves.Vectors(), registered
 }
 
+// RegistryShape returns the length and the capacity of domain R's
+// registry member vector, stale entries included.
+func RegistryShape(e *Engine, R param.Set) (n, c int) {
+	m := e.domainOf(R).all.Members()
+	return len(m), cap(m)
+}
+
 // LeafLen returns the size of the leaf for domain R under the key tuple, or
 // -1 if the key or the leaf does not exist.
 func LeafLen(e *Engine, key param.Instance, R param.Set) int {

@@ -21,7 +21,7 @@ func TestJoinPlansFollowSpecJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := shard.NewRouter(spec, 2, 0, true)
+		r, err := shard.NewRouter(spec, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

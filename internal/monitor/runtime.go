@@ -155,9 +155,18 @@ func (e *Engine) FreeIDs(ids []uint64) {
 			}
 		}
 	}
+	if poolCheck {
+		e.checked = append(e.checked[:0], e.retire...)
+		for _, th := range e.retire {
+			if h := e.intern.At(th).Data.mon; h != arena.Nil {
+				e.checked = append(e.checked, h)
+			}
+		}
+	}
+	n := len(e.retire)
 	e.settle()
 	if poolCheck {
-		if err := checkDeaths(e); err != nil {
+		if err := checkFreed(e, e.checked[:n], e.checked[n:]); err != nil {
 			panic("monitor: after FreeIDs: " + err.Error())
 		}
 	}

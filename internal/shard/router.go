@@ -19,9 +19,8 @@ const MaxLanes = 64
 // needs. It exploits the slicing semantics (paper §2): trace slices for
 // incompatible parameter instances are independent, so the monitor store
 // can be partitioned — provided every record reaches every lane whose
-// monitors its slice touches. A Router that keeps placements is not safe
-// for concurrent use (its owner serializes the stream through it); one
-// that keeps none only reads its tables in Route.
+// monitors its slice touches. A Router is not safe for concurrent use: its
+// owner serializes the stream through it.
 //
 // Pivot. The partition key is a spec-level pivot parameter p, chosen so
 // that every monitor-creating event binds p (see Pivot). Under the
@@ -40,14 +39,13 @@ const MaxLanes = 64
 //
 // Placements. An event that does not bind p, and a free, matter only to
 // the lanes whose slices bind their objects, and those are among the lanes
-// the objects' records went to. A Router built with places keeps, per live
-// object, that set of lanes (its placement), from its first record to its
-// free. A maskable event (Maskable) goes only to its object's lanes; the
-// rest — an event of more than one parameter, a propositional one, one
-// that joins with any object's monitors, and any event of an object no
-// record named yet — go to every lane. Every object an event names enters
-// the lanes it goes to into its placement. Without places every event not
-// binding p, and every free, goes to every lane.
+// the objects' records went to. A Router keeps, per live object, that set
+// of lanes (its placement), from its first record to its free. A maskable
+// event (Maskable) goes only to its object's lanes; the rest — an event of
+// more than one parameter, a propositional one, one that joins with any
+// object's monitors, and any event of an object no record named yet — go
+// to every lane. Every object an event names enters the lanes it goes to
+// into its placement.
 //
 // Primers. One effect of a masked event is lost on the lanes it skips: the
 // stamp of its domain on the object, which the engine's fresh-object
@@ -77,14 +75,13 @@ type Router struct {
 	params   []param.Set
 	primer   [param.MaxParams]int
 
-	// The placements, by object ID, when places is set: entries found
-	// through an open-addressing index that stores handle+1 and reads the ID
-	// back from the entry, and reused once freed, so a placement costs no
-	// allocation once the table has grown to the live objects.
-	places bool
-	idx    probe.Table[uint32]
-	recs   []placement
-	free   []uint32 // recycled handles, LIFO
+	// The placements, by object ID: entries found through an
+	// open-addressing index that stores handle+1 and reads the ID back from
+	// the entry, and reused once freed, so a placement costs no allocation
+	// once the table has grown to the live objects.
+	idx  probe.Table[uint32]
+	recs []placement
+	free []uint32 // recycled handles, LIFO
 
 	// Scratch: Peek's primers and the placements it found for each ID (+1,
 	// 0 for none), Free's lanes per ID, one lane's share of them, and the
@@ -156,10 +153,8 @@ func LaneOf(id, seed uint64, lanes int) int { return int(mix(id^seed) % uint64(l
 
 // NewRouter analyzes the spec and builds the core for the given number of
 // lanes, at most MaxLanes; seed perturbs LaneOf. A spec with no pivot is
-// unshardable and gets one lane, whatever was asked. Without places the
-// router keeps no placements: an event not binding the pivot, and every
-// free, goes to every lane.
-func NewRouter(spec *monitor.Spec, lanes int, seed uint64, places bool) (*Router, error) {
+// unshardable and gets one lane, whatever was asked.
+func NewRouter(spec *monitor.Spec, lanes int, seed uint64) (*Router, error) {
 	if lanes < 1 || lanes > MaxLanes {
 		return nil, fmt.Errorf("shard: %d lanes, want 1..%d", lanes, MaxLanes)
 	}
@@ -175,7 +170,7 @@ func NewRouter(spec *monitor.Spec, lanes int, seed uint64, places bool) (*Router
 	r := &Router{
 		lanes: lanes, seed: seed, all: ^uint64(0) >> uint(64-lanes), pivot: pivot,
 		at: make([]int, n), maskable: make([]bool, n), params: make([]param.Set, n),
-		places: places, idx: probe.New[uint32](),
+		idx: probe.New[uint32](),
 	}
 	for sym, ev := range spec.Events {
 		r.params[sym] = ev.Params
@@ -184,7 +179,7 @@ func NewRouter(spec *monitor.Spec, lanes int, seed uint64, places bool) (*Router
 			r.at[sym] = (ev.Params & (1<<uint(pivot) - 1)).Count()
 		}
 		// A join plan of a one-parameter event misses it when R lacks it.
-		r.maskable[sym] = places && pivot >= 0 && ev.Params.Count() == 1 && !ev.Params.Has(pivot)
+		r.maskable[sym] = pivot >= 0 && ev.Params.Count() == 1 && !ev.Params.Has(pivot)
 		for _, R := range an.Domains {
 			if spec.Joins(sym, R, monitor.CreateEnable) && !R.Has(ev.Params.First()) {
 				r.maskable[sym] = false
@@ -198,8 +193,8 @@ func NewRouter(spec *monitor.Spec, lanes int, seed uint64, places bool) (*Router
 }
 
 // Maskable reports whether an event of symbol sym need reach only the lanes
-// its object was already sent to, where it would otherwise go to every lane;
-// a router that keeps no placements masks nothing. It binds exactly one
+// its object was already sent to, where it would otherwise go to every lane.
+// It binds exactly one
 // parameter, not the pivot, and none of its join plans (monitor.Spec.Joins
 // under CreateEnable) has an empty overlap with it; a one-parameter event's
 // join plans are domains without its parameter, so it has none. On a lane
@@ -225,8 +220,8 @@ func (r *Router) All() uint64 { return r.all }
 func (r *Router) Pivot() int { return r.pivot }
 
 // Route returns the lanes the event sym over the objects ids (D(sym) in
-// ascending parameter order) goes to and, on a router that keeps
-// placements, enters the event into its objects' placements and gathers
+// ascending parameter order) goes to, enters the event into its objects'
+// placements and gathers
 // the records that must reach some of its lanes first (Primers): Peek,
 // then Place.
 func (r *Router) Route(sym int, ids []uint64) uint64 {
@@ -251,9 +246,6 @@ func (r *Router) Peek(sym int, ids []uint64) uint64 {
 			lanes = r.recs[h-1].lanes
 		}
 	}
-	if !r.places {
-		return lanes
-	}
 	r.primers = r.primers[:0]
 	for k, id := range ids {
 		h := r.find(id)
@@ -274,7 +266,7 @@ func (r *Router) Peek(sym int, ids []uint64) uint64 {
 // Place enters the event the last Peek looked at, sent to lanes, into its
 // objects' placements.
 func (r *Router) Place(sym int, ids []uint64, lanes uint64) {
-	if r.lanes == 1 || !r.places {
+	if r.lanes == 1 {
 		return
 	}
 	var stamp param.Set

@@ -29,7 +29,7 @@ func TestPivotBindsCreationEvents(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		r, err := shard.NewRouter(spec, 4, 0, false)
+		r, err := shard.NewRouter(spec, 4, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -58,7 +58,7 @@ func TestRouterHasNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(spec, 4, 0, false)
+	r, err := shard.NewRouter(spec, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRouterBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := shard.NewRouter(spec, 4, 0, false)
+	r, err := shard.NewRouter(spec, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestMaskable(t *testing.T) {
 	}
 	specs := append(conformance.Specs(t), joinAnySpec(t), unshardableSpec(t))
 	for _, spec := range specs {
-		r, err := shard.NewRouter(spec, 2, 0, true)
+		r, err := shard.NewRouter(spec, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

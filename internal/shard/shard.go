@@ -172,7 +172,7 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	if err := opts.Options.Check(spec, opts.Shards); err != nil {
 		return nil, err
 	}
-	router, err := NewRouter(spec, opts.Shards, 0, true)
+	router, err := NewRouter(spec, opts.Shards, 0)
 	if err != nil {
 		return nil, err
 	}
