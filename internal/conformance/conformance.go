@@ -25,9 +25,11 @@ type Backend struct {
 	Lanes int
 	// ByID feeds the backend through DispatchIDs and FreeIDs.
 	ByID bool
-	// Lazy marks a backend that finds deaths by sweeping — the sequential
-	// engine fed refs, whose Free positions nothing: Diff holds it to the
-	// lazy reference, and every other backend to the positioned one.
+	// Lazy marks a backend that finds its own deaths — the sequential
+	// engine fed refs, whose Free positions nothing, sweeps for them and
+	// collects what it finds as it collects a positioned death: Diff
+	// holds it to the lazy reference, whose sweeps find the same deaths at
+	// the same events, and every other backend to the positioned one.
 	Lazy bool
 	// Open builds the backend for spec under m, delivering verdicts to
 	// onVerdict. The harness closes what it returns.

@@ -145,23 +145,6 @@ func (s *Set) AppendLive(r Resolver, buf []Handle) []Handle {
 // Compact removes collectable members without visiting.
 func (s *Set) Compact(r Resolver) { s.ForEach(r, func(Handle) {}) }
 
-// CompactWith removes collectable members and members for which drop
-// returns true (used by the engine's weak domain registries: a member
-// whose bound parameter object died would be unreachable through any weak
-// key, so registries release it too).
-func (s *Set) CompactWith(r Resolver, drop func(Handle) bool) {
-	w := 0
-	for _, h := range s.items {
-		if r.Collectable(h) || drop(h) {
-			r.Release(h)
-			continue
-		}
-		s.items[w] = h
-		w++
-	}
-	s.items = s.items[:w]
-}
-
 // Leaf is one leaf record, M(κ, R): the monitors of domain exactly R whose
 // instance extends the key tuple κ of the θ-record whose chain it is on.
 type Leaf struct {

@@ -88,7 +88,7 @@ func CheckTheta(e *Engine, flushed bool) error {
 		if t.leaf != arena.Nil && !s.Mapped() {
 			return fmt.Errorf("θ %v has a leaf but is unmapped", inst)
 		}
-		if t.leaf != arena.Nil && flushed && !allAlive(e, &s.B) {
+		if t.leaf != arena.Nil && flushed && !e.objs.allAlive(&s.B) {
 			return fmt.Errorf("after Flush θ %v has a dead object and a leaf", inst)
 		}
 		var prev *index.Leaf
@@ -155,7 +155,7 @@ func CheckTheta(e *Engine, flushed bool) error {
 		if r.pins != objPins[uint32(oh)] {
 			return fmt.Errorf("object %d has %d pins, %d θ-records bind it", r.id, r.pins, objPins[uint32(oh)])
 		}
-		if flushed && r.pins == 0 && !aliveRec(r) {
+		if flushed && r.pins == 0 && !e.objs.alive(uint32(oh)) {
 			return fmt.Errorf("after Flush object %d is dead and unpinned but still recorded", r.id)
 		}
 	}
@@ -185,20 +185,6 @@ type lazyInst struct {
 }
 
 func (l lazyInst) String() string { return l.e.instance(&l.b).String() }
-
-// aliveRec and allAlive read liveness as the engine does, without caching a
-// death the engine has yet to observe: a held record's from the record
-// alone.
-func aliveRec(r *object) bool { return !r.dead && (r.held || r.ref.Alive()) }
-
-func allAlive(e *Engine, b *param.Binding) bool {
-	for m := b.Mask; m != 0; m = m.Rest() {
-		if !aliveRec(&e.objs.recs[b.H[m.First()]]) {
-			return false
-		}
-	}
-	return true
-}
 
 // checkObjects holds the object table's ID index and records to each
 // other: the index stores each live record once, reached by probing from
@@ -238,19 +224,18 @@ func checkObjects(o *objects) error {
 	return nil
 }
 
-// checkDeaths holds a positioned engine to what FreeIDs promises on return,
-// over the whole θ-table and every monitor: no mapped θ-record binds a dead
-// object unless it has no leaf and either its monitor is unflagged and kept
-// alive by the GC policy, or it is a tombstone the policy keeps (none, or
-// alldead with a live object); no flagged monitor, and none over a dead
-// object, is still referenced by its domain registry. Flush runs it under
-// race builds, before it collects anything; FreeIDs checks what it changed
-// (checkFreed). A lazy engine's deaths wait for its sweep, so it is not
-// held to this.
+// checkDeaths holds an engine to what settle promises, over the whole
+// θ-table and every monitor: no mapped θ-record binds an object whose
+// death the engine knows of unless it has no leaf and either its monitor
+// is unflagged and kept alive by the GC policy, or it is a tombstone the
+// policy keeps (none, or alldead with a live object); no flagged monitor,
+// and none over such an object, is still referenced by its domain
+// registry. A positioned engine knows each death from its free on; a lazy
+// one from the sweep that finds it, so the deaths its sweeps have not
+// found yet are not checked. Race builds run it at the end of every sweep
+// and before Flush collects anything; FreeIDs checks what it changed
+// (checkFreed).
 func checkDeaths(e *Engine) error {
-	if e.lazy {
-		return nil
-	}
 	for _, s := range e.intern.All() {
 		if err := checkDeadTheta(e, s); err != nil {
 			return err
@@ -269,9 +254,6 @@ func checkDeaths(e *Engine) error {
 // when the free began. A monitor a free flags binds the dead object, so it
 // is among those; so is every θ-record that binds the object.
 func checkFreed(e *Engine, ths, mons []arena.Handle) error {
-	if e.lazy {
-		return nil
-	}
 	for _, th := range ths {
 		if s, ok := e.intern.Live(th); ok {
 			if err := checkDeadTheta(e, s); err != nil {
@@ -305,7 +287,7 @@ func checkDeadTheta(e *Engine, s *param.Slot[theta]) error {
 		}
 	case t.flags&thetaAvoided == 0:
 		return fmt.Errorf("θ %v binds a dead object and is still mapped, with no monitor or tombstone", inst)
-	case e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && e.objs.aliveMask(&s.B).Empty():
+	case e.opts.GC == GCCoenable || e.opts.GC == GCAllDead && e.notDead(&s.B).Empty():
 		return fmt.Errorf("θ %v binds a dead object and keeps a tombstone its policy lets go", inst)
 	}
 	return nil
@@ -326,10 +308,11 @@ func checkRegistered(e *Engine, h arena.Handle, m *Mon) error {
 }
 
 // keeps reports whether the GC policy keeps a monitor alive given which of
-// its objects are dead — NotifyParamDeath's test, without flagging.
+// its objects' deaths the engine knows of — NotifyParamDeath's test,
+// without flagging.
 func (e *Engine) keeps(m *Mon) bool {
 	b := e.bindOf(m)
-	am := e.objs.aliveMask(b)
+	am := e.notDead(b)
 	switch {
 	case e.opts.GC == GCNone:
 		return true
@@ -337,4 +320,18 @@ func (e *Engine) keeps(m *Mon) bool {
 		return alive(e.an.CoenParams[m.lastSym], b.Mask.Diff(am))
 	}
 	return !am.Empty()
+}
+
+// notDead returns the parameters of b whose objects' deaths the engine does
+// not know of: the liveness checkDeaths holds it to. Settle read a death
+// it knew of, or one the ref showed, so a monitor or tombstone settle kept
+// is kept under this liveness too.
+func (e *Engine) notDead(b *param.Binding) param.Set {
+	var s param.Set
+	for m := b.Mask; m != 0; m = m.Rest() {
+		if i := m.First(); !e.objs.recs[b.H[i]].dead {
+			s |= 1 << uint(i)
+		}
+	}
+	return s
 }

@@ -216,7 +216,8 @@ func fuzzSteps(spec *monitor.Spec, in []byte) []conformance.Step {
 // iterator at its free — generations of create, next, free, update,
 // update over one collection — and, once warm, allocates nothing per
 // generation: the θ lists, θ-records, monitors and leaf entries of a dead
-// iterator are recycled for the next one. It never sweeps before Flush.
+// iterator are recycled for the next one. It never sweeps, not even in
+// Flush.
 func TestPositionedChurnNoAlloc(t *testing.T) {
 	if monitor.RaceBuild {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -255,50 +256,92 @@ func TestPositionedChurnNoAlloc(t *testing.T) {
 	if n := monitor.HeldRefs(eng); n > 2 {
 		t.Errorf("%d object records held, want the collection's (and at most one iterator's)", n)
 	}
+	eng.Flush()
+	if n := met.Sweeps.Value(); n != 0 {
+		t.Errorf("a positioned engine's Flush swept %d times", n)
+	}
 }
 
-// TestRegistryChurnNearCapacity: a positioned engine whose live monitors of
-// one domain stay just below a power of two — each generation frees one
+// TestRegistryChurnNearCapacity: an engine whose live monitors of one
+// domain stay just below a power of two — each generation frees one
 // iterator, whose monitor dies, updates the collection, whose leaf lets go
 // of that monitor, and creates one — compacts that domain's
 // registry about once per half a capacity of inserts, not at every insert,
-// and the registry stays within a small multiple of the live monitors.
+// and the registry stays within a small multiple of the live monitors. It
+// holds for an engine fed by ID, told each death by FreeIDs, and for a lazy
+// engine fed refs, which finds the deaths in its sweeps and so counts its
+// collected monitors after Flush.
 func TestRegistryChurnNearCapacity(t *testing.T) {
 	const live, generations = 127, 20_000
-	eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCCoenable})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const c = 1
-	ci, it, col := []uint64{c, 0}, []uint64{0}, []uint64{c}
-	create := func(i uint64) {
-		ci[1] = i
-		eng.DispatchIDs(symCreate, ci)
-	}
-	for i := uint64(2); i < 2+live; i++ {
-		create(i)
-	}
-	R := param.SetOf(0, 1)
-	compactions, maxCap := 0, 0
-	prev, _ := monitor.RegistryShape(eng, R)
-	for g := uint64(0); g < generations; g++ {
-		it[0] = 2 + g
-		eng.FreeIDs(it)
-		eng.DispatchIDs(symUpdate, col)
-		create(2 + live + g)
-		n, c := monitor.RegistryShape(eng, R)
-		if n <= prev {
-			compactions++
-		}
-		prev, maxCap = n, max(maxCap, c)
-	}
-	if st := eng.Stats(); st.Collected < generations {
-		t.Fatalf("collected %d of %d dead iterators' monitors: %+v", st.Collected, generations, st)
-	}
-	if compactions > generations/32 {
-		t.Errorf("%d registry compactions in %d inserts near capacity, want at most %d", compactions, generations, generations/32)
-	}
-	if maxCap > 8*live {
-		t.Errorf("registry grew to %d entries for %d live monitors", maxCap, live)
+	for _, lazy := range []bool{false, true} {
+		t.Run(map[bool]string{false: "by ID", true: "lazy"}[lazy], func(t *testing.T) {
+			eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCCoenable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const c = 1
+			ci, it, col := []uint64{c, 0}, []uint64{0}, []uint64{c}
+			h := heap.New()
+			refs := map[uint64]*heap.Object{}
+			ref := func(i uint64) *heap.Object {
+				if refs[i] == nil {
+					refs[i] = h.Alloc("")
+				}
+				return refs[i]
+			}
+			create := func(i uint64) {
+				if lazy {
+					monitor.Emit(eng, symCreate, ref(c), ref(i))
+					return
+				}
+				ci[1] = i
+				eng.DispatchIDs(symCreate, ci)
+			}
+			free := func(i uint64) {
+				if lazy {
+					h.Free(ref(i))
+					delete(refs, i)
+					return
+				}
+				it[0] = i
+				eng.FreeIDs(it)
+			}
+			update := func() {
+				if lazy {
+					monitor.Emit(eng, symUpdate, ref(c))
+					return
+				}
+				eng.DispatchIDs(symUpdate, col)
+			}
+			for i := uint64(2); i < 2+live; i++ {
+				create(i)
+			}
+			R := param.SetOf(0, 1)
+			compactions, maxCap := 0, 0
+			prev, _ := monitor.RegistryShape(eng, R)
+			for g := uint64(0); g < generations; g++ {
+				free(2 + g)
+				update()
+				create(2 + live + g)
+				n, c := monitor.RegistryShape(eng, R)
+				if n <= prev {
+					compactions++
+				}
+				prev, maxCap = n, max(maxCap, c)
+			}
+			t.Logf("%d registry compactions, at most %d entries", compactions, maxCap)
+			if lazy {
+				eng.Flush()
+			}
+			if st := eng.Stats(); st.Collected < generations {
+				t.Fatalf("collected %d of %d dead iterators' monitors: %+v", st.Collected, generations, st)
+			}
+			if compactions > generations/32 {
+				t.Errorf("%d registry compactions in %d inserts near capacity, want at most %d", compactions, generations, generations/32)
+			}
+			if maxCap > 8*live {
+				t.Errorf("registry grew to %d entries for %d live monitors", maxCap, live)
+			}
+		})
 	}
 }

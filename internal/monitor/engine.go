@@ -80,15 +80,16 @@ type Options struct {
 	// session's reader goroutine and must not call back into the client.
 	OnVerdict func(Verdict)
 	// SweepInterval is the longest run of events without a sweep, a lazy
-	// engine's one death-discovery pass: θ-records with a dead object lose
-	// their leaves, Δ entry, tombstone and table mapping. 0 selects the
-	// default, max(4096, θ-table size after the last sweep), so a large
-	// steady table is visited at most once per event. Independently of
-	// the period, a sweep falls due whenever the θ-table has doubled since
-	// the last one (see Engine.sweep). Only a lazy engine, one fed refs
-	// through Dispatch, sweeps between Flushes: an engine whose deaths are
-	// positioned (DispatchIDs, DispatchHeld and FreeIDs) applies each at
-	// its free and ignores the interval.
+	// engine's one death-discovery pass: it finds the θ-records with a dead
+	// object, which then lose their leaves, Δ entry, tombstone and table
+	// mapping. 0 selects the default, max(4096, θ-table size after the last
+	// sweep), so a large steady table is visited at most once per event.
+	// Independently of the period, a sweep falls due once as many θ-records
+	// have been added since the last one as that sweep left in the table
+	// (at least 256 in all; see Engine.sweep). Only a lazy engine, one fed
+	// refs through Dispatch, sweeps: an engine whose deaths are positioned
+	// (DispatchIDs, DispatchHeld and FreeIDs) is told each at its free and
+	// ignores the interval.
 	SweepInterval int
 	// Avoid selects the creation-avoidance mode: off (default), audit
 	// (count guard hits in Stats.Avoided, create anyway), or enforce
@@ -147,8 +148,8 @@ func (o Options) Check(spec *Spec, lanes int) error {
 const publishInterval = 256
 
 // defaultSweepInterval is the shortest period of the default sweep schedule
-// (Options.SweepInterval 0), and minSweepGoal the smallest θ-table size at
-// which a sweep falls due early: the pacer's floor, so a small table is not
+// (Options.SweepInterval 0), and minSweepGoal the smallest θ-table size a
+// sweep's adds goal aims at: the pacer's floor, so a small table is not
 // swept after every few adds.
 const (
 	defaultSweepInterval = 1 << 12
@@ -257,15 +258,16 @@ const (
 // members are monitor handles) — and the object table (objs), whose handles
 // the θ-records bind. The object table is the only holder of the monitored
 // program's refs and the θ-table the only structure keyed by its objects.
-// Deaths reach the engine two ways. A lazy engine, fed refs by Dispatch,
-// notices them only in its sweep, a pass over the whole θ-table that a
-// pacer schedules. A positioned engine, fed by DispatchIDs or DispatchHeld,
-// is told each death by FreeIDs and collects it there: the object's record
-// lists the θ-records that bind it, and settle runs the sweep's body on
-// those alone; such an engine sweeps only in Flush. Every whole-structure
-// pass — the propositional walk, the CreateFull scan, insert, sweep, Flush,
-// Monitors — walks slabs and slices in index order, so nothing the engine
-// computes depends on hash order or on the indexes' random seeds.
+// Deaths are found two ways and collected one way. A lazy engine, fed refs
+// by Dispatch, finds them in its sweep, a pass over the whole θ-table that
+// a pacer schedules. A positioned engine, fed by DispatchIDs or
+// DispatchHeld, is told each death by FreeIDs, and the object's record
+// lists the θ-records that bind it. Either way the θ-records found go to
+// settle, the one collector, which also runs at the end of every event.
+// Every whole-structure pass — the propositional walk, the CreateFull scan,
+// insert, sweep, Flush, Monitors — walks slabs and slices in index order,
+// so nothing the engine computes depends on hash order or on the indexes'
+// random seeds.
 type Engine struct {
 	spec *Spec
 	an   *Analysis
@@ -334,16 +336,16 @@ type Engine struct {
 	domBit    []uint16
 
 	// sinceSwep counts events toward the next sweep of the period schedule,
-	// period is that schedule's current length, and sweepGoal the θ-table
-	// size at which a sweep falls due early (see sweep). The pacer runs only
-	// in a lazy engine: lazy is set by the first Dispatch.
+	// period is that schedule's current length, and sweepAdds the θ-records
+	// still to be added before a sweep falls due early (see sweep). The
+	// pacer runs only in a lazy engine: lazy is set by the first Dispatch.
 	sinceSwep int
 	period    int
-	sweepGoal int
+	sweepAdds int
 	lazy      bool
 
-	// retire and flagged are a positioned engine's collection work, done by
-	// settle: the θ-records a death or an event left binding a dead object,
+	// retire and flagged are the collection work settle does: the
+	// θ-records a death, a sweep or an event found binding a dead object,
 	// and the monitors flagged since the last settle, which leave their
 	// registry there. They start in the engine's own buffers, so a small
 	// engine's collection allocates nothing.
@@ -427,7 +429,7 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		profGuards: opts.ProfileGuards,
 		prof:       opts.Profile,
 		period:     opts.SweepInterval,
-		sweepGoal:  math.MaxInt,
+		sweepAdds:  math.MaxInt,
 	}
 	if e.period <= 0 {
 		e.period = defaultSweepInterval
@@ -551,18 +553,17 @@ func (e *Engine) instance(b *param.Binding) param.Instance { return b.Instance(e
 
 // intern returns the θ-record of a binding, allocating one — and pinning
 // the objects it binds — on first sight. In a lazy engine the add that
-// brings the table to the sweep goal makes a sweep fall due at the end of
-// the current Dispatch: it puts one period on the schedule's counter,
-// which Dispatch takes off again when it sweeps, so the early sweep is
-// added to the period schedule without shifting it (a positioned engine's
-// goal is never reached).
+// meets the sweep's adds goal makes a sweep fall due at the end of the
+// current Dispatch: it puts one period on the schedule's counter, which
+// Dispatch takes off again when it sweeps, so the early sweep is added to
+// the period schedule without shifting it (a positioned engine's goal is
+// never met).
 func (e *Engine) internB(b *param.Binding) arena.Handle {
 	h, added := e.intern.Intern(b)
 	if added {
 		e.pinB(b, h)
-		if e.intern.Len() >= e.sweepGoal {
+		if e.sweepAdds--; e.sweepAdds == 0 {
 			e.sinceSwep += e.period
-			e.sweepGoal = math.MaxInt
 		}
 	}
 	return h
@@ -570,16 +571,17 @@ func (e *Engine) internB(b *param.Binding) arena.Handle {
 
 // pinB takes a new θ-record's claims on the objects it binds and enters it
 // in the θ list of each held one. Only the full creation strategy binds a
-// new θ-record to an object already dead (a Figure 5 progenitor may bind
-// one); such a record is retired at the next settle, as a sweep would.
+// new θ-record to an object whose death is known already (a Figure 5
+// progenitor may bind one); such a record is retired at the next settle,
+// as a sweep would.
 func (e *Engine) pinB(b *param.Binding, th arena.Handle) {
 	dead := false
 	for m := b.Mask; m != 0; m = m.Rest() {
 		r := &e.objs.recs[b.H[m.First()]]
 		r.pins++
+		dead = dead || r.dead
 		if r.held {
 			e.objs.lists.push(r, th, e.liveTheta)
-			dead = dead || r.dead
 		}
 	}
 	if dead {
@@ -636,9 +638,9 @@ func (e *Engine) claimed(t *theta) bool {
 //     (CreateFull scans the θ-table instead);
 //  3. θ itself from ⊥, if nothing claimed it;
 //  4. new monitors enter their registry and the leaves of their keys;
-//  5. θ's objects record the event's domain. A lazy engine sweeps if a
-//     sweep is due: a period has passed, or the θ-table reached its sweep
-//     goal. A positioned engine settles what the event left to collect.
+//  5. θ's objects record the event's domain, and settle collects what the
+//     event left to collect. A lazy engine then sweeps if a sweep is due:
+//     a period has passed, or the sweep's adds goal was met.
 func (e *Engine) dispatch(sym int, tb *param.Binding) {
 	e.stats.Events++
 	if e.met != nil && e.stats.Events&(publishInterval-1) == 0 {
@@ -673,9 +675,7 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 		} else {
 			e.botState = e.botState.Step(sym)
 		}
-		if !e.lazy {
-			e.settle()
-		}
+		e.settle()
 		return
 	}
 
@@ -769,8 +769,8 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 		e.insert(h)
 	}
 
-	// 5. Record the event's domain on θ's objects and sweep if one is due.
-	// Only here: the sweep recycles θ-records, and the steps above hold
+	// 5. Record the event's domain on θ's objects, settle, and sweep if one
+	// is due. Only here: both recycle θ-records, and the steps above hold
 	// pointers into them.
 	for pm := evParams; pm != 0; pm = pm.Rest() {
 		e.objs.recs[tp.H[pm.First()]].doms |= e.domBit[sym]
@@ -778,14 +778,13 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 	if evParams.Count() > 1 {
 		ts.Data.flags |= thetaSeenEvent
 	}
-	if !e.lazy {
-		e.settle()
-		return
-	}
-	e.sinceSwep++
-	if e.sinceSwep >= e.period {
-		e.sinceSwep -= e.period
-		e.timedSweep()
+	e.settle()
+	if e.lazy {
+		e.sinceSwep++
+		if e.sinceSwep >= e.period {
+			e.sinceSwep -= e.period
+			e.timedSweep()
+		}
 	}
 }
 
@@ -795,7 +794,7 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 // unannounced, and only a sweep finds out.
 func (e *Engine) Dispatch(sym int, theta param.Instance) {
 	if !e.lazy {
-		e.lazy, e.sweepGoal = true, minSweepGoal
+		e.lazy, e.sweepAdds = true, minSweepGoal
 	}
 	tb := param.Binding{Mask: theta.Mask()}
 	for pm := tb.Mask; pm != 0; pm = pm.Rest() {
@@ -915,15 +914,12 @@ func (e *Engine) inDelta(h arena.Handle, m *Mon) bool {
 	return e.intern.At(m.instH).Data.mon == h
 }
 
-// flagMon flags a monitor; a positioned engine's registry lets go of it
-// at the next settle.
+// flagMon flags a monitor; its registry lets go of it at the next settle.
 func (e *Engine) flagMon(h arena.Handle, m *Mon) {
 	if m.flags&monFlagged == 0 {
 		m.flags |= monFlagged
 		e.stats.Flagged++
-		if !e.lazy {
-			e.flagged = append(e.flagged, h)
-		}
+		e.flagged = append(e.flagged, h)
 	}
 }
 
@@ -975,11 +971,9 @@ func (e *Engine) observeDeaths(h arena.Handle, m *Mon) bool {
 	}
 	if !e.objs.allAlive(e.bindOf(m)) {
 		e.NotifyParamDeath(h)
-		if !e.lazy {
-			// A survivor of a death: the step to come moves its last event,
-			// which its aliveness reads, so settle looks at it again.
-			e.retire = append(e.retire, m.instH)
-		}
+		// A survivor of a death: the step to come moves its last event,
+		// which its aliveness reads, so settle looks at it again.
+		e.retire = append(e.retire, m.instH)
 		return m.flags&monFlagged == 0
 	}
 	return true
@@ -1226,17 +1220,17 @@ func alive(disjuncts []param.Set, deadBound param.Set) bool {
 }
 
 // insert places a monitor into its domain's registry and, for every key
-// domain K of its domain, into the leaf under θ|K. A positioned engine's
-// registry, which keeps the entries of the monitors it let go of, is
-// compacted first when it is about to grow, and grown to twice what is left
-// when that freed less than half of it: a churn whose live entries stay
-// just below the capacity then compacts once per half a capacity of
-// inserts, not at every insert.
+// domain K of its domain, into the leaf under θ|K. The registry, which
+// keeps the entries of the monitors it let go of, is compacted first when
+// it is about to grow, and grown to twice what is left when that freed
+// less than half of it: a churn whose live entries stay just below the
+// capacity then compacts once per half a capacity of inserts, not at every
+// insert.
 func (e *Engine) insert(h arena.Handle) {
 	m := e.mons.At(h)
 	b := e.bindOf(m)
 	d := e.domainOf(b.Mask)
-	if !e.lazy && d.all.Full() {
+	if d.all.Full() {
 		c := d.all.Len()
 		d.all.Compact((*registry)(e))
 		if n := d.all.Len(); 2*n > c {
@@ -1253,9 +1247,9 @@ func (e *Engine) insert(h arena.Handle) {
 		}
 		ks := e.intern.At(kh)
 		e.leaves.Insert(&ks.Data.leaf, d.R).Add(e, h)
-		if e.opts.Creation == CreateFull && !e.lazy && e.objs.anyDead(&ks.B) {
+		if e.opts.Creation == CreateFull && e.objs.anyDead(&ks.B) {
 			// A Figure 5 monitor over a dead object, under a key whose
-			// object's free has been applied already: detach it again.
+			// object's death is known already: detach it again.
 			e.retire = append(e.retire, kh)
 		}
 	}
@@ -1271,84 +1265,45 @@ func (e *Engine) domainOf(R param.Set) *domain {
 	panic(fmt.Sprintf("monitor: %v is not an instance domain", R))
 }
 
-// sweep applies the physical weak-reference semantics the paper's systems
-// get from the JVM: bookkeeping entries whose objects died are dropped. It
-// is a lazy engine's only death discovery (a positioned engine runs its
-// body at each free, and the sweep itself only in Flush): every object
-// record asks its ref once whether it is alive, then one pass over the
-// θ-table — every rule below concerns a θ with a dead bound object, a bit
-// test on its object records, so the rest are skipped — then the
-// registries and the object records. Per θ, in order:
+// sweep is a lazy engine's death discovery, the weak references of the
+// paper's systems noticing that their objects died: every object record
+// asks its ref once whether it is alive, then one pass over the θ-table
+// queues every θ-record that binds a dead object — a bit test on its
+// object records — and settle collects them, as it collects the deaths
+// FreeIDs applies.
 //
-//   - θ's leaves are detached (Figure 7): the monitors indexed under the
-//     dead key are notified, then released, and the leaf records recycled.
-//     This comes first, so a θ-record is never unmapped or recycled with a
-//     leaf attached.
-//   - Δ(θ) of a *flagged* monitor goes — such an instance can never recur
-//     in an event, so no wrong-slice resurrection is possible, and the flag
-//     means nothing will step it again. Unflagged monitors stay even with a
-//     dead parameter (they remain reachable through their live keys,
-//     and keeping them makes propositional dispatch independent of
-//     sweep timing). Flagged monitors whose objects all live stay as
-//     tombstones: their instances can recur, and rebuilding them from a
-//     progenitor would resurrect them with a wrong slice.
-//   - Δ(θ) of a *collected* monitor goes too, flagged or not: collected
-//     means no container references the monitor, and the dead object's
-//     identity can never recur in an event, so the entry is unreachable —
-//     except under CreateFull, whose Figure 5 oracle scans Δ for
-//     progenitors and has no notion of object death. (The coenable formula
-//     can keep such a monitor unflagged forever — a disjunct over unbound
-//     parameters stays satisfiable — which without this rule pinned its
-//     arena slot and θ-record unboundedly.) A monitor that is now both
-//     collected and out of Δ is recycled into the arena free list.
-//   - Avoided-creation tombstones mirror their would-be monitors' exit
-//     from Δ, so enforce-mode blocking stays in lockstep with the unguarded
-//     engine: under coenable a doomed monitor is flagged at its birth step,
-//     so its Δ entry goes at the first sweep after any bound object dies;
-//     under alldead it is flagged (and its entry goes) once every object is
-//     dead; under none Δ entries never leave. Dropped or kept, the instance
-//     cannot be wrongly rebuilt — a recurrence needs every object alive —
-//     so this only mirrors bookkeeping lifetime.
-//   - The multi-parameter-event mark of the fresh-object guard goes.
-//   - θ is unmapped once it is neither in Δ nor tombstoned; its slot is
-//     recycled when no monitor pins it (see param.Interner), and with it
-//     its pins on its objects.
-//
-// Then domain registries release members with dead bound objects: in
-// JavaMOP/RV a progenitor is only reachable through weak keys, so the death
-// of any of its objects ends its progenitor role. Last, the records of dead
-// objects that no θ-record binds any more go.
-//
-// The sweep then sets its own pace. The next one falls due when the
-// θ-table has doubled (its goal is max(2×size, minSweepGoal)), or when the
-// period has passed — under the default, max(defaultSweepInterval, size)
-// events. A churn stream, whose new keys are mostly garbage, is thus swept
-// at the rate it adds keys. A steady table sweeps on the period alone, at
-// most one θ-record visited per event.
+// The sweep then sets its own pace. The next one falls due once
+// max(2n, minSweepGoal) − n θ-records have been added, n being the θ-table
+// size this one left, or when the period has passed — under the default,
+// max(defaultSweepInterval, n) events. A churn stream, whose new keys are
+// mostly garbage, is thus swept at the rate it adds keys. A steady table
+// sweeps on the period alone, at most one θ-record visited per event. The
+// goal counts adds, not the table's size: settle takes θ-records out of
+// the table between sweeps, so a size goal would be met later and later.
 func (e *Engine) sweep() {
 	e.objs.observe()
 	for th, s := range e.intern.All() {
-		if !e.objs.anyDead(&s.B) {
-			continue
+		if e.objs.anyDead(&s.B) {
+			e.retire = append(e.retire, th)
 		}
-		e.detachDead(s)
-		e.retireDead(th, s)
 	}
-	for i := range e.domains {
-		e.domains[i].all.CompactWith((*registry)(e), e.deadParam)
-	}
-	e.objs.drop(e.onRelease)
+	e.settle()
 	n := e.intern.Len()
-	e.sweepGoal = max(2*n, minSweepGoal)
+	e.sweepAdds = max(2*n, minSweepGoal) - n
 	if e.opts.SweepInterval <= 0 {
 		e.period = max(n, defaultSweepInterval)
 	}
+	if poolCheck {
+		if err := checkDeaths(e); err != nil {
+			panic("monitor: after a sweep: " + err.Error())
+		}
+	}
 }
 
-// detachDead and retireDead are the sweep's two steps for a θ-record s
-// with a dead object. detachDead detaches its leaves and notifies its
-// monitor (the keys that index the monitor may come later in a sweep;
-// notifying it now lets retireDead see its settled flag).
+// detachDead and retireDead are settle's two steps for a θ-record s with a
+// dead object. detachDead detaches its leaves and notifies its monitor
+// (the keys that index the monitor may come later in the queue; notifying
+// it now lets retireDead see its settled flag).
 func (e *Engine) detachDead(s *param.Slot[theta]) {
 	e.leaves.Detach(e, &s.Data.leaf)
 	if h := s.Data.mon; h != arena.Nil {
@@ -1356,8 +1311,8 @@ func (e *Engine) detachDead(s *param.Slot[theta]) {
 	}
 }
 
-// retireDead applies the sweep's rules to Δ(θ), θ's tombstone and θ's
-// mapping (see sweep).
+// retireDead applies settle's rules to Δ(θ), θ's tombstone and θ's
+// mapping.
 func (e *Engine) retireDead(th arena.Handle, s *param.Slot[theta]) {
 	t := &s.Data
 	if h := t.mon; h != arena.Nil {
@@ -1378,16 +1333,58 @@ func (e *Engine) retireDead(th arena.Handle, s *param.Slot[theta]) {
 	}
 }
 
-// settle is a positioned engine's collection, run where FreeIDs applied
-// deaths and at the end of every event: it does what a sweep after them
-// would, on what they touched. The θ-records in retire bind a dead object
-// — the records of the objects just freed, survivors of earlier deaths
-// stepped since, new records over a dead object — and get the sweep's two
-// steps, the first on all of them before the second, so every Δ rule sees
-// the monitor's settled flag and refcount. Between the two, every monitor
-// of such a record and every monitor flagged since the last settle leaves
-// its registry, as a sweep's registry compaction would take it. Last, the
-// object records that lost their last θ-record are dropped and released.
+// settle is the engine's one collector, the physical weak-reference
+// semantics the paper's systems get from the JVM: bookkeeping entries
+// whose objects died are dropped. It runs at the end of every event, in
+// FreeIDs after the deaths it applied and in a sweep after the deaths it
+// found. The θ-records in retire bind a dead object — the records of the
+// objects just freed or found dead, survivors of earlier deaths stepped
+// since, new records over a dead object — and each gets two steps, the
+// first on all of them before the second, so every Δ rule sees the
+// monitor's settled flag and refcount:
+//
+//   - θ's leaves are detached (Figure 7): the monitors indexed under the
+//     dead key are notified, then released, and the leaf records recycled.
+//     This comes first, so a θ-record is never unmapped or recycled with a
+//     leaf attached. Δ(θ) is notified too.
+//
+// Between the two steps, Δ(θ) of every such record and every monitor
+// flagged since the last settle leaves its domain registry: in JavaMOP/RV
+// a progenitor is only reachable through weak keys, so the death of any of
+// its objects ends its progenitor role. Then, per θ:
+//
+//   - Δ(θ) of a *flagged* monitor goes — such an instance can never recur
+//     in an event, so no wrong-slice resurrection is possible, and the flag
+//     means nothing will step it again. Unflagged monitors stay even with a
+//     dead parameter (they remain reachable through their live keys,
+//     and keeping them makes propositional dispatch independent of
+//     sweep timing). Flagged monitors whose objects all live stay as
+//     tombstones: their instances can recur, and rebuilding them from a
+//     progenitor would resurrect them with a wrong slice.
+//   - Δ(θ) of a *collected* monitor goes too, flagged or not: collected
+//     means no container references the monitor, and the dead object's
+//     identity can never recur in an event, so the entry is unreachable —
+//     except under CreateFull, whose Figure 5 oracle scans Δ for
+//     progenitors and has no notion of object death. (The coenable formula
+//     can keep such a monitor unflagged forever — a disjunct over unbound
+//     parameters stays satisfiable — which without this rule pinned its
+//     arena slot and θ-record unboundedly.) A monitor that is now both
+//     collected and out of Δ is recycled into the arena free list.
+//   - Avoided-creation tombstones mirror their would-be monitors' exit
+//     from Δ, so enforce-mode blocking stays in lockstep with the unguarded
+//     engine: under coenable a doomed monitor is flagged at its birth step,
+//     so its Δ entry goes at the first settle after any bound object's
+//     death is known; under alldead it is flagged (and its entry goes) once
+//     every object is dead; under none Δ entries never leave. Dropped or
+//     kept, the instance cannot be wrongly rebuilt — a recurrence needs
+//     every object alive — so this only mirrors bookkeeping lifetime.
+//   - The multi-parameter-event mark of the fresh-object guard goes.
+//   - θ is unmapped once it is neither in Δ nor tombstoned; its slot is
+//     recycled when no monitor pins it (see param.Interner), and with it
+//     its pins on its objects.
+//
+// Last, the object records that lost their last θ-record after their death
+// are dropped and released.
 func (e *Engine) settle() {
 	if len(e.retire) == 0 && len(e.flagged) == 0 && len(e.objs.dropq) == 0 {
 		return
@@ -1415,39 +1412,33 @@ func (e *Engine) settle() {
 	e.objs.drain(e.onRelease)
 }
 
-// deadParam reports a monitor with a dead bound parameter object (domain
-// registries drop such members; see sweep).
-func (e *Engine) deadParam(h index.Handle) bool {
-	return !e.objs.allAlive(e.bindOf(e.mons.At(h)))
-}
-
-// Flush performs a full compaction pass over every structure; used at the
-// end of a monitored run so the Figure 10 counters settle: the leaves of
-// every θ whose objects all live are compacted and the emptied ones
-// recycled, then the registries, then a sweep.
-//
-// Two passes are required for the counters to converge: the first delivers
-// every pending death notification (the sweep detaches the leaves of dead
-// keys, notifying the monitors below, and notifies Δ stragglers), but a
-// monitor can become flagged there, after the containers under its live
-// keys were already compacted. The second pass re-compacts with the settled
-// flag state, releasing every flagged monitor from every container.
+// Flush settles the Figure 10 counters at the end of a monitored run: a
+// lazy engine first sweeps, then the leaves of every θ whose objects all
+// live and every registry are compacted, which releases every flagged
+// monitor from every container, and settle collects what that left. A
+// positioned engine has collected every death already, so its Flush
+// visits no dead θ-record and sweeps nothing. Flush publishes the
+// counters into Options.Metrics.
 func (e *Engine) Flush() {
 	if poolCheck {
 		if err := checkDeaths(e); err != nil {
 			panic("monitor: before Flush: " + err.Error())
 		}
 	}
-	for pass := 0; pass < 2; pass++ {
-		for _, s := range e.intern.All() {
-			if s.Data.leaf != arena.Nil && e.objs.allAlive(&s.B) {
-				e.leaves.Compact(e, &s.Data.leaf)
-			}
-		}
-		for i := range e.domains {
-			e.domains[i].all.Compact((*registry)(e))
-		}
+	if e.lazy {
 		e.timedSweep()
+	}
+	for _, s := range e.intern.All() {
+		if s.Data.leaf != arena.Nil && e.objs.allAlive(&s.B) {
+			e.leaves.Compact(e, &s.Data.leaf)
+		}
+	}
+	for i := range e.domains {
+		e.domains[i].all.Compact((*registry)(e))
+	}
+	e.settle()
+	if e.met != nil {
+		e.publishMetrics()
 	}
 	if poolCheck {
 		if err := CheckTheta(e, true); err != nil {

@@ -12,13 +12,41 @@ const RaceBuild = poolCheck
 
 // SweepNow makes a lazy engine collect what its refs' deaths so far left
 // collectable, as a positioned engine does at each free and at the end of
-// each event: a sweep, then a second one, whose Δ rules see the flags and
-// refcounts the first one's registry compaction settled. A third would
-// change nothing. The eager-collection oracle calls it after every death
-// and every event.
+// each event, without going through settle, so that the eager-collection
+// oracle holds settle to a reference that does not use it: per θ-record
+// with a dead object, in table order, settle's two steps; then the
+// registries let go of every member with a dead object (deadParam); then
+// every dead unpinned object record goes. It runs twice: the second
+// pass's Δ rules see the flags and refcounts the first one's registry
+// compaction settled, and a third would change nothing. The oracle calls
+// it after every death and every event.
 func SweepNow(e *Engine) {
-	e.sweep()
-	e.sweep()
+	for range 2 {
+		e.objs.observe()
+		for th, s := range e.intern.All() {
+			if e.objs.anyDead(&s.B) {
+				e.detachDead(s)
+				e.retireDead(th, s)
+			}
+		}
+		for i := range e.domains {
+			e.domains[i].all.Compact(deadParam{(*registry)(e)})
+		}
+		for h := range e.objs.recs {
+			if r := &e.objs.recs[h]; r.inUse() && r.pins == 0 && r.dead {
+				e.objs.dropOne(uint32(h), e.onRelease)
+			}
+		}
+	}
+}
+
+// deadParam is SweepNow's registry rule: besides what the registry drops
+// itself, a member with a dead bound object, which no weak key reaches.
+type deadParam struct{ *registry }
+
+func (r deadParam) Collectable(h index.Handle) bool {
+	e := (*Engine)(r.registry)
+	return r.registry.Collectable(h) || !e.objs.allAlive(e.bindOf(e.mons.At(h)))
 }
 
 // HeldRefs counts the refs of the monitored program the engine can reach:

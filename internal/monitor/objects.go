@@ -28,9 +28,11 @@ type object struct {
 	// under (bit i for Engine.evDomains[i]), for the fresh-object creation
 	// guard (priorEventsOK).
 	doms uint16
-	// dead caches a death once observed through ref: Alive is monotone
-	// (heap.Ref), so a dead object never needs asking again. A held record
-	// is never asked; FreeIDs sets dead directly.
+	// dead marks a death the engine knows of: FreeIDs sets it for a held
+	// record, which is never asked, and a sweep (observe) for a record
+	// whose ref it asks. Until then a ref's death is read, not kept: Alive
+	// is monotone (heap.Ref), so what dead records is what the engine has
+	// collected, or is about to.
 	dead bool
 	// held marks a record whose liveness is its dead bit alone: the object
 	// came in by DispatchHeld or DispatchIDs, and only its free ends it.
@@ -41,10 +43,10 @@ type object struct {
 // heap.Ref, or the ID of an object the caller names by ID. θ-records bind
 // the uint32 handles it issues (param.Binding), so the θ-table itself holds
 // no pointer, and a θ's liveness is read through the records of its
-// objects. A record lives while a θ-record pins it or its object is alive;
-// a held record goes where its free or its last θ-record's recycling
-// leaves it dead and unpinned (drain), a lazy one at the sweep that finds
-// it so (drop), and Close drops all of them. Records are found
+// objects. A record lives while a θ-record pins it or its death is not
+// known; it goes where its death (a free, a sweep) or its last θ-record's
+// recycling leaves it dead and unpinned (drain), and Close drops all of
+// them. Records are found
 // by ID through idx, an open-addressing index (package probe) that stores
 // handle+1 per record and reads the ID back from the record, so each ID is
 // kept once. The zero value is not ready; see newObjects.
@@ -54,9 +56,9 @@ type objects struct {
 	free []uint32            // recycled handles, LIFO
 	// lists holds the held records' θ lists.
 	lists lists
-	// dropq holds the handles of held records that lost their last pin
-	// after their free: the engine drops them (drain) once the death that
-	// emptied them has been applied. It starts in dropBuf.
+	// dropq holds the handles of records that are dead and unpinned: the
+	// engine drops them (drain) once the death that emptied them has been
+	// applied. It starts in dropBuf.
 	dropq   []uint32
 	dropBuf [8]uint32
 	// check arms poison-on-free (race builds): a freed record is scrambled
@@ -135,17 +137,11 @@ func (o *objects) ref(h uint32) heap.Ref {
 	return r.ref
 }
 
-// alive reports whether the object is alive, caching a death it observes.
+// alive reports whether the object is alive: a record's death is known,
+// or its ref is asked.
 func (o *objects) alive(h uint32) bool {
 	r := &o.recs[h]
-	if r.dead {
-		return false
-	}
-	if r.held || r.ref.Alive() {
-		return true
-	}
-	r.dead = true
-	return false
+	return !r.dead && (r.held || r.ref.Alive())
 }
 
 // allAlive reports whether every object b binds is alive.
@@ -169,7 +165,7 @@ func (o *objects) aliveMask(b *param.Binding) param.Set {
 	return s
 }
 
-// anyDead reports whether b binds an object whose death is cached: after
+// anyDead reports whether b binds an object whose death is known: after
 // observe, the sweep's test for a θ-record, without a call through a ref.
 func (o *objects) anyDead(b *param.Binding) bool {
 	for m := b.Mask; m != 0; m = m.Rest() {
@@ -180,40 +176,36 @@ func (o *objects) anyDead(b *param.Binding) bool {
 	return false
 }
 
-// observe asks every followed record's object once whether it is alive.
+// observe asks every followed record's object once whether it is alive,
+// and marks the deaths it finds; a record found dead that no θ-record
+// binds is queued for drain.
 func (o *objects) observe() {
 	for h := range o.recs {
 		if r := &o.recs[h]; r.ref != nil && !r.held && !r.dead && !r.ref.Alive() {
 			r.dead = true
+			if r.pins == 0 {
+				o.dropq = append(o.dropq, uint32(h))
+			}
 		}
 	}
 }
 
 // unpin drops a θ-record's claims on the objects it binds (the engine's
-// pinB takes them). A held record of a dead object that loses its last pin
-// is queued for drain.
+// pinB takes them). A record of a dead object that loses its last pin is
+// queued for drain.
 func (o *objects) unpin(b *param.Binding) {
 	for m := b.Mask; m != 0; m = m.Rest() {
 		x := b.H[m.First()]
 		r := &o.recs[x]
-		if r.pins--; r.pins == 0 && r.dead && r.held {
+		if r.pins--; r.pins == 0 && r.dead {
 			o.dropq = append(o.dropq, x)
 		}
 	}
 }
 
-// drop releases the records no θ-record binds whose objects are dead: such
+// drain drops the queued records that are still dead and unpinned: such
 // an object can never recur in an event, so nothing will look it up again.
 // Each dropped ID goes to onRelease, if set.
-func (o *objects) drop(onRelease func(uint64)) {
-	for h := range o.recs {
-		if r := &o.recs[h]; r.inUse() && r.pins == 0 && r.dead {
-			o.dropOne(uint32(h), onRelease)
-		}
-	}
-}
-
-// drain drops the queued held records that are still dead and unpinned.
 func (o *objects) drain(onRelease func(uint64)) {
 	for _, x := range o.dropq {
 		if r := &o.recs[x]; r.inUse() && r.pins == 0 && r.dead {

@@ -54,7 +54,7 @@ func TestObjectPoison(t *testing.T) {
 		ha := objs.handle(a)
 		h.Free(a)
 		objs.observe()
-		objs.drop(nil)
+		objs.drain(nil)
 		if objs.idx.Len() != 0 || objs.recs[ha] != pooledObject {
 			t.Fatalf("a dead unpinned record was not dropped and poisoned: %+v", objs.recs[ha])
 		}

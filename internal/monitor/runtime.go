@@ -90,7 +90,7 @@ var _ Runtime = (*Engine)(nil)
 func (e *Engine) Barrier() {}
 
 // Free implements Runtime. The sequential engine needs no positioning:
-// every dispatched event has already been processed, and it observes the
+// every dispatched event has already been processed, and it finds the
 // deaths of the refs Dispatch handed it lazily, through ref liveness, once
 // the caller has killed them, at the sweep that follows. A record
 // DispatchHeld added never asks its ref; FreeIDs is its death.
@@ -143,11 +143,11 @@ func (e *Engine) FreeIDs(ids []uint64) {
 			continue
 		}
 		r.dead = true
-		if !r.held {
-			continue // a lazy record: the next sweep collects it
-		}
 		if r.pins == 0 {
 			e.objs.dropq = append(e.objs.dropq, x)
+		}
+		if !r.held {
+			continue // a lazy record: the next sweep finds its θ-records
 		}
 		for _, th := range e.objs.lists.of(r) {
 			if _, ok := e.intern.Live(th); ok {

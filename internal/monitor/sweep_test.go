@@ -76,8 +76,9 @@ func TestSweepPacer(t *testing.T) {
 	if got, want := steady(64, 1000, events), uint64(events/1000); got != want {
 		t.Errorf("steady, 64 iterators, period 1000: %d sweeps, want %d", got, want)
 	}
-	// 600 iterators take two early sweeps while warming up, at table sizes
-	// 256 and 512; the period schedule keeps its phase around them.
+	// 600 iterators take two early sweeps while warming up, once 256 and
+	// then 512 θ-records have been added (nothing leaves the table); the
+	// period schedule keeps its phase around them.
 	if got, want := steady(600, 0, events), uint64(2+events/4096); got != want {
 		t.Errorf("steady, 600 iterators, default period: %d sweeps, want %d", got, want)
 	}
