@@ -10,9 +10,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current report output")
 
-// TestGoldenOutput pins the rvcoenable report for every DaCapo property —
-// the full Section 3 analysis and the -guards avoidance summary — against
-// golden files. Regenerate with `go test ./cmd/rvcoenable -update` after a
+// TestGoldenOutput pins the rvcoenable report for every built-in property
+// — the full Section 3 analysis, and the -guards avoidance summary for
+// UnsafeIter — against golden files. Regenerate with `go test ./cmd/rvcoenable -update` after a
 // deliberate format change and review the diff.
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
@@ -26,6 +26,13 @@ func TestGoldenOutput(t *testing.T) {
 		{"unsafemapiter", "UnsafeMapIter", false},
 		{"unsafesynccoll", "UnsafeSyncColl", false},
 		{"unsafesyncmap", "UnsafeSyncMap", false},
+		{"hasnextltl", "HasNextLTL", false},
+		{"safelock", "SafeLock", false},
+		{"safelockmatch", "SafeLockMatch", false},
+		{"hashset", "HashSet", false},
+		{"safeenum", "SafeEnum", false},
+		{"safefile", "SafeFile", false},
+		{"safefilewriter", "SafeFileWriter", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
