@@ -426,10 +426,11 @@ func BenchmarkDispatchUnsafeIterUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkCoenableAnalysis measures the full static analysis of a spec.
+// BenchmarkCoenableAnalysis measures compiling a spec from its .rv source,
+// the full static analysis included.
 func BenchmarkCoenableAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		spec, err := props.UnsafeMapIter()
+		spec, err := props.Build("UnsafeMapIter")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,6 @@ package cluster_test
 import (
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -29,10 +28,10 @@ import (
 //	GOEXPERIMENT=synctest go test -race -count=20 -run Sim ./internal/cluster
 func TestSimIdleProducerTimeliness(t *testing.T) {
 	synctest.Run(func() {
-		nodes := map[string]*pipeListener{}
+		nodes := map[string]*conformance.PipeListener{}
 		var srvs []*server.Server
 		for _, name := range []string{"n1", "n2"} {
-			l := newPipeListener(name)
+			l := conformance.NewPipeListener(name)
 			srv := server.New(server.Options{})
 			go srv.Serve(l)
 			nodes[name], srvs = l, append(srvs, srv)
@@ -51,7 +50,7 @@ func TestSimIdleProducerTimeliness(t *testing.T) {
 				if l == nil {
 					return nil, fmt.Errorf("unknown node %q", addr)
 				}
-				return l.dial()
+				return l.Dial()
 			},
 			OnVerdict: func(monitor.Verdict) {
 				select {
@@ -93,49 +92,3 @@ func TestSimIdleProducerTimeliness(t *testing.T) {
 		}
 	})
 }
-
-// pipeListener is a net.Listener whose connections are net.Pipe halves
-// handed over a channel: dial returns the client half and Accept the
-// server half, with no socket and no wait outside the bubble.
-type pipeListener struct {
-	name  string
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
-}
-
-func newPipeListener(name string) *pipeListener {
-	return &pipeListener{name: name, conns: make(chan net.Conn), done: make(chan struct{})}
-}
-
-func (l *pipeListener) dial() (net.Conn, error) {
-	client, srv := net.Pipe()
-	select {
-	case l.conns <- srv:
-		return client, nil
-	case <-l.done:
-		return nil, fmt.Errorf("node %s: %w", l.name, net.ErrClosed)
-	}
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *pipeListener) Addr() net.Addr { return pipeAddr(l.name) }
-
-// pipeAddr names a pipeListener's node.
-type pipeAddr string
-
-func (a pipeAddr) Network() string { return "pipe" }
-func (a pipeAddr) String() string  { return string(a) }

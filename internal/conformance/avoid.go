@@ -3,10 +3,7 @@ package conformance
 import (
 	"testing"
 
-	"rvgo/internal/fsm"
-	"rvgo/internal/logic"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 )
 
 // RunAvoidanceEnforcement proves the guard-firing enforcement paths on the
@@ -79,39 +76,15 @@ func RunAvoidanceEnforcement(t *testing.T) {
 // cannot produce (their only maximal-domain creation site also carries
 // every goal).
 func profiledPairSpec(t *testing.T) *monitor.Spec {
-	t.Helper()
-	m := fsm.New([]string{"a", "b", "g"})
-	for _, st := range []string{"start", "s1", "s2", "hit"} {
-		if err := m.AddState(st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tr := range [][3]string{
-		{"start", "a", "s1"},
-		{"start", "b", "s2"},
-		{"s1", "g", "hit"},
-		{"s2", "g", "hit"},
-	} {
-		if err := m.AddTransition(tr[0], tr[1], tr[2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	spec := &monitor.Spec{
-		Name:   "ProfiledPair",
-		Params: []string{"x"},
-		Events: []monitor.EventDef{
-			{Name: "a", Params: param.SetOf(0)},
-			{Name: "b", Params: param.SetOf(0)},
-			{Name: "g", Params: param.SetOf(0)},
-		},
-		BP:   m,
-		Goal: []logic.Category{"hit"},
-	}
-	if err := spec.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	return spec
+	return compile(t, `ProfiledPair(x) {
+    event a(x)
+    event b(x)
+    event g(x)
+    fsm:
+    start [ a -> s1  b -> s2 ]
+    s1 [ g -> hit ]
+    s2 [ g -> hit ]
+    hit [ ]
+    @hit {}
+}`)
 }

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -107,6 +108,58 @@ func (c *SinkConn) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return nil
 }
+
+// PipeListener is a net.Listener whose connections are net.Pipe halves
+// handed over a channel: Dial returns the client half and Accept the
+// server half, with no socket and no wait outside a testing/synctest
+// bubble, so a server can run on the bubble's synthetic clock.
+type PipeListener struct {
+	name  string
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+// NewPipeListener returns a PipeListener whose address is name.
+func NewPipeListener(name string) *PipeListener {
+	return &PipeListener{name: name, conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+// Dial connects to the listener; it fails once the listener is closed.
+func (l *PipeListener) Dial() (net.Conn, error) {
+	client, srv := net.Pipe()
+	select {
+	case l.conns <- srv:
+		return client, nil
+	case <-l.done:
+		return nil, fmt.Errorf("node %s: %w", l.name, net.ErrClosed)
+	}
+}
+
+// Accept implements net.Listener.
+func (l *PipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+// Close implements net.Listener.
+func (l *PipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+// Addr implements net.Listener.
+func (l *PipeListener) Addr() net.Addr { return pipeAddr(l.name) }
+
+// pipeAddr names a PipeListener.
+type pipeAddr string
+
+func (a pipeAddr) Network() string { return "pipe" }
+func (a pipeAddr) String() string  { return string(a) }
 
 // DistinctStats returns a monitor.Stats whose every field holds its own
 // non-zero value, 100 + the field's index, set by reflection: the tests

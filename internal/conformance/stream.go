@@ -7,12 +7,11 @@ import (
 	"testing"
 
 	"rvgo/internal/dacapo"
-	"rvgo/internal/ere"
 	"rvgo/internal/heap"
-	"rvgo/internal/logic"
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
 	"rvgo/internal/props"
+	ispec "rvgo/internal/spec"
 )
 
 // Step is one step of a stream over object ordinals: an event (Sym ≥ 0)
@@ -129,29 +128,29 @@ func Random(spec *monitor.Spec, seed int64, n int) Stream {
 // sharded backend must broadcast it to every lane's ⊥-slice).
 func Specs(t testing.TB) []*monitor.Spec {
 	t.Helper()
-	bp, err := ere.Compile("open (tick | close)* close", []string{"open", "tick", "close"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mix := &monitor.Spec{
-		Name:   "PropMix",
-		Params: []string{"f"},
-		Events: []monitor.EventDef{
-			{Name: "open", Params: param.SetOf(0)},
-			{Name: "tick", Params: 0},
-			{Name: "close", Params: param.SetOf(0)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Match},
-	}
-	if err := mix.Analyze(); err != nil {
-		t.Fatal(err)
-	}
-	specs := []*monitor.Spec{mix}
+	specs := append([]*monitor.Spec(nil), compile(t, propMix))
 	for _, name := range props.Names() {
 		specs = append(specs, Prop(t, name))
 	}
 	return specs
+}
+
+const propMix = `PropMix(f) {
+    event open(f)
+    event tick()
+    event close(f)
+    ere: open (tick | close)* close
+    @match {}
+}`
+
+// compile compiles .rv source defining one property.
+func compile(t testing.TB, src string) *monitor.Spec {
+	t.Helper()
+	spec, err := ispec.CompileOne(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
 // Prop builds a library property.

@@ -1,8 +1,9 @@
 // Package props is the built-in property library: the five properties the
 // paper evaluates on DaCapo (§5.1) plus the non-iterator properties it
 // mentions (HASHSET, SAFEENUM, SAFEFILE, SAFEFILEWRITER) and the SAFELOCK
-// CFG property of Figure 4. Each constructor returns a compiled
-// monitor.Spec with the static analyses ready to run.
+// CFG property of Figure 4. Each property is one embedded .rv file named
+// after it (HasNext.rv, UnsafeIter.rv, ...), compiled by internal/spec
+// like any other specification source, with the static analyses run.
 //
 // Events correspond to the paper's AspectJ pointcuts, renamed to plain
 // identifiers since this reproduction instruments programs through an
@@ -10,423 +11,43 @@
 package props
 
 import (
+	"embed"
 	"fmt"
-	"sort"
+	"strings"
 
-	"rvgo/internal/cfg"
-	"rvgo/internal/ere"
-	"rvgo/internal/fsm"
-	"rvgo/internal/logic"
-	"rvgo/internal/ltl"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
+	ispec "rvgo/internal/spec"
 )
 
-// Builder constructs a property spec.
-type Builder func() (*monitor.Spec, error)
+//go:embed *.rv
+var library embed.FS
 
-// registry maps property names to builders.
-var registry = map[string]Builder{
-	"HasNext":        HasNext,
-	"HasNextLTL":     HasNextLTL,
-	"UnsafeIter":     UnsafeIter,
-	"UnsafeMapIter":  UnsafeMapIter,
-	"UnsafeSyncColl": UnsafeSyncColl,
-	"UnsafeSyncMap":  UnsafeSyncMap,
-	"SafeLock":       SafeLock,
-	"SafeLockMatch":  SafeLockMatch,
-	"HashSet":        HashSet,
-	"SafeEnum":       SafeEnum,
-	"SafeFile":       SafeFile,
-	"SafeFileWriter": SafeFileWriter,
-}
-
-// Names returns the registered property names, sorted.
+// Names returns the library's property names, sorted: ReadDir sorts the
+// files by name, and '.' sorts before every character a name may go on
+// with, so "SafeFile.rv" comes before "SafeFileWriter.rv".
 func Names() []string {
-	var out []string
-	for n := range registry {
-		out = append(out, n)
+	files, err := library.ReadDir(".")
+	if err != nil {
+		panic(err) // the embedded root always reads
 	}
-	sort.Strings(out)
+	out := make([]string, len(files))
+	for i, f := range files {
+		out[i] = strings.TrimSuffix(f.Name(), ".rv")
+	}
 	return out
 }
 
-// Build constructs a property by name.
+// Build compiles a property by name.
 func Build(name string) (*monitor.Spec, error) {
-	b, ok := registry[name]
-	if !ok {
+	src, err := library.ReadFile(name + ".rv")
+	if err != nil {
 		return nil, fmt.Errorf("props: unknown property %q", name)
 	}
-	return b()
+	return ispec.CompileOne(string(src))
 }
 
 // DaCapoProperties are the five properties of the paper's evaluation, in
 // the column order of Figures 9 and 10.
 func DaCapoProperties() []string {
 	return []string{"HasNext", "UnsafeIter", "UnsafeMapIter", "UnsafeSyncColl", "UnsafeSyncMap"}
-}
-
-func finish(s *monitor.Spec) (*monitor.Spec, error) {
-	if err := s.Analyze(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// HasNext is the HASNEXT typestate of Figures 1–2, as an FSM: calling
-// next() is only safe immediately after hasNext() returned true. The goal
-// category is the FSM state "error".
-func HasNext() (*monitor.Spec, error) {
-	alphabet := []string{"hasnexttrue", "hasnextfalse", "next"}
-	m := fsm.New(alphabet)
-	for _, st := range []string{"unknown", "more", "none", "error"} {
-		if err := m.AddState(st); err != nil {
-			return nil, err
-		}
-	}
-	trans := [][3]string{
-		{"unknown", "hasnexttrue", "more"},
-		{"unknown", "hasnextfalse", "none"},
-		{"unknown", "next", "error"},
-		{"more", "hasnexttrue", "more"},
-		{"more", "hasnextfalse", "none"},
-		{"more", "next", "unknown"},
-		{"none", "hasnextfalse", "none"},
-		{"none", "hasnexttrue", "more"},
-		{"none", "next", "error"},
-	}
-	for _, tr := range trans {
-		if err := m.AddTransition(tr[0], tr[1], tr[2]); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.Freeze(); err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "HasNext",
-		Params: []string{"i"},
-		Events: []monitor.EventDef{
-			{Name: "hasnexttrue", Params: param.SetOf(0)},
-			{Name: "hasnextfalse", Params: param.SetOf(0)},
-			{Name: "next", Params: param.SetOf(0)},
-		},
-		BP:   m,
-		Goal: []logic.Category{"error"},
-	})
-}
-
-// HasNextLTL is the same property in past-time LTL, Figure 2's second
-// formalism: [](next => (*)hasnexttrue).
-func HasNextLTL() (*monitor.Spec, error) {
-	alphabet := []string{"hasnexttrue", "hasnextfalse", "next"}
-	bp, err := ltl.Compile("[] (next -> (*) hasnexttrue)", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "HasNextLTL",
-		Params: []string{"i"},
-		Events: []monitor.EventDef{
-			{Name: "hasnexttrue", Params: param.SetOf(0)},
-			{Name: "hasnextfalse", Params: param.SetOf(0)},
-			{Name: "next", Params: param.SetOf(0)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Violation},
-	})
-}
-
-// UnsafeIter is the UNSAFEITER property of Figure 3: a Collection must not
-// be updated between an Iterator's creation and use.
-func UnsafeIter() (*monitor.Spec, error) {
-	const (
-		pC = 0
-		pI = 1
-	)
-	alphabet := []string{"create", "update", "next"}
-	bp, err := ere.Compile("update* create next* update+ next", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "UnsafeIter",
-		Params: []string{"c", "i"},
-		Events: []monitor.EventDef{
-			{Name: "create", Params: param.SetOf(pC, pI)},
-			{Name: "update", Params: param.SetOf(pC)},
-			{Name: "next", Params: param.SetOf(pI)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Match},
-	})
-}
-
-// UnsafeMapIter is UNSAFEMAPITER: a Map must not be updated while one of
-// its key/value view collections is being iterated. Three parameters: the
-// map m, the view collection c, the iterator i.
-func UnsafeMapIter() (*monitor.Spec, error) {
-	const (
-		pM = 0
-		pC = 1
-		pI = 2
-	)
-	alphabet := []string{"createColl", "createIter", "useIter", "updateMap"}
-	bp, err := ere.Compile("updateMap* createColl createIter useIter* updateMap+ useIter", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "UnsafeMapIter",
-		Params: []string{"m", "c", "i"},
-		Events: []monitor.EventDef{
-			{Name: "createColl", Params: param.SetOf(pM, pC)},
-			{Name: "createIter", Params: param.SetOf(pC, pI)},
-			{Name: "useIter", Params: param.SetOf(pI)},
-			{Name: "updateMap", Params: param.SetOf(pM)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Match},
-	})
-}
-
-// UnsafeSyncColl is UNSAFESYNCCOLL: iterators over a synchronized
-// collection must be created and accessed while holding the collection's
-// lock.
-func UnsafeSyncColl() (*monitor.Spec, error) {
-	const (
-		pC = 0
-		pI = 1
-	)
-	alphabet := []string{"sync", "syncCreateIter", "asyncCreateIter", "syncAccess", "asyncAccess"}
-	bp, err := ere.Compile(
-		"sync (asyncCreateIter | syncCreateIter syncAccess* asyncAccess)", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "UnsafeSyncColl",
-		Params: []string{"c", "i"},
-		Events: []monitor.EventDef{
-			{Name: "sync", Params: param.SetOf(pC)},
-			{Name: "syncCreateIter", Params: param.SetOf(pC, pI)},
-			{Name: "asyncCreateIter", Params: param.SetOf(pC, pI)},
-			{Name: "syncAccess", Params: param.SetOf(pI)},
-			{Name: "asyncAccess", Params: param.SetOf(pI)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Match},
-	})
-}
-
-// UnsafeSyncMap is UNSAFESYNCMAP: the UNSAFESYNCCOLL discipline applied to
-// the key/value views of a synchronized map (three parameters).
-func UnsafeSyncMap() (*monitor.Spec, error) {
-	const (
-		pM = 0
-		pC = 1
-		pI = 2
-	)
-	alphabet := []string{"sync", "createSet", "syncCreateIter", "asyncCreateIter", "syncAccess", "asyncAccess"}
-	bp, err := ere.Compile(
-		"sync createSet (asyncCreateIter | syncCreateIter syncAccess* asyncAccess)", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "UnsafeSyncMap",
-		Params: []string{"m", "c", "i"},
-		Events: []monitor.EventDef{
-			{Name: "sync", Params: param.SetOf(pM)},
-			{Name: "createSet", Params: param.SetOf(pM, pC)},
-			{Name: "syncCreateIter", Params: param.SetOf(pC, pI)},
-			{Name: "asyncCreateIter", Params: param.SetOf(pC, pI)},
-			{Name: "syncAccess", Params: param.SetOf(pI)},
-			{Name: "asyncAccess", Params: param.SetOf(pI)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Match},
-	})
-}
-
-// SafeLock is the SAFELOCK context-free property of Figure 4: acquire and
-// release calls must be balanced and properly nested with method begin/end
-// within each (Lock, Thread) pair. The goal is the fail category — the
-// handler fires when the trace leaves the language's prefix closure.
-func SafeLock() (*monitor.Spec, error) {
-	const (
-		pL = 0
-		pT = 1
-	)
-	alphabet := []string{"acquire", "release", "begin", "end"}
-	bp, err := cfg.CompileAuto("S -> S begin S end | S acquire S release | epsilon", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "SafeLock",
-		Params: []string{"l", "t"},
-		Events: []monitor.EventDef{
-			{Name: "acquire", Params: param.SetOf(pL, pT)},
-			{Name: "release", Params: param.SetOf(pL, pT)},
-			{Name: "begin", Params: param.SetOf(pT)},
-			{Name: "end", Params: param.SetOf(pT)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Fail},
-	})
-}
-
-// SafeLockMatch is SAFELOCK with the match goal: it reports whenever the
-// trace is balanced. Unlike SafeLock it admits the grammar-level coenable
-// analysis of §3 and is used to demonstrate formalism-independent GC for
-// context-free properties.
-func SafeLockMatch() (*monitor.Spec, error) {
-	const (
-		pL = 0
-		pT = 1
-	)
-	alphabet := []string{"acquire", "release", "begin", "end"}
-	bp, err := cfg.CompileAuto("S -> S begin S end | S acquire S release | epsilon", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "SafeLockMatch",
-		Params: []string{"l", "t"},
-		Events: []monitor.EventDef{
-			{Name: "acquire", Params: param.SetOf(pL, pT)},
-			{Name: "release", Params: param.SetOf(pL, pT)},
-			{Name: "begin", Params: param.SetOf(pT)},
-			{Name: "end", Params: param.SetOf(pT)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Match},
-	})
-}
-
-// HashSet forbids mutating an element's hash-relevant state while it is a
-// member of a hash set.
-func HashSet() (*monitor.Spec, error) {
-	const (
-		pS = 0
-		pO = 1
-	)
-	alphabet := []string{"add", "remove", "mutate"}
-	m := fsm.New(alphabet)
-	for _, st := range []string{"out", "in", "error"} {
-		if err := m.AddState(st); err != nil {
-			return nil, err
-		}
-	}
-	trans := [][3]string{
-		{"out", "add", "in"},
-		{"out", "remove", "out"},
-		{"out", "mutate", "out"},
-		{"in", "add", "in"},
-		{"in", "remove", "out"},
-		{"in", "mutate", "error"},
-	}
-	for _, tr := range trans {
-		if err := m.AddTransition(tr[0], tr[1], tr[2]); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.Freeze(); err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "HashSet",
-		Params: []string{"s", "o"},
-		Events: []monitor.EventDef{
-			{Name: "add", Params: param.SetOf(pS, pO)},
-			{Name: "remove", Params: param.SetOf(pS, pO)},
-			{Name: "mutate", Params: param.SetOf(pO)},
-		},
-		BP:   m,
-		Goal: []logic.Category{"error"},
-	})
-}
-
-// SafeEnum forbids using an Enumeration after its Vector was modified
-// (the pre-Iterator sibling of UNSAFEITER).
-func SafeEnum() (*monitor.Spec, error) {
-	const (
-		pV = 0
-		pE = 1
-	)
-	alphabet := []string{"create", "modify", "nextElem"}
-	bp, err := ere.Compile("modify* create nextElem* modify+ nextElem", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "SafeEnum",
-		Params: []string{"v", "e"},
-		Events: []monitor.EventDef{
-			{Name: "create", Params: param.SetOf(pV, pE)},
-			{Name: "modify", Params: param.SetOf(pV)},
-			{Name: "nextElem", Params: param.SetOf(pE)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Match},
-	})
-}
-
-// SafeFile requires reads to happen only between open and close.
-func SafeFile() (*monitor.Spec, error) {
-	alphabet := []string{"open", "read", "close"}
-	m := fsm.New(alphabet)
-	for _, st := range []string{"closed", "opened", "error"} {
-		if err := m.AddState(st); err != nil {
-			return nil, err
-		}
-	}
-	trans := [][3]string{
-		{"closed", "open", "opened"},
-		{"closed", "read", "error"},
-		{"closed", "close", "error"},
-		{"opened", "read", "opened"},
-		{"opened", "close", "closed"},
-		{"opened", "open", "error"},
-	}
-	for _, tr := range trans {
-		if err := m.AddTransition(tr[0], tr[1], tr[2]); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.Freeze(); err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "SafeFile",
-		Params: []string{"f"},
-		Events: []monitor.EventDef{
-			{Name: "open", Params: param.SetOf(0)},
-			{Name: "read", Params: param.SetOf(0)},
-			{Name: "close", Params: param.SetOf(0)},
-		},
-		BP:   m,
-		Goal: []logic.Category{"error"},
-	})
-}
-
-// SafeFileWriter forbids writing to a writer after it has been closed,
-// expressed in past-time LTL: [](write -> ¬◇̄ close).
-func SafeFileWriter() (*monitor.Spec, error) {
-	alphabet := []string{"write", "close"}
-	bp, err := ltl.Compile("[] (write -> ! <*> close)", alphabet)
-	if err != nil {
-		return nil, err
-	}
-	return finish(&monitor.Spec{
-		Name:   "SafeFileWriter",
-		Params: []string{"w"},
-		Events: []monitor.EventDef{
-			{Name: "write", Params: param.SetOf(0)},
-			{Name: "close", Params: param.SetOf(0)},
-		},
-		BP:   bp,
-		Goal: []logic.Category{logic.Violation},
-	})
 }

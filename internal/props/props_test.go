@@ -231,3 +231,21 @@ func TestGCKeepsVerdictsForEveryProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestFileNamesProperty: each library file defines the property it is
+// named after, since Names lists the files and Build compiles them.
+func TestFileNamesProperty(t *testing.T) {
+	names := props.Names()
+	if len(names) != 12 {
+		t.Errorf("library has %d properties, want 12: %v", len(names), names)
+	}
+	for _, name := range names {
+		s, err := props.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name != name {
+			t.Errorf("%s.rv defines %q", name, s.Name)
+		}
+	}
+}

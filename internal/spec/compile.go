@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -41,41 +42,14 @@ func CompileOne(src string) (*monitor.Spec, error) {
 	if len(compiled) != 1 {
 		return nil, fmt.Errorf("spec: source compiles to %d properties, want exactly 1", len(compiled))
 	}
-	s := compiled[0].Spec
-	if err := s.Analyze(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return compiled[0].Spec, nil
 }
 
-// Compile compiles every logic block of the property.
+// Compile compiles every logic block of the property; a block's handler
+// categories are its goal.
 func (p *Property) Compile() ([]*Compiled, error) {
-	alphabet := make([]string, len(p.Events))
-	events := make([]monitor.EventDef, len(p.Events))
-	paramIdx := map[string]int{}
-	var paramNames []string
-	for i, prm := range p.Params {
-		paramIdx[prm.Name] = i
-		paramNames = append(paramNames, prm.Name)
-	}
-	if len(p.Params) > param.MaxParams {
-		return nil, fmt.Errorf("spec: %q has %d parameters, max %d", p.Name, len(p.Params), param.MaxParams)
-	}
-	for i, ev := range p.Events {
-		alphabet[i] = ev.Name
-		var ps param.Set
-		for _, prm := range ev.Params {
-			ps = ps.Union(param.SetOf(paramIdx[prm]))
-		}
-		events[i] = monitor.EventDef{Name: ev.Name, Params: ps}
-	}
-
 	var out []*Compiled
 	for bi, lb := range p.Logics {
-		bp, err := buildBlueprint(lb, alphabet)
-		if err != nil {
-			return nil, fmt.Errorf("spec: %q %s block: %w", p.Name, lb.Kind, err)
-		}
 		handlers := map[logic.Category]string{}
 		var goal []logic.Category
 		for _, h := range lb.Handlers {
@@ -90,14 +64,8 @@ func (p *Property) Compile() ([]*Compiled, error) {
 		if len(p.Logics) > 1 {
 			name = fmt.Sprintf("%s#%s%d", p.Name, lb.Kind, bi)
 		}
-		s := &monitor.Spec{
-			Name:   name,
-			Params: paramNames,
-			Events: events,
-			BP:     bp,
-			Goal:   goal,
-		}
-		if err := s.Analyze(); err != nil {
+		s, err := p.Assemble(name, lb, goal)
+		if err != nil {
 			return nil, fmt.Errorf("spec: %q: %w", p.Name, err)
 		}
 		out = append(out, &Compiled{Spec: s, Kind: lb.Kind, Handlers: handlers})
@@ -105,7 +73,74 @@ func (p *Property) Compile() ([]*Compiled, error) {
 	return out, nil
 }
 
-func buildBlueprint(lb LogicBlock, alphabet []string) (logic.Blueprint, error) {
+// DeclErrors is the one declaration check, shared by the .rv parser and
+// the public spec.Builder: every parameter declared once and at most
+// param.MaxParams of them, every event declared once, and every parameter
+// an event binds declared. It returns each problem found, in declaration
+// order, or none.
+func (p *Property) DeclErrors() []string {
+	var errs []string
+	declared := map[string]bool{}
+	for _, prm := range p.Params {
+		if declared[prm.Name] {
+			errs = append(errs, fmt.Sprintf("property %q declares parameter %q twice", p.Name, prm.Name))
+		}
+		declared[prm.Name] = true
+	}
+	if len(p.Params) > param.MaxParams {
+		errs = append(errs, fmt.Sprintf("property %q has %d parameters, max %d", p.Name, len(p.Params), param.MaxParams))
+	}
+	seen := map[string]bool{}
+	for _, ev := range p.Events {
+		if seen[ev.Name] {
+			errs = append(errs, fmt.Sprintf("property %q declares event %q twice", p.Name, ev.Name))
+		}
+		seen[ev.Name] = true
+		for _, prm := range ev.Params {
+			if !declared[prm] {
+				errs = append(errs, fmt.Sprintf("event %q binds undeclared parameter %q", ev.Name, prm))
+			}
+		}
+	}
+	return errs
+}
+
+// Assemble is the one place a monitor.Spec is put together, for .rv
+// source and spec.Builder alike: the property's parameters and events,
+// the blueprint of one logic block over the events in declaration order,
+// and the goal categories, with the static analyses run. It refuses
+// declarations that fail DeclErrors.
+func (p *Property) Assemble(name string, lb LogicBlock, goal []logic.Category) (*monitor.Spec, error) {
+	if errs := p.DeclErrors(); len(errs) > 0 {
+		return nil, errors.New(strings.Join(errs, "; "))
+	}
+	s := &monitor.Spec{Name: name, Goal: goal}
+	idx := make(map[string]int, len(p.Params))
+	for i, prm := range p.Params {
+		idx[prm.Name] = i
+		s.Params = append(s.Params, prm.Name)
+	}
+	alphabet := make([]string, len(p.Events))
+	for i, ev := range p.Events {
+		var ps param.Set
+		for _, prm := range ev.Params {
+			ps = ps.Union(param.SetOf(idx[prm]))
+		}
+		s.Events = append(s.Events, monitor.EventDef{Name: ev.Name, Params: ps})
+		alphabet[i] = ev.Name
+	}
+	bp, err := blueprint(lb, alphabet)
+	if err != nil {
+		return nil, fmt.Errorf("%s block: %w", lb.Kind, err)
+	}
+	s.BP = bp
+	if err := s.Analyze(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func blueprint(lb LogicBlock, alphabet []string) (logic.Blueprint, error) {
 	switch lb.Kind {
 	case "fsm":
 		m := fsm.New(alphabet)

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Property is a parsed (not yet compiled) specification.
@@ -270,21 +271,8 @@ func (p *Property) check() error {
 	if len(p.Logics) == 0 {
 		return fmt.Errorf("spec: property %q has no logic block", p.Name)
 	}
-	declared := map[string]bool{}
-	for _, prm := range p.Params {
-		declared[prm.Name] = true
-	}
-	seen := map[string]bool{}
-	for _, ev := range p.Events {
-		if seen[ev.Name] {
-			return fmt.Errorf("spec: duplicate event %q", ev.Name)
-		}
-		seen[ev.Name] = true
-		for _, prm := range ev.Params {
-			if !declared[prm] {
-				return fmt.Errorf("spec: event %q binds undeclared parameter %q", ev.Name, prm)
-			}
-		}
+	if errs := p.DeclErrors(); len(errs) > 0 {
+		return fmt.Errorf("spec: %s", strings.Join(errs, "; "))
 	}
 	for _, lb := range p.Logics {
 		if len(lb.Handlers) == 0 {

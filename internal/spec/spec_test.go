@@ -187,22 +187,26 @@ func TestCompileCFGProperty(t *testing.T) {
 	}
 }
 
+// badSources are .rv sources every front end must refuse, by the parser's
+// checks or by compilation.
+var badSources = map[string]string{
+	"no name":         `(x) { event e(x) ere: e @match {} }`,
+	"no params":       `P() { event e() ere: e @match {} }`,
+	"no events":       `P(x) { ere: x @match {} }`,
+	"no logic":        `P(x) { event e(x) }`,
+	"no handlers":     `P(x) { event e(x) ere: e }`,
+	"undeclared":      `P(x) { event e(y) ere: e @match { } }`,
+	"dup events":      `P(x) { event e(x) event e(x) ere: e @match { } }`,
+	"dup params":      "P(Iterator i, Iterator i) {\n event next(i)\n ere: next\n @match {}\n}",
+	"orphan handler":  `P(x) { event e(x) @match { } ere: e }`,
+	"unclosed":        `P(x) { event e(x) ere: e @match {`,
+	"bad fsm":         `P(x) { event e(x) fsm: @match { } }`,
+	"bad transition":  `P(x) { event e(x) fsm: s [ e -> ] @s { } }`,
+	"unknown pattern": `P(x) { event e(x) ere: nosuch @match { } }`,
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := map[string]string{
-		"no name":         `(x) { event e(x) ere: e @match {} }`,
-		"no params":       `P() { event e() ere: e @match {} }`,
-		"no events":       `P(x) { ere: x @match {} }`,
-		"no logic":        `P(x) { event e(x) }`,
-		"no handlers":     `P(x) { event e(x) ere: e }`,
-		"undeclared":      `P(x) { event e(y) ere: e @match { } }`,
-		"dup events":      `P(x) { event e(x) event e(x) ere: e @match { } }`,
-		"orphan handler":  `P(x) { event e(x) @match { } ere: e }`,
-		"unclosed":        `P(x) { event e(x) ere: e @match {`,
-		"bad fsm":         `P(x) { event e(x) fsm: @match { } }`,
-		"bad transition":  `P(x) { event e(x) fsm: s [ e -> ] @s { } }`,
-		"unknown pattern": `P(x) { event e(x) ere: nosuch @match { } }`,
-	}
-	for name, src := range bad {
+	for name, src := range badSources {
 		p, err := spec.Parse(src)
 		if err == nil {
 			_, err = p.Compile()

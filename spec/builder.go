@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"rvgo/internal/cfg"
-	"rvgo/internal/ere"
-	"rvgo/internal/fsm"
 	"rvgo/internal/logic"
-	"rvgo/internal/ltl"
-	"rvgo/internal/monitor"
-	"rvgo/internal/param"
+	ispec "rvgo/internal/spec"
 )
 
 // Builder assembles a parametric property fluently:
@@ -27,29 +22,23 @@ import (
 // block's language is the alphabet of declared events, in declaration
 // order. Errors accumulate and are reported by Build, which also runs
 // validation and the Section 3 static analyses, so a non-nil *Spec is
-// ready to monitor.
+// ready to monitor. The Builder only gathers the declarations: Build
+// checks and assembles them with the .rv compiler's code.
 type Builder struct {
-	name   string
-	params []string
-	events []eventDecl
-	kind   string
-	body   string
-	states []FSMState
-	goal   []string
-	errs   []string
-}
-
-type eventDecl struct {
-	name   string
-	params []string
+	p    ispec.Property
+	lb   ispec.LogicBlock
+	goal []string
+	errs []string
 }
 
 // New starts a property definition.
-func New(name string) *Builder { return &Builder{name: name} }
+func New(name string) *Builder { return &Builder{p: ispec.Property{Name: name}} }
 
 // Params declares the property's parameters, in index order.
 func (b *Builder) Params(names ...string) *Builder {
-	b.params = append(b.params, names...)
+	for _, name := range names {
+		b.p.Params = append(b.p.Params, ispec.Param{Name: name})
+	}
 	return b
 }
 
@@ -57,7 +46,7 @@ func (b *Builder) Params(names ...string) *Builder {
 // binds (D(e)), by parameter name. Declaration order is symbol order and
 // defines the alphabet of the logic block.
 func (b *Builder) Event(name string, params ...string) *Builder {
-	b.events = append(b.events, eventDecl{name: name, params: params})
+	b.p.Events = append(b.p.Events, ispec.EventDecl{Name: name, Params: params})
 	return b
 }
 
@@ -95,7 +84,16 @@ func State(name string, pairs ...string) FSMState {
 // default goal; set one with Goal).
 func (b *Builder) FSM(states ...FSMState) *Builder {
 	b.setKind("fsm")
-	b.states = states
+	for _, st := range states {
+		s := ispec.FSMState{Name: st.Name}
+		for _, tr := range st.Transitions {
+			if tr.To == "" {
+				b.errorf("state %q: State(...) takes alternating event/target pairs", st.Name)
+			}
+			s.Trans = append(s.Trans, ispec.FSMTrans{Event: tr.On, To: tr.To})
+		}
+		b.lb.FSM = append(b.lb.FSM, s)
+	}
 	return b
 }
 
@@ -103,7 +101,7 @@ func (b *Builder) FSM(states ...FSMState) *Builder {
 // declared events. The default goal category is Match.
 func (b *Builder) ERE(expr string) *Builder {
 	b.setKind("ere")
-	b.body = expr
+	b.lb.Body = expr
 	return b
 }
 
@@ -111,7 +109,7 @@ func (b *Builder) ERE(expr string) *Builder {
 // events. The default goal category is Violation.
 func (b *Builder) LTL(formula string) *Builder {
 	b.setKind("ltl")
-	b.body = formula
+	b.lb.Body = formula
 	return b
 }
 
@@ -121,7 +119,7 @@ func (b *Builder) LTL(formula string) *Builder {
 // coenable analysis instead.
 func (b *Builder) CFG(grammar string) *Builder {
 	b.setKind("cfg")
-	b.body = grammar
+	b.lb.Body = grammar
 	return b
 }
 
@@ -133,11 +131,11 @@ func (b *Builder) Goal(categories ...string) *Builder {
 }
 
 func (b *Builder) setKind(kind string) {
-	if b.kind != "" {
-		b.errorf("property %q has both a %s and a %s block; exactly one logic block is allowed", b.name, b.kind, kind)
+	if b.lb.Kind != "" {
+		b.errorf("property %q has both a %s and a %s block; exactly one logic block is allowed", b.p.Name, b.lb.Kind, kind)
 		return
 	}
-	b.kind = kind
+	b.lb.Kind = kind
 }
 
 func (b *Builder) errorf(format string, args ...any) {
@@ -148,43 +146,13 @@ func (b *Builder) errorf(format string, args ...any) {
 // errors, compilation errors and static-analysis errors are reported
 // here — a non-nil Spec never fails later at dispatch time.
 func (b *Builder) Build() (*Spec, error) {
-	if b.kind == "" {
-		b.errorf("property %q has no logic block (use FSM, ERE, LTL or CFG)", b.name)
+	if b.lb.Kind == "" {
+		b.errorf("property %q has no logic block (use FSM, ERE, LTL or CFG)", b.p.Name)
 	}
-	paramIdx := make(map[string]int, len(b.params))
-	for i, p := range b.params {
-		if _, dup := paramIdx[p]; dup {
-			b.errorf("property %q declares parameter %q twice", b.name, p)
-		}
-		paramIdx[p] = i
-	}
-	if len(b.params) > param.MaxParams {
-		b.errorf("property %q has %d parameters, max %d", b.name, len(b.params), param.MaxParams)
-	}
-	alphabet := make([]string, len(b.events))
-	events := make([]monitor.EventDef, len(b.events))
-	seenEv := map[string]bool{}
-	for i, ev := range b.events {
-		if seenEv[ev.name] {
-			b.errorf("property %q declares event %q twice", b.name, ev.name)
-		}
-		seenEv[ev.name] = true
-		alphabet[i] = ev.name
-		var ps param.Set
-		for _, p := range ev.params {
-			idx, ok := paramIdx[p]
-			if !ok {
-				b.errorf("event %q binds undeclared parameter %q", ev.name, p)
-				continue
-			}
-			ps = ps.Union(param.SetOf(idx))
-		}
-		events[i] = monitor.EventDef{Name: ev.name, Params: ps}
-	}
-
+	b.errs = append(b.errs, b.p.DeclErrors()...)
 	goal := b.goal
 	if len(goal) == 0 {
-		switch b.kind {
+		switch b.lb.Kind {
 		case "ere":
 			goal = []string{Match}
 		case "ltl":
@@ -192,67 +160,19 @@ func (b *Builder) Build() (*Spec, error) {
 		case "cfg":
 			goal = []string{Fail}
 		case "fsm":
-			b.errorf("property %q: an FSM block needs an explicit Goal (its categories are its state names)", b.name)
-		}
-	}
-
-	var bp logic.Blueprint
-	if len(b.errs) == 0 {
-		var err error
-		if bp, err = b.blueprint(alphabet); err != nil {
-			b.errorf("%s block: %v", b.kind, err)
+			b.errorf("property %q: an FSM block needs an explicit Goal (its categories are its state names)", b.p.Name)
 		}
 	}
 	if len(b.errs) > 0 {
-		return nil, fmt.Errorf("spec: building %q: %s", b.name, strings.Join(b.errs, "; "))
+		return nil, fmt.Errorf("spec: building %q: %s", b.p.Name, strings.Join(b.errs, "; "))
 	}
-
 	cats := make([]logic.Category, len(goal))
 	for i, g := range goal {
 		cats[i] = logic.Category(g)
 	}
-	ms := &monitor.Spec{
-		Name:   b.name,
-		Params: append([]string(nil), b.params...),
-		Events: events,
-		BP:     bp,
-		Goal:   cats,
+	ms, err := b.p.Assemble(b.p.Name, b.lb, cats)
+	if err != nil {
+		return nil, fmt.Errorf("spec: building %q: %w", b.p.Name, err)
 	}
-	if err := ms.Analyze(); err != nil {
-		return nil, err
-	}
-	return &Spec{ms: ms, kind: b.kind}, nil
-}
-
-func (b *Builder) blueprint(alphabet []string) (logic.Blueprint, error) {
-	switch b.kind {
-	case "fsm":
-		m := fsm.New(alphabet)
-		for _, st := range b.states {
-			if err := m.AddState(st.Name); err != nil {
-				return nil, err
-			}
-		}
-		for _, st := range b.states {
-			for _, tr := range st.Transitions {
-				if tr.To == "" {
-					return nil, fmt.Errorf("state %q: State(...) takes alternating event/target pairs", st.Name)
-				}
-				if err := m.AddTransition(st.Name, tr.On, tr.To); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := m.Freeze(); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case "ere":
-		return ere.Compile(b.body, alphabet)
-	case "ltl":
-		return ltl.Compile(b.body, alphabet)
-	case "cfg":
-		return cfg.CompileAuto(b.body, alphabet)
-	}
-	return nil, fmt.Errorf("unknown formalism %q", b.kind)
+	return &Spec{ms: ms, kind: b.lb.Kind}, nil
 }
