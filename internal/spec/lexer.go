@@ -5,6 +5,11 @@
 // programs are instrumented through the engine API instead of weaving (see
 // DESIGN.md).
 //
+// The compiler here is the only code that assembles a monitor.Spec: the
+// built-in library (internal/props, one .rv file per property) is compiled
+// from source, and the public spec.Builder gathers its declarations into a
+// Property and builds it through the same DeclErrors and Assemble.
+//
 // Example (HASNEXT, both formalisms, as in Figure 2):
 //
 //	HasNext(Iterator i) {
