@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse parses the `ere:` pattern syntax of Figure 3 over the given event
@@ -42,21 +43,25 @@ func lex(s string) []string {
 	var toks []string
 	i := 0
 	for i < len(s) {
-		c := rune(s[i])
+		c, size := utf8.DecodeRuneInString(s[i:])
 		switch {
 		case unicode.IsSpace(c):
-			i++
+			i += size
 		case strings.ContainsRune("()|&*+?~", c):
 			toks = append(toks, string(c))
 			i++
 		default:
 			j := i
-			for j < len(s) && (isIdent(rune(s[j]))) {
-				j++
+			for j < len(s) {
+				r, n := utf8.DecodeRuneInString(s[j:])
+				if !isIdent(r) {
+					break
+				}
+				j += n
 			}
 			if j == i {
-				toks = append(toks, string(c))
-				i++
+				toks = append(toks, s[i:i+size])
+				i += size
 			} else {
 				toks = append(toks, s[i:j])
 				i = j

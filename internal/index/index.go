@@ -30,21 +30,21 @@
 //     (container refcounting plays the role of JVM reachability).
 //
 // Monitors are referenced by generation-tagged arena handles (see package
-// arena), not pointers: a leaf's member vector contains no pointers, so the
-// host garbage collector never traverses the monitor store through the
-// index. Monitor behavior (death notification, the collectable check,
-// container refcounting) is reached through a Resolver, which the engine
-// implements over its monitor arena; every container operation takes the
-// resolver explicitly so the containers themselves hold handles only.
-// Iteration over a leaf goes through caller-owned scratch buffers
-// (AppendLive) rather than closures, and a detached leaf's member vector is
-// handed to the next leaf created — at steady state the index allocates
-// nothing.
+// arena), not pointers, and a leaf's member vector is a block of one
+// pointer-free heap (arena.Blocks) that also holds the domain registries:
+// a leaf record is an offset, a length, a domain and a link, so neither
+// the leaf pool's slabs nor the vectors are ever scanned by the host
+// garbage collector. Monitor behavior (death notification, the collectable
+// check, container refcounting) is reached through a Resolver, which the
+// engine implements over its monitor arena; every container operation
+// takes the resolver explicitly so the containers themselves hold handles
+// only. Iteration over a leaf goes through caller-owned scratch buffers
+// (AppendLive) rather than closures, and a recycled leaf's block goes on
+// its size's free list for the next vector of that size — once the heap
+// has reached its high-water mark the index allocates nothing.
 package index
 
 import (
-	"slices"
-
 	"rvgo/internal/arena"
 	"rvgo/internal/param"
 )
@@ -71,52 +71,64 @@ type Resolver interface {
 	Release(h Handle)
 }
 
-// Set is a compacting slice of monitor handles (RVSet). Its backing array
-// is pointer-free: the collector never scans a leaf's members. The zero
-// value is an empty set.
+// Set is a compacting vector of monitor handles (RVSet): the offset and
+// length of its block in the Leaves heap that holds it, so a Set is two
+// words and holds no pointer. Every operation that reads or grows the
+// members takes that Leaves. The zero value is an empty set with no block.
 type Set struct {
-	items []Handle
+	at, n uint32
 }
 
-// NewSet returns an empty set.
-func NewSet() *Set { return &Set{} }
+// minSet is the capacity of a set's first block: most leaves hold one
+// monitor.
+const minSet = 1
 
 // Len returns the current number of members (flagged-but-unremoved members
 // count until the next compaction).
-func (s *Set) Len() int { return len(s.items) }
+func (s *Set) Len() int { return int(s.n) }
 
 // Members returns the member vector, flagged-but-unremoved members
-// included: a read-only view for invariant checks.
-func (s *Set) Members() []Handle { return s.items }
+// included, with the block's capacity as its capacity: a read-only view
+// for invariant checks, valid until the heap next grows.
+func (s *Set) Members(ls *Leaves) []Handle { return ls.heap.Block(s.at)[:s.n] }
 
-// Full reports whether the next Add grows the member vector.
-func (s *Set) Full() bool { return len(s.items) == cap(s.items) }
+// Full reports whether the next Add moves the members to a larger block.
+func (s *Set) Full(ls *Leaves) bool { return s.n == ls.heap.Cap(s.at) }
 
-// Grow makes room for n more members, so that the next n Adds do not grow
+// Grow makes room for n more members, so that the next n Adds do not move
 // the member vector.
-func (s *Set) Grow(n int) { s.items = slices.Grow(s.items, n) }
+func (s *Set) Grow(ls *Leaves, n int) {
+	if want := s.n + uint32(n); want > ls.heap.Cap(s.at) {
+		s.at = ls.heap.Grow(s.at, s.n, want)
+	}
+}
 
 // Add appends a monitor and retains it.
-func (s *Set) Add(r Resolver, h Handle) {
+func (s *Set) Add(ls *Leaves, r Resolver, h Handle) {
 	r.Retain(h)
-	s.items = append(s.items, h)
+	if s.Full(ls) {
+		s.at = ls.heap.Grow(s.at, s.n, max(2*s.n, minSet))
+	}
+	ls.heap.Entries(s.at, s.n+1)[s.n] = h
+	s.n++
 }
 
 // ForEach visits live members, compacting away collectable ones in the same
 // pass (Figure 8). Visited monitors may become collectable during the pass
 // (e.g. by reaching a final verdict); they are still compacted next time.
-func (s *Set) ForEach(r Resolver, f func(Handle)) {
-	w := 0
-	for _, h := range s.items {
+func (s *Set) ForEach(ls *Leaves, r Resolver, f func(Handle)) {
+	items := ls.heap.Entries(s.at, s.n)
+	w := uint32(0)
+	for _, h := range items {
 		if r.Collectable(h) {
 			r.Release(h)
 			continue
 		}
-		s.items[w] = h
+		items[w] = h
 		w++
 		f(h)
 	}
-	s.items = s.items[:w]
+	s.n = w
 }
 
 // AppendLive compacts the set exactly like ForEach — collectable members
@@ -127,61 +139,68 @@ func (s *Set) ForEach(r Resolver, f func(Handle)) {
 // the high-water mark. The returned members were all live at snapshot time;
 // a member flagged while the caller walks the buffer must be re-checked by
 // the caller (exactly as ForEach re-checks at visit time).
-func (s *Set) AppendLive(r Resolver, buf []Handle) []Handle {
-	w := 0
-	for _, h := range s.items {
+func (s *Set) AppendLive(ls *Leaves, r Resolver, buf []Handle) []Handle {
+	items := ls.heap.Entries(s.at, s.n)
+	w := uint32(0)
+	for _, h := range items {
 		if r.Collectable(h) {
 			r.Release(h)
 			continue
 		}
-		s.items[w] = h
+		items[w] = h
 		w++
 		buf = append(buf, h)
 	}
-	s.items = s.items[:w]
+	s.n = w
 	return buf
 }
 
 // Compact removes collectable members without visiting.
-func (s *Set) Compact(r Resolver) { s.ForEach(r, func(Handle) {}) }
+func (s *Set) Compact(ls *Leaves, r Resolver) { s.ForEach(ls, r, func(Handle) {}) }
 
 // Leaf is one leaf record, M(κ, R): the monitors of domain exactly R whose
 // instance extends the key tuple κ of the θ-record whose chain it is on.
+// It holds no pointer, so the leaf pool's slabs are noscan.
 type Leaf struct {
 	Set
 	R    param.Set
 	Next Handle // the chain's next record, by ascending R
 }
 
-// Leaves is the leaf store: the pool of leaf records and the free list of
-// member vectors. It holds no key — the owner of a chain keeps its head
-// (the engine, in the θ-record of the key tuple) and passes it in; a chain
-// has at most one record per domain. The zero value is an empty store.
+// Leaves is the leaf store: the pool of leaf records and the block heap
+// that holds their member vectors. Sets kept elsewhere (the engine's
+// domain registries) keep their members in the same heap, and its owner
+// may carve other vectors from it (Heap). It holds no key — the owner of a
+// chain keeps its head (the engine, in the θ-record of the key tuple) and
+// passes it in; a chain has at most one record per domain. The zero value
+// is an empty store.
 type Leaves struct {
 	pool arena.Pool[Leaf]
-	// vecs are the member vectors of freed leaves, adopted by the next
-	// leaves created: the collected garbage becomes the allocator.
-	vecs [][]Handle
+	heap arena.Blocks
 }
 
-// SetChecks arms poison-on-free for the leaf records (race builds; see
-// arena.Pool.SetChecks). A record is poisoned after it surrendered its
-// member vector, so verify may insist that Members is nil.
-func (ls *Leaves) SetChecks(poison, verify func(*Leaf)) { ls.pool.SetChecks(poison, verify) }
+// SetChecks arms poison-on-free for the leaf records (see
+// arena.Pool.SetChecks) and for the heap's blocks. A record is poisoned
+// after it released its block, so verify may insist that it has none.
+func (ls *Leaves) SetChecks(poison, verify func(*Leaf)) {
+	ls.pool.SetChecks(poison, verify)
+	ls.heap.SetChecks(poison != nil)
+}
+
+// Heap returns the block heap the member vectors live in.
+func (ls *Leaves) Heap() *arena.Blocks { return &ls.heap }
 
 // At returns a live leaf record; it panics on a stale handle.
 func (ls *Leaves) At(h Handle) *Leaf { return ls.pool.At(h) }
 
-// Stats returns the leaf pool's occupancy snapshot and Vectors the length
-// of the member-vector free list (tests, diagnostics).
+// Stats returns the leaf pool's occupancy snapshot (tests, diagnostics).
 func (ls *Leaves) Stats() arena.Stats { return ls.pool.Stats() }
-func (ls *Leaves) Vectors() int       { return len(ls.vecs) }
 
-// Reset drops every leaf record and pooled vector; chain heads kept by the
-// owner become stale.
+// Reset drops every leaf record and every block; chain heads and sets kept
+// by the owner become stale.
 func (ls *Leaves) Reset() {
 	ls.pool.Reset()
-	ls.vecs = nil
+	ls.heap.Reset()
 }
 
 // Find returns the chain's leaf for domain R, or nil.
@@ -212,22 +231,8 @@ func (ls *Leaves) Insert(head *Handle, R param.Set) *Set {
 	}
 	h, l := ls.pool.Alloc()
 	l.R, l.Next = R, *link
-	if n := len(ls.vecs); n > 0 {
-		l.items, ls.vecs = ls.vecs[n-1], ls.vecs[:n-1]
-	}
 	*link = h
 	return &l.Set
-}
-
-// free recycles an emptied leaf record, keeping its member vector for the
-// next leaf: Alloc zeroes a reused record, so the vector is surrendered
-// here and adopted in Insert.
-func (ls *Leaves) free(h Handle, l *Leaf) {
-	if l.items != nil {
-		ls.vecs = append(ls.vecs, l.items[:0])
-		l.items = nil
-	}
-	ls.pool.Free(h)
 }
 
 // AppendLive compacts every leaf of the chain and appends the surviving
@@ -236,7 +241,7 @@ func (ls *Leaves) free(h Handle, l *Leaf) {
 func (ls *Leaves) AppendLive(r Resolver, head Handle, buf []Handle) []Handle {
 	for h := head; h != arena.Nil; {
 		l := ls.pool.At(h)
-		buf = l.AppendLive(r, buf)
+		buf = l.AppendLive(ls, r, buf)
 		h = l.Next
 	}
 	return buf
@@ -249,8 +254,8 @@ func (ls *Leaves) Compact(r Resolver, head *Handle) {
 	for link := head; *link != arena.Nil; {
 		h := *link
 		l := ls.pool.At(h)
-		l.Compact(r)
-		if len(l.items) != 0 {
+		l.Compact(ls, r)
+		if l.n != 0 {
 			link = &l.Next
 			continue
 		}
@@ -265,10 +270,11 @@ func (ls *Leaves) Compact(r Resolver, head *Handle) {
 func (ls *Leaves) Detach(r Resolver, head *Handle) {
 	for h := *head; h != arena.Nil; {
 		l := ls.pool.At(h)
-		for _, m := range l.items {
+		items := ls.heap.Entries(l.at, l.n)
+		for _, m := range items {
 			r.NotifyParamDeath(m)
 		}
-		for _, m := range l.items {
+		for _, m := range items {
 			r.Release(m)
 		}
 		next := l.Next
@@ -276,4 +282,13 @@ func (ls *Leaves) Detach(r Resolver, head *Handle) {
 		h = next
 	}
 	*head = arena.Nil
+}
+
+// free recycles an emptied leaf record and releases its block for the next
+// vector of its size.
+func (ls *Leaves) free(h Handle, l *Leaf) {
+	if l.at != 0 {
+		ls.heap.Release(l.at)
+	}
+	ls.pool.Free(h)
 }

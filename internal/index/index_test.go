@@ -119,7 +119,7 @@ func TestMapPutGet(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		k := param.Empty().Bind(0, h.Alloc(fmt.Sprintf("k%d", i)))
 		keys = append(keys, k)
-		kt.put(k, R).Add(r, r.alloc())
+		kt.put(k, R).Add(&kt.leaves, r, r.alloc())
 	}
 	if n := kt.leaves.Stats().Live; n != 100 {
 		t.Fatalf("leaf records = %d", n)
@@ -140,7 +140,7 @@ func TestMapPutGet(t *testing.T) {
 		t.Fatalf("put of a present (key, domain) made a record: %d live", kt.leaves.Stats().Live)
 	}
 	// Another domain under the same key is its own record on the chain.
-	kt.put(keys[0], param.SetOf(0)).Add(r, r.alloc())
+	kt.put(keys[0], param.SetOf(0)).Add(&kt.leaves, r, r.alloc())
 	if kt.get(keys[0], R).Len() != 1 || kt.get(keys[0], param.SetOf(0)).Len() != 1 || kt.leaves.Stats().Live != 101 {
 		t.Fatalf("chain does not partition by domain: %d live", kt.leaves.Stats().Live)
 	}
@@ -154,9 +154,9 @@ func TestEmptyStructuresDropped(t *testing.T) {
 	var ls index.Leaves
 	var head index.Handle
 	stays := r.alloc()
-	ls.Insert(&head, param.SetOf(0)).Add(r, r.allocFlagged())
-	ls.Insert(&head, param.SetOf(0, 1)).Add(r, stays)
-	ls.Insert(&head, param.SetOf(0, 2)).Add(r, r.allocFlagged())
+	ls.Insert(&head, param.SetOf(0)).Add(&ls, r, r.allocFlagged())
+	ls.Insert(&head, param.SetOf(0, 1)).Add(&ls, r, stays)
+	ls.Insert(&head, param.SetOf(0, 2)).Add(&ls, r, r.allocFlagged())
 	ls.Compact(r, &head)
 	if st := ls.Stats(); st.Live != 1 || st.Free != 2 {
 		t.Fatalf("emptied leaves must be recycled: %+v", st)
@@ -185,11 +185,11 @@ func TestMapExpungeNotifies(t *testing.T) {
 	c2 := h.Alloc("c2")
 	key := param.Empty().Bind(0, c2)
 	mon1, mon3, mon4 := r.alloc(), r.alloc(), r.alloc()
-	kt.put(key, param.SetOf(0, 1)).Add(r, mon1)
-	kt.put(key, param.SetOf(0, 1)).Add(r, mon3)
-	kt.put(key, param.SetOf(0)).Add(r, mon4)
+	kt.put(key, param.SetOf(0, 1)).Add(&kt.leaves, r, mon1)
+	kt.put(key, param.SetOf(0, 1)).Add(&kt.leaves, r, mon3)
+	kt.put(key, param.SetOf(0)).Add(&kt.leaves, r, mon4)
 	other := r.alloc()
-	kt.put(param.Empty().Bind(0, h.Alloc("c1")), param.SetOf(0)).Add(r, other)
+	kt.put(param.Empty().Bind(0, h.Alloc("c1")), param.SetOf(0)).Add(&kt.leaves, r, other)
 	r.Retain(mon3) // held by a second container: released here, not collected
 
 	kt.sweep(r)
@@ -220,27 +220,29 @@ func TestMapExpungeNotifies(t *testing.T) {
 	}
 }
 
-// TestLeafVectorReuse: a detached leaf's member vector is adopted by the
-// next leaf created, so detach-then-add allocates nothing at steady state.
+// TestLeafVectorReuse: a detached leaf's block goes on its size's free
+// list and the next leaf created takes it, so detach-then-add reuses the
+// blocks and allocates nothing at steady state.
 func TestLeafVectorReuse(t *testing.T) {
 	r := &fakeStore{}
 	var ls index.Leaves
 	m := r.alloc()
 	var head index.Handle
 	cycle := func() {
-		ls.Insert(&head, param.SetOf(0, 1)).Add(r, m)
-		ls.Insert(&head, param.SetOf(0)).Add(r, m)
+		ls.Insert(&head, param.SetOf(0, 1)).Add(&ls, r, m)
+		ls.Insert(&head, param.SetOf(0)).Add(&ls, r, m)
 		ls.Detach(r, &head)
 	}
 	cycle()
-	if ls.Vectors() != 2 || ls.Stats().Live != 0 || head != arena.Nil {
-		t.Fatalf("detach keeps %d vectors, %+v", ls.Vectors(), ls.Stats())
+	words := ls.Heap().Len()
+	if words != 4 || ls.Stats().Live != 0 || head != arena.Nil {
+		t.Fatalf("two one-member leaves took %d heap words, want 4; %+v", words, ls.Stats())
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Errorf("detach-then-add allocates %.2f times per cycle, want 0", avg)
 	}
-	if ls.Vectors() != 2 || ls.Stats().Slabs != 1 {
-		t.Fatalf("free lists grew: %d vectors, %+v", ls.Vectors(), ls.Stats())
+	if ls.Heap().Len() != words || ls.Stats().Slabs != 1 {
+		t.Fatalf("free lists grew: %d heap words, %+v", ls.Heap().Len(), ls.Stats())
 	}
 }
 
@@ -248,12 +250,13 @@ func TestLeafVectorReuse(t *testing.T) {
 // collectable monitors in one pass.
 func TestSetCompaction(t *testing.T) {
 	r := &fakeStore{}
-	s := index.NewSet()
+	var ls index.Leaves
+	s := new(index.Set)
 	var mons []index.Handle
 	for i := 0; i < 10; i++ {
 		m := r.alloc()
 		mons = append(mons, m)
-		s.Add(r, m)
+		s.Add(&ls, r, m)
 	}
 	for i, m := range mons {
 		if i%2 == 0 {
@@ -261,7 +264,7 @@ func TestSetCompaction(t *testing.T) {
 		}
 	}
 	var visited int
-	s.ForEach(r, func(index.Handle) { visited++ })
+	s.ForEach(&ls, r, func(index.Handle) { visited++ })
 	if visited != 5 {
 		t.Fatalf("visited %d, want 5", visited)
 	}
@@ -296,9 +299,9 @@ func TestTreeLookup(t *testing.T) {
 	}
 	mon := r.alloc()
 	s1 := kt.put(inst1, R)
-	s1.Add(r, mon)
+	s1.Add(&kt.leaves, r, mon)
 	s2 := kt.put(inst2, R)
-	s2.Add(r, r.alloc())
+	s2.Add(&kt.leaves, r, r.alloc())
 	if s1 == s2 {
 		t.Fatal("distinct tuples must get distinct leaves")
 	}
@@ -322,15 +325,16 @@ func TestTreeLookup(t *testing.T) {
 // releases everything and visits nothing.
 func TestSetCompactionAllFlagged(t *testing.T) {
 	r := &fakeStore{}
-	s := index.NewSet()
+	var ls index.Leaves
+	s := new(index.Set)
 	var mons []index.Handle
 	for i := 0; i < 8; i++ {
 		m := r.allocFlagged()
 		mons = append(mons, m)
-		s.Add(r, m)
+		s.Add(&ls, r, m)
 	}
 	visited := 0
-	s.ForEach(r, func(index.Handle) { visited++ })
+	s.ForEach(&ls, r, func(index.Handle) { visited++ })
 	if visited != 0 {
 		t.Fatalf("visited %d flagged members", visited)
 	}
@@ -348,8 +352,9 @@ func TestSetCompactionAllFlagged(t *testing.T) {
 // same compaction, same survivors, appended to the caller's buffer.
 func TestAppendLiveMatchesForEach(t *testing.T) {
 	r := &fakeStore{}
+	var ls index.Leaves
 	mk := func() *index.Set {
-		s := index.NewSet()
+		s := new(index.Set)
 		for i := 0; i < 10; i++ {
 			var m index.Handle
 			if i%3 == 0 {
@@ -357,16 +362,16 @@ func TestAppendLiveMatchesForEach(t *testing.T) {
 			} else {
 				m = r.alloc()
 			}
-			s.Add(r, m)
+			s.Add(&ls, r, m)
 		}
 		return s
 	}
 	s1 := mk()
 	s2 := mk()
 	var viaForEach []index.Handle
-	s1.ForEach(r, func(h index.Handle) { viaForEach = append(viaForEach, h) })
+	s1.ForEach(&ls, r, func(h index.Handle) { viaForEach = append(viaForEach, h) })
 	buf := make([]index.Handle, 0, 4)
-	buf = s2.AppendLive(r, buf)
+	buf = s2.AppendLive(&ls, r, buf)
 	if len(buf) != len(viaForEach) {
 		t.Fatalf("AppendLive returned %d members, ForEach visited %d", len(buf), len(viaForEach))
 	}
@@ -374,7 +379,7 @@ func TestAppendLiveMatchesForEach(t *testing.T) {
 		t.Fatalf("post-compaction lengths diverge: %d vs %d", s1.Len(), s2.Len())
 	}
 	// Appending must extend, not overwrite.
-	buf2 := s2.AppendLive(r, buf)
+	buf2 := s2.AppendLive(&ls, r, buf)
 	if len(buf2) != 2*len(buf) {
 		t.Fatalf("AppendLive did not append: %d, want %d", len(buf2), 2*len(buf))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // parse parses the `ltl:` syntax. Grammar:
@@ -56,8 +57,9 @@ func lexLTL(s string) []string {
 	i := 0
 outer:
 	for i < len(s) {
-		if unicode.IsSpace(rune(s[i])) {
-			i++
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(c) {
+			i += size
 			continue
 		}
 		for _, op := range ltlOps {
@@ -68,12 +70,16 @@ outer:
 			}
 		}
 		j := i
-		for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_') {
-			j++
+		for j < len(s) {
+			r, n := utf8.DecodeRuneInString(s[j:])
+			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
+				break
+			}
+			j += n
 		}
 		if j == i {
-			toks = append(toks, string(s[i]))
-			i++
+			toks = append(toks, s[i:i+size])
+			i += size
 		} else {
 			toks = append(toks, s[i:j])
 			i = j

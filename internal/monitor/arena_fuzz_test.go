@@ -141,7 +141,7 @@ func TestLeafPoison(t *testing.T) {
 	ls.Compact(nopResolver{}, &head) // empty: recycled
 	ls.Insert(&head, 1)              // an untouched record passes verify
 	ls.Compact(nopResolver{}, &head)
-	stale.Add(nopResolver{}, 1)
+	stale.Add(&ls, nopResolver{}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a member added to a pooled leaf record went unnoticed")

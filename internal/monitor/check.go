@@ -56,7 +56,7 @@ func CheckTheta(e *Engine, flushed bool) error {
 	edges := map[arena.Handle]int32{}
 	for i := range e.domains {
 		d := &e.domains[i]
-		for _, h := range d.all.Members() {
+		for _, h := range d.all.Members(&e.leaves) {
 			if m, ok := e.mons.Get(h); !ok || m.flags&monInReg == 0 {
 				continue // an entry the registry holds no reference on
 			}
@@ -102,7 +102,7 @@ func CheckTheta(e *Engine, flushed bool) error {
 			if flushed && l.Len() == 0 {
 				return fmt.Errorf("after Flush the leaf %v under %v is empty", l.R, inst)
 			}
-			for _, h := range l.Members() {
+			for _, h := range l.Members(&e.leaves) {
 				if !e.mons.Alive(h) {
 					return fmt.Errorf("leaf %v under %v holds %v, a recycled monitor", l.R, inst, h)
 				}

@@ -320,7 +320,8 @@ type Engine struct {
 
 	// leaves holds the index: the leaf records hanging off the θ-records
 	// (theta.leaf). A monitor of domain R sits in the leaf for R under
-	// θ|K for every K in its domain's key list.
+	// θ|K for every K in its domain's key list. Its block heap holds the
+	// leaves' member vectors, the registries (domain.all) and the θ lists.
 	leaves index.Leaves
 	// domains is every instance domain with its registry and key list,
 	// descending popcount, then mask.
@@ -424,7 +425,6 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 		opts:       opts,
 		bp:         spec.RuntimeBlueprint(),
 		intern:     param.NewInterner[theta](),
-		objs:       newObjects(poolCheck),
 		met:        opts.Metrics,
 		profGuards: opts.ProfileGuards,
 		prof:       opts.Profile,
@@ -434,6 +434,7 @@ func New(spec *Spec, opts Options) (*Engine, error) {
 	if e.period <= 0 {
 		e.period = defaultSweepInterval
 	}
+	e.objs = newObjects(e.leaves.Heap(), poolCheck)
 	e.retire, e.flagged, e.objs.dropq = e.retireBuf[:0], e.flaggedBuf[:0], e.objs.dropBuf[:0]
 	for _, ev := range spec.Events {
 		e.allParams = e.allParams.Union(ev.Params)
@@ -581,7 +582,7 @@ func (e *Engine) pinB(b *param.Binding, th arena.Handle) {
 		r.pins++
 		dead = dead || r.dead
 		if r.held {
-			e.objs.lists.push(r, th, e.liveTheta)
+			e.objs.push(r, th, e.liveTheta)
 		}
 	}
 	if dead {
@@ -749,7 +750,7 @@ func (e *Engine) dispatch(sym int, tb *param.Binding) {
 				}
 				r = e
 			}
-			buf := leaf.AppendLive(r, e.visitBuf[:0])
+			buf := leaf.AppendLive(&e.leaves, r, e.visitBuf[:0])
 			for _, h := range buf {
 				e.tryCreate(sym, tp, h)
 			}
@@ -1230,14 +1231,10 @@ func (e *Engine) insert(h arena.Handle) {
 	m := e.mons.At(h)
 	b := e.bindOf(m)
 	d := e.domainOf(b.Mask)
-	if d.all.Full() {
-		c := d.all.Len()
-		d.all.Compact((*registry)(e))
-		if n := d.all.Len(); 2*n > c {
-			d.all.Grow(n)
-		}
+	if d.all.Full(&e.leaves) {
+		e.compactRegistry(d)
 	}
-	d.all.Add(e, h)
+	d.all.Add(&e.leaves, e, h)
 	m.flags |= monInReg
 	for _, K := range d.keys {
 		kh := m.instH // θ|R is θ itself
@@ -1246,12 +1243,22 @@ func (e *Engine) insert(h arena.Handle) {
 			kh = e.internB(&kb)
 		}
 		ks := e.intern.At(kh)
-		e.leaves.Insert(&ks.Data.leaf, d.R).Add(e, h)
+		e.leaves.Insert(&ks.Data.leaf, d.R).Add(&e.leaves, e, h)
 		if e.opts.Creation == CreateFull && e.objs.anyDead(&ks.B) {
 			// A Figure 5 monitor over a dead object, under a key whose
 			// object's death is known already: detach it again.
 			e.retire = append(e.retire, kh)
 		}
+	}
+}
+
+// compactRegistry compacts a full registry, and grows it to twice what is
+// left when that freed less than half of it.
+func (e *Engine) compactRegistry(d *domain) {
+	c := d.all.Len()
+	d.all.Compact(&e.leaves, (*registry)(e))
+	if n := d.all.Len(); 2*n > c {
+		d.all.Grow(&e.leaves, n)
 	}
 }
 
@@ -1434,7 +1441,7 @@ func (e *Engine) Flush() {
 		}
 	}
 	for i := range e.domains {
-		e.domains[i].all.Compact((*registry)(e))
+		e.domains[i].all.Compact(&e.leaves, (*registry)(e))
 	}
 	e.settle()
 	if e.met != nil {

@@ -30,7 +30,7 @@ func SweepNow(e *Engine) {
 			}
 		}
 		for i := range e.domains {
-			e.domains[i].all.Compact(deadParam{(*registry)(e)})
+			e.domains[i].all.Compact(&e.leaves, deadParam{(*registry)(e)})
 		}
 		for h := range e.objs.recs {
 			if r := &e.objs.recs[h]; r.inUse() && r.pins == 0 && r.dead {
@@ -55,19 +55,20 @@ func (r deadParam) Collectable(h index.Handle) bool {
 // handles only.
 func HeldRefs(e *Engine) int { return e.objs.idx.Len() }
 
-// IndexStats returns the leaf pool's occupancy, the length of the member-
-// vector free list and the total membership of the domain registries.
-func IndexStats(e *Engine) (leaves arena.Stats, vectors, registered int) {
+// IndexStats returns the leaf pool's occupancy, the words of the block
+// heap (member vectors, registries and θ lists, free blocks included) and
+// the total membership of the domain registries.
+func IndexStats(e *Engine) (leaves arena.Stats, words, registered int) {
 	for i := range e.domains {
 		registered += e.domains[i].all.Len()
 	}
-	return e.leaves.Stats(), e.leaves.Vectors(), registered
+	return e.leaves.Stats(), e.leaves.Heap().Len(), registered
 }
 
 // RegistryShape returns the length and the capacity of domain R's
 // registry member vector, stale entries included.
 func RegistryShape(e *Engine, R param.Set) (n, c int) {
-	m := e.domainOf(R).all.Members()
+	m := e.domainOf(R).all.Members(&e.leaves)
 	return len(m), cap(m)
 }
 

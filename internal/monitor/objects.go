@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 
+	"rvgo/internal/arena"
 	"rvgo/internal/heap"
 	"rvgo/internal/param"
 	"rvgo/internal/probe"
@@ -16,7 +17,7 @@ import (
 type object struct {
 	ref heap.Ref
 	id  uint64
-	// at and n locate the record's θ list in the table's lists: the
+	// at and n locate the record's θ list in the table's heap: the
 	// handles of the θ-records that bind the object, kept for a held
 	// record only (at 0: none yet). Its free walks the list. Entries go
 	// stale when their θ-records are recycled, and are dropped when the
@@ -54,8 +55,9 @@ type objects struct {
 	idx  probe.Table[uint32] // by ID: handle+1 of every record in use
 	recs []object            // by handle; see inUse
 	free []uint32            // recycled handles, LIFO
-	// lists holds the held records' θ lists.
-	lists lists
+	// heap holds the held records' θ lists (lists.go): the engine's block
+	// heap, owned by its leaf store.
+	heap *arena.Blocks
 	// dropq holds the handles of records that are dead and unpinned: the
 	// engine drops them (drain) once the death that emptied them has been
 	// applied. It starts in dropBuf.
@@ -66,8 +68,8 @@ type objects struct {
 	check bool
 }
 
-func newObjects(check bool) objects {
-	return objects{idx: probe.New[uint32](), lists: lists{check: check}, check: check}
+func newObjects(heap *arena.Blocks, check bool) objects {
+	return objects{idx: probe.New[uint32](), heap: heap, check: check}
 }
 
 // pooledObject is the poison of a freed record under check: an ID no object
@@ -203,25 +205,13 @@ func (o *objects) unpin(b *param.Binding) {
 	}
 }
 
-// drain drops the queued records that are still dead and unpinned: such
-// an object can never recur in an event, so nothing will look it up again.
-// Each dropped ID goes to onRelease, if set.
-func (o *objects) drain(onRelease func(uint64)) {
-	for _, x := range o.dropq {
-		if r := &o.recs[x]; r.inUse() && r.pins == 0 && r.dead {
-			o.dropOne(x, onRelease)
-		}
-	}
-	o.dropq = o.dropq[:0]
-}
-
 // dropOne releases the record h, with its θ list.
 func (o *objects) dropOne(h uint32, onRelease func(uint64)) {
 	r := &o.recs[h]
 	id := r.id
 	o.idx.Delete(o.hash(id), h+1, o.rehash)
 	if r.at != 0 {
-		o.lists.release(r.at)
+		o.heap.Release(r.at)
 	}
 	if o.check {
 		*r = pooledObject
@@ -234,8 +224,20 @@ func (o *objects) dropOne(h uint32, onRelease func(uint64)) {
 	}
 }
 
+// drain drops the queued records that are still dead and unpinned: such
+// an object can never recur in an event, so nothing will look it up again.
+// Each dropped ID goes to onRelease, if set.
+func (o *objects) drain(onRelease func(uint64)) {
+	for _, x := range o.dropq {
+		if r := &o.recs[x]; r.inUse() && r.pins == 0 && r.dead {
+			o.dropOne(x, onRelease)
+		}
+	}
+	o.dropq = o.dropq[:0]
+}
+
 // reset drops every record and with it every ref, releasing none.
-func (o *objects) reset() { *o = newObjects(o.check) }
+func (o *objects) reset() { *o = newObjects(o.heap, o.check) }
 
 // idRef is an object known by its ID alone: the ref a verdict or diagnostic
 // gets for an ID-named record. It never dies; the record holds the death.

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"rvgo/internal/heap"
+	"rvgo/internal/index"
 	"rvgo/internal/param"
 )
 
@@ -20,6 +21,19 @@ func TestThetaSlotLayout(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(param.Slot[theta]{}); size > 80 {
 		t.Errorf("θ slot is %d bytes, want at most 80", size)
+	}
+}
+
+// TestLeafLayout: a leaf record locates its member vector in the block
+// heap by offset and length, so the leaf pool's slab holds no pointer and
+// a record is at most 24 bytes (40 while it held a slice header).
+func TestLeafLayout(t *testing.T) {
+	typ := reflect.TypeFor[index.Leaf]()
+	if path, ok := pointerIn(typ, typ.Name()); ok {
+		t.Errorf("leaf record holds a pointer at %s", path)
+	}
+	if size := unsafe.Sizeof(index.Leaf{}); size > 24 {
+		t.Errorf("leaf record is %d bytes, want at most 24", size)
 	}
 }
 
@@ -49,7 +63,7 @@ func pointerIn(typ reflect.Type, path string) (string, bool) {
 func TestObjectPoison(t *testing.T) {
 	for _, scribble := range []bool{false, true} {
 		h := heap.New()
-		objs := newObjects(true)
+		objs := newObjects(nil, true)
 		a := h.Alloc("a")
 		ha := objs.handle(a)
 		h.Free(a)
@@ -85,7 +99,7 @@ func TestObjectProbeLengths(t *testing.T) {
 	const maxBound, meanBound = 56, 2.63
 	for _, shift := range []uint{32, 20, 12} {
 		for range tables {
-			o := newObjects(false)
+			o := newObjects(nil, false)
 			for k := range uint64(keys) {
 				o.handleHeld(nil, k<<shift)
 			}

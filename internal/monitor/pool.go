@@ -8,7 +8,8 @@ import (
 
 // Arena poisoning: under race builds (the -race test suite) a monitor
 // record, θ-record or leaf record entering its arena's free list is
-// poisoned and one leaving it is verified, so a straggling dangling pointer
+// poisoned and one leaving it is verified (and so is a block of the block
+// heap, armed with the leaf pool's pair), so a straggling dangling pointer
 // that mutated a freed record fails loudly at the recycle point even if it
 // dodged the handle generation check. poolCheck is a build-tag constant (see
 // pool_race.go / pool_norace.go); in normal builds the checks are never
@@ -53,14 +54,16 @@ func verifyTheta(t *theta) {
 	}
 }
 
-// poisonLeaf marks a freed leaf record with a domain no spec has and a chain
-// link no pool issues; a walk that reached it would fail on the link. The
-// record gave up its member vector before it was freed, so a vector found
-// on reuse was put there through a stale *Set.
-func poisonLeaf(l *index.Leaf) { l.R, l.Next = ^param.Set(0), ^arena.Handle(0) }
+// pooledLeaf is the poison of a freed leaf record: a domain no spec has
+// and a chain link no pool issues, so a walk that reached it would fail on
+// the link. The record released its block before it was freed, so a
+// member found on reuse was put there through a stale *Set.
+var pooledLeaf = index.Leaf{R: ^param.Set(0), Next: ^arena.Handle(0)}
+
+func poisonLeaf(l *index.Leaf) { *l = pooledLeaf }
 
 func verifyLeaf(l *index.Leaf) {
-	if l.R != ^param.Set(0) || l.Next != ^arena.Handle(0) || l.Members() != nil {
+	if *l != pooledLeaf {
 		panic("monitor: free-list leaf record was mutated while pooled")
 	}
 }

@@ -149,7 +149,7 @@ func (e *Engine) FreeIDs(ids []uint64) {
 		if !r.held {
 			continue // a lazy record: the next sweep finds its θ-records
 		}
-		for _, th := range e.objs.lists.of(r) {
+		for _, th := range e.objs.list(r) {
 			if _, ok := e.intern.Live(th); ok {
 				e.retire = append(e.retire, th)
 			}
@@ -174,10 +174,10 @@ func (e *Engine) FreeIDs(ids []uint64) {
 
 // Close implements Runtime. The sequential engine holds no goroutines or
 // external resources; closing settles any published telemetry, returns
-// the slab arenas (monitor records, the θ-table, the leaf records) to the
-// host allocator in O(slabs) — the engine-side counterpart of the
-// per-monitor reclamation the GC policies do during the run — and empties
-// the registries and the object table. The object table is the only
+// the slab arenas (monitor records, the θ-table, the leaf records) and
+// the block heap to the host allocator in O(slabs) — the engine-side
+// counterpart of the per-monitor reclamation the GC policies do during
+// the run — and empties the registries and the object table. The object table is the only
 // holder of the monitored program's refs (θ-records bind its handles, and
 // the index hangs off the θ-records and holds monitor handles only):
 // callers keep a closed engine around to read Stats, and it must pin

@@ -62,12 +62,56 @@ func buildLiveMonitors(t *testing.T, n int) (*monitor.Engine, *heap.Heap) {
 	return eng, h
 }
 
+// scanBytes reads the scannable heap the last collection saw.
+func scanBytes(t *testing.T) uint64 {
+	t.Helper()
+	s := []rtmetrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() != rtmetrics.KindUint64 {
+		t.Fatalf("/gc/scan/heap:bytes kind = %v", s[0].Value.Kind())
+	}
+	return s[0].Value.Uint64()
+}
+
+// scanPerMonitor builds an engine fed by ID (no ref anywhere) holding n
+// live monitors under GCNone and returns the scannable heap it added per
+// monitor.
+func scanPerMonitor(t *testing.T, n int) float64 {
+	t.Helper()
+	runtime.GC()
+	before := scanBytes(t)
+	eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCNone, Creation: monitor.CreateEnable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := []uint64{1, 0}
+	for j := range uint64(n) {
+		ci[1] = 2 + j
+		eng.DispatchIDs(symCreate, ci)
+	}
+	runtime.GC()
+	added := float64(scanBytes(t)) - float64(before)
+	if live := eng.Stats().Live; live != int64(n) {
+		t.Fatalf("%d live monitors, want %d", live, n)
+	}
+	runtime.KeepAlive(eng)
+	eng.Close()
+	t.Logf("scannable heap of an ID-fed engine holding %d monitors: %.2f MB, %.1f B per monitor", n, added/1e6, added/float64(n))
+	return added / float64(n)
+}
+
 // TestArenaScaleLiveMonitors is the scale/soak tier of the arena store
 // (skipped under -short): a million live monitors must (a) be accounted
 // exactly by the slab arena, (b) cost the host collector stop-the-world
 // pauses that stay flat relative to a 10× smaller population — the store
-// is noscan, so pause time must not scale with monitor count — and (c)
-// vanish without a slab leak on Flush/Close.
+// is noscan, so pause time must not scale with monitor count — (c)
+// vanish without a slab leak on Flush/Close, and (d) fed by ID, add at
+// most maxScan bytes of scannable heap per live monitor at 10⁵ and at
+// 10⁶: the monitors, θ-records, leaf records and member vectors are all
+// noscan, and what is left is the object table's record slice, whose ref
+// field makes it scannable (≈ 130 B per monitor while the leaf records
+// held slice headers and their vectors were objects of their own).
+
 func TestArenaScaleLiveMonitors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak tier: skipped under -short")
@@ -137,5 +181,13 @@ func TestArenaScaleLiveMonitors(t *testing.T) {
 	}
 	if st := eng.InstanceArenaStats(); st.Slabs != 0 || st.Live != 0 {
 		t.Fatalf("instance slab leak after Close: %+v", st)
+	}
+
+	// (d) Scannable heap per live monitor, engine fed by ID.
+	const maxScan = 64
+	for _, n := range []int{small, big} {
+		if per := scanPerMonitor(t, n); per > maxScan {
+			t.Errorf("an ID-fed engine holding %d monitors adds %.1f B of scannable heap per monitor, want at most %d", n, per, maxScan)
+		}
 	}
 }

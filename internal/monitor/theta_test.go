@@ -199,8 +199,8 @@ func TestCloseEmptiesEngine(t *testing.T) {
 		if st := eng.ArenaStats(); st != (arena.Stats{HighWater: st.HighWater}) {
 			t.Errorf("%v/%v: monitor arena after Close: %+v", opts.GC, opts.Creation, st)
 		}
-		if st, vectors, registered := monitor.IndexStats(eng); st != (arena.Stats{HighWater: st.HighWater}) || vectors != 0 || registered != 0 {
-			t.Errorf("%v/%v: index after Close: leaf arena %+v, %d pooled vectors, %d registry members", opts.GC, opts.Creation, st, vectors, registered)
+		if st, words, registered := monitor.IndexStats(eng); st != (arena.Stats{HighWater: st.HighWater}) || words != 0 || registered != 0 {
+			t.Errorf("%v/%v: index after Close: leaf arena %+v, %d heap words, %d registry members", opts.GC, opts.Creation, st, words, registered)
 		}
 		if n := monitor.HeldRefs(eng); n != 0 {
 			t.Errorf("%v/%v: %d object records (and their refs) survive Close", opts.GC, opts.Creation, n)

@@ -12,7 +12,8 @@ import (
 // never panics, and a property it accepts passes the declaration check the
 // compiler and spec.Builder share and has a handler on every logic block.
 // It parses only: compiling a blueprint can take time exponential in a
-// small ERE. The seeds are the built-in library and the refused sources.
+// small ERE. The seeds are the built-in library, the refused sources and
+// the accepted ones of TestParseGoodSources.
 func FuzzParse(f *testing.F) {
 	lib, err := filepath.Glob(filepath.Join("..", "props", "*.rv"))
 	if err != nil || len(lib) == 0 {
@@ -27,6 +28,9 @@ func FuzzParse(f *testing.F) {
 	}
 	for _, src := range badSources {
 		f.Add(src)
+	}
+	for _, tc := range goodSources {
+		f.Add(tc.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := spec.Parse(src)

@@ -5,6 +5,11 @@
 // programs are instrumented through the engine API instead of weaving (see
 // DESIGN.md).
 //
+// Identifiers — property, parameter, type, event and state names — are
+// Unicode: a letter or '_', then letters, digits and '_' (Prüfung, é).
+// A comment runs from // to the end of its line, anywhere, inside an ere,
+// ltl or cfg pattern too.
+//
 // The compiler here is the only code that assembles a monitor.Spec: the
 // built-in library (internal/props, one .rv file per property) is compiled
 // from source, and the public spec.Builder gathers its declarations into a
@@ -45,6 +50,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -76,21 +82,42 @@ func (lx *lexer) errf(format string, args ...any) error {
 
 func (lx *lexer) skipSpace() {
 	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
+		c, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
 		switch {
 		case c == '\n':
 			lx.line++
 			lx.pos++
-		case unicode.IsSpace(rune(c)):
-			lx.pos++
-		case c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/':
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
+		case unicode.IsSpace(c):
+			lx.pos += size
+		case strings.HasPrefix(lx.src[lx.pos:], "//"):
+			lx.pos = commentEnd(lx.src, lx.pos)
 		default:
 			return
 		}
 	}
+}
+
+// commentEnd returns the end of the comment starting at s[i]: its line's
+// newline, or the end of s.
+func commentEnd(s string, i int) int {
+	if j := strings.IndexByte(s[i:], '\n'); j >= 0 {
+		return i + j
+	}
+	return len(s)
+}
+
+// ident returns the end of the identifier starting at s[i], or i if none
+// does.
+func ident(s string, i int) int {
+	j := i
+	for j < len(s) {
+		c, size := utf8.DecodeRuneInString(s[j:])
+		if !isIdentPart(c) || j == i && !isIdentStart(c) {
+			break
+		}
+		j += size
+	}
+	return j
 }
 
 // next returns the next structural token.
@@ -109,16 +136,13 @@ func (lx *lexer) next() (token, error) {
 		lx.pos += 2
 		return token{kind: tokPunct, text: "->", line: lx.line}, nil
 	}
-	if isIdentStart(rune(c)) {
-		j := lx.pos
-		for j < len(lx.src) && isIdentPart(rune(lx.src[j])) {
-			j++
-		}
+	if j := ident(lx.src, lx.pos); j > lx.pos {
 		t := token{kind: tokIdent, text: lx.src[lx.pos:j], line: lx.line}
 		lx.pos = j
 		return t, nil
 	}
-	return token{}, lx.errf("unexpected character %q", c)
+	r, _ := utf8.DecodeRuneInString(lx.src[lx.pos:])
+	return token{}, lx.errf("unexpected character %q", r)
 }
 
 // peek returns the next token without consuming it.
@@ -131,7 +155,8 @@ func (lx *lexer) peek() (token, error) {
 
 // restOfLogicBlock consumes raw text until the start of the next section:
 // a line beginning with '@', a known logic keyword followed by ':', or the
-// closing '}' of the property. Used for ere/ltl/cfg pattern bodies.
+// closing '}' of the property. Used for ere/ltl/cfg pattern bodies; the
+// text is returned with its // comments removed.
 func (lx *lexer) restOfLogicBlock() string {
 	start := lx.pos
 	depth := 0
@@ -145,13 +170,8 @@ func (lx *lexer) restOfLogicBlock() string {
 			if c == '@' || c == '}' {
 				break
 			}
-			if isIdentStart(rune(c)) {
-				j := lx.pos
-				for j < len(lx.src) && isIdentPart(rune(lx.src[j])) {
-					j++
-				}
-				word := lx.src[lx.pos:j]
-				if isLogicKeyword(word) && nextNonSpace(lx.src, j) == ':' {
+			if j := ident(lx.src, lx.pos); j > lx.pos {
+				if isLogicKeyword(lx.src[lx.pos:j]) && nextNonSpace(lx.src, j) == ':' {
 					break
 				}
 				lx.pos = j
@@ -163,12 +183,28 @@ func (lx *lexer) restOfLogicBlock() string {
 			depth++
 		case ')', ']':
 			depth--
-		case '\n':
-			lx.line++
 		}
-		lx.pos++
+		_, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
+		lx.pos += size
 	}
-	return strings.TrimSpace(lx.src[start:lx.pos])
+	return strings.TrimSpace(stripComments(lx.src[start:lx.pos]))
+}
+
+// stripComments returns s without its // comments (their newlines kept).
+func stripComments(s string) string {
+	if !strings.Contains(s, "//") {
+		return s
+	}
+	var b strings.Builder
+	for {
+		i := strings.Index(s, "//")
+		if i < 0 {
+			b.WriteString(s)
+			return b.String()
+		}
+		b.WriteString(s[:i])
+		s = s[commentEnd(s, i):]
+	}
 }
 
 // braceBlock consumes a {...} block (handler body) and returns its inner
@@ -211,12 +247,13 @@ func isLogicKeyword(w string) bool {
 	return false
 }
 
-func nextNonSpace(s string, i int) byte {
+func nextNonSpace(s string, i int) rune {
 	for i < len(s) {
-		if !unicode.IsSpace(rune(s[i])) {
-			return s[i]
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsSpace(c) {
+			return c
 		}
-		i++
+		i += size
 	}
 	return 0
 }

@@ -205,6 +205,55 @@ var badSources = map[string]string{
 	"unknown pattern": `P(x) { event e(x) ere: nosuch @match { } }`,
 }
 
+// goodSources are .rv sources every front end must accept, with the name,
+// events and first logic block body each must parse to: comments inside
+// a pattern block, on the pattern's line and on a line of their own, and
+// identifiers spelled outside ASCII.
+var goodSources = map[string]struct {
+	src, name, events, body string
+}{
+	"comment after pattern": {
+		src:  "Twice(x) {\n  event e(x)\n  ere: e e* // two or more\n  @match { }\n}",
+		name: "Twice", events: "e", body: "e e*",
+	},
+	"comment line before handler": {
+		src:  "Twice(x) {\n  event e(x)\n  ere: e e*\n  // two or more\n  @match { }\n}",
+		name: "Twice", events: "e", body: "e e*",
+	},
+	"non-ASCII property": {
+		src:  "Prüfung(x) {\n  event e(x)\n  ere: e\n  @match { }\n}",
+		name: "Prüfung", events: "e", body: "e",
+	},
+	"non-ASCII event": {
+		src:  "P(x) {\n  event é(x)\n  event ß_2(x)\n  ere: é ß_2 // é, then ß_2\n  @match { }\n}",
+		name: "P", events: "é ß_2", body: "é ß_2",
+	},
+	"non-ASCII ltl": {
+		src:  "P(x) {\n  event é(x)\n  event f(x)\n  ltl: [] (é -> (*) f)\n  @violation { }\n}",
+		name: "P", events: "é f", body: "[] (é -> (*) f)",
+	},
+}
+
+func TestParseGoodSources(t *testing.T) {
+	for name, tc := range goodSources {
+		p, err := spec.Parse(tc.src)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		var events []string
+		for _, ev := range p.Events {
+			events = append(events, ev.Name)
+		}
+		if p.Name != tc.name || strings.Join(events, " ") != tc.events || p.Logics[0].Body != tc.body {
+			t.Errorf("%s: parsed %q with events %v and body %q, want %q, %q, %q", name, p.Name, events, p.Logics[0].Body, tc.name, tc.events, tc.body)
+		}
+		if _, err := spec.CompileOne(tc.src); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	for name, src := range badSources {
 		p, err := spec.Parse(src)

@@ -563,7 +563,15 @@ type Reader struct {
 	buf []byte
 	c   Cursor   // over the current frame's payload
 	ids []uint64 // reused backing for Event/Free/Release/Verdict IDs
+	// cats are the verdict categories decoded so far (a spec's categories
+	// and, for an FSM, its state names), so a repeated one costs no
+	// allocation; at most maxCats are kept.
+	cats []string
 }
+
+// maxCats bounds Reader.cats: a peer that sends ever new categories gets a
+// fresh string for each past the first maxCats, not a growing table.
+const maxCats = 64
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
@@ -703,10 +711,28 @@ func (r *Reader) decodeVerdict(v *Verdict) {
 		r.c.fail(fmt.Errorf("wire: verdict symbol %d out of range", sym))
 	}
 	v.Sym = int(sym)
-	v.Cat = r.c.S()
+	v.Cat = r.category()
 	v.Mask = r.c.U()
 	r.ids = r.c.ids(r.ids[:0], bits.OnesCount64(v.Mask))
 	v.IDs = r.ids
+}
+
+// category decodes a verdict's category, returning the table's copy when
+// it has seen the name before.
+func (r *Reader) category() string {
+	n := r.c.Count()
+	r.c.Pos += n
+	b := r.c.Buf[r.c.Pos-n : r.c.Pos]
+	for _, cat := range r.cats {
+		if cat == string(b) {
+			return cat
+		}
+	}
+	cat := string(b)
+	if len(r.cats) < maxCats {
+		r.cats = append(r.cats, cat)
+	}
+	return cat
 }
 
 // Enc is the one encoder: append-only bytes under frames, slot journals

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -233,6 +234,68 @@ func TestReaderNoAlloc(t *testing.T) {
 	}
 	if msg.Type != TEvent {
 		t.Fatalf("decoded %v, want an event frame", msg.Type)
+	}
+}
+
+// TestVerdictCategoryNoAlloc: decoding repeated verdict frames allocates
+// nothing — a category seen before is the Reader's own copy — while a
+// category never seen before (an FSM state name, say) still decodes
+// exactly, and so do categories past the table's bound.
+func TestVerdictCategoryNoAlloc(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	cats := []string{"match", "violation", "error"}
+	for i := 0; i < 1024; i++ {
+		if err := w.WriteVerdict(Verdict{Sym: i & 3, Cat: cats[i%len(cats)], Mask: 0b11, IDs: []uint64{uint64(i), 7}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&loopReader{data: buf.Bytes()})
+	var msg Msg
+	next := func() {
+		if err := r.Next(&msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1024; i++ {
+		next() // one pass sizes the reader's buffers and sees every category
+		if msg.Type != TVerdict || msg.Verdict.Cat != cats[i%len(cats)] || msg.Verdict.IDs[0] != uint64(i) {
+			t.Fatalf("frame %d decoded as %+v", i, msg)
+		}
+	}
+	if avg := testing.AllocsPerRun(2048, next); avg != 0 {
+		t.Errorf("Reader.Next allocates %.2f times per verdict frame, want 0", avg)
+	}
+
+	// New categories, more of them than the table keeps, each twice.
+	buf.Reset()
+	var names []string
+	for i := 0; i < 2*maxCats; i++ {
+		names = append(names, fmt.Sprintf("state%d", i))
+	}
+	for _, name := range append(names, names...) {
+		if err := w.WriteVerdict(Verdict{Sym: 1, Cat: name, Mask: 0b1, IDs: []uint64{3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r = NewReader(bytes.NewReader(buf.Bytes()))
+	for i, name := range append(names, names...) {
+		next()
+		if msg.Type != TVerdict || msg.Verdict.Cat != name || msg.Verdict.IDs[0] != 3 {
+			t.Fatalf("frame %d: decoded %+v, want category %q", i, msg, name)
+		}
+	}
+	if len(r.cats) != maxCats {
+		t.Errorf("the reader keeps %d categories, want the bound %d", len(r.cats), maxCats)
 	}
 }
 
