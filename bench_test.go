@@ -293,7 +293,7 @@ func newShardBenchBackend(b *testing.B, propName string, shards int) monitor.Run
 		}
 		return eng
 	}
-	rt, err := shard.New(spec, shard.Options{Options: opts, Shards: shards, BatchSize: 256})
+	rt, err := shard.New(spec, shard.Options{Options: opts, Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}

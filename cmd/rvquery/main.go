@@ -14,11 +14,11 @@
 // The query property need not be the recorded one: events are matched by
 // name (unknown ones skip), so a trace recorded while monitoring one
 // property answers later questions about any property over the same
-// alphabet. -parallel replays segments across N workers partitioned by
-// the recorded pivot index — the offline image of the sharded runtime —
-// and -pivots restricts the replay to the given slices, skipping segments
-// the pivot index proves irrelevant. A trace with a torn tail (crashed
-// recorder) is truncated to its last intact segment and reported.
+// alphabet. With -parallel N the trace is replayed once into the sharded
+// runtime over N shards, and -pivots restricts the replay to the given
+// slices, skipping segments the pivot index proves irrelevant. A trace
+// with a torn tail (crashed recorder) is truncated to its last intact
+// segment and reported.
 //
 // -avoid replays with the creation-avoidance guards on (audit counts
 // would-be-suppressed creations, enforce suppresses them; see DESIGN.md

@@ -107,7 +107,7 @@ func keys(vs []onlineVerdict) []string {
 }
 
 // settled is the part of Stats a parallel replay reproduces exactly:
-// everything but PeakLive, which sums the per-worker peaks.
+// everything but PeakLive, which sums the per-shard peaks.
 func settled(s monitor.Stats) monitor.Stats {
 	s.PeakLive = 0
 	return s
@@ -174,12 +174,12 @@ func TestVerdictLines(t *testing.T) {
 // TestRetroOracleDaCapo is the end-to-end oracle for the retroactive
 // path: a DaCapo workload's monitored stream is recorded once through
 // the segment store, then replayed through the rvquery path
-// (RunRetroQuery) sequentially and with 4 parallel workers, under every
+// (RunRetroQuery) sequentially and on 4 shards, under every
 // monitor GC policy — verdicts and settled counters must equal the
-// online run's exactly. Two legs follow under coenable GC: a
-// pivot-selective query, which must reproduce exactly its pivot's online
-// verdicts while the pivot index skims segments, and a profile-guided
-// enforce replay, which must settle the same at ×1 and ×4.
+// online run's exactly. Two legs follow under coenable GC, each at ×1
+// and ×4: a pivot-selective query, which must reproduce exactly its
+// pivot's online verdicts while the pivot index skims segments, and a
+// profile-guided enforce replay; each must settle the same at ×1 and ×4.
 func TestRetroOracleDaCapo(t *testing.T) {
 	const prop = "UnsafeIter"
 	spec, err := props.Build(prop)
@@ -228,7 +228,7 @@ func TestRetroOracleDaCapo(t *testing.T) {
 }
 
 // TestRetroParallelRefusals: a parallel query under full creation would
-// over-count Created (the workers' monitor populations overlap), and a
+// over-count Created (the shards' monitor populations overlap), and a
 // creation profile is engine-local. Both are refused with
 // monitor.Options.Check's message for the requested worker count, and both
 // run sequentially.
@@ -257,10 +257,11 @@ func TestRetroParallelRefusals(t *testing.T) {
 // retroSelective replays one slice out of the recorded trace: the
 // verdict-bearing pivot object with the smallest segment footprint (the
 // identity check stays non-vacuous and the index has segments to skip),
-// falling back to the narrowest slice in the trace. The query must report
-// exactly that pivot's online verdicts while skipping the rest of the
-// trace — UnsafeIter's update(c) is a broadcast event, so the slice is not
-// just the pivot's own records.
+// falling back to the narrowest slice in the trace. The query, run
+// sequentially and on 4 shards, must report exactly that pivot's online
+// verdicts while skipping the rest of the trace — UnsafeIter's update(c)
+// is a broadcast event, so the slice is not just the pivot's own records —
+// and the two runs must settle the same counters.
 func retroSelective(t *testing.T, path string, spec *monitor.Spec, online []onlineVerdict) {
 	piv, err := shard.Pivot(spec)
 	if err != nil || piv < 0 {
@@ -293,22 +294,30 @@ func retroSelective(t *testing.T, path string, spec *monitor.Spec, online []onli
 			want = append(want, v.key)
 		}
 	}
-	var got []string
-	qr, err := cliutil.RunRetroQuery(path, spec, cliutil.RetroQuery{
-		GC:        monitor.GCCoenable,
-		Workers:   1,
-		Pivots:    []uint64{pivotID},
-		OnVerdict: func(v monitor.Verdict) { got = append(got, oracleKey(v)) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("pivot %d: verdicts diverged:\n  online %v\n  retro  %v", pivotID, want, got)
-	}
-	if qr.Replay.SegmentsSkimmed == 0 || qr.Replay.EventsSkipped == 0 {
-		t.Errorf("pivot %d: the index skipped nothing: %+v", pivotID, qr.Replay)
+	var seq monitor.Stats
+	for _, workers := range []int{1, 4} {
+		var got []string
+		qr, err := cliutil.RunRetroQuery(path, spec, cliutil.RetroQuery{
+			GC:        monitor.GCCoenable,
+			Workers:   workers,
+			Pivots:    []uint64{pivotID},
+			OnVerdict: func(v monitor.Verdict) { got = append(got, oracleKey(v)) },
+		})
+		if err != nil {
+			t.Fatalf("×%d: %v", workers, err)
+		}
+		sort.Strings(got)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("pivot %d ×%d: verdicts diverged:\n  online %v\n  retro  %v", pivotID, workers, want, got)
+		}
+		if qr.Replay.SegmentsSkimmed == 0 || qr.Replay.EventsSkipped == 0 {
+			t.Errorf("pivot %d ×%d: the index skipped nothing: %+v", pivotID, workers, qr.Replay)
+		}
+		if workers == 1 {
+			seq = qr.Stats
+		} else if settled(qr.Stats) != settled(seq) {
+			t.Errorf("pivot %d ×%d settled counters diverge from ×1:\n  ×1 %+v\n  ×%d %+v", pivotID, workers, seq, workers, qr.Stats)
+		}
 	}
 }
 

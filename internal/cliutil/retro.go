@@ -8,6 +8,7 @@ import (
 
 	"rvgo/internal/monitor"
 	"rvgo/internal/props"
+	"rvgo/internal/shard"
 	ispec "rvgo/internal/spec"
 	"rvgo/internal/trace"
 )
@@ -75,7 +76,8 @@ type RetroQuery struct {
 	// Profile, when non-nil, collects per-creation-site statistics
 	// during the replay. Profiles are engine-local and unsynchronized.
 	Profile *monitor.CreationProfile
-	// Workers is the parallel fan-out; <= 1 replays sequentially.
+	// Workers is the shard count of a parallel replay's sharded runtime;
+	// <= 1 replays through one sequential engine.
 	Workers int
 	// Pivots, when non-empty, restricts the replay to these pivot
 	// objects (slice-selective replay).
@@ -106,15 +108,15 @@ type RetroResult struct {
 }
 
 // RunRetroQuery opens the trace at path and replays it through monitors
-// of spec. The replay reproduces the online run bit-identically: same
-// verdicts, same settled counters, under any worker count (see the
-// internal/trace oracle tests).
+// of spec: one sequential engine, or with Workers > 1 the sharded runtime
+// over Workers shards. The replay reproduces the online run
+// bit-identically: same verdicts, same settled counters, under any worker
+// count (see the internal/trace and internal/cliutil oracle tests).
 func RunRetroQuery(path string, spec *monitor.Spec, q RetroQuery) (*RetroResult, error) {
 	r, err := trace.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	res := &RetroResult{Segments: r.Segments(), Truncated: r.Truncated()}
 	mopts := monitor.Options{
 		GC:            q.GC,
 		Creation:      q.Creation,
@@ -123,28 +125,23 @@ func RunRetroQuery(path string, spec *monitor.Spec, q RetroQuery) (*RetroResult,
 		Profile:       q.Profile,
 		OnVerdict:     q.OnVerdict,
 	}
+	var rt interface {
+		trace.Target
+		monitor.Runtime
+	}
 	if q.Workers > 1 {
-		pr, err := r.ReplayParallel(spec, trace.ParallelConfig{
-			Workers: q.Workers,
-			Monitor: mopts,
-			Pivots:  q.Pivots,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Stats, res.Replay = pr.Stats, pr.Replay
-		return res, nil
+		rt, err = shard.New(spec, shard.Options{Options: mopts, Shards: q.Workers})
+	} else {
+		rt, err = monitor.New(spec, mopts)
 	}
-	eng, err := monitor.New(spec, mopts)
 	if err != nil {
 		return nil, err
 	}
-	defer eng.Close()
-	rs, err := r.Replay(eng, trace.ReplayOptions{Pivots: q.Pivots})
+	defer rt.Close()
+	rs, err := r.Replay(rt, trace.ReplayOptions{Pivots: q.Pivots})
 	if err != nil {
 		return nil, err
 	}
-	eng.Flush()
-	res.Stats, res.Replay = eng.Stats(), rs
-	return res, nil
+	rt.Flush()
+	return &RetroResult{Stats: rt.Stats(), Replay: rs, Segments: r.Segments(), Truncated: r.Truncated()}, nil
 }

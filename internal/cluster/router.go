@@ -42,8 +42,6 @@ type RouterOptions struct {
 	// Window is the upstream event-credit window granted to each session
 	// (default 4096). A client may request a smaller one in its Hello.
 	Window int
-	// NodeWindow caps each downstream slot window (0 = node default).
-	NodeWindow int
 	// Probe is the health re-probe interval for unhealthy nodes (default
 	// 1s). A revived node is re-admitted into every active session.
 	Probe time.Duration
@@ -215,7 +213,7 @@ func (r *Router) open(s *server.Session) (server.Backend, error) {
 		return nil, fmt.Errorf("cluster router shards by pivot across nodes; request Shards<=1 (got %d)", s.Hello.Shards)
 	}
 	hello := s.Hello // validated by the front; handed down whole
-	hello.Window = uint64(r.opts.NodeWindow)
+	hello.Window = 0 // each node grants its own default window
 	cfg := fanoutConfig{
 		hello: hello,
 		seed:  r.opts.Seed,

@@ -118,8 +118,8 @@ type Options struct {
 }
 
 // Check is the one statement of which configurations are legal for spec
-// run over lanes pivot lanes — shards, parallel replay workers, cluster
-// slots; 1 is a single sequential engine. Every boundary that builds
+// run over lanes pivot lanes — shards (a parallel trace replay's too),
+// cluster slots; 1 is a single sequential engine. Every boundary that builds
 // engines calls it with the lane count it was asked for, before clamping
 // the count for an unshardable spec, so a configuration is refused the same
 // way whichever front receives it.

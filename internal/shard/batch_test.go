@@ -35,10 +35,10 @@ func newRuntime(t testing.TB, spec *monitor.Spec, opts Options) *Runtime {
 // batches — a death costs no mailbox send of its own.
 func TestFreesRideTheBatch(t *testing.T) {
 	spec := buildProp(t, "UnsafeIter")
-	const batch = 64
+	const batch = batchSize
 	rt := newRuntime(t, spec, Options{
-		Options: monitor.Options{GC: monitor.GCCoenable},
-		Shards:  2, BatchSize: batch,
+		Options:         monitor.Options{GC: monitor.GCCoenable},
+		Shards:          2,
 		MetricsRegistry: metrics.NewRegistry(),
 	})
 	defer rt.Close()

@@ -41,8 +41,8 @@ func (c shards) backend() conformance.Backend {
 		name += "-ids"
 	}
 	return conformance.Backend{Name: name, Lanes: c.n, ByID: c.byID, Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
-		opts := shard.Options{Options: m.Options(onVerdict), Shards: c.n, BatchSize: c.batch, MailboxDepth: c.depth}
-		rt, err := shard.New(spec, opts)
+		opts := shard.Options{Options: m.Options(onVerdict), Shards: c.n}
+		rt, err := shard.NewSized(spec, opts, c.batch, c.depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestTryDispatchRefusalsRetried(t *testing.T) {
 	spec := conformance.Prop(t, "UnsafeIter")
 	refused := 0
 	b := conformance.Backend{Name: "shard2-refusing-ids", Lanes: 2, ByID: true, Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
-		rt, err := shard.New(spec, shard.Options{Options: m.Options(onVerdict), Shards: 2, BatchSize: 1, MailboxDepth: 1})
+		rt, err := shard.NewSized(spec, shard.Options{Options: m.Options(onVerdict), Shards: 2}, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

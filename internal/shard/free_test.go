@@ -84,10 +84,10 @@ func TestFreeAsyncConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := shard.New(spec, shard.Options{
+	rt, err := shard.NewSized(spec, shard.Options{
 		Options: monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
-		Shards:  4, BatchSize: 2, MailboxDepth: 2,
-	})
+		Shards:  4,
+	}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,10 @@ func TestTryDispatchBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	const depth = 4
-	rt, err := New(spec, Options{
-		Options:      monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
-		Shards:       2,
-		BatchSize:    1,
-		MailboxDepth: depth,
-	})
+	rt, err := NewSized(spec, Options{
+		Options: monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
+		Shards:  2,
+	}, 1, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +51,7 @@ func TestTryDispatchBackpressure(t *testing.T) {
 	})
 	<-entered
 
-	// With BatchSize 1 every accepted event is one mailbox send: exactly
+	// With one-record batches every accepted event is one mailbox send: exactly
 	// depth of them fit while the worker is stalled.
 	for k := 0; k < depth; k++ {
 		if !rt.TryDispatchIDs(0, it) {
@@ -87,12 +85,10 @@ func TestTryDispatchBackpressure(t *testing.T) {
 func TestTryDispatchBroadcastAllOrNothing(t *testing.T) {
 	spec := propMixInternalSpec(t)
 	const depth = 2
-	rt, err := New(spec, Options{
-		Options:      monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
-		Shards:       3,
-		BatchSize:    1,
-		MailboxDepth: depth,
-	})
+	rt, err := NewSized(spec, Options{
+		Options: monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
+		Shards:  3,
+	}, 1, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +216,10 @@ func TestPartialBatchVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(spec, Options{
-		Options:   monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
-		Shards:    4,
-		BatchSize: 1024, // far larger than the event count
-	})
+	rt, err := NewSized(spec, Options{
+		Options: monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable},
+		Shards:  4,
+	}, 1024, 0) // batches far larger than the event count
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ type worker struct {
 	idx     int
 	eng     *monitor.Engine
 	mu      sync.Mutex
-	pending *batch // open batch, always len(recs) < batchSize outside mu
+	pending *batch // open batch, always len(recs) < batchSz outside mu
 	mailbox chan message
 	stopped bool // under mu: the mailbox is closed
 	batchSz int

@@ -34,7 +34,7 @@
 // Ingestion is batched, and the batch is the unit of work: producers append
 // records — events and object deaths alike — to a per-shard open batch, and
 // a batch leaves for the shard's bounded mailbox on exactly three triggers:
-// it is full (BatchSize), it has been dirty for the linger period (1 ms, so
+// it is full (64 records), it has been dirty for the linger period (1 ms, so
 // a producer that goes quiet still gets its records monitored), or a sync
 // operation needs the workers to have seen everything (Barrier, Flush,
 // Stats, Close). Dispatch blocks when a mailbox is full (backpressure);
@@ -109,14 +109,6 @@ type Options struct {
 	// MaxLanes; more than MaxLanes is refused). The effective count may be
 	// lower: 1 when the spec is unshardable.
 	Shards int
-	// BatchSize is the number of records (events and frees) a shard's open
-	// batch holds (default 64). A full batch is shipped at once; a partial
-	// one waits for a sync operation (Barrier, Flush, Stats, Close) or the
-	// fixed 1 ms linger, whichever comes first.
-	BatchSize int
-	// MailboxDepth is the number of batches a shard mailbox buffers before
-	// Dispatch blocks (default 16).
-	MailboxDepth int
 	// MetricsRegistry, when non-nil, receives the shard-layer telemetry
 	// (mailbox depth, batch shapes, broadcasts, refusals) under
 	// MetricsLabel as the tenant (default: the spec name). Engine-layer
@@ -154,20 +146,29 @@ type Runtime struct {
 
 var _ monitor.Runtime = (*Runtime)(nil)
 
+// A shard's open batch holds batchSize records (events and frees): a full
+// batch is shipped at once, a partial one waits for a sync operation
+// (Barrier, Flush, Stats, Close) or the linger, whichever comes first. A
+// shard mailbox buffers mailboxDepth batches before Dispatch blocks.
+const (
+	batchSize    = 64
+	mailboxDepth = 16
+)
+
 // New builds a sharded runtime. The options must pass monitor.Options.Check
 // for the requested shard count: more than one shard needs CreateEnable,
 // the enable-set analysis being what guarantees every monitor instance
 // binds the routing pivot (CreateFull materializes instances for arbitrary
 // event subsets, which cannot be partitioned without cross-shard joins).
 func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
+	return newSized(spec, opts, batchSize, mailboxDepth)
+}
+
+// newSized is New with the batch size and mailbox depth given; the tests
+// shrink them to force every interleaving of batches and backpressure.
+func newSized(spec *monitor.Spec, opts Options, batch, depth int) (*Runtime, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = min(runtime.GOMAXPROCS(0), MaxLanes)
-	}
-	if opts.BatchSize <= 0 {
-		opts.BatchSize = 64
-	}
-	if opts.MailboxDepth <= 0 {
-		opts.MailboxDepth = 16
 	}
 	if err := opts.Options.Check(spec, opts.Shards); err != nil {
 		return nil, err
@@ -205,9 +206,9 @@ func New(spec *monitor.Spec, opts Options) (*Runtime, error) {
 	for i := 0; i < router.Lanes(); i++ {
 		w := &worker{
 			idx:     i,
-			pending: getBatch(opts.BatchSize),
-			mailbox: make(chan message, opts.MailboxDepth),
-			batchSz: opts.BatchSize,
+			pending: getBatch(batch),
+			mailbox: make(chan message, depth),
+			batchSz: batch,
 		}
 		eng, err := monitor.New(spec, engOpts)
 		if err != nil {

@@ -27,15 +27,15 @@ func TestShardArenaRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := shard.New(spec, shard.Options{
+	rt, err := shard.NewSized(spec, shard.Options{
 		Options: monitor.Options{
 			GC:       monitor.GCCoenable,
 			Creation: monitor.CreateEnable,
 			// Sweep constantly: slot recycling must race the producers.
 			SweepInterval: 16,
 		},
-		Shards: 4, BatchSize: 2, MailboxDepth: 4,
-	})
+		Shards: 4,
+	}, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -101,6 +102,28 @@ func BenchmarkReplayEngine(b *testing.B) {
 				}
 				eng.Flush()
 				eng.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkReplaySharded is the parallel retro-checking rate: one
+// sequential decode of a larger trace feeding the sharded runtime at 2 and
+// 4 shards under coenable GC, as rvquery -parallel N runs it.
+func BenchmarkReplaySharded(b *testing.B) {
+	path, events := benchTrace(b, 1<<18)
+	spec, _ := props.Build("UnsafeIter")
+	r, err := Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("Shards%d", shards), func(b *testing.B) {
+			b.SetBytes(int64(events))
+			for i := 0; i < b.N; i++ {
+				if _, err := replaySharded(r, spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable}, shards); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

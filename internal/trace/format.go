@@ -4,9 +4,9 @@
 // The online runtimes (sequential engine, sharded runtime, remote server)
 // observe an event stream once and discard it. This package makes the
 // stream durable: a Writer taps every Dispatch/Free into an append-only
-// segment file, and a Reader replays a stored trace — whole, slice-filtered
-// or partitioned across parallel workers — through a runtime's ID entry
-// (the sequential engine, the sharded runtime), so a specification written
+// segment file, and a Reader replays a stored trace — whole or
+// slice-filtered — through a runtime's ID entry (the sequential engine,
+// or the sharded runtime for a parallel replay), so a specification written
 // after the fact can be checked against the exact past, with verdicts and
 // settled counters bit-identical to online monitoring of the same stream.
 //
@@ -43,10 +43,9 @@
 // The per-segment pivot index is the retroactive analogue of the
 // internal/shard router: the pivot is the parameter every creation event
 // binds, so every monitor instance binds it and trace slices partition by
-// pivot object. A query interested in particular slices — or a parallel
-// replay worker owning a hash partition of them — can skip a whole segment
-// when the segment's pivot set contains none of its objects and the
-// segment carries no broadcast (non-pivot-binding) events.
+// pivot object. A query interested in particular slices can skip a whole
+// segment when the segment's pivot set contains none of its objects and
+// the segment carries no broadcast (non-pivot-binding) events.
 //
 // Torn tails are expected, not fatal: a crashed writer leaves a final
 // segment without a valid footer, and Open simply truncates the trace at

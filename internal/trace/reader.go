@@ -17,8 +17,8 @@ import (
 // Reader is an opened trace: an index of the file's intact segments —
 // each one's decoded header, pivot IDs and payload position — but none of
 // their records. Open streams the file once through one reused buffer,
-// checking every segment's CRC, and keeps only the index. Replay, Scan
-// and ReplayParallel read back just the segments they decode, with a file
+// checking every segment's CRC, and keeps only the index. Replay and Scan
+// read back just the segments they decode, with a file
 // handle and a buffer of their own, and check each payload's CRC again:
 // a file changed or cut after Open yields an error naming the segment,
 // never a misdecoded record. The trace must therefore be a regular file

@@ -29,10 +29,6 @@ type ReplayOptions struct {
 	// Sound because slices of distinct pivot objects are independent
 	// (paper §2) and every monitor instance binds the pivot.
 	Pivots []uint64
-	// workers/self partition pivot-binding events across parallel replay
-	// workers (set by ReplayParallel); zero values disable partitioning.
-	workers int
-	self    int
 }
 
 // ReplayStats reports what a replay actually touched.
@@ -40,7 +36,7 @@ type ReplayStats struct {
 	Events          uint64 // event records dispatched
 	Broadcast       uint64 // dispatched events not binding the query pivot
 	Frees           uint64 // free records applied
-	EventsSkipped   uint64 // events skipped by pivot filter or partition
+	EventsSkipped   uint64 // events skipped by the pivot filter
 	SegmentsSkimmed int    // segments the pivot index let the replay skip
 	UnknownSkipped  uint64 // events whose name the query spec lacks
 }
@@ -170,7 +166,6 @@ type replayer struct {
 	rt     Target
 	qspec  *monitor.Spec
 	qpivot int
-	opts   ReplayOptions
 	want   []uint64  // the queried pivots, ascending; nil = every slice
 	maps   []*symMap // one per distinct symbol table met so far
 	objs   objTable
@@ -187,22 +182,18 @@ type replayer struct {
 // does not define are skipped (the trace may record a richer alphabet than
 // the retroactive spec cares about). The caller flushes and reads stats.
 func (r *Reader) Replay(rt Target, opts ReplayOptions) (ReplayStats, error) {
-	qspec := rt.Spec()
-	qpivot := -1
-	if opts.workers > 1 || len(opts.Pivots) > 0 {
-		var err error
-		if qpivot, err = shard.Pivot(qspec); err != nil {
-			return ReplayStats{}, err
-		}
-		// With no pivot there are no slices to select or partition: no
-		// event would be filtered, and every slice would be replayed.
-		if qpivot < 0 {
-			return ReplayStats{}, fmt.Errorf("trace: spec %q has no pivot parameter; parallel and pivot-selective replay require one", qspec.Name)
-		}
-	}
-	rp := &replayer{r: r, src: &source{r: r}, rt: rt, qspec: qspec, qpivot: qpivot, opts: opts}
+	rp := &replayer{r: r, src: &source{r: r}, rt: rt, qspec: rt.Spec(), qpivot: -1}
 	defer rp.src.close()
 	if len(opts.Pivots) > 0 {
+		var err error
+		if rp.qpivot, err = shard.Pivot(rp.qspec); err != nil {
+			return ReplayStats{}, err
+		}
+		// With no pivot there are no slices to select: no event would be
+		// filtered, and every slice would be replayed.
+		if rp.qpivot < 0 {
+			return ReplayStats{}, fmt.Errorf("trace: spec %q has no pivot parameter; pivot-selective replay requires one", rp.qspec.Name)
+		}
 		rp.want = slices.Clone(opts.Pivots)
 		slices.Sort(rp.want)
 	}
@@ -214,30 +205,14 @@ func (r *Reader) Replay(rt Target, opts ReplayOptions) (ReplayStats, error) {
 	return rp.stats, nil
 }
 
-// symMap returns the query mapping of tab, built on first use.
-func (rp *replayer) symMap(tab *symTable) (*symMap, error) {
-	for _, sm := range rp.maps {
-		if sm.tab == tab {
-			return sm, nil
-		}
-	}
-	sm, err := mapSymbols(tab, rp.qspec, rp.qpivot)
-	if err != nil {
-		return nil, err
-	}
-	rp.maps = append(rp.maps, sm)
-	return sm, nil
-}
-
 // selected reports whether the slice of pivot object id is this replay's:
-// queried (or no query given) and in this worker's partition.
+// no query was given, or id is a queried pivot.
 func (rp *replayer) selected(id uint64) bool {
-	if rp.want != nil {
-		if _, ok := slices.BinarySearch(rp.want, id); !ok {
-			return false
-		}
+	if rp.want == nil {
+		return true
 	}
-	return rp.opts.workers <= 1 || shard.LaneOf(id, 0, rp.opts.workers) == rp.opts.self
+	_, ok := slices.BinarySearch(rp.want, id)
+	return ok
 }
 
 // owns reports whether any of the segment's pivot objects is selected.
@@ -332,4 +307,19 @@ func (rp *replayer) segment(si int) error {
 		rp.stats.Events++
 	}
 	return nil
+}
+
+// symMap returns the query mapping of tab, built on first use.
+func (rp *replayer) symMap(tab *symTable) (*symMap, error) {
+	for _, sm := range rp.maps {
+		if sm.tab == tab {
+			return sm, nil
+		}
+	}
+	sm, err := mapSymbols(tab, rp.qspec, rp.qpivot)
+	if err != nil {
+		return nil, err
+	}
+	rp.maps = append(rp.maps, sm)
+	return sm, nil
 }

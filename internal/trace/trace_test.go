@@ -16,6 +16,7 @@ import (
 	"rvgo/internal/monitor"
 	"rvgo/internal/param"
 	"rvgo/internal/props"
+	"rvgo/internal/shard"
 )
 
 // tref is a test parameter object with a chosen ID, so the online run and
@@ -231,9 +232,9 @@ func TestReplayOracle(t *testing.T) {
 	}
 }
 
-// TestParallelReplayOracle: parallel per-segment replay merges to the
-// online run's settled counters and verdict set. PeakLive sums per-worker
-// peaks, so it is compared only at Workers=1.
+// TestParallelReplayOracle: a replay into the sharded runtime settles to
+// the online run's counters and verdict set. PeakLive sums per-shard
+// peaks, so it is compared only at one shard.
 func TestParallelReplayOracle(t *testing.T) {
 	for _, prop := range []string{"UnsafeIter", "HasNext"} {
 		spec, err := props.Build(prop)
@@ -259,22 +260,18 @@ func TestParallelReplayOracle(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/w%d", prop, gc, workers)
 				t.Run(name, func(t *testing.T) {
 					var verdicts []string
-					res, err := r.ReplayParallel(spec, ParallelConfig{
-						Workers: workers,
-						Monitor: monitor.Options{GC: gc, Creation: monitor.CreateEnable,
-							OnVerdict: func(v monitor.Verdict) { verdicts = append(verdicts, vkey(v)) }},
-					})
+					got, err := replaySharded(r, spec, monitor.Options{GC: gc, Creation: monitor.CreateEnable,
+						OnVerdict: func(v monitor.Verdict) { verdicts = append(verdicts, vkey(v)) }}, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sort.Strings(verdicts)
 					eqVerdicts(t, name, verdicts, wantVerdicts)
-					got := res.Stats
 					if workers == 1 {
 						eqStats(t, name, got, wantStats)
 						return
 					}
-					// PeakLive sums per-worker peaks: an upper bound.
+					// PeakLive sums per-shard peaks: an upper bound.
 					if got.PeakLive < wantStats.PeakLive/int64(workers) {
 						t.Errorf("%s: merged PeakLive %d implausibly low (seq %d)", name, got.PeakLive, wantStats.PeakLive)
 					}
@@ -286,10 +283,26 @@ func TestParallelReplayOracle(t *testing.T) {
 	}
 }
 
+// replaySharded replays the whole trace into a sharded runtime of shards
+// shards and returns its settled counters.
+func replaySharded(r *Reader, spec *monitor.Spec, opts monitor.Options, shards int) (monitor.Stats, error) {
+	rt, err := shard.New(spec, shard.Options{Options: opts, Shards: shards})
+	if err != nil {
+		return monitor.Stats{}, err
+	}
+	defer rt.Close()
+	if _, err := r.Replay(rt, ReplayOptions{}); err != nil {
+		return monitor.Stats{}, err
+	}
+	rt.Flush()
+	return rt.Stats(), nil
+}
+
 // TestParallelReplayRefusesFullCreation: full creation does not confine a
-// monitor to its pivot's worker, so a parallel replay under it would
-// over-count Created. ReplayParallel refuses it with monitor.Options.Check's
-// message for the requested worker count, and still accepts one worker.
+// monitor to its pivot's shard, so a sharded replay under it would
+// over-count Created. The sharded runtime refuses it with
+// monitor.Options.Check's message for the requested shard count, and
+// still accepts one shard.
 func TestParallelReplayRefusesFullCreation(t *testing.T) {
 	spec, err := props.Build("UnsafeIter")
 	if err != nil {
@@ -303,10 +316,10 @@ func TestParallelReplayRefusesFullCreation(t *testing.T) {
 	}
 	full := monitor.Options{GC: monitor.GCNone, Creation: monitor.CreateFull}
 	want := full.Check(spec, 4)
-	if _, err := r.ReplayParallel(spec, ParallelConfig{Workers: 4, Monitor: full}); err == nil || want == nil || err.Error() != want.Error() {
+	if _, err := replaySharded(r, spec, full, 4); err == nil || want == nil || err.Error() != want.Error() {
 		t.Fatalf("×4 under full creation: %v, want Check's %v", err, want)
 	}
-	if _, err := r.ReplayParallel(spec, ParallelConfig{Workers: 1, Monitor: full}); err != nil {
+	if _, err := replaySharded(r, spec, full, 1); err != nil {
 		t.Fatalf("×1 under full creation: %v", err)
 	}
 }

@@ -76,8 +76,8 @@ type Writer struct {
 // symbol table is the spec's event alphabet and the pivot is the spec's
 // pivot (shard.Pivot). That pivot selection is the single source of
 // truth for both the online sharded runtime and the recorded index, so a
-// replay partitioned by this index is partitioned exactly as the online
-// sharded runtime would have been. An unshardable spec records without a
+// slice the index names is a slice the sharded runtime routes to one
+// shard. An unshardable spec records without a
 // pivot index: the trace is complete, just not slice-skippable.
 func CreateForSpec(path string, spec *monitor.Spec, opts WriterOptions) (*Writer, error) {
 	if spec == nil {
