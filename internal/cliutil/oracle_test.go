@@ -227,6 +227,49 @@ func TestRetroOracleDaCapo(t *testing.T) {
 	t.Run("profile-enforce", func(t *testing.T) { retroProfileEnforce(t, path, spec, recVerdicts) })
 }
 
+// TestRetroBroadcastCount: a full replay counts as broadcast exactly the
+// events that do not bind the query pivot, and skims no segment,
+// sequentially and on 4 shards. UnsafeIter's pivot is its collection c
+// (update(c) may begin a match, so every creation event binds c): its
+// broadcast events are the next(i) records.
+func TestRetroBroadcastCount(t *testing.T) {
+	spec, err := props.Build("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, path, _, _ := recordOracle(t, "avrora", 0.05, "UnsafeIter")
+	r, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := r.SymbolNames()
+	var events, nexts uint64
+	if err := r.Scan(func(x trace.Record) error {
+		if !x.Free {
+			events++
+			if names[x.Sym] == "next" {
+				nexts++
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if nexts == 0 || nexts == events || r.Segments() < 2 {
+		t.Fatalf("%d next of %d events in %d segments: the count would check nothing", nexts, events, r.Segments())
+	}
+	for _, workers := range []int{1, 4} {
+		qr, err := cliutil.RunRetroQuery(path, spec, cliutil.RetroQuery{GC: monitor.GCCoenable, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs := qr.Replay; rs.Events != events || rs.Broadcast != nexts || rs.SegmentsSkimmed != 0 {
+			t.Errorf("×%d: replayed %d events, %d broadcast, %d segments skimmed; want %d, %d, 0",
+				workers, rs.Events, rs.Broadcast, rs.SegmentsSkimmed, events, nexts)
+		}
+	}
+}
+
 // TestRetroParallelRefusals: a parallel query under full creation would
 // over-count Created (the shards' monitor populations overlap), and a
 // creation profile is engine-local. Both are refused with

@@ -125,10 +125,7 @@ func RunRetroQuery(path string, spec *monitor.Spec, q RetroQuery) (*RetroResult,
 		Profile:       q.Profile,
 		OnVerdict:     q.OnVerdict,
 	}
-	var rt interface {
-		trace.Target
-		monitor.Runtime
-	}
+	var rt monitor.IDRuntime
 	if q.Workers > 1 {
 		rt, err = shard.New(spec, shard.Options{Options: mopts, Shards: q.Workers})
 	} else {

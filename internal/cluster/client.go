@@ -27,9 +27,6 @@ type Options struct {
 	SpecSource string
 	// GC is the monitor GC policy for every slot session.
 	GC monitor.GCPolicy
-	// Creation is the monitor creation strategy. Clustering requires
-	// CreateEnable (the pivot-binding guarantee comes from it).
-	Creation monitor.CreationStrategy
 	// Avoid is the creation-avoidance mode for every slot session's
 	// engine. Static guards only: profiles do not cross the wire.
 	Avoid monitor.AvoidMode
@@ -42,8 +39,6 @@ type Options struct {
 	// Slots is the virtual-shard ring size (0 = default). More slots mean
 	// finer rebalancing and smaller handoffs, but more sessions per node.
 	Slots int
-	// Window caps each slot's event-credit window (0 = node default).
-	Window int
 	// OnVerdict receives goal verdicts, serialized. It runs on a link
 	// reader goroutine and must not call back into the Client.
 	OnVerdict func(monitor.Verdict)
@@ -72,7 +67,7 @@ func Open(opts Options) (*Client, error) {
 		return nil, err
 	}
 	f, err := newFanout(front.Spec(), fanoutConfig{
-		hello:     front.Hello(opts.GC, opts.Creation, opts.Avoid, 1, opts.Window),
+		hello:     front.Hello(opts.GC, opts.Avoid, 1),
 		nodes:     opts.Nodes,
 		seed:      opts.Seed,
 		slots:     opts.Slots,

@@ -102,7 +102,6 @@ func openCluster(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict
 	c, err := cluster.Open(cluster.Options{
 		Prop:      spec.Name,
 		GC:        m.GC,
-		Creation:  monitor.CreateEnable,
 		Avoid:     m.Avoid,
 		Nodes:     nodes,
 		Dial:      dial,
@@ -160,7 +159,6 @@ func TestRouterOracle(t *testing.T) {
 			cl, err := remote.Dial(l.Addr().String(), remote.Options{
 				Prop:      spec.Name,
 				GC:        m.GC,
-				Creation:  monitor.CreateEnable,
 				OnVerdict: onVerdict,
 			})
 			if err != nil {
@@ -358,12 +356,11 @@ func TestBroadcastAllOrNothing(t *testing.T) {
 			t.Fatal("no seed spread slots over both nodes")
 		}
 		cc, err := cluster.Open(cluster.Options{
-			Prop:     "UnsafeIter",
-			GC:       monitor.GCNone,
-			Creation: monitor.CreateEnable,
-			Nodes:    []string{"real", "stub"},
-			Seed:     seed,
-			Dial:     dial,
+			Prop:  "UnsafeIter",
+			GC:    monitor.GCNone,
+			Nodes: []string{"real", "stub"},
+			Seed:  seed,
+			Dial:  dial,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -462,10 +459,9 @@ func TestRouterCarriesAvoidance(t *testing.T) {
 	t.Cleanup(func() { rtr.Shutdown(time.Second) })
 
 	cl, err := remote.Dial(l.Addr().String(), remote.Options{
-		Prop:     "UnsafeIter",
-		GC:       monitor.GCNone,
-		Creation: monitor.CreateEnable,
-		Avoid:    monitor.AvoidEnforce,
+		Prop:  "UnsafeIter",
+		GC:    monitor.GCNone,
+		Avoid: monitor.AvoidEnforce,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,12 +528,11 @@ func TestOpenValidation(t *testing.T) {
 		name string
 		opts cluster.Options
 	}{
-		{"no nodes", cluster.Options{Prop: "UnsafeIter", Creation: monitor.CreateEnable, Dial: dial}},
-		{"duplicate nodes", cluster.Options{Prop: "UnsafeIter", Creation: monitor.CreateEnable, Nodes: []string{"n1", "n1"}, Dial: dial}},
-		{"both spec forms", cluster.Options{Prop: "UnsafeIter", SpecSource: "x", Creation: monitor.CreateEnable, Nodes: []string{"n1"}, Dial: dial}},
-		{"neither spec form", cluster.Options{Creation: monitor.CreateEnable, Nodes: []string{"n1"}, Dial: dial}},
-		{"full creation", cluster.Options{Prop: "UnsafeIter", Creation: monitor.CreateFull, Nodes: []string{"n1"}, Dial: dial}},
-		{"unknown prop", cluster.Options{Prop: "NoSuchProp", Creation: monitor.CreateEnable, Nodes: []string{"n1"}, Dial: dial}},
+		{"no nodes", cluster.Options{Prop: "UnsafeIter", Dial: dial}},
+		{"duplicate nodes", cluster.Options{Prop: "UnsafeIter", Nodes: []string{"n1", "n1"}, Dial: dial}},
+		{"both spec forms", cluster.Options{Prop: "UnsafeIter", SpecSource: "x", Nodes: []string{"n1"}, Dial: dial}},
+		{"neither spec form", cluster.Options{Nodes: []string{"n1"}, Dial: dial}},
+		{"unknown prop", cluster.Options{Prop: "NoSuchProp", Nodes: []string{"n1"}, Dial: dial}},
 	}
 	for _, tc := range cases {
 		if c, err := cluster.Open(tc.opts); err == nil {
@@ -545,30 +540,16 @@ func TestOpenValidation(t *testing.T) {
 			t.Errorf("%s: Open accepted", tc.name)
 		}
 	}
-
-	// The fanout is a monitor.Options.Check boundary over its slots: full
-	// creation cannot be split across them.
-	spec, err := props.Build("UnsafeIter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := monitor.Options{Creation: monitor.CreateFull}
-	want := full.Check(spec, 4)
-	_, err = cluster.Open(cluster.Options{Prop: "UnsafeIter", Creation: full.Creation, Nodes: []string{"n1"}, Slots: 4, Dial: dial})
-	if err == nil || want == nil || err.Error() != want.Error() {
-		t.Errorf("full creation over 4 slots: Open = %v, want Check's %v", err, want)
-	}
 }
 
 // TestMembershipErrors pins the membership error surface on a live client.
 func TestMembershipErrors(t *testing.T) {
 	_, dial := startNodes(t, "n1")
 	c, err := cluster.Open(cluster.Options{
-		Prop:     "UnsafeIter",
-		GC:       monitor.GCCoenable,
-		Creation: monitor.CreateEnable,
-		Nodes:    []string{"n1"},
-		Dial:     dial,
+		Prop:  "UnsafeIter",
+		GC:    monitor.GCCoenable,
+		Nodes: []string{"n1"},
+		Dial:  dial,
 	})
 	if err != nil {
 		t.Fatal(err)

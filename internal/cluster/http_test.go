@@ -53,9 +53,8 @@ func TestRouterStatusz(t *testing.T) {
 	}
 
 	cl, err := remote.Dial(l.Addr().String(), remote.Options{
-		Prop:     "UnsafeIter",
-		GC:       monitor.GCCoenable,
-		Creation: monitor.CreateEnable,
+		Prop: "UnsafeIter",
+		GC:   monitor.GCCoenable,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ func dialRouter(t *testing.T, spec *monitor.Spec, gc monitor.GCPolicy, onVerdict
 	go rtr.Serve(l)
 	t.Cleanup(func() { rtr.Shutdown(time.Second) })
 	cl, err := remote.Dial(l.Addr().String(), remote.Options{
-		Prop: spec.Name, GC: gc, Creation: monitor.CreateEnable, OnVerdict: onVerdict,
+		Prop: spec.Name, GC: gc, OnVerdict: onVerdict,
 	})
 	if err != nil {
 		t.Fatal(err)

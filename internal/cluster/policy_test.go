@@ -28,7 +28,7 @@ func TestLinkFreesRideTheBlock(t *testing.T) {
 	var mu sync.Mutex
 	var conns []*conformance.CountingConn
 	c, err := cluster.Open(cluster.Options{
-		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+		Prop: "UnsafeIter", GC: monitor.GCCoenable,
 		Nodes: []string{"n1", "n2"},
 		Dial: func(addr string) (net.Conn, error) {
 			raw, err := dial(addr)
@@ -103,7 +103,7 @@ func TestClusterIdleProducerTimeliness(t *testing.T) {
 			var lastWrite atomic.Int64 // UnixNano of the last write to any slot
 			verdict := make(chan time.Time, 1)
 			c, err := cluster.Open(cluster.Options{
-				Prop: "HasNext", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+				Prop: "HasNext", GC: monitor.GCCoenable,
 				Nodes: []string{"n1", "n2"},
 				Dial: func(addr string) (net.Conn, error) {
 					conn, err := dial(addr)
@@ -210,7 +210,6 @@ func TestSlotMovedTwiceOracle(t *testing.T) {
 			c, err = cluster.Open(cluster.Options{
 				Prop:      spec.Name,
 				GC:        m.GC,
-				Creation:  monitor.CreateEnable,
 				Nodes:     []string{"n1", "n2", "n3", "n4"},
 				Dial:      dial,
 				OnVerdict: onVerdict,
@@ -254,7 +253,7 @@ func TestLargeFreeCluster(t *testing.T) {
 		Open: func(t *testing.T, spec *monitor.Spec, m conformance.Mode, onVerdict func(monitor.Verdict)) monitor.Runtime {
 			_, dial := startNodes(t, "n1", "n2")
 			c, err := cluster.Open(cluster.Options{
-				Prop: spec.Name, GC: m.GC, Creation: monitor.CreateEnable,
+				Prop: spec.Name, GC: m.GC,
 				Nodes: []string{"n1", "n2"}, Dial: dial, Slots: 2, OnVerdict: onVerdict,
 			})
 			if err != nil {
@@ -297,7 +296,7 @@ func TestClusterDispatchNoAlloc(t *testing.T) {
 	var conns []*conformance.SinkConn // one per slot; Open dials them in turn
 	down := false
 	c, err := cluster.Open(cluster.Options{
-		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+		Prop: "UnsafeIter", GC: monitor.GCCoenable,
 		Nodes: []string{"sink"},
 		Dial: func(string) (net.Conn, error) {
 			if down {

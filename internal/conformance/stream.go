@@ -33,9 +33,9 @@ type Stream struct {
 	// workload drives rt by ref when the stream has no Steps, handing
 	// each death to free (nil: the object dies unannounced).
 	workload func(rt monitor.Runtime, free func(*heap.Object)) error
-	// async hands each death to the façade's FreeAsync where the runtime
-	// has one.
-	async bool
+	// lateKill kills each object freed by ref only after the last step,
+	// not the instant its Free returns.
+	lateKill bool
 	// lazy lets the workload's objects die without a Free (see Lazy).
 	lazy bool
 	// collects is the weakest GC policy under which the reference must
@@ -227,8 +227,10 @@ func Recorded(t testing.TB, bench string, scale float64, propNames ...string) []
 // before it is ever advanced (its slice must stay verdict-free and, under
 // coenable GC, its monitor must be collected), the second advanced after
 // an update (the UNSAFEITER match). "Free" kills each object the instant
-// Free returns; "FreeAsync" hands the kill to the façade's FreeAsync where
-// the runtime has one.
+// Free returns; "FreeAsync" kills it only after the last step, as a death
+// signal that trails its Free may: every backend that positions deaths
+// must take the Free alone as the death, and a lazy one finds the death
+// late, as its reference does.
 func FreeStreams(t testing.TB) []Stream {
 	t.Helper()
 	spec := Prop(t, "UnsafeIter")
@@ -250,9 +252,9 @@ func FreeStreams(t testing.TB) []Stream {
 		{next, []int{i2}},
 	}
 	free := Stream{Name: "Free", Spec: spec, Steps: steps, collects: monitor.GCCoenable}
-	async := free
-	async.Name, async.async = "FreeAsync", true
-	return []Stream{free, async}
+	late := free
+	late.Name, late.lateKill = "FreeAsync", true
+	return []Stream{free, late}
 }
 
 // LargeFree is UnsafeIter's create(c, i) for 49 iterators, then the deaths
@@ -282,24 +284,10 @@ func LargeFree(t testing.TB) Stream {
 	return Stream{Name: "LargeFree", Spec: spec, Steps: steps}
 }
 
-// idRuntime is a backend that also takes objects by ID: the sequential
-// engine or the sharded runtime.
-type idRuntime interface {
-	monitor.Runtime
-	DispatchIDs(sym int, ids []uint64)
-	FreeIDs(ids []uint64)
-}
-
-// asyncFreer is the façade's FreeAsync (rvgo.Monitor), which this package
-// cannot import: Free, then the kill handed in as die.
-type asyncFreer interface {
-	FreeAsync(die func(), refs ...heap.Ref)
-}
-
 // feed drives s into rt. Ordinal o is object ID o+1 either way: by ID it
 // names the object outright, by ref it is an object with that ID, made at
 // its first mention and forgotten at its death. By ref, each death is Free
-// then the kill, at once.
+// then the kill, at once or (lateKill) after the last step.
 func (s Stream) feed(t testing.TB, rt monitor.Runtime, byID bool) {
 	t.Helper()
 	if s.lazy && s.workload == nil {
@@ -322,7 +310,7 @@ func (s Stream) feed(t testing.TB, rt monitor.Runtime, byID bool) {
 		return
 	}
 	if byID {
-		idr, ok := rt.(idRuntime)
+		idr, ok := rt.(monitor.IDRuntime)
 		if !ok {
 			t.Fatalf("%T takes no IDs", rt)
 		}
@@ -349,10 +337,10 @@ func (s Stream) feed(t testing.TB, rt monitor.Runtime, byID bool) {
 				o = &object{id: uint64(st.Objs[0]) + 1}
 			}
 			delete(live, st.Objs[0])
-			if f, ok := rt.(asyncFreer); ok && s.async {
-				f.FreeAsync(o.kill, o)
+			rt.Free(o)
+			if s.lateKill {
+				defer o.kill()
 			} else {
-				rt.Free(o)
 				o.kill()
 			}
 			continue

@@ -24,13 +24,13 @@ import (
 	"sort"
 	"time"
 
+	"rvgo"
 	"rvgo/internal/cliutil"
 	"rvgo/internal/dacapo"
 	"rvgo/internal/heap"
 	"rvgo/internal/monitor"
-	"rvgo/internal/param"
 	"rvgo/internal/props"
-	"rvgo/internal/trace"
+	rvspec "rvgo/spec"
 )
 
 // AvoidConfig controls the creation-avoidance tier.
@@ -81,60 +81,40 @@ type AvoidReport struct {
 	Runs         []AvoidRun
 }
 
-// recordingDispatcher taps every dispatched event into the trace writer
-// before the engine; deaths are recorded by the heap's free hook. It is
-// the internal image of the façade's WithRecord tap, shaped for the
-// dacapo adapter.
-type recordingDispatcher struct {
-	rt  monitor.Runtime
-	w   *trace.Writer
-	err error
-}
-
-func (r *recordingDispatcher) Spec() *monitor.Spec { return r.rt.Spec() }
-
-func (r *recordingDispatcher) Dispatch(sym int, theta param.Instance) {
-	var buf [param.MaxParams]uint64
-	if err := r.w.EventIDs(sym, theta.AppendIDs(buf[:0])); err != nil && r.err == nil {
-		r.err = err
-	}
-	r.rt.Dispatch(sym, theta)
-}
-
 func verdictKey(v monitor.Verdict) string {
 	k := v.Inst.Key()
 	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
 }
 
-// onlinePass drives the workload through a sequential engine and records
-// the monitored stream into w. Deaths go through the explicit Free path
-// (hook on the simulated heap) so the recorded stream carries them at
-// their positions.
-func onlinePass(cfg AvoidConfig, spec *monitor.Spec, w *trace.Writer) error {
-	eng, err := monitor.New(spec, monitor.Options{GC: monitor.GCCoenable, Creation: monitor.CreateEnable})
+// onlinePass drives the workload through a sequential Monitor that records
+// the monitored stream to path with WithRecord, the tap rvmon -record and
+// rvload -record use. Deaths go through the explicit Free path (hook on
+// the simulated heap) so the recorded stream carries them at their
+// positions.
+func onlinePass(cfg AvoidConfig, path string) error {
+	sp, err := rvspec.Builtin(cfg.Prop)
 	if err != nil {
 		return err
 	}
-	defer eng.Close()
-	rec := &recordingDispatcher{rt: eng, w: w}
+	m, err := rvgo.New(sp, rvgo.WithRecord(path))
+	if err != nil {
+		return err
+	}
+	defer m.Close()
 	_, _, _, err = runWorkload(cfg.Bench, cfg.Scale, 0, func(rt *dacapo.Runtime) error {
-		sink, err := dacapo.Adapt(cfg.Prop, rec)
+		sink, err := dacapo.Adapt(cfg.Prop, m)
 		if err != nil {
 			return err
 		}
 		rt.AddSink(sink)
-		rt.Heap.SetFreeHook(func(o *heap.Object) {
-			eng.Free(o)
-			if werr := w.FreeIDs([]uint64{o.ID()}); werr != nil && rec.err == nil {
-				rec.err = werr
-			}
-		})
+		rt.Heap.SetFreeHook(func(o *heap.Object) { m.Free(o) })
 		return nil
-	}, eng.Flush)
+	}, m.Flush)
 	if err != nil {
 		return err
 	}
-	return rec.err
+	m.Close()
+	return m.Err()
 }
 
 // avoidLeg replays the recorded trace once under a guard configuration
@@ -235,16 +215,8 @@ func RunAvoid(cfg AvoidConfig) (*AvoidReport, error) {
 	// every leg sees the byte-identical stream (TestRetroOracleDaCapo
 	// proves replay == online).
 	path := filepath.Join(dir, fmt.Sprintf("%s_%s.rvt", cfg.Bench, cfg.Prop))
-	w, err := trace.CreateForSpec(path, spec, trace.WriterOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if err := onlinePass(cfg, spec, w); err != nil {
-		w.Close()
+	if err := onlinePass(cfg, path); err != nil {
 		return nil, fmt.Errorf("eval: avoid recording pass: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
 	}
 	if fi, err := os.Stat(path); err == nil {
 		res.TraceMB = float64(fi.Size()) / (1 << 20)

@@ -16,7 +16,8 @@ func TestEngineConformance(t *testing.T) {
 }
 
 // TestEngineFreeConformance holds the sequential engine's death
-// positioning (Free, and FreeAsync spelled out) to the reference.
+// positioning (each object killed at its Free, or after the last step) to
+// the reference.
 func TestEngineFreeConformance(t *testing.T) {
 	for _, s := range conformance.FreeStreams(t) {
 		t.Run(s.Name, func(t *testing.T) {

@@ -83,7 +83,16 @@ type Runtime interface {
 	Close()
 }
 
-var _ Runtime = (*Engine)(nil)
+// IDRuntime is a Runtime that also takes objects by ID: the sequential
+// engine or the sharded runtime. A server session, a retroactive query and
+// the conformance harness's by-ID feed drive one.
+type IDRuntime interface {
+	Runtime
+	DispatchIDs(sym int, ids []uint64)
+	FreeIDs(ids []uint64)
+}
+
+var _ IDRuntime = (*Engine)(nil)
 
 // Barrier implements Runtime. The sequential engine processes events
 // synchronously, so every dispatched event is already fully processed.

@@ -40,7 +40,7 @@ func TestFreesRideTheBlock(t *testing.T) {
 	}
 	conn := &conformance.CountingConn{Conn: raw}
 	cl, err := remote.NewSession(conn, remote.Options{
-		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+		Prop: "UnsafeIter", GC: monitor.GCCoenable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestIdleProducerTimeliness(t *testing.T) {
 			srv, addr := serveLocal(t)
 			verdict := make(chan struct{}, 1)
 			cl, err := remote.Dial(addr, remote.Options{
-				Prop: "HasNext", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+				Prop: "HasNext", GC: monitor.GCCoenable,
 				OnVerdict: func(monitor.Verdict) { verdict <- struct{}{} },
 			})
 			if err != nil {
@@ -149,7 +149,7 @@ func TestDispatchNoAlloc(t *testing.T) {
 	w.Flush()
 	conn := conformance.NewSinkConn(greeting.Bytes())
 	c, err := remote.NewSession(conn, remote.Options{
-		Prop: "UnsafeIter", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+		Prop: "UnsafeIter", GC: monitor.GCCoenable,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -68,9 +68,6 @@ type Options struct {
 	SpecSource string
 	// GC is the monitor GC policy for the session's backend.
 	GC monitor.GCPolicy
-	// Creation is the monitor creation strategy (CreateEnable unless the
-	// session is a single-shard semantic oracle).
-	Creation monitor.CreationStrategy
 	// Avoid is the creation-avoidance mode for the session's engine(s).
 	// Static guards only: profiles are engine-local and do not cross the
 	// wire.
@@ -78,8 +75,6 @@ type Options struct {
 	// Shards selects the server-side backend: 1 = sequential engine,
 	// >1 = sharded runtime, 0 = server default.
 	Shards int
-	// Window caps the event-credit window (0 = accept the server's).
-	Window int
 	// OnVerdict receives goal verdicts, serialized, in per-slice order. It
 	// runs on the reader goroutine and must not call back into the Client.
 	OnVerdict func(monitor.Verdict)
@@ -158,17 +153,17 @@ func resolveSpec(prop, source string) (*monitor.Spec, byte, string, error) {
 	return nil, 0, "", fmt.Errorf("remote: set one of Prop and SpecSource")
 }
 
-// Hello is the frame that opens a session on the front's spec.
-func (f *Front) Hello(gc monitor.GCPolicy, creation monitor.CreationStrategy, avoid monitor.AvoidMode, shards, window int) wire.Hello {
+// Hello is the frame that opens a session on the front's spec, under
+// enable-set creation and the server's credit window.
+func (f *Front) Hello(gc monitor.GCPolicy, avoid monitor.AvoidMode, shards int) wire.Hello {
 	return wire.Hello{
 		Version:  wire.Version,
 		SpecKind: f.kind,
 		Spec:     f.ref,
 		GC:       byte(gc),
-		Creation: byte(creation),
+		Creation: byte(monitor.CreateEnable),
 		Avoid:    byte(avoid),
 		Shards:   uint64(shards),
-		Window:   uint64(window),
 	}
 }
 
@@ -194,14 +189,13 @@ func Dial(addr string, opts Options) (*Client, error) {
 // NewSession runs the session handshake over an established connection
 // (Dial with a dialed TCP conn; tests may pass an in-process pipe).
 func NewSession(conn net.Conn, opts Options) (*Client, error) {
-	c := &Client{}
 	front, err := NewFront(opts.Prop, opts.SpecSource, opts.OnVerdict)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	c.Front, c.p = front, wire.NewProducer(conn, "remote")
-	ack, err := c.p.Handshake(nil, front.Hello(opts.GC, opts.Creation, opts.Avoid, opts.Shards, opts.Window))
+	c := &Client{Front: front, p: wire.NewProducer(conn, "remote")}
+	ack, err := c.p.Handshake(nil, front.Hello(opts.GC, opts.Avoid, opts.Shards))
 	if err == nil {
 		if err = VerifyAck(front.spec, ack); err != nil {
 			err = fmt.Errorf("remote: %w", err)

@@ -43,7 +43,6 @@ func remoteBackend(addr string, shards int) conformance.Backend {
 		cl, err := remote.Dial(addr, remote.Options{
 			Prop:      spec.Name,
 			GC:        m.GC,
-			Creation:  monitor.CreateEnable,
 			Avoid:     m.Avoid,
 			Shards:    shards,
 			OnVerdict: onVerdict,
@@ -188,7 +187,7 @@ func TestShardedVerdictStream(t *testing.T) {
 	var verdicts int
 	var vmu sync.Mutex
 	cl, err := remote.Dial(addr, remote.Options{
-		Prop: "HasNext", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+		Prop: "HasNext", GC: monitor.GCCoenable,
 		Shards: 4,
 		OnVerdict: func(monitor.Verdict) {
 			vmu.Lock()
@@ -258,7 +257,6 @@ func TestSpecSourceSession(t *testing.T) {
 	cl, err := remote.Dial(addr, remote.Options{
 		SpecSource: src,
 		GC:         monitor.GCCoenable,
-		Creation:   monitor.CreateEnable,
 		OnVerdict: func(v monitor.Verdict) {
 			got = append(got, string(v.Cat)+"@"+v.Inst.Format(v.Spec.Params))
 		},
@@ -312,7 +310,7 @@ func TestServerDrain(t *testing.T) {
 	go func() { done <- srv.Serve(l) }()
 
 	cl, err := remote.Dial(l.Addr().String(), remote.Options{
-		Prop: "HasNext", GC: monitor.GCCoenable, Creation: monitor.CreateEnable,
+		Prop: "HasNext", GC: monitor.GCCoenable,
 	})
 	if err != nil {
 		t.Fatal(err)

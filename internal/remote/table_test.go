@@ -39,7 +39,7 @@ func clientTableBackends(shards []int, slots int) []tableBackend {
 	for _, n := range shards {
 		out = append(out, tableBackend{fmt.Sprintf("remote/shards=%d", n), func(t *testing.T, prop, source string, gc monitor.GCPolicy, onVerdict func(monitor.Verdict)) (*remote.Front, monitor.Runtime, func() error) {
 			c, err := remote.Dial(startServer(t, server.Options{MaxShards: n}), remote.Options{
-				Prop: prop, SpecSource: source, GC: gc, Creation: monitor.CreateEnable, Shards: n, OnVerdict: onVerdict,
+				Prop: prop, SpecSource: source, GC: gc, Shards: n, OnVerdict: onVerdict,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -51,7 +51,7 @@ func clientTableBackends(shards []int, slots int) []tableBackend {
 		var mu sync.Mutex
 		moved := 0
 		c, err := cluster.Open(cluster.Options{
-			Prop: prop, SpecSource: source, GC: gc, Creation: monitor.CreateEnable,
+			Prop: prop, SpecSource: source, GC: gc,
 			Nodes:     []string{startServer(t, server.Options{}), startServer(t, server.Options{})},
 			Slots:     slots,
 			OnVerdict: onVerdict,
@@ -95,7 +95,7 @@ func clientTableBackends(shards []int, slots int) []tableBackend {
 		go rtr.Serve(l)
 		t.Cleanup(func() { rtr.Shutdown(5 * time.Second) })
 		c, err := remote.Dial(l.Addr().String(), remote.Options{
-			Prop: prop, SpecSource: source, GC: gc, Creation: monitor.CreateEnable, OnVerdict: onVerdict,
+			Prop: prop, SpecSource: source, GC: gc, OnVerdict: onVerdict,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -287,7 +287,7 @@ func TestLateVerdictIdentity(t *testing.T) {
 func TestWideSessionKeepsRefs(t *testing.T) {
 	t.Run("remote/shards=65", func(t *testing.T) {
 		_, err := remote.Dial(startServer(t, server.Options{MaxShards: 65}), remote.Options{
-			SpecSource: lateSpec, GC: monitor.GCCoenable, Creation: monitor.CreateEnable, Shards: 65,
+			SpecSource: lateSpec, GC: monitor.GCCoenable, Shards: 65,
 		})
 		if err == nil || !strings.Contains(err.Error(), "out of range 1..64") {
 			t.Fatalf("a session of 65 shards opened with %v, want a refusal naming the range 1..64", err)

@@ -49,10 +49,9 @@ func TestDebugHandler(t *testing.T) {
 	defer web.Close()
 
 	cl, err := remote.Dial(addr, remote.Options{
-		Prop:     "HasNext",
-		GC:       monitor.GCCoenable,
-		Creation: monitor.CreateEnable,
-		Shards:   2,
+		Prop:   "HasNext",
+		GC:     monitor.GCCoenable,
+		Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,10 +61,9 @@ import (
 type local struct {
 	s *Session
 
-	rt     idRuntime
-	srt    *shard.Runtime // non-nil when the backend is sharded
-	flight *trace.Ring    // non-nil with Options.FlightWindow > 0
-	rec    *trace.Writer  // non-nil with Options.RecordDir
+	rt  monitor.IDRuntime
+	srt *shard.Runtime  // non-nil when the backend is sharded
+	rec *trace.Recorder // non-nil with Options.FlightWindow or RecordDir
 
 	// freed holds one bit per freed ID, word id>>6, bit id&63. Only the
 	// session goroutine touches it.
@@ -86,14 +85,6 @@ type local struct {
 	fids []uint64 // the first frees of one Free (session goroutine)
 }
 
-// idRuntime is a runtime that takes objects by ID: the sequential engine or
-// the sharded runtime.
-type idRuntime interface {
-	monitor.Runtime
-	DispatchIDs(sym int, ids []uint64)
-	FreeIDs(ids []uint64)
-}
-
 // openLocal builds the backend a session's Hello asks for.
 func openLocal(s *Session) (Backend, error) {
 	srv, compiled, h := s.srv, s.Spec, s.Hello
@@ -112,7 +103,7 @@ func openLocal(s *Session) (Backend, error) {
 		srt, err := shard.New(compiled, shard.Options{
 			Options: opts, Shards: shards,
 			OnRelease:       func(lanes uint64, ids []uint64) { s.Release(lanes, ids...) },
-			MetricsRegistry: srv.reg, MetricsLabel: compiled.Name,
+			MetricsRegistry: srv.reg,
 		})
 		if err != nil {
 			return nil, err
@@ -126,24 +117,15 @@ func openLocal(s *Session) (Backend, error) {
 		eng.SetOnRelease(func(id uint64) { s.Release(1, id) })
 		b.rt = eng
 	}
-	if srv.opts.FlightWindow > 0 {
-		b.flight = trace.NewRing(srv.opts.FlightWindow)
-	}
-	if dir := srv.opts.RecordDir; dir != "" {
-		path := filepath.Join(dir, fmt.Sprintf("session-%d.rvt", s.ID))
-		wtr, err := func() (*trace.Writer, error) {
-			if err := trace.EnsureDir(path); err != nil {
-				return nil, err
-			}
-			return trace.CreateForSpec(path, compiled, trace.WriterOptions{
-				Metrics: metrics.NewTraceSeries(srv.reg, compiled.Name),
-			})
-		}()
-		if err != nil {
-			srv.logf("session %d: recording disabled: %v", s.ID, err)
-		} else {
-			b.rec = wtr
+	if window, dir := srv.opts.FlightWindow, srv.opts.RecordDir; window > 0 || dir != "" {
+		var path string
+		var wo trace.WriterOptions
+		if dir != "" {
+			path = filepath.Join(dir, fmt.Sprintf("session-%d.rvt", s.ID))
+			_ = trace.EnsureDir(path) // a directory it cannot make fails the create
+			wo.Metrics = metrics.NewTraceSeries(srv.reg, compiled.Name)
 		}
+		b.rec = trace.NewRecorder(compiled, window, path, wo)
 	}
 	return b, nil
 }
@@ -154,14 +136,6 @@ func (b *local) Lanes() int {
 		return b.srt.Shards()
 	}
 	return 1
-}
-
-// stopRecording drops the recorder after a write error: a recording
-// failure never interrupts monitoring.
-func (b *local) stopRecording(err error) {
-	b.s.srv.logf("session %d: recording stopped: %v", b.s.ID, err)
-	b.rec.Close()
-	b.rec = nil
 }
 
 // Event dispatches one remote event into the runtime, unless it names a
@@ -175,13 +149,8 @@ func (b *local) Event(sym int, ids []uint64) error {
 	// Record before dispatch: on the sequential backend the verdict
 	// handler runs inside Dispatch, and the window it dumps must include
 	// the event that triggered it.
-	if b.flight != nil {
-		b.flight.RecordDispatchIDs(sym, b.s.Spec.Events[sym].Params, ids)
-	}
 	if b.rec != nil {
-		if err := b.rec.EventIDs(sym, ids); err != nil {
-			b.stopRecording(err)
-		}
+		b.rec.Event(sym, ids)
 	}
 	if b.srt != nil {
 		// Non-blocking first: a refusal means the target mailbox is full,
@@ -240,13 +209,8 @@ func (b *local) stallDispatch(sym int, ids []uint64) {
 // use-after-free and must be refused. An ID named twice, in one Free or in
 // two, dies once: only its first free reaches the runtime.
 func (b *local) Free(ids []uint64) error {
-	if b.flight != nil {
-		b.flight.RecordFreeIDs(ids)
-	}
 	if b.rec != nil {
-		if err := b.rec.FreeIDs(ids); err != nil {
-			b.stopRecording(err)
-		}
+		b.rec.Free(ids)
 	}
 	first := b.fids[:0]
 	for _, id := range ids {
@@ -264,18 +228,18 @@ func (b *local) Barrier() error                { b.rt.Barrier(); return nil }
 func (b *local) Flush() error                  { b.rt.Flush(); return nil }
 func (b *local) Stats() (monitor.Stats, error) { return b.rt.Stats(), nil }
 
-// Close settles and releases the runtime, then seals the trace recorder,
-// if any — in that order, so the engine's final delta publication and the
-// recording both land before the front lets the session go.
+// Close settles and releases the runtime, then seals the recorder, if any
+// — in that order, so the engine's final delta publication and the
+// recording both land before the front lets the session go. A recording
+// failure never interrupted the monitoring; it is logged here, once.
 func (b *local) Close() (monitor.Stats, error) {
 	b.rt.Flush()
 	st := b.rt.Stats()
 	b.rt.Close()
 	if b.rec != nil {
 		if err := b.rec.Close(); err != nil {
-			b.s.srv.logf("session %d: closing recording: %v", b.s.ID, err)
+			b.s.srv.logf("session %d: recording stopped: %v", b.s.ID, err)
 		}
-		b.rec = nil
 	}
 	return st, nil
 }
@@ -321,7 +285,7 @@ func (b *local) onVerdict(v monitor.Verdict) {
 	b.vids = v.Inst.AppendIDs(b.vids[:0])
 	wv := wire.Verdict{Sym: v.Sym, Cat: string(v.Cat), Mask: uint64(v.Inst.Mask()), IDs: b.vids}
 	b.s.Verdict(wv)
-	if b.flight != nil && v.Cat != logic.Match {
+	if b.rec != nil && v.Cat != logic.Match {
 		b.dumpWindow(wv)
 	}
 }
@@ -331,9 +295,13 @@ func (b *local) onVerdict(v monitor.Verdict) {
 // object IDs. onVerdict invocations are serialized, so the dump is one
 // coherent block per verdict.
 func (b *local) dumpWindow(v wire.Verdict) {
+	win := b.rec.Window()
+	if win == nil {
+		return
+	}
 	events := b.s.Spec.Events
 	var out []byte
-	for _, e := range b.flight.Snapshot() {
+	for _, e := range win {
 		if e.Kind == trace.RingFree {
 			out = fmt.Appendf(out, " #%d free%v", e.Seq, e.IDs[:e.N])
 		} else if int(e.Sym) < len(events) {

@@ -78,8 +78,9 @@ type Options struct {
 	FlightWindow int
 	// RecordDir, when non-empty, records every session's event stream to a
 	// persistent trace (<RecordDir>/session-<id>.rvt) for retroactive
-	// querying. A recording failure is logged and disables recording for
-	// that session; it never interrupts monitoring.
+	// querying. A recording failure stops that session's trace at its
+	// last sealed segment and is logged when the session closes; it never
+	// interrupts monitoring.
 	RecordDir string
 }
 

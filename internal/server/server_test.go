@@ -470,10 +470,9 @@ func TestFlightWindowDump(t *testing.T) {
 	}()
 
 	cl, err := remote.Dial(l.Addr().String(), remote.Options{
-		Prop:     "HasNext",
-		GC:       monitor.GCCoenable,
-		Creation: monitor.CreateEnable,
-		Shards:   1,
+		Prop:   "HasNext",
+		GC:     monitor.GCCoenable,
+		Shards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,8 @@ func TestShardConformance(t *testing.T) {
 }
 
 // TestShardFreeConformance holds the sharded runtime's death positioning
-// (Free, and FreeAsync spelled out) to the sequential engine.
+// (each object killed at its Free, or after the last step) to the
+// sequential engine.
 func TestShardFreeConformance(t *testing.T) {
 	for _, s := range conformance.FreeStreams(t) {
 		t.Run(s.Name, func(t *testing.T) {

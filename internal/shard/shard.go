@@ -110,13 +110,11 @@ type Options struct {
 	// lower: 1 when the spec is unshardable.
 	Shards int
 	// MetricsRegistry, when non-nil, receives the shard-layer telemetry
-	// (mailbox depth, batch shapes, broadcasts, refusals) under
-	// MetricsLabel as the tenant (default: the spec name). Engine-layer
-	// telemetry is separate: set the embedded Options.Metrics and every
-	// shard engine delta-publishes into that one shared series.
+	// (mailbox depth, batch shapes, broadcasts, refusals) with the spec
+	// name as the tenant. Engine-layer telemetry is separate: set the
+	// embedded Options.Metrics and every shard engine delta-publishes into
+	// that one shared series.
 	MetricsRegistry *metrics.Registry
-	// MetricsLabel is the tenant label for MetricsRegistry series.
-	MetricsLabel string
 }
 
 // Runtime is the sharded monitoring runtime for one specification.
@@ -144,7 +142,7 @@ type Runtime struct {
 	final  []monitor.Stats // per-shard counters captured at Close
 }
 
-var _ monitor.Runtime = (*Runtime)(nil)
+var _ monitor.IDRuntime = (*Runtime)(nil)
 
 // A shard's open batch holds batchSize records (events and frees): a full
 // batch is shipped at once, a partial one waits for a sync operation
@@ -180,11 +178,7 @@ func newSized(spec *monitor.Spec, opts Options, batch, depth int) (*Runtime, err
 	rt := &Runtime{spec: spec, router: router}
 	var shardMet *metrics.ShardSeries
 	if opts.MetricsRegistry != nil {
-		label := opts.MetricsLabel
-		if label == "" {
-			label = spec.Name
-		}
-		shardMet = metrics.NewShardSeries(opts.MetricsRegistry, label, router.Lanes())
+		shardMet = metrics.NewShardSeries(opts.MetricsRegistry, spec.Name, router.Lanes())
 		rt.broadcasts = shardMet.Broadcasts
 		rt.refusals = shardMet.Refusals
 	}
@@ -203,7 +197,7 @@ func newSized(spec *monitor.Spec, opts Options, batch, depth int) (*Runtime, err
 			user(v)
 		}
 	}
-	for i := 0; i < router.Lanes(); i++ {
+	for i := range router.Lanes() {
 		w := &worker{
 			idx:     i,
 			pending: getBatch(batch),

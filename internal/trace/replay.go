@@ -34,7 +34,7 @@ type ReplayOptions struct {
 // ReplayStats reports what a replay actually touched.
 type ReplayStats struct {
 	Events          uint64 // event records dispatched
-	Broadcast       uint64 // dispatched events not binding the query pivot
+	Broadcast       uint64 // dispatched events not binding the query pivot (all, with no pivot)
 	Frees           uint64 // free records applied
 	EventsSkipped   uint64 // events skipped by the pivot filter
 	SegmentsSkimmed int    // segments the pivot index let the replay skip
@@ -182,16 +182,21 @@ type replayer struct {
 // does not define are skipped (the trace may record a richer alphabet than
 // the retroactive spec cares about). The caller flushes and reads stats.
 func (r *Reader) Replay(rt Target, opts ReplayOptions) (ReplayStats, error) {
-	rp := &replayer{r: r, src: &source{r: r}, rt: rt, qspec: rt.Spec(), qpivot: -1}
+	rp := &replayer{r: r, src: &source{r: r}, rt: rt, qspec: rt.Spec()}
 	defer rp.src.close()
+	// The query pivot tells the broadcast events of any replay apart.
+	qpivot, err := shard.Pivot(rp.qspec)
+	if err != nil {
+		qpivot = -1
+	}
+	rp.qpivot = qpivot
 	if len(opts.Pivots) > 0 {
-		var err error
-		if rp.qpivot, err = shard.Pivot(rp.qspec); err != nil {
+		if err != nil {
 			return ReplayStats{}, err
 		}
 		// With no pivot there are no slices to select: no event would be
 		// filtered, and every slice would be replayed.
-		if rp.qpivot < 0 {
+		if qpivot < 0 {
 			return ReplayStats{}, fmt.Errorf("trace: spec %q has no pivot parameter; pivot-selective replay requires one", rp.qspec.Name)
 		}
 		rp.want = slices.Clone(opts.Pivots)
@@ -228,21 +233,22 @@ func (rp *replayer) owns(pivotIDs []uint64) bool {
 // segment replays segment si, loading it from the file only if it has
 // something to deliver.
 //
-// Slice skipping. A segment whose pivot index names no object this replay
-// owns — and with no broadcast (non-pivot-binding) events, which could
-// touch any slice — dispatches nothing here. It may still *free* objects
-// dispatched from earlier segments, so it is skimmed (deaths applied,
-// dispatch skipped) rather than ignored — but only while some object this
-// replay dispatched is still alive: a death of an unseen or already dead
-// object is a no-op, so once every dispatched object has died the skim has
-// nothing left to apply and the segment is not even read.
+// Slice skipping. In a pivot-selective replay, a segment whose pivot index
+// names no object this replay owns — and with no broadcast
+// (non-pivot-binding) events, which could touch any slice — dispatches
+// nothing here. It may still *free* objects dispatched from earlier
+// segments, so it is skimmed (deaths applied, dispatch skipped) rather
+// than ignored — but only while some object this replay dispatched is
+// still alive: a death of an unseen or already dead object is a no-op, so
+// once every dispatched object has died the skim has nothing left to apply
+// and the segment is not even read.
 func (rp *replayer) segment(si int) error {
 	seg := &rp.r.segs[si]
 	sm, err := rp.symMap(seg.tab)
 	if err != nil {
 		return err
 	}
-	skim := sm.indexOK && seg.broadcast == 0 && !rp.owns(rp.r.pivotIDs(si))
+	skim := rp.want != nil && sm.indexOK && seg.broadcast == 0 && !rp.owns(rp.r.pivotIDs(si))
 	if skim {
 		rp.stats.SegmentsSkimmed++
 		rp.stats.EventsSkipped += seg.events

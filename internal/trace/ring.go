@@ -24,107 +24,67 @@ type RingEvent struct {
 	Kind byte
 	// N is the number of valid entries in IDs.
 	N byte
-	// Mask is the bound-parameter set of a dispatch record.
-	Mask param.Set
 	// IDs are the bound object IDs in ascending parameter order
 	// (RingDispatch) or the dying object IDs (RingFree).
 	IDs [param.MaxParams]uint64
 }
 
-// Binds reports whether the entry mentions object id.
-func (e *RingEvent) Binds(id uint64) bool {
-	for i := byte(0); i < e.N; i++ {
-		if e.IDs[i] == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Ring is the flight recorder: a fixed-size in-memory window of the most
+// ring is the flight recorder: a fixed-size in-memory window of the most
 // recent records, overwritten in place. Recording is mutex-guarded and
-// allocation-free (gated by BenchmarkRingRecordAllocs); Snapshot — taken
-// when a verdict fires, which is rare — copies the window out in stream
-// order. A Ring is safe for concurrent use.
-type Ring struct {
+// allocation-free; snapshot — taken when a verdict fires, which is rare —
+// copies the window out in stream order. A ring is safe for concurrent
+// use.
+type ring struct {
 	mu  sync.Mutex
 	buf []RingEvent
 	seq uint64 // total records ever written
 }
 
-// NewRing returns a flight recorder holding the last n records (n ≥ 1).
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]RingEvent, n)}
+// newRing returns a flight recorder holding the last n records (n ≥ 1).
+func newRing(n int) *ring {
+	return &ring{buf: make([]RingEvent, max(n, 1))}
 }
 
-// RecordDispatchIDs records one parametric event given its object IDs in
-// ascending parameter order.
-func (r *Ring) RecordDispatchIDs(sym int, mask param.Set, ids []uint64) {
+// event records one parametric event given its object IDs in ascending
+// parameter order.
+func (r *ring) event(sym int, ids []uint64) {
 	r.mu.Lock()
 	e := r.slot()
 	e.Sym = int32(sym)
 	e.Kind = RingDispatch
-	e.Mask = mask
-	n := len(ids)
-	if n > param.MaxParams {
-		n = param.MaxParams
-	}
-	copy(e.IDs[:n], ids)
-	e.N = byte(n)
+	e.N = byte(copy(e.IDs[:], ids))
 	r.mu.Unlock()
 }
 
-// RecordFreeIDs records an object-death point. More than MaxParams dying
-// objects split across consecutive entries.
-func (r *Ring) RecordFreeIDs(ids []uint64) {
+// free records an object-death point. More than MaxParams dying objects
+// split across consecutive entries.
+func (r *ring) free(ids []uint64) {
 	r.mu.Lock()
 	for len(ids) > 0 {
-		chunk := ids
-		if len(chunk) > param.MaxParams {
-			chunk = chunk[:param.MaxParams]
-		}
-		ids = ids[len(chunk):]
 		e := r.slot()
 		e.Sym = -1
 		e.Kind = RingFree
-		e.Mask = 0
-		copy(e.IDs[:], chunk)
-		e.N = byte(len(chunk))
+		e.N = byte(copy(e.IDs[:], ids))
+		ids = ids[e.N:]
 	}
 	r.mu.Unlock()
 }
 
 // slot claims the next entry. Caller holds r.mu.
-func (r *Ring) slot() *RingEvent {
+func (r *ring) slot() *RingEvent {
 	r.seq++
 	e := &r.buf[(r.seq-1)%uint64(len(r.buf))]
 	e.Seq = r.seq
 	return e
 }
 
-// Len returns the number of valid entries (≤ capacity).
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seq < uint64(len(r.buf)) {
-		return int(r.seq)
-	}
-	return len(r.buf)
-}
-
-// Snapshot copies the window out, oldest first. It allocates; verdicts
+// snapshot copies the window out, oldest first. It allocates; verdicts
 // are rare and the hot path never calls it.
-func (r *Ring) Snapshot() []RingEvent {
+func (r *ring) snapshot() []RingEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := uint64(len(r.buf))
-	count := r.seq
-	if count > n {
-		count = n
-	}
+	count := min(r.seq, n)
 	out := make([]RingEvent, count)
 	for i := uint64(0); i < count; i++ {
 		out[i] = r.buf[(r.seq-count+i)%n]

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -38,11 +39,12 @@ const DefaultSegmentRecords = 1 << 16
 const syncInterval = 200 * time.Millisecond
 
 // Writer appends a monitored event stream to a segment file. Methods are
-// safe for concurrent use (the façade tap calls them from whatever
-// goroutine dispatches events); records are buffered in memory until the
-// current segment rotates, and a background goroutine fsyncs sealed bytes
-// so a crash loses at most the open segment — which Open then truncates
-// cleanly.
+// safe for concurrent use (a Recorder calls them from whatever goroutine
+// dispatches events); records are buffered in memory until the current
+// segment rotates, and a background goroutine fsyncs sealed bytes so a
+// crash loses at most the open segment — which Open then truncates
+// cleanly. The first error is sticky: the writer writes nothing after it,
+// and every later call returns it.
 type Writer struct {
 	mu sync.Mutex
 	f  *os.File
@@ -59,9 +61,6 @@ type Writer struct {
 	broadcast uint64
 	events    uint64
 	records   uint64
-
-	segments uint64 // sealed segments
-	total    uint64 // total records written (all segments)
 
 	err    error
 	closed bool
@@ -175,11 +174,8 @@ func (w *Writer) syncFile() error {
 func (w *Writer) EventIDs(sym int, ids []uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.check(sym); err != nil {
+	if err := w.check(sym, len(ids)); err != nil {
 		return err
-	}
-	if len(ids) != w.maskOf[sym].Count() {
-		return fmt.Errorf("trace: event %d wants %d ids, got %d", sym, w.maskOf[sym].Count(), len(ids))
 	}
 	w.rec.EventRecord(sym, ids)
 	if w.binds[sym] {
@@ -211,14 +207,18 @@ func (w *Writer) FreeIDs(ids []uint64) error {
 	return nil
 }
 
-func (w *Writer) check(sym int) error {
+// check refuses every record once the writer has failed or closed, and
+// makes a malformed record the writer's first error. Caller holds w.mu.
+func (w *Writer) check(sym, n int) error {
 	if w.err != nil || w.closed {
 		return w.state()
 	}
 	if sym < 0 || sym >= len(w.maskOf) {
-		return fmt.Errorf("trace: symbol %d out of range", sym)
+		w.err = fmt.Errorf("trace: symbol %d out of range", sym)
+	} else if n != w.maskOf[sym].Count() {
+		w.err = fmt.Errorf("trace: event %d wants %d ids, got %d", sym, w.maskOf[sym].Count(), n)
 	}
-	return nil
+	return w.err
 }
 
 func (w *Writer) state() error {
@@ -232,7 +232,6 @@ func (w *Writer) state() error {
 // threshold. Caller holds w.mu.
 func (w *Writer) push() error {
 	w.records++
-	w.total++
 	if int(w.records) >= w.segMax {
 		return w.seal()
 	}
@@ -276,7 +275,6 @@ func (w *Writer) seal() error {
 			return err
 		}
 	}
-	w.segments++
 	if w.met != nil {
 		w.met.Segments.Inc()
 		w.met.Records.Add(w.records)
@@ -305,22 +303,16 @@ func (w *Writer) Flush() error {
 	return w.seal()
 }
 
-// Segments returns the number of sealed segments so far.
-func (w *Writer) Segments() uint64 {
+// Err returns the writer's first error: nothing was written after it.
+func (w *Writer) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.segments
-}
-
-// Records returns the total records written (sealed or buffered).
-func (w *Writer) Records() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.total
+	return w.err
 }
 
 // Close seals the open segment, stops the background fsync goroutine,
-// fsyncs and closes the file.
+// fsyncs and closes the file. It returns the writer's first error, which
+// Err keeps reporting.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -328,21 +320,20 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	sealErr := error(nil)
 	if w.err == nil {
-		sealErr = w.seal()
+		_ = w.seal() // a failure is w.err
 	}
 	close(w.syncReq)
 	w.mu.Unlock()
 	<-w.syncDone
 	syncErr := w.syncFile()
 	closeErr := w.f.Close()
-	for _, err := range []error{w.err, sealErr, syncErr, closeErr} {
-		if err != nil {
-			return err
-		}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = cmp.Or(syncErr, closeErr)
 	}
-	return nil
+	return w.err
 }
 
 // EnsureDir creates the parent directory of a trace path; shared by the

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"rvgo"
@@ -184,6 +185,92 @@ func TestRecordFlushSealsSegment(t *testing.T) {
 	}
 	if got := r.Records(); got != 2 {
 		t.Errorf("records visible after Flush = %d, want 2", got)
+	}
+}
+
+// TestRecordConcurrentProducers records from four producers into a
+// sharded Monitor with a flight recorder, whose shard workers snapshot the
+// window at each verdict: the trace holds every record, each object's in
+// its producer's order, and a verdict's window is kept. Under -race it is
+// the concurrency check of the one stream recorder.
+func TestRecordConcurrentProducers(t *testing.T) {
+	sp, err := spec.Builtin("UnsafeIter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.rvt")
+	m, err := rvgo.New(sp, rvgo.WithShards(4), rvgo.WithRecord(path), rvgo.WithFlightRecorder(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	create, update, next := m.MustEvent("create"), m.MustEvent("update"), m.MustEvent("next")
+	h := rvgo.NewHeap()
+	const producers, rounds = 4, 50
+	its := make([][]*rvgo.Object, producers)
+	var wg sync.WaitGroup
+	for p := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				c, it := h.Alloc("c"), h.Alloc("i")
+				its[p] = append(its[p], it)
+				create.Emit(c, it)
+				next.Emit(it)
+				update.Emit(c)
+				next.Emit(it) // the UnsafeIter match
+				m.Free(it, c)
+				h.Free(it)
+				h.Free(c)
+			}
+		}()
+	}
+	wg.Wait()
+	m.Flush()
+	windows := 0
+	for _, byProducer := range its {
+		for _, it := range byProducer {
+			if m.LastWindow(it) != nil {
+				windows++
+			}
+		}
+	}
+	if windows == 0 {
+		t.Error("no flight window kept for any matched iterator")
+	}
+	m.Close()
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := r.SymbolNames()
+	seen := map[uint64][]string{}
+	records := 0
+	if err := r.Scan(func(x trace.Record) error {
+		records++
+		name := "free"
+		if !x.Free {
+			name = names[x.Sym]
+		}
+		for _, id := range x.IDs {
+			seen[id] = append(seen[id], name)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := producers * rounds * 6; records != want {
+		t.Errorf("trace holds %d records, want %d", records, want)
+	}
+	for _, byProducer := range its {
+		for _, it := range byProducer {
+			if got := strings.Join(seen[it.ID()], " "); got != "create next next free" {
+				t.Fatalf("iterator %d recorded as %q", it.ID(), got)
+			}
+		}
 	}
 }
 

@@ -24,9 +24,10 @@
 // the Go GC collects one, a runtime.AddCleanup hook enqueues its identity
 // on the session's death queue. The queue is delivered at deterministic
 // points — automatically at the next Attach, or explicitly via Poll or
-// Collect — through the Monitor's FreeAsync path: the death is positioned
-// in the event stream (after everything already dispatched, before
-// everything later) and only then becomes visible, so per-slice verdicts
+// Collect — through the Monitor's Free, and the object is marked dead right
+// after it: the death is positioned in the event stream (after everything
+// already dispatched, before everything later) and only then becomes
+// visible, so per-slice verdicts
 // and settled counters are identical to an explicit-free replay of the
 // same trace. A raw weak-reference flip could race queued events; a
 // queued, stream-positioned death cannot.
@@ -114,8 +115,8 @@ func (s *Session) Attach(event string, objs ...any) error {
 	return err
 }
 
-// Poll delivers every queued death signal to the monitor through its
-// pipelined FreeAsync path and returns the number delivered. Delivery is
+// Poll delivers every queued death signal to the monitor — Monitor.Free,
+// then the kill — and returns the number delivered. Delivery is
 // what makes a collection observable: until a death is delivered, the
 // monitors still see the object as alive.
 func (s *Session) Poll() int {
@@ -127,12 +128,11 @@ func (s *Session) Poll() int {
 	for i, o := range objs {
 		refs[i] = o
 	}
+	s.m.Free(refs...)
 	h := s.tab.Heap()
-	s.m.FreeAsync(func() {
-		for _, o := range objs {
-			h.Free(o)
-		}
-	}, refs...)
+	for _, o := range objs {
+		h.Free(o)
+	}
 	return len(objs)
 }
 

@@ -3,6 +3,7 @@ package rvgo
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 
 	"rvgo/internal/cluster"
@@ -25,8 +26,8 @@ import (
 //
 // Concurrency: with the sequential backend (the default) a Monitor is
 // single-threaded. With WithShards(n > 1), WithRemote or WithCluster,
-// Emit, EmitNamed, Dispatch, Emitter.Emit, Free, FreeAsync, Barrier,
-// Flush and Stats are safe for concurrent use.
+// Emit, EmitNamed, Dispatch, Emitter.Emit, Free, Barrier, Flush and
+// Stats are safe for concurrent use.
 type Monitor struct {
 	rt     monitor.Runtime
 	sp     *spec.Spec
@@ -119,7 +120,7 @@ func WithCreationProfile(p *CreationProfile) Option {
 // WithShards selects the backend shape: 1 is the sequential engine
 // (also the local default when the option is omitted), n > 1 the sharded
 // concurrent runtime with n worker engines (at most 64), whose only object
-// deaths are Free/FreeAsync calls, as on the wire: an object killed without
+// deaths are Free calls, as on the wire: an object killed without
 // one stays alive there. Combined with WithRemote it sizes the server-side backend
 // of the session instead; there, omitting the option leaves the choice to
 // the server's configured default.
@@ -138,7 +139,7 @@ func WithShards(n int) Option {
 // NewServer). The spec must carry transferable provenance — built by
 // spec.Builtin or compiled from .rv source — because both ends compile it
 // independently and verify the result in the handshake. Object deaths
-// become protocol-level free messages: call Free/FreeAsync explicitly
+// become protocol-level free messages: call Free explicitly
 // (or attach through package rv, which does).
 func WithRemote(addr string) Option {
 	return func(c *config) error {
@@ -154,7 +155,7 @@ func WithRemote(addr string) Option {
 // Monitor becomes one logical session whose slices are spread over the
 // given rvserve nodes by consistent-hashing the property's pivot
 // parameter. Everything WithRemote requires applies (transferable spec
-// provenance, explicit Free/FreeAsync deaths). The placement is sound
+// provenance, explicit Free deaths). The placement is sound
 // because enable-set creation, the only strategy the façade runs,
 // guarantees that every monitor binds the pivot. Events that do not
 // bind the pivot broadcast to every node under an all-or-nothing credit
@@ -293,12 +294,25 @@ func New(s *spec.Spec, opts ...Option) (*Monitor, error) {
 	}
 
 	m := &Monitor{sp: s, met: cfg.met}
+	// The recorder exists before the backend does: the flight recorder's
+	// verdict handler, which the backend calls, reads it.
+	var rec *trace.Recorder
+	if cfg.recordPath != "" || cfg.flightN > 0 {
+		wo := trace.WriterOptions{}
+		if cfg.met != nil && cfg.recordPath != "" {
+			wo.Metrics = metrics.NewTraceSeries(cfg.met.reg, s.Name())
+		}
+		rec = trace.NewRecorder(s.Compiled(), cfg.flightN, cfg.recordPath, wo)
+		if err := rec.Err(); err != nil {
+			return nil, err
+		}
+	}
 	handler := cfg.handler
 	if cfg.flightN > 0 {
 		// Snapshot before the user handler runs, so a handler (or a
 		// goroutine it signals) calling LastWindow sees this verdict's
 		// window already captured.
-		m.flight = newFlightRecorder(cfg.flightN)
+		m.flight = &flightRecorder{rec: rec}
 		user := handler
 		handler = func(v Verdict) {
 			m.flight.onVerdict(v)
@@ -323,63 +337,57 @@ func New(s *spec.Spec, opts ...Option) (*Monitor, error) {
 	// the engine (and its rv_engine_* series) lives in the server, so the
 	// local registry carries rv_client_* totals instead, counted at the tap.
 	var cli *metrics.ClientSeries
-	if networked {
-		if cfg.met != nil {
-			cli = metrics.NewClientSeries(cfg.met.reg, s.Name())
-			cs, user := cli, handler
-			handler = func(v Verdict) {
-				cs.Verdicts.Inc()
-				if user != nil {
-					user(v)
-				}
+	if networked && cfg.met != nil {
+		cli = metrics.NewClientSeries(cfg.met.reg, s.Name())
+		cs, user := cli, handler
+		handler = func(v Verdict) {
+			cs.Verdicts.Inc()
+			if user != nil {
+				user(v)
 			}
-		}
-		if err := m.dial(cfg, handler); err != nil {
-			return nil, err
-		}
-	} else {
-		mo.OnVerdict = handler
-		if cfg.met != nil {
-			// Shard workers share one engine series: delta publication makes
-			// their counters sum, and the runtime adds per-shard series.
-			mo.Metrics = metrics.NewEngineSeries(cfg.met.reg, s.Name(), cfg.gc.String())
-		}
-		var err error
-		if cfg.shards > 1 {
-			so := shard.Options{Options: mo, Shards: cfg.shards}
-			if cfg.met != nil {
-				so.MetricsRegistry, so.MetricsLabel = cfg.met.reg, s.Name()
-			}
-			m.rt, err = shard.New(s.Compiled(), so)
-		} else {
-			m.rt, err = monitor.New(s.Compiled(), mo)
-		}
-		if err != nil {
-			return nil, err
 		}
 	}
-	if cfg.recordPath != "" || m.flight != nil || cli != nil {
-		// The tap becomes the Monitor's runtime before anything resolves
-		// an Emitter, so every ingestion path is recorded.
-		t := &tap{rt: m.rt, cli: cli}
-		if m.flight != nil {
-			t.ring = m.flight.ring
+	if err := m.open(cfg, mo, handler); err != nil {
+		if rec != nil {
+			rec.Close()
 		}
 		if cfg.recordPath != "" {
-			wo := trace.WriterOptions{}
-			if cfg.met != nil {
-				wo.Metrics = metrics.NewTraceSeries(cfg.met.reg, s.Name())
-			}
-			w, err := trace.CreateForSpec(cfg.recordPath, s.Compiled(), wo)
-			if err != nil {
-				m.rt.Close()
-				return nil, err
-			}
-			t.rec = w
+			os.Remove(cfg.recordPath) // a failed New leaves no trace file
 		}
-		m.tp, m.rt = t, t
+		return nil, err
+	}
+	if rec != nil || cli != nil {
+		// The tap becomes the Monitor's runtime before anything resolves
+		// an Emitter, so every ingestion path is recorded.
+		m.tp = &tap{rt: m.rt, rec: rec, cli: cli}
+		m.rt = m.tp
 	}
 	return m, nil
+}
+
+// open builds the Monitor's backend: the network session of a remote or
+// cluster Monitor, else the sequential engine or the sharded runtime.
+func (m *Monitor) open(cfg config, mo monitor.Options, handler func(Verdict)) error {
+	if len(cfg.nodes) > 0 || cfg.remoteAddr != "" {
+		return m.dial(cfg, handler)
+	}
+	mo.OnVerdict = handler
+	if cfg.met != nil {
+		// Shard workers share one engine series: delta publication makes
+		// their counters sum, and the runtime adds per-shard series.
+		mo.Metrics = metrics.NewEngineSeries(cfg.met.reg, m.sp.Name(), cfg.gc.String())
+	}
+	var err error
+	if cfg.shards > 1 {
+		so := shard.Options{Options: mo, Shards: cfg.shards}
+		if cfg.met != nil {
+			so.MetricsRegistry = cfg.met.reg
+		}
+		m.rt, err = shard.New(m.sp.Compiled(), so)
+	} else {
+		m.rt, err = monitor.New(m.sp.Compiled(), mo)
+	}
+	return err
 }
 
 // NewCreationProfile returns an empty creation profile sized for the
@@ -468,19 +476,6 @@ func (m *Monitor) Free(refs ...Ref) {
 	}
 }
 
-// FreeAsync is Free followed by die, which marks the objects dead: since
-// Free never waits and tolerates an immediate kill, the positioned point
-// is the call itself on every backend. Package rv uses it to turn Go
-// garbage-collection cleanups into stream-positioned deaths.
-func (m *Monitor) FreeAsync(die func(), refs ...Ref) {
-	for _, ref := range refs {
-		m.rt.Free(ref)
-	}
-	if die != nil {
-		die()
-	}
-}
-
 // Barrier returns once every event dispatched before the call has been
 // fully processed (and its verdicts delivered). Synchronous backends
 // return immediately.
@@ -559,8 +554,8 @@ func (m *Monitor) Err() error {
 			return err
 		}
 	}
-	if m.tp != nil {
-		return m.tp.recErr()
+	if m.tp != nil && m.tp.rec != nil {
+		return m.tp.rec.Err()
 	}
 	return nil
 }

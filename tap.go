@@ -9,40 +9,18 @@ import (
 	"rvgo/internal/trace"
 )
 
-// tap interposes on a backend's event surface to feed the persistent
-// trace recorder (WithRecord) and the flight recorder (WithFlightRecorder)
-// before forwarding. It is installed as the Monitor's runtime before any
-// Emitter is resolved, so every ingestion path passes through it: Emit,
-// EmitNamed and Emitter.Emit all end in Dispatch, deaths in Free.
+// tap interposes on a backend's event surface to feed the stream's
+// recorder (WithRecord, WithFlightRecorder) before forwarding. It is
+// installed as the Monitor's runtime before any Emitter is resolved, so
+// every ingestion path passes through it: Emit, EmitNamed and Emitter.Emit
+// all end in Dispatch, deaths in Free.
 type tap struct {
-	rt   monitor.Runtime
-	rec  *trace.Writer         // nil when not recording
-	ring *trace.Ring           // nil without a flight recorder
-	cli  *metrics.ClientSeries // nil unless remote + WithMetrics
-
-	mu  sync.Mutex
-	err error // first recording error, sticky
+	rt  monitor.Runtime
+	rec *trace.Recorder       // nil without WithRecord and WithFlightRecorder
+	cli *metrics.ClientSeries // nil unless remote + WithMetrics
 }
 
 var _ monitor.Runtime = (*tap)(nil)
-
-func (t *tap) fail(err error) {
-	if err == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.err == nil {
-		t.err = err
-	}
-	t.mu.Unlock()
-}
-
-// recErr returns the sticky recording error.
-func (t *tap) recErr() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
 
 func (t *tap) Spec() *monitor.Spec { return t.rt.Spec() }
 
@@ -50,15 +28,9 @@ func (t *tap) Dispatch(sym int, theta Instance) {
 	if t.cli != nil {
 		t.cli.Events.Inc()
 	}
-	if t.ring != nil || t.rec != nil {
+	if t.rec != nil {
 		var buf [param.MaxParams]uint64
-		ids := theta.AppendIDs(buf[:0])
-		if t.ring != nil {
-			t.ring.RecordDispatchIDs(sym, theta.Mask(), ids)
-		}
-		if t.rec != nil {
-			t.fail(t.rec.EventIDs(sym, ids))
-		}
+		t.rec.Event(sym, theta.AppendIDs(buf[:0]))
 	}
 	t.rt.Dispatch(sym, theta)
 }
@@ -70,14 +42,9 @@ func (t *tap) Free(ref Ref) {
 	if t.cli != nil {
 		t.cli.Frees.Inc()
 	}
-	if t.ring != nil || t.rec != nil {
+	if t.rec != nil {
 		id := [1]uint64{ref.ID()}
-		if t.ring != nil {
-			t.ring.RecordFreeIDs(id[:])
-		}
-		if t.rec != nil {
-			t.fail(t.rec.FreeIDs(id[:]))
-		}
+		t.rec.Free(id[:])
 	}
 	t.rt.Free(ref)
 }
@@ -87,9 +54,7 @@ func (t *tap) Barrier() { t.rt.Barrier() }
 func (t *tap) Flush() {
 	t.rt.Flush()
 	if t.rec != nil {
-		// Seal the open segment so a reader (or a crash) sees everything
-		// up to the flush point.
-		t.fail(t.rec.Flush())
+		t.rec.Flush()
 	}
 }
 
@@ -98,7 +63,7 @@ func (t *tap) Stats() Stats { return t.rt.Stats() }
 func (t *tap) Close() {
 	t.rt.Close()
 	if t.rec != nil {
-		t.fail(t.rec.Close())
+		_ = t.rec.Close() // the first error stays in Err
 	}
 }
 
@@ -113,15 +78,11 @@ type flightSnap struct {
 	win []trace.RingEvent
 }
 
-// flightRecorder pairs the ring with snapshot-on-verdict retention.
+// flightRecorder keeps the recorder's window at each verdict.
 type flightRecorder struct {
-	ring  *trace.Ring
+	rec   *trace.Recorder
 	mu    sync.Mutex
 	snaps []flightSnap // newest last
-}
-
-func newFlightRecorder(n int) *flightRecorder {
-	return &flightRecorder{ring: trace.NewRing(n)}
 }
 
 // onVerdict snapshots the ring at a goal verdict. It runs inside the
@@ -132,7 +93,7 @@ func (f *flightRecorder) onVerdict(v Verdict) {
 	for m := k.Mask; m != 0; m = m.Rest() {
 		ids = append(ids, k.IDs[m.First()])
 	}
-	snap := flightSnap{ids: ids, win: f.ring.Snapshot()}
+	snap := flightSnap{ids: ids, win: f.rec.Window()}
 	f.mu.Lock()
 	f.snaps = append(f.snaps, snap)
 	if len(f.snaps) > maxFlightWindows {
