@@ -36,7 +36,7 @@
 // handoff counters instead of backend shape), and the Go profiling
 // endpoints under /debug/pprof/. With -record-dir every session's stream
 // is also recorded as a persistent trace (session-<id>.rvt, readable by
-// cmd/rvquery).
+// cmd/rvquery); a recording that fails is logged, and the session goes on.
 package main
 
 import (
@@ -98,8 +98,9 @@ func main() {
 		FlightWindow:  *flight,
 		RecordDir:     *recordDir,
 	}
-	if *verbose || *flight > 0 {
-		// Flight-window dumps ride the session log stream.
+	if *verbose || *flight > 0 || *recordDir != "" {
+		// Flight-window dumps and a recording's failure ride the session
+		// log stream.
 		opts.Logf = log.Printf
 	}
 	srv := rvgo.NewServer(opts)

@@ -64,6 +64,11 @@ func (b *Blocks) Block(at uint32) []Handle {
 // hot paths take. Valid until the next Alloc or Grow.
 func (b *Blocks) Entries(at, n uint32) []Handle { return b.elts[at : at+n : at+n] }
 
+// Put sets the entry at offset i, an entry of a block (its first entry's
+// offset plus an index below its capacity), without reading the block's
+// header: the hot paths' store.
+func (b *Blocks) Put(i uint32, h Handle) { b.elts[i] = h }
+
 // Alloc returns the first entry of a free block of at least c entries,
 // c ≥ 1. Its entries are unspecified.
 func (b *Blocks) Alloc(c uint32) uint32 {

@@ -29,15 +29,14 @@ func (r *recDisp) Spec() *monitor.Spec { return r.rt.Spec() }
 
 func (r *recDisp) Dispatch(sym int, theta param.Instance) {
 	var buf [param.MaxParams]uint64
-	if err := r.w.EventIDs(sym, theta.AppendIDs(buf[:0])); err != nil && r.err == nil {
+	if err := r.w.EventIDs(sym, theta.Key().AppendIDs(buf[:0])); err != nil && r.err == nil {
 		r.err = err
 	}
 	r.rt.Dispatch(sym, theta)
 }
 
 func oracleKey(v monitor.Verdict) string {
-	k := v.Inst.Key()
-	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
+	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, v.Key.Mask, v.Key.IDs)
 }
 
 // onlineVerdict is one verdict of an online run: its oracleKey and the
@@ -158,13 +157,14 @@ func TestVerdictLines(t *testing.T) {
 	it := h.Alloc("it")
 	var lines []string
 	fn := cliutil.VerdictLines(spec, func(s string) { lines = append(lines, s) })
-	v := monitor.Verdict{Spec: spec, Sym: sym, Inst: param.Of(spec.Events[sym].Params, it)}
+	// A replay names its objects by ID: the verdict carries Key alone.
+	v := monitor.Verdict{Spec: spec, Sym: sym, Key: param.Of(spec.Events[sym].Params, it).Key()}
 	v.Cat = "error"
 	fn(v)
 	if len(lines) != 1 {
 		t.Fatalf("got %d lines", len(lines))
 	}
-	for _, want := range []string{"next", "error", it.Label()} {
+	for _, want := range []string{"next", "error", fmt.Sprintf("r%d", it.ID())} {
 		if !strings.Contains(lines[0], want) {
 			t.Errorf("line %q lacks %q", lines[0], want)
 		}

@@ -94,7 +94,7 @@ type RetroQuery struct {
 // types.
 func VerdictLines(sp *monitor.Spec, fn func(line string)) func(monitor.Verdict) {
 	return func(v monitor.Verdict) {
-		fn(fmt.Sprintf("%s %s %s", sp.Events[v.Sym].Name, v.Cat, v.Inst.Format(sp.Params)))
+		fn(fmt.Sprintf("%s %s %s", sp.Events[v.Sym].Name, v.Cat, v.Key.Format(sp.Params)))
 	}
 }
 

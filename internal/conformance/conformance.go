@@ -190,6 +190,9 @@ func RunEmitNamed(t *testing.T, b Backend, m Mode) {
 		var verdicts []string
 		done := make(chan struct{})
 		rt := b.Open(t, spec, m, func(v monitor.Verdict) {
+			if why := keyMismatch(v, false); why != "" {
+				t.Error(why)
+			}
 			verdicts = append(verdicts, string(v.Cat)+"@"+v.Inst.Format(v.Spec.Params))
 			close(done)
 		})

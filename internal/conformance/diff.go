@@ -122,7 +122,10 @@ func (b Backend) run(t *testing.T, s Stream, m Mode, events uint64) outcome {
 	got := outcome{verdicts: map[string][]string{}}
 	var mu sync.Mutex
 	rt := b.Open(t, s.Spec, m, func(v monitor.Verdict) {
-		k := sliceKey(s.Spec, v.Inst)
+		if why := keyMismatch(v, b.ByID); why != "" {
+			t.Errorf("%s: verdict %d/%s: %s", b.Name, v.Sym, v.Cat, why)
+		}
+		k := sliceKey(s.Spec, v.Key)
 		mu.Lock()
 		got.verdicts[k] = append(got.verdicts[k], fmt.Sprintf("%d/%s", v.Sym, v.Cat))
 		mu.Unlock()
@@ -143,13 +146,28 @@ func (b Backend) run(t *testing.T, s Stream, m Mode, events uint64) outcome {
 
 // sliceKey renders a verdict's instance by object ordinal (ID − 1), which
 // is the same whether the objects were refs or IDs.
-func sliceKey(spec *monitor.Spec, inst param.Instance) string {
+func sliceKey(spec *monitor.Spec, k param.Key) string {
 	var b strings.Builder
-	for m := inst.Mask(); !m.Empty(); m = m.Rest() {
+	for m := k.Mask; !m.Empty(); m = m.Rest() {
 		i := m.First()
-		fmt.Fprintf(&b, "%s=o%d ", spec.Params[i], inst.Value(i).ID()-1)
+		fmt.Fprintf(&b, "%s=o%d ", spec.Params[i], k.IDs[i]-1)
 	}
 	return b.String()
+}
+
+// keyMismatch says how a verdict's two names for its instance disagree, or
+// "": a runtime fed refs names the objects of its Key in Inst too, one fed
+// by ID leaves Inst ⊥. Slices are keyed by Key, so Diff holds an ID-fed
+// backend's Key to the reference's, and a reference fed refs has Key =
+// Inst.Key().
+func keyMismatch(v monitor.Verdict, byID bool) string {
+	switch {
+	case byID && v.Inst.Mask() != 0:
+		return fmt.Sprintf("fed by ID, it set Inst %v", v.Inst)
+	case !byID && v.Key != v.Inst.Key():
+		return fmt.Sprintf("Key %v is not Inst.Key() %v", v.Key, v.Inst.Key())
+	}
+	return ""
 }
 
 // settle holds a backend's outcome to the reference's under mode m. It is

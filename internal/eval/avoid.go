@@ -82,8 +82,7 @@ type AvoidReport struct {
 }
 
 func verdictKey(v monitor.Verdict) string {
-	k := v.Inst.Key()
-	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
+	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, v.Key.Mask, v.Key.IDs)
 }
 
 // onlinePass drives the workload through a sequential Monitor that records

@@ -71,12 +71,13 @@ type Resolver interface {
 	Release(h Handle)
 }
 
-// Set is a compacting vector of monitor handles (RVSet): the offset and
-// length of its block in the Leaves heap that holds it, so a Set is two
-// words and holds no pointer. Every operation that reads or grows the
-// members takes that Leaves. The zero value is an empty set with no block.
+// Set is a compacting vector of monitor handles (RVSet): the offset of its
+// block in the Leaves heap that holds it and the offset just past its last
+// member, so a Set is two words and holds no pointer. Every operation that
+// reads or grows the members takes that Leaves. The zero value is an empty
+// set with no block.
 type Set struct {
-	at, n uint32
+	at, end uint32
 }
 
 // minSet is the capacity of a set's first block: most leaves hold one
@@ -85,39 +86,54 @@ const minSet = 1
 
 // Len returns the current number of members (flagged-but-unremoved members
 // count until the next compaction).
-func (s *Set) Len() int { return int(s.n) }
+func (s *Set) Len() int { return int(s.end - s.at) }
 
 // Members returns the member vector, flagged-but-unremoved members
 // included, with the block's capacity as its capacity: a read-only view
 // for invariant checks, valid until the heap next grows.
-func (s *Set) Members(ls *Leaves) []Handle { return ls.heap.Block(s.at)[:s.n] }
+func (s *Set) Members(ls *Leaves) []Handle { return ls.heap.Block(s.at)[:s.end-s.at] }
 
-// Full reports whether the next Add moves the members to a larger block.
-func (s *Set) Full(ls *Leaves) bool { return s.n == ls.heap.Cap(s.at) }
+// Full reports whether the set has no room for another member: Reserve
+// would move it to a larger block.
+func (s *Set) Full(ls *Leaves) bool { return s.end-s.at == ls.heap.Cap(s.at) }
 
-// Grow makes room for n more members, so that the next n Adds do not move
-// the member vector.
+// Grow makes room for n more members, so that the next n Adds need no
+// Reserve.
 func (s *Set) Grow(ls *Leaves, n int) {
-	if want := s.n + uint32(n); want > ls.heap.Cap(s.at) {
-		s.at = ls.heap.Grow(s.at, s.n, want)
+	if want := s.end - s.at + uint32(n); want > ls.heap.Cap(s.at) {
+		s.move(ls, want)
 	}
 }
 
-// Add appends a monitor and retains it.
+// Reserve makes room for one more member, Add's precondition: a full set
+// moves to a block twice its size.
+func (s *Set) Reserve(ls *Leaves) {
+	if s.Full(ls) {
+		s.move(ls, max(2*(s.end-s.at), minSet))
+	}
+}
+
+// move moves the members to a block of at least c entries.
+func (s *Set) move(ls *Leaves, c uint32) {
+	n := s.end - s.at
+	s.at = ls.heap.Grow(s.at, n, c)
+	s.end = s.at + n
+}
+
+// Add appends a monitor and retains it; the set must have room for it
+// (Reserve). The growth lives in Reserve so that Add inlines, and a
+// caller holding a concrete Resolver calls its Retain directly.
 func (s *Set) Add(ls *Leaves, r Resolver, h Handle) {
 	r.Retain(h)
-	if s.Full(ls) {
-		s.at = ls.heap.Grow(s.at, s.n, max(2*s.n, minSet))
-	}
-	ls.heap.Entries(s.at, s.n+1)[s.n] = h
-	s.n++
+	ls.heap.Put(s.end, h)
+	s.end++
 }
 
 // ForEach visits live members, compacting away collectable ones in the same
 // pass (Figure 8). Visited monitors may become collectable during the pass
 // (e.g. by reaching a final verdict); they are still compacted next time.
 func (s *Set) ForEach(ls *Leaves, r Resolver, f func(Handle)) {
-	items := ls.heap.Entries(s.at, s.n)
+	items := ls.heap.Entries(s.at, s.end-s.at)
 	w := uint32(0)
 	for _, h := range items {
 		if r.Collectable(h) {
@@ -128,7 +144,7 @@ func (s *Set) ForEach(ls *Leaves, r Resolver, f func(Handle)) {
 		w++
 		f(h)
 	}
-	s.n = w
+	s.end = s.at + w
 }
 
 // AppendLive compacts the set exactly like ForEach — collectable members
@@ -140,7 +156,7 @@ func (s *Set) ForEach(ls *Leaves, r Resolver, f func(Handle)) {
 // a member flagged while the caller walks the buffer must be re-checked by
 // the caller (exactly as ForEach re-checks at visit time).
 func (s *Set) AppendLive(ls *Leaves, r Resolver, buf []Handle) []Handle {
-	items := ls.heap.Entries(s.at, s.n)
+	items := ls.heap.Entries(s.at, s.end-s.at)
 	w := uint32(0)
 	for _, h := range items {
 		if r.Collectable(h) {
@@ -151,7 +167,7 @@ func (s *Set) AppendLive(ls *Leaves, r Resolver, buf []Handle) []Handle {
 		w++
 		buf = append(buf, h)
 	}
-	s.n = w
+	s.end = s.at + w
 	return buf
 }
 
@@ -215,13 +231,14 @@ func (ls *Leaves) Find(head Handle, R param.Set) *Set {
 	return nil
 }
 
-// Insert returns the chain's leaf for domain R, linking a new record into
-// the chain if it has none.
+// Insert returns the chain's leaf for domain R with room for one more
+// member (Set.Reserve), linking a new record into the chain if it has none.
 func (ls *Leaves) Insert(head *Handle, R param.Set) *Set {
 	link := head
 	for *link != arena.Nil {
 		l := ls.pool.At(*link)
 		if l.R == R {
+			l.Reserve(ls)
 			return &l.Set
 		}
 		if l.R > R {
@@ -232,6 +249,7 @@ func (ls *Leaves) Insert(head *Handle, R param.Set) *Set {
 	h, l := ls.pool.Alloc()
 	l.R, l.Next = R, *link
 	*link = h
+	l.Reserve(ls)
 	return &l.Set
 }
 
@@ -255,7 +273,7 @@ func (ls *Leaves) Compact(r Resolver, head *Handle) {
 		h := *link
 		l := ls.pool.At(h)
 		l.Compact(ls, r)
-		if l.n != 0 {
+		if l.end != l.at {
 			link = &l.Next
 			continue
 		}
@@ -270,7 +288,7 @@ func (ls *Leaves) Compact(r Resolver, head *Handle) {
 func (ls *Leaves) Detach(r Resolver, head *Handle) {
 	for h := *head; h != arena.Nil; {
 		l := ls.pool.At(h)
-		items := ls.heap.Entries(l.at, l.n)
+		items := ls.heap.Entries(l.at, l.end-l.at)
 		for _, m := range items {
 			r.NotifyParamDeath(m)
 		}

@@ -256,6 +256,7 @@ func TestSetCompaction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m := r.alloc()
 		mons = append(mons, m)
+		s.Reserve(&ls)
 		s.Add(&ls, r, m)
 	}
 	for i, m := range mons {
@@ -331,6 +332,7 @@ func TestSetCompactionAllFlagged(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m := r.allocFlagged()
 		mons = append(mons, m)
+		s.Reserve(&ls)
 		s.Add(&ls, r, m)
 	}
 	visited := 0
@@ -362,6 +364,7 @@ func TestAppendLiveMatchesForEach(t *testing.T) {
 			} else {
 				m = r.alloc()
 			}
+			s.Reserve(&ls)
 			s.Add(&ls, r, m)
 		}
 		return s

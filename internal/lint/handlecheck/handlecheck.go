@@ -8,7 +8,7 @@
 //     any container over it) may not appear in a store outside
 //     internal/monitor.
 //   - *param.Instance: a pointer to a parameter instance. Instances travel
-//     by value everywhere (events, verdicts, Monitors()). θ-table slots
+//     by value everywhere (events, verdicts). θ-table slots
 //     (param.Interner) hold object-handle bindings (param.Binding), not
 //     instances: an engine builds an instance from a slot only to hand it
 //     out, so a retained pointer to one points at a copy that stopped

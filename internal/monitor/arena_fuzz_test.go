@@ -141,6 +141,7 @@ func TestLeafPoison(t *testing.T) {
 	ls.Compact(nopResolver{}, &head) // empty: recycled
 	ls.Insert(&head, 1)              // an untouched record passes verify
 	ls.Compact(nopResolver{}, &head)
+	stale.Reserve(&ls)
 	stale.Add(&ls, nopResolver{}, 1)
 	defer func() {
 		if recover() == nil {

@@ -107,7 +107,7 @@ func CheckTheta(e *Engine, flushed bool) error {
 					return fmt.Errorf("leaf %v under %v holds %v, a recycled monitor", l.R, inst, h)
 				}
 				if mb := e.bindOf(e.mons.At(h)); mb.Mask != l.R || !s.B.LessInformative(mb) {
-					return fmt.Errorf("leaf %v under %v holds a monitor for %v", l.R, inst, e.instance(mb))
+					return fmt.Errorf("leaf %v under %v holds a monitor for %v", l.R, inst, e.keyOf(mb))
 				}
 				edges[h]++
 			}
@@ -161,10 +161,10 @@ func CheckTheta(e *Engine, flushed bool) error {
 	}
 	for h, m := range e.mons.All() {
 		if m.refs != edges[h] {
-			return fmt.Errorf("monitor for %v has refcount %d, %d containers hold it", e.instance(e.bindOf(m)), m.refs, edges[h])
+			return fmt.Errorf("monitor for %v has refcount %d, %d containers hold it", e.keyOf(e.bindOf(m)), m.refs, edges[h])
 		}
 		if m.flags&monCollected != 0 && edges[h] != 0 {
-			return fmt.Errorf("collected monitor for %v is in %d containers", e.instance(e.bindOf(m)), edges[h])
+			return fmt.Errorf("collected monitor for %v is in %d containers", e.keyOf(e.bindOf(m)), edges[h])
 		}
 	}
 	if live := e.leaves.Stats().Live; live != reached {
@@ -176,15 +176,14 @@ func CheckTheta(e *Engine, flushed bool) error {
 	return nil
 }
 
-// lazyInst formats a θ-record's binding as the instance it stands for, only
-// when a report needs it: resolving an ID-named record's ref changes the
-// record, and a check must leave the engine as it found it.
+// lazyInst formats a θ-record's binding by its objects' IDs, only when a
+// report needs it.
 type lazyInst struct {
 	e *Engine
 	b param.Binding
 }
 
-func (l lazyInst) String() string { return l.e.instance(&l.b).String() }
+func (l lazyInst) String() string { return l.e.keyOf(&l.b).String() }
 
 // checkObjects holds the object table's ID index and records to each
 // other: the index stores each live record once, reached by probing from

@@ -66,7 +66,7 @@ func eagerOracle(t testing.TB, spec *monitor.Spec, opts monitor.Options, steps [
 	var got [feeds][]idVerdict
 	for f := range engs {
 		o := opts
-		o.OnVerdict = func(v monitor.Verdict) { got[f] = append(got[f], idVerdict{v.Sym, v.Cat, v.Inst.Key()}) }
+		o.OnVerdict = func(v monitor.Verdict) { got[f] = append(got[f], idVerdict{v.Sym, v.Cat, v.Key}) }
 		eng, err := monitor.New(spec, o)
 		if err != nil {
 			t.Fatal(err)
@@ -259,6 +259,52 @@ func TestPositionedChurnNoAlloc(t *testing.T) {
 	eng.Flush()
 	if n := met.Sweeps.Value(); n != 0 {
 		t.Errorf("a positioned engine's Flush swept %d times", n)
+	}
+}
+
+// TestPositionedVerdictNoAlloc: an engine fed by ID, once warm, allocates
+// nothing per generation that ends in a verdict — create, update, next
+// over a fresh collection and iterator, one UnsafeIter match naming both,
+// then their free. The verdict names its objects by ID (Key), read from
+// the object records; no ref is made for them.
+func TestPositionedVerdictNoAlloc(t *testing.T) {
+	if monitor.RaceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const warm, measured = 20_000, 4096
+	var verdicts uint64
+	var last param.Key
+	eng, err := monitor.New(unsafeIterSpec(t), monitor.Options{GC: monitor.GCCoenable, OnVerdict: func(v monitor.Verdict) {
+		verdicts++
+		last = v.Key
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, it, col := []uint64{0, 0}, []uint64{0}, []uint64{0}
+	k := uint64(0)
+	generation := func() {
+		k += 2
+		ci[0], ci[1], col[0], it[0] = k, k+1, k, k+1
+		eng.DispatchIDs(symCreate, ci)
+		eng.DispatchIDs(symUpdate, col)
+		eng.DispatchIDs(symNext, it)
+		eng.FreeIDs(ci)
+	}
+	for k < warm {
+		generation()
+	}
+	if avg := testing.AllocsPerRun(measured, generation); avg != 0 {
+		t.Errorf("positioned verdict generation allocates %.2f times, want 0", avg)
+	}
+	if want := k / 2; verdicts != want {
+		t.Fatalf("%d verdicts over %d generations, want one each", verdicts, want)
+	}
+	if want := param.SetOf(0, 1); last.Mask != want || last.IDs[0] != k || last.IDs[1] != k+1 {
+		t.Errorf("last verdict names %v, want <p0=r%d, p1=r%d>", last, k, k+1)
+	}
+	if n := monitor.HeldRefs(eng); n != 0 {
+		t.Errorf("%d object records held after every object's free, want 0", n)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rvgo/internal/arena"
+	"rvgo/internal/heap"
 	"rvgo/internal/index"
 	"rvgo/internal/logic"
 	"rvgo/internal/metrics"
@@ -56,12 +57,18 @@ const (
 	CreateFull
 )
 
-// Verdict is one goal-category report delivered to the handler.
+// Verdict is one goal-category report delivered to the handler: the event
+// sym that took the slice of the instance θ into category Cat. Key names
+// θ's objects by ID, and every runtime fills it. Inst is θ over the
+// caller's refs, set only by a runtime that holds them — an engine fed by
+// Dispatch or DispatchHeld, the remote and cluster fronts; an engine fed
+// by DispatchIDs names its objects in Key alone and leaves Inst ⊥.
 type Verdict struct {
 	Spec *Spec
 	Sym  int
 	Cat  logic.Category
 	Inst param.Instance
+	Key  param.Key
 }
 
 // Options configures an Engine.
@@ -548,9 +555,17 @@ func (e *Engine) ObjectRecords() (records, dead int) {
 // θ-record, for key restriction and liveness checks.
 func (e *Engine) bindOf(m *Mon) *param.Binding { return &e.intern.At(m.instH).B }
 
-// instance resolves a binding to the parameter instance it stands for: the
-// form verdicts and diagnostics hand out.
-func (e *Engine) instance(b *param.Binding) param.Instance { return b.Instance(e.objs.ref) }
+// instance resolves a binding to the instance it stands for over the
+// caller's refs, for a verdict; ⊥ when the objects are named by ID, which
+// the verdict's Key carries instead.
+func (e *Engine) instance(b *param.Binding) param.Instance {
+	for m := b.Mask; m != 0; m = m.Rest() {
+		if e.objs.recs[b.H[m.First()]].ref == nil {
+			return param.Instance{}
+		}
+	}
+	return b.Instance(func(h uint32) heap.Ref { return e.objs.recs[h].ref })
+}
 
 // intern returns the θ-record of a binding, allocating one — and pinning
 // the objects it binds — on first sight. In a lazy engine the add that
@@ -1173,7 +1188,8 @@ func (e *Engine) step(h arena.Handle, m *Mon, sym int) {
 			} else {
 				cat = st.Category()
 			}
-			e.opts.OnVerdict(Verdict{Spec: e.spec, Sym: sym, Cat: cat, Inst: e.instance(e.bindOf(m))})
+			b := e.bindOf(m)
+			e.opts.OnVerdict(Verdict{Spec: e.spec, Sym: sym, Cat: cat, Inst: e.instance(b), Key: e.keyOf(b)})
 		}
 	}
 	if e.opts.GC == GCCoenable {
@@ -1253,13 +1269,15 @@ func (e *Engine) insert(h arena.Handle) {
 }
 
 // compactRegistry compacts a full registry, and grows it to twice what is
-// left when that freed less than half of it.
+// left when that freed less than half of it: either way it has room for
+// the next member, as an empty registry has once it gets its first block.
 func (e *Engine) compactRegistry(d *domain) {
 	c := d.all.Len()
 	d.all.Compact(&e.leaves, (*registry)(e))
 	if n := d.all.Len(); 2*n > c {
 		d.all.Grow(&e.leaves, n)
 	}
+	d.all.Reserve(&e.leaves)
 }
 
 // domainOf returns the record of an instance domain (a handful at most).
@@ -1452,19 +1470,6 @@ func (e *Engine) Flush() {
 			panic("monitor: after Flush: " + err.Error())
 		}
 	}
-}
-
-// Monitors returns the live (unflagged, uncollected) monitor instances,
-// for tests and diagnostics.
-func (e *Engine) Monitors() []param.Instance {
-	var out []param.Instance
-	for _, s := range e.intern.All() {
-		if h := s.Data.mon; h != arena.Nil && e.mons.At(h).flags&(monFlagged|monCollected) == 0 {
-			out = append(out, e.instance(&s.B))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key(), out[j].Key()) })
-	return out
 }
 
 // State returns the current base state for θ, or nil if no monitor exists.

@@ -148,7 +148,7 @@ func runRefs(t *testing.T, spec *monitor.Spec, opts monitor.Options, h *heap.Hea
 func runIDs(t *testing.T, spec *monitor.Spec, opts monitor.Options, steps []thetaStep) ([]idVerdict, monitor.Stats, *monitor.Engine) {
 	t.Helper()
 	var got []idVerdict
-	opts.OnVerdict = func(v monitor.Verdict) { got = append(got, idVerdict{v.Sym, v.Cat, v.Inst.Key()}) }
+	opts.OnVerdict = func(v monitor.Verdict) { got = append(got, idVerdict{v.Sym, v.Cat, v.Key}) }
 	eng, err := monitor.New(spec, opts)
 	if err != nil {
 		t.Fatal(err)

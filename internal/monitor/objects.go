@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"fmt"
-
 	"rvgo/internal/arena"
 	"rvgo/internal/heap"
 	"rvgo/internal/param"
@@ -12,8 +10,9 @@ import (
 // object is one record of an engine's object table: a parameter object the
 // engine has met in an event, kept once however many θ-records bind it.
 // The object is named by the caller's ref (Dispatch, DispatchHeld) or by
-// its ID alone (DispatchIDs); an ID-named record gets a ref only when
-// something asks for the object (ref).
+// its ID alone (DispatchIDs). An ID-named record never gets a ref: a
+// verdict names its objects by ID (Verdict.Key), and only a ref-named
+// record's ref goes into Verdict.Inst.
 type object struct {
 	ref heap.Ref
 	id  uint64
@@ -41,7 +40,8 @@ type object struct {
 }
 
 // objects is the object table: the one place an engine keeps a caller's
-// heap.Ref, or the ID of an object the caller names by ID. θ-records bind
+// heap.Ref, or the ID of an object the caller names by ID, and the place a
+// verdict reads its Key's IDs from. θ-records bind
 // the uint32 handles it issues (param.Binding), so the θ-table itself holds
 // no pointer, and a θ's liveness is read through the records of its
 // objects. A record lives while a θ-record pins it or its death is not
@@ -127,16 +127,6 @@ func (o *objects) add(r object) uint32 {
 	o.recs[h] = r
 	o.idx.Insert(o.hash(r.id), h+1, o.rehash)
 	return h
-}
-
-// ref returns the object a handle names. An ID-named record gets its ref
-// here, the first time a verdict or diagnostic needs the object.
-func (o *objects) ref(h uint32) heap.Ref {
-	r := &o.recs[h]
-	if r.ref == nil {
-		r.ref = &idRef{r.id}
-	}
-	return r.ref
 }
 
 // alive reports whether the object is alive: a record's death is known,
@@ -238,11 +228,3 @@ func (o *objects) drain(onRelease func(uint64)) {
 
 // reset drops every record and with it every ref, releasing none.
 func (o *objects) reset() { *o = newObjects(o.heap, o.check) }
-
-// idRef is an object known by its ID alone: the ref a verdict or diagnostic
-// gets for an ID-named record. It never dies; the record holds the death.
-type idRef struct{ id uint64 }
-
-func (r *idRef) ID() uint64    { return r.id }
-func (r *idRef) Alive() bool   { return true }
-func (r *idRef) Label() string { return fmt.Sprintf("r%d", r.id) }

@@ -257,14 +257,39 @@ func (t Instance) Key() Key {
 	return k
 }
 
-// AppendIDs appends the IDs of the bound objects to dst in ascending
-// parameter order: the instance as an event record carries it.
-func (t Instance) AppendIDs(dst []uint64) []uint64 {
-	for m := t.mask; m != 0; m = m.Rest() {
-		dst = append(dst, t.vals[m.First()].ID())
+// AppendIDs appends the bound IDs to dst in ascending parameter order:
+// the instance as an event or verdict record carries it.
+func (k Key) AppendIDs(dst []uint64) []uint64 {
+	for m := k.Mask; m != 0; m = m.Rest() {
+		dst = append(dst, k.IDs[m.First()])
 	}
 	return dst
 }
+
+// Format renders the key using the given parameter names, labelling each
+// object rN by its ID N — what Instance.Format prints for an object known
+// by its ID alone.
+func (k Key) Format(names []string) string {
+	var b strings.Builder
+	b.WriteByte('<')
+	for m := k.Mask; m != 0; m = m.Rest() {
+		i := m.First()
+		if m != k.Mask {
+			b.WriteString(", ")
+		}
+		if i < len(names) {
+			b.WriteString(names[i])
+		} else {
+			fmt.Fprintf(&b, "p%d", i)
+		}
+		fmt.Fprintf(&b, "=r%d", k.IDs[i])
+	}
+	b.WriteByte('>')
+	return b.String()
+}
+
+// String renders the key as ⟨name↦rN, …⟩ using indices as names.
+func (k Key) String() string { return k.Format(nil) }
 
 // String renders the instance as ⟨name↦label, …⟩ using indices as names.
 func (t Instance) String() string {

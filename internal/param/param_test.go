@@ -218,6 +218,25 @@ func TestFormat(t *testing.T) {
 	}
 }
 
+// TestKeyFormat: a key renders as an instance of objects labelled rN by
+// their IDs, and appends its IDs in ascending parameter order.
+func TestKeyFormat(t *testing.T) {
+	k := param.Key{Mask: param.SetOf(0, 2)}
+	k.IDs[0], k.IDs[2] = 5, 9
+	if got, want := k.Format([]string{"m", "c", "i"}), "<m=r5, i=r9>"; got != want {
+		t.Errorf("Format = %q, want %q", got, want)
+	}
+	if got, want := k.String(), "<p0=r5, p2=r9>"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	if got := k.AppendIDs([]uint64{1}); !reflect.DeepEqual(got, []uint64{1, 5, 9}) {
+		t.Errorf("AppendIDs = %v, want [1 5 9]", got)
+	}
+	if got := (param.Key{}).Format(nil); got != "<>" {
+		t.Errorf("⊥ formats as %q, want <>", got)
+	}
+}
+
 func TestOfArityMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

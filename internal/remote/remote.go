@@ -233,22 +233,25 @@ func VerifyAck(spec *monitor.Spec, a wire.HelloAck) error {
 	return nil
 }
 
-// DeliverVerdict reconstructs the instance from the client's own refs and
-// invokes the handler. The sink calls it, serialized, from its reader
-// goroutine(s).
+// DeliverVerdict reconstructs the instance from the client's own refs,
+// keeps the wire IDs as its Key, and invokes the handler. The sink calls
+// it, serialized, from its reader goroutine(s).
 func (f *Front) DeliverVerdict(v wire.Verdict) {
 	if f.onVerdict == nil {
 		return
 	}
 	inst := param.Empty()
+	key := param.Key{Mask: param.Set(v.Mask)}
 	f.tmu.Lock()
 	k := 0
-	for m := param.Set(v.Mask); m != 0; m = m.Rest() {
+	for m := key.Mask; m != 0; m = m.Rest() {
+		i := m.First()
+		key.IDs[i] = v.IDs[k]
 		ref := f.table[v.IDs[k]].ref
 		if ref == nil {
 			ref = ghostRef(v.IDs[k])
 		}
-		inst = inst.Bind(m.First(), ref)
+		inst = inst.Bind(i, ref)
 		k++
 	}
 	f.tmu.Unlock()
@@ -261,6 +264,7 @@ func (f *Front) DeliverVerdict(v wire.Verdict) {
 		Sym:  sym,
 		Cat:  logic.Category(v.Cat),
 		Inst: inst,
+		Key:  key,
 	})
 }
 

@@ -282,8 +282,8 @@ func (b *local) onVerdict(v monitor.Verdict) {
 		b.vskip.Add(-1)
 		return
 	}
-	b.vids = v.Inst.AppendIDs(b.vids[:0])
-	wv := wire.Verdict{Sym: v.Sym, Cat: string(v.Cat), Mask: uint64(v.Inst.Mask()), IDs: b.vids}
+	b.vids = v.Key.AppendIDs(b.vids[:0])
+	wv := wire.Verdict{Sym: v.Sym, Cat: string(v.Cat), Mask: uint64(v.Key.Mask), IDs: b.vids}
 	b.s.Verdict(wv)
 	if b.rec != nil && v.Cat != logic.Match {
 		b.dumpWindow(wv)

@@ -249,6 +249,73 @@ func TestSessionIngestNoAlloc(t *testing.T) {
 	}
 }
 
+// TestSessionVerdictNoAlloc: a warm session, sequential or on two shards,
+// allocates nothing per generation that ends in a verdict — create, update
+// and next over a fresh collection and iterator, one UnsafeIter match
+// naming both, then their free and a credit grant. The session's verdict
+// handler reads the objects' IDs off the verdict (Verdict.Key) into its
+// scratch and writes the Verdict frame into the reused buffer; the engines
+// make no ref for the objects they name.
+func TestSessionVerdictNoAlloc(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const warm = 20_000
+	for _, shards := range []uint64{1, 2} {
+		b := openTestLocal(t, shards)
+		var out bytes.Buffer
+		b.s.w = wire.NewWriter(&out)
+		create, next, update := symOf(t, b, "create"), symOf(t, b, "next"), symOf(t, b, "update")
+		ci, i, c := make([]uint64, 2), make([]uint64, 1), make([]uint64, 1)
+		id := uint64(0)
+		generation := func() {
+			id += 2
+			ci[0], ci[1], i[0], c[0] = id, id+1, id+1, id
+			if b.Event(create, ci) != nil || b.Event(update, c) != nil || b.Event(next, i) != nil || b.Free(ci) != nil {
+				t.Fatal("session refused a fresh object")
+			}
+			b.s.ungrant = 3
+			if b.s.grantCredit() != nil {
+				t.Fatal("credit grant failed")
+			}
+			out.Reset()
+		}
+		for range warm {
+			generation()
+		}
+		if avg := testing.AllocsPerRun(4096, generation); avg != 0 {
+			t.Errorf("%d shards: verdict generation allocates %.2f times, want 0", shards, avg)
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := b.Stats(); st.GoalVerdicts != id/2 {
+			t.Fatalf("%d shards: %d verdicts over %d generations, want one each", shards, st.GoalVerdicts, id/2)
+		}
+		// A verdict reaches the wire naming its generation's pair.
+		out.Reset()
+		id += 2
+		ci[0], ci[1], i[0], c[0] = id, id+1, id+1, id
+		if b.Event(create, ci) != nil || b.Event(update, c) != nil || b.Event(next, i) != nil || b.Flush() != nil {
+			t.Fatal("session refused the last generation")
+		}
+		if err := b.s.answer(func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		r := wire.NewReader(&out)
+		var msg wire.Msg
+		for r.Next(&msg) == nil {
+			if msg.Type == wire.TVerdict {
+				got = append(got, msg.Verdict.IDs...)
+			}
+		}
+		if len(got) != 2 || got[0] != id || got[1] != id+1 {
+			t.Errorf("%d shards: the verdict named %v, want [%d %d]", shards, got, id, id+1)
+		}
+	}
+}
+
 // pipeListener hands Serve the server ends of in-memory connections.
 type pipeListener struct {
 	conns chan net.Conn

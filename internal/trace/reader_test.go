@@ -181,10 +181,10 @@ func TestSkimAppliesLateDeaths(t *testing.T) {
 		}
 		var verdicts []string
 		opts.OnVerdict = func(v monitor.Verdict) {
-			k := v.Inst.Key()
+			k := v.Key
 			for m := k.Mask; m != 0; m = m.Rest() {
 				i := m.First()
-				if got, want := v.Inst.Value(i).Label(), fmt.Sprintf("r%d", k.IDs[i]); got != want {
+				if got, want := v.Key.String(), fmt.Sprintf("=r%d", k.IDs[i]); !strings.Contains(got, want) {
 					t.Errorf("verdict labels object %d %q, want %q", k.IDs[i], got, want)
 				}
 				k.IDs[i] -= off

@@ -104,8 +104,7 @@ func sym(t testing.TB, spec *monitor.Spec, name string) int {
 }
 
 func vkey(v monitor.Verdict) string {
-	k := v.Inst.Key()
-	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
+	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, v.Key.Mask, v.Key.IDs)
 }
 
 // runOnline feeds the stream to a fresh sequential engine the way a

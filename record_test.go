@@ -64,8 +64,7 @@ func positionedUnsafeIter(t *testing.T, sp *spec.Spec) monitor.Stats {
 }
 
 func verdictKey(v rvgo.Verdict) string {
-	k := v.Inst.Key()
-	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, k.Mask, k.IDs)
+	return fmt.Sprintf("%d/%s/%v/%v", v.Sym, v.Cat, v.Key.Mask, v.Key.IDs)
 }
 
 // TestRecordReplayMatchesOnline is the façade half of the retro oracle:

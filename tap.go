@@ -30,7 +30,7 @@ func (t *tap) Dispatch(sym int, theta Instance) {
 	}
 	if t.rec != nil {
 		var buf [param.MaxParams]uint64
-		t.rec.Event(sym, theta.AppendIDs(buf[:0]))
+		t.rec.Event(sym, theta.Key().AppendIDs(buf[:0]))
 	}
 	t.rt.Dispatch(sym, theta)
 }
@@ -88,12 +88,7 @@ type flightRecorder struct {
 // onVerdict snapshots the ring at a goal verdict. It runs inside the
 // verdict handler chain, under each backend's handler serialization.
 func (f *flightRecorder) onVerdict(v Verdict) {
-	k := v.Inst.Key()
-	var ids []uint64
-	for m := k.Mask; m != 0; m = m.Rest() {
-		ids = append(ids, k.IDs[m.First()])
-	}
-	snap := flightSnap{ids: ids, win: f.rec.Window()}
+	snap := flightSnap{ids: v.Key.AppendIDs(nil), win: f.rec.Window()}
 	f.mu.Lock()
 	f.snaps = append(f.snaps, snap)
 	if len(f.snaps) > maxFlightWindows {
